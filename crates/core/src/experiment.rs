@@ -611,10 +611,9 @@ pub fn churn_grid(
             }
         }
     }
-    // Adaptive-policy cells without outages under the single server
-    // ride the split-cell scheduler; Random, outage and forwarding-
-    // backend cells fall back to whole-cell runs inside the same
-    // work-stealing pass.
+    // Adaptive-policy cells without outages ride the split-cell
+    // scheduler; Random and outage cells fall back to whole-cell runs
+    // inside the same work-stealing pass.
     let configs: Vec<SimConfig> = cells
         .iter()
         .map(|&(rate, policy, query)| SimConfig {
@@ -662,9 +661,9 @@ pub struct AdversaryCell {
 
 /// The adversary ablation: every attack mix × [`CHURN_POLICIES`] ×
 /// {undefended, defended} cell at one list size under one index
-/// backend, in parallel. Adversarial cells are split-ineligible, so
-/// they run whole inside the same work-stealing pass; quiet mixes
-/// (including [`AdversaryConfig::none`] baselines) still split. Each
+/// backend, in parallel. Refusals, hijacks and pollution never stop an
+/// acquisition, so every adaptive-policy cell rides the split-cell
+/// scheduler; Random cells run whole inside the same pass. Each
 /// cell's [`SearchHealth`] is reconciled against its [`SimResult`]
 /// before returning — a violation panics, naming the cell.
 pub fn adversary_grid(
@@ -982,8 +981,8 @@ mod tests {
     fn windowed_sweep_is_bit_identical_to_the_work_stealing_sweep() {
         let (caches, n) = workload();
         let arena = CacheArena::from_caches(&caches, n);
-        // Split cells (quiet + churn), a whole Random cell and a whole
-        // forwarding-backend cell — every path the windowed driver has.
+        // Split cells (quiet, churn, zero-outage DHT) and a whole Random
+        // cell — every path the windowed sweep has.
         let configs = vec![
             SimConfig::lru(3).with_seed(7),
             SimConfig::history(16).with_seed(7),

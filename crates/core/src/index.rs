@@ -120,16 +120,6 @@ impl IndexBackend {
         }
     }
 
-    /// True for backends whose lookups forward between index nodes.
-    /// Forwarding backends are excluded from the split-cell scheduler:
-    /// their outage stranding is per-(querier, day), which breaks the
-    /// arrival-rank policy-independence `SweepPrecomp` rests on, and
-    /// their hop accounting would have to be duplicated into the quiet
-    /// interval-settled mirror (see `split_eligible`).
-    pub fn forwards(&self) -> bool {
-        !matches!(self, IndexBackend::SingleServer)
-    }
-
     /// How many index replicas can carry a poisoned source record —
     /// the adversary plan's pollution exposure (see
     /// `edonkey_workload::adversary::AdversaryPlan::polluter`). The
@@ -602,16 +592,13 @@ mod tests {
     }
 
     #[test]
-    fn backend_names_and_forwarding_flags() {
+    fn backend_names() {
         assert_eq!(IndexBackend::SingleServer.name(), "single");
         assert_eq!(
             IndexBackend::Federated { n_servers: 8 }.name(),
             "federated8"
         );
         assert_eq!(IndexBackend::Dht { replication_k: 3 }.name(), "dht_k3");
-        assert!(!IndexBackend::SingleServer.forwards());
-        assert!(IndexBackend::Federated { n_servers: 2 }.forwards());
-        assert!(IndexBackend::Dht { replication_k: 1 }.forwards());
         assert_eq!(IndexBackend::default(), IndexBackend::SingleServer);
     }
 

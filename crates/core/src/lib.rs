@@ -49,6 +49,7 @@ pub mod gossip;
 pub mod index;
 pub mod neighbours;
 pub mod overlay;
+mod query;
 pub mod serve;
 pub mod sim;
 

@@ -703,29 +703,16 @@ impl AnyPolicy {
     /// pass `None` for the others (a deterministic draw from the sharer
     /// pool — never the simulation's main RNG — supplies it).
     pub fn handle_stale(&mut self, stale: Peer, replacement: Option<Peer>) -> StaleReaction {
-        match self {
-            AnyPolicy::Lru(p) => {
-                if p.evict(stale) {
-                    StaleReaction::Evicted
-                } else {
-                    StaleReaction::Kept
-                }
-            }
-            AnyPolicy::History(p) => {
-                if p.demote(stale) {
-                    StaleReaction::Probed
-                } else {
-                    StaleReaction::Kept
-                }
-            }
-            AnyPolicy::Random(p) => p.replace_stale(stale, replacement),
-            AnyPolicy::RareLru(p) => {
-                if p.evict(stale) {
-                    StaleReaction::Evicted
-                } else {
-                    StaleReaction::Kept
-                }
-            }
+        let (member, reaction) = match self {
+            AnyPolicy::Random(p) => return p.replace_stale(stale, replacement),
+            AnyPolicy::History(p) => (p.demote(stale), StaleReaction::Probed),
+            AnyPolicy::Lru(p) => (p.evict(stale), StaleReaction::Evicted),
+            AnyPolicy::RareLru(p) => (p.evict(stale), StaleReaction::Evicted),
+        };
+        if member {
+            reaction
+        } else {
+            StaleReaction::Kept
         }
     }
 }

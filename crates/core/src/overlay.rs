@@ -15,17 +15,15 @@
 //! list learned yesterday keeps answering today. The per-day hit-rate
 //! series shows the overlay warming up and then *staying* warm.
 
-use edonkey_trace::compact::RowBits;
 use edonkey_trace::model::FileRef;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
-use crate::index::{IndexBackend, IndexRoute};
-use crate::neighbours::{
-    AnyPolicy, NeighbourPolicy, Peer, PolicyKind, ReputationBook, StaleReaction,
-};
-use crate::sim::{AdversaryPlan, AvailabilityConfig, ChurnSchedule, SearchHealth};
+use crate::index::IndexBackend;
+use crate::neighbours::{AnyPolicy, NeighbourPolicy, Peer, PolicyKind};
+use crate::query::{QueryCtx, Request, WalkScratch};
+use crate::sim::{AvailabilityConfig, SearchHealth, SimConfig};
 
 /// Live-overlay parameters.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -128,7 +126,8 @@ pub fn simulate_overlay(
 /// spread over the day in milli-days; queries to offline list members
 /// time out (with the per-policy staleness reaction), the querier
 /// retries per its `QueryPolicy` — backoff can carry an attempt into
-/// the next day's schedule — and a holder must be online to answer.
+/// the next day's schedule — and only a list member queried online in
+/// that attempt can answer (the batch simulator's query kernel).
 /// Overlay misses during a server-outage day strand: the upload never
 /// happens and nothing is recorded. (The *cache* still changes — the
 /// ground-truth history is what it is — but the semantic link is lost.)
@@ -158,43 +157,26 @@ pub fn simulate_overlay_health(
         .filter(|(_, c)| !c.is_empty())
         .map(|(p, _)| p as Peer)
         .collect();
-    let mut policies: Vec<AnyPolicy> = (0..n_peers)
-        .map(|p| {
-            AnyPolicy::new(
-                config.policy,
-                config.list_size,
-                p as Peer,
-                &sharer_pool,
-                &mut rng,
-            )
-        })
+    let mut policies: Vec<AnyPolicy> = (0..n_peers as Peer)
+        .map(|p| AnyPolicy::new(config.policy, config.list_size, p, &sharer_pool, &mut rng))
         .collect();
-
-    let schedule = ChurnSchedule::new(config.availability.churn.clone());
-    let quiet = schedule.is_quiet();
-    let query = config.availability.query;
-    // Final misses route through the index backend; SingleServer is the
-    // byte-identical pre-trait path (outage check + zero-cost resolve).
-    let router = config.availability.backend.router(config.seed);
-    let plan = AdversaryPlan::new(config.availability.adversary.clone());
-    let adv_quiet = plan.is_quiet();
-    let defend = config.availability.reputation && !adv_quiet;
-    let exposure = config.availability.backend.pollution_exposure();
-    let mut books: Vec<ReputationBook> = if defend {
-        vec![ReputationBook::default(); n_peers]
-    } else {
-        Vec::new()
+    // The overlay runs the query kernel as a one-hop cell.
+    let cell = SimConfig {
+        list_size: config.list_size,
+        policy: config.policy,
+        two_hop: false,
+        seed: config.seed,
+        availability: config.availability.clone(),
     };
+    let ctx = QueryCtx::new(&cell, &sharer_pool, n_peers);
+    let mut books = ctx.books(n_peers);
+    let mut scratch = WalkScratch::default();
+    // The overlay reports no per-peer load; the kernel's message tally
+    // lands here unread.
+    let mut messages = vec![0u64; n_peers];
     // Hijack draws are keyed by a running acquisition number — the
     // overlay's analogue of the batch simulator's stream position.
     let mut acq_no: u64 = 0;
-    let mut query_buf: Vec<Peer> = Vec::new();
-    // Per-request consecutive-timeout streaks (see `SimScratch`).
-    let mut stale_prev: Vec<(Peer, u32)> = Vec::new();
-    let mut stale_cur: Vec<(Peer, u32)> = Vec::new();
-    // Reused bitset for the popular-file membership probe.
-    let mut member_bits = RowBits::new();
-    member_bits.ensure(n_peers);
 
     let mut stats = Vec::with_capacity(days.len());
     stats.push(OverlayDayStats {
@@ -244,212 +226,30 @@ pub fn simulate_overlay_health(
             }
             day_stats.requests += 1;
             acq_no += 1;
-
-            // Acquisition j of the day happens j/day_len through it.
-            let base_millis = j as u64 * 1000 / day_len;
-            let mut elapsed = 0u64;
-            let mut attempt = 0u32;
-            stale_prev.clear();
-
-            let (found, day, milli) = loop {
-                health.attempted += 1;
-                if attempt > 0 {
-                    health.retried += 1;
-                }
-                let now = base_millis + elapsed;
-                let day = offset as u32 + (now / 1000) as u32;
-                let milli = (now % 1000) as u32;
-
-                // Offline list members time out (with the per-policy
-                // staleness reaction); the list is copied out first
-                // because the reaction mutates it mid-walk.
-                let mut saw_timeout = false;
-                if !quiet || !adv_quiet {
-                    query_buf.clear();
-                    query_buf.extend_from_slice(policies[peer as usize].neighbours());
-                    stale_cur.clear();
-                    for &n in query_buf.iter() {
-                        if quiet || !schedule.offline(n, day, milli) {
-                            // Online. An adversarial member swallows the
-                            // query without answering — wasted, not
-                            // timed out, so no retry or staleness fires;
-                            // only the reputation score can clear it.
-                            if !adv_quiet && plan.answers_nothing(n) {
-                                health.wasted_queries += 1;
-                                if defend && books[peer as usize].on_query(n) {
-                                    let replacement = match config.policy {
-                                        PolicyKind::Random if !sharer_pool.is_empty() => {
-                                            let i = schedule.replacement_index(
-                                                peer,
-                                                n,
-                                                day,
-                                                sharer_pool.len(),
-                                            );
-                                            Some(sharer_pool[i])
-                                        }
-                                        _ => None,
-                                    };
-                                    if policies[peer as usize].expel(n, replacement) {
-                                        health.reputation_evictions += 1;
-                                    }
-                                }
-                            }
-                            continue;
-                        }
-                        saw_timeout = true;
-                        health.timed_out += 1;
-                        if query.handle_stale {
-                            let streak = stale_prev
-                                .iter()
-                                .find(|&&(p, _)| p == n)
-                                .map_or(1, |&(_, s)| s + 1);
-                            stale_cur.push((n, streak));
-                            if streak < query.stale_after.max(1) {
-                                continue;
-                            }
-                            let replacement = match config.policy {
-                                PolicyKind::Random if !sharer_pool.is_empty() => {
-                                    let i =
-                                        schedule.replacement_index(peer, n, day, sharer_pool.len());
-                                    Some(sharer_pool[i])
-                                }
-                                _ => None,
-                            };
-                            match policies[peer as usize].handle_stale(n, replacement) {
-                                StaleReaction::Evicted | StaleReaction::Replaced => {
-                                    health.evicted_stale += 1;
-                                }
-                                StaleReaction::Probed => health.probed_stale += 1,
-                                StaleReaction::Kept => {}
-                            }
-                        }
-                    }
-                    std::mem::swap(&mut stale_prev, &mut stale_cur);
-                }
-
-                // Membership probe over the *post-staleness* list. For
-                // popular files the list is stamped into a word-level
-                // bitset once and each source probes a single bit; rare
-                // files keep the direct membership test. The scan order
-                // is the same either way, so the answer is too.
-                let policy = &policies[peer as usize];
-                let uploader = if sources.len() * 4 >= policy.neighbours().len() {
-                    member_bits.clear();
-                    for &m in policy.neighbours() {
-                        member_bits.insert(m);
-                    }
-                    sources.iter().copied().find(|&s| {
-                        member_bits.contains(s)
-                            && (quiet || !schedule.offline(s, day, milli))
-                            && (adv_quiet || !plan.answers_nothing(s))
-                    })
-                } else {
-                    sources.iter().copied().find(|&s| {
-                        policy.contains(s)
-                            && (quiet || !schedule.offline(s, day, milli))
-                            && (adv_quiet || !plan.answers_nothing(s))
-                    })
-                };
-
-                if uploader.is_some() || !saw_timeout || attempt >= query.max_retries {
-                    break (uploader, day, milli);
-                }
-                elapsed += query.backoff_for(attempt);
-                attempt += 1;
+            // Acquisition j of the day happens j/day_len through it;
+            // backoff can carry a retry into the next day's schedule.
+            let req = Request {
+                querier: peer,
+                file,
+                key: acq_no,
+                popularity: 0,
+                sharers: sources,
+                start_md: offset as u64 * 1000 + j as u64 * 1000 / day_len,
             };
-
-            let (uploader, fell_back) = match found {
-                Some(u) => {
-                    day_stats.hits += 1;
-                    health.answered += 1;
-                    if schedule.server_out(day) {
-                        health.recovered += 1;
-                    }
-                    (u, false)
-                }
-                None => {
-                    let lookup = router.lookup(&schedule, peer, file, day, milli);
-                    health.forwarded += lookup.forwarded;
-                    health.dht_hops += lookup.dht_hops;
-                    if !lookup.resolved {
-                        // Overlay miss with the index unreachable: the
-                        // upload never happens and no link is recorded
-                        // (the stranded path consumes no RNG, keeping
-                        // SingleServer draws in lockstep with the
-                        // reference).
-                        health.stranded += 1;
-                        continue;
-                    }
-                    health.server_fallback += 1;
-                    (sources[rng.gen_range(0..sources.len())], true)
-                }
-            };
-            if adv_quiet {
-                policies[peer as usize].record_upload(uploader);
-            } else {
-                // Pollution replaces the *recorded* uploader only after
-                // the fallback draw above, keeping the RNG sequence in
-                // lockstep with the honest run. The rest mirrors the
-                // batch simulator's record step: pollution (fallback
-                // only) before hijack, banned peers never recorded,
-                // and the defense book learning from the delta.
-                let mut recorded = uploader;
-                let mut polluted = false;
-                let mut hijacked = false;
-                if fell_back {
-                    if let Some(pol) = plan.polluter(file.index() as u64, exposure, n_peers) {
-                        recorded = pol;
-                        polluted = true;
-                    }
-                }
-                if !polluted {
-                    if let Some(syb) = plan.hijacker(peer, acq_no, n_peers) {
-                        recorded = syb;
-                        hijacked = true;
-                    }
-                }
-                if defend && (polluted || hijacked) && books[peer as usize].banned(recorded) {
-                    // A banned peer's claim is void: the querier ignores
-                    // it and credits the peer it actually downloaded
-                    // from — the capture dies, the learning signal
-                    // survives.
-                    recorded = uploader;
-                    polluted = false;
-                    hijacked = false;
-                }
-                if defend && books[peer as usize].banned(recorded) {
-                    // The genuine uploader itself is banned (a fallback
-                    // pick can land on an attacker): nothing is
-                    // recorded.
-                } else {
-                    if polluted {
-                        health.polluted_acquisitions += 1;
-                    } else if hijacked {
-                        health.sybil_slots_held += 1;
-                    }
-                    // The overlay treats every upload as rare (no
-                    // popularity hint), so a zero source count keeps
-                    // RareLru's behaviour identical to `record_upload`.
-                    let (added, removed) =
-                        policies[peer as usize].record_upload_with_popularity_delta(recorded, 0);
-                    if defend {
-                        let book = &mut books[peer as usize];
-                        if polluted || hijacked {
-                            if (added == Some(recorded)
-                                || policies[peer as usize].contains(recorded))
-                                && book.suspect(recorded)
-                                && policies[peer as usize].expel(recorded, None)
-                            {
-                                health.reputation_evictions += 1;
-                            }
-                        } else if book.contains(recorded) {
-                            book.redeem(recorded);
-                        }
-                        if let Some(rm) = removed {
-                            book.remove(rm);
-                        }
-                    }
-                }
+            // A stranded miss records no link (and draws no RNG); the
+            // fallback uploader is the overlay's own sequential draw.
+            let served = ctx.step(
+                &mut scratch,
+                &req,
+                &mut policies,
+                peer as usize,
+                books.get_mut(peer as usize),
+                || sources[rng.gen_range(0..sources.len())],
+                &mut messages,
+                &mut health,
+            );
+            if served.is_some_and(|(walk, _)| walk.uploader.is_some()) {
+                day_stats.hits += 1;
             }
         }
 

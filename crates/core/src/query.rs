@@ -1,0 +1,513 @@
+//! The Section 5 query kernel: one request of one querier — walk the
+//! semantic neighbours, resolve a miss against the index, record the
+//! uploader — shared by the whole-cell, split-cell, serve and overlay
+//! simulators, which only schedule requests (DESIGN.md §7). Quiet split
+//! and serve cells keep their own membership mirrors and share only
+//! [`quiet_hit`] and [`QueryCtx::resolve_miss`].
+
+use edonkey_trace::compact::{CacheArena, RowBits};
+use edonkey_trace::model::FileRef;
+use edonkey_workload::adversary::AdversaryPlan;
+use edonkey_workload::churn::{ChurnSchedule, QueryPolicy};
+
+use crate::index::{IndexBackend, IndexRoute, IndexRouter, DHT_HOP_LATENCY_MD, FED_HOP_LATENCY_MD};
+use crate::neighbours::{
+    AnyPolicy, NeighbourPolicy, Peer, PolicyKind, ReputationBook, StaleReaction,
+};
+use crate::sim::{fallback_index, QueryRec, SearchHealth, SimConfig, SweepPrecomp};
+
+/// Member-major hit check cutoff: prefer probing the (≤ list-size)
+/// members against the arena when the file's sharer prefix is this many
+/// times longer than the list. Purely a cost heuristic — both probes
+/// return the member with the minimal arrival rank, i.e. the same
+/// uploader the sequential sharer-order scan finds.
+const MEMBER_MAJOR_CUTOFF: usize = 128;
+
+/// Everything a request needs that is fixed for a whole cell: built
+/// once per cell (or split subtask), never per querier.
+pub(crate) struct QueryCtx<'a> {
+    schedule: ChurnSchedule,
+    query: QueryPolicy,
+    plan: AdversaryPlan,
+    /// The schedule can take peers offline.
+    churn: bool,
+    /// The plan marks somebody adversarial.
+    adversarial: bool,
+    /// The reputation defense is armed against a live plan: callers
+    /// keep one [`ReputationBook`] per querier exactly when this holds.
+    defend: bool,
+    exposure: u32,
+    router: IndexRouter,
+    /// Every lookup resolves at no routing cost: one server, no outage
+    /// days.
+    free_index: bool,
+    seed: u64,
+    policy: PolicyKind,
+    two_hop: bool,
+    /// Candidates for the Random policy's stateless replacements.
+    sharer_pool: &'a [Peer],
+    n_peers: usize,
+    span_md: u64,
+}
+
+/// What a walk found, and when.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Walk {
+    /// The answering holder, if any.
+    pub(crate) uploader: Option<Peer>,
+    /// The answer came from a neighbour's neighbour.
+    pub(crate) two_hop: bool,
+    /// Instant of the final attempt, in milli-days.
+    at_md: u64,
+    /// Attempts issued (the first plus retries).
+    pub(crate) attempts: u32,
+    /// Backoff slept between attempts, in milli-days.
+    pub(crate) backoff_md: u64,
+}
+
+/// One request as the kernel sees it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Request<'s> {
+    pub(crate) querier: Peer,
+    pub(crate) file: FileRef,
+    /// The hijack draw's key: the stream position, or the overlay's
+    /// running acquisition number.
+    pub(crate) key: u64,
+    /// Source count handed to popularity-aware policies (the overlay
+    /// passes 0: every upload counts as rare).
+    pub(crate) popularity: u32,
+    /// Current holders in scan order: the first online, queried,
+    /// honest one answers.
+    pub(crate) sharers: &'s [Peer],
+    /// Instant of the first attempt, in milli-days.
+    pub(crate) start_md: u64,
+}
+
+/// Reusable walk buffers.
+#[derive(Debug, Default)]
+pub(crate) struct WalkScratch {
+    /// `mark[p] == generation` ⇔ peer `p` is an *online, queried,
+    /// answering* neighbour of the current attempt. Stale entries are
+    /// invalidated by the generation bump, never by clearing.
+    mark: Vec<u64>,
+    generation: u64,
+    /// Per-attempt copy of the querier's list: staleness and
+    /// reputation reactions mutate it mid-walk.
+    query_buf: Vec<Peer>,
+    /// Consecutive-timeout streaks `(neighbour, streak)` of the
+    /// previous attempt and of the one being walked.
+    stale_prev: Vec<(Peer, u32)>,
+    stale_cur: Vec<(Peer, u32)>,
+    /// Relay-list bitset for the two-hop probe.
+    relay_bits: RowBits,
+}
+
+impl<'a> QueryCtx<'a> {
+    /// The context of one cell. `sharer_pool` only matters to the
+    /// Random policy; `n_peers` sizes the adversary draws.
+    pub(crate) fn new(cell: &SimConfig, sharer_pool: &'a [Peer], n_peers: usize) -> Self {
+        let (availability, seed) = (&cell.availability, cell.seed);
+        let schedule = ChurnSchedule::new(availability.churn.clone());
+        let plan = AdversaryPlan::new(availability.adversary.clone());
+        QueryCtx {
+            churn: !schedule.is_quiet(),
+            adversarial: !plan.is_quiet(),
+            defend: availability.reputation && !plan.is_quiet(),
+            schedule,
+            query: availability.query,
+            plan,
+            exposure: availability.backend.pollution_exposure(),
+            router: availability.backend.router(seed),
+            free_index: availability.backend == IndexBackend::SingleServer
+                && availability.churn.outage_days.is_empty(),
+            seed,
+            policy: cell.policy,
+            two_hop: cell.two_hop,
+            sharer_pool,
+            n_peers,
+            span_md: u64::from(availability.virtual_days.max(1)) * 1000,
+        }
+    }
+
+    /// One reputation book per querier when defending, none otherwise —
+    /// so `books.get_mut(q)` is `Some` exactly when the defense is armed.
+    pub(crate) fn books(&self, n: usize) -> Vec<ReputationBook> {
+        vec![ReputationBook::default(); if self.defend { n } else { 0 }]
+    }
+
+    /// The nominal instant of stream position `t`: the static stream is
+    /// spread uniformly over the virtual span.
+    pub(crate) fn nominal_md(&self, t: u64, stream_len: usize) -> u64 {
+        t * self.span_md / stream_len.max(1) as u64
+    }
+
+    /// The server-fallback uploader of stream position `t` (see
+    /// [`fallback_index`]). Backends decide reachability and routing
+    /// cost, never who uploads, so zero-outage runs agree across them.
+    pub(crate) fn fallback(&self, t: u64, sharers: &[Peer]) -> Peer {
+        sharers[fallback_index(self.seed, t, sharers.len())]
+    }
+
+    /// The Random policy's stateless redraw for a slot vacated by
+    /// `vacated` on `day`; every other policy takes no replacement.
+    fn replacement(&self, querier: Peer, vacated: Peer, day: u32) -> Option<Peer> {
+        let (pool, s) = (self.sharer_pool, &self.schedule);
+        let random = self.policy == PolicyKind::Random && !pool.is_empty();
+        random.then(|| pool[s.replacement_index(querier, vacated, day, pool.len())])
+    }
+
+    /// Walks `policies[slot]` — the querier's list — until an attempt
+    /// finds a holder, sees no timeout, or exhausts its retries.
+    ///
+    /// Every attempt queries each listed neighbour. An offline one
+    /// times out: no message, no mark, and after `stale_after`
+    /// consecutive timeouts within the request the policy's staleness
+    /// reaction. An online adversary refuses: the message is paid and
+    /// nothing comes back; with `book` (the armed defense) the refusal
+    /// scores it and may expel it. Everyone else is marked, and the
+    /// first marked holder in `req.sharers` answers — so a replacement
+    /// drawn mid-walk, never queried, cannot answer the same attempt.
+    /// Two-hop cells then probe each marked relay's list; relays are
+    /// read from `policies` by peer id, so a two-hop walk needs the
+    /// whole population's policies.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn walk(
+        &self,
+        scratch: &mut WalkScratch,
+        req: &Request,
+        policies: &mut [AnyPolicy],
+        slot: usize,
+        mut book: Option<&mut ReputationBook>,
+        messages: &mut [u64],
+        health: &mut SearchHealth,
+    ) -> Walk {
+        let WalkScratch {
+            mark,
+            generation,
+            query_buf,
+            stale_prev,
+            stale_cur,
+            relay_bits,
+        } = scratch;
+        if mark.len() < self.n_peers {
+            mark.resize(self.n_peers, 0);
+        }
+        let querier = req.querier;
+        let query = self.query;
+        let mut backoff_md = 0u64;
+        let mut attempt = 0u32;
+        stale_prev.clear();
+        loop {
+            health.attempted += 1;
+            if attempt > 0 {
+                health.retried += 1;
+            }
+            let at_md = req.start_md + backoff_md;
+            let (day, milli) = ((at_md / 1000) as u32, (at_md % 1000) as u32);
+            *generation += 1;
+            let gen = *generation;
+            let mut saw_timeout = false;
+            query_buf.clear();
+            query_buf.extend_from_slice(policies[slot].neighbours());
+            stale_cur.clear();
+            for &n in query_buf.iter() {
+                if self.churn && self.schedule.offline(n, day, milli) {
+                    saw_timeout = true;
+                    health.timed_out += 1;
+                    if !query.handle_stale {
+                        continue;
+                    }
+                    let streak = stale_prev
+                        .iter()
+                        .find(|&&(p, _)| p == n)
+                        .map_or(1, |&(_, s)| s + 1);
+                    stale_cur.push((n, streak));
+                    if streak >= query.stale_after.max(1) {
+                        let replacement = self.replacement(querier, n, day);
+                        match policies[slot].handle_stale(n, replacement) {
+                            StaleReaction::Evicted | StaleReaction::Replaced => {
+                                health.evicted_stale += 1;
+                            }
+                            StaleReaction::Probed => health.probed_stale += 1,
+                            StaleReaction::Kept => {}
+                        }
+                    }
+                } else if self.adversarial && self.plan.answers_nothing(n) {
+                    // Refused: not a timeout, so no retry or staleness
+                    // fires; only the reputation score can clear it.
+                    messages[n as usize] += 1;
+                    health.wasted_queries += 1;
+                    if book.as_deref_mut().is_some_and(|b| b.on_query(n))
+                        && policies[slot].expel(n, self.replacement(querier, n, day))
+                    {
+                        health.reputation_evictions += 1;
+                    }
+                } else {
+                    messages[n as usize] += 1;
+                    mark[n as usize] = gen;
+                }
+            }
+            std::mem::swap(stale_prev, stale_cur);
+
+            // Iterating holders (popularity-sized) beats iterating the
+            // list for rare files, and finds the same first holder.
+            let mut uploader = req
+                .sharers
+                .iter()
+                .find(|&&s| mark[s as usize] == gen)
+                .copied();
+            let mut two_hop = false;
+            if uploader.is_none() && self.two_hop {
+                relay_bits.ensure(self.n_peers);
+                'relays: for &n in query_buf.iter() {
+                    if mark[n as usize] != gen {
+                        continue; // an unreachable relay's list is unreachable
+                    }
+                    // Popular files stamp the relay's list into a
+                    // bitset once; rare files keep the direct probe.
+                    // Same scan order, same answer.
+                    let relay = &policies[n as usize];
+                    let stamped = req.sharers.len() * 4 >= relay.neighbours().len();
+                    if stamped {
+                        relay_bits.clear();
+                        for &m in relay.neighbours() {
+                            relay_bits.insert(m);
+                        }
+                    }
+                    for &s in req.sharers {
+                        let listed = if stamped {
+                            relay_bits.contains(s)
+                        } else {
+                            relay.contains(s)
+                        };
+                        // The second-hop holder must be online and honest.
+                        if s != querier
+                            && listed
+                            && (!self.churn || !self.schedule.offline(s, day, milli))
+                            && (!self.adversarial || !self.plan.answers_nothing(s))
+                        {
+                            uploader = Some(s);
+                            two_hop = true;
+                            break 'relays;
+                        }
+                    }
+                }
+            }
+
+            // Retry only when something timed out: a definitive miss
+            // over fully online neighbours is final.
+            if uploader.is_some() || !saw_timeout || attempt >= query.max_retries {
+                return Walk {
+                    uploader,
+                    two_hop,
+                    at_md,
+                    attempts: attempt + 1,
+                    backoff_md,
+                };
+            }
+            backoff_md += query.backoff_for(attempt);
+            attempt += 1;
+        }
+    }
+
+    /// Settles a request at instant `at_md` against the index. A hit is
+    /// answered — and recovered when the server is down that day. A
+    /// miss is looked up through the backend: unreachable, the request
+    /// strands (`None`: nothing acquired, nothing recorded); otherwise
+    /// it falls back to the index, and the lookup's routing latency in
+    /// milli-days is returned (0 for a hit).
+    #[inline(always)]
+    pub(crate) fn resolve_miss(
+        &self,
+        querier: Peer,
+        file: FileRef,
+        hit: bool,
+        at_md: u64,
+        health: &mut SearchHealth,
+    ) -> Option<u64> {
+        if hit {
+            health.answered += 1;
+            if self.schedule.server_out((at_md / 1000) as u32) {
+                health.recovered += 1;
+            }
+            Some(0)
+        } else if self.free_index {
+            health.server_fallback += 1;
+            Some(0)
+        } else {
+            self.route(querier, file, at_md, health)
+        }
+    }
+
+    /// The miss path of [`QueryCtx::resolve_miss`] when the index has to
+    /// route it: a forwarding backend, or outage days. Out of line, so
+    /// the single-server loops stay tight.
+    #[inline(never)]
+    fn route(
+        &self,
+        querier: Peer,
+        file: FileRef,
+        at_md: u64,
+        health: &mut SearchHealth,
+    ) -> Option<u64> {
+        let (day, ms) = ((at_md / 1000) as u32, (at_md % 1000) as u32);
+        let lookup = self.router.lookup(&self.schedule, querier, file, day, ms);
+        health.forwarded += lookup.forwarded;
+        health.dht_hops += lookup.dht_hops;
+        if !lookup.resolved {
+            health.stranded += 1;
+            return None;
+        }
+        health.server_fallback += 1;
+        Some(lookup.forwarded * FED_HOP_LATENCY_MD + lookup.dht_hops * DHT_HOP_LATENCY_MD)
+    }
+
+    /// Records `uploader` into `policy` for a completed acquisition.
+    ///
+    /// Under a live plan, pollution strikes first (only fallback
+    /// acquisitions resolve through the index), a sybil hijack
+    /// otherwise; either replaces only the *recorded* uploader — the
+    /// acquisition itself already happened. With the defense armed
+    /// (`book`), a banned peer's claim is void and the true uploader is
+    /// credited instead; a banned true uploader is not recorded at all;
+    /// and the book learns from the record's membership delta. A quiet
+    /// plan reduces to the plain record.
+    #[inline(always)]
+    fn record(
+        &self,
+        req: &Request,
+        policy: &mut AnyPolicy,
+        book: Option<&mut ReputationBook>,
+        uploader: Peer,
+        fell_back: bool,
+        health: &mut SearchHealth,
+    ) {
+        let (mut recorded, mut polluted, mut hijacked) = (uploader, false, false);
+        if self.adversarial {
+            if fell_back {
+                let file = req.file.index() as u64;
+                if let Some(pol) = self.plan.polluter(file, self.exposure, self.n_peers) {
+                    (recorded, polluted) = (pol, true);
+                }
+            }
+            if !polluted {
+                if let Some(syb) = self.plan.hijacker(req.querier, req.key, self.n_peers) {
+                    (recorded, hijacked) = (syb, true);
+                }
+            }
+        }
+        if let Some(b) = book.as_deref() {
+            if (polluted || hijacked) && b.banned(recorded) {
+                // Refusing re-admission — not expulsion — is what
+                // starves an attacker out: the capture dies, the
+                // learning signal survives.
+                (recorded, polluted, hijacked) = (uploader, false, false);
+            }
+            if b.banned(recorded) {
+                return;
+            }
+        }
+        if polluted {
+            health.polluted_acquisitions += 1;
+        } else if hijacked {
+            health.sybil_slots_held += 1;
+        }
+        let (added, removed) = policy.record_upload_with_popularity_delta(recorded, req.popularity);
+        if let Some(b) = book {
+            if polluted || hijacked {
+                // Suspect any slot the adversary now holds; a repeat
+                // capture while on probation bans it outright.
+                if (added == Some(recorded) || policy.contains(recorded))
+                    && b.suspect(recorded)
+                    && policy.expel(recorded, None)
+                {
+                    health.reputation_evictions += 1;
+                }
+            } else if b.contains(recorded) {
+                b.redeem(recorded);
+            }
+            if let Some(rm) = removed {
+                b.remove(rm);
+            }
+        }
+    }
+
+    /// One request end to end: walk, resolve, and record the answering
+    /// holder or — on a resolved miss — `pick()`'s fallback uploader.
+    /// `None` when the request strands. Inlined whole into each caller's
+    /// loop: as out-of-line calls the three steps cost list-5 Random
+    /// cells about a fifth of their time.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(crate) fn step(
+        &self,
+        scratch: &mut WalkScratch,
+        req: &Request,
+        policies: &mut [AnyPolicy],
+        slot: usize,
+        mut book: Option<&mut ReputationBook>,
+        pick: impl FnOnce() -> Peer,
+        messages: &mut [u64],
+        health: &mut SearchHealth,
+    ) -> Option<(Walk, u64)> {
+        let walk = self.walk(
+            scratch,
+            req,
+            policies,
+            slot,
+            book.as_deref_mut(),
+            messages,
+            health,
+        );
+        let hit = walk.uploader.is_some();
+        let route_md = self.resolve_miss(req.querier, req.file, hit, walk.at_md, health)?;
+        let uploader = walk.uploader.unwrap_or_else(pick);
+        self.record(req, &mut policies[slot], book, uploader, !hit, health);
+        Some((walk, route_md))
+    }
+}
+
+/// A querier's current list as the quiet hit check probes it.
+pub(crate) trait Members {
+    /// How many members there are.
+    fn count(&self) -> usize;
+    /// Is `peer` a member?
+    fn contains(&self, peer: Peer) -> bool;
+    /// Visits every member, in any order.
+    fn for_each(&self, f: impl FnMut(Peer));
+}
+
+/// The one-hop hit of a quiet split/serve request: the member with the
+/// minimal arrival rank below the request's — exactly the first member
+/// in the file's sharer prefix. Popular files (prefix far longer than
+/// the list) probe member-major through the arena's rank table; rare
+/// files scan the prefix.
+pub(crate) fn quiet_hit(
+    arena: &CacheArena,
+    pre: &SweepPrecomp,
+    rec: &QueryRec,
+    members: &impl Members,
+) -> Option<Peer> {
+    let r = rec.rank as usize;
+    if r <= MEMBER_MAJOR_CUTOFF * members.count().max(1) {
+        return pre
+            .prefix(rec)
+            .iter()
+            .copied()
+            .find(|&s| members.contains(s));
+    }
+    let (files, offsets) = arena.as_csr_parts();
+    let mut best: Option<(u32, Peer)> = None;
+    members.for_each(|m| {
+        let lo = offsets[m as usize] as usize;
+        let row = &files[lo..offsets[m as usize + 1] as usize];
+        if let Ok(pos) = row.binary_search(&rec.file) {
+            let rank = pre.rank_by[lo + pos];
+            if (rank as usize) < r && best.is_none_or(|(b, _)| rank < b) {
+                best = Some((rank, m));
+            }
+        }
+    });
+    best.map(|(_, m)| m)
+}

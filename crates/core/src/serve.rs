@@ -52,16 +52,10 @@ use std::sync::Mutex;
 use edonkey_trace::compact::CacheArena;
 use edonkey_trace::par::parallel_map_init_threads;
 pub use edonkey_workload::arrivals::{ArrivalConfig, ArrivalProcess};
-use edonkey_workload::churn::ChurnSchedule;
 
-use crate::index::{IndexRoute, DHT_HOP_LATENCY_MD, FED_HOP_LATENCY_MD};
-use crate::neighbours::{
-    AnyPolicy, NeighbourPolicy, Peer, PolicyKind, ReputationBook, StaleReaction,
-};
-use crate::sim::{
-    fallback_index, AdversaryPlan, QueryRec, SearchHealth, SimConfig, SimResult, SweepPrecomp,
-    MEMBER_MAJOR_CUTOFF,
-};
+use crate::neighbours::{AnyPolicy, NeighbourPolicy, Peer};
+use crate::query::{quiet_hit, Members, QueryCtx, Request, WalkScratch};
+use crate::sim::{QueryRec, SearchHealth, SimConfig, SimResult, SweepPrecomp};
 
 /// One overlay query round trip (ask the neighbours, hear back), in
 /// simulated milli-days. Every attempt pays one; it is the latency
@@ -355,23 +349,7 @@ impl ServeHealth {
     /// Accumulates a shard partial (`max_queue_depth` by maximum,
     /// everything else by sum).
     fn merge(&mut self, other: &ServeHealth) {
-        let s = &mut self.search;
-        let o = &other.search;
-        s.attempted += o.attempted;
-        s.answered += o.answered;
-        s.timed_out += o.timed_out;
-        s.retried += o.retried;
-        s.evicted_stale += o.evicted_stale;
-        s.probed_stale += o.probed_stale;
-        s.server_fallback += o.server_fallback;
-        s.stranded += o.stranded;
-        s.recovered += o.recovered;
-        s.forwarded += o.forwarded;
-        s.dht_hops += o.dht_hops;
-        s.wasted_queries += o.wasted_queries;
-        s.sybil_slots_held += o.sybil_slots_held;
-        s.polluted_acquisitions += o.polluted_acquisitions;
-        s.reputation_evictions += o.reputation_evictions;
+        self.search += other.search;
         self.arrived += other.arrived;
         self.served += other.served;
         self.shed += other.shed;
@@ -435,11 +413,6 @@ impl QuerierState {
         }
     }
 
-    #[inline]
-    fn is_member(&self, p: Peer) -> bool {
-        self.members.binary_search(&p).is_ok()
-    }
-
     fn add(&mut self, p: Peer, start: u32) {
         let i = self.members.binary_search(&p).unwrap_err();
         self.members.insert(i, p);
@@ -456,26 +429,18 @@ impl QuerierState {
     }
 }
 
-/// Per-worker scratch (reused across the shards a worker claims).
-#[derive(Default)]
-struct ShardScratch {
-    mark: Vec<u64>,
-    generation: u64,
-    query_buf: Vec<Peer>,
-    stale_prev: Vec<(Peer, u32)>,
-    stale_cur: Vec<(Peer, u32)>,
-}
+impl Members for QuerierState {
+    fn count(&self) -> usize {
+        self.members.len()
+    }
 
-/// The adversary context a shard threads into every churn-path query:
-/// the role plan, the quiet/defend flags resolved once per run, and the
-/// backend's pollution exposure. Adversarial cells always take the
-/// churn path — [`crate::sim::AvailabilityConfig::is_quiet`] covers the
-/// adversary plan — so the quiet path never needs this.
-struct AdversaryCtx<'a> {
-    plan: &'a AdversaryPlan,
-    quiet: bool,
-    defend: bool,
-    exposure: u32,
+    fn contains(&self, p: Peer) -> bool {
+        self.members.binary_search(&p).is_ok()
+    }
+
+    fn for_each(&self, f: impl FnMut(Peer)) {
+        self.members.iter().copied().for_each(f);
+    }
 }
 
 /// One shard's complete outcome; merging in shard order reproduces the
@@ -520,16 +485,9 @@ pub fn serve_arena_threads(
         .filter(|&p| !arena.cache(p).is_empty())
         .map(|p| p as Peer)
         .collect();
-    let mut policies: Vec<AnyPolicy> = Vec::with_capacity(n_peers);
-    for p in 0..n_peers {
-        policies.push(AnyPolicy::new(
-            sim.policy,
-            sim.list_size,
-            p as Peer,
-            &sharer_pool,
-            &mut rng,
-        ));
-    }
+    let mut policies: Vec<AnyPolicy> = (0..n_peers as Peer)
+        .map(|p| AnyPolicy::new(sim.policy, sim.list_size, p, &sharer_pool, &mut rng))
+        .collect();
     let ranges = pre.peer_ranges(config.n_shards.max(1));
     let mut partitions: Vec<Vec<AnyPolicy>> = Vec::with_capacity(ranges.len());
     for &(lo, _) in ranges.iter().rev() {
@@ -547,26 +505,18 @@ pub fn serve_arena_threads(
         .enumerate()
         .map(|(shard, (&range, policies))| (shard, range, Mutex::new(Some(policies))))
         .collect();
+    let ctx = QueryCtx::new(sim, &sharer_pool, n_peers);
     let outcomes: Vec<ShardOutcome> = parallel_map_init_threads(
         &tasks,
         threads.max(1),
-        ShardScratch::default,
+        WalkScratch::default,
         |scratch, (shard, range, slot)| {
             let policies = slot
                 .lock()
                 .expect("shard input lock")
                 .take()
                 .expect("each shard input is taken exactly once");
-            run_shard(
-                arena,
-                &pre,
-                config,
-                &sharer_pool,
-                *shard,
-                *range,
-                policies,
-                scratch,
-            )
+            run_shard(arena, &pre, config, &ctx, *shard, *range, policies, scratch)
         },
     );
 
@@ -584,7 +534,7 @@ pub fn serve_arena_threads(
     let mut shard_max_depth = Vec::with_capacity(outcomes.len());
     let mut shard_last_tick = Vec::with_capacity(outcomes.len());
     let mut lists = Vec::with_capacity(n_peers);
-    for out in &outcomes {
+    for out in outcomes {
         result.one_hop_hits += out.one_hop_hits;
         for (dst, &src) in result.messages_per_peer.iter_mut().zip(&out.messages) {
             *dst += src;
@@ -594,7 +544,7 @@ pub fn serve_arena_threads(
         shard_load.push(out.health.served);
         shard_max_depth.push(out.health.max_queue_depth);
         shard_last_tick.push(out.last_tick);
-        lists.extend(out.lists.iter().cloned());
+        lists.extend(out.lists);
     }
     debug_assert!(health
         .reconcile(result.requests, result.one_hop_hits)
@@ -617,17 +567,15 @@ fn run_shard(
     arena: &CacheArena,
     pre: &SweepPrecomp,
     config: &ServeConfig,
-    sharer_pool: &[Peer],
+    ctx: &QueryCtx,
     shard: usize,
     (lo, hi): (u32, u32),
     mut policies: Vec<AnyPolicy>,
-    scratch: &mut ShardScratch,
+    scratch: &mut WalkScratch,
 ) -> ShardOutcome {
     let sim = &config.sim;
     let tick_md = config.tick_md.max(1);
     let process = ArrivalProcess::new(config.arrival);
-    let span_millis = u64::from(sim.availability.virtual_days.max(1)) * 1000;
-    let stream_len = pre.stream.len().max(1) as u64;
 
     // Timed arrivals for this shard's queriers, in service order:
     // `(arrival instant, stream position)` — the position tie-break
@@ -637,7 +585,7 @@ fn run_shard(
         let qlo = pre.queries_off[p as usize] as usize;
         let qhi = pre.queries_off[p as usize + 1] as usize;
         for &rec in &pre.queries[qlo..qhi] {
-            let base_md = u64::from(rec.t) * span_millis / stream_len;
+            let base_md = ctx.nominal_md(u64::from(rec.t), pre.stream.len());
             let arr_md = process.arrival_md(p, base_md / tick_md, base_md);
             arrivals.push(Arrival {
                 arr_md,
@@ -657,26 +605,10 @@ fn run_shard(
         lists: Vec::new(),
     };
     let quiet = sim.availability.is_quiet();
-    let schedule = ChurnSchedule::new(sim.availability.churn.clone());
-    let router = sim.availability.backend.router(sim.seed);
-    let plan = AdversaryPlan::new(sim.availability.adversary.clone());
-    let adv = AdversaryCtx {
-        quiet: plan.is_quiet(),
-        defend: sim.availability.reputation && !plan.is_quiet(),
-        exposure: sim.availability.backend.pollution_exposure(),
-        plan: &plan,
-    };
     // Reputation books are querier-local (like the policies), so the
     // shard partition carries the whole defense state.
-    let mut books: Vec<ReputationBook> = if adv.defend {
-        vec![ReputationBook::default(); (hi - lo) as usize]
-    } else {
-        Vec::new()
-    };
+    let mut books = ctx.books((hi - lo) as usize);
     let mut states: Vec<QuerierState> = vec![QuerierState::default(); (hi - lo) as usize];
-    if scratch.mark.len() < pre.n_peers {
-        scratch.mark.resize(pre.n_peers, 0);
-    }
 
     // The tick loop: enqueue this tick's arrivals (shedding past the
     // queue bound), then serve up to the per-tick capacity. An empty
@@ -710,44 +642,48 @@ fn run_shard(
                 out.health.deferred_ticks += wait_ticks;
             }
             let service_md = arrival.arr_md + wait_ticks * tick_md;
-            let wait_md = wait_ticks * tick_md;
-            let querier_state = &mut states[(arrival.querier - lo) as usize];
-            let policy = &mut policies[(arrival.querier - lo) as usize];
+            let slot = (arrival.querier - lo) as usize;
             let walk_md = if quiet {
                 serve_query_quiet(
                     arena,
                     pre,
-                    &schedule,
-                    &router,
+                    ctx,
                     &arrival,
                     service_md,
-                    policy,
-                    querier_state,
+                    &mut policies[slot],
+                    &mut states[slot],
                     &mut out,
                 )
             } else {
-                let book = if adv.defend {
-                    Some(&mut books[(arrival.querier - lo) as usize])
-                } else {
-                    None
+                let rec = arrival.rec;
+                let req = Request {
+                    querier: arrival.querier,
+                    file: rec.file,
+                    key: u64::from(rec.t),
+                    popularity: rec.rank,
+                    sharers: pre.prefix(&rec),
+                    start_md: service_md,
                 };
-                serve_query_churn(
-                    pre,
-                    sim,
-                    &schedule,
-                    &router,
-                    sharer_pool,
-                    &arrival,
-                    service_md,
-                    policy,
-                    &adv,
-                    book,
-                    scratch,
-                    &mut out,
-                )
+                // The batch path's walk clocked from the *service*
+                // instant — equal to the batch instant exactly when the
+                // query never waited.
+                let (walk, route_md) = ctx
+                    .step(
+                        scratch,
+                        &req,
+                        &mut policies,
+                        slot,
+                        books.get_mut(slot),
+                        || ctx.fallback(req.key, req.sharers),
+                        &mut out.messages,
+                        &mut out.health.search,
+                    )
+                    .expect("service mode admits no outages");
+                out.one_hop_hits += u64::from(walk.uploader.is_some());
+                u64::from(walk.attempts) * QUERY_RTT_MD + walk.backoff_md + route_md
             };
             out.health.served += 1;
-            out.latency.record(wait_md + walk_md);
+            out.latency.record(wait_ticks * tick_md + walk_md);
         }
     }
     out.last_tick = tick;
@@ -766,16 +702,15 @@ fn run_shard(
     out
 }
 
-/// Serves one quiet-regime query: rank-based hit check against the
-/// querier's membership mirror, interval-settled messages, stateless
-/// fallback. Returns the walk's latency contribution (everything but
-/// the queue wait).
+/// Serves one quiet-regime query: the split path's rank-based hit check
+/// against the querier's membership mirror, interval-settled messages,
+/// the stateless fallback. Returns the query's latency beyond the queue
+/// wait: one round trip plus a miss's routing cost.
 #[allow(clippy::too_many_arguments)]
 fn serve_query_quiet(
     arena: &CacheArena,
     pre: &SweepPrecomp,
-    schedule: &ChurnSchedule,
-    router: &crate::index::IndexRouter,
+    ctx: &QueryCtx,
     arrival: &Arrival,
     service_md: u64,
     policy: &mut AnyPolicy,
@@ -783,60 +718,31 @@ fn serve_query_quiet(
     out: &mut ShardOutcome,
 ) -> u64 {
     state.ensure_init(policy.neighbours());
-    let rec = arrival.rec;
-    let r = rec.rank as usize;
-    let prefix = &pre.arrivals[rec.off as usize..rec.off as usize + r];
-
-    // One-hop hit: the member with the minimal arrival rank below `r`
-    // — the same check as the split path's, with the mark array
-    // replaced by the querier's sorted mirror (a shard interleaves
-    // thousands of queriers, so a shared peer-indexed mark cannot
-    // encode "member of *this* querier").
-    let members = policy.neighbours();
-    let uploader = if r > MEMBER_MAJOR_CUTOFF * members.len().max(1) {
-        let (arena_files, arena_offsets) = arena.as_csr_parts();
-        let mut best: Option<(u32, Peer)> = None;
-        for &m in members {
-            let row_lo = arena_offsets[m as usize] as usize;
-            let row_hi = arena_offsets[m as usize + 1] as usize;
-            if let Ok(pos) = arena_files[row_lo..row_hi].binary_search(&rec.file) {
-                let rk = pre.rank_by[row_lo + pos];
-                if (rk as usize) < r && best.is_none_or(|(b, _)| rk < b) {
-                    best = Some((rk, m));
-                }
-            }
-        }
-        best.map(|(_, m)| m)
-    } else {
-        prefix.iter().copied().find(|&s| state.is_member(s))
-    };
-
+    let rec = &arrival.rec;
+    // A shard interleaves thousands of queriers, so a shared
+    // peer-indexed mark cannot encode "member of *this* querier": the
+    // hit check probes the querier's sorted mirror instead.
+    let hit = quiet_hit(arena, pre, rec, &*state);
     out.health.search.attempted += 1;
-    let (uploader, route_md) = match uploader {
+    let (uploader, route_md) = match hit {
         Some(u) => {
             out.one_hop_hits += 1;
             out.health.search.answered += 1;
             (u, 0)
         }
         None => {
-            let day = (service_md / 1000) as u32;
-            let milli = (service_md % 1000) as u32;
-            let lookup = router.lookup(schedule, arrival.querier, rec.file, day, milli);
-            out.health.search.forwarded += lookup.forwarded;
-            out.health.search.dht_hops += lookup.dht_hops;
-            debug_assert!(lookup.resolved, "no outages, so every lookup resolves");
-            out.health.search.server_fallback += 1;
-            (
-                prefix[fallback_index(pre.seed, u64::from(rec.t), r)],
-                lookup.forwarded * FED_HOP_LATENCY_MD + lookup.dht_hops * DHT_HOP_LATENCY_MD,
-            )
+            let search = &mut out.health.search;
+            let route_md = ctx
+                .resolve_miss(arrival.querier, rec.file, false, service_md, search)
+                .expect("service mode admits no outages");
+            (ctx.fallback(u64::from(rec.t), pre.prefix(rec)), route_md)
         }
     };
 
     // Policy update + interval settling (the split path's accounting:
     // a member removed after this querier's `q`-th served query was
     // queried during `[start, q]`).
-    let (added, removed) = policy.record_upload_with_popularity_delta(uploader, r as u32);
+    let (added, removed) = policy.record_upload_with_popularity_delta(uploader, rec.rank);
     if let Some(rm) = removed {
         let start = state.remove(rm);
         out.messages[rm as usize] += u64::from(state.served + 1 - start);
@@ -846,252 +752,6 @@ fn serve_query_quiet(
     }
     state.served += 1;
     QUERY_RTT_MD + route_md
-}
-
-/// Serves one churn-regime query: the batch path's timeout / retry /
-/// staleness walk with immediate message accounting, clocked from the
-/// *service* instant (equal to the batch instant exactly when the
-/// query never waited). Adversarial cells ride this path too (refusals,
-/// hijack, pollution, the reputation defense — the exact batch-path
-/// sequence, so the differential contract extends to them). Returns the
-/// walk's latency contribution: one round trip per attempt, the backoff
-/// the retries slept, and the final miss's routing cost.
-#[allow(clippy::too_many_arguments)]
-fn serve_query_churn(
-    pre: &SweepPrecomp,
-    sim: &SimConfig,
-    schedule: &ChurnSchedule,
-    router: &crate::index::IndexRouter,
-    sharer_pool: &[Peer],
-    arrival: &Arrival,
-    service_md: u64,
-    policy: &mut AnyPolicy,
-    adv: &AdversaryCtx,
-    mut book: Option<&mut ReputationBook>,
-    scratch: &mut ShardScratch,
-    out: &mut ShardOutcome,
-) -> u64 {
-    let rec = arrival.rec;
-    let r = rec.rank as usize;
-    let prefix = &pre.arrivals[rec.off as usize..rec.off as usize + r];
-    let query = sim.availability.query;
-
-    let mut elapsed = 0u64;
-    let mut attempt = 0u32;
-    scratch.stale_prev.clear();
-
-    let (uploader, day, milli) = loop {
-        out.health.search.attempted += 1;
-        if attempt > 0 {
-            out.health.search.retried += 1;
-        }
-        let now = service_md + elapsed;
-        let day = (now / 1000) as u32;
-        let milli = (now % 1000) as u32;
-
-        scratch.generation += 1;
-        let mut saw_timeout = false;
-        scratch.query_buf.clear();
-        scratch.query_buf.extend_from_slice(policy.neighbours());
-        scratch.stale_cur.clear();
-        for &n in scratch.query_buf.iter() {
-            if schedule.offline(n, day, milli) {
-                saw_timeout = true;
-                out.health.search.timed_out += 1;
-                if query.handle_stale {
-                    let streak = scratch
-                        .stale_prev
-                        .iter()
-                        .find(|&&(p, _)| p == n)
-                        .map_or(1, |&(_, s)| s + 1);
-                    scratch.stale_cur.push((n, streak));
-                    if streak >= query.stale_after.max(1) {
-                        // Only the Random policy draws a replacement,
-                        // statelessly — same as the batch path.
-                        let replacement = match sim.policy {
-                            PolicyKind::Random if !sharer_pool.is_empty() => {
-                                let i = schedule.replacement_index(
-                                    arrival.querier,
-                                    n,
-                                    day,
-                                    sharer_pool.len(),
-                                );
-                                Some(sharer_pool[i])
-                            }
-                            _ => None,
-                        };
-                        match policy.handle_stale(n, replacement) {
-                            StaleReaction::Evicted | StaleReaction::Replaced => {
-                                out.health.search.evicted_stale += 1;
-                            }
-                            StaleReaction::Probed => out.health.search.probed_stale += 1,
-                            StaleReaction::Kept => {}
-                        }
-                    }
-                }
-            } else if !adv.quiet && adv.plan.answers_nothing(n) {
-                // Refused: the adversary is online and the query costs
-                // a message, but no answer comes back and no mark is
-                // stamped. Not a timeout — no retry or staleness fires;
-                // only the reputation score can clear the slot.
-                out.messages[n as usize] += 1;
-                out.health.search.wasted_queries += 1;
-                if adv.defend
-                    && book
-                        .as_deref_mut()
-                        .expect("defense books exist when defending")
-                        .on_query(n)
-                {
-                    let replacement = match sim.policy {
-                        PolicyKind::Random if !sharer_pool.is_empty() => {
-                            let i = schedule.replacement_index(
-                                arrival.querier,
-                                n,
-                                day,
-                                sharer_pool.len(),
-                            );
-                            Some(sharer_pool[i])
-                        }
-                        _ => None,
-                    };
-                    if policy.expel(n, replacement) {
-                        out.health.search.reputation_evictions += 1;
-                    }
-                }
-            } else {
-                out.messages[n as usize] += 1;
-                scratch.mark[n as usize] = scratch.generation;
-            }
-        }
-        std::mem::swap(&mut scratch.stale_prev, &mut scratch.stale_cur);
-        let uploader: Option<Peer> = prefix
-            .iter()
-            .copied()
-            .find(|&s| scratch.mark[s as usize] == scratch.generation);
-
-        if uploader.is_some() || !saw_timeout || attempt >= query.max_retries {
-            break (uploader, day, milli);
-        }
-        elapsed += query.backoff_for(attempt);
-        attempt += 1;
-    };
-
-    let route_md = match uploader {
-        Some(u) => {
-            out.one_hop_hits += 1;
-            out.health.search.answered += 1;
-            record_after_walk(
-                adv,
-                pre.n_peers,
-                arrival.querier,
-                rec,
-                u,
-                false,
-                policy,
-                book,
-                &mut out.health.search,
-            );
-            0
-        }
-        None => {
-            let lookup = router.lookup(schedule, arrival.querier, rec.file, day, milli);
-            out.health.search.forwarded += lookup.forwarded;
-            out.health.search.dht_hops += lookup.dht_hops;
-            debug_assert!(lookup.resolved, "no outages, so every lookup resolves");
-            out.health.search.server_fallback += 1;
-            let pick = prefix[fallback_index(pre.seed, u64::from(rec.t), r)];
-            record_after_walk(
-                adv,
-                pre.n_peers,
-                arrival.querier,
-                rec,
-                pick,
-                true,
-                policy,
-                book,
-                &mut out.health.search,
-            );
-            lookup.forwarded * FED_HOP_LATENCY_MD + lookup.dht_hops * DHT_HOP_LATENCY_MD
-        }
-    };
-    u64::from(attempt + 1) * QUERY_RTT_MD + elapsed + route_md
-}
-
-/// The record step at the end of a churn-path walk, mirroring the batch
-/// simulator's adversarial record exactly: pollution is checked first
-/// and only on fallback records, sybil hijack applies to anything the
-/// pollution left alone, a banned peer is never recorded again, and the
-/// defense book learns from the record's membership delta. Quiet plans
-/// reduce to the plain record.
-#[allow(clippy::too_many_arguments)]
-fn record_after_walk(
-    adv: &AdversaryCtx,
-    n_peers: usize,
-    querier: u32,
-    rec: QueryRec,
-    uploader: Peer,
-    fell_back: bool,
-    policy: &mut AnyPolicy,
-    book: Option<&mut ReputationBook>,
-    health: &mut SearchHealth,
-) {
-    if adv.quiet {
-        let _ = policy.record_upload_with_popularity_delta(uploader, rec.rank);
-        return;
-    }
-    let mut recorded = uploader;
-    let mut polluted = false;
-    let mut hijacked = false;
-    if fell_back {
-        if let Some(pol) = adv
-            .plan
-            .polluter(rec.file.index() as u64, adv.exposure, n_peers)
-        {
-            recorded = pol;
-            polluted = true;
-        }
-    }
-    if !polluted {
-        if let Some(syb) = adv.plan.hijacker(querier, u64::from(rec.t), n_peers) {
-            recorded = syb;
-            hijacked = true;
-        }
-    }
-    if adv.defend && (polluted || hijacked) && book.as_ref().is_some_and(|b| b.banned(recorded)) {
-        // A banned peer's claim is void: the querier ignores it and
-        // credits the peer it actually downloaded from — exactly as in
-        // the batch path.
-        recorded = uploader;
-        polluted = false;
-        hijacked = false;
-    }
-    if adv.defend && book.as_ref().is_some_and(|b| b.banned(recorded)) {
-        // The genuine uploader itself is banned (a fallback pick can
-        // land on an attacker): nothing is recorded.
-    } else {
-        if polluted {
-            health.polluted_acquisitions += 1;
-        } else if hijacked {
-            health.sybil_slots_held += 1;
-        }
-        let (added, removed) = policy.record_upload_with_popularity_delta(recorded, rec.rank);
-        if adv.defend {
-            let b = book.expect("defense books exist when defending");
-            if polluted || hijacked {
-                if (added == Some(recorded) || policy.contains(recorded))
-                    && b.suspect(recorded)
-                    && policy.expel(recorded, None)
-                {
-                    health.reputation_evictions += 1;
-                }
-            } else if b.contains(recorded) {
-                b.redeem(recorded);
-            }
-            if let Some(rm) = removed {
-                b.remove(rm);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@
 //! pre-availability simulator ([`simulate_reference`] is the pinned
 //! oracle).
 
-use edonkey_trace::compact::{CacheArena, RowBits};
+use edonkey_trace::compact::CacheArena;
 use edonkey_trace::model::FileRef;
 pub use edonkey_workload::adversary::{AdversaryConfig, AdversaryPlan};
 pub use edonkey_workload::churn::{ChurnConfig, ChurnSchedule, QueryPolicy};
@@ -43,10 +43,9 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::time::Instant;
 
-use crate::index::{IndexBackend, IndexRoute};
-use crate::neighbours::{
-    AnyPolicy, NeighbourPolicy, Peer, PolicyKind, ReputationBook, StaleReaction,
-};
+use crate::index::IndexBackend;
+use crate::neighbours::{AnyPolicy, NeighbourPolicy, Peer, PolicyKind};
+use crate::query::{quiet_hit, Members, QueryCtx, Request, WalkScratch};
 
 /// Stateless server-fallback pick: which of the `len` current sharers
 /// uploads on a miss at stream position `t`, drawn by a splitmix64
@@ -385,6 +384,46 @@ impl SearchHealth {
     }
 }
 
+impl std::ops::AddAssign for SearchHealth {
+    /// Field-wise sum: the ledger of two disjoint request sets. The
+    /// exhaustive destructuring makes a new counter a compile error
+    /// here rather than a silently dropped term in some merge.
+    fn add_assign(&mut self, other: SearchHealth) {
+        let SearchHealth {
+            attempted,
+            answered,
+            timed_out,
+            retried,
+            evicted_stale,
+            probed_stale,
+            server_fallback,
+            stranded,
+            recovered,
+            forwarded,
+            dht_hops,
+            wasted_queries,
+            sybil_slots_held,
+            polluted_acquisitions,
+            reputation_evictions,
+        } = other;
+        self.attempted += attempted;
+        self.answered += answered;
+        self.timed_out += timed_out;
+        self.retried += retried;
+        self.evicted_stale += evicted_stale;
+        self.probed_stale += probed_stale;
+        self.server_fallback += server_fallback;
+        self.stranded += stranded;
+        self.recovered += recovered;
+        self.forwarded += forwarded;
+        self.dht_hops += dht_hops;
+        self.wasted_queries += wasted_queries;
+        self.sybil_slots_held += sybil_slots_held;
+        self.polluted_acquisitions += polluted_acquisitions;
+        self.reputation_evictions += reputation_evictions;
+    }
+}
+
 /// Simulation outcome.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimResult {
@@ -512,27 +551,14 @@ pub struct SimScratch {
     sharer_heads: Vec<u32>,
     sharer_len: Vec<u32>,
     sharer_flat: Vec<Peer>,
-    /// `mark[p] == generation` ⇔ peer `p` is an *online, queried*
-    /// neighbour of the current requester. Stale entries are
-    /// invalidated by the generation bump — never by clearing the
-    /// array.
-    mark: Vec<u64>,
-    generation: u64,
-    /// Per-attempt copy of the requester's neighbour list: staleness
-    /// reactions mutate the list mid-walk.
-    query_buf: Vec<Peer>,
-    /// Per-request consecutive-timeout streaks `(neighbour, streak)` —
-    /// the previous attempt's and the one being walked.
-    stale_prev: Vec<(Peer, u32)>,
-    stale_cur: Vec<(Peer, u32)>,
     /// Pooled per-peer neighbour policies, renewed in place each run
     /// ([`AnyPolicy::renew`] replays the construction draw sequence, so
     /// reuse is invisible to the RNG stream).
     policies: Vec<AnyPolicy>,
     /// Pooled candidate pool (the non-free-riders) for random lists.
     sharer_pool: Vec<Peer>,
-    /// Pooled relay-list bitset for the two-hop probe.
-    relay_bits: RowBits,
+    /// The query kernel's walk buffers.
+    walk: WalkScratch,
 }
 
 impl SimScratch {
@@ -588,14 +614,9 @@ pub fn simulate_arena_health_with_scratch(
         sharer_heads,
         sharer_len,
         sharer_flat,
-        mark,
-        generation,
-        query_buf,
-        stale_prev,
-        stale_cur,
         policies,
         sharer_pool,
-        relay_bits,
+        walk,
     } = scratch;
 
     // Sharers (non-free-riders) are the candidate pool for random lists.
@@ -651,9 +672,6 @@ pub fn simulate_arena_health_with_scratch(
     sharer_len.resize(n_files, 0);
     sharer_flat.clear();
     sharer_flat.resize(stream.len(), 0);
-    if mark.len() < n_peers {
-        mark.resize(n_peers, 0);
-    }
 
     let mut result = SimResult {
         requests: 0,
@@ -664,36 +682,13 @@ pub fn simulate_arena_health_with_scratch(
     };
     let mut health = SearchHealth::default();
 
-    // Availability: quiet schedules take none of the branches below, so
-    // the pre-churn behaviour (and RNG sequence) is preserved exactly.
-    let availability = &config.availability;
-    let schedule = ChurnSchedule::new(availability.churn.clone());
-    let quiet = schedule.is_quiet();
-    let query = availability.query;
-    // Adversary: a quiet plan takes none of the branches below and
-    // consumes no RNG, so honest runs are bit-identical to runs that
-    // never consulted it. The defense books are only allocated (and
-    // only consulted) when both the plan and the flag are armed, which
-    // is what makes `reputation` mechanically free on honest runs.
-    let plan = AdversaryPlan::new(availability.adversary.clone());
-    let adv_quiet = plan.is_quiet();
-    let defend = availability.reputation && !adv_quiet;
-    let exposure = availability.backend.pollution_exposure();
-    let mut books: Vec<ReputationBook> = if defend {
-        vec![ReputationBook::default(); n_peers]
-    } else {
-        Vec::new()
-    };
-    // Final misses route through the index backend; SingleServer is the
-    // byte-identical pre-trait path (outage check + zero-cost resolve).
-    let router = availability.backend.router(config.seed);
-    // The static stream is spread uniformly over the virtual span, in
-    // milli-days (1 day = 1000 md).
-    let span_millis = u64::from(availability.virtual_days.max(1)) * 1000;
-    let stream_len = stream.len().max(1) as u64;
+    // The kernel owns every availability, index and adversary branch;
+    // a quiet regime takes none of them, so the pre-churn behaviour
+    // (and RNG sequence) is preserved exactly.
+    let ctx = QueryCtx::new(config, sharer_pool, n_peers);
+    let mut books = ctx.books(n_peers);
 
     for (t, &(peer, file)) in stream.iter().enumerate() {
-        let peer_idx = peer as usize;
         let head = sharer_heads[file.index()] as usize;
         let f_len = sharer_len[file.index()] as usize;
         if f_len == 0 {
@@ -704,261 +699,31 @@ pub fn simulate_arena_health_with_scratch(
             continue;
         }
         result.requests += 1;
-
-        let base_millis = t as u64 * span_millis / stream_len;
-        let mut elapsed = 0u64;
-        let mut attempt = 0u32;
-        stale_prev.clear();
-
-        let (mut uploader, hop, day, milli) = loop {
-            health.attempted += 1;
-            if attempt > 0 {
-                health.retried += 1;
-            }
-            let now = base_millis + elapsed;
-            let day = (now / 1000) as u32;
-            let milli = (now % 1000) as u32;
-
-            // Querying loads every *online* one-hop neighbour; the same
-            // walk stamps the mark array for the membership probe
-            // below. The list is copied out first because staleness
-            // reactions mutate it mid-walk.
-            *generation += 1;
-            let mut saw_timeout = false;
-            query_buf.clear();
-            query_buf.extend_from_slice(policies[peer_idx].neighbours());
-            stale_cur.clear();
-            for &n in query_buf.iter() {
-                if !quiet && schedule.offline(n, day, milli) {
-                    // Timed out: no message delivered, no mark stamped.
-                    saw_timeout = true;
-                    health.timed_out += 1;
-                    if query.handle_stale {
-                        let streak = stale_prev
-                            .iter()
-                            .find(|&&(p, _)| p == n)
-                            .map_or(1, |&(_, s)| s + 1);
-                        stale_cur.push((n, streak));
-                        if streak >= query.stale_after.max(1) {
-                            // Only the Random policy wants a
-                            // replacement; it is drawn statelessly so
-                            // the main RNG sequence never moves.
-                            let replacement = match config.policy {
-                                PolicyKind::Random if !sharer_pool.is_empty() => {
-                                    let i =
-                                        schedule.replacement_index(peer, n, day, sharer_pool.len());
-                                    Some(sharer_pool[i])
-                                }
-                                _ => None,
-                            };
-                            match policies[peer_idx].handle_stale(n, replacement) {
-                                StaleReaction::Evicted | StaleReaction::Replaced => {
-                                    health.evicted_stale += 1;
-                                }
-                                StaleReaction::Probed => health.probed_stale += 1,
-                                StaleReaction::Kept => {}
-                            }
-                        }
-                    }
-                } else if !adv_quiet && plan.answers_nothing(n) {
-                    // Refused: the adversary is online and the query
-                    // costs a message, but no answer comes back and no
-                    // mark is stamped. Not a timeout — no retry or
-                    // staleness fires; only the reputation score can
-                    // clear the slot.
-                    result.messages_per_peer[n as usize] += 1;
-                    health.wasted_queries += 1;
-                    if defend && books[peer_idx].on_query(n) {
-                        let replacement = match config.policy {
-                            PolicyKind::Random if !sharer_pool.is_empty() => {
-                                let i = schedule.replacement_index(peer, n, day, sharer_pool.len());
-                                Some(sharer_pool[i])
-                            }
-                            _ => None,
-                        };
-                        if policies[peer_idx].expel(n, replacement) {
-                            health.reputation_evictions += 1;
-                        }
-                    }
-                } else {
-                    result.messages_per_peer[n as usize] += 1;
-                    mark[n as usize] = *generation;
-                }
-            }
-            std::mem::swap(stale_prev, stale_cur);
-
-            // One-hop: does any current sharer sit among the online
-            // queried neighbours? Iterating sharers (popularity-sized)
-            // beats iterating the list for rare files, and is
-            // equivalent.
-            let file_sharers = &sharer_flat[head..head + f_len];
-            let mut uploader: Option<Peer> = file_sharers
-                .iter()
-                .copied()
-                .find(|&s| mark[s as usize] == *generation);
-            let mut hop = 1;
-
-            // Two-hop: query each online neighbour's neighbours; the
-            // second-hop holder must itself be online to answer. For
-            // popular files the per-relay membership probes dominate, so
-            // the relay's list is stamped into a word-level bitset once
-            // and the sharers probe single bits; rare files keep the
-            // direct membership test. Either way the scan order — and
-            // therefore the answer — is identical.
-            if uploader.is_none() && config.two_hop {
-                relay_bits.ensure(n_peers);
-                'outer: for &n in query_buf.iter() {
-                    if mark[n as usize] != *generation {
-                        continue; // offline relay: its list is unreachable
-                    }
-                    let relay = &policies[n as usize];
-                    if file_sharers.len() * 4 >= relay.neighbours().len() {
-                        relay_bits.clear();
-                        for &m in relay.neighbours() {
-                            relay_bits.insert(m);
-                        }
-                        for &s in file_sharers {
-                            if s != peer
-                                && relay_bits.contains(s)
-                                && (quiet || !schedule.offline(s, day, milli))
-                                && (adv_quiet || !plan.answers_nothing(s))
-                            {
-                                uploader = Some(s);
-                                hop = 2;
-                                break 'outer;
-                            }
-                        }
-                    } else {
-                        for &s in file_sharers {
-                            if s != peer
-                                && relay.contains(s)
-                                && (quiet || !schedule.offline(s, day, milli))
-                                && (adv_quiet || !plan.answers_nothing(s))
-                            {
-                                uploader = Some(s);
-                                hop = 2;
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Retry only when something actually timed out: a
-            // definitive miss over fully online neighbours is final.
-            if uploader.is_some() || !saw_timeout || attempt >= query.max_retries {
-                break (uploader, hop, day, milli);
-            }
-            elapsed += query.backoff_for(attempt);
-            attempt += 1;
+        let req = Request {
+            querier: peer,
+            file,
+            key: t as u64,
+            popularity: f_len as u32,
+            sharers: &sharer_flat[head..head + f_len],
+            start_md: ctx.nominal_md(t as u64, stream.len()),
         };
-
-        let mut fell_back = false;
-        match uploader {
-            Some(_) => {
-                if hop == 1 {
-                    result.one_hop_hits += 1;
-                } else {
-                    result.two_hop_hits += 1;
-                }
-                health.answered += 1;
-                if schedule.server_out(day) {
-                    health.recovered += 1;
-                }
-            }
-            None => {
-                let lookup = router.lookup(&schedule, peer, file, day, milli);
-                health.forwarded += lookup.forwarded;
-                health.dht_hops += lookup.dht_hops;
-                if !lookup.resolved {
-                    // Overlay miss with the index unreachable: the
-                    // request strands — nothing acquired, nothing
-                    // recorded, no RNG consumed.
-                    health.stranded += 1;
-                    continue;
-                }
-                // Server fallback: a uniform current sharer uploads the
-                // file, picked statelessly from the stream position (see
-                // [`fallback_index`]). The pick is backend-agnostic —
-                // the backend decides reachability and routing cost,
-                // never *who* uploads — so zero-outage runs agree
-                // across backends, and quiet SingleServer runs stay
-                // bit-identical to the reference.
-                let pick = sharer_flat[head + fallback_index(config.seed, t as u64, f_len)];
-                health.server_fallback += 1;
-                fell_back = true;
-                uploader = Some(pick);
-            }
-        }
-
-        let uploader = uploader.expect("an uploader always exists here");
-        if adv_quiet {
-            policies[peer_idx].record_upload_with_popularity(uploader, f_len as u32);
-        } else {
-            // Pollution strikes first (only fallback acquisitions
-            // resolve through the index), a sybil hijack otherwise.
-            // Either replaces only the *recorded* uploader — the
-            // acquisition itself completes, so the sharer table below
-            // grows exactly as in the honest run.
-            let mut recorded = uploader;
-            let mut polluted = false;
-            let mut hijacked = false;
-            if fell_back {
-                if let Some(pol) = plan.polluter(file.index() as u64, exposure, n_peers) {
-                    recorded = pol;
-                    polluted = true;
-                }
-            }
-            if !polluted {
-                if let Some(syb) = plan.hijacker(peer, t as u64, n_peers) {
-                    recorded = syb;
-                    hijacked = true;
-                }
-            }
-            if defend && (polluted || hijacked) && books[peer_idx].banned(recorded) {
-                // A banned peer's claim is void: the querier ignores it
-                // and credits the peer it actually downloaded from. The
-                // capture dies; the learning signal survives. Refusing
-                // re-admission — not expulsion — is what starves an
-                // attacker out of the overlay.
-                recorded = uploader;
-                polluted = false;
-                hijacked = false;
-            }
-            if defend && books[peer_idx].banned(recorded) {
-                // The genuine uploader itself is banned (a fallback pick
-                // can land on an attacker): nothing is recorded.
-            } else {
-                if polluted {
-                    health.polluted_acquisitions += 1;
-                } else if hijacked {
-                    health.sybil_slots_held += 1;
-                }
-                let (added, removed) =
-                    policies[peer_idx].record_upload_with_popularity_delta(recorded, f_len as u32);
-                if defend {
-                    let book = &mut books[peer_idx];
-                    if polluted || hijacked {
-                        // Suspect any slot the adversary now holds —
-                        // won by this record or refreshed by it. A
-                        // record the policy rejected outright captured
-                        // nothing worth scoring. A repeat capture while
-                        // already on probation fires the ban outright.
-                        if (added == Some(recorded) || policies[peer_idx].contains(recorded))
-                            && book.suspect(recorded)
-                            && policies[peer_idx].expel(recorded, None)
-                        {
-                            health.reputation_evictions += 1;
-                        }
-                    } else if book.contains(recorded) {
-                        // A genuine upload from a suspect redeems it.
-                        book.redeem(recorded);
-                    }
-                    if let Some(rm) = removed {
-                        book.remove(rm);
-                    }
-                }
-            }
+        // A stranded request acquires nothing: the sharer table stays.
+        let Some((walk, _)) = ctx.step(
+            walk,
+            &req,
+            policies,
+            peer as usize,
+            books.get_mut(peer as usize),
+            || ctx.fallback(t as u64, req.sharers),
+            &mut result.messages_per_peer,
+            &mut health,
+        ) else {
+            continue;
+        };
+        match walk.uploader {
+            Some(_) if walk.two_hop => result.two_hop_hits += 1,
+            Some(_) => result.one_hop_hits += 1,
+            None => {}
         }
         sharer_flat[head + f_len] = peer;
         sharer_len[file.index()] += 1;
@@ -1080,24 +845,17 @@ pub fn simulate_reference(
 }
 
 /// True iff a cell can run on the split-cell path
-/// ([`simulate_cell_range`]): queriers are mutually independent only
-/// when no server outage can strand a request (every request then pushes
-/// its peer onto the sharer list, making arrivals policy-independent),
-/// the policy draws nothing from the sequential RNG (excludes Random)
-/// and relays never matter (no two-hop). Forwarding index backends
-/// (federated, DHT) are excluded too: their per-(querier, day) outage
-/// stranding breaks the same arrival-rank invariance, and their hop
-/// accounting has no mirror in the quiet interval-settled path — they
-/// always run whole-cell (DESIGN.md §10). Non-quiet adversary plans
-/// also run whole-cell: hijacked and polluted records change *which*
-/// peer a list holds, and the split paths have no mirror of the
-/// capture or defense bookkeeping.
+/// ([`simulate_cell_range`]): queriers are mutually independent exactly
+/// when every request ends in an acquisition that pushes its querier
+/// onto the file's sharer list, making arrivals policy-independent.
+/// Refusals, hijacks, pollution and zero-outage index forwarding never
+/// stop an acquisition; only a server-outage day can strand one. The
+/// policy must also draw nothing from the sequential RNG (excludes
+/// Random), and relays must never matter (no two-hop).
 pub fn split_eligible(config: &SimConfig) -> bool {
     !config.two_hop
         && !matches!(config.policy, PolicyKind::Random)
         && config.availability.churn.outage_days.is_empty()
-        && !config.availability.backend.forwards()
-        && config.availability.adversary.is_quiet()
 }
 
 /// One request of a querier's stream, fully resolved at precomp time:
@@ -1289,28 +1047,26 @@ impl SweepPrecomp {
         }
         ranges
     }
+
+    /// The sharer list `rec`'s file had when the request was consumed:
+    /// its first `rank` arrivals.
+    pub(crate) fn prefix(&self, rec: &QueryRec) -> &[Peer] {
+        &self.arrivals[rec.off as usize..rec.off as usize + rec.rank as usize]
+    }
 }
 
 /// Per-worker scratch for [`simulate_cell_range`]: one pooled policy
-/// (renewed per querier), the churn-path walk buffers, and the quiet
+/// (renewed per querier), the kernel's walk buffers, and the quiet
 /// path's interval ledger.
 #[derive(Debug, Default)]
 pub struct SplitScratch {
     policy: Option<AnyPolicy>,
+    walk: WalkScratch,
     /// Quiet path: `start_of[p]` is the request index at which member
     /// `p` became queryable — messages are settled per *interval* on
-    /// eviction instead of per request. Only meaningful while `p` is
-    /// marked with the current generation.
+    /// eviction instead of per request. Only meaningful while `p` is a
+    /// member.
     start_of: Vec<u32>,
-    /// Membership marks: `mark[p] == generation` ⇔ `p` is currently a
-    /// list member (quiet path) or an online, queried neighbour (churn
-    /// path). Maintained incrementally from the policy's upload deltas
-    /// on the quiet path, so the hot hit check is one array load.
-    mark: Vec<u64>,
-    generation: u64,
-    query_buf: Vec<Peer>,
-    stale_prev: Vec<(Peer, u32)>,
-    stale_cur: Vec<(Peer, u32)>,
     quiet: QuietState,
 }
 
@@ -1331,8 +1087,8 @@ const NO_PEER: u32 = u32::MAX;
 /// most of a sweep's runtime. This mirror keeps the identical delta
 /// semantics (pinned by the split determinism tests) with O(1) LRU
 /// updates over intrusive recency links and generation-stamped History
-/// counters — no hashing, no per-querier clearing. All per-peer arrays
-/// are valid only where stamped with the scratch's current generation.
+/// counters — no hashing, no per-querier clearing. The History arrays
+/// are valid only where stamped with the current querier's generation.
 #[derive(Debug, Default)]
 struct QuietState {
     /// Membership bitset over peers — ~2.5 KB at repro scale, so the
@@ -1345,6 +1101,10 @@ struct QuietState {
     head: u32,
     tail: u32,
     len: usize,
+    /// The list is History's sorted `list`, not the LRU links.
+    history: bool,
+    /// Bumped per querier; invalidates the History arrays.
+    generation: u64,
     /// History upload counters, valid iff `seen[p] == generation`.
     counts: Vec<u64>,
     /// History recency tie-break clocks, valid with `counts`.
@@ -1360,8 +1120,8 @@ impl QuietState {
     /// Resets to the empty-list state for the next querier. The
     /// membership bits were already cleared during the previous
     /// querier's settling and the counter arrays are invalidated by the
-    /// caller's generation bump, so this is O(1) after the first call.
-    fn reset(&mut self, n_peers: usize) {
+    /// generation bump, so this is O(1) after the first call.
+    fn reset(&mut self, n_peers: usize, history: bool) {
         if self.next.len() < n_peers {
             self.next.resize(n_peers, NO_PEER);
             self.prev.resize(n_peers, NO_PEER);
@@ -1373,13 +1133,10 @@ impl QuietState {
         self.head = NO_PEER;
         self.tail = NO_PEER;
         self.len = 0;
+        self.history = history;
+        self.generation += 1;
         self.clock = 0;
         self.list.clear();
-    }
-
-    #[inline]
-    fn is_member(&self, p: u32) -> bool {
-        self.bits[(p >> 6) as usize] & (1u64 << (p & 63)) != 0
     }
 
     #[inline]
@@ -1426,7 +1183,7 @@ impl QuietState {
     /// exactly like the Vec policy's `pop`-then-`insert(0, ..)`.
     #[inline]
     fn lru_record(&mut self, u: u32, cap: usize) -> Delta {
-        if self.is_member(u) {
+        if self.contains(u) {
             if self.head != u {
                 self.unlink(u);
                 self.push_front(u);
@@ -1448,8 +1205,8 @@ impl QuietState {
     }
 
     #[inline]
-    fn hist_key(&self, p: u32, gen: u64) -> (u64, u64) {
-        if self.seen[p as usize] == gen {
+    fn hist_key(&self, p: u32) -> (u64, u64) {
+        if self.seen[p as usize] == self.generation {
             (self.counts[p as usize], self.last[p as usize])
         } else {
             (0, 0)
@@ -1459,23 +1216,23 @@ impl QuietState {
     /// [`History::record_upload_delta`] with the hash maps replaced by
     /// generation-stamped arrays; the sorted member list and its
     /// rejection/placement rules are verbatim.
-    fn hist_record(&mut self, u: u32, cap: usize, gen: u64) -> Delta {
+    fn hist_record(&mut self, u: u32, cap: usize) -> Delta {
         self.clock += 1;
         let ui = u as usize;
-        if self.seen[ui] == gen {
+        if self.seen[ui] == self.generation {
             self.counts[ui] += 1;
         } else {
-            self.seen[ui] = gen;
+            self.seen[ui] = self.generation;
             self.counts[ui] = 1;
         }
         self.last[ui] = self.clock;
         let mut delta = (None, None);
-        if self.is_member(u) {
+        if self.contains(u) {
             let pos = self.list.iter().position(|&p| p == u).expect("member");
             self.list.remove(pos);
         } else if self.list.len() == cap {
             let tail = *self.list.last().expect("at capacity > 0");
-            if self.hist_key(u, gen) <= self.hist_key(tail, gen) {
+            if self.hist_key(u) <= self.hist_key(tail) {
                 return delta;
             }
             self.list.pop();
@@ -1486,60 +1243,53 @@ impl QuietState {
             self.set_member(u);
             delta = (Some(u), None);
         }
-        let key = self.hist_key(u, gen);
+        let key = self.hist_key(u);
         let pos = self
             .list
             .iter()
-            .position(|&p| self.hist_key(p, gen) < key)
+            .position(|&p| self.hist_key(p) < key)
             .unwrap_or(self.list.len());
         self.list.insert(pos, u);
         delta
     }
 
-    /// Number of current list members.
-    #[inline]
-    fn member_count(&self, kind: QuietKind) -> usize {
-        match kind {
-            QuietKind::History => self.list.len(),
-            _ => self.len,
-        }
-    }
-
-    /// Visits every current member (order is irrelevant to callers:
-    /// min-rank probes and interval settling are order-free).
-    #[inline]
-    fn for_each_member(&self, kind: QuietKind, mut f: impl FnMut(u32)) {
-        match kind {
-            QuietKind::History => self.list.iter().for_each(|&m| f(m)),
-            _ => {
-                let mut m = self.head;
-                while m != NO_PEER {
-                    f(m);
-                    m = self.next[m as usize];
-                }
-            }
-        }
-    }
-
     /// End-of-querier settling walk: visits every member while clearing
     /// its membership bit, restoring the all-zero invariant `reset`
     /// relies on.
-    fn settle_members(&mut self, kind: QuietKind, mut f: impl FnMut(u32)) {
-        match kind {
-            QuietKind::History => {
-                for i in 0..self.list.len() {
-                    let m = self.list[i];
-                    self.unset_member(m);
-                    f(m);
-                }
-            }
-            _ => {
-                let mut m = self.head;
-                while m != NO_PEER {
-                    self.unset_member(m);
-                    f(m);
-                    m = self.next[m as usize];
-                }
+    fn settle_members(&mut self, mut f: impl FnMut(u32)) {
+        let mut bits = std::mem::take(&mut self.bits);
+        self.for_each(|m| {
+            bits[(m >> 6) as usize] &= !(1u64 << (m & 63));
+            f(m);
+        });
+        self.bits = bits;
+    }
+}
+
+impl Members for QuietState {
+    #[inline]
+    fn count(&self) -> usize {
+        if self.history {
+            self.list.len()
+        } else {
+            self.len
+        }
+    }
+
+    #[inline]
+    fn contains(&self, p: Peer) -> bool {
+        self.bits[(p >> 6) as usize] & (1u64 << (p & 63)) != 0
+    }
+
+    #[inline]
+    fn for_each(&self, mut f: impl FnMut(Peer)) {
+        if self.history {
+            self.list.iter().for_each(|&m| f(m));
+        } else {
+            let mut m = self.head;
+            while m != NO_PEER {
+                f(m);
+                m = self.next[m as usize];
             }
         }
     }
@@ -1547,14 +1297,6 @@ impl QuietState {
 
 /// Membership delta of one policy update: `(added, removed)`.
 type Delta = (Option<Peer>, Option<Peer>);
-
-/// The split-eligible policy kinds, with the rare-file cutoff resolved.
-#[derive(Clone, Copy, Debug)]
-enum QuietKind {
-    Lru,
-    History,
-    RareLru { max_sources: u32 },
-}
 
 /// One subtask's contribution to a cell: every field merges by plain
 /// summation, in any grouping, so [`merge_partials`] is exact.
@@ -1596,21 +1338,7 @@ impl CellPartial {
         for (dst, &src) in self.messages.iter_mut().zip(&other.messages) {
             *dst += src;
         }
-        self.health.attempted += other.health.attempted;
-        self.health.answered += other.health.answered;
-        self.health.timed_out += other.health.timed_out;
-        self.health.retried += other.health.retried;
-        self.health.evicted_stale += other.health.evicted_stale;
-        self.health.probed_stale += other.health.probed_stale;
-        self.health.server_fallback += other.health.server_fallback;
-        self.health.stranded += other.health.stranded;
-        self.health.recovered += other.health.recovered;
-        self.health.forwarded += other.health.forwarded;
-        self.health.dht_hops += other.health.dht_hops;
-        self.health.wasted_queries += other.health.wasted_queries;
-        self.health.sybil_slots_held += other.health.sybil_slots_held;
-        self.health.polluted_acquisitions += other.health.polluted_acquisitions;
-        self.health.reputation_evictions += other.health.reputation_evictions;
+        self.health += other.health;
         self.intersect_ns += other.intersect_ns;
         self.update_ns += other.update_ns;
     }
@@ -1621,7 +1349,7 @@ impl CellPartial {
 /// Replays exactly the per-querier slice of what
 /// [`simulate_arena_health_with_scratch`] would do: the same request
 /// order (a querier's requests keep their global stream order), the
-/// same policy updates, the same stateless fallback picks. Because
+/// same kernel steps, the same stateless fallback picks. Because
 /// split-eligible queriers never observe each other's lists, the
 /// concatenation of any partition's partials is bit-identical to the
 /// sequential run — the property the sweep determinism tests pin down.
@@ -1639,13 +1367,8 @@ pub fn simulate_cell_range(
 ) -> CellPartial {
     debug_assert!(split_eligible(config), "cell must be split-eligible");
     debug_assert_eq!(config.seed, pre.seed, "precomp seed must match the cell");
-    let mut part = CellPartial {
-        one_hop_hits: 0,
-        messages: vec![0; pre.n_peers],
-        health: SearchHealth::default(),
-        intersect_ns: 0,
-        update_ns: 0,
-    };
+    let mut part = CellPartial::empty(pre.n_peers);
+    let ctx = QueryCtx::new(config, &[], pre.n_peers);
     let quiet = config.availability.is_quiet();
     for p in peers.0..peers.1 {
         let lo = pre.queries_off[p as usize] as usize;
@@ -1655,108 +1378,59 @@ pub fn simulate_cell_range(
         }
         let requests = &pre.queries[lo..hi];
         if quiet {
-            simulate_querier_quiet(arena, pre, config, requests, scratch, profile, &mut part);
+            simulate_querier_quiet(
+                arena, pre, &ctx, config, p, requests, scratch, profile, &mut part,
+            );
         } else {
-            simulate_querier_churn(pre, config, requests, scratch, profile, &mut part);
+            simulate_querier_churn(pre, &ctx, config, p, requests, scratch, profile, &mut part);
         }
     }
     part
 }
 
-/// Renews the pooled split-path policy for the next querier. Split
-/// cells exclude the Random policy, so construction never draws RNG.
-fn renew_split_policy<'a>(
-    slot: &'a mut Option<AnyPolicy>,
-    config: &SimConfig,
-) -> &'a mut AnyPolicy {
-    match slot {
-        Some(policy) => policy.renew_adaptive(config.policy, config.list_size),
-        None => *slot = Some(AnyPolicy::new_adaptive(config.policy, config.list_size)),
-    }
-    slot.as_mut().expect("slot was just filled")
-}
-
-/// Member-major hit check cutoff: prefer probing the (≤ list-size)
-/// members against the arena when the file's sharer prefix is this many
-/// times longer than the list. Purely a cost heuristic — both probes
-/// return the member with the minimal arrival rank, i.e. the same
-/// uploader the sequential sharer-order scan finds.
-pub(crate) const MEMBER_MAJOR_CUTOFF: usize = 128;
-
 /// Quiet-regime querier replay: interval-settled messages, rank-based
-/// hit checks, no walk buffers.
+/// hit checks, no walk.
+#[allow(clippy::too_many_arguments)]
 fn simulate_querier_quiet(
     arena: &CacheArena,
     pre: &SweepPrecomp,
+    ctx: &QueryCtx,
     config: &SimConfig,
+    querier: Peer,
     requests: &[QueryRec],
     scratch: &mut SplitScratch,
     profile: bool,
     part: &mut CellPartial,
 ) {
     let SplitScratch {
-        start_of,
-        generation,
-        quiet,
-        ..
+        start_of, quiet, ..
     } = scratch;
-    let kind = match config.policy {
-        PolicyKind::Lru => QuietKind::Lru,
-        PolicyKind::History => QuietKind::History,
-        PolicyKind::RareLru { max_sources } => QuietKind::RareLru { max_sources },
-        PolicyKind::Random => unreachable!("Random cells are split-ineligible"),
-    };
+    let kind = config.policy;
     let cap = config.list_size;
-    let (arena_files, arena_offsets) = arena.as_csr_parts();
     if start_of.len() < pre.n_peers {
         start_of.resize(pre.n_peers, 0);
     }
-    quiet.reset(pre.n_peers);
-    *generation += 1;
-    let generation = *generation;
+    quiet.reset(pre.n_peers, kind == PolicyKind::History);
     for (q, rec) in requests.iter().enumerate() {
         let q = q as u32;
-        let file = rec.file;
-        let r = rec.rank as usize;
-        let prefix = &pre.arrivals[rec.off as usize..rec.off as usize + r];
-
-        // One-hop hit: the member with the minimal arrival rank below
-        // `r` — identical to scanning the sharer list (which *is*
-        // `prefix`) for the first member. Popular files probe
-        // member-major via the arena; rare files scan the prefix, with
-        // membership one array load (the marks mirror the list via the
-        // upload deltas below).
         let t0 = profile.then(Instant::now);
-        let uploader = if r > MEMBER_MAJOR_CUTOFF * quiet.member_count(kind).max(1) {
-            let mut best: Option<(u32, Peer)> = None;
-            quiet.for_each_member(kind, |m| {
-                let row_lo = arena_offsets[m as usize] as usize;
-                let row_hi = arena_offsets[m as usize + 1] as usize;
-                if let Ok(pos) = arena_files[row_lo..row_hi].binary_search(&file) {
-                    let rk = pre.rank_by[row_lo + pos];
-                    if (rk as usize) < r && best.is_none_or(|(b, _)| rk < b) {
-                        best = Some((rk, m));
-                    }
-                }
-            });
-            best.map(|(_, m)| m)
-        } else {
-            prefix.iter().copied().find(|&s| quiet.is_member(s))
-        };
+        let hit = quiet_hit(arena, pre, rec, &*quiet);
         if let Some(t0) = t0 {
             part.intersect_ns += t0.elapsed().as_nanos() as u64;
         }
 
+        // Split cells have no outage days: nothing is recovered, every
+        // miss resolves, and a route does not depend on the instant.
         part.health.attempted += 1;
-        let uploader = match uploader {
+        let uploader = match hit {
             Some(u) => {
                 part.one_hop_hits += 1;
                 part.health.answered += 1;
                 u
             }
             None => {
-                part.health.server_fallback += 1;
-                prefix[fallback_index(pre.seed, u64::from(rec.t), r)]
+                ctx.resolve_miss(querier, rec.file, false, 0, &mut part.health);
+                ctx.fallback(u64::from(rec.t), pre.prefix(rec))
             }
         };
 
@@ -1764,15 +1438,13 @@ fn simulate_querier_quiet(
         // request `q` was queried during `[start, q]`.
         let t0 = profile.then(Instant::now);
         let (added, removed) = match kind {
-            QuietKind::Lru => quiet.lru_record(uploader, cap),
-            QuietKind::History => quiet.hist_record(uploader, cap, generation),
-            QuietKind::RareLru { max_sources } => {
-                if r as u32 <= max_sources {
-                    quiet.lru_record(uploader, cap)
-                } else {
-                    (None, None)
-                }
+            PolicyKind::Lru => quiet.lru_record(uploader, cap),
+            PolicyKind::History => quiet.hist_record(uploader, cap),
+            PolicyKind::RareLru { max_sources } if rec.rank <= max_sources => {
+                quiet.lru_record(uploader, cap)
             }
+            PolicyKind::RareLru { .. } => (None, None),
+            PolicyKind::Random => unreachable!("Random cells are split-ineligible"),
         };
         if let Some(rm) = removed {
             part.messages[rm as usize] += u64::from(q + 1 - start_of[rm as usize]);
@@ -1787,121 +1459,60 @@ fn simulate_querier_quiet(
     // Settle members still listed at the end of the querier's stream,
     // clearing their membership bits for the next querier.
     let total = requests.len() as u32;
-    quiet.settle_members(kind, |m| {
+    quiet.settle_members(|m| {
         part.messages[m as usize] += u64::from(total - start_of[m as usize]);
     });
 }
 
-/// Churn-regime querier replay: the full timeout/retry/staleness walk of
-/// the whole-cell path, restricted to one querier. Message accounting is
-/// immediate (attempts differ per request, so intervals don't apply);
-/// hit checks consult the mark array stamped during the walk, exactly
-/// like the sequential path.
+/// Churn- or adversary-regime querier replay: the kernel's full step,
+/// restricted to one querier with its own pooled policy and reputation
+/// book. Message accounting is immediate (attempts differ per request,
+/// so intervals don't apply).
+#[allow(clippy::too_many_arguments)]
 fn simulate_querier_churn(
     pre: &SweepPrecomp,
+    ctx: &QueryCtx,
     config: &SimConfig,
+    querier: Peer,
     requests: &[QueryRec],
     scratch: &mut SplitScratch,
     profile: bool,
     part: &mut CellPartial,
 ) {
-    let policy = renew_split_policy(&mut scratch.policy, config);
-    if scratch.mark.len() < pre.n_peers {
-        scratch.mark.resize(pre.n_peers, 0);
-    }
-    let availability = &config.availability;
-    let schedule = ChurnSchedule::new(availability.churn.clone());
-    let query = availability.query;
-    let span_millis = u64::from(availability.virtual_days.max(1)) * 1000;
-    let stream_len = pre.stream.len().max(1) as u64;
-
+    // Split cells exclude the Random policy, so the pooled policy is
+    // renewed without construction draws.
+    let (kind, cap) = (config.policy, config.list_size);
+    let policy = scratch
+        .policy
+        .get_or_insert_with(|| AnyPolicy::new_adaptive(kind, cap));
+    policy.renew_adaptive(kind, cap);
+    let mut books = ctx.books(1);
     for rec in requests {
-        let t = rec.t;
-        let r = rec.rank as usize;
-        let prefix = &pre.arrivals[rec.off as usize..rec.off as usize + r];
-
-        let base_millis = u64::from(t) * span_millis / stream_len;
-        let mut elapsed = 0u64;
-        let mut attempt = 0u32;
-        scratch.stale_prev.clear();
-
-        let uploader = loop {
-            part.health.attempted += 1;
-            if attempt > 0 {
-                part.health.retried += 1;
-            }
-            let now = base_millis + elapsed;
-            let day = (now / 1000) as u32;
-            let milli = (now % 1000) as u32;
-
-            scratch.generation += 1;
-            let mut saw_timeout = false;
-            scratch.query_buf.clear();
-            scratch.query_buf.extend_from_slice(policy.neighbours());
-            scratch.stale_cur.clear();
-            let t0 = profile.then(Instant::now);
-            for &n in scratch.query_buf.iter() {
-                if schedule.offline(n, day, milli) {
-                    saw_timeout = true;
-                    part.health.timed_out += 1;
-                    if query.handle_stale {
-                        let streak = scratch
-                            .stale_prev
-                            .iter()
-                            .find(|&&(p, _)| p == n)
-                            .map_or(1, |&(_, s)| s + 1);
-                        scratch.stale_cur.push((n, streak));
-                        if streak >= query.stale_after.max(1) {
-                            // Random is split-ineligible, so no
-                            // replacement is ever drawn here.
-                            match policy.handle_stale(n, None) {
-                                StaleReaction::Evicted | StaleReaction::Replaced => {
-                                    part.health.evicted_stale += 1;
-                                }
-                                StaleReaction::Probed => part.health.probed_stale += 1,
-                                StaleReaction::Kept => {}
-                            }
-                        }
-                    }
-                } else {
-                    part.messages[n as usize] += 1;
-                    scratch.mark[n as usize] = scratch.generation;
-                }
-            }
-            std::mem::swap(&mut scratch.stale_prev, &mut scratch.stale_cur);
-            let uploader: Option<Peer> = prefix
-                .iter()
-                .copied()
-                .find(|&s| scratch.mark[s as usize] == scratch.generation);
-            if let Some(t0) = t0 {
-                part.intersect_ns += t0.elapsed().as_nanos() as u64;
-            }
-
-            if uploader.is_some() || !saw_timeout || attempt >= query.max_retries {
-                break uploader;
-            }
-            elapsed += query.backoff_for(attempt);
-            attempt += 1;
-        };
-
-        let uploader = match uploader {
-            Some(u) => {
-                part.one_hop_hits += 1;
-                part.health.answered += 1;
-                u
-            }
-            None => {
-                // No outage days on the split path, so the fallback
-                // server is always up: nothing strands.
-                part.health.server_fallback += 1;
-                prefix[fallback_index(pre.seed, u64::from(t), r)]
-            }
+        let req = Request {
+            querier,
+            file: rec.file,
+            key: u64::from(rec.t),
+            popularity: rec.rank,
+            sharers: pre.prefix(rec),
+            start_md: ctx.nominal_md(u64::from(rec.t), pre.stream.len()),
         };
         let t0 = profile.then(Instant::now);
-        let _ = policy.record_upload_with_popularity_delta(uploader, r as u32);
+        let (walk, _) = ctx
+            .step(
+                &mut scratch.walk,
+                &req,
+                std::slice::from_mut(policy),
+                0,
+                books.first_mut(),
+                || ctx.fallback(req.key, req.sharers),
+                &mut part.messages,
+                &mut part.health,
+            )
+            .expect("split cells have no outages");
         if let Some(t0) = t0 {
-            part.update_ns += t0.elapsed().as_nanos() as u64;
+            part.intersect_ns += t0.elapsed().as_nanos() as u64;
         }
+        part.one_hop_hits += u64::from(walk.uploader.is_some());
     }
 }
 
@@ -2469,6 +2080,42 @@ mod tests {
         assert_eq!(dht_result, base);
         assert!(dht_health.dht_hops > 0, "DHT lookups must walk the ring");
         assert_eq!(dht_health.forwarded, 0);
+    }
+
+    #[test]
+    fn split_eligibility_is_arrival_invariance() {
+        // Only relays (two-hop), construction draws (Random) and
+        // stranding (outage days) couple queriers. Churn, adversaries,
+        // the defense and index forwarding never stop an acquisition.
+        let regimes = [
+            AvailabilityConfig::none(),
+            AvailabilityConfig::churn(7, 250).with_query(QueryPolicy::retry_evict()),
+            AvailabilityConfig::none()
+                .with_adversary(AdversaryConfig::sybils(3, 150).with_polluters(150))
+                .with_reputation(),
+        ];
+        let backends = [
+            IndexBackend::SingleServer,
+            IndexBackend::Federated { n_servers: 4 },
+            IndexBackend::Dht { replication_k: 2 },
+        ];
+        for bits in 0..8u32 {
+            let (two_hop, random, outage) = (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0);
+            for (regime, backend) in regimes.iter().flat_map(|r| backends.map(|b| (r, b))) {
+                let mut config = if random {
+                    SimConfig::random(5)
+                } else {
+                    SimConfig::history(5)
+                };
+                config.two_hop = two_hop;
+                config.availability = regime.clone().with_backend(backend);
+                if outage {
+                    config.availability.churn.outage_days = vec![3];
+                }
+                let expected = !two_hop && !random && !outage;
+                assert_eq!(split_eligible(&config), expected, "{config:?}");
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,8 @@ use edonkey_repro::semsearch::sim::{
     simulate_arena_health_with_scratch, simulate_arena_with_scratch, simulate_reference, SimScratch,
 };
 use edonkey_repro::semsearch::{
-    simulate, AdversaryConfig, AvailabilityConfig, IndexBackend, QueryPolicy, SimConfig,
+    simulate, split_eligible, AdversaryConfig, AvailabilityConfig, IndexBackend, QueryPolicy,
+    SimConfig,
 };
 use edonkey_repro::trace::compact::{CacheArena, TraceArena};
 use edonkey_repro::trace::io;
@@ -42,6 +43,34 @@ use edonkey_repro::netsim::{run_crawl_full, CrawlerConfig, FaultConfig, NetConfi
 use edonkey_repro::workload::{Population, WorkloadConfig};
 
 // --- strategies -------------------------------------------------------
+
+fn arb_backend() -> impl Strategy<Value = IndexBackend> {
+    prop_oneof![
+        Just(IndexBackend::SingleServer),
+        Just(IndexBackend::Federated { n_servers: 4 }),
+        Just(IndexBackend::Dht { replication_k: 2 }),
+    ]
+}
+
+/// Quiet or `churn_permille` churn with retries and eviction, under a
+/// 150‰ sybil + 150‰ polluter plan when `adversary` is set (its flag
+/// arms the reputation defense).
+fn availability(seed: u64, churn_permille: u32, adversary: Option<bool>) -> AvailabilityConfig {
+    let mut avail = if churn_permille == 0 {
+        AvailabilityConfig::none()
+    } else {
+        AvailabilityConfig::churn(seed ^ 0xc4, churn_permille)
+            .with_query(QueryPolicy::retry_evict())
+    };
+    if let Some(defended) = adversary {
+        let plan = AdversaryConfig::sybils(seed ^ 0xad5e, 150).with_polluters(150);
+        avail = avail.with_adversary(plan);
+        if defended {
+            avail = avail.with_reputation();
+        }
+    }
+    avail
+}
 
 fn arb_digest() -> impl Strategy<Value = Digest> {
     any::<[u8; 16]>().prop_map(Digest)
@@ -539,8 +568,9 @@ proptest! {
     }
 
     /// The split-cell sweep scheduler is bit-identical to the
-    /// whole-cell oracle for any worker count, list size, policy and
-    /// churn rate — and, on quiet cells, to the legacy reference
+    /// whole-cell oracle for any worker count, list size, policy, churn
+    /// rate, adversary plan (defended or not) and zero-outage index
+    /// backend — and, on quiet honest cells, to the legacy reference
     /// simulator. This is the invariant the parallel sweeps rest on:
     /// partitioning a cell's queriers across workers must never change
     /// a single result bit.
@@ -549,16 +579,13 @@ proptest! {
         caches in arb_caches(),
         list_size in 1usize..8,
         churn_permille in prop_oneof![Just(0u32), Just(150), Just(450)],
+        adversary in prop_oneof![Just(None), Just(Some(false)), Just(Some(true))],
+        backend in arb_backend(),
         seed in 0u64..200,
     ) {
         let n_files = 64;
         let arena = CacheArena::from_caches(&caches, n_files);
-        let avail = if churn_permille == 0 {
-            AvailabilityConfig::none()
-        } else {
-            AvailabilityConfig::churn(seed ^ 0xc4, churn_permille)
-                .with_query(QueryPolicy::retry_evict())
-        };
+        let avail = availability(seed, churn_permille, adversary).with_backend(backend);
         let configs: Vec<SimConfig> = [
             SimConfig::lru(list_size),
             SimConfig::history(list_size),
@@ -567,6 +594,7 @@ proptest! {
         .into_iter()
         .map(|c| c.with_seed(seed).with_availability(avail.clone()))
         .collect();
+        prop_assert!(configs.iter().all(split_eligible));
         let mut scratch = SimScratch::new();
         let expected: Vec<_> = configs
             .iter()
@@ -576,7 +604,7 @@ proptest! {
             let got = sweep_cells_threads(&arena, &configs, threads);
             prop_assert_eq!(&got, &expected, "threads {}", threads);
         }
-        if churn_permille == 0 {
+        if churn_permille == 0 && adversary.is_none() {
             for (config, (result, _)) in configs.iter().zip(&expected) {
                 let reference = simulate_reference(&caches, n_files, config);
                 prop_assert_eq!(&reference, result, "config {:?}", config);
@@ -588,22 +616,19 @@ proptest! {
     /// is bit-identical to the batch simulator — result, health ledger
     /// *and* final neighbour lists — for every policy family (Random
     /// included: the engine replays the batch policy-construction
-    /// draws), quiet or churned, for any worker count. This is the
-    /// split-sweep property lifted to the serving plane.
+    /// draws), quiet or churned, honest or attacked (defended or not),
+    /// for any worker count. This is the split-sweep property lifted to
+    /// the serving plane.
     #[test]
     fn service_replay_equals_batch_for_any_thread_count(
         caches in arb_caches(),
         churn_permille in prop_oneof![Just(0u32), Just(250)],
+        adversary in prop_oneof![Just(None), Just(Some(false)), Just(Some(true))],
         seed in 0u64..200,
     ) {
         let n_files = 64;
         let arena = CacheArena::from_caches(&caches, n_files);
-        let avail = if churn_permille == 0 {
-            AvailabilityConfig::none()
-        } else {
-            AvailabilityConfig::churn(seed ^ 0xc4, churn_permille)
-                .with_query(QueryPolicy::retry_evict())
-        };
+        let avail = availability(seed, churn_permille, adversary);
         let mut scratch = SimScratch::new();
         for config in [
             SimConfig::lru(4),
@@ -661,9 +686,10 @@ proptest! {
     /// Every index backend — single server, federated, DHT — is a pure
     /// function of the configuration seeds: the churn + outage sweep
     /// reproduces results and ledgers bit-for-bit across reruns and for
-    /// 1, 2 and 8 worker threads. Forwarding backends take the
-    /// whole-cell path inside the same scheduler, so this also pins the
-    /// split-eligibility gate.
+    /// 1, 2 and 8 worker threads. Outage days strand requests, so these
+    /// cells take the whole-cell path inside the same scheduler for
+    /// every backend; the zero-outage backend cells ride the split path
+    /// in `split_sweep_equals_oracle_for_any_thread_count`.
     #[test]
     fn index_backends_are_deterministic_across_threads(
         caches in arb_caches(),
