@@ -399,6 +399,23 @@ impl RandomList {
         }
     }
 
+    /// Adopts a list drawn earlier for `owner` — distinct peers, never
+    /// the owner, in draw order — without drawing, keeping the
+    /// allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn assign(&mut self, capacity: usize, owner: Peer, drawn: &[Peer]) {
+        assert!(capacity > 0, "neighbour list capacity must be positive");
+        self.list.clear();
+        self.list.extend_from_slice(drawn);
+        self.members.clear();
+        self.members.extend(drawn.iter().copied());
+        self.owner = owner;
+        self.capacity = capacity;
+    }
+
     /// The staleness reaction: a timed-out entry is removed and — the
     /// list being semantics-free — refilled with `replacement` when one
     /// is offered and valid (not the owner, not already listed).
@@ -616,39 +633,42 @@ impl AnyPolicy {
         }
     }
 
-    /// [`AnyPolicy::new`] for the adaptive kinds, which ignore the
-    /// owner, candidate pool and RNG — the constructor the split-cell
-    /// sweep path uses (it excludes the Random policy precisely so no
-    /// sequential RNG draws are needed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` is [`PolicyKind::Random`].
-    pub fn new_adaptive(kind: PolicyKind, capacity: usize) -> Self {
+    /// The state `owner`'s policy starts a replay in, with no RNG: empty
+    /// for the adaptive kinds, and for a Random list the `drawn` list
+    /// its [`AnyPolicy::new`] construction drew (in draw order). The
+    /// split and serving replays construct policies this way — the
+    /// split sweep excludes Random, so it always passes an empty draw.
+    pub fn from_drawn(kind: PolicyKind, capacity: usize, owner: Peer, drawn: &[Peer]) -> Self {
         match kind {
             PolicyKind::Lru => AnyPolicy::Lru(Lru::new(capacity)),
             PolicyKind::History => AnyPolicy::History(History::new(capacity)),
+            PolicyKind::Random => {
+                let mut list = RandomList {
+                    list: Vec::with_capacity(capacity),
+                    members: HashSet::new(),
+                    owner,
+                    capacity,
+                };
+                list.assign(capacity, owner, drawn);
+                AnyPolicy::Random(list)
+            }
             PolicyKind::RareLru { max_sources } => {
                 AnyPolicy::RareLru(RareLru::new(capacity, max_sources))
             }
-            PolicyKind::Random => panic!("random lists need the construction RNG"),
         }
     }
 
-    /// [`AnyPolicy::renew`] for the adaptive kinds (see
-    /// [`AnyPolicy::new_adaptive`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` is [`PolicyKind::Random`].
-    pub fn renew_adaptive(&mut self, kind: PolicyKind, capacity: usize) {
+    /// [`AnyPolicy::from_drawn`] in place, reusing the existing
+    /// allocations whenever the policy kind is unchanged.
+    pub fn renew_drawn(&mut self, kind: PolicyKind, capacity: usize, owner: Peer, drawn: &[Peer]) {
         match (self, kind) {
             (AnyPolicy::Lru(p), PolicyKind::Lru) => p.reset(capacity),
             (AnyPolicy::History(p), PolicyKind::History) => p.reset(capacity),
+            (AnyPolicy::Random(p), PolicyKind::Random) => p.assign(capacity, owner, drawn),
             (AnyPolicy::RareLru(p), PolicyKind::RareLru { max_sources }) => {
                 p.reset(capacity, max_sources)
             }
-            (other, kind) => *other = AnyPolicy::new_adaptive(kind, capacity),
+            (other, kind) => *other = AnyPolicy::from_drawn(kind, capacity, owner, drawn),
         }
     }
 
@@ -1189,6 +1209,37 @@ mod tests {
         );
         assert!(matches!(p, AnyPolicy::History(_)));
         assert_eq!(p.capacity(), 4);
+    }
+
+    #[test]
+    fn renew_drawn_adopts_the_constructed_list() {
+        let candidates: Vec<Peer> = (0..80).collect();
+        for kind in [
+            PolicyKind::Lru,
+            PolicyKind::History,
+            PolicyKind::Random,
+            PolicyKind::RareLru { max_sources: 4 },
+        ] {
+            // A dirtied pooled instance renewed from a constructed
+            // list behaves exactly like the constructed instance.
+            let mut fresh = AnyPolicy::new(kind, 5, 2, &candidates, &mut StdRng::seed_from_u64(42));
+            let mut pooled = AnyPolicy::from_drawn(kind, 6, 1, &[3, 4]);
+            pooled.record_upload_with_popularity(7, 1);
+            pooled.renew_drawn(kind, 5, 2, fresh.neighbours());
+            assert_eq!(pooled.neighbours(), fresh.neighbours(), "{kind:?}");
+            assert_eq!(pooled.capacity(), fresh.capacity(), "{kind:?}");
+            let stale = fresh.neighbours().first().copied().unwrap_or(0);
+            for p in [&mut pooled, &mut fresh] {
+                p.handle_stale(stale, Some(2));
+                p.handle_stale(stale, Some(79));
+                p.record_upload_with_popularity(9, 1);
+            }
+            assert_eq!(pooled.neighbours(), fresh.neighbours(), "{kind:?}");
+            assert!(
+                (0..80).all(|p| pooled.contains(p) == fresh.contains(p)),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

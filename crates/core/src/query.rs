@@ -2,10 +2,10 @@
 //! semantic neighbours, resolve a miss against the index, record the
 //! uploader — shared by the whole-cell, split-cell, serve and overlay
 //! simulators, which only schedule requests (DESIGN.md §7). Quiet split
-//! and serve cells keep their own membership mirrors and share only
-//! [`quiet_hit`] and [`QueryCtx::resolve_miss`].
+//! and serve cells replay on the split path's own membership mirror and
+//! share only [`QueryCtx::resolve_miss`] and [`QueryCtx::fallback`].
 
-use edonkey_trace::compact::{CacheArena, RowBits};
+use edonkey_trace::compact::RowBits;
 use edonkey_trace::model::FileRef;
 use edonkey_workload::adversary::AdversaryPlan;
 use edonkey_workload::churn::{ChurnSchedule, QueryPolicy};
@@ -14,14 +14,12 @@ use crate::index::{IndexBackend, IndexRoute, IndexRouter, DHT_HOP_LATENCY_MD, FE
 use crate::neighbours::{
     AnyPolicy, NeighbourPolicy, Peer, PolicyKind, ReputationBook, StaleReaction,
 };
-use crate::sim::{fallback_index, QueryRec, SearchHealth, SimConfig, SweepPrecomp};
+use crate::sim::{fallback_index, SearchHealth, SimConfig};
 
-/// Member-major hit check cutoff: prefer probing the (≤ list-size)
-/// members against the arena when the file's sharer prefix is this many
-/// times longer than the list. Purely a cost heuristic — both probes
-/// return the member with the minimal arrival rank, i.e. the same
-/// uploader the sequential sharer-order scan finds.
-const MEMBER_MAJOR_CUTOFF: usize = 128;
+/// One overlay query round trip (ask the neighbours, hear back), in
+/// simulated milli-days. Every attempt pays one; it is the latency
+/// floor of an uncontended quiet hit.
+pub const QUERY_RTT_MD: u64 = 1;
 
 /// Everything a request needs that is fixed for a whole cell: built
 /// once per cell (or split subtask), never per querier.
@@ -60,9 +58,18 @@ pub(crate) struct Walk {
     /// Instant of the final attempt, in milli-days.
     at_md: u64,
     /// Attempts issued (the first plus retries).
-    pub(crate) attempts: u32,
+    attempts: u32,
     /// Backoff slept between attempts, in milli-days.
-    pub(crate) backoff_md: u64,
+    backoff_md: u64,
+}
+
+impl Walk {
+    /// The request's latency beyond any queueing: a round trip per
+    /// attempt, the backoff slept between them, and `route_md` of index
+    /// routing on a miss.
+    pub(crate) fn latency_md(&self, route_md: u64) -> u64 {
+        u64::from(self.attempts) * QUERY_RTT_MD + self.backoff_md + route_md
+    }
 }
 
 /// One request as the kernel sees it.
@@ -466,48 +473,4 @@ impl<'a> QueryCtx<'a> {
         self.record(req, &mut policies[slot], book, uploader, !hit, health);
         Some((walk, route_md))
     }
-}
-
-/// A querier's current list as the quiet hit check probes it.
-pub(crate) trait Members {
-    /// How many members there are.
-    fn count(&self) -> usize;
-    /// Is `peer` a member?
-    fn contains(&self, peer: Peer) -> bool;
-    /// Visits every member, in any order.
-    fn for_each(&self, f: impl FnMut(Peer));
-}
-
-/// The one-hop hit of a quiet split/serve request: the member with the
-/// minimal arrival rank below the request's — exactly the first member
-/// in the file's sharer prefix. Popular files (prefix far longer than
-/// the list) probe member-major through the arena's rank table; rare
-/// files scan the prefix.
-pub(crate) fn quiet_hit(
-    arena: &CacheArena,
-    pre: &SweepPrecomp,
-    rec: &QueryRec,
-    members: &impl Members,
-) -> Option<Peer> {
-    let r = rec.rank as usize;
-    if r <= MEMBER_MAJOR_CUTOFF * members.count().max(1) {
-        return pre
-            .prefix(rec)
-            .iter()
-            .copied()
-            .find(|&s| members.contains(s));
-    }
-    let (files, offsets) = arena.as_csr_parts();
-    let mut best: Option<(u32, Peer)> = None;
-    members.for_each(|m| {
-        let lo = offsets[m as usize] as usize;
-        let row = &files[lo..offsets[m as usize + 1] as usize];
-        if let Ok(pos) = row.binary_search(&rec.file) {
-            let rank = pre.rank_by[lo + pos];
-            if (rank as usize) < r && best.is_none_or(|(b, _)| rank < b) {
-                best = Some((rank, m));
-            }
-        }
-    });
-    best.map(|(_, m)| m)
 }

@@ -22,6 +22,16 @@
 //!   pinned by the trace, but nothing is queried, recorded, or
 //!   learned); a backlogged queue *defers* it (latency only). Both are
 //!   accounted in a [`ServeHealth`] ledger that reconciles exactly.
+//! * **Queue pass, then replay.** Nothing in the tick loop reads a walk
+//!   outcome: sheds, waits and service instants follow from arrival
+//!   instants and capacities alone. So each shard first runs its queue
+//!   pass, touching no policy, and then replays every querier's served
+//!   requests, in service order and at their service instants, through
+//!   the split sweep's per-querier path — the pooled quiet mirror for
+//!   quiet LRU/History/RareLRU cells, the kernel step on one pooled
+//!   policy otherwise. A querier's outcome depends only on its own
+//!   requests, so this equals interleaving the walks into the tick
+//!   loop, request for request.
 //! * **Deterministic arrivals.** The nominal instant is the batch
 //!   path's `t · span / len` milli-days; burst compression and
 //!   `(seed, querier, tick)`-keyed splitmix64 jitter come from
@@ -47,20 +57,18 @@
 //! defense replay the batch path's exact sequence.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 use edonkey_trace::compact::CacheArena;
 use edonkey_trace::par::parallel_map_init_threads;
 pub use edonkey_workload::arrivals::{ArrivalConfig, ArrivalProcess};
 
-use crate::neighbours::{AnyPolicy, NeighbourPolicy, Peer};
-use crate::query::{quiet_hit, Members, QueryCtx, Request, WalkScratch};
-use crate::sim::{QueryRec, SearchHealth, SimConfig, SimResult, SweepPrecomp};
-
-/// One overlay query round trip (ask the neighbours, hear back), in
-/// simulated milli-days. Every attempt pays one; it is the latency
-/// floor of an uncontended quiet hit.
-pub const QUERY_RTT_MD: u64 = 1;
+use crate::neighbours::{AnyPolicy, NeighbourPolicy, Peer, PolicyKind};
+use crate::query::QueryCtx;
+pub use crate::query::QUERY_RTT_MD;
+use crate::sim::{
+    replay_querier, CellPartial, QueryRec, Replayed, SearchHealth, SimConfig, SimResult,
+    SplitScratch, SweepPrecomp,
+};
 
 /// The serving engine's knobs on top of a [`SimConfig`].
 ///
@@ -381,73 +389,69 @@ pub struct ServeReport {
     pub lists: Vec<Vec<Peer>>,
 }
 
-/// One timed arrival: the resolved request plus its perturbed instant.
+/// A served request as its querier's replay consumes it: the record,
+/// the instant service began, and how long it queued for it.
 #[derive(Clone, Copy)]
-struct Arrival {
-    arr_md: u64,
-    querier: u32,
+struct Served {
     rec: QueryRec,
+    service_md: u64,
+    wait_md: u64,
 }
 
-/// Quiet-path mirror of one querier's list: members sorted by id for
-/// O(log L) membership, each carrying the querier-local request index
-/// from which it has been queryable — the split path's interval
-/// message accounting ([`crate::sim::SplitScratch`]), kept per querier
-/// because a shard interleaves thousands of them.
-#[derive(Clone, Debug, Default)]
-struct QuerierState {
-    members: Vec<Peer>,
-    starts: Vec<u32>,
-    served: u32,
-    init: bool,
-}
-
-impl QuerierState {
-    /// Adopts the policy's initial list (non-empty only for Random).
-    fn ensure_init(&mut self, list: &[Peer]) {
-        if !self.init {
-            self.members = list.to_vec();
-            self.members.sort_unstable();
-            self.starts = vec![0; self.members.len()];
-            self.init = true;
-        }
+impl Replayed for Served {
+    fn rec(&self) -> &QueryRec {
+        &self.rec
     }
 
-    fn add(&mut self, p: Peer, start: u32) {
-        let i = self.members.binary_search(&p).unwrap_err();
-        self.members.insert(i, p);
-        self.starts.insert(i, start);
-    }
-
-    fn remove(&mut self, p: Peer) -> u32 {
-        let i = self
-            .members
-            .binary_search(&p)
-            .expect("removed peer is a member");
-        self.members.remove(i);
-        self.starts.remove(i)
+    /// The batch path's walk clocked from the *service* instant — equal
+    /// to the batch instant exactly when the query never waited.
+    fn start_md(&self, _: &QueryCtx, _: &SweepPrecomp) -> u64 {
+        self.service_md
     }
 }
 
-impl Members for QuerierState {
-    fn count(&self) -> usize {
-        self.members.len()
-    }
+/// `served_at` marker of an arrival shed at a full queue.
+const SHED: u64 = u64::MAX;
 
-    fn contains(&self, p: Peer) -> bool {
-        self.members.binary_search(&p).is_ok()
-    }
+/// One worker's buffers, reused across the shards it claims. Requests
+/// are indexed by their position in the shard's slice of
+/// `SweepPrecomp::queries` (querier-major, stream order within).
+#[derive(Default)]
+struct ShardScratch {
+    split: SplitScratch,
+    /// The shard's arrivals in service order, as sort keys: arrival
+    /// instant, then stream position (the tie-break that keeps the
+    /// order total), then request index — `(arr_md << 64) | (t << 32)
+    /// | index`. The 16-byte key sorts ~1.6× faster than a record
+    /// carrying the request.
+    arrivals: Vec<u128>,
+    /// Arrival instant per request.
+    arrival_md: Vec<u64>,
+    /// Waiting requests, FIFO.
+    queue: VecDeque<u32>,
+    /// Service instant per request ([`SHED`] if shed).
+    served_at: Vec<u64>,
+    /// One querier's served requests, in service order.
+    served: Vec<Served>,
+}
 
-    fn for_each(&self, f: impl FnMut(Peer)) {
-        self.members.iter().copied().for_each(f);
+/// Every peer's Random list as the batch simulator constructs it: drawn
+/// in peer order from the post-shuffle generator, stored flat (CSR).
+struct DrawnLists {
+    flat: Vec<Peer>,
+    off: Vec<u32>,
+}
+
+impl DrawnLists {
+    fn list(&self, p: Peer) -> &[Peer] {
+        &self.flat[self.off[p as usize] as usize..self.off[p as usize + 1] as usize]
     }
 }
 
 /// One shard's complete outcome; merging in shard order reproduces the
 /// engine's report for any thread count.
 struct ShardOutcome {
-    one_hop_hits: u64,
-    messages: Vec<u64>,
+    part: CellPartial,
     health: ServeHealth,
     latency: LatencyHistogram,
     last_tick: u64,
@@ -477,57 +481,58 @@ pub fn serve_arena_threads(
     let (pre, mut rng) = SweepPrecomp::new_with_rng(arena, sim.seed);
     let n_peers = pre.n_peers;
 
-    // Construct every peer's policy in peer order from the post-shuffle
-    // generator — the exact draw sequence of the batch simulator, so
-    // Random lists come out identical — then split the pool into
-    // contiguous per-shard partitions.
-    let sharer_pool: Vec<Peer> = (0..n_peers)
-        .filter(|&p| !arena.cache(p).is_empty())
-        .map(|p| p as Peer)
-        .collect();
-    let mut policies: Vec<AnyPolicy> = (0..n_peers as Peer)
-        .map(|p| AnyPolicy::new(sim.policy, sim.list_size, p, &sharer_pool, &mut rng))
-        .collect();
-    let ranges = pre.peer_ranges(config.n_shards.max(1));
-    let mut partitions: Vec<Vec<AnyPolicy>> = Vec::with_capacity(ranges.len());
-    for &(lo, _) in ranges.iter().rev() {
-        partitions.push(policies.split_off(lo as usize));
-    }
-    partitions.reverse();
+    // Random lists are drawn in peer order from the post-shuffle
+    // generator — the batch simulator's exact construction sequence;
+    // every other policy starts empty and draws nothing.
+    let random = sim.policy == PolicyKind::Random;
+    let sharer_pool: Vec<Peer> = if random {
+        (0..n_peers)
+            .filter(|&p| !arena.cache(p).is_empty())
+            .map(|p| p as Peer)
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let drawn = random.then(|| {
+        let mut policy = AnyPolicy::from_drawn(sim.policy, sim.list_size, 0, &[]);
+        let mut lists = DrawnLists {
+            flat: Vec::new(),
+            off: vec![0],
+        };
+        for p in 0..n_peers as Peer {
+            policy.renew(sim.policy, sim.list_size, p, &sharer_pool, &mut rng);
+            lists.flat.extend_from_slice(policy.neighbours());
+            lists.off.push(lists.flat.len() as u32);
+        }
+        lists
+    });
 
-    // Hand each shard its owned input through a take-once slot; workers
-    // claim shards through the same order-preserving scheduler the
-    // sweeps use.
-    type ShardTask = (usize, (u32, u32), Mutex<Option<Vec<AnyPolicy>>>);
-    let tasks: Vec<ShardTask> = ranges
-        .iter()
-        .zip(partitions)
-        .enumerate()
-        .map(|(shard, (&range, policies))| (shard, range, Mutex::new(Some(policies))))
-        .collect();
     let ctx = QueryCtx::new(sim, &sharer_pool, n_peers);
+    let tasks: Vec<(usize, (u32, u32))> = pre
+        .peer_ranges(config.n_shards.max(1))
+        .into_iter()
+        .enumerate()
+        .collect();
     let outcomes: Vec<ShardOutcome> = parallel_map_init_threads(
         &tasks,
         threads.max(1),
-        WalkScratch::default,
-        |scratch, (shard, range, slot)| {
-            let policies = slot
-                .lock()
-                .expect("shard input lock")
-                .take()
-                .expect("each shard input is taken exactly once");
-            run_shard(arena, &pre, config, &ctx, *shard, *range, policies, scratch)
+        ShardScratch::default,
+        |scratch, &(shard, range)| {
+            run_shard(
+                arena,
+                &pre,
+                config,
+                &ctx,
+                drawn.as_ref(),
+                shard,
+                range,
+                scratch,
+            )
         },
     );
 
     // Shard-order merge: disjoint querier sets, plain summation.
-    let mut result = SimResult {
-        requests: pre.requests,
-        one_hop_hits: 0,
-        two_hop_hits: 0,
-        contributor_seeds: pre.contributor_seeds,
-        messages_per_peer: vec![0; n_peers],
-    };
+    let mut part = CellPartial::empty(n_peers);
     let mut health = ServeHealth::default();
     let mut latency = LatencyHistogram::new();
     let mut shard_load = Vec::with_capacity(outcomes.len());
@@ -535,10 +540,7 @@ pub fn serve_arena_threads(
     let mut shard_last_tick = Vec::with_capacity(outcomes.len());
     let mut lists = Vec::with_capacity(n_peers);
     for out in outcomes {
-        result.one_hop_hits += out.one_hop_hits;
-        for (dst, &src) in result.messages_per_peer.iter_mut().zip(&out.messages) {
-            *dst += src;
-        }
+        part.absorb(&out.part);
         health.merge(&out.health);
         latency.merge(&out.latency);
         shard_load.push(out.health.served);
@@ -546,6 +548,13 @@ pub fn serve_arena_threads(
         shard_last_tick.push(out.last_tick);
         lists.extend(out.lists);
     }
+    let result = SimResult {
+        requests: pre.requests,
+        one_hop_hits: part.one_hop_hits,
+        two_hop_hits: 0,
+        contributor_seeds: pre.contributor_seeds,
+        messages_per_peer: part.messages,
+    };
     debug_assert!(health
         .reconcile(result.requests, result.one_hop_hits)
         .is_ok());
@@ -560,198 +569,165 @@ pub fn serve_arena_threads(
     }
 }
 
-/// Replays one shard: builds its timed arrivals, runs the tick loop,
-/// and reconciles the shard's partial ledger before returning it.
+/// Serves one shard in two steps — the queue pass, then each querier's
+/// replay of what it was served — and reconciles the shard's partial
+/// ledger before returning it.
 #[allow(clippy::too_many_arguments)]
 fn run_shard(
     arena: &CacheArena,
     pre: &SweepPrecomp,
     config: &ServeConfig,
     ctx: &QueryCtx,
+    drawn: Option<&DrawnLists>,
     shard: usize,
     (lo, hi): (u32, u32),
-    mut policies: Vec<AnyPolicy>,
-    scratch: &mut WalkScratch,
+    scratch: &mut ShardScratch,
 ) -> ShardOutcome {
     let sim = &config.sim;
-    let tick_md = config.tick_md.max(1);
-    let process = ArrivalProcess::new(config.arrival);
-
-    // Timed arrivals for this shard's queriers, in service order:
-    // `(arrival instant, stream position)` — the position tie-break
-    // keeps the order total and deterministic.
-    let mut arrivals: Vec<Arrival> = Vec::new();
-    for p in lo..hi {
-        let qlo = pre.queries_off[p as usize] as usize;
-        let qhi = pre.queries_off[p as usize + 1] as usize;
-        for &rec in &pre.queries[qlo..qhi] {
-            let base_md = ctx.nominal_md(u64::from(rec.t), pre.stream.len());
-            let arr_md = process.arrival_md(p, base_md / tick_md, base_md);
-            arrivals.push(Arrival {
-                arr_md,
-                querier: p,
-                rec,
-            });
-        }
-    }
-    arrivals.sort_unstable_by_key(|a| (a.arr_md, a.rec.t));
-
     let mut out = ShardOutcome {
-        one_hop_hits: 0,
-        messages: vec![0; pre.n_peers],
+        part: CellPartial::empty(pre.n_peers),
         health: ServeHealth::default(),
         latency: LatencyHistogram::new(),
         last_tick: 0,
-        lists: Vec::new(),
+        lists: Vec::with_capacity((hi - lo) as usize),
     };
-    let quiet = sim.availability.is_quiet();
-    // Reputation books are querier-local (like the policies), so the
-    // shard partition carries the whole defense state.
-    let mut books = ctx.books((hi - lo) as usize);
-    let mut states: Vec<QuerierState> = vec![QuerierState::default(); (hi - lo) as usize];
+    out.last_tick = queue_pass(pre, ctx, config, (lo, hi), scratch, &mut out.health);
 
-    // The tick loop: enqueue this tick's arrivals (shedding past the
-    // queue bound), then serve up to the per-tick capacity. An empty
-    // queue fast-forwards to the next arrival's tick.
-    let mut queue: VecDeque<Arrival> = VecDeque::new();
+    // Queriers are independent (no outages, no two-hop), so each one's
+    // served requests replay on their own, in service order, through
+    // the split path's per-querier kernel. The queue is FIFO: service
+    // order is arrival order, `(instant, stream position)`.
+    let ShardScratch {
+        split,
+        arrival_md,
+        served_at,
+        served,
+        ..
+    } = scratch;
+    let base = pre.queries_off[lo as usize] as usize;
+    for p in lo..hi {
+        let qlo = pre.queries_off[p as usize] as usize;
+        let qhi = pre.queries_off[p as usize + 1] as usize;
+        served.clear();
+        served.extend(
+            (qlo - base..qhi - base)
+                .filter(|&i| served_at[i] != SHED)
+                .map(|i| Served {
+                    rec: pre.queries[base + i],
+                    service_md: served_at[i],
+                    wait_md: served_at[i] - arrival_md[i],
+                }),
+        );
+        served.sort_unstable_by_key(|s| (s.service_md - s.wait_md, s.rec.t));
+        let drawn = drawn.map_or(&[][..], |d| d.list(p));
+        if served.is_empty() {
+            out.lists.push(drawn.to_vec());
+            continue;
+        }
+        let latency = &mut out.latency;
+        replay_querier(
+            arena,
+            pre,
+            ctx,
+            sim,
+            p,
+            served,
+            drawn,
+            split,
+            false,
+            &mut out.part,
+            |s: &Served, walk_md| latency.record(s.wait_md + walk_md),
+        );
+        out.lists.push(split.final_list(sim));
+    }
+    out.health.search = out.part.health;
+    out.health.expect_reconciled(
+        pre.requests_in(lo, hi),
+        out.part.one_hop_hits,
+        sim,
+        shard,
+        out.last_tick,
+    );
+    out
+}
+
+/// The queue pass: the shard's timed arrivals through the tick loop.
+/// Each tick enqueues its arrivals (shedding past the queue bound),
+/// then serves up to the per-tick capacity; an empty queue
+/// fast-forwards to the next arrival's tick. Nothing here reads a walk
+/// outcome, so the pass touches no policy: it fills the serving-plane
+/// counters of `health` and every request's arrival and service
+/// instants in `scratch`. Returns the last tick.
+fn queue_pass(
+    pre: &SweepPrecomp,
+    ctx: &QueryCtx,
+    config: &ServeConfig,
+    (lo, hi): (u32, u32),
+    scratch: &mut ShardScratch,
+    health: &mut ServeHealth,
+) -> u64 {
+    let tick_md = config.tick_md.max(1);
+    let process = ArrivalProcess::new(config.arrival);
+    let ShardScratch {
+        arrivals,
+        arrival_md,
+        queue,
+        served_at,
+        ..
+    } = scratch;
+
+    let base = pre.queries_off[lo as usize] as usize;
+    arrivals.clear();
+    arrival_md.clear();
+    for p in lo..hi {
+        let qlo = pre.queries_off[p as usize] as usize;
+        let qhi = pre.queries_off[p as usize + 1] as usize;
+        for (i, rec) in pre.queries[qlo..qhi].iter().enumerate() {
+            let base_md = ctx.nominal_md(u64::from(rec.t), pre.stream_len());
+            let arr_md = process.arrival_md(p, base_md / tick_md, base_md);
+            let index = (qlo - base + i) as u128;
+            arrivals.push(u128::from(arr_md) << 64 | u128::from(rec.t) << 32 | index);
+            arrival_md.push(arr_md);
+        }
+    }
+    arrivals.sort_unstable();
+
+    served_at.clear();
+    served_at.resize(arrivals.len(), SHED);
+    queue.clear();
     let mut next = 0usize;
     let mut tick = 0u64;
     while next < arrivals.len() || !queue.is_empty() {
         tick = if queue.is_empty() {
-            arrivals[next].arr_md / tick_md
+            (arrivals[next] >> 64) as u64 / tick_md
         } else {
             tick + 1
         };
-        while next < arrivals.len() && arrivals[next].arr_md / tick_md <= tick {
-            out.health.arrived += 1;
+        while next < arrivals.len() && (arrivals[next] >> 64) as u64 / tick_md <= tick {
+            health.arrived += 1;
             if queue.len() >= config.queue_capacity.max(1) {
-                out.health.shed += 1;
+                health.shed += 1;
             } else {
-                queue.push_back(arrivals[next]);
+                queue.push_back(arrivals[next] as u32);
             }
             next += 1;
         }
-        out.health.max_queue_depth = out.health.max_queue_depth.max(queue.len() as u64);
+        health.max_queue_depth = health.max_queue_depth.max(queue.len() as u64);
         for _ in 0..config.service_per_tick.max(1) {
-            let Some(arrival) = queue.pop_front() else {
+            let Some(i) = queue.pop_front() else {
                 break;
             };
-            let wait_ticks = tick - arrival.arr_md / tick_md;
+            let arr_md = arrival_md[i as usize];
+            let wait_ticks = tick - arr_md / tick_md;
             if wait_ticks > 0 {
-                out.health.deferred += 1;
-                out.health.deferred_ticks += wait_ticks;
+                health.deferred += 1;
+                health.deferred_ticks += wait_ticks;
             }
-            let service_md = arrival.arr_md + wait_ticks * tick_md;
-            let slot = (arrival.querier - lo) as usize;
-            let walk_md = if quiet {
-                serve_query_quiet(
-                    arena,
-                    pre,
-                    ctx,
-                    &arrival,
-                    service_md,
-                    &mut policies[slot],
-                    &mut states[slot],
-                    &mut out,
-                )
-            } else {
-                let rec = arrival.rec;
-                let req = Request {
-                    querier: arrival.querier,
-                    file: rec.file,
-                    key: u64::from(rec.t),
-                    popularity: rec.rank,
-                    sharers: pre.prefix(&rec),
-                    start_md: service_md,
-                };
-                // The batch path's walk clocked from the *service*
-                // instant — equal to the batch instant exactly when the
-                // query never waited.
-                let (walk, route_md) = ctx
-                    .step(
-                        scratch,
-                        &req,
-                        &mut policies,
-                        slot,
-                        books.get_mut(slot),
-                        || ctx.fallback(req.key, req.sharers),
-                        &mut out.messages,
-                        &mut out.health.search,
-                    )
-                    .expect("service mode admits no outages");
-                out.one_hop_hits += u64::from(walk.uploader.is_some());
-                u64::from(walk.attempts) * QUERY_RTT_MD + walk.backoff_md + route_md
-            };
-            out.health.served += 1;
-            out.latency.record(wait_ticks * tick_md + walk_md);
+            health.served += 1;
+            served_at[i as usize] = arr_md + wait_ticks * tick_md;
         }
     }
-    out.last_tick = tick;
-
-    // Settle members still listed at the end of every querier's served
-    // stream (quiet-path interval accounting; no-op under churn, where
-    // messages are immediate).
-    for state in &states {
-        for (m, &start) in state.members.iter().zip(&state.starts) {
-            out.messages[*m as usize] += u64::from(state.served - start);
-        }
-    }
-    out.lists = policies.iter().map(AnyPolicy::snapshot).collect();
-    out.health
-        .expect_reconciled(pre.requests_in(lo, hi), out.one_hop_hits, sim, shard, tick);
-    out
-}
-
-/// Serves one quiet-regime query: the split path's rank-based hit check
-/// against the querier's membership mirror, interval-settled messages,
-/// the stateless fallback. Returns the query's latency beyond the queue
-/// wait: one round trip plus a miss's routing cost.
-#[allow(clippy::too_many_arguments)]
-fn serve_query_quiet(
-    arena: &CacheArena,
-    pre: &SweepPrecomp,
-    ctx: &QueryCtx,
-    arrival: &Arrival,
-    service_md: u64,
-    policy: &mut AnyPolicy,
-    state: &mut QuerierState,
-    out: &mut ShardOutcome,
-) -> u64 {
-    state.ensure_init(policy.neighbours());
-    let rec = &arrival.rec;
-    // A shard interleaves thousands of queriers, so a shared
-    // peer-indexed mark cannot encode "member of *this* querier": the
-    // hit check probes the querier's sorted mirror instead.
-    let hit = quiet_hit(arena, pre, rec, &*state);
-    out.health.search.attempted += 1;
-    let (uploader, route_md) = match hit {
-        Some(u) => {
-            out.one_hop_hits += 1;
-            out.health.search.answered += 1;
-            (u, 0)
-        }
-        None => {
-            let search = &mut out.health.search;
-            let route_md = ctx
-                .resolve_miss(arrival.querier, rec.file, false, service_md, search)
-                .expect("service mode admits no outages");
-            (ctx.fallback(u64::from(rec.t), pre.prefix(rec)), route_md)
-        }
-    };
-
-    // Policy update + interval settling (the split path's accounting:
-    // a member removed after this querier's `q`-th served query was
-    // queried during `[start, q]`).
-    let (added, removed) = policy.record_upload_with_popularity_delta(uploader, rec.rank);
-    if let Some(rm) = removed {
-        let start = state.remove(rm);
-        out.messages[rm as usize] += u64::from(state.served + 1 - start);
-    }
-    if let Some(ad) = added {
-        state.add(ad, state.served + 1);
-    }
-    state.served += 1;
-    QUERY_RTT_MD + route_md
+    tick
 }
 
 #[cfg(test)]
@@ -806,94 +782,45 @@ mod tests {
     }
 
     #[test]
-    fn unconstrained_serve_matches_batch_for_every_policy() {
-        let arena = community(12, 30);
-        for sim in [
-            SimConfig::lru(5),
-            SimConfig::history(5),
-            SimConfig::random(5),
-            SimConfig::rare_lru(5, 10),
-        ] {
-            let mut scratch = SimScratch::new();
-            let (batch, batch_health) =
-                simulate_arena_health_with_scratch(&arena, &sim, &mut scratch);
-            let report = serve_arena_threads(&arena, &ServeConfig::new(sim.clone()), 2);
-            assert_eq!(report.result, batch, "{:?}", sim.policy);
-            assert_eq!(report.health.search, batch_health, "{:?}", sim.policy);
-            assert_eq!(report.lists, scratch.final_lists(), "{:?}", sim.policy);
-            assert_eq!(report.health.shed, 0);
-            assert_eq!(report.health.deferred, 0);
-            assert_eq!(report.latency.total(), report.health.served);
-        }
-    }
-
-    #[test]
-    fn unconstrained_churn_serve_matches_batch() {
-        // With zero queue wait the service instants equal the batch
-        // instants, so even the churn walk is bit-identical — Random
-        // included (construction draws + stateless replacements).
-        let arena = community(12, 30);
-        for policy in [SimConfig::lru(6), SimConfig::random(6)] {
-            let sim = policy.with_seed(9).with_availability(
-                AvailabilityConfig::churn(77, 250).with_query(QueryPolicy::retry_evict()),
-            );
-            let mut scratch = SimScratch::new();
-            let (batch, batch_health) =
-                simulate_arena_health_with_scratch(&arena, &sim, &mut scratch);
-            let report = serve_arena_threads(&arena, &ServeConfig::new(sim.clone()), 3);
-            assert_eq!(report.result, batch, "{:?}", sim.policy);
-            assert_eq!(report.health.search, batch_health, "{:?}", sim.policy);
-            assert_eq!(report.lists, scratch.final_lists(), "{:?}", sim.policy);
-        }
-    }
-
-    #[test]
-    fn unconstrained_adversarial_serve_matches_batch() {
-        // Adversarial cells ride the churn path; with zero queue wait
-        // the service instants equal the batch instants, so refusals,
-        // hijacks, pollution and the reputation defense replay the
-        // batch sequence bit-for-bit — result, full ledger and final
-        // lists, for every policy.
+    fn unconstrained_serve_matches_batch() {
+        // With unbounded queues and identity arrivals no query waits,
+        // so service instants equal the batch instants: quiet, churned
+        // (Random's construction draws and stateless replacements
+        // included) and attacked-and-defended cells all replay the
+        // batch sequence bit-for-bit — result, ledger and final lists.
         let arena = community(30, 60);
         let adversary = crate::sim::AdversaryConfig::sybils(21, 150)
             .with_polluters(150)
             .with_freeriders(150);
-        for policy in [
-            SimConfig::lru(4),
-            SimConfig::history(4),
-            SimConfig::random(4),
-            SimConfig::rare_lru(4, 10),
-        ] {
-            let sim = policy.with_seed(9).with_availability(
-                AvailabilityConfig::churn(77, 250)
-                    .with_query(QueryPolicy::retry_evict())
-                    .with_adversary(adversary.clone())
-                    .with_reputation(),
-            );
-            let mut scratch = SimScratch::new();
-            let (batch, batch_health) =
-                simulate_arena_health_with_scratch(&arena, &sim, &mut scratch);
-            assert!(
-                batch_health.wasted_queries > 0,
-                "{:?}: the cell must actually exercise the adversary",
-                sim.policy
-            );
-            let report = serve_arena_threads(&arena, &ServeConfig::new(sim.clone()), 3);
-            assert_eq!(report.result, batch, "{:?}", sim.policy);
-            assert_eq!(report.health.search, batch_health, "{:?}", sim.policy);
-            assert_eq!(report.lists, scratch.final_lists(), "{:?}", sim.policy);
-        }
-    }
-
-    #[test]
-    fn reports_are_shard_merge_deterministic_across_threads() {
-        let arena = community(16, 40);
-        let config = ServeConfig::new(SimConfig::lru(4))
-            .with_arrival(ArrivalConfig::bursty(5, 400, 20))
-            .with_service(10, 8, 2);
-        let base = serve_arena_threads(&arena, &config, 1);
-        for threads in [2usize, 8] {
-            assert_eq!(serve_arena_threads(&arena, &config, threads), base);
+        let churn = AvailabilityConfig::churn(77, 250).with_query(QueryPolicy::retry_evict());
+        let regimes = [
+            AvailabilityConfig::none(),
+            churn.clone(),
+            churn.with_adversary(adversary).with_reputation(),
+        ];
+        for (regime, availability) in regimes.into_iter().enumerate() {
+            for policy in [
+                SimConfig::lru(4),
+                SimConfig::history(4),
+                SimConfig::random(4),
+                SimConfig::rare_lru(4, 10),
+            ] {
+                let sim = policy.with_seed(9).with_availability(availability.clone());
+                let mut scratch = SimScratch::new();
+                let (batch, batch_health) =
+                    simulate_arena_health_with_scratch(&arena, &sim, &mut scratch);
+                assert!(
+                    regime < 2 || batch_health.wasted_queries > 0,
+                    "the adversarial cell must actually exercise the adversary"
+                );
+                let report = serve_arena_threads(&arena, &ServeConfig::new(sim.clone()), 3);
+                let cell = format!("regime {regime} {:?}", sim.policy);
+                assert_eq!(report.result, batch, "{cell}");
+                assert_eq!(report.health.search, batch_health, "{cell}");
+                assert_eq!(report.lists, scratch.final_lists(), "{cell}");
+                assert_eq!(report.health.shed + report.health.deferred, 0, "{cell}");
+                assert_eq!(report.latency.total(), report.health.served, "{cell}");
+            }
         }
     }
 

@@ -45,7 +45,7 @@ use std::time::Instant;
 
 use crate::index::IndexBackend;
 use crate::neighbours::{AnyPolicy, NeighbourPolicy, Peer, PolicyKind};
-use crate::query::{quiet_hit, Members, QueryCtx, Request, WalkScratch};
+use crate::query::{QueryCtx, Request, WalkScratch, QUERY_RTT_MD};
 
 /// Stateless server-fallback pick: which of the `len` current sharers
 /// uploads on a miss at stream position `t`, drawn by a splitmix64
@@ -863,7 +863,7 @@ pub fn split_eligible(config: &SimConfig) -> bool {
 /// offset — one 16-byte load where the hot loop would otherwise chase
 /// three parallel arrays. Shared with [`crate::serve`], which replays
 /// the same records as a timed arrival stream.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct QueryRec {
     pub(crate) t: u32,
     pub(crate) file: FileRef,
@@ -888,10 +888,10 @@ pub(crate) struct QueryRec {
 ///   work-stealing scheduler splits cells by.
 pub struct SweepPrecomp {
     pub(crate) seed: u64,
-    pub(crate) stream: Vec<(u32, FileRef)>,
     /// Arrival-ordered sharers per file (CSR over files; each
     /// [`QueryRec`] carries its own row offset, so the offsets table is
-    /// consumed during construction rather than stored).
+    /// consumed during construction rather than stored). One entry per
+    /// stream position.
     pub(crate) arrivals: Vec<Peer>,
     /// Fully-resolved requests per querier (CSR over peers); the
     /// offsets double as prefix sums of per-peer request counts.
@@ -920,39 +920,51 @@ impl SweepPrecomp {
     /// policy-construction draws (the serving engine does, for the
     /// Random policy's seeded lists) needs the generator exactly where
     /// the shuffle left it.
+    ///
+    /// The stream is shuffled as `(peer, file, arena CSR index)` triples
+    /// rather than the batch path's `(peer, file)` pairs: same length,
+    /// same Fisher–Yates draws, hence the same permutation and the same
+    /// post-shuffle generator — but each entry now names its own
+    /// `rank_by` slot, so no per-replica row search is needed, and
+    /// carries its file, so neither pass reads the arena again.
     pub(crate) fn new_with_rng(arena: &CacheArena, seed: u64) -> (Self, StdRng) {
         let n_peers = arena.n_peers();
         let n_files = arena.n_files();
+        let (entries, offsets) = arena.as_csr_parts();
         let mut rng = StdRng::seed_from_u64(seed);
 
-        let mut stream: Vec<(u32, FileRef)> = Vec::with_capacity(arena.replica_count());
+        let mut stream: Vec<(u32, FileRef, u32)> = Vec::with_capacity(entries.len());
         for p in 0..n_peers {
-            stream.extend(arena.cache(p).iter().map(|&f| (p as u32, f)));
+            let row = offsets[p]..offsets[p + 1];
+            stream.extend(row.map(|k| (p as u32, entries[k as usize], k)));
         }
         shuffle(&mut stream, &mut rng);
 
-        // Arrival CSR offsets: per-file replica counts, prefix-summed.
-        let mut arrivals_off = vec![0u32; n_files + 1];
-        for &(_, f) in &stream {
-            arrivals_off[f.index() + 1] += 1;
+        // Per file: `[arrival CSR row start, arrivals so far]` — the
+        // replica counts prefix-summed, then a cursor on one cache line.
+        let mut rows = vec![[0u32; 2]; n_files + 1];
+        for f in entries {
+            rows[f.index() + 1][0] += 1;
         }
         for i in 0..n_files {
-            arrivals_off[i + 1] += arrivals_off[i];
+            rows[i + 1][0] += rows[i][0];
         }
 
-        // Single pass: per-entry rank, arrival-ordered sharers, per-peer
-        // request counts.
-        let mut cursor: Vec<u32> = arrivals_off[..n_files].to_vec();
-        let mut rank = vec![0u32; stream.len()];
+        // Single pass: per-entry rank (straight into its arena slot,
+        // and over the entry's now-spent CSR index), arrival-ordered
+        // sharers, per-peer request counts.
+        let mut rank_by = vec![0u32; stream.len()];
         let mut arrivals = vec![0 as Peer; stream.len()];
         let mut per_peer = vec![0u32; n_peers];
         let mut requests = 0u64;
-        for (t, &(p, f)) in stream.iter().enumerate() {
-            let fi = f.index();
-            let r = cursor[fi] - arrivals_off[fi];
-            rank[t] = r;
-            arrivals[cursor[fi] as usize] = p;
-            cursor[fi] += 1;
+        for entry in stream.iter_mut() {
+            let (p, f, k) = *entry;
+            let row = &mut rows[f.index()];
+            let r = row[1];
+            row[1] += 1;
+            rank_by[k as usize] = r;
+            arrivals[(row[0] + r) as usize] = p;
+            entry.2 = r;
             if r > 0 {
                 per_peer[p as usize] += 1;
                 requests += 1;
@@ -966,42 +978,28 @@ impl SweepPrecomp {
             queries_off[p + 1] = queries_off[p] + per_peer[p];
         }
         let mut qcursor: Vec<u32> = queries_off[..n_peers].to_vec();
-        let mut queries = vec![
-            QueryRec {
-                t: 0,
-                file: FileRef(0),
-                rank: 0,
-                off: 0
-            };
-            requests as usize
-        ];
-        for (t, &(p, f)) in stream.iter().enumerate() {
-            if rank[t] > 0 {
+        let blank = QueryRec {
+            t: 0,
+            file: FileRef(0),
+            rank: 0,
+            off: 0,
+        };
+        let mut queries = vec![blank; requests as usize];
+        for (t, &(p, file, rank)) in stream.iter().enumerate() {
+            if rank > 0 {
                 queries[qcursor[p as usize] as usize] = QueryRec {
                     t: t as u32,
-                    file: f,
-                    rank: rank[t],
-                    off: arrivals_off[f.index()],
+                    file,
+                    rank,
+                    off: rows[file.index()][0],
                 };
                 qcursor[p as usize] += 1;
             }
         }
 
-        // Arrival rank per arena CSR entry, for the member-major probe.
-        let (entries, offsets) = arena.as_csr_parts();
-        let mut rank_by = vec![0u32; entries.len()];
-        for (t, &(p, f)) in stream.iter().enumerate() {
-            let row = arena.cache(p as usize);
-            let pos = row
-                .binary_search(&f)
-                .expect("stream entries come from arena rows");
-            rank_by[offsets[p as usize] as usize + pos] = rank[t];
-        }
-
         (
             SweepPrecomp {
                 seed,
-                stream,
                 arrivals,
                 queries,
                 queries_off,
@@ -1012,6 +1010,12 @@ impl SweepPrecomp {
             },
             rng,
         )
+    }
+
+    /// Length of the request stream (requests plus contributor seeds),
+    /// the denominator of every nominal instant.
+    pub(crate) fn stream_len(&self) -> usize {
+        self.arrivals.len()
     }
 
     /// The seed this precomputation was built for.
@@ -1055,9 +1059,9 @@ impl SweepPrecomp {
     }
 }
 
-/// Per-worker scratch for [`simulate_cell_range`]: one pooled policy
-/// (renewed per querier), the kernel's walk buffers, and the quiet
-/// path's interval ledger.
+/// Per-worker scratch for the per-querier replays ([`simulate_cell_range`]
+/// and the serving engine): one pooled policy (renewed per querier), the
+/// kernel's walk buffers, and the quiet path's interval ledger.
 #[derive(Debug, Default)]
 pub struct SplitScratch {
     policy: Option<AnyPolicy>,
@@ -1075,7 +1079,29 @@ impl SplitScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The list the last querier replayed under `config` ended with, in
+    /// list order. Meaningful only right after a replay of at least one
+    /// request.
+    pub(crate) fn final_list(&self, config: &SimConfig) -> Vec<Peer> {
+        if uses_quiet_state(config) {
+            let mut list = Vec::with_capacity(self.quiet.count());
+            self.quiet.for_each(|m| list.push(m));
+            list
+        } else {
+            self.policy
+                .as_ref()
+                .map_or_else(Vec::new, AnyPolicy::snapshot)
+        }
+    }
 }
+
+/// Member-major hit check cutoff: prefer probing the (≤ list-size)
+/// members against the arena when the file's sharer prefix is this many
+/// times longer than the list. Purely a cost heuristic — both probes
+/// return the member with the minimal arrival rank, i.e. the same
+/// uploader the sequential sharer-order scan finds.
+const MEMBER_MAJOR_CUTOFF: usize = 128;
 
 /// Sentinel for "no peer" in [`QuietState`]'s intrusive links.
 const NO_PEER: u32 = u32::MAX;
@@ -1253,20 +1279,7 @@ impl QuietState {
         delta
     }
 
-    /// End-of-querier settling walk: visits every member while clearing
-    /// its membership bit, restoring the all-zero invariant `reset`
-    /// relies on.
-    fn settle_members(&mut self, mut f: impl FnMut(u32)) {
-        let mut bits = std::mem::take(&mut self.bits);
-        self.for_each(|m| {
-            bits[(m >> 6) as usize] &= !(1u64 << (m & 63));
-            f(m);
-        });
-        self.bits = bits;
-    }
-}
-
-impl Members for QuietState {
+    /// How many members there are.
     #[inline]
     fn count(&self) -> usize {
         if self.history {
@@ -1276,11 +1289,13 @@ impl Members for QuietState {
         }
     }
 
+    /// Is `p` a member?
     #[inline]
     fn contains(&self, p: Peer) -> bool {
         self.bits[(p >> 6) as usize] & (1u64 << (p & 63)) != 0
     }
 
+    /// Visits every member in list order.
     #[inline]
     fn for_each(&self, mut f: impl FnMut(Peer)) {
         if self.history {
@@ -1292,6 +1307,44 @@ impl Members for QuietState {
                 m = self.next[m as usize];
             }
         }
+    }
+
+    /// The one-hop hit of a quiet request: the member with the minimal
+    /// arrival rank below the request's — exactly the first member in
+    /// the file's sharer prefix. Popular files (prefix far longer than
+    /// the list) probe member-major through the arena's rank table;
+    /// rare files scan the prefix.
+    #[inline]
+    fn hit(&self, arena: &CacheArena, pre: &SweepPrecomp, rec: &QueryRec) -> Option<Peer> {
+        let r = rec.rank as usize;
+        if r <= MEMBER_MAJOR_CUTOFF * self.count().max(1) {
+            return pre.prefix(rec).iter().copied().find(|&s| self.contains(s));
+        }
+        let (files, offsets) = arena.as_csr_parts();
+        let mut best: Option<(u32, Peer)> = None;
+        self.for_each(|m| {
+            let lo = offsets[m as usize] as usize;
+            let row = &files[lo..offsets[m as usize + 1] as usize];
+            if let Ok(pos) = row.binary_search(&rec.file) {
+                let rank = pre.rank_by[lo + pos];
+                if (rank as usize) < r && best.is_none_or(|(b, _)| rank < b) {
+                    best = Some((rank, m));
+                }
+            }
+        });
+        best.map(|(_, m)| m)
+    }
+
+    /// End-of-querier settling walk: visits every member while clearing
+    /// its membership bit, restoring the all-zero invariant `reset`
+    /// relies on.
+    fn settle_members(&mut self, mut f: impl FnMut(u32)) {
+        let mut bits = std::mem::take(&mut self.bits);
+        self.for_each(|m| {
+            bits[(m >> 6) as usize] &= !(1u64 << (m & 63));
+            f(m);
+        });
+        self.bits = bits;
     }
 }
 
@@ -1369,7 +1422,6 @@ pub fn simulate_cell_range(
     debug_assert_eq!(config.seed, pre.seed, "precomp seed must match the cell");
     let mut part = CellPartial::empty(pre.n_peers);
     let ctx = QueryCtx::new(config, &[], pre.n_peers);
-    let quiet = config.availability.is_quiet();
     for p in peers.0..peers.1 {
         let lo = pre.queries_off[p as usize] as usize;
         let hi = pre.queries_off[p as usize + 1] as usize;
@@ -1377,30 +1429,96 @@ pub fn simulate_cell_range(
             continue;
         }
         let requests = &pre.queries[lo..hi];
-        if quiet {
-            simulate_querier_quiet(
-                arena, pre, &ctx, config, p, requests, scratch, profile, &mut part,
-            );
-        } else {
-            simulate_querier_churn(pre, &ctx, config, p, requests, scratch, profile, &mut part);
-        }
+        replay_querier(
+            arena,
+            pre,
+            &ctx,
+            config,
+            p,
+            requests,
+            &[],
+            scratch,
+            profile,
+            &mut part,
+            |_, _| {},
+        );
     }
     part
 }
 
-/// Quiet-regime querier replay: interval-settled messages, rank-based
-/// hit checks, no walk.
+/// One request of a per-querier replay: its precomputed record and the
+/// instant its walk starts. The split sweep replays a querier's records
+/// in stream order at their nominal instants; the serving engine
+/// replays the served ones in service order at their service instants.
+pub(crate) trait Replayed {
+    /// The precomputed request.
+    fn rec(&self) -> &QueryRec;
+    /// Instant of the request's first attempt, in milli-days.
+    fn start_md(&self, ctx: &QueryCtx, pre: &SweepPrecomp) -> u64;
+}
+
+impl Replayed for QueryRec {
+    #[inline(always)]
+    fn rec(&self) -> &QueryRec {
+        self
+    }
+
+    #[inline(always)]
+    fn start_md(&self, ctx: &QueryCtx, pre: &SweepPrecomp) -> u64 {
+        ctx.nominal_md(u64::from(self.t), pre.stream_len())
+    }
+}
+
+/// Quiet adaptive cells replay on [`QuietState`]; churn, adversaries
+/// and Random lists take the kernel's full step.
+fn uses_quiet_state(config: &SimConfig) -> bool {
+    config.availability.is_quiet() && config.policy != PolicyKind::Random
+}
+
+/// Replays one querier's `requests`, in order, into `part` — the split
+/// path the sweep and the serving engine share. `drawn` is the
+/// querier's constructed Random list (empty for every other policy);
+/// `walked` hears each request's walk latency in milli-days: a round
+/// trip per attempt, the retry backoff, and a miss's index routing.
 #[allow(clippy::too_many_arguments)]
-fn simulate_querier_quiet(
+pub(crate) fn replay_querier<R: Replayed>(
     arena: &CacheArena,
     pre: &SweepPrecomp,
     ctx: &QueryCtx,
     config: &SimConfig,
     querier: Peer,
-    requests: &[QueryRec],
+    requests: &[R],
+    drawn: &[Peer],
     scratch: &mut SplitScratch,
     profile: bool,
     part: &mut CellPartial,
+    walked: impl FnMut(&R, u64),
+) {
+    if uses_quiet_state(config) {
+        simulate_querier_quiet(
+            arena, pre, ctx, config, querier, requests, scratch, profile, part, walked,
+        );
+    } else {
+        simulate_querier_churn(
+            pre, ctx, config, querier, requests, drawn, scratch, profile, part, walked,
+        );
+    }
+}
+
+/// Quiet-regime querier replay: interval-settled messages, rank-based
+/// hit checks, no walk.
+#[allow(clippy::too_many_arguments)]
+fn simulate_querier_quiet<R: Replayed>(
+    arena: &CacheArena,
+    pre: &SweepPrecomp,
+    ctx: &QueryCtx,
+    config: &SimConfig,
+    querier: Peer,
+    requests: &[R],
+    scratch: &mut SplitScratch,
+    profile: bool,
+    part: &mut CellPartial,
+    mut walked: impl FnMut(&R, u64),
 ) {
     let SplitScratch {
         start_of, quiet, ..
@@ -1411,28 +1529,31 @@ fn simulate_querier_quiet(
         start_of.resize(pre.n_peers, 0);
     }
     quiet.reset(pre.n_peers, kind == PolicyKind::History);
-    for (q, rec) in requests.iter().enumerate() {
-        let q = q as u32;
+    for (q, req) in requests.iter().enumerate() {
+        let (q, rec) = (q as u32, req.rec());
         let t0 = profile.then(Instant::now);
-        let hit = quiet_hit(arena, pre, rec, &*quiet);
+        let hit = quiet.hit(arena, pre, rec);
         if let Some(t0) = t0 {
             part.intersect_ns += t0.elapsed().as_nanos() as u64;
         }
 
-        // Split cells have no outage days: nothing is recovered, every
-        // miss resolves, and a route does not depend on the instant.
+        // No outage days here: nothing is recovered, every miss
+        // resolves, and a route does not depend on the instant.
         part.health.attempted += 1;
-        let uploader = match hit {
+        let (uploader, route_md) = match hit {
             Some(u) => {
                 part.one_hop_hits += 1;
                 part.health.answered += 1;
-                u
+                (u, 0)
             }
             None => {
-                ctx.resolve_miss(querier, rec.file, false, 0, &mut part.health);
-                ctx.fallback(u64::from(rec.t), pre.prefix(rec))
+                let route_md = ctx
+                    .resolve_miss(querier, rec.file, false, 0, &mut part.health)
+                    .expect("replayed cells have no outages");
+                (ctx.fallback(u64::from(rec.t), pre.prefix(rec)), route_md)
             }
         };
+        walked(req, QUERY_RTT_MD + route_md);
 
         // Policy update + interval settling: a member evicted after
         // request `q` was queried during `[start, q]`.
@@ -1444,7 +1565,7 @@ fn simulate_querier_quiet(
                 quiet.lru_record(uploader, cap)
             }
             PolicyKind::RareLru { .. } => (None, None),
-            PolicyKind::Random => unreachable!("Random cells are split-ineligible"),
+            PolicyKind::Random => unreachable!("Random lists replay through the kernel step"),
         };
         if let Some(rm) = removed {
             part.messages[rm as usize] += u64::from(q + 1 - start_of[rm as usize]);
@@ -1464,55 +1585,57 @@ fn simulate_querier_quiet(
     });
 }
 
-/// Churn- or adversary-regime querier replay: the kernel's full step,
-/// restricted to one querier with its own pooled policy and reputation
-/// book. Message accounting is immediate (attempts differ per request,
-/// so intervals don't apply).
+/// Churn-, adversary- or Random-regime querier replay: the kernel's
+/// full step, restricted to one querier with its own pooled policy and
+/// reputation book. Message accounting is immediate (attempts differ
+/// per request, so intervals don't apply).
 #[allow(clippy::too_many_arguments)]
-fn simulate_querier_churn(
+fn simulate_querier_churn<R: Replayed>(
     pre: &SweepPrecomp,
     ctx: &QueryCtx,
     config: &SimConfig,
     querier: Peer,
-    requests: &[QueryRec],
+    requests: &[R],
+    drawn: &[Peer],
     scratch: &mut SplitScratch,
     profile: bool,
     part: &mut CellPartial,
+    mut walked: impl FnMut(&R, u64),
 ) {
-    // Split cells exclude the Random policy, so the pooled policy is
-    // renewed without construction draws.
     let (kind, cap) = (config.policy, config.list_size);
     let policy = scratch
         .policy
-        .get_or_insert_with(|| AnyPolicy::new_adaptive(kind, cap));
-    policy.renew_adaptive(kind, cap);
+        .get_or_insert_with(|| AnyPolicy::from_drawn(kind, cap, querier, drawn));
+    policy.renew_drawn(kind, cap, querier, drawn);
     let mut books = ctx.books(1);
-    for rec in requests {
-        let req = Request {
+    for req in requests {
+        let rec = req.rec();
+        let request = Request {
             querier,
             file: rec.file,
             key: u64::from(rec.t),
             popularity: rec.rank,
             sharers: pre.prefix(rec),
-            start_md: ctx.nominal_md(u64::from(rec.t), pre.stream.len()),
+            start_md: req.start_md(ctx, pre),
         };
         let t0 = profile.then(Instant::now);
-        let (walk, _) = ctx
+        let (walk, route_md) = ctx
             .step(
                 &mut scratch.walk,
-                &req,
+                &request,
                 std::slice::from_mut(policy),
                 0,
                 books.first_mut(),
-                || ctx.fallback(req.key, req.sharers),
+                || ctx.fallback(request.key, request.sharers),
                 &mut part.messages,
                 &mut part.health,
             )
-            .expect("split cells have no outages");
+            .expect("replayed cells have no outages");
         if let Some(t0) = t0 {
             part.intersect_ns += t0.elapsed().as_nanos() as u64;
         }
         part.one_hop_hits += u64::from(walk.uploader.is_some());
+        walked(req, walk.latency_md(route_md));
     }
 }
 
@@ -2114,6 +2237,143 @@ mod tests {
                 }
                 let expected = !two_hop && !random && !outage;
                 assert_eq!(split_eligible(&config), expected, "{config:?}");
+            }
+        }
+    }
+
+    /// The precomputation as first built — shuffle `(peer, file)` pairs,
+    /// find every replica's arena slot by a row binary search — written
+    /// the plain way: the oracle for [`SweepPrecomp::new_with_rng`].
+    fn precomp_by_search(arena: &CacheArena, seed: u64) -> (SweepPrecomp, StdRng) {
+        let (n_peers, n_files) = (arena.n_peers(), arena.n_files());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut stream: Vec<(u32, FileRef)> = Vec::new();
+        for p in 0..n_peers {
+            stream.extend(arena.cache(p).iter().map(|&f| (p as u32, f)));
+        }
+        shuffle(&mut stream, &mut rng);
+
+        // Arrival CSR: per-file replica counts prefix-summed, then each
+        // entry's rank is how many replicas of its file arrived first.
+        let mut off = vec![0u32; n_files + 1];
+        for &(_, f) in &stream {
+            off[f.index() + 1] += 1;
+        }
+        for i in 0..n_files {
+            off[i + 1] += off[i];
+        }
+        let mut cursor = off.clone();
+        let mut rank = vec![0u32; stream.len()];
+        let mut arrivals = vec![0 as Peer; stream.len()];
+        for (t, &(p, f)) in stream.iter().enumerate() {
+            let c = &mut cursor[f.index()];
+            rank[t] = *c - off[f.index()];
+            arrivals[*c as usize] = p;
+            *c += 1;
+        }
+
+        let (mut queries, mut queries_off) = (Vec::new(), vec![0u32]);
+        for querier in 0..n_peers as u32 {
+            for (t, &(p, file)) in stream.iter().enumerate() {
+                if p == querier && rank[t] > 0 {
+                    let (rank, off) = (rank[t], off[file.index()]);
+                    let t = t as u32;
+                    queries.push(QueryRec { t, file, rank, off });
+                }
+            }
+            queries_off.push(queries.len() as u32);
+        }
+
+        let offsets = arena.as_csr_parts().1;
+        let mut rank_by = vec![0u32; stream.len()];
+        for (t, &(p, f)) in stream.iter().enumerate() {
+            let pos = arena
+                .cache(p as usize)
+                .binary_search(&f)
+                .expect("arena row");
+            rank_by[offsets[p as usize] as usize + pos] = rank[t];
+        }
+
+        let requests = queries.len() as u64;
+        let contributor_seeds = stream.len() as u64 - requests;
+        let pre = SweepPrecomp {
+            seed,
+            arrivals,
+            queries,
+            queries_off,
+            rank_by,
+            requests,
+            contributor_seeds,
+            n_peers,
+        };
+        (pre, rng)
+    }
+
+    /// Arbitrary arenas: 0–40 peers (1-peer arenas included), rows of
+    /// 0–12 picks folded into a 1–64 file id space. Empty rows
+    /// (free-riders), single-replica files, files nobody holds, and —
+    /// in small id spaces — files nearly every peer holds (arrival
+    /// ranks in the 30s) all occur.
+    fn arb_arena() -> impl proptest::Strategy<Value = (CacheArena, u64)> {
+        use proptest::prelude::*;
+        (
+            prop::collection::vec(prop::collection::vec(0u32..64, 0..12), 0..40),
+            1u32..64,
+            any::<u64>(),
+        )
+            .prop_map(|(rows, n_files, seed)| {
+                let caches: Vec<Vec<FileRef>> = rows
+                    .into_iter()
+                    .map(|row| row.into_iter().map(|f| FileRef(f % n_files)).collect())
+                    .collect();
+                (CacheArena::from_caches(&caches, n_files as usize), seed)
+            })
+    }
+
+    /// Field-for-field equality with the oracle, plus the next draw of
+    /// the post-shuffle generator.
+    fn assert_matches_oracle(arena: &CacheArena, seed: u64) {
+        let (got, mut got_rng) = SweepPrecomp::new_with_rng(arena, seed);
+        let (want, mut want_rng) = precomp_by_search(arena, seed);
+        assert_eq!(got.seed, want.seed);
+        assert_eq!(got.arrivals, want.arrivals);
+        assert_eq!(got.queries, want.queries);
+        assert_eq!(got.queries_off, want.queries_off);
+        assert_eq!(got.rank_by, want.rank_by);
+        assert_eq!(got.requests, want.requests);
+        assert_eq!(got.contributor_seeds, want.contributor_seeds);
+        assert_eq!(got.n_peers, want.n_peers);
+        assert_eq!(got.stream_len(), arena.replica_count());
+        assert_eq!(
+            got_rng.gen_range(0..u64::MAX),
+            want_rng.gen_range(0..u64::MAX)
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn precomp_matches_the_binary_search_oracle(input in arb_arena()) {
+            assert_matches_oracle(&input.0, input.1);
+        }
+    }
+
+    #[test]
+    fn precomp_handles_degenerate_arenas() {
+        // No peers, one peer with one file, one free-rider, and a
+        // single-replica file next to a file everyone holds.
+        let shapes: [(Vec<Vec<FileRef>>, usize); 4] = [
+            (vec![], 1),
+            (vec![vec![f(0)]], 1),
+            (vec![vec![]], 3),
+            (
+                vec![vec![f(0), f(2)], vec![f(0)], vec![], vec![f(0), f(1)]],
+                3,
+            ),
+        ];
+        for (caches, n_files) in shapes {
+            let arena = CacheArena::from_caches(&caches, n_files);
+            for seed in [0u64, 7, u64::MAX] {
+                assert_matches_oracle(&arena, seed);
             }
         }
     }

@@ -18,7 +18,7 @@ use edonkey_repro::semsearch::neighbours::{Lru, NeighbourPolicy};
 use edonkey_repro::semsearch::overlay::{
     simulate_overlay, simulate_overlay_reference, OverlayConfig,
 };
-use edonkey_repro::semsearch::serve::{serve_arena_threads, ServeConfig};
+use edonkey_repro::semsearch::serve::{serve_arena_threads, ArrivalConfig, ServeConfig};
 use edonkey_repro::semsearch::sim::{
     simulate_arena_health_with_scratch, simulate_arena_with_scratch, simulate_reference, SimScratch,
 };
@@ -653,6 +653,51 @@ proptest! {
                 prop_assert_eq!(&report.lists, &expected_lists, "threads {}", threads);
                 prop_assert_eq!(report.health.shed, 0);
                 prop_assert_eq!(report.health.deferred, 0);
+            }
+        }
+    }
+
+    /// A bounded, jittered, shedding service is thread-invariant: the
+    /// full report — ledger, latency histogram, per-shard vectors, final
+    /// lists — is the same for any worker count, for every policy
+    /// family, quiet or churned. The jitter can exceed the tick, so a
+    /// querier's own arrivals reorder, and ticks up to two virtual days
+    /// wide against a queue of at most 11 make a fifth of the cells
+    /// shed and over a third defer.
+    #[test]
+    fn service_reports_are_deterministic_across_threads(
+        caches in arb_caches(),
+        churn_permille in prop_oneof![Just(0u32), Just(250)],
+        seed in 0u64..200,
+        tick_md in 1u64..2000,
+        jitter_md in 0u32..4000,
+        burst_permille in prop_oneof![Just(0u32), Just(300), Just(900)],
+        queue_capacity in 1usize..12,
+        service_per_tick in 1usize..4,
+        n_shards in 1usize..9,
+    ) {
+        let n_files = 64;
+        let arena = CacheArena::from_caches(&caches, n_files);
+        let avail = availability(seed, churn_permille, None);
+        for config in [
+            SimConfig::lru(4),
+            SimConfig::history(3),
+            SimConfig::random(3),
+            SimConfig::rare_lru(4, 2),
+        ] {
+            let config = ServeConfig::new(config.with_seed(seed).with_availability(avail.clone()))
+                .with_arrival(ArrivalConfig::bursty(seed ^ 0x5e, burst_permille, jitter_md))
+                .with_service(tick_md, queue_capacity, service_per_tick)
+                .with_shards(n_shards);
+            let base = serve_arena_threads(&arena, &config, 1);
+            prop_assert!(base
+                .health
+                .reconcile(base.result.requests, base.result.one_hop_hits)
+                .is_ok());
+            prop_assert_eq!(base.latency.total(), base.health.served);
+            for threads in [2usize, 8] {
+                let report = serve_arena_threads(&arena, &config, threads);
+                prop_assert_eq!(&report, &base, "threads {}", threads);
             }
         }
     }

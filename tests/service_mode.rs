@@ -10,7 +10,9 @@
 //! seeded bursty run — the `ServeHealth` ledger, the per-shard load
 //! vector, and the latency histogram's non-empty buckets. Regenerate
 //! with `EDONKEY_BLESS=1 cargo test --test service_mode` after an
-//! *intentional* serving-plane change.
+//! *intentional* serving-plane change. A second fixture
+//! (`tests/data/service_matrix_golden.tsv`) pins a policy × regime
+//! matrix under a bounded, jittered, shedding service.
 
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -20,7 +22,7 @@ use edonkey_repro::semsearch::serve::{serve_arena_threads, ArrivalConfig, ServeC
 use edonkey_repro::semsearch::sim::{
     simulate_arena_health_with_scratch, AvailabilityConfig, QueryPolicy, SimScratch,
 };
-use edonkey_repro::semsearch::SimConfig;
+use edonkey_repro::semsearch::{AdversaryConfig, SimConfig};
 use edonkey_repro::trace::compact::CacheArena;
 use edonkey_repro::trace::pipeline::filter;
 use edonkey_repro::workload::{generate_trace, WorkloadConfig};
@@ -289,6 +291,133 @@ fn golden_fixture_pins_the_bursty_run() {
     assert_eq!(
         rendered, expected,
         "service latency ledger drifted from the blessed fixture — \
+         if intentional, regenerate with EDONKEY_BLESS=1"
+    );
+}
+
+const MATRIX_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/data/service_matrix_golden.tsv"
+);
+
+/// Tick width of the matrix fixture's bounded service, milli-days.
+const MATRIX_TICK_MD: u64 = 20;
+/// Arrival jitter of the matrix fixture: three ticks wide, so a
+/// querier's own arrivals overtake each other.
+const MATRIX_JITTER_MD: u32 = 60;
+
+/// MD4 over a slice of integers, little-endian — a compact pin for
+/// vectors too long to inline in a fixture.
+fn md4_of(values: impl IntoIterator<Item = u64>) -> String {
+    let mut md4 = edonkey_repro::proto::Md4::new();
+    for v in values {
+        md4.update(&v.to_le_bytes());
+    }
+    md4.finalize().to_hex()
+}
+
+/// Renders the service matrix: every policy × {quiet, 250‰ churn with
+/// retries and staleness eviction, 150‰ sybil + 150‰ polluter with the
+/// reputation defense armed}, on an eight-server federation, under a
+/// bounded, bursty, jittered service that both defers and sheds. Each
+/// cell pins the full serving ledger, the latency buckets, the
+/// per-shard vectors, and digests of the per-peer load and of every
+/// final neighbour list.
+fn matrix_fixture() -> String {
+    let regimes = [
+        ("quiet", AvailabilityConfig::none()),
+        (
+            "churn250",
+            AvailabilityConfig::churn(CHURN_SEED, 250).with_query(QueryPolicy::retry_evict()),
+        ),
+        (
+            "adversary150",
+            AvailabilityConfig::none()
+                .with_adversary(AdversaryConfig::sybils(SEED ^ 0xad5e, 150).with_polluters(150))
+                .with_reputation(),
+        ),
+    ];
+    let mut out = format!(
+        "# service matrix golden fixture v1 — bless with EDONKEY_BLESS=1\n\
+         # federated8, burst=600 jitter={MATRIX_JITTER_MD} tick={MATRIX_TICK_MD} queue=6 service=2, 8 shards\n"
+    );
+    for (label, availability) in regimes {
+        for base in policies(SEED) {
+            let sim = base.with_availability(
+                availability
+                    .clone()
+                    .with_backend(IndexBackend::Federated { n_servers: 8 }),
+            );
+            let config = ServeConfig::new(sim.clone())
+                .with_arrival(ArrivalConfig::bursty(SEED ^ 0x3a7, 600, MATRIX_JITTER_MD))
+                .with_service(MATRIX_TICK_MD, 6, 2);
+            let report = serve_arena_threads(arena(), &config, 2);
+            let cell = format!("{label}\t{}", sim.policy.name());
+            let h = &report.health;
+            h.reconcile(report.result.requests, report.result.one_hop_hits)
+                .unwrap_or_else(|e| panic!("{cell}: {e}"));
+            assert!(
+                h.shed > 0 && h.deferred > 0,
+                "{cell}: the pinned cell must both shed and defer"
+            );
+            writeln!(
+                out,
+                "{cell}\tserve\tarrived={} served={} shed={} deferred={} deferred_ticks={} \
+                 max_depth={} hits={}",
+                h.arrived,
+                h.served,
+                h.shed,
+                h.deferred,
+                h.deferred_ticks,
+                h.max_queue_depth,
+                report.result.one_hop_hits
+            )
+            .unwrap();
+            writeln!(out, "{cell}\tsearch\t{:?}", h.search).unwrap();
+            for (name, values) in [
+                ("shard_load", &report.shard_load),
+                ("shard_max_depth", &report.shard_max_depth),
+                ("shard_last_tick", &report.shard_last_tick),
+            ] {
+                let joined: Vec<String> = values.iter().map(u64::to_string).collect();
+                writeln!(out, "{cell}\t{name}\t{}", joined.join(" ")).unwrap();
+            }
+            let buckets: Vec<String> = report
+                .latency
+                .nonzero()
+                .map(|(idx, count)| format!("{idx}:{count}"))
+                .collect();
+            writeln!(out, "{cell}\tbuckets\t{}", buckets.join(" ")).unwrap();
+            let lists = report.lists.iter().flat_map(|list| {
+                std::iter::once(list.len() as u64).chain(list.iter().map(|&p| u64::from(p)))
+            });
+            writeln!(
+                out,
+                "{cell}\tdigests\tmessages={} lists={}",
+                md4_of(report.result.messages_per_peer.iter().copied()),
+                md4_of(lists)
+            )
+            .unwrap();
+        }
+    }
+    out
+}
+
+/// The checked-in matrix must keep matching what the code produces.
+/// Unlike the service ≡ batch differentials (unbounded queues, identity
+/// arrivals), these cells reorder a querier's own requests and shed
+/// some of them, so the fixture pins the serving engine's scheduling
+/// itself: which requests are served, in which order, at which instant.
+#[test]
+fn golden_fixture_pins_the_service_matrix() {
+    let rendered = matrix_fixture();
+    if std::env::var("EDONKEY_BLESS").is_ok() {
+        std::fs::write(MATRIX_FIXTURE, &rendered).expect("bless fixture");
+    }
+    let expected = std::fs::read_to_string(MATRIX_FIXTURE).expect("read checked-in fixture");
+    assert_eq!(
+        rendered, expected,
+        "service matrix drifted from the blessed fixture — \
          if intentional, regenerate with EDONKEY_BLESS=1"
     );
 }
