@@ -13,10 +13,11 @@ use std::time::Instant;
 use crate::filters::{remove_top_files, remove_top_uploaders};
 use crate::index::IndexBackend;
 use crate::neighbours::PolicyKind;
+use crate::query::Tables;
 use crate::sim::{
-    merge_partials, simulate_arena_health_with_scratch, simulate_arena_with_scratch,
-    simulate_cell_range, split_eligible, AdversaryConfig, AvailabilityConfig, CellPartial,
-    QueryPolicy, SearchHealth, SimConfig, SimResult, SimScratch, SplitScratch, SweepPrecomp,
+    merge_partials, simulate_arena_with_scratch, simulate_cell_range, simulate_whole_cell,
+    split_eligible, AdversaryConfig, AvailabilityConfig, CellPartial, DrawnLists, QueryPolicy,
+    SearchHealth, SimConfig, SimResult, SimScratch, SplitScratch, SweepPrecomp,
 };
 
 /// One sweep point: a list size and its simulation result.
@@ -48,7 +49,8 @@ pub struct SweepStages {
 }
 
 /// One schedulable unit of a sweep: either a whole split-ineligible
-/// cell, or one querier range of a split-eligible cell.
+/// cell, or one querier range of a split-eligible cell (with its
+/// precomputation and, for Random, its drawn lists).
 enum SweepTask {
     Whole {
         cell: usize,
@@ -56,6 +58,7 @@ enum SweepTask {
     Split {
         cell: usize,
         pre: usize,
+        drawn: Option<usize>,
         lo: u32,
         hi: u32,
     },
@@ -116,34 +119,50 @@ fn run_sweep_cells(
 ) -> (Vec<(SimResult, SearchHealth)>, SweepStages) {
     // One precomputation per distinct seed serves every split-eligible
     // cell of the batch (the shuffled stream and arrival ranks are
-    // policy- and list-size-independent).
-    let mut precomps: Vec<(u64, SweepPrecomp)> = Vec::new();
-    for config in configs.iter().filter(|c| split_eligible(c)) {
-        if !precomps.iter().any(|(s, _)| *s == config.seed) {
-            precomps.push((config.seed, SweepPrecomp::new(arena, config.seed)));
-        }
-    }
-
-    // Cut each eligible cell into roughly request-balanced querier
+    // policy- and list-size-independent), one set of Random lists every
+    // Random cell of a (seed, list size), and one set of tables every
+    // cell.
+    //
+    // Each eligible cell is cut into roughly request-balanced querier
     // ranges; a couple of subtasks per worker keeps the stealing queue
     // busy without drowning in merge overhead.
+    let tables = Tables::new(configs, arena.n_peers());
+    let mut precomps: Vec<SweepPrecomp> = Vec::new();
+    let mut draws: Vec<(usize, usize)> = Vec::new();
     let chunks = (threads * 2).max(2);
     let mut tasks: Vec<SweepTask> = Vec::new();
     let mut weights: Vec<u64> = Vec::new();
     for (cell, config) in configs.iter().enumerate() {
-        match precomps.iter().position(|(s, _)| *s == config.seed) {
-            Some(pre) if split_eligible(config) => {
-                for (lo, hi) in precomps[pre].1.peer_ranges(chunks) {
-                    weights.push(precomps[pre].1.requests_in(lo, hi).max(1));
-                    tasks.push(SweepTask::Split { cell, pre, lo, hi });
-                }
-            }
-            _ => {
-                weights.push(arena.replica_count() as u64 * 2);
-                tasks.push(SweepTask::Whole { cell });
-            }
+        if !split_eligible(config) {
+            weights.push(arena.replica_count() as u64 * 2);
+            tasks.push(SweepTask::Whole { cell });
+            continue;
+        }
+        let pre = precomp_index(&mut precomps, arena, config.seed);
+        let drawn = (config.policy == PolicyKind::Random).then(|| {
+            let draw = (pre, config.list_size);
+            draws.iter().position(|&d| d == draw).unwrap_or_else(|| {
+                draws.push(draw);
+                draws.len() - 1
+            })
+        });
+        for (lo, hi) in precomps[pre].peer_ranges(chunks) {
+            weights.push(precomps[pre].requests_in(lo, hi).max(1));
+            tasks.push(SweepTask::Split {
+                cell,
+                pre,
+                drawn,
+                lo,
+                hi,
+            });
         }
     }
+    let lists: Vec<DrawnLists> = parallel_map_init_threads(
+        &draws,
+        threads,
+        || (),
+        |_, &(pre, list_size)| precomps[pre].draw_lists(list_size),
+    );
 
     let outs = parallel_map_weighted(
         &tasks,
@@ -151,12 +170,23 @@ fn run_sweep_cells(
         threads,
         SweepWorker::default,
         |worker, task| match *task {
-            SweepTask::Whole { cell } => SweepTaskOut::Whole(Box::new(
-                simulate_arena_health_with_scratch(arena, &configs[cell], &mut worker.whole),
-            )),
-            SweepTask::Split { cell, pre, lo, hi } => SweepTaskOut::Part(simulate_cell_range(
+            SweepTask::Whole { cell } => SweepTaskOut::Whole(Box::new(simulate_whole_cell(
                 arena,
-                &precomps[pre].1,
+                &configs[cell],
+                &tables,
+                &mut worker.whole,
+            ))),
+            SweepTask::Split {
+                cell,
+                pre,
+                drawn,
+                lo,
+                hi,
+            } => SweepTaskOut::Part(simulate_cell_range(
+                arena,
+                &precomps[pre],
+                drawn.map(|d| &lists[d]),
+                &tables,
                 &configs[cell],
                 (lo, hi),
                 &mut worker.split,
@@ -190,9 +220,9 @@ fn run_sweep_cells(
         if results[cell].is_none() {
             let pre = precomps
                 .iter()
-                .position(|(s, _)| *s == config.seed)
+                .find(|p| p.seed() == config.seed)
                 .expect("split cells built a precomp above");
-            results[cell] = Some(merge_partials(&precomps[pre].1, &parts[cell]));
+            results[cell] = Some(merge_partials(pre, &parts[cell]));
         }
     }
     stages.merge_ms = merge_start.elapsed().as_secs_f64() * 1e3;
@@ -229,34 +259,52 @@ pub fn sweep_cells_windowed(
 ) -> Vec<(SimResult, SearchHealth)> {
     let window = window.max(1) as u32;
     let n_peers = arena.n_peers() as u32;
-    let mut precomps: Vec<(u64, SweepPrecomp)> = Vec::new();
+    let tables = Tables::new(configs, arena.n_peers());
+    let mut precomps: Vec<SweepPrecomp> = Vec::new();
     let mut whole = SimScratch::new();
     let mut split = SplitScratch::new();
     configs
         .iter()
         .map(|config| {
             if !split_eligible(config) {
-                return simulate_arena_health_with_scratch(arena, config, &mut whole);
+                return simulate_whole_cell(arena, config, &tables, &mut whole);
             }
-            let pre = match precomps.iter().position(|(s, _)| *s == config.seed) {
-                Some(i) => i,
-                None => {
-                    precomps.push((config.seed, SweepPrecomp::new(arena, config.seed)));
-                    precomps.len() - 1
-                }
-            };
-            let pre = &precomps[pre].1;
+            let pre = precomp_index(&mut precomps, arena, config.seed);
+            let pre = &precomps[pre];
+            let drawn =
+                (config.policy == PolicyKind::Random).then(|| pre.draw_lists(config.list_size));
             let mut acc = CellPartial::empty(arena.n_peers());
             let mut lo = 0u32;
             while lo < n_peers {
                 let hi = lo.saturating_add(window).min(n_peers);
-                let part = simulate_cell_range(arena, pre, config, (lo, hi), &mut split, false);
+                let part = simulate_cell_range(
+                    arena,
+                    pre,
+                    drawn.as_ref(),
+                    &tables,
+                    config,
+                    (lo, hi),
+                    &mut split,
+                    false,
+                );
                 acc.absorb(&part);
                 lo = hi;
             }
             merge_partials(pre, std::slice::from_ref(&acc))
         })
         .collect()
+}
+
+/// The position of `seed`'s precomputation in `precomps`, building it
+/// on first use.
+fn precomp_index(precomps: &mut Vec<SweepPrecomp>, arena: &CacheArena, seed: u64) -> usize {
+    match precomps.iter().position(|p| p.seed() == seed) {
+        Some(i) => i,
+        None => {
+            precomps.push(SweepPrecomp::new(arena, seed));
+            precomps.len() - 1
+        }
+    }
 }
 
 /// The cell configurations of a list-size sweep.
@@ -611,9 +659,9 @@ pub fn churn_grid(
             }
         }
     }
-    // Adaptive-policy cells without outages ride the split-cell
-    // scheduler; Random and outage cells fall back to whole-cell runs
-    // inside the same work-stealing pass.
+    // Cells without outages ride the split-cell scheduler (Random with
+    // its lists drawn up front); outage cells fall back to whole-cell
+    // runs inside the same work-stealing pass.
     let configs: Vec<SimConfig> = cells
         .iter()
         .map(|&(rate, policy, query)| SimConfig {
@@ -662,8 +710,7 @@ pub struct AdversaryCell {
 /// The adversary ablation: every attack mix × [`CHURN_POLICIES`] ×
 /// {undefended, defended} cell at one list size under one index
 /// backend, in parallel. Refusals, hijacks and pollution never stop an
-/// acquisition, so every adaptive-policy cell rides the split-cell
-/// scheduler; Random cells run whole inside the same pass. Each
+/// acquisition, so every cell rides the split-cell scheduler. Each
 /// cell's [`SearchHealth`] is reconciled against its [`SimResult`]
 /// before returning — a violation panics, naming the cell.
 pub fn adversary_grid(
@@ -731,6 +778,7 @@ pub use edonkey_trace::par::{
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::simulate_arena_health_with_scratch;
 
     fn f(i: u32) -> FileRef {
         FileRef(i)
@@ -944,13 +992,17 @@ mod tests {
         let (caches, n) = workload();
         let arena = CacheArena::from_caches(&caches, n);
         // A mixed batch: quiet adaptive cells (split, both hit-check
-        // modes), a Random cell (whole), churn cells with and without
-        // retries (split), and an outage cell (whole).
+        // modes), Random quiet and under churn with stateless
+        // replacements (split), churn cells with and without retries
+        // (split), and an outage cell (whole).
         let configs = vec![
             SimConfig::lru(3).with_seed(7),
             SimConfig::history(16).with_seed(7),
             SimConfig::rare_lru(5, 3).with_seed(7),
             SimConfig::random(5).with_seed(7),
+            SimConfig::random(5).with_seed(7).with_availability(
+                AvailabilityConfig::churn(11, 250).with_query(QueryPolicy::retry_evict()),
+            ),
             SimConfig::lru(5)
                 .with_seed(7)
                 .with_availability(AvailabilityConfig::churn(11, 250)),
@@ -981,18 +1033,25 @@ mod tests {
     fn windowed_sweep_is_bit_identical_to_the_work_stealing_sweep() {
         let (caches, n) = workload();
         let arena = CacheArena::from_caches(&caches, n);
-        // Split cells (quiet, churn, zero-outage DHT) and a whole Random
-        // cell — every path the windowed sweep has.
+        // Split cells (quiet, churn, zero-outage DHT), quiet Random and
+        // Random under churn with stateless replacements, and a whole
+        // outage cell — every path the windowed sweep has.
         let configs = vec![
             SimConfig::lru(3).with_seed(7),
             SimConfig::history(16).with_seed(7),
             SimConfig::random(5).with_seed(7),
+            SimConfig::random(5).with_seed(7).with_availability(
+                AvailabilityConfig::churn(11, 250).with_query(QueryPolicy::retry_evict()),
+            ),
             SimConfig::lru(5)
                 .with_seed(7)
                 .with_availability(AvailabilityConfig::churn(11, 250)),
             SimConfig::lru(5)
                 .with_seed(7)
                 .with_backend(IndexBackend::Dht { replication_k: 3 }),
+            SimConfig::lru(5)
+                .with_seed(7)
+                .with_availability(AvailabilityConfig::churn(11, 250).with_outages(vec![2, 3])),
         ];
         let reference = sweep_cells_threads(&arena, &configs, 4);
         for window in [1, 7, 64, usize::MAX] {

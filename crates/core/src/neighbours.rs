@@ -15,11 +15,45 @@
 //! neighbours?" is O(1) during simulation.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::Rng;
 
 /// A peer index in the simulation (dense, like `edonkey_trace::PeerId`).
 pub type Peer = u32;
+
+/// Multiply-shift hashing for [`Peer`] keys: one multiply by the golden
+/// ratio, the high half folded into the low bits the table indexes by.
+/// The policies' sets and maps are probed on every record and staleness
+/// reaction, where SipHash cost more than the lookups it guards. Peers
+/// are dense indices the simulator assigns, not values an input can
+/// pick to collide, and nothing iterates these containers, so the hash
+/// never reaches an output.
+#[derive(Clone, Copy, Debug, Default)]
+struct PeerHasher(u64);
+
+impl Hasher for PeerHasher {
+    /// Only `write_u32` sees `Peer` keys; other input folds bytewise.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32((self.0 as u32) << 8 | u32::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        let h = u64::from(n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type PeerSet = HashSet<Peer, BuildHasherDefault<PeerHasher>>;
+type PeerMap<V> = HashMap<Peer, V, BuildHasherDefault<PeerHasher>>;
 
 /// How a policy reacted to a *stale* neighbour — one whose query timed
 /// out because the peer is offline (see `edonkey_workload::churn`).
@@ -87,7 +121,7 @@ pub struct Lru {
     /// Head = most recently used. Small lists: a Vec beats pointer
     /// structures for every capacity the paper uses (≤ 200).
     list: Vec<Peer>,
-    members: HashSet<Peer>,
+    members: PeerSet,
     capacity: usize,
 }
 
@@ -101,7 +135,7 @@ impl Lru {
         assert!(capacity > 0, "neighbour list capacity must be positive");
         Lru {
             list: Vec::with_capacity(capacity),
-            members: HashSet::new(),
+            members: PeerSet::default(),
             capacity,
         }
     }
@@ -189,14 +223,14 @@ impl NeighbourPolicy for Lru {
 /// ```
 #[derive(Clone, Debug)]
 pub struct History {
-    /// Upload counters for every peer ever seen (the "history").
-    counts: HashMap<Peer, u64>,
+    /// `(upload count, last upload's clock)` for every peer ever seen
+    /// (the "history"): its sort key, one lookup away.
+    keys: PeerMap<(u64, u64)>,
     /// Logical clock for recency tie-breaks.
     clock: u64,
-    last_seen: HashMap<Peer, u64>,
     /// Current top-`capacity` list, sorted by (count, recency) desc.
     list: Vec<Peer>,
-    members: HashSet<Peer>,
+    members: PeerSet,
     capacity: usize,
 }
 
@@ -209,20 +243,16 @@ impl History {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "neighbour list capacity must be positive");
         History {
-            counts: HashMap::new(),
+            keys: PeerMap::default(),
             clock: 0,
-            last_seen: HashMap::new(),
             list: Vec::with_capacity(capacity),
-            members: HashSet::new(),
+            members: PeerSet::default(),
             capacity,
         }
     }
 
     fn key(&self, peer: Peer) -> (u64, u64) {
-        (
-            self.counts.get(&peer).copied().unwrap_or(0),
-            self.last_seen.get(&peer).copied().unwrap_or(0),
-        )
+        self.keys.get(&peer).copied().unwrap_or((0, 0))
     }
 
     /// The staleness reaction: a timed-out neighbour is *probed*, not
@@ -235,7 +265,7 @@ impl History {
         }
         let pos = self.list.iter().position(|&p| p == peer).expect("member");
         self.list.remove(pos);
-        if let Some(count) = self.counts.get_mut(&peer) {
+        if let Some((count, _)) = self.keys.get_mut(&peer) {
             *count /= 2;
         }
         let key = self.key(peer);
@@ -261,8 +291,7 @@ impl History {
         }
         let pos = self.list.iter().position(|&p| p == peer).expect("member");
         self.list.remove(pos);
-        self.counts.remove(&peer);
-        self.last_seen.remove(&peer);
+        self.keys.remove(&peer);
         true
     }
 
@@ -270,9 +299,8 @@ impl History {
     /// (capacity)`, keeping the allocations (see [`Lru::reset`]).
     pub fn reset(&mut self, capacity: usize) {
         assert!(capacity > 0, "neighbour list capacity must be positive");
-        self.counts.clear();
+        self.keys.clear();
         self.clock = 0;
-        self.last_seen.clear();
         self.list.clear();
         self.members.clear();
         self.capacity = capacity;
@@ -284,8 +312,8 @@ impl History {
     /// newcomer is rejected — rejection only skips the *list* change.
     pub fn record_upload_delta(&mut self, uploader: Peer) -> (Option<Peer>, Option<Peer>) {
         self.clock += 1;
-        *self.counts.entry(uploader).or_insert(0) += 1;
-        self.last_seen.insert(uploader, self.clock);
+        let key = self.keys.entry(uploader).or_insert((0, 0));
+        *key = (key.0 + 1, self.clock);
         let mut delta = (None, None);
         if self.members.contains(&uploader) {
             // Re-sort its position upward.
@@ -345,7 +373,7 @@ impl NeighbourPolicy for History {
 #[derive(Clone, Debug)]
 pub struct RandomList {
     list: Vec<Peer>,
-    members: HashSet<Peer>,
+    members: PeerSet,
     owner: Peer,
     capacity: usize,
 }
@@ -361,7 +389,7 @@ impl RandomList {
         assert!(capacity > 0, "neighbour list capacity must be positive");
         let mut fresh = RandomList {
             list: Vec::with_capacity(capacity),
-            members: HashSet::new(),
+            members: PeerSet::default(),
             owner,
             capacity,
         };
@@ -385,18 +413,14 @@ impl RandomList {
         self.members.clear();
         self.owner = owner;
         self.capacity = capacity;
-        // Rejection sampling; candidate pools are far larger than lists
-        // in every experiment, so this terminates fast. Bounded anyway.
-        let mut guard = 0usize;
-        while self.list.len() < capacity.min(candidates.len().saturating_sub(1))
-            && guard < 100 * capacity + 1000
-        {
-            guard += 1;
-            let pick = candidates[rng.gen_range(0..candidates.len())];
-            if pick != owner && self.members.insert(pick) {
-                self.list.push(pick);
+        let (list, members) = (&mut self.list, &mut self.members);
+        draw_random_list(capacity, owner, candidates, rng, |pick| {
+            let fresh = members.insert(pick);
+            if fresh {
+                list.push(pick);
             }
-        }
+            fresh
+        });
     }
 
     /// Adopts a list drawn earlier for `owner` — distinct peers, never
@@ -434,6 +458,29 @@ impl RandomList {
                 StaleReaction::Replaced
             }
             _ => StaleReaction::Evicted,
+        }
+    }
+}
+
+/// The Random list's construction draw: rejection-samples `candidates`
+/// for up to `capacity` distinct peers other than `owner`, handing each
+/// non-owner pick to `admit`, which keeps it and returns `true` unless
+/// it was drawn before. Candidate pools are far larger than lists in
+/// every experiment, so this terminates fast; a guard bounds it anyway.
+pub(crate) fn draw_random_list(
+    capacity: usize,
+    owner: Peer,
+    candidates: &[Peer],
+    rng: &mut impl Rng,
+    mut admit: impl FnMut(Peer) -> bool,
+) {
+    let target = capacity.min(candidates.len().saturating_sub(1));
+    let (mut drawn, mut guard) = (0usize, 0usize);
+    while drawn < target && guard < 100 * capacity + 1000 {
+        guard += 1;
+        let pick = candidates[rng.gen_range(0..candidates.len())];
+        if pick != owner && admit(pick) {
+            drawn += 1;
         }
     }
 }
@@ -636,8 +683,8 @@ impl AnyPolicy {
     /// The state `owner`'s policy starts a replay in, with no RNG: empty
     /// for the adaptive kinds, and for a Random list the `drawn` list
     /// its [`AnyPolicy::new`] construction drew (in draw order). The
-    /// split and serving replays construct policies this way — the
-    /// split sweep excludes Random, so it always passes an empty draw.
+    /// split and serving replays construct policies this way, from the
+    /// lists drawn up front (`sim::DrawnLists`).
     pub fn from_drawn(kind: PolicyKind, capacity: usize, owner: Peer, drawn: &[Peer]) -> Self {
         match kind {
             PolicyKind::Lru => AnyPolicy::Lru(Lru::new(capacity)),
@@ -645,7 +692,7 @@ impl AnyPolicy {
             PolicyKind::Random => {
                 let mut list = RandomList {
                     list: Vec::with_capacity(capacity),
-                    members: HashSet::new(),
+                    members: PeerSet::default(),
                     owner,
                     capacity,
                 };

@@ -22,7 +22,7 @@ use std::collections::HashSet;
 
 use crate::index::IndexBackend;
 use crate::neighbours::{AnyPolicy, NeighbourPolicy, Peer, PolicyKind};
-use crate::query::{QueryCtx, Request, WalkScratch};
+use crate::query::{QueryCtx, Request, Tables, WalkScratch};
 use crate::sim::{AvailabilityConfig, SearchHealth, SimConfig};
 
 /// Live-overlay parameters.
@@ -168,7 +168,8 @@ pub fn simulate_overlay_health(
         seed: config.seed,
         availability: config.availability.clone(),
     };
-    let ctx = QueryCtx::new(&cell, &sharer_pool, n_peers);
+    let tables = Tables::new(std::slice::from_ref(&cell), n_peers);
+    let ctx = QueryCtx::new(&cell, &tables, &sharer_pool, n_peers);
     let mut books = ctx.books(n_peers);
     let mut scratch = WalkScratch::default();
     // The overlay reports no per-peer load; the kernel's message tally

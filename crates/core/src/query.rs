@@ -7,8 +7,8 @@
 
 use edonkey_trace::compact::RowBits;
 use edonkey_trace::model::FileRef;
-use edonkey_workload::adversary::AdversaryPlan;
-use edonkey_workload::churn::{ChurnSchedule, QueryPolicy};
+use edonkey_workload::adversary::{AdversaryPlan, RoleTable};
+use edonkey_workload::churn::{ChurnSchedule, OfflineTable, QueryPolicy};
 
 use crate::index::{IndexBackend, IndexRoute, IndexRouter, DHT_HOP_LATENCY_MD, FED_HOP_LATENCY_MD};
 use crate::neighbours::{
@@ -21,16 +21,66 @@ use crate::sim::{fallback_index, SearchHealth, SimConfig};
 /// floor of an uncontended quiet hit.
 pub const QUERY_RTT_MD: u64 = 1;
 
-/// Everything a request needs that is fixed for a whole cell: built
-/// once per cell (or split subtask), never per querier.
+/// Largest offline table [`Tables`] builds, in entries (32 MiB of
+/// `u16`): days past it fall back to the schedule's hash.
+const MAX_OFFLINE_ENTRIES: usize = 1 << 24;
+
+/// The stateless churn and adversary draws of a batch of cells,
+/// precomputed once per sweep: one [`OfflineTable`] per churned
+/// schedule seed over the cells' longest virtual span (window starts do
+/// not depend on the rate, so one table serves every rate), and one
+/// [`RoleTable`] per live adversary plan.
+#[derive(Debug, Default)]
+pub(crate) struct Tables {
+    offline: Vec<OfflineTable>,
+    roles: Vec<RoleTable>,
+}
+
+impl Tables {
+    /// The tables `cells` read, over peers `0..n_peers`.
+    pub(crate) fn new(cells: &[SimConfig], n_peers: usize) -> Self {
+        let mut spans: Vec<(u64, u32)> = Vec::new();
+        let mut tables = Tables::default();
+        for cell in cells {
+            let a = &cell.availability;
+            if (1..1000).contains(&a.churn.churn_permille) {
+                let days = a.virtual_days.max(1);
+                match spans.iter_mut().find(|(seed, _)| *seed == a.churn.seed) {
+                    Some((_, d)) => *d = (*d).max(days),
+                    None => spans.push((a.churn.seed, days)),
+                }
+            }
+            if !a.adversary.is_quiet()
+                && !tables
+                    .roles
+                    .iter()
+                    .any(|r| r.plan().config() == &a.adversary)
+            {
+                let plan = AdversaryPlan::new(a.adversary.clone());
+                tables.roles.push(RoleTable::new(plan, n_peers));
+            }
+        }
+        let max_days = (MAX_OFFLINE_ENTRIES / n_peers.max(1)) as u32;
+        tables.offline = spans
+            .into_iter()
+            .map(|(seed, days)| OfflineTable::new(seed, n_peers, days.min(max_days)))
+            .collect();
+        tables
+    }
+}
+
+/// Everything a request needs that is fixed for a whole cell: the
+/// cell's settings and the sweep's [`Tables`], borrowed — cheap enough
+/// to build per split subtask, never per querier.
 pub(crate) struct QueryCtx<'a> {
     schedule: ChurnSchedule,
     query: QueryPolicy,
-    plan: AdversaryPlan,
     /// The schedule can take peers offline.
     churn: bool,
-    /// The plan marks somebody adversarial.
-    adversarial: bool,
+    /// The schedule seed's window starts, when the rate needs them.
+    starts: Option<&'a OfflineTable>,
+    /// The live plan's roles; `None` when nobody is adversarial.
+    roles: Option<&'a RoleTable>,
     /// The reputation defense is armed against a live plan: callers
     /// keep one [`ReputationBook`] per querier exactly when this holds.
     defend: bool,
@@ -110,19 +160,33 @@ pub(crate) struct WalkScratch {
 }
 
 impl<'a> QueryCtx<'a> {
-    /// The context of one cell. `sharer_pool` only matters to the
-    /// Random policy; `n_peers` sizes the adversary draws.
-    pub(crate) fn new(cell: &SimConfig, sharer_pool: &'a [Peer], n_peers: usize) -> Self {
+    /// The context of one cell, reading `tables` built for a batch that
+    /// includes it. `sharer_pool` only matters to the Random policy;
+    /// `n_peers` sizes the adversary draws.
+    pub(crate) fn new(
+        cell: &SimConfig,
+        tables: &'a Tables,
+        sharer_pool: &'a [Peer],
+        n_peers: usize,
+    ) -> Self {
         let (availability, seed) = (&cell.availability, cell.seed);
         let schedule = ChurnSchedule::new(availability.churn.clone());
-        let plan = AdversaryPlan::new(availability.adversary.clone());
+        let churn_seed = availability.churn.seed;
+        let plan = &availability.adversary;
+        let roles = (!plan.is_quiet()).then(|| {
+            tables
+                .roles
+                .iter()
+                .find(|r| r.plan().config() == plan)
+                .expect("tables cover every live plan of the batch")
+        });
         QueryCtx {
             churn: !schedule.is_quiet(),
-            adversarial: !plan.is_quiet(),
-            defend: availability.reputation && !plan.is_quiet(),
+            starts: tables.offline.iter().find(|t| t.seed() == churn_seed),
+            roles,
+            defend: availability.reputation && roles.is_some(),
             schedule,
             query: availability.query,
-            plan,
             exposure: availability.backend.pollution_exposure(),
             router: availability.backend.router(seed),
             free_index: availability.backend == IndexBackend::SingleServer
@@ -153,6 +217,23 @@ impl<'a> QueryCtx<'a> {
     /// cost, never who uploads, so zero-outage runs agree across them.
     pub(crate) fn fallback(&self, t: u64, sharers: &[Peer]) -> Peer {
         sharers[fallback_index(self.seed, t, sharers.len())]
+    }
+
+    /// Is `peer` offline at `milli` of `day`? [`ChurnSchedule::offline`],
+    /// from the table when the sweep built one.
+    #[inline(always)]
+    fn offline(&self, peer: Peer, day: u32, milli: u32) -> bool {
+        self.churn
+            && match self.starts {
+                Some(table) => table.offline(&self.schedule, peer, day, milli),
+                None => self.schedule.offline(peer, day, milli),
+            }
+    }
+
+    /// Does `peer` refuse to answer? [`AdversaryPlan::answers_nothing`].
+    #[inline(always)]
+    fn refuses(&self, peer: Peer) -> bool {
+        self.roles.is_some_and(|r| r.answers_nothing(peer))
     }
 
     /// The Random policy's stateless redraw for a slot vacated by
@@ -219,7 +300,7 @@ impl<'a> QueryCtx<'a> {
             query_buf.extend_from_slice(policies[slot].neighbours());
             stale_cur.clear();
             for &n in query_buf.iter() {
-                if self.churn && self.schedule.offline(n, day, milli) {
+                if self.offline(n, day, milli) {
                     saw_timeout = true;
                     health.timed_out += 1;
                     if !query.handle_stale {
@@ -240,7 +321,7 @@ impl<'a> QueryCtx<'a> {
                             StaleReaction::Kept => {}
                         }
                     }
-                } else if self.adversarial && self.plan.answers_nothing(n) {
+                } else if self.refuses(n) {
                     // Refused: not a timeout, so no retry or staleness
                     // fires; only the reputation score can clear it.
                     messages[n as usize] += 1;
@@ -291,8 +372,8 @@ impl<'a> QueryCtx<'a> {
                         // The second-hop holder must be online and honest.
                         if s != querier
                             && listed
-                            && (!self.churn || !self.schedule.offline(s, day, milli))
-                            && (!self.adversarial || !self.plan.answers_nothing(s))
+                            && !self.offline(s, day, milli)
+                            && !self.refuses(s)
                         {
                             uploader = Some(s);
                             two_hop = true;
@@ -391,15 +472,15 @@ impl<'a> QueryCtx<'a> {
         health: &mut SearchHealth,
     ) {
         let (mut recorded, mut polluted, mut hijacked) = (uploader, false, false);
-        if self.adversarial {
+        if let Some(roles) = self.roles {
             if fell_back {
                 let file = req.file.index() as u64;
-                if let Some(pol) = self.plan.polluter(file, self.exposure, self.n_peers) {
+                if let Some(pol) = roles.polluter(file, self.exposure, self.n_peers) {
                     (recorded, polluted) = (pol, true);
                 }
             }
             if !polluted {
-                if let Some(syb) = self.plan.hijacker(req.querier, req.key, self.n_peers) {
+                if let Some(syb) = roles.hijacker(req.querier, req.key, self.n_peers) {
                     (recorded, hijacked) = (syb, true);
                 }
             }

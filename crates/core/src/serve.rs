@@ -28,10 +28,10 @@
 //!   pass, touching no policy, and then replays every querier's served
 //!   requests, in service order and at their service instants, through
 //!   the split sweep's per-querier path — the pooled quiet mirror for
-//!   quiet LRU/History/RareLRU cells, the kernel step on one pooled
-//!   policy otherwise. A querier's outcome depends only on its own
-//!   requests, so this equals interleaving the walks into the tick
-//!   loop, request for request.
+//!   quiet cells, the kernel step on one pooled policy otherwise. A
+//!   querier's outcome depends only on its own requests, so this
+//!   equals interleaving the walks into the tick loop, request for
+//!   request.
 //! * **Deterministic arrivals.** The nominal instant is the batch
 //!   path's `t · span / len` milli-days; burst compression and
 //!   `(seed, querier, tick)`-keyed splitmix64 jitter come from
@@ -62,12 +62,12 @@ use edonkey_trace::compact::CacheArena;
 use edonkey_trace::par::parallel_map_init_threads;
 pub use edonkey_workload::arrivals::{ArrivalConfig, ArrivalProcess};
 
-use crate::neighbours::{AnyPolicy, NeighbourPolicy, Peer, PolicyKind};
-use crate::query::QueryCtx;
+use crate::neighbours::{Peer, PolicyKind};
 pub use crate::query::QUERY_RTT_MD;
+use crate::query::{QueryCtx, Tables};
 use crate::sim::{
-    replay_querier, CellPartial, QueryRec, Replayed, SearchHealth, SimConfig, SimResult,
-    SplitScratch, SweepPrecomp,
+    replay_querier, CellPartial, DrawnLists, QueryRec, Replayed, SearchHealth, SimConfig,
+    SimResult, SplitScratch, SweepPrecomp,
 };
 
 /// The serving engine's knobs on top of a [`SimConfig`].
@@ -435,19 +435,6 @@ struct ShardScratch {
     served: Vec<Served>,
 }
 
-/// Every peer's Random list as the batch simulator constructs it: drawn
-/// in peer order from the post-shuffle generator, stored flat (CSR).
-struct DrawnLists {
-    flat: Vec<Peer>,
-    off: Vec<u32>,
-}
-
-impl DrawnLists {
-    fn list(&self, p: Peer) -> &[Peer] {
-        &self.flat[self.off[p as usize] as usize..self.off[p as usize + 1] as usize]
-    }
-}
-
 /// One shard's complete outcome; merging in shard order reproduces the
 /// engine's report for any thread count.
 struct ShardOutcome {
@@ -478,36 +465,15 @@ pub fn serve_arena_threads(
 ) -> ServeReport {
     config.validate();
     let sim = &config.sim;
-    let (pre, mut rng) = SweepPrecomp::new_with_rng(arena, sim.seed);
+    let pre = SweepPrecomp::new(arena, sim.seed);
     let n_peers = pre.n_peers;
 
     // Random lists are drawn in peer order from the post-shuffle
     // generator — the batch simulator's exact construction sequence;
     // every other policy starts empty and draws nothing.
-    let random = sim.policy == PolicyKind::Random;
-    let sharer_pool: Vec<Peer> = if random {
-        (0..n_peers)
-            .filter(|&p| !arena.cache(p).is_empty())
-            .map(|p| p as Peer)
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let drawn = random.then(|| {
-        let mut policy = AnyPolicy::from_drawn(sim.policy, sim.list_size, 0, &[]);
-        let mut lists = DrawnLists {
-            flat: Vec::new(),
-            off: vec![0],
-        };
-        for p in 0..n_peers as Peer {
-            policy.renew(sim.policy, sim.list_size, p, &sharer_pool, &mut rng);
-            lists.flat.extend_from_slice(policy.neighbours());
-            lists.off.push(lists.flat.len() as u32);
-        }
-        lists
-    });
-
-    let ctx = QueryCtx::new(sim, &sharer_pool, n_peers);
+    let drawn = (sim.policy == PolicyKind::Random).then(|| pre.draw_lists(sim.list_size));
+    let tables = Tables::new(std::slice::from_ref(sim), n_peers);
+    let ctx = QueryCtx::new(sim, &tables, &pre.sharer_pool, n_peers);
     let tasks: Vec<(usize, (u32, u32))> = pre
         .peer_ranges(config.n_shards.max(1))
         .into_iter()

@@ -44,8 +44,8 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use crate::index::IndexBackend;
-use crate::neighbours::{AnyPolicy, NeighbourPolicy, Peer, PolicyKind};
-use crate::query::{QueryCtx, Request, WalkScratch, QUERY_RTT_MD};
+use crate::neighbours::{draw_random_list, AnyPolicy, NeighbourPolicy, Peer, PolicyKind};
+use crate::query::{QueryCtx, Request, Tables, WalkScratch, QUERY_RTT_MD};
 
 /// Stateless server-fallback pick: which of the `len` current sharers
 /// uploads on a miss at stream position `t`, drawn by a splitmix64
@@ -605,6 +605,18 @@ pub fn simulate_arena_health_with_scratch(
     config: &SimConfig,
     scratch: &mut SimScratch,
 ) -> (SimResult, SearchHealth) {
+    let tables = Tables::new(std::slice::from_ref(config), arena.n_peers());
+    simulate_whole_cell(arena, config, &tables, scratch)
+}
+
+/// The whole-cell run of [`simulate_arena_health_with_scratch`],
+/// reading `tables` built for a batch that includes `config`.
+pub(crate) fn simulate_whole_cell(
+    arena: &CacheArena,
+    config: &SimConfig,
+    tables: &Tables,
+    scratch: &mut SimScratch,
+) -> (SimResult, SearchHealth) {
     let n_peers = arena.n_peers();
     let n_files = arena.n_files();
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -685,7 +697,7 @@ pub fn simulate_arena_health_with_scratch(
     // The kernel owns every availability, index and adversary branch;
     // a quiet regime takes none of them, so the pre-churn behaviour
     // (and RNG sequence) is preserved exactly.
-    let ctx = QueryCtx::new(config, sharer_pool, n_peers);
+    let ctx = QueryCtx::new(config, tables, sharer_pool, n_peers);
     let mut books = ctx.books(n_peers);
 
     for (t, &(peer, file)) in stream.iter().enumerate() {
@@ -844,18 +856,67 @@ pub fn simulate_reference(
     result
 }
 
-/// True iff a cell can run on the split-cell path
-/// ([`simulate_cell_range`]): queriers are mutually independent exactly
-/// when every request ends in an acquisition that pushes its querier
-/// onto the file's sharer list, making arrivals policy-independent.
+/// True iff a cell can run on the split-cell path of
+/// [`crate::experiment::sweep_cells`]: queriers are mutually
+/// independent exactly when every request ends in an acquisition that
+/// pushes its querier onto the file's sharer list, making arrivals
+/// policy-independent.
 /// Refusals, hijacks, pollution and zero-outage index forwarding never
-/// stop an acquisition; only a server-outage day can strand one. The
-/// policy must also draw nothing from the sequential RNG (excludes
-/// Random), and relays must never matter (no two-hop).
+/// stop an acquisition; only a server-outage day can strand one. Relays
+/// must never matter either (no two-hop). Random lists are no obstacle:
+/// they are drawn before the first request, from the generator the
+/// stream shuffle leaves behind, so a sweep draws them up front
+/// ([`DrawnLists`]).
 pub fn split_eligible(config: &SimConfig) -> bool {
-    !config.two_hop
-        && !matches!(config.policy, PolicyKind::Random)
-        && config.availability.churn.outage_days.is_empty()
+    !config.two_hop && config.availability.churn.outage_days.is_empty()
+}
+
+/// Every peer's Random list as the batch simulator constructs it —
+/// drawn in peer order from the generator the stream shuffle leaves
+/// behind — stored flat (CSR over peers). A sweep draws one per (seed,
+/// list size) and the serving engine one per cell; both then replay
+/// any querier from its list, never from the sequential generator.
+#[derive(Clone, Debug)]
+pub struct DrawnLists {
+    flat: Vec<Peer>,
+    off: Vec<u32>,
+}
+
+impl DrawnLists {
+    /// Draws the lists of peers `0..n_peers`, in peer order, from
+    /// `pool`: the picks, list contents and generator state of renewing
+    /// one Random [`AnyPolicy`] per peer with the same arguments. A
+    /// peer-stamp array (`stamp[p] == owner + 1` ⇔ `p` is already
+    /// listed) stands in for the list's membership set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `list_size` is zero, like the policy it replays.
+    pub fn draw(rng: &mut impl Rng, list_size: usize, pool: &[Peer], n_peers: usize) -> Self {
+        assert!(list_size > 0, "neighbour list capacity must be positive");
+        let mut stamp = vec![0u32; pool.iter().max().map_or(0, |&p| p as usize + 1)];
+        let per_peer = list_size.min(pool.len().saturating_sub(1));
+        let mut flat = Vec::with_capacity(n_peers * per_peer);
+        let mut off = Vec::with_capacity(n_peers + 1);
+        off.push(0);
+        for owner in 0..n_peers as Peer {
+            draw_random_list(list_size, owner, pool, rng, |pick| {
+                let fresh = stamp[pick as usize] != owner + 1;
+                if fresh {
+                    stamp[pick as usize] = owner + 1;
+                    flat.push(pick);
+                }
+                fresh
+            });
+            off.push(flat.len() as u32);
+        }
+        DrawnLists { flat, off }
+    }
+
+    /// `peer`'s list, in draw order.
+    pub fn list(&self, peer: Peer) -> &[Peer] {
+        &self.flat[self.off[peer as usize] as usize..self.off[peer as usize + 1] as usize]
+    }
 }
 
 /// One request of a querier's stream, fully resolved at precomp time:
@@ -885,7 +946,8 @@ pub(crate) struct QueryRec {
 ///   first `rank` entries are exactly the file's sharer list at the
 ///   moment a rank-`rank` request is consumed;
 /// * each querier's request positions (`queries`), the unit the
-///   work-stealing scheduler splits cells by.
+///   work-stealing scheduler splits cells by;
+/// * the generator state the Random lists are drawn from.
 pub struct SweepPrecomp {
     pub(crate) seed: u64,
     /// Arrival-ordered sharers per file (CSR over files; each
@@ -905,21 +967,17 @@ pub struct SweepPrecomp {
     pub(crate) requests: u64,
     pub(crate) contributor_seeds: u64,
     pub(crate) n_peers: usize,
+    /// Sharers (non-free-riders): the Random policy's candidate pool.
+    pub(crate) sharer_pool: Vec<Peer>,
+    /// The generator where the shuffle left it. The batch simulator
+    /// seeds one `StdRng`, shuffles the stream, then constructs the
+    /// per-peer policies from the *same* generator, so Random lists are
+    /// drawn from a copy of this state ([`SweepPrecomp::draw_lists`]).
+    rng: StdRng,
 }
 
 impl SweepPrecomp {
     /// Builds the precomputation: one shuffle plus two linear passes.
-    pub fn new(arena: &CacheArena, seed: u64) -> Self {
-        Self::new_with_rng(arena, seed).0
-    }
-
-    /// [`SweepPrecomp::new`], also returning the RNG in its
-    /// post-shuffle state. The batch simulator seeds one `StdRng`,
-    /// shuffles the stream, then constructs the per-peer policies from
-    /// the *same* generator — so any path that wants to reproduce its
-    /// policy-construction draws (the serving engine does, for the
-    /// Random policy's seeded lists) needs the generator exactly where
-    /// the shuffle left it.
     ///
     /// The stream is shuffled as `(peer, file, arena CSR index)` triples
     /// rather than the batch path's `(peer, file)` pairs: same length,
@@ -927,7 +985,7 @@ impl SweepPrecomp {
     /// post-shuffle generator — but each entry now names its own
     /// `rank_by` slot, so no per-replica row search is needed, and
     /// carries its file, so neither pass reads the arena again.
-    pub(crate) fn new_with_rng(arena: &CacheArena, seed: u64) -> (Self, StdRng) {
+    pub fn new(arena: &CacheArena, seed: u64) -> Self {
         let n_peers = arena.n_peers();
         let n_files = arena.n_files();
         let (entries, offsets) = arena.as_csr_parts();
@@ -997,18 +1055,30 @@ impl SweepPrecomp {
             }
         }
 
-        (
-            SweepPrecomp {
-                seed,
-                arrivals,
-                queries,
-                queries_off,
-                rank_by,
-                requests,
-                contributor_seeds,
-                n_peers,
-            },
+        SweepPrecomp {
+            seed,
+            arrivals,
+            queries,
+            queries_off,
+            rank_by,
+            requests,
+            contributor_seeds,
+            n_peers,
+            sharer_pool: (0..n_peers)
+                .filter(|&p| offsets[p] < offsets[p + 1])
+                .map(|p| p as Peer)
+                .collect(),
             rng,
+        }
+    }
+
+    /// Every peer's Random list of length `list_size` under this seed.
+    pub(crate) fn draw_lists(&self, list_size: usize) -> DrawnLists {
+        DrawnLists::draw(
+            &mut self.rng.clone(),
+            list_size,
+            &self.sharer_pool,
+            self.n_peers,
         )
     }
 
@@ -1059,8 +1129,8 @@ impl SweepPrecomp {
     }
 }
 
-/// Per-worker scratch for the per-querier replays ([`simulate_cell_range`]
-/// and the serving engine): one pooled policy (renewed per querier), the
+/// Per-worker scratch for the per-querier replays (the split sweep and
+/// the serving engine): one pooled policy (renewed per querier), the
 /// kernel's walk buffers, and the quiet path's interval ledger.
 #[derive(Debug, Default)]
 pub struct SplitScratch {
@@ -1115,6 +1185,7 @@ const NO_PEER: u32 = u32::MAX;
 /// updates over intrusive recency links and generation-stamped History
 /// counters — no hashing, no per-querier clearing. The History arrays
 /// are valid only where stamped with the current querier's generation.
+/// A Random list is preloaded and never changes.
 #[derive(Debug, Default)]
 struct QuietState {
     /// Membership bitset over peers — ~2.5 KB at repro scale, so the
@@ -1127,8 +1198,9 @@ struct QuietState {
     head: u32,
     tail: u32,
     len: usize,
-    /// The list is History's sorted `list`, not the LRU links.
-    history: bool,
+    /// The members are `list` (History's sorted list or a drawn Random
+    /// list), not the LRU links.
+    listed: bool,
     /// Bumped per querier; invalidates the History arrays.
     generation: u64,
     /// History upload counters, valid iff `seen[p] == generation`.
@@ -1138,7 +1210,8 @@ struct QuietState {
     seen: Vec<u64>,
     clock: u64,
     /// History's member list, sorted by `(count, recency)` descending —
-    /// exactly [`History`]'s list order.
+    /// exactly [`History`]'s list order — or a Random list in draw
+    /// order.
     list: Vec<Peer>,
 }
 
@@ -1147,7 +1220,7 @@ impl QuietState {
     /// membership bits were already cleared during the previous
     /// querier's settling and the counter arrays are invalidated by the
     /// generation bump, so this is O(1) after the first call.
-    fn reset(&mut self, n_peers: usize, history: bool) {
+    fn reset(&mut self, n_peers: usize, listed: bool) {
         if self.next.len() < n_peers {
             self.next.resize(n_peers, NO_PEER);
             self.prev.resize(n_peers, NO_PEER);
@@ -1159,10 +1232,18 @@ impl QuietState {
         self.head = NO_PEER;
         self.tail = NO_PEER;
         self.len = 0;
-        self.history = history;
+        self.listed = listed;
         self.generation += 1;
         self.clock = 0;
         self.list.clear();
+    }
+
+    /// Loads a drawn Random list as the members, in draw order.
+    fn preload(&mut self, drawn: &[Peer]) {
+        for &m in drawn {
+            self.set_member(m);
+        }
+        self.list.extend_from_slice(drawn);
     }
 
     #[inline]
@@ -1282,7 +1363,7 @@ impl QuietState {
     /// How many members there are.
     #[inline]
     fn count(&self) -> usize {
-        if self.history {
+        if self.listed {
             self.list.len()
         } else {
             self.len
@@ -1298,7 +1379,7 @@ impl QuietState {
     /// Visits every member in list order.
     #[inline]
     fn for_each(&self, mut f: impl FnMut(Peer)) {
-        if self.history {
+        if self.listed {
             self.list.iter().for_each(|&m| f(m));
         } else {
             let mut m = self.head;
@@ -1407,12 +1488,17 @@ impl CellPartial {
 /// concatenation of any partition's partials is bit-identical to the
 /// sequential run — the property the sweep determinism tests pin down.
 ///
-/// `profile` additionally meters the hit-check and update stages into
-/// the partial (off the sweeps' timed path; the metered run is a
-/// separate pass).
-pub fn simulate_cell_range(
+/// `drawn` holds the cell's Random lists ([`SweepPrecomp::draw_lists`];
+/// `None` for every other policy) and `tables` the sweep's churn and
+/// role tables. `profile` additionally meters the hit-check and update
+/// stages into the partial (off the sweeps' timed path; the metered run
+/// is a separate pass).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn simulate_cell_range(
     arena: &CacheArena,
     pre: &SweepPrecomp,
+    drawn: Option<&DrawnLists>,
+    tables: &Tables,
     config: &SimConfig,
     peers: (u32, u32),
     scratch: &mut SplitScratch,
@@ -1420,8 +1506,9 @@ pub fn simulate_cell_range(
 ) -> CellPartial {
     debug_assert!(split_eligible(config), "cell must be split-eligible");
     debug_assert_eq!(config.seed, pre.seed, "precomp seed must match the cell");
+    debug_assert_eq!(drawn.is_some(), config.policy == PolicyKind::Random);
     let mut part = CellPartial::empty(pre.n_peers);
-    let ctx = QueryCtx::new(config, &[], pre.n_peers);
+    let ctx = QueryCtx::new(config, tables, &pre.sharer_pool, pre.n_peers);
     for p in peers.0..peers.1 {
         let lo = pre.queries_off[p as usize] as usize;
         let hi = pre.queries_off[p as usize + 1] as usize;
@@ -1436,7 +1523,7 @@ pub fn simulate_cell_range(
             config,
             p,
             requests,
-            &[],
+            drawn.map_or(&[][..], |d| d.list(p)),
             scratch,
             profile,
             &mut part,
@@ -1469,10 +1556,10 @@ impl Replayed for QueryRec {
     }
 }
 
-/// Quiet adaptive cells replay on [`QuietState`]; churn, adversaries
-/// and Random lists take the kernel's full step.
+/// Quiet cells replay on [`QuietState`]; churn and adversaries take
+/// the kernel's full step.
 fn uses_quiet_state(config: &SimConfig) -> bool {
-    config.availability.is_quiet() && config.policy != PolicyKind::Random
+    config.availability.is_quiet()
 }
 
 /// Replays one querier's `requests`, in order, into `part` — the split
@@ -1496,7 +1583,7 @@ pub(crate) fn replay_querier<R: Replayed>(
 ) {
     if uses_quiet_state(config) {
         simulate_querier_quiet(
-            arena, pre, ctx, config, querier, requests, scratch, profile, part, walked,
+            arena, pre, ctx, config, querier, requests, drawn, scratch, profile, part, walked,
         );
     } else {
         simulate_querier_churn(
@@ -1506,7 +1593,9 @@ pub(crate) fn replay_querier<R: Replayed>(
 }
 
 /// Quiet-regime querier replay: interval-settled messages, rank-based
-/// hit checks, no walk.
+/// hit checks, no walk. A Random querier starts from its `drawn` list,
+/// which no quiet request changes: every member settles once, at the
+/// end of the stream.
 #[allow(clippy::too_many_arguments)]
 fn simulate_querier_quiet<R: Replayed>(
     arena: &CacheArena,
@@ -1515,6 +1604,7 @@ fn simulate_querier_quiet<R: Replayed>(
     config: &SimConfig,
     querier: Peer,
     requests: &[R],
+    drawn: &[Peer],
     scratch: &mut SplitScratch,
     profile: bool,
     part: &mut CellPartial,
@@ -1528,7 +1618,14 @@ fn simulate_querier_quiet<R: Replayed>(
     if start_of.len() < pre.n_peers {
         start_of.resize(pre.n_peers, 0);
     }
-    quiet.reset(pre.n_peers, kind == PolicyKind::History);
+    quiet.reset(
+        pre.n_peers,
+        matches!(kind, PolicyKind::History | PolicyKind::Random),
+    );
+    quiet.preload(drawn);
+    for &m in drawn {
+        start_of[m as usize] = 0;
+    }
     for (q, req) in requests.iter().enumerate() {
         let (q, rec) = (q as u32, req.rec());
         let t0 = profile.then(Instant::now);
@@ -1564,8 +1661,7 @@ fn simulate_querier_quiet<R: Replayed>(
             PolicyKind::RareLru { max_sources } if rec.rank <= max_sources => {
                 quiet.lru_record(uploader, cap)
             }
-            PolicyKind::RareLru { .. } => (None, None),
-            PolicyKind::Random => unreachable!("Random lists replay through the kernel step"),
+            PolicyKind::RareLru { .. } | PolicyKind::Random => (None, None),
         };
         if let Some(rm) = removed {
             part.messages[rm as usize] += u64::from(q + 1 - start_of[rm as usize]);
@@ -1585,10 +1681,11 @@ fn simulate_querier_quiet<R: Replayed>(
     });
 }
 
-/// Churn-, adversary- or Random-regime querier replay: the kernel's
-/// full step, restricted to one querier with its own pooled policy and
-/// reputation book. Message accounting is immediate (attempts differ
-/// per request, so intervals don't apply).
+/// Churn- or adversary-regime querier replay: the kernel's full step,
+/// restricted to one querier with its own pooled policy (a Random one
+/// starting from its `drawn` list) and reputation book. Message
+/// accounting is immediate (attempts differ per request, so intervals
+/// don't apply).
 #[allow(clippy::too_many_arguments)]
 fn simulate_querier_churn<R: Replayed>(
     pre: &SweepPrecomp,
@@ -2207,9 +2304,9 @@ mod tests {
 
     #[test]
     fn split_eligibility_is_arrival_invariance() {
-        // Only relays (two-hop), construction draws (Random) and
-        // stranding (outage days) couple queriers. Churn, adversaries,
-        // the defense and index forwarding never stop an acquisition.
+        // Only relays (two-hop) and stranding (outage days) couple
+        // queriers. Churn, adversaries, the defense, index forwarding
+        // and Random's construction draws never stop an acquisition.
         let regimes = [
             AvailabilityConfig::none(),
             AvailabilityConfig::churn(7, 250).with_query(QueryPolicy::retry_evict()),
@@ -2235,7 +2332,7 @@ mod tests {
                 if outage {
                     config.availability.churn.outage_days = vec![3];
                 }
-                let expected = !two_hop && !random && !outage;
+                let expected = !two_hop && !outage;
                 assert_eq!(split_eligible(&config), expected, "{config:?}");
             }
         }
@@ -2243,8 +2340,8 @@ mod tests {
 
     /// The precomputation as first built — shuffle `(peer, file)` pairs,
     /// find every replica's arena slot by a row binary search — written
-    /// the plain way: the oracle for [`SweepPrecomp::new_with_rng`].
-    fn precomp_by_search(arena: &CacheArena, seed: u64) -> (SweepPrecomp, StdRng) {
+    /// the plain way: the oracle for [`SweepPrecomp::new`].
+    fn precomp_by_search(arena: &CacheArena, seed: u64) -> SweepPrecomp {
         let (n_peers, n_files) = (arena.n_peers(), arena.n_files());
         let mut rng = StdRng::seed_from_u64(seed);
         let mut stream: Vec<(u32, FileRef)> = Vec::new();
@@ -2296,7 +2393,11 @@ mod tests {
 
         let requests = queries.len() as u64;
         let contributor_seeds = stream.len() as u64 - requests;
-        let pre = SweepPrecomp {
+        let sharer_pool = (0..n_peers)
+            .filter(|&p| !arena.cache(p).is_empty())
+            .map(|p| p as Peer)
+            .collect();
+        SweepPrecomp {
             seed,
             arrivals,
             queries,
@@ -2305,8 +2406,9 @@ mod tests {
             requests,
             contributor_seeds,
             n_peers,
-        };
-        (pre, rng)
+            sharer_pool,
+            rng,
+        }
     }
 
     /// Arbitrary arenas: 0–40 peers (1-peer arenas included), rows of
@@ -2333,8 +2435,8 @@ mod tests {
     /// Field-for-field equality with the oracle, plus the next draw of
     /// the post-shuffle generator.
     fn assert_matches_oracle(arena: &CacheArena, seed: u64) {
-        let (got, mut got_rng) = SweepPrecomp::new_with_rng(arena, seed);
-        let (want, mut want_rng) = precomp_by_search(arena, seed);
+        let got = SweepPrecomp::new(arena, seed);
+        let want = precomp_by_search(arena, seed);
         assert_eq!(got.seed, want.seed);
         assert_eq!(got.arrivals, want.arrivals);
         assert_eq!(got.queries, want.queries);
@@ -2343,10 +2445,11 @@ mod tests {
         assert_eq!(got.requests, want.requests);
         assert_eq!(got.contributor_seeds, want.contributor_seeds);
         assert_eq!(got.n_peers, want.n_peers);
+        assert_eq!(got.sharer_pool, want.sharer_pool);
         assert_eq!(got.stream_len(), arena.replica_count());
         assert_eq!(
-            got_rng.gen_range(0..u64::MAX),
-            want_rng.gen_range(0..u64::MAX)
+            got.rng.clone().gen_range(0..u64::MAX),
+            want.rng.clone().gen_range(0..u64::MAX)
         );
     }
 

@@ -17,6 +17,8 @@
 //!   that kind's band in place: the attacker set at a lower fraction
 //!   is a strict subset of the set at any higher fraction, and
 //!   degradation is mechanically monotone per attack kind.
+//! * [`RoleTable`] — one plan's per-peer roles, precomputed for the
+//!   simulator's per-probe refusal checks and capture draws.
 //! * Three attack behaviours, matched to where they bite:
 //!   - **Sybils** hold neighbour-list slots. A sybil impersonates the
 //!     genuine uploader of an acquisition ([`AdversaryPlan::hijacker`])
@@ -209,11 +211,23 @@ impl AdversaryPlan {
     /// exactly when the candidate plays sybil. The capture probability
     /// therefore tracks `sybil_permille` mechanically.
     pub fn hijacker(&self, querier: u32, t: u64, n_peers: usize) -> Option<u32> {
+        self.hijacker_by(querier, t, n_peers, |c| self.role(c))
+    }
+
+    /// [`AdversaryPlan::hijacker`] with candidates' roles read from `role`.
+    #[inline(always)]
+    fn hijacker_by(
+        &self,
+        querier: u32,
+        t: u64,
+        n_peers: usize,
+        role: impl Fn(u32) -> Role,
+    ) -> Option<u32> {
         if self.config.sybil_permille == 0 || n_peers == 0 {
             return None;
         }
         let c = (self.roll(SALT_HIJACK, [querier as u64, t, 0]) % n_peers as u64) as u32;
-        (self.role(c) == Role::Sybil).then_some(c)
+        (role(c) == Role::Sybil).then_some(c)
     }
 
     /// The polluter (if any) behind a server-fallback acquisition of
@@ -222,12 +236,24 @@ impl AdversaryPlan {
     /// draw; the first polluting candidate wins. More replicas mean
     /// more draws — replication amplifies pollution.
     pub fn polluter(&self, file: u64, exposure: u32, n_peers: usize) -> Option<u32> {
+        self.polluter_by(file, exposure, n_peers, |c| self.role(c))
+    }
+
+    /// [`AdversaryPlan::polluter`] with candidates' roles read from `role`.
+    #[inline(always)]
+    fn polluter_by(
+        &self,
+        file: u64,
+        exposure: u32,
+        n_peers: usize,
+        role: impl Fn(u32) -> Role,
+    ) -> Option<u32> {
         if self.config.polluter_permille == 0 || n_peers == 0 {
             return None;
         }
         for i in 0..exposure.max(1) {
             let c = (self.roll(SALT_POLLUTE, [file, i as u64, 0]) % n_peers as u64) as u32;
-            if self.role(c) == Role::Polluter {
+            if role(c) == Role::Polluter {
                 return Some(c);
             }
         }
@@ -255,6 +281,57 @@ impl AdversaryPlan {
                 *cache = bait.clone();
             }
         }
+    }
+}
+
+/// Every peer's role under one plan, precomputed: the plan's
+/// decisions with the per-peer role hash replaced by a load. Peers the
+/// table does not cover fall back to [`AdversaryPlan::role`], which
+/// stays the definition.
+#[derive(Clone, Debug)]
+pub struct RoleTable {
+    plan: AdversaryPlan,
+    roles: Vec<Role>,
+}
+
+impl RoleTable {
+    /// The roles of peers `0..n_peers` under `plan`.
+    pub fn new(plan: AdversaryPlan, n_peers: usize) -> Self {
+        let roles = (0..n_peers as u32).map(|p| plan.role(p)).collect();
+        RoleTable { plan, roles }
+    }
+
+    /// The plan the table was built from.
+    pub fn plan(&self) -> &AdversaryPlan {
+        &self.plan
+    }
+
+    /// [`AdversaryPlan::role`].
+    #[inline(always)]
+    pub fn role(&self, peer: u32) -> Role {
+        match self.roles.get(peer as usize) {
+            Some(&role) => role,
+            None => self.plan.role(peer),
+        }
+    }
+
+    /// [`AdversaryPlan::answers_nothing`].
+    #[inline(always)]
+    pub fn answers_nothing(&self, peer: u32) -> bool {
+        self.role(peer) != Role::Honest
+    }
+
+    /// [`AdversaryPlan::hijacker`].
+    #[inline(always)]
+    pub fn hijacker(&self, querier: u32, t: u64, n_peers: usize) -> Option<u32> {
+        self.plan.hijacker_by(querier, t, n_peers, |c| self.role(c))
+    }
+
+    /// [`AdversaryPlan::polluter`].
+    #[inline(always)]
+    pub fn polluter(&self, file: u64, exposure: u32, n_peers: usize) -> Option<u32> {
+        self.plan
+            .polluter_by(file, exposure, n_peers, |c| self.role(c))
     }
 }
 

@@ -15,6 +15,8 @@
 //!   offline *window start* is rate-independent, so the offline set at
 //!   a lower churn rate is a strict subset of the set at any higher
 //!   rate: availability degrades mechanically monotonically.
+//! * [`OfflineTable`] — one schedule seed's window starts, precomputed
+//!   per `(day, peer)` for the simulator's per-probe checks.
 //! * [`QueryPolicy`] — the querier's reaction to timeouts: an attempt
 //!   budget, exponential backoff in simulated request time, and whether
 //!   stale (timed-out) neighbour entries are evicted/probed.
@@ -109,6 +111,13 @@ impl ChurnSchedule {
     /// Is `peer` offline at `milli` (`[0, 1000)`) of `day`? The window
     /// is `[start, start + churn_permille)` wrapping within the day.
     pub fn offline(&self, peer: u32, day: u32, milli: u32) -> bool {
+        self.offline_from(milli, || self.session_offline_start(peer, day))
+    }
+
+    /// The window rule of [`ChurnSchedule::offline`] around a window
+    /// start that is only computed when the rate needs one.
+    #[inline(always)]
+    fn offline_from(&self, milli: u32, start: impl FnOnce() -> u32) -> bool {
         let rate = self.config.churn_permille;
         if rate == 0 {
             return false;
@@ -116,8 +125,7 @@ impl ChurnSchedule {
         if rate >= 1000 {
             return true;
         }
-        let start = self.session_offline_start(peer, day);
-        (milli + 1000 - start) % 1000 < rate
+        (milli + 1000 - start()) % 1000 < rate
     }
 
     /// Is the fallback server unreachable on `day`?
@@ -132,6 +140,66 @@ impl ChurnSchedule {
         debug_assert!(len > 0);
         let key = ((requester as u64) << 32) | stale as u64;
         (self.roll(SALT_REPLACE, [key, day as u64, 0]) % len as u64) as usize
+    }
+}
+
+/// Every peer's offline-window start over the first days of one
+/// schedule seed, precomputed: [`ChurnSchedule::offline`] with the
+/// per-probe hash replaced by a load.
+///
+/// Window starts are rate-independent, so one table serves every churn
+/// rate of its seed. Starts are stored day-major, one row of `n_peers`
+/// per day: one request's probes all read the same day's row. Peers and
+/// days the table does not cover fall back to the hash, which stays the
+/// definition.
+#[derive(Clone, Debug)]
+pub struct OfflineTable {
+    seed: u64,
+    n_peers: usize,
+    days: u32,
+    starts: Vec<u16>,
+}
+
+impl OfflineTable {
+    /// The window starts of peers `0..n_peers` on days `0..days` under
+    /// schedule seed `seed`.
+    pub fn new(seed: u64, n_peers: usize, days: u32) -> Self {
+        let schedule = ChurnSchedule::new(ChurnConfig::with_rate(seed, 0));
+        let mut starts = Vec::with_capacity(n_peers * days as usize);
+        for day in 0..days {
+            starts.extend(
+                (0..n_peers as u32).map(|peer| schedule.session_offline_start(peer, day) as u16),
+            );
+        }
+        OfflineTable {
+            seed,
+            n_peers,
+            days,
+            starts,
+        }
+    }
+
+    /// The schedule seed the table was built for.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// [`ChurnSchedule::offline`] under `schedule`, which must share the
+    /// table's seed, reading the window start from the table where it
+    /// covers `(peer, day)`.
+    #[inline(always)]
+    pub fn offline(&self, schedule: &ChurnSchedule, peer: u32, day: u32, milli: u32) -> bool {
+        debug_assert_eq!(
+            schedule.config.seed, self.seed,
+            "table built for another seed"
+        );
+        schedule.offline_from(milli, || {
+            if day < self.days && (peer as usize) < self.n_peers {
+                u32::from(self.starts[day as usize * self.n_peers + peer as usize])
+            } else {
+                schedule.session_offline_start(peer, day)
+            }
+        })
     }
 }
 

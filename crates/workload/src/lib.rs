@@ -50,9 +50,9 @@ pub mod names;
 pub mod population;
 pub mod stream;
 
-pub use adversary::{AdversaryConfig, AdversaryPlan, Role};
+pub use adversary::{AdversaryConfig, AdversaryPlan, Role, RoleTable};
 pub use arrivals::{ArrivalConfig, ArrivalProcess};
-pub use churn::{ChurnConfig, ChurnSchedule, QueryPolicy};
+pub use churn::{ChurnConfig, ChurnSchedule, OfflineTable, QueryPolicy};
 pub use config::{KindProfile, WorkloadConfig};
 pub use dynamics::{generate_trace, Dynamics, GroundTruth};
 pub use geo::Geography;

@@ -14,13 +14,14 @@ use edonkey_repro::proto::query::Query;
 use edonkey_repro::proto::tags::{Tag, TagList, TagValue};
 use edonkey_repro::proto::wire::{Message, PublishedFile, SourceAddr};
 use edonkey_repro::semsearch::experiment::{self, sweep_cells_threads};
-use edonkey_repro::semsearch::neighbours::{Lru, NeighbourPolicy};
+use edonkey_repro::semsearch::neighbours::{AnyPolicy, Lru, NeighbourPolicy, PolicyKind};
 use edonkey_repro::semsearch::overlay::{
     simulate_overlay, simulate_overlay_reference, OverlayConfig,
 };
 use edonkey_repro::semsearch::serve::{serve_arena_threads, ArrivalConfig, ServeConfig};
 use edonkey_repro::semsearch::sim::{
-    simulate_arena_health_with_scratch, simulate_arena_with_scratch, simulate_reference, SimScratch,
+    simulate_arena_health_with_scratch, simulate_arena_with_scratch, simulate_reference,
+    DrawnLists, SimScratch,
 };
 use edonkey_repro::semsearch::{
     simulate, split_eligible, AdversaryConfig, AvailabilityConfig, IndexBackend, QueryPolicy,
@@ -36,8 +37,12 @@ use edonkey_repro::trace::pipeline::{
     retain_peers_arena, sorted_intersection, sorted_intersection_len, ExtrapolateConfig,
 };
 use edonkey_repro::trace::randomize::{ArenaShuffler, Shuffler};
-use edonkey_repro::workload::{stream, ChurnConfig, ChurnSchedule};
+use edonkey_repro::workload::{
+    stream, AdversaryPlan, ChurnConfig, ChurnSchedule, OfflineTable, RoleTable,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 use edonkey_repro::netsim::{run_crawl_full, CrawlerConfig, FaultConfig, NetConfig, RetryPolicy};
 use edonkey_repro::workload::{Population, WorkloadConfig};
@@ -544,6 +549,75 @@ proptest! {
         }
     }
 
+    /// The tables the kernel walk reads agree with the stateless draws
+    /// they replace: offline-window starts at every rate, days and peers
+    /// past the table included; roles, refusals, hijacks and pollution
+    /// for any plan, peers past the table included; and Random lists
+    /// drawn with a peer-stamp array equal one Random policy renewed per
+    /// peer from the same generator — for pools no larger than the list
+    /// and pools whose distinct peers run out before the guard does.
+    #[test]
+    fn schedule_tables_match_the_hashes(
+        seed in any::<u64>(),
+        n_peers in 1usize..40,
+        days in 0u32..5,
+        permilles in (0u32..1100, 0u32..1100, 0u32..1100),
+        list_size in 1usize..9,
+        pool in prop::collection::vec(0u32..48, 0..24),
+    ) {
+        let table = OfflineTable::new(seed, n_peers, days);
+        for rate in [0u32, 1, 250, 999, 1000, 5000] {
+            let schedule = ChurnSchedule::new(ChurnConfig::with_rate(seed, rate));
+            for peer in 0..n_peers as u32 + 3 {
+                for day in 0..days + 2 {
+                    for milli in (0..1000u32).step_by(37).chain([999]) {
+                        prop_assert_eq!(
+                            table.offline(&schedule, peer, day, milli),
+                            schedule.offline(peer, day, milli),
+                            "rate {} peer {} day {} milli {}", rate, peer, day, milli
+                        );
+                    }
+                }
+            }
+        }
+
+        let plan = AdversaryPlan::new(
+            AdversaryConfig::sybils(seed, permilles.0)
+                .with_polluters(permilles.1)
+                .with_freeriders(permilles.2),
+        );
+        let roles = RoleTable::new(plan.clone(), n_peers);
+        for peer in 0..n_peers as u32 + 3 {
+            prop_assert_eq!(roles.role(peer), plan.role(peer));
+            prop_assert_eq!(roles.answers_nothing(peer), plan.answers_nothing(peer));
+        }
+        for key in 0..16u64 {
+            let querier = (key as u32) % n_peers as u32;
+            prop_assert_eq!(
+                roles.hijacker(querier, key, n_peers),
+                plan.hijacker(querier, key, n_peers)
+            );
+            let exposure = (key % 4) as u32;
+            prop_assert_eq!(
+                roles.polluter(key, exposure, n_peers),
+                plan.polluter(key, exposure, n_peers)
+            );
+        }
+
+        let one_peer = vec![3; list_size + 2];
+        for pool in [pool, one_peer] {
+            let mut stamped = StdRng::seed_from_u64(seed);
+            let lists = DrawnLists::draw(&mut stamped, list_size, &pool, n_peers);
+            let mut hashed = StdRng::seed_from_u64(seed);
+            let mut policy = AnyPolicy::from_drawn(PolicyKind::Random, list_size, 0, &[]);
+            for owner in 0..n_peers as u32 {
+                policy.renew(PolicyKind::Random, list_size, owner, &pool, &mut hashed);
+                prop_assert_eq!(lists.list(owner), policy.neighbours(), "owner {}", owner);
+            }
+            prop_assert_eq!(stamped.next_u64(), hashed.next_u64());
+        }
+    }
+
     /// A quiet availability regime — churn 0, no outages — leaves the
     /// request-replay simulator bit-identical to the pre-availability
     /// oracle, even with retries and staleness handling fully armed.
@@ -568,12 +642,12 @@ proptest! {
     }
 
     /// The split-cell sweep scheduler is bit-identical to the
-    /// whole-cell oracle for any worker count, list size, policy, churn
-    /// rate, adversary plan (defended or not) and zero-outage index
-    /// backend — and, on quiet honest cells, to the legacy reference
-    /// simulator. This is the invariant the parallel sweeps rest on:
-    /// partitioning a cell's queriers across workers must never change
-    /// a single result bit.
+    /// whole-cell oracle for any worker count, list size, policy (Random
+    /// included: its lists are drawn up front), churn rate, adversary
+    /// plan (defended or not) and zero-outage index backend — and, on
+    /// quiet honest cells, to the legacy reference simulator. This is
+    /// the invariant the parallel sweeps rest on: partitioning a cell's
+    /// queriers across workers must never change a single result bit.
     #[test]
     fn split_sweep_equals_oracle_for_any_thread_count(
         caches in arb_caches(),
@@ -590,6 +664,7 @@ proptest! {
             SimConfig::lru(list_size),
             SimConfig::history(list_size),
             SimConfig::rare_lru(list_size, 2),
+            SimConfig::random(list_size),
         ]
         .into_iter()
         .map(|c| c.with_seed(seed).with_availability(avail.clone()))
