@@ -197,12 +197,19 @@ impl Md4 {
 
     /// Consumes the hasher, appending RFC 1320 padding, and returns the digest.
     pub fn finalize(mut self) -> Digest {
+        const PAD: [u8; 64] = {
+            let mut pad = [0u8; 64];
+            pad[0] = 0x80;
+            pad
+        };
         let bit_len = self.len.wrapping_mul(8);
         // Padding: 0x80, then zeros until the length is ≡ 56 (mod 64).
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
+        let pad_len = if self.buf_len < 56 {
+            56 - self.buf_len
+        } else {
+            120 - self.buf_len
+        };
+        self.update(&PAD[..pad_len]);
         // `update` also advances `len`, but `bit_len` was captured first.
         self.update(&bit_len.to_le_bytes());
         debug_assert_eq!(self.buf_len, 0);
@@ -337,6 +344,36 @@ mod tests {
             let d = Md4::digest(&data);
             assert_eq!(d, Md4::digest(&data));
             assert!(digests.insert(d), "collision at length {len}");
+        }
+    }
+
+    #[test]
+    fn one_shot_padding_matches_byte_at_a_time_padding() {
+        // The byte-at-a-time padding loop `finalize` used to run; lengths
+        // 0..=192 cover both branches (pad to 56 in the current block, or
+        // spill into the next) at every buffer offset, three times over.
+        fn reference(data: &[u8]) -> Digest {
+            let mut h = Md4::new();
+            h.update(data);
+            let bit_len = h.len.wrapping_mul(8);
+            h.update(&[0x80]);
+            while h.buf_len != 56 {
+                h.update(&[0]);
+            }
+            h.update(&bit_len.to_le_bytes());
+            let mut out = [0u8; 16];
+            for (chunk, word) in out.chunks_exact_mut(4).zip(h.state) {
+                chunk.copy_from_slice(&word.to_le_bytes());
+            }
+            Digest(out)
+        }
+        let data: Vec<u8> = (0..192u32).map(|i| (i * 37 % 256) as u8).collect();
+        for len in 0..=data.len() {
+            assert_eq!(
+                Md4::digest(&data[..len]),
+                reference(&data[..len]),
+                "length {len}"
+            );
         }
     }
 

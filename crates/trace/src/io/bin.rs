@@ -91,19 +91,49 @@ const SECTION_OVERHEAD: u64 = 1 + 8 + 8;
 /// reconverge. Any single-byte corruption is therefore detected
 /// deterministically, not probabilistically.
 fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut fnv = Fnv::new();
+    fnv.update(bytes);
+    fnv.finish()
+}
+
+/// The running state of [`fnv1a64`], fed in chunks. Chunks line up with
+/// the one-shot lanes as long as every chunk but the last is a multiple
+/// of 8 bytes long.
+struct Fnv {
+    h: u64,
+    len: u64,
+}
+
+impl Fnv {
     const PRIME: u64 = 0x100000001b3;
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut lanes = bytes.chunks_exact(8);
-    for lane in &mut lanes {
-        h ^= u64::from_le_bytes(lane.try_into().expect("8 bytes"));
-        h = h.wrapping_mul(PRIME);
+
+    fn new() -> Self {
+        Fnv {
+            h: 0xcbf29ce484222325,
+            len: 0,
+        }
     }
-    for &b in lanes.remainder() {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+
+    fn update(&mut self, bytes: &[u8]) {
+        debug_assert!(
+            self.len.is_multiple_of(8),
+            "only the last chunk may be ragged"
+        );
+        let mut lanes = bytes.chunks_exact(8);
+        for lane in &mut lanes {
+            self.h ^= u64::from_le_bytes(lane.try_into().expect("8 bytes"));
+            self.h = self.h.wrapping_mul(Self::PRIME);
+        }
+        for &b in lanes.remainder() {
+            self.h ^= b as u64;
+            self.h = self.h.wrapping_mul(Self::PRIME);
+        }
+        self.len += bytes.len() as u64;
     }
-    h ^= bytes.len() as u64;
-    h.wrapping_mul(PRIME)
+
+    fn finish(self) -> u64 {
+        (self.h ^ self.len).wrapping_mul(Self::PRIME)
+    }
 }
 
 fn err(offset: u64, message: impl Into<String>) -> TraceIoError {
@@ -123,6 +153,11 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
         }
         out.push(byte | 0x80);
     }
+}
+
+/// The encoded length of `v` under [`push_varint`].
+fn varint_len(v: u64) -> u64 {
+    u64::from((64 - (v | 1).leading_zeros()).div_ceil(7))
 }
 
 /// Byte encoding of a [`FileKind`]: its position in [`FileKind::ALL`].
@@ -271,20 +306,32 @@ impl<W: Write + Seek> TraceWriter<W> {
     /// outside the tables. For a writer opened with
     /// [`TraceWriter::create`], this is also the moment the `.tmp`
     /// sibling is atomically renamed onto the destination path.
-    pub fn finish(mut self, files: &[FileInfo], peers: &[PeerInfo]) -> Result<W, TraceIoError> {
+    ///
+    /// The tables are taken as re-iterable views (a slice, or a mapped
+    /// iterator over a larger record) and stream out through a bounded
+    /// buffer, so neither a copy of the tables nor an O(files) payload is
+    /// ever built.
+    pub fn finish<'a, F, P>(mut self, files: F, peers: P) -> Result<W, TraceIoError>
+    where
+        F: IntoIterator<Item = &'a FileInfo>,
+        F::IntoIter: Clone + ExactSizeIterator,
+        P: IntoIterator<Item = &'a PeerInfo>,
+        P::IntoIter: Clone + ExactSizeIterator,
+    {
+        let (files, peers) = (files.into_iter(), peers.into_iter());
         let n_files = u32::try_from(files.len())
             .map_err(|_| TraceIoError::Invalid("more than u32::MAX files".into()))?;
         let n_peers = u32::try_from(peers.len())
             .map_err(|_| TraceIoError::Invalid("more than u32::MAX peers".into()))?;
         if let Some(max) = self.max_peer {
-            if max as usize >= peers.len() {
+            if max >= n_peers {
                 return Err(TraceIoError::Invalid(format!(
                     "day sections reference peer p{max} but the table has {n_peers} peers"
                 )));
             }
         }
         if let Some(max) = self.max_file {
-            if max as usize >= files.len() {
+            if max >= n_files {
                 return Err(TraceIoError::Invalid(format!(
                     "day sections reference file f{max} but the table has {n_files} files"
                 )));
@@ -293,32 +340,23 @@ impl<W: Write + Seek> TraceWriter<W> {
 
         let table_offset = self.sink.stream_position()?;
 
-        let mut payload = Vec::with_capacity(files.len() * 22);
-        for f in files {
-            payload.extend_from_slice(&f.id.0);
-        }
-        for f in files {
-            push_varint(&mut payload, f.size);
-        }
-        for f in files {
-            payload.push(kind_byte(f.kind));
-        }
-        self.write_section(TAG_FILES, &payload)?;
+        let mut buf = Vec::with_capacity(TABLE_CHUNK + 16);
+        let len = files.clone().map(|f| 17 + varint_len(f.size)).sum();
+        let mut section = TableSection::start(&mut self.sink, &mut buf, TAG_FILES, len)?;
+        section.column(files.clone(), |buf, f| buf.extend_from_slice(&f.id.0))?;
+        section.column(files.clone(), |buf, f| push_varint(buf, f.size))?;
+        section.column(files, |buf, f| buf.push(kind_byte(f.kind)))?;
+        section.end()?;
 
-        payload.clear();
-        for p in peers {
-            payload.extend_from_slice(&p.uid.0);
-        }
-        for p in peers {
-            payload.extend_from_slice(&p.ip.to_le_bytes());
-        }
-        for p in peers {
-            payload.extend_from_slice(&p.country.0);
-        }
-        for p in peers {
-            push_varint(&mut payload, p.asn as u64);
-        }
-        self.write_section(TAG_PEERS, &payload)?;
+        let len = peers.clone().map(|p| 22 + varint_len(p.asn as u64)).sum();
+        let mut section = TableSection::start(&mut self.sink, &mut buf, TAG_PEERS, len)?;
+        section.column(peers.clone(), |buf, p| buf.extend_from_slice(&p.uid.0))?;
+        section.column(peers.clone(), |buf, p| {
+            buf.extend_from_slice(&p.ip.to_le_bytes())
+        })?;
+        section.column(peers.clone(), |buf, p| buf.extend_from_slice(&p.country.0))?;
+        section.column(peers, |buf, p| push_varint(buf, p.asn as u64))?;
+        section.end()?;
 
         let end_payload = self.days_written.to_le_bytes();
         self.write_section(TAG_END, &end_payload)?;
@@ -338,6 +376,75 @@ impl<W: Write + Seek> TraceWriter<W> {
         self.sink.write_all(&(payload.len() as u64).to_le_bytes())?;
         self.sink.write_all(payload)?;
         self.sink.write_all(&fnv1a64(payload).to_le_bytes())?;
+        Ok(())
+    }
+}
+
+/// Bytes a table section buffers before it flushes a chunk.
+const TABLE_CHUNK: usize = 64 * 1024;
+
+/// One intern-table section written column by column through a bounded
+/// buffer (one [`TABLE_CHUNK`] plus an item; the sections of one `finish`
+/// share it). The payload length is declared up front; each flush
+/// writes the buffered whole 8-byte lanes and folds them into the
+/// checksum, so chunk boundaries sit at multiples of 8 from the payload
+/// start and the checksum equals [`fnv1a64`] of the assembled payload.
+struct TableSection<'s, W: Write> {
+    sink: &'s mut W,
+    buf: &'s mut Vec<u8>,
+    declared: u64,
+    fnv: Fnv,
+}
+
+impl<'s, W: Write> TableSection<'s, W> {
+    fn start(
+        sink: &'s mut W,
+        buf: &'s mut Vec<u8>,
+        tag: u8,
+        declared: u64,
+    ) -> Result<Self, TraceIoError> {
+        sink.write_all(&[tag])?;
+        sink.write_all(&declared.to_le_bytes())?;
+        buf.clear();
+        Ok(TableSection {
+            sink,
+            buf,
+            declared,
+            fnv: Fnv::new(),
+        })
+    }
+
+    /// Appends one column: `put` encodes each item onto the buffer.
+    fn column<T>(
+        &mut self,
+        items: impl Iterator<Item = T>,
+        mut put: impl FnMut(&mut Vec<u8>, T),
+    ) -> Result<(), TraceIoError> {
+        for item in items {
+            put(self.buf, item);
+            if self.buf.len() >= TABLE_CHUNK {
+                let lanes = self.buf.len() & !7;
+                self.sink.write_all(&self.buf[..lanes])?;
+                self.fnv.update(&self.buf[..lanes]);
+                self.buf.drain(..lanes);
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes the buffered tail and the checksum. Fails if the columns
+    /// did not add up to the declared length (the table iterators
+    /// changed between passes).
+    fn end(mut self) -> Result<(), TraceIoError> {
+        self.sink.write_all(self.buf)?;
+        self.fnv.update(self.buf);
+        if self.fnv.len != self.declared {
+            return Err(TraceIoError::Invalid(format!(
+                "table section declared {} bytes but encoded {}",
+                self.declared, self.fnv.len
+            )));
+        }
+        self.sink.write_all(&self.fnv.finish().to_le_bytes())?;
         Ok(())
     }
 }
@@ -881,6 +988,115 @@ mod tests {
         b.observe(350, p1, vec![]);
         b.observe(351, p0, vec![f1]);
         b.finish()
+    }
+
+    /// The one-shot table assembly `finish` streams: each table's whole
+    /// payload built in memory, then framed by `write_section`.
+    fn finish_one_shot(
+        mut w: TraceWriter<Cursor<Vec<u8>>>,
+        files: &[FileInfo],
+        peers: &[PeerInfo],
+    ) -> Vec<u8> {
+        let table_offset = w.sink.stream_position().unwrap();
+        let mut payload = Vec::new();
+        for f in files {
+            payload.extend_from_slice(&f.id.0);
+        }
+        for f in files {
+            push_varint(&mut payload, f.size);
+        }
+        for f in files {
+            payload.push(kind_byte(f.kind));
+        }
+        w.write_section(TAG_FILES, &payload).unwrap();
+        payload.clear();
+        for p in peers {
+            payload.extend_from_slice(&p.uid.0);
+        }
+        for p in peers {
+            payload.extend_from_slice(&p.ip.to_le_bytes());
+        }
+        for p in peers {
+            payload.extend_from_slice(&p.country.0);
+        }
+        for p in peers {
+            push_varint(&mut payload, p.asn as u64);
+        }
+        w.write_section(TAG_PEERS, &payload).unwrap();
+        let end = w.days_written.to_le_bytes();
+        w.write_section(TAG_END, &end).unwrap();
+        w.sink.seek(SeekFrom::Start(0)).unwrap();
+        let header = header_bytes(files.len() as u32, peers.len() as u32, table_offset);
+        w.sink.write_all(&header).unwrap();
+        w.sink.into_inner()
+    }
+
+    /// A trace whose FILES payload spans about seven [`TABLE_CHUNK`]s and
+    /// whose PEERS payload spans two, with varints of every width.
+    fn wide_trace() -> Trace {
+        let n_files = 22_000u32;
+        let n_peers = 6_000u32;
+        let files = (0..n_files)
+            .map(|i| FileInfo {
+                id: Md4::digest(&i.to_le_bytes()),
+                size: u64::from(i).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (i % 64),
+                kind: FileKind::ALL[i as usize % FileKind::ALL.len()],
+            })
+            .collect();
+        let peers = (0..n_peers)
+            .map(|i| PeerInfo {
+                uid: Md4::digest(&(i + n_files).to_le_bytes()),
+                ip: i.wrapping_mul(0x85eb_ca6b),
+                country: CountryCode::new(["FR", "DE", "IT", "ES"][i as usize % 4]),
+                asn: i.wrapping_mul(0xc2b2_ae35) >> (i % 32),
+            })
+            .collect();
+        let mut days = Vec::new();
+        for day in [350u32, 352] {
+            let mut snapshot = DaySnapshot::new(day);
+            for p in (day % 7..n_peers).step_by(97) {
+                let cache = (p % 5..n_files)
+                    .step_by(1_009 + p as usize)
+                    .map(FileRef)
+                    .collect();
+                snapshot.caches.push((crate::model::PeerId(p), cache));
+            }
+            days.push(snapshot);
+        }
+        Trace { files, peers, days }
+    }
+
+    #[test]
+    fn streamed_tables_match_the_one_shot_payloads() {
+        let trace = wide_trace();
+        let files_len: u64 = trace.files.iter().map(|f| 17 + varint_len(f.size)).sum();
+        assert!(
+            files_len > 6 * TABLE_CHUNK as u64,
+            "the FILES payload must cross the buffer"
+        );
+        let widths: std::collections::BTreeSet<u64> =
+            trace.files.iter().map(|f| varint_len(f.size)).collect();
+        assert_eq!(widths.len(), 10, "every varint width appears");
+
+        let mut one_shot = TraceWriter::new(Cursor::new(Vec::new())).unwrap();
+        for day in &trace.days {
+            one_shot.write_day(day).unwrap();
+        }
+        let expected = finish_one_shot(one_shot, &trace.files, &trace.peers);
+        assert_eq!(to_bin(&trace), expected);
+
+        // The generator's shape: table rows borrowed out of larger records.
+        let records: Vec<(FileInfo, u64)> = trace.files.iter().map(|f| (f.clone(), 7)).collect();
+        let mut mapped = TraceWriter::new(Cursor::new(Vec::new())).unwrap();
+        for day in &trace.days {
+            mapped.write_day(day).unwrap();
+        }
+        let bytes = mapped
+            .finish(records.iter().map(|(f, _)| f), &trace.peers)
+            .unwrap()
+            .into_inner();
+        assert_eq!(bytes, expected);
+        assert_eq!(from_bin(&bytes).unwrap(), trace);
     }
 
     #[test]

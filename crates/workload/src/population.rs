@@ -21,6 +21,7 @@
 
 use edonkey_proto::md4::{Digest, Md4};
 use edonkey_trace::model::{FileInfo, FileRef, PeerInfo};
+use edonkey_trace::parallel_map_init_threads;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -106,15 +107,24 @@ impl Population {
     ///
     /// Panics if the config does not [`WorkloadConfig::validate`].
     pub fn generate(config: WorkloadConfig) -> Self {
+        Self::generate_with_threads(config, 1)
+    }
+
+    /// [`Population::generate`] with the file ids and the interest-depth
+    /// tables built on `threads` workers. Neither consumes the RNG and
+    /// every table keeps its own summation order, so the population is
+    /// the same for any thread count.
+    pub(crate) fn generate_with_threads(config: WorkloadConfig, threads: usize) -> Self {
         if let Err(msg) = config.validate() {
             panic!("invalid workload config: {msg}");
         }
         let mut rng = StdRng::seed_from_u64(config.seed);
         let geography = Geography::paper();
         let topics = Self::gen_topics(&config, &geography, &mut rng);
-        let files = Self::gen_files(&config, &topics, &mut rng);
+        let mut files = Self::gen_files(&config, &topics, &mut rng);
         let peers = Self::gen_peers(&config, &geography, &topics, &mut rng);
-        Self::index(config, geography, topics, files, peers)
+        Self::assign_file_ids(&mut files, config.seed, threads);
+        Self::index(config, geography, topics, files, peers, threads)
     }
 
     fn gen_topics(config: &WorkloadConfig, geography: &Geography, rng: &mut StdRng) -> Vec<Topic> {
@@ -153,7 +163,7 @@ impl Population {
         let end_day = config.start_day + config.days;
         let pre_span = 180u32; // catalogue accumulated before the crawl
         (0..config.files)
-            .map(|i| {
+            .map(|_| {
                 let topic_idx = sample_cumulative(&topic_cum, rng);
                 let kind_idx = sample_cumulative(&kind_cum, rng);
                 let profile = &config.kind_profiles[kind_idx];
@@ -167,7 +177,8 @@ impl Population {
                 let intrinsic = attraction.sample(rng).min(config.file_attractiveness_cap);
                 GenFile {
                     info: FileInfo {
-                        id: digest_of(config.seed, "file", i as u64),
+                        // Filled by `assign_file_ids`, off the RNG stream.
+                        id: Digest([0; 16]),
                         size,
                         kind: profile.kind,
                     },
@@ -178,6 +189,21 @@ impl Population {
                 }
             })
             .collect()
+    }
+
+    /// Sets file `i`'s id to `digest_of(seed, "file", i)`, sharded over
+    /// `threads` contiguous ranges.
+    fn assign_file_ids(files: &mut [GenFile], seed: u64, threads: usize) {
+        let per = files.len().div_ceil(threads.max(1)).max(1);
+        std::thread::scope(|scope| {
+            for (c, chunk) in files.chunks_mut(per).enumerate() {
+                scope.spawn(move || {
+                    for (i, file) in (c * per..).zip(chunk) {
+                        file.info.id = digest_of(seed, "file", i as u64);
+                    }
+                });
+            }
+        });
     }
 
     fn gen_peers(
@@ -263,6 +289,7 @@ impl Population {
         topics: Vec<Topic>,
         files: Vec<GenFile>,
         peers: Vec<GenPeer>,
+        threads: usize,
     ) -> Self {
         let mut topic_files: Vec<Vec<u32>> = vec![Vec::new(); topics.len()];
         let mut country_files: Vec<Vec<u32>> = vec![Vec::new(); geography.countries().len()];
@@ -289,7 +316,8 @@ impl Population {
                     .collect::<Vec<_>>(),
             )
         };
-        let topic_file_cum = topic_files.iter().map(|l| depth_table(l)).collect();
+        let topic_file_cum =
+            parallel_map_init_threads(&topic_files, threads, || (), |(), l| depth_table(l));
         let country_file_cum = country_files.iter().map(|l| weight_table(l)).collect();
         let global_cum =
             cumulative_from_weights(&files.iter().map(|f| f.attractiveness).collect::<Vec<_>>());

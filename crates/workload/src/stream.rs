@@ -6,8 +6,8 @@
 //! `WorkloadConfig::paper_scale` (320 k peers, 8 M files) that is tens
 //! of gigabytes of snapshots. The streaming generator instead emits one
 //! [`DayArena`] at a time straight through [`TraceWriter`], so peak
-//! memory is the population tables plus the current day's rows plus one
-//! rolling cache window per sharer.
+//! memory is the population tables plus the current day's rows plus
+//! every sharer's acquisition stream (one `u32` per position).
 //!
 //! The price of streaming is the RNG discipline: the batch generator
 //! threads a single sequential `StdRng` through every day, which makes
@@ -22,8 +22,10 @@
 //! * **turnover** — the day's acquisition count is a `(seed, DAILY,
 //!   day, i)`-keyed Poisson draw with the configured ~5 replacements
 //!   per client per day; the cache is the FIFO window holding the last
-//!   `target_cache` positions, so a ring buffer over `k mod target`
-//!   replays it with no per-day history;
+//!   `target_cache` positions. Since both are keyed draws, each
+//!   sharer's whole stream (`target` plus the sum of its daily counts)
+//!   is drawn up front, peer-major, while that peer's interest-topic
+//!   tables are hot, and day `d`'s window is a slice of it;
 //! * **observation** — the ideal observer's coverage ramp
 //!   (`observe_prob_start → observe_prob_end`) is a `(seed, OBS, day,
 //!   i)`-keyed Bernoulli draw, free-riders included (they surface as
@@ -34,20 +36,21 @@
 //! streaming path's pinned equivalence is against its own in-memory
 //! twin ([`generate_trace_streamed_in_memory`]), byte-identical under
 //! `trace::io::bin` for any thread count — the property
-//! `tests/properties.rs` locks down.
+//! `tests/properties.rs` locks down — and against the day-by-day
+//! ring-buffer emitter kept in this module's tests.
 
 use std::io::{Seek, Write};
 use std::path::Path;
 
 use edonkey_trace::compact::DayArena;
 use edonkey_trace::model::{FileRef, PeerId, Trace};
-use edonkey_trace::{TraceIoError, TraceWriter};
+use edonkey_trace::{parallel_map_init_threads, TraceIoError, TraceWriter};
 use rand::{Rng, RngCore};
 
 use crate::config::WorkloadConfig;
 use crate::dist::poisson;
 use crate::mix::splitmix64;
-use crate::population::{Population, SampleTables};
+use crate::population::Population;
 
 /// Domain separation salts for the stateless draw streams.
 const SALT_ACQ: u64 = 0x73_74_72_6d_41_43_51_31; // "strmACQ1"
@@ -86,14 +89,17 @@ impl RngCore for StreamRng {
     }
 }
 
-/// One peer's rolling cache window: the last `target` positions of its
-/// acquisition stream, stored as a ring so day-to-day turnover is O(new
-/// acquisitions) instead of O(cache).
-struct PeerWindow {
-    /// `ring[k % target]` holds the file acquired at position `k`.
-    ring: Vec<u32>,
-    /// Lifetime acquisition count (the next position to fill).
-    count: u64,
+/// One peer's acquisition stream over the whole run (empty for a
+/// free-rider), and how far the day loop has advanced through it.
+struct PeerStream {
+    /// `files[k]` is the file acquired at lifetime position `k`: the
+    /// `target` initial positions, then every day's Poisson count.
+    files: Vec<u32>,
+    /// Target cache size; the day's window is the last `target`
+    /// positions acquired so far. `0` marks a free-rider.
+    target: usize,
+    /// Positions acquired so far.
+    count: usize,
 }
 
 /// What one day's emission produced, summed over the whole run.
@@ -107,63 +113,52 @@ pub struct StreamStats {
     pub entries: u64,
 }
 
-/// Fills the initial windows (positions `0..target` of every
-/// acquisition stream), sharded over `threads` contiguous peer ranges.
-fn init_windows(pop: &Population, tables: &SampleTables<'_>, threads: usize) -> Vec<PeerWindow> {
-    let seed = pop.config.seed;
-    let n_peers = pop.peers.len();
-    let per = n_peers.div_ceil(threads.max(1)).max(1);
-    let ranges: Vec<(usize, usize)> = (0..n_peers)
-        .step_by(per)
-        .map(|lo| (lo, (lo + per).min(n_peers)))
-        .collect();
-    let fill = |(lo, hi): &(usize, usize)| -> Vec<PeerWindow> {
-        (*lo..*hi)
-            .map(|i| {
-                let target = pop.peers[i].target_cache as u64;
-                let ring = (0..target)
-                    .map(|k| {
-                        let mut rng = StreamRng::keyed(seed, SALT_ACQ, i as u64, k);
-                        pop.sample_file(i, tables, &mut rng)
-                    })
-                    .collect();
-                PeerWindow {
-                    ring,
-                    count: target,
+/// Draws every sharer's whole acquisition stream up front, peer by peer
+/// on `threads` workers: `target` plus the sum of its daily Poisson
+/// counts, so each sharer's interest-topic tables stay hot across all
+/// of its draws. Free-riders draw nothing.
+fn init_streams(pop: &Population, threads: usize) -> Vec<PeerStream> {
+    let tables = pop.static_tables();
+    let config = &pop.config;
+    let seed = config.seed;
+    let peers: Vec<usize> = (0..pop.peers.len()).collect();
+    parallel_map_init_threads(
+        &peers,
+        threads,
+        || (),
+        |(), &i| {
+            let target = pop.peers[i].target_cache;
+            let mut len = target;
+            if target > 0 {
+                for offset in 0..config.days {
+                    let mut rng = StreamRng::keyed(seed, SALT_DAILY, u64::from(offset), i as u64);
+                    len += poisson(config.daily_replacements, &mut rng) as usize;
                 }
-            })
-            .collect()
-    };
-    let parts: Vec<Vec<PeerWindow>> = if ranges.len() <= 1 {
-        ranges.iter().map(fill).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|r| scope.spawn(move || fill(r)))
+            }
+            let files = (0..len as u64)
+                .map(|k| {
+                    let mut rng = StreamRng::keyed(seed, SALT_ACQ, i as u64, k);
+                    pop.sample_file(i, &tables, &mut rng)
+                })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("window init worker panicked"))
-                .collect()
-        })
-    };
-    parts.into_iter().flatten().collect()
+            PeerStream {
+                files,
+                target,
+                count: target,
+            }
+        },
+    )
 }
 
 /// One worker's slice of a day: observed peers, their row lengths and
 /// the concatenated sorted/deduplicated entries.
 type DayPart = (Vec<u32>, Vec<u32>, Vec<FileRef>);
 
-/// Advances one day of turnover for `windows[lo..hi]` and collects the
-/// observed rows. All draws are keyed by absolute peer index and
-/// lifetime position, so the result is independent of how peers are
-/// sharded across workers.
-#[allow(clippy::too_many_arguments)]
+/// Advances one day of turnover for `streams[lo..hi]` and collects the
+/// observed rows. All draws are keyed by absolute peer index, so the
+/// result is independent of how peers are sharded across workers.
 fn day_part(
-    pop: &Population,
-    tables: &SampleTables<'_>,
-    windows: &mut [PeerWindow],
+    streams: &mut [PeerStream],
     lo: usize,
     offset: u32,
     lambda: f64,
@@ -174,23 +169,15 @@ fn day_part(
     let mut lens = Vec::new();
     let mut entries: Vec<FileRef> = Vec::new();
     let mut row: Vec<u32> = Vec::new();
-    for (j, window) in windows.iter_mut().enumerate() {
-        let i = lo + j;
-        let target = window.ring.len();
-        if target > 0 {
+    for (i, stream) in (lo..).zip(streams.iter_mut()) {
+        if stream.target > 0 {
             let mut rng = StreamRng::keyed(seed, SALT_DAILY, u64::from(offset), i as u64);
-            let acquisitions = poisson(lambda, &mut rng);
-            for _ in 0..acquisitions {
-                let pos = window.count;
-                window.count += 1;
-                let mut frng = StreamRng::keyed(seed, SALT_ACQ, i as u64, pos);
-                window.ring[(pos % target as u64) as usize] = pop.sample_file(i, tables, &mut frng);
-            }
+            stream.count += poisson(lambda, &mut rng) as usize;
         }
         let mut orng = StreamRng::keyed(seed, SALT_OBS, u64::from(offset), i as u64);
         if orng.gen_bool(p_observe.clamp(0.0, 1.0)) {
             row.clear();
-            row.extend_from_slice(&window.ring);
+            row.extend_from_slice(&stream.files[stream.count - stream.target..stream.count]);
             row.sort_unstable();
             row.dedup();
             peers.push(i as u32);
@@ -201,18 +188,16 @@ fn day_part(
     (peers, lens, entries)
 }
 
-/// The shared day driver: advances every window by one day (sharded
+/// The shared day step: advances every stream by one day (sharded
 /// over `threads` contiguous peer ranges), assembles the observed rows
 /// into `out` in peer order, and returns whether the day is non-empty.
 fn fill_day(
-    pop: &Population,
-    tables: &SampleTables<'_>,
-    windows: &mut [PeerWindow],
+    config: &WorkloadConfig,
+    streams: &mut [PeerStream],
     offset: u32,
     threads: usize,
     out: &mut DayArena,
 ) -> bool {
-    let config = &pop.config;
     let n_days = f64::from(config.days.max(1));
     let t = f64::from(offset) / (n_days - 1.0).max(1.0);
     let p_observe =
@@ -220,21 +205,17 @@ fn fill_day(
     let lambda = config.daily_replacements;
     let seed = config.seed;
 
-    let n_peers = windows.len();
+    let n_peers = streams.len();
     let per = n_peers.div_ceil(threads.max(1)).max(1);
     let parts: Vec<DayPart> = if n_peers <= per {
-        vec![day_part(
-            pop, tables, windows, 0, offset, lambda, p_observe, seed,
-        )]
+        vec![day_part(streams, 0, offset, lambda, p_observe, seed)]
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = windows
+            let handles: Vec<_> = streams
                 .chunks_mut(per)
                 .enumerate()
                 .map(|(w, chunk)| {
-                    scope.spawn(move || {
-                        day_part(pop, tables, chunk, w * per, offset, lambda, p_observe, seed)
-                    })
+                    scope.spawn(move || day_part(chunk, w * per, offset, lambda, p_observe, seed))
                 })
                 .collect();
             handles
@@ -263,28 +244,30 @@ fn fill_day(
 /// Streams a generated trace through an already-open [`TraceWriter`],
 /// returning the population, the emission stats and the finished sink.
 ///
-/// Peak memory: the population tables + every sharer's rolling window
-/// (≈ one day's ground truth) + one [`DayArena`] of observed rows —
+/// Peak memory: the population tables + every sharer's acquisition
+/// stream (one `u32` per position) + one [`DayArena`] of observed rows —
 /// never the full multi-day trace.
 pub fn stream_trace<W: Write + Seek>(
     config: &WorkloadConfig,
     threads: usize,
     mut writer: TraceWriter<W>,
 ) -> Result<(Population, StreamStats, W), TraceIoError> {
-    let pop = Population::generate(config.clone());
-    let tables = pop.static_tables();
-    let mut windows = init_windows(&pop, &tables, threads);
+    let pop = Population::generate_with_threads(config.clone(), threads);
+    let mut streams = init_streams(&pop, threads);
     let mut out = DayArena::new(config.start_day);
     let mut stats = StreamStats::default();
     for offset in 0..config.days {
-        if fill_day(&pop, &tables, &mut windows, offset, threads, &mut out) {
+        if fill_day(config, &mut streams, offset, threads, &mut out) {
             writer.write_day_arena(&out)?;
             stats.days_written += 1;
             stats.rows += out.peers.len() as u64;
             stats.entries += out.entries.len() as u64;
         }
     }
-    let sink = writer.finish(&pop.file_infos(), &pop.peer_infos())?;
+    let sink = writer.finish(
+        pop.files.iter().map(|f| &f.info),
+        pop.peers.iter().map(|p| &p.info),
+    )?;
     Ok((pop, stats, sink))
 }
 
@@ -308,9 +291,8 @@ pub fn generate_trace_streamed_in_memory(
     config: &WorkloadConfig,
     threads: usize,
 ) -> (Population, Trace) {
-    let pop = Population::generate(config.clone());
-    let tables = pop.static_tables();
-    let mut windows = init_windows(&pop, &tables, threads);
+    let pop = Population::generate_with_threads(config.clone(), threads);
+    let mut streams = init_streams(&pop, threads);
     let mut out = DayArena::new(config.start_day);
     let mut trace = Trace {
         files: pop.file_infos(),
@@ -318,7 +300,7 @@ pub fn generate_trace_streamed_in_memory(
         days: Vec::new(),
     };
     for offset in 0..config.days {
-        if fill_day(&pop, &tables, &mut windows, offset, threads, &mut out) {
+        if fill_day(config, &mut streams, offset, threads, &mut out) {
             let mut snapshot = edonkey_trace::model::DaySnapshot::new(out.day);
             for (r, &p) in out.peers.iter().enumerate() {
                 let cache =
@@ -343,10 +325,127 @@ pub fn stream_trace_to_bytes(
     Ok((pop, stats, sink.into_inner()))
 }
 
+/// The ring-buffer emitter the peer-major streams replaced, kept as the
+/// oracle: the sequential population build, one rolling ring per sharer
+/// (`ring[k % target]` holds position `k`), and each day's acquisitions
+/// drawn inside that day.
+#[cfg(test)]
+fn ring_buffer_reference_bytes(config: &WorkloadConfig) -> Vec<u8> {
+    let pop = Population::generate(config.clone());
+    let tables = pop.static_tables();
+    let seed = config.seed;
+    let draw = |i: usize, k: u64| {
+        let mut rng = StreamRng::keyed(seed, SALT_ACQ, i as u64, k);
+        pop.sample_file(i, &tables, &mut rng)
+    };
+    let mut rings: Vec<(Vec<u32>, u64)> = pop
+        .peers
+        .iter()
+        .enumerate()
+        .map(|(i, peer)| {
+            let target = peer.target_cache as u64;
+            ((0..target).map(|k| draw(i, k)).collect(), target)
+        })
+        .collect();
+    let mut writer = TraceWriter::new(std::io::Cursor::new(Vec::new())).expect("in-memory sink");
+    for offset in 0..config.days {
+        let n_days = f64::from(config.days.max(1));
+        let t = f64::from(offset) / (n_days - 1.0).max(1.0);
+        let p_observe =
+            config.observe_prob_start + t * (config.observe_prob_end - config.observe_prob_start);
+        let mut day = DayArena::new(config.start_day + offset);
+        for (i, (ring, count)) in rings.iter_mut().enumerate() {
+            let target = ring.len() as u64;
+            if target > 0 {
+                let mut rng = StreamRng::keyed(seed, SALT_DAILY, u64::from(offset), i as u64);
+                for _ in 0..poisson(config.daily_replacements, &mut rng) {
+                    ring[(*count % target) as usize] = draw(i, *count);
+                    *count += 1;
+                }
+            }
+            let mut orng = StreamRng::keyed(seed, SALT_OBS, u64::from(offset), i as u64);
+            if orng.gen_bool(p_observe.clamp(0.0, 1.0)) {
+                let mut row = ring.clone();
+                row.sort_unstable();
+                row.dedup();
+                day.peers.push(i as u32);
+                day.entries.extend(row.into_iter().map(FileRef));
+                day.offsets.push(day.entries.len() as u32);
+            }
+        }
+        if !day.peers.is_empty() {
+            writer.write_day_arena(&day).expect("valid day");
+        }
+    }
+    writer
+        .finish(&pop.file_infos(), &pop.peer_infos())
+        .expect("valid tables")
+        .into_inner()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edonkey_proto::md4::Md4;
     use edonkey_trace::io::bin::to_bin;
+    use proptest::prelude::*;
+
+    /// Small configs across the shapes the window arithmetic cares
+    /// about: no sharers, all sharers, single days, and turnover from
+    /// none (`daily_replacements == 0`) to more than a small cache.
+    fn arb_config() -> impl Strategy<Value = WorkloadConfig> {
+        (
+            (any::<u64>(), 2usize..=24, 8usize..=96, 2usize..6),
+            (1u32..=7, 0u32..=8, 0u32..=32),
+        )
+            .prop_map(
+                |((seed, peers, files, topics), (days, free_riders, lambda))| {
+                    let mut c = WorkloadConfig::test_scale(seed);
+                    c.peers = peers;
+                    c.files = files;
+                    c.topics = topics;
+                    c.days = days;
+                    c.free_rider_fraction = f64::from(free_riders) / 10.0;
+                    c.daily_replacements = f64::from(lambda) / 4.0;
+                    c.cache_max = c.cache_max.min(files as u64);
+                    c.cache_min = c.cache_min.min(c.cache_max);
+                    c.interests_max = c.interests_max.min(topics);
+                    c.interests_min = c.interests_min.min(c.interests_max);
+                    assert_eq!(c.validate(), Ok(()), "strategy must emit valid configs");
+                    c
+                },
+            )
+    }
+
+    proptest! {
+        /// The peer-major streams emit exactly the bytes of the
+        /// ring-buffer emitter, for any small config and thread count.
+        #[test]
+        fn streamed_bytes_equal_the_ring_buffer_reference(
+            config in arb_config(),
+            threads in 1usize..=5,
+        ) {
+            let (_, _, streamed) = stream_trace_to_bytes(&config, threads).expect("stream");
+            prop_assert_eq!(streamed, ring_buffer_reference_bytes(&config));
+        }
+    }
+
+    #[test]
+    fn test_scale_stream_is_pinned() {
+        // Taken from the ring-buffer emitter with the one-shot table
+        // writer, before the peer-major streams and the threaded build.
+        let (_, stats, bytes) =
+            stream_trace_to_bytes(&WorkloadConfig::test_scale(11), 2).expect("stream");
+        assert_eq!(bytes.len(), 614_048);
+        assert_eq!(
+            (stats.days_written, stats.rows, stats.entries),
+            (56, 33_700, 110_626)
+        );
+        assert_eq!(
+            Md4::digest(&bytes).to_hex(),
+            "72e5415309b5c3d179ad52bc948c6cf2"
+        );
+    }
 
     fn tiny_config() -> WorkloadConfig {
         let mut config = WorkloadConfig::test_scale(11);
