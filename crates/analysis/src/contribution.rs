@@ -2,6 +2,7 @@
 //! free-riders — plus the generosity-concentration headline ("the top
 //! 15 % peers offer 75 % of the files").
 
+use edonkey_trace::compact::CacheArena;
 use edonkey_trace::model::Trace;
 
 use crate::stats::{top_share, Cdf};
@@ -15,11 +16,10 @@ pub struct Contribution {
     pub bytes: Vec<u64>,
 }
 
-/// Computes per-client contributions from the static caches.
-pub fn contributions(trace: &Trace) -> Contribution {
-    let caches = trace.static_caches();
-    let files: Vec<u64> = caches.iter().map(|c| c.len() as u64).collect();
-    let bytes: Vec<u64> = caches
+/// Computes per-client contributions from the trace's static view.
+pub fn contributions(trace: &Trace, view: &CacheArena) -> Contribution {
+    let files: Vec<u64> = view.iter().map(|c| c.len() as u64).collect();
+    let bytes: Vec<u64> = view
         .iter()
         .map(|c| c.iter().map(|f| trace.files[f.index()].size).sum())
         .collect();
@@ -39,8 +39,8 @@ pub struct ContributionCdfs {
 }
 
 /// Fig. 7: builds all four CDFs.
-pub fn contribution_cdfs(trace: &Trace) -> ContributionCdfs {
-    let c = contributions(trace);
+pub fn contribution_cdfs(trace: &Trace, view: &CacheArena) -> ContributionCdfs {
+    let c = contributions(trace, view);
     let gb = |b: u64| b as f64 / (1u64 << 30) as f64;
     ContributionCdfs {
         files_all: Cdf::from_samples(c.files.iter().map(|&f| f as f64).collect()),
@@ -66,8 +66,8 @@ pub fn contribution_cdfs(trace: &Trace) -> ContributionCdfs {
 /// Share of all shared files held by the top `fraction` of *sharing*
 /// clients (free-riders hold nothing and would dilute the denominator's
 /// meaning).
-pub fn generosity_concentration(trace: &Trace, fraction: f64) -> f64 {
-    let c = contributions(trace);
+pub fn generosity_concentration(trace: &Trace, view: &CacheArena, fraction: f64) -> f64 {
+    let c = contributions(trace, view);
     let sharers: Vec<u64> = c.files.into_iter().filter(|&f| f > 0).collect();
     top_share(&sharers, fraction)
 }
@@ -110,7 +110,8 @@ mod tests {
 
     #[test]
     fn contribution_vectors() {
-        let c = contributions(&build());
+        let trace = build();
+        let c = contributions(&trace, &CacheArena::from_trace_static(&trace));
         assert_eq!(c.files, vec![8, 1, 1, 0]);
         assert_eq!(c.bytes[0], 8 << 30);
         assert_eq!(c.bytes[3], 0);
@@ -118,7 +119,8 @@ mod tests {
 
     #[test]
     fn cdfs_with_and_without_free_riders() {
-        let cdfs = contribution_cdfs(&build());
+        let trace = build();
+        let cdfs = contribution_cdfs(&trace, &CacheArena::from_trace_static(&trace));
         assert_eq!(cdfs.files_all.len(), 4);
         assert_eq!(cdfs.files_sharers.len(), 3);
         // All clients: 25 % share nothing.
@@ -131,7 +133,9 @@ mod tests {
     #[test]
     fn concentration() {
         // Top 1/3 of sharers (= p0) holds 8 of 10 files.
-        let share = generosity_concentration(&build(), 1.0 / 3.0);
+        let trace = build();
+        let share =
+            generosity_concentration(&trace, &CacheArena::from_trace_static(&trace), 1.0 / 3.0);
         assert!((share - 0.8).abs() < 1e-12);
     }
 }

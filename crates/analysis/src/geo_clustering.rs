@@ -7,10 +7,11 @@
 
 use std::collections::HashMap;
 
-use edonkey_trace::model::Trace;
+use edonkey_trace::compact::CacheArena;
+use edonkey_trace::model::{FileRef, Trace};
 
 use crate::stats::Cdf;
-use crate::view::{file_spans, holders};
+use crate::view::file_spans;
 
 /// How to locate a peer: by country or by autonomous system.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,10 +31,8 @@ pub struct HomeConcentration {
 }
 
 /// Computes, for every file, the share of its sources located in its
-/// home country/AS (static trace view).
-pub fn home_concentration(trace: &Trace, level: Level) -> HomeConcentration {
-    let caches = trace.static_caches();
-    let holders = holders(&caches, trace.files.len());
+/// home country/AS (`view` is the trace's static view).
+pub fn home_concentration(trace: &Trace, view: &CacheArena, level: Level) -> HomeConcentration {
     let locate = |peer: u32| -> u64 {
         let info = &trace.peers[peer as usize];
         match level {
@@ -41,9 +40,9 @@ pub fn home_concentration(trace: &Trace, level: Level) -> HomeConcentration {
             Level::AutonomousSystem => u64::from(info.asn),
         }
     };
-    let percent_at_home = holders
-        .iter()
-        .map(|sources| {
+    let percent_at_home = (0..trace.files.len() as u32)
+        .map(|f| {
+            let sources = view.holders(FileRef(f));
             if sources.is_empty() {
                 return None;
             }
@@ -63,9 +62,14 @@ pub fn home_concentration(trace: &Trace, level: Level) -> HomeConcentration {
 ///
 /// Returns `(threshold, Cdf over percent-at-home)` for files whose
 /// average popularity (distinct sources / days seen) is ≥ the threshold.
-pub fn concentration_cdfs(trace: &Trace, level: Level, thresholds: &[f64]) -> Vec<(f64, Cdf)> {
-    let conc = home_concentration(trace, level);
-    let spans = file_spans(trace);
+pub fn concentration_cdfs(
+    trace: &Trace,
+    view: &CacheArena,
+    level: Level,
+    thresholds: &[f64],
+) -> Vec<(f64, Cdf)> {
+    let conc = home_concentration(trace, view, level);
+    let spans = file_spans(trace, view);
     thresholds
         .iter()
         .map(|&t| {
@@ -85,9 +89,14 @@ pub fn concentration_cdfs(trace: &Trace, level: Level, thresholds: &[f64]) -> Ve
 
 /// Headline number of Fig. 11: the fraction of files (within a
 /// popularity band) whose sources are *all* in one location.
-pub fn fully_clustered_fraction(trace: &Trace, level: Level, min_avg_popularity: f64) -> f64 {
-    let conc = home_concentration(trace, level);
-    let spans = file_spans(trace);
+pub fn fully_clustered_fraction(
+    trace: &Trace,
+    view: &CacheArena,
+    level: Level,
+    min_avg_popularity: f64,
+) -> f64 {
+    let conc = home_concentration(trace, view, level);
+    let spans = file_spans(trace, view);
     let mut total = 0usize;
     let mut full = 0usize;
     for (pct, span) in conc.percent_at_home.iter().zip(&spans) {
@@ -148,16 +157,22 @@ mod tests {
         b.finish()
     }
 
+    fn static_view(trace: &Trace) -> CacheArena {
+        CacheArena::from_trace_static(trace)
+    }
+
     #[test]
     fn country_concentration() {
-        let conc = home_concentration(&build(), Level::Country);
+        let trace = build();
+        let conc = home_concentration(&trace, &static_view(&trace), Level::Country);
         assert!((conc.percent_at_home[0].unwrap() - 75.0).abs() < 1e-9);
         assert!((conc.percent_at_home[1].unwrap() - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn as_concentration_is_finer() {
-        let conc = home_concentration(&build(), Level::AutonomousSystem);
+        let trace = build();
+        let conc = home_concentration(&trace, &static_view(&trace), Level::AutonomousSystem);
         // f0 sources: 2×AS3215, 1×AS12322, 1×AS3320 → home AS share 50 %.
         assert!((conc.percent_at_home[0].unwrap() - 50.0).abs() < 1e-9);
     }
@@ -165,7 +180,7 @@ mod tests {
     #[test]
     fn cdfs_by_popularity_band() {
         let trace = build();
-        let cdfs = concentration_cdfs(&trace, Level::Country, &[1.0, 3.0]);
+        let cdfs = concentration_cdfs(&trace, &static_view(&trace), Level::Country, &[1.0, 3.0]);
         assert_eq!(cdfs[0].1.len(), 2, "both files qualify at threshold 1");
         assert_eq!(
             cdfs[1].1.len(),
@@ -180,10 +195,11 @@ mod tests {
     #[test]
     fn fully_clustered() {
         let trace = build();
-        let frac = fully_clustered_fraction(&trace, Level::Country, 1.0);
+        let frac = fully_clustered_fraction(&trace, &static_view(&trace), Level::Country, 1.0);
         assert!((frac - 0.5).abs() < 1e-12, "one of two files is 100% home");
+        let empty = Trace::new();
         assert_eq!(
-            fully_clustered_fraction(&Trace::new(), Level::Country, 1.0),
+            fully_clustered_fraction(&empty, &static_view(&empty), Level::Country, 1.0),
             0.0
         );
     }
@@ -204,9 +220,10 @@ mod tests {
         });
         b.observe(1, p, vec![]);
         let trace = b.finish();
-        let conc = home_concentration(&trace, Level::Country);
+        let view = static_view(&trace);
+        let conc = home_concentration(&trace, &view, Level::Country);
         assert_eq!(conc.percent_at_home[0], None);
-        let cdfs = concentration_cdfs(&trace, Level::Country, &[1.0]);
+        let cdfs = concentration_cdfs(&trace, &view, Level::Country, &[1.0]);
         assert!(cdfs[0].1.is_empty());
     }
 }

@@ -18,7 +18,7 @@
 //! | PeerCache opportunity (§4.1 discussion) | [`peercache`] |
 //!
 //! Shared plumbing lives in [`stats`] (CDFs, rank curves, shares) and
-//! [`view`] (popularity vectors, inverted holder indexes, file spans).
+//! [`view`] (popularity vectors and file spans over a static view).
 
 pub mod banded;
 pub mod contribution;

@@ -11,9 +11,10 @@
 
 use std::collections::HashMap;
 
+use edonkey_trace::compact::CacheArena;
 use edonkey_trace::model::Trace;
 
-use crate::view::{holders, static_popularity};
+use crate::view::popularity;
 
 /// Locality of a request's best available source.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -46,20 +47,18 @@ impl LocalityCounts {
     }
 }
 
-/// Measures request locality over the trace's static caches.
+/// Measures request locality over the trace's static view.
 ///
 /// Each `(peer, file)` cache entry stands for one request (the Section
 /// 5.1 replay model); the question is whether *another* holder of the
 /// file shares the requester's AS or country.
-pub fn request_locality(trace: &Trace) -> LocalityCounts {
-    let caches = trace.static_caches();
-    let holders = holders(&caches, trace.files.len());
+pub fn request_locality(trace: &Trace, view: &CacheArena) -> LocalityCounts {
     let mut counts = LocalityCounts::default();
-    for (peer_idx, cache) in caches.iter().enumerate() {
+    for (peer_idx, cache) in view.iter().enumerate() {
         let me = &trace.peers[peer_idx];
-        for f in cache {
+        for &f in cache {
             counts.total += 1;
-            let sources = &holders[f.index()];
+            let sources = view.holders(f);
             let mut any = false;
             let mut same_as = false;
             let mut same_country = false;
@@ -89,18 +88,16 @@ pub fn request_locality(trace: &Trace) -> LocalityCounts {
 /// Per-AS cache effectiveness: for the top ASes by client count, the
 /// fraction of their members' servable requests answerable inside the
 /// AS. Returns `(asn, clients, as_hit_rate)` sorted by clients.
-pub fn per_as_hit_rates(trace: &Trace, top: usize) -> Vec<(u32, usize, f64)> {
-    let caches = trace.static_caches();
-    let holders = holders(&caches, trace.files.len());
+pub fn per_as_hit_rates(trace: &Trace, view: &CacheArena, top: usize) -> Vec<(u32, usize, f64)> {
     let mut clients_per_as: HashMap<u32, usize> = HashMap::new();
     for p in &trace.peers {
         *clients_per_as.entry(p.asn).or_insert(0) += 1;
     }
     let mut per_as: HashMap<u32, (u64, u64)> = HashMap::new(); // (local, servable)
-    for (peer_idx, cache) in caches.iter().enumerate() {
+    for (peer_idx, cache) in view.iter().enumerate() {
         let me = &trace.peers[peer_idx];
-        for f in cache {
-            let sources = &holders[f.index()];
+        for &f in cache {
+            let sources = view.holders(f);
             let mut any = false;
             let mut local = false;
             for &s in sources {
@@ -141,24 +138,26 @@ pub fn per_as_hit_rates(trace: &Trace, top: usize) -> Vec<(u32, usize, f64)> {
 /// Splits the AS hit rate by file popularity band — the cache helps
 /// most where sources are plentiful, so this quantifies how much of the
 /// benefit is popular-file traffic.
-pub fn as_hit_rate_by_popularity(trace: &Trace, bands: &[(u32, u32)]) -> Vec<((u32, u32), f64)> {
-    let caches = trace.static_caches();
-    let holders = holders(&caches, trace.files.len());
-    let popularity = static_popularity(trace);
+pub fn as_hit_rate_by_popularity(
+    trace: &Trace,
+    view: &CacheArena,
+    bands: &[(u32, u32)],
+) -> Vec<((u32, u32), f64)> {
+    let popularity = popularity(view);
     bands
         .iter()
         .map(|&(lo, hi)| {
             let mut local = 0u64;
             let mut servable = 0u64;
-            for (peer_idx, cache) in caches.iter().enumerate() {
+            for (peer_idx, cache) in view.iter().enumerate() {
                 let me = &trace.peers[peer_idx];
-                for f in cache {
+                for &f in cache {
                     if !(lo..=hi).contains(&popularity[f.index()]) {
                         continue;
                     }
                     let mut any = false;
                     let mut is_local = false;
-                    for &s in &holders[f.index()] {
+                    for &s in view.holders(f) {
                         if s as usize == peer_idx {
                             continue;
                         }
@@ -225,9 +224,14 @@ mod tests {
         b.finish()
     }
 
+    fn static_view(trace: &Trace) -> CacheArena {
+        CacheArena::from_trace_static(trace)
+    }
+
     #[test]
     fn locality_counts() {
-        let c = request_locality(&build());
+        let trace = build();
+        let c = request_locality(&trace, &static_view(&trace));
         // Requests: a1 {f0,f1,f2}, a2 {f0}, fr3 {f1}, de {f2,f3} → 7 total.
         assert_eq!(c.total, 7);
         // f3 has a single holder → unservable; the rest have partners.
@@ -242,7 +246,8 @@ mod tests {
 
     #[test]
     fn per_as_rates() {
-        let rows = per_as_hit_rates(&build(), 10);
+        let trace = build();
+        let rows = per_as_hit_rates(&trace, &static_view(&trace), 10);
         assert_eq!(rows[0].0, 3215, "largest AS first");
         assert_eq!(rows[0].1, 2);
         // AS 3215's servable requests: a1 {f0,f1,f2}, a2 {f0};
@@ -252,7 +257,8 @@ mod tests {
 
     #[test]
     fn popularity_bands() {
-        let rows = as_hit_rate_by_popularity(&build(), &[(1, 1), (2, 9)]);
+        let trace = build();
+        let rows = as_hit_rate_by_popularity(&trace, &static_view(&trace), &[(1, 1), (2, 9)]);
         // Band (2,9): files with 2 holders: f0, f1, f2.
         let (_, rate) = rows[1];
         assert!((rate - 2.0 / 6.0).abs() < 1e-12);
@@ -262,10 +268,12 @@ mod tests {
 
     #[test]
     fn empty_trace_is_zero() {
-        let c = request_locality(&Trace::new());
+        let empty = Trace::new();
+        let view = static_view(&empty);
+        let c = request_locality(&empty, &view);
         assert_eq!(c.total, 0);
         assert_eq!(c.as_hit_rate(), 0.0);
         assert_eq!(c.country_hit_rate(), 0.0);
-        assert!(per_as_hit_rates(&Trace::new(), 5).is_empty());
+        assert!(per_as_hit_rates(&empty, &view, 5).is_empty());
     }
 }

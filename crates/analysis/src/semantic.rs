@@ -336,21 +336,6 @@ pub fn correlation_curve(overlaps: &OverlapCounts) -> Vec<CorrelationPoint> {
         .collect()
 }
 
-/// Convenience: the full Fig. 13 pipeline over a cache set.
-///
-/// Thin adapter over the arena path: packs the caches into a
-/// [`CacheArena`] and runs the parallel overlap engine. Output is
-/// identical to the sequential [`overlap_counts`] pipeline.
-pub fn clustering_correlation(
-    caches: &[Vec<FileRef>],
-    n_files: usize,
-    qualifies: impl Fn(FileRef) -> bool + Sync,
-    max_holders: Option<usize>,
-) -> Vec<CorrelationPoint> {
-    let arena = CacheArena::from_caches(caches, n_files);
-    clustering_correlation_arena(&arena, qualifies, max_holders)
-}
-
 /// The full Fig. 13 pipeline over an existing arena (no repacking).
 pub fn clustering_correlation_arena(
     arena: &CacheArena,
@@ -416,7 +401,8 @@ mod tests {
             vec![f(3), f(4), f(5)],
             vec![f(3), f(4), f(5)], // pair (4,5): overlap 3
         ];
-        let curve = clustering_correlation(&caches, 6, |_| true, None);
+        let curve =
+            clustering_correlation_arena(&CacheArena::from_caches(&caches, 6), |_| true, None);
         assert_eq!(curve.len(), 3);
         assert_eq!(curve[0].common, 1);
         assert_eq!(curve[0].pairs, 3);
@@ -427,10 +413,11 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let curve = clustering_correlation(&[], 0, |_| true, None);
+        let curve = clustering_correlation_arena(&CacheArena::from_caches(&[], 0), |_| true, None);
         assert!(curve.is_empty());
         let caches = vec![vec![f(0)], vec![f(1)]];
-        let curve = clustering_correlation(&caches, 2, |_| true, None);
+        let curve =
+            clustering_correlation_arena(&CacheArena::from_caches(&caches, 2), |_| true, None);
         assert!(curve.is_empty(), "no pair shares anything");
     }
 

@@ -1,17 +1,22 @@
 //! Fig. 6: cumulative distribution of file sizes by popularity level.
 
+use edonkey_trace::compact::CacheArena;
 use edonkey_trace::model::Trace;
 
 use crate::stats::Cdf;
-use crate::view::static_popularity;
+use crate::view::popularity;
 
-/// Size CDFs (in KB, matching the paper's axis) for files whose static
-/// popularity is at least each of `thresholds`.
+/// Size CDFs (in KB, matching the paper's axis) for files whose
+/// popularity in the static `view` is at least each of `thresholds`.
 ///
 /// Returns one `(threshold, Cdf)` per requested level; files never
 /// observed shared are excluded even at threshold 1.
-pub fn size_cdfs_by_popularity(trace: &Trace, thresholds: &[u32]) -> Vec<(u32, Cdf)> {
-    let popularity = static_popularity(trace);
+pub fn size_cdfs_by_popularity(
+    trace: &Trace,
+    view: &CacheArena,
+    thresholds: &[u32],
+) -> Vec<(u32, Cdf)> {
+    let popularity = popularity(view);
     thresholds
         .iter()
         .map(|&t| {
@@ -29,8 +34,8 @@ pub fn size_cdfs_by_popularity(trace: &Trace, thresholds: &[u32]) -> Vec<(u32, C
 
 /// Summary fractions the paper quotes for the full catalogue: files
 /// `< 1 MB`, in `[1, 10) MB`, and `>= 10 MB`.
-pub fn size_mix(trace: &Trace) -> (f64, f64, f64) {
-    let popularity = static_popularity(trace);
+pub fn size_mix(trace: &Trace, view: &CacheArena) -> (f64, f64, f64) {
+    let popularity = popularity(view);
     let sizes: Vec<u64> = trace
         .files
         .iter()
@@ -55,8 +60,13 @@ pub fn size_mix(trace: &Trace) -> (f64, f64, f64) {
 /// Fraction of files above `bytes`, among files with popularity ≥
 /// `min_popularity` — e.g. the paper's "among files with popularity ≥ 5,
 /// about 45 % are larger than 600 MB".
-pub fn fraction_larger_than(trace: &Trace, min_popularity: u32, bytes: u64) -> f64 {
-    let popularity = static_popularity(trace);
+pub fn fraction_larger_than(
+    trace: &Trace,
+    view: &CacheArena,
+    min_popularity: u32,
+    bytes: u64,
+) -> f64 {
+    let popularity = popularity(view);
     let mut total = 0usize;
     let mut above = 0usize;
     for (f, &p) in trace.files.iter().zip(&popularity) {
@@ -118,7 +128,7 @@ mod tests {
     #[test]
     fn cdfs_by_threshold() {
         let trace = build();
-        let cdfs = size_cdfs_by_popularity(&trace, &[1, 2]);
+        let cdfs = size_cdfs_by_popularity(&trace, &CacheArena::from_trace_static(&trace), &[1, 2]);
         // Threshold 1: both shared files (ghost excluded).
         assert_eq!(cdfs[0].1.len(), 2);
         // Threshold 2: only the small file (3 holders).
@@ -129,12 +139,15 @@ mod tests {
     #[test]
     fn mix_and_tail() {
         let trace = build();
-        let (small, mid, large) = size_mix(&trace);
+        let view = CacheArena::from_trace_static(&trace);
+        let (small, mid, large) = size_mix(&trace, &view);
         assert!((small - 0.5).abs() < 1e-12);
         assert_eq!(mid, 0.0);
         assert!((large - 0.5).abs() < 1e-12);
-        assert!((fraction_larger_than(&trace, 1, 600 << 20) - 0.5).abs() < 1e-12);
-        assert_eq!(fraction_larger_than(&trace, 2, 600 << 20), 0.0);
-        assert_eq!(fraction_larger_than(&Trace::new(), 1, 0), 0.0);
+        assert!((fraction_larger_than(&trace, &view, 1, 600 << 20) - 0.5).abs() < 1e-12);
+        assert_eq!(fraction_larger_than(&trace, &view, 2, 600 << 20), 0.0);
+        let empty = Trace::new();
+        let empty_view = CacheArena::from_trace_static(&empty);
+        assert_eq!(fraction_larger_than(&empty, &empty_view, 1, 0), 0.0);
     }
 }

@@ -1,8 +1,9 @@
 //! Figs. 8, 9, 10: file spread over time and rank evolution.
 
+use edonkey_trace::compact::CacheArena;
 use edonkey_trace::model::{FileRef, Trace};
 
-use crate::view::top_k_files;
+use crate::view::{popularity, top_k_files};
 
 /// Per-day holder counts for one day of the trace, as a dense vector.
 fn day_counts(trace: &Trace, day_index: usize) -> Vec<u32> {
@@ -16,9 +17,9 @@ fn day_counts(trace: &Trace, day_index: usize) -> Vec<u32> {
 }
 
 /// The `k` most-replicated files over the *whole* trace period (distinct
-/// holders across all days) — the "6 most popular files" of Fig. 8.
-pub fn top_files_overall(trace: &Trace, k: usize) -> Vec<FileRef> {
-    top_k_files(&crate::view::static_popularity(trace), k)
+/// holders in the static `view`) — the "6 most popular files" of Fig. 8.
+pub fn top_files_overall(view: &CacheArena, k: usize) -> Vec<FileRef> {
+    top_k_files(&popularity(view), k)
 }
 
 /// The `k` most-replicated files on one specific day — Figs. 9/10 track
@@ -146,7 +147,10 @@ mod tests {
     #[test]
     fn top_selection() {
         let (trace, files) = build();
-        assert_eq!(top_files_overall(&trace, 1), vec![files[0]]);
+        assert_eq!(
+            top_files_overall(&CacheArena::from_trace_static(&trace), 1),
+            vec![files[0]]
+        );
         assert_eq!(top_files_on_day(&trace, 2, 2), vec![files[0], files[1]]);
         assert!(top_files_on_day(&trace, 99, 2).is_empty());
         // Day 1: both have one holder; tie broken by index.

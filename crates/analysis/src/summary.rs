@@ -1,5 +1,6 @@
 //! Table 1: general trace characteristics, for each pipeline stage.
 
+use edonkey_trace::compact::CacheArena;
 use edonkey_trace::model::Trace;
 
 /// One stage's row set in Table 1.
@@ -32,14 +33,13 @@ impl TraceSummary {
     }
 }
 
-/// Computes a stage's Table 1 rows.
-pub fn summarize(trace: &Trace) -> TraceSummary {
-    let caches = trace.static_caches();
-    let free_riders = caches.iter().filter(|c| c.is_empty()).count();
+/// Computes a stage's Table 1 rows; `view` is the stage's static view.
+pub fn summarize(trace: &Trace, view: &CacheArena) -> TraceSummary {
+    let free_riders = view.iter().filter(|c| c.is_empty()).count();
     let mut observed = vec![false; trace.files.len()];
     let mut observed_files = 0usize;
     let mut observed_bytes = 0u64;
-    for cache in &caches {
+    for cache in view.iter() {
         for f in cache {
             if !observed[f.index()] {
                 observed[f.index()] = true;
@@ -96,7 +96,7 @@ mod tests {
         b.observe(7, p0, vec![f0]);
         b.observe(7, p1, vec![]);
         let trace = b.finish();
-        let s = summarize(&trace);
+        let s = summarize(&trace, &CacheArena::from_trace_static(&trace));
         assert_eq!(s.duration_days, 3);
         assert_eq!(s.clients, 2);
         assert_eq!(s.free_riders, 1);
@@ -108,7 +108,8 @@ mod tests {
 
     #[test]
     fn empty_trace_summary() {
-        let s = summarize(&Trace::new());
+        let empty = Trace::new();
+        let s = summarize(&empty, &CacheArena::from_trace_static(&empty));
         assert_eq!(s.clients, 0);
         assert_eq!(s.free_rider_fraction(), 0.0);
     }

@@ -1,40 +1,24 @@
-//! Shared derived views over traces: per-file popularity, inverted
-//! holder indexes, per-file observation spans.
+//! Shared derived views over traces: per-file popularity and per-file
+//! observation spans.
 //!
 //! Nearly every analysis needs "who holds what" in one direction or the
-//! other; computing these once and passing them around keeps each figure
-//! module small and the whole bench run linear in trace size.
+//! other. The static view — the per-peer union of shared files, as a
+//! [`CacheArena`] — is derived once per trace stage by the caller and
+//! passed in; its lazy holders index is the inverted direction.
 
+use edonkey_trace::compact::CacheArena;
 use edonkey_trace::model::{FileRef, Trace};
 
-/// Number of distinct peers holding each file, over the whole trace
-/// (static popularity — the paper's "number of replicas or sources per
-/// file").
-pub fn static_popularity(trace: &Trace) -> Vec<u32> {
-    popularity_of_caches(&trace.static_caches(), trace.files.len())
-}
-
-/// Popularity (holder counts) from an explicit set of caches.
-pub fn popularity_of_caches(caches: &[Vec<FileRef>], n_files: usize) -> Vec<u32> {
-    let mut counts = vec![0u32; n_files];
-    for cache in caches {
+/// Number of distinct peers holding each file in a static view (the
+/// paper's "number of replicas or sources per file").
+pub fn popularity(view: &CacheArena) -> Vec<u32> {
+    let mut counts = vec![0u32; view.n_files()];
+    for cache in view.iter() {
         for f in cache {
             counts[f.index()] += 1;
         }
     }
     counts
-}
-
-/// Inverted index: for each file, the sorted list of peers holding it
-/// (from an explicit cache set).
-pub fn holders(caches: &[Vec<FileRef>], n_files: usize) -> Vec<Vec<u32>> {
-    let mut idx: Vec<Vec<u32>> = vec![Vec::new(); n_files];
-    for (peer, cache) in caches.iter().enumerate() {
-        for f in cache {
-            idx[f.index()].push(peer as u32);
-        }
-    }
-    idx
 }
 
 /// Per-file observation statistics over the trace days.
@@ -57,11 +41,12 @@ impl FileSpan {
     }
 }
 
-/// Computes per-file spans (days seen, distinct sources) in one pass.
-pub fn file_spans(trace: &Trace) -> Vec<FileSpan> {
+/// Computes per-file spans (days seen, distinct sources) in one pass;
+/// `view` is the trace's static view.
+pub fn file_spans(trace: &Trace, view: &CacheArena) -> Vec<FileSpan> {
     let mut spans = vec![FileSpan::default(); trace.files.len()];
     // Distinct sources via the static union.
-    for (count, span) in static_popularity(trace).into_iter().zip(spans.iter_mut()) {
+    for (count, span) in popularity(view).into_iter().zip(spans.iter_mut()) {
         span.distinct_sources = count;
     }
     // Days seen via a per-day distinct-file scan.
@@ -131,23 +116,25 @@ mod tests {
     #[test]
     fn popularity_counts_distinct_holders() {
         let (trace, _) = build();
-        assert_eq!(static_popularity(&trace), vec![3, 1, 1]);
+        assert_eq!(
+            popularity(&CacheArena::from_trace_static(&trace)),
+            vec![3, 1, 1]
+        );
     }
 
     #[test]
     fn holders_inverts_caches() {
-        let (trace, _) = build();
-        let caches = trace.static_caches();
-        let idx = holders(&caches, trace.files.len());
-        assert_eq!(idx[0], vec![0, 1, 2]);
-        assert_eq!(idx[1], vec![0]);
-        assert_eq!(idx[2], vec![3]);
+        let (trace, files) = build();
+        let view = CacheArena::from_trace_static(&trace);
+        assert_eq!(view.holders(files[0]), &[0, 1, 2]);
+        assert_eq!(view.holders(files[1]), &[0]);
+        assert_eq!(view.holders(files[2]), &[3]);
     }
 
     #[test]
     fn spans_and_average_popularity() {
         let (trace, _) = build();
-        let spans = file_spans(&trace);
+        let spans = file_spans(&trace, &CacheArena::from_trace_static(&trace));
         assert_eq!(
             spans[0],
             FileSpan {

@@ -1,21 +1,40 @@
 //! Ablations beyond the paper: each one switches off a single mechanism
 //! of the workload model or the search design and measures what the
-//! paper's headline metrics do (DESIGN.md §7).
+//! paper's headline metrics do (DESIGN.md §7) — plus three experiments
+//! the paper only discusses: gossip-built neighbours, a live overlay
+//! and the PeerCache opportunity.
+//!
+//! Ablations that replay the seed trace read the workload's static
+//! view; the interest, crawler, fault and overlay runs vary the
+//! generator or the crawl, so they build their own inputs at the scale.
 
-use edonkey_analysis::{semantic, view};
+use edonkey_analysis::{peercache, semantic, view};
 use edonkey_netsim::{run_crawl_full, CrawlerConfig, FaultConfig, NetConfig, RetryPolicy};
+use edonkey_semsearch::gossip::{build_overlay, overlay_hit_rate, GossipConfig};
+use edonkey_semsearch::overlay::{simulate_overlay, steady_state_hit_rate, OverlayConfig};
 use edonkey_semsearch::serve::{serve_arena_threads, ArrivalConfig, ServeConfig};
 use edonkey_semsearch::sim::{
-    simulate, simulate_arena_with_scratch, QueryPolicy, SimConfig, SimScratch,
+    simulate_arena, simulate_arena_with_scratch, QueryPolicy, SimConfig, SimScratch,
 };
 use edonkey_semsearch::{adversary_grid, churn_grid, AdversaryConfig, ChurnCell, IndexBackend};
-use edonkey_trace::compact::CacheArena;
+use edonkey_trace::compact::{CacheArena, TraceArena};
+use edonkey_trace::model::Trace;
+use edonkey_trace::pipeline::filter_arena;
 use edonkey_trace::randomize::{recommended_iterations, ArenaShuffler};
-use edonkey_workload::generate_trace;
+use edonkey_workload::dynamics::Dynamics;
+use edonkey_workload::{generate_trace, Population};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{f, Emitter, Scale, SEED};
+use crate::{f, Emitter, Scale, Workload, SEED};
+
+/// The filtered stage's static view of a trace an ablation generated or
+/// crawled itself.
+fn filtered_static_view(full: &Trace) -> CacheArena {
+    filter_arena(&TraceArena::from_trace(full))
+        .arena
+        .static_arena()
+}
 
 /// Interest-model strength: sweep `interest_mix` (β) from 0 and measure
 /// both the clustering correlation at k = 3 and the LRU-20 hit rate.
@@ -30,16 +49,14 @@ pub fn ablation_interest(scale: Scale) {
         let mut config = scale.config(SEED);
         config.interest_mix = beta;
         let (_, trace) = generate_trace(config);
-        let filtered = edonkey_trace::pipeline::filter(&trace).trace;
-        let caches = filtered.static_caches();
-        let n_files = filtered.files.len();
-        let curve = semantic::clustering_correlation(&caches, n_files, |_| true, Some(400));
+        let static_view = filtered_static_view(&trace);
+        let curve = semantic::clustering_correlation_arena(&static_view, |_| true, Some(400));
         let p3 = curve
             .iter()
             .find(|p| p.common == 3)
             .map(|p| p.probability_percent)
             .unwrap_or(0.0);
-        let hit = simulate(&caches, n_files, &SimConfig::lru(20).with_seed(SEED)).hit_rate();
+        let hit = simulate_arena(&static_view, &SimConfig::lru(20).with_seed(SEED)).hit_rate();
         e.row([f(beta, 2), f(p3, 2), f(100.0 * hit, 2)]);
     }
     e.finish();
@@ -48,21 +65,16 @@ pub fn ablation_interest(scale: Scale) {
 /// Randomization-iteration sweep: how much clustering survives at a
 /// given multiple of the prescribed ½·N·ln N iterations — validates the
 /// appendix's sufficiency claim.
-pub fn ablation_randomize(scale: Scale) {
+pub fn ablation_randomize(w: &Workload) {
     let mut e = Emitter::new("ablation_randomize");
     e.comment("Ablation: residual clustering vs randomization effort");
     e.comment("fraction_of_half_n_ln_n\tP(k=3)_pct\tswaps_performed");
-    let (_, trace) = generate_trace(scale.config(SEED));
-    let filtered = edonkey_trace::pipeline::filter(&trace).trace;
-    let caches = filtered.static_caches();
-    let n_files = filtered.files.len();
-    let replicas: usize = caches.iter().map(Vec::len).sum();
-    let full = recommended_iterations(replicas);
+    let static_view = w.static_view();
+    let full = recommended_iterations(static_view.replica_count());
     // Popularity is swap-invariant, so the qualifying file set is fixed
     // across the whole sweep and can be computed once up front.
-    let popularity = view::popularity_of_caches(&caches, n_files);
-    let arena = CacheArena::from_caches(&caches, n_files);
-    let mut shuffler = ArenaShuffler::new(&arena);
+    let popularity = view::popularity(static_view);
+    let mut shuffler = ArenaShuffler::new(static_view);
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xab1a);
     let mut applied = 0u64;
     for &fraction in &[0.0, 0.1, 0.25, 0.5, 1.0, 2.0] {
@@ -165,7 +177,7 @@ pub fn ablation_fault_sweep(scale: Scale) {
     let (clean, _) = crawl(0.0, RetryPolicy::no_retry());
     let clean_snapshots = clean.snapshot_count().max(1);
     // One scratch pool serves every (rate, policy) row; each row packs
-    // its crawled caches into an arena once and reuses it for all three
+    // its crawled trace's static view once and reuses it for all three
     // list policies.
     let mut scratch = SimScratch::new();
     for &rate in &[0.0, 0.1, 0.25, 0.5] {
@@ -178,13 +190,10 @@ pub fn ablation_fault_sweep(scale: Scale) {
                 .health
                 .check_invariants()
                 .expect("crawl health must reconcile");
-            let filtered = edonkey_trace::pipeline::filter(&trace).trace;
-            let caches = filtered.static_caches();
-            let n_files = filtered.files.len();
-            let arena = CacheArena::from_caches(&caches, n_files);
+            let static_view = filtered_static_view(&trace);
             let mut hit = |c: SimConfig| {
                 100.0
-                    * simulate_arena_with_scratch(&arena, &c.with_seed(SEED), &mut scratch)
+                    * simulate_arena_with_scratch(&static_view, &c.with_seed(SEED), &mut scratch)
                         .hit_rate()
             };
             e.row([
@@ -218,25 +227,21 @@ fn query_label(q: &QueryPolicy) -> &'static str {
 /// reaction, plus a server-outage section with stranded/recovered
 /// accounting. Every cell's `SearchHealth` ledger is reconciled inside
 /// `churn_grid` — a violation anywhere panics the sweep.
-pub fn ablation_churn_sweep(scale: Scale) {
+pub fn ablation_churn_sweep(w: &Workload) {
     let mut e = Emitter::new("churn_sweep");
     e.comment("Ablation: server-less search under peer churn (availability model)");
     e.comment(
         "churn_permille\tpolicy\tquery\thit_rate_pct\tmean_load\ttimed_out\tretried\t\
          evicted_stale\tprobed_stale\tserver_fallback",
     );
-    let (_, trace) = generate_trace(scale.config(SEED));
-    let filtered = edonkey_trace::pipeline::filter(&trace).trace;
-    let caches = filtered.static_caches();
-    let n_files = filtered.files.len();
-    let peers = caches.len().max(1);
+    let static_view = w.static_view();
+    let peers = static_view.n_peers().max(1);
     let queries = [QueryPolicy::no_retry(), QueryPolicy::retry_evict()];
     let churn_seed = SEED ^ 0xc4c4;
     let mean_load =
         |cell: &ChurnCell| cell.result.messages_per_peer.iter().sum::<u64>() as f64 / peers as f64;
     for cell in churn_grid(
-        &caches,
-        n_files,
+        static_view,
         20,
         &[0, 100, 250, 500],
         &queries,
@@ -263,8 +268,7 @@ pub fn ablation_churn_sweep(scale: Scale) {
     e.comment("policy\tquery\thit_rate_pct\tanswered\tserver_fallback\tstranded\trecovered");
     let outage: Vec<u32> = (7..200).collect();
     for cell in churn_grid(
-        &caches,
-        n_files,
+        static_view,
         20,
         &[250],
         &queries,
@@ -292,17 +296,14 @@ pub fn ablation_churn_sweep(scale: Scale) {
 /// double as a cross-backend differential check: with no outage every
 /// backend must report the same hit rate (routing only changes *how* the
 /// fallback resolves, never *which* uploader answers).
-pub fn ablation_index_backends(scale: Scale) {
+pub fn ablation_index_backends(w: &Workload) {
     let mut e = Emitter::new("index_backend_sweep");
     e.comment("Ablation: pluggable index backends (single / federated / DHT)");
     e.comment(
         "backend\tchurn_permille\toutage\tpolicy\thit_rate_pct\tanswered\t\
          server_fallback\tstranded\trecovered\tforwarded\tdht_hops",
     );
-    let (_, trace) = generate_trace(scale.config(SEED));
-    let filtered = edonkey_trace::pipeline::filter(&trace).trace;
-    let caches = filtered.static_caches();
-    let n_files = filtered.files.len();
+    let static_view = w.static_view();
     let queries = [QueryPolicy::retry_evict()];
     let churn_seed = SEED ^ 0xc4c4;
     let backends = [
@@ -314,8 +315,7 @@ pub fn ablation_index_backends(scale: Scale) {
     for backend in backends {
         for (label, days) in [("none", &[][..]), ("days_7_plus", &outage[..])] {
             for cell in churn_grid(
-                &caches,
-                n_files,
+                static_view,
                 20,
                 &[0, 250],
                 &queries,
@@ -350,18 +350,13 @@ pub fn ablation_index_backends(scale: Scale) {
 /// while the hit rate holds — shed queries never reach the overlay
 /// plane, so what degrades under load is *latency and coverage*, not
 /// answer quality on the queries that do get served.
-pub fn ablation_service_mode(scale: Scale) {
+pub fn ablation_service_mode(w: &Workload) {
     let mut e = Emitter::new("ablation_service_mode");
     e.comment("Ablation: service-mode backpressure (burst sweep per index backend)");
     e.comment(
         "backend\tburst_permille\tp50_md\tp99_md\tp999_md\tserved\tdeferred\t\
          shed\tmax_queue_depth\thit_rate_pct",
     );
-    let (_, trace) = generate_trace(scale.config(SEED));
-    let filtered = edonkey_trace::pipeline::filter(&trace).trace;
-    let caches = filtered.static_caches();
-    let n_files = filtered.files.len();
-    let arena = CacheArena::from_caches(&caches, n_files);
     let backends = [
         IndexBackend::SingleServer,
         IndexBackend::Federated { n_servers: 8 },
@@ -372,7 +367,7 @@ pub fn ablation_service_mode(scale: Scale) {
             let config = ServeConfig::new(SimConfig::lru(20).with_seed(SEED).with_backend(backend))
                 .with_arrival(ArrivalConfig::bursty(SEED ^ 0x5e, burst, 40))
                 .with_service(20, 12, 2);
-            let report = serve_arena_threads(&arena, &config, 4);
+            let report = serve_arena_threads(w.static_view(), &config, 4);
             let (p50, p99, p999) = report.latency.p50_p99_p999();
             let served = report.health.served.max(1);
             e.row([
@@ -401,7 +396,7 @@ pub fn ablation_service_mode(scale: Scale) {
 /// double as the no-op check — an armed defense on an honest run moves
 /// no counter — and every cell's `SearchHealth` is reconciled inside
 /// `adversary_grid`, so a ledger violation panics the sweep.
-pub fn ablation_adversary(scale: Scale) {
+pub fn ablation_adversary(w: &Workload) {
     let mut e = Emitter::new("adversary_sweep");
     e.comment("Ablation: adversarial workload plane (sybil / pollution / free-riding)");
     e.comment(
@@ -409,10 +404,6 @@ pub fn ablation_adversary(scale: Scale) {
          hit_rate_pct\twasted_queries\tsybil_slots_held\tpolluted_acquisitions\t\
          reputation_evictions",
     );
-    let (_, trace) = generate_trace(scale.config(SEED));
-    let filtered = edonkey_trace::pipeline::filter(&trace).trace;
-    let caches = filtered.static_caches();
-    let n_files = filtered.files.len();
     let adversary_seed = SEED ^ 0xad5e;
     let mixes = [
         AdversaryConfig::none(),
@@ -422,8 +413,7 @@ pub fn ablation_adversary(scale: Scale) {
         AdversaryConfig::sybils(adversary_seed, 50).with_polluters(50),
     ];
     for cell in adversary_grid(
-        &caches,
-        n_files,
+        w.static_view(),
         20,
         &mixes,
         QueryPolicy::no_retry(),
@@ -450,16 +440,11 @@ pub fn ablation_adversary(scale: Scale) {
 /// ("popularity-aware" LRU that only records uploads of files below a
 /// popularity cutoff — the fix sketched in Section 5.3.2 for keeping
 /// rare-file specialists in the lists).
-pub fn ablation_policies(scale: Scale) {
+pub fn ablation_policies(w: &Workload) {
     let mut e = Emitter::new("ablation_policies");
     e.comment("Ablation: list policies incl. popularity-filtered LRU");
     e.comment("policy\tlist_size\thit_rate_pct");
-    let (_, trace) = generate_trace(scale.config(SEED));
-    let filtered = edonkey_trace::pipeline::filter(&trace).trace;
-    let caches = filtered.static_caches();
-    let n_files = filtered.files.len();
-    // All twelve cells replay the same caches: pack once, pool scratch.
-    let arena = CacheArena::from_caches(&caches, n_files);
+    // All twelve cells replay the same static view: pool scratch.
     let mut scratch = SimScratch::new();
     for &size in &[5usize, 20, 100] {
         for config in [
@@ -468,14 +453,119 @@ pub fn ablation_policies(scale: Scale) {
             SimConfig::random(size),
             SimConfig::rare_lru(size, 10),
         ] {
-            let result =
-                simulate_arena_with_scratch(&arena, &config.clone().with_seed(SEED), &mut scratch);
+            let result = simulate_arena_with_scratch(
+                w.static_view(),
+                &config.clone().with_seed(SEED),
+                &mut scratch,
+            );
             e.row([
                 config.policy.name().to_string(),
                 size.to_string(),
                 f(100.0 * result.hit_rate(), 2),
             ]);
         }
+    }
+    e.finish();
+}
+
+/// Proactive (gossip-built) vs reactive (LRU) semantic neighbours on
+/// the same static view.
+pub fn gossip(w: &Workload) {
+    let static_view = w.static_view();
+    let mut e = Emitter::new("gossip");
+    e.comment("Gossip-built vs download-learned semantic neighbours");
+    e.comment("mechanism\tview_size\thit_rate_pct");
+    for &size in &[5usize, 10, 20] {
+        let lru = simulate_arena(static_view, &SimConfig::lru(size).with_seed(SEED));
+        e.row([
+            "lru".to_string(),
+            size.to_string(),
+            f(100.0 * lru.hit_rate(), 2),
+        ]);
+        for cycles in [0u32, 10, 25] {
+            let overlay = build_overlay(
+                static_view,
+                &GossipConfig {
+                    semantic_view: size,
+                    cycles,
+                    ..GossipConfig::default()
+                },
+            );
+            let rate = overlay_hit_rate(static_view, &overlay, SEED);
+            e.row([
+                format!("gossip_{cycles}cycles"),
+                size.to_string(),
+                f(100.0 * rate, 2),
+            ]);
+        }
+        e.blank();
+    }
+    e.finish();
+}
+
+/// The live semantic overlay the authors announced as future work:
+/// per-day hit rates while caches churn, over the generator's ground
+/// truth.
+pub fn overlay(scale: Scale) {
+    let population = Population::generate(scale.config(SEED));
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x11fe);
+    let truth = Dynamics::new(&population, &mut rng).run(&mut rng);
+    let mut e = Emitter::new("overlay");
+    e.comment("Live semantic overlay: per-day hit rate under real cache churn");
+    e.comment("list_size\tday\trequests\thit_rate_pct");
+    for &size in &[5usize, 20] {
+        let stats = simulate_overlay(
+            &truth.days,
+            truth.start_day,
+            population.files.len(),
+            &OverlayConfig {
+                list_size: size,
+                ..OverlayConfig::lru(size)
+            },
+        );
+        for s in &stats {
+            e.row([
+                size.to_string(),
+                s.day.to_string(),
+                s.requests.to_string(),
+                f(100.0 * s.hit_rate(), 2),
+            ]);
+        }
+        e.comment(&format!(
+            "steady state (after 7-day warm-up), size {size}: {:.1}%",
+            100.0 * steady_state_hit_rate(&stats, 7)
+        ));
+        e.blank();
+    }
+    e.finish();
+}
+
+/// How much request traffic an AS-level PeerCache index (Section 4.1's
+/// discussion) could keep local.
+pub fn peercache(w: &Workload) {
+    let static_view = w.static_view();
+    let mut e = Emitter::new("peercache");
+    e.comment("PeerCache opportunity: request locality under the Section 5.1 replay model");
+    let counts = peercache::request_locality(&w.filtered, static_view);
+    e.comment("scope\thit_rate_pct");
+    e.row(["same_as".to_string(), f(100.0 * counts.as_hit_rate(), 2)]);
+    e.row([
+        "same_country".to_string(),
+        f(100.0 * counts.country_hit_rate(), 2),
+    ]);
+    e.blank();
+    e.comment("per-AS: asn\tclients\tas_local_hit_pct");
+    for (asn, clients, rate) in peercache::per_as_hit_rates(&w.filtered, static_view, 8) {
+        e.row([asn.to_string(), clients.to_string(), f(100.0 * rate, 2)]);
+    }
+    e.blank();
+    e.comment("by popularity band: lo\thi\tas_local_hit_pct");
+    for ((lo, hi), rate) in peercache::as_hit_rate_by_popularity(
+        &w.filtered,
+        static_view,
+        &[(1, 2), (3, 10), (11, 100), (101, u32::MAX)],
+    ) {
+        e.row([lo.to_string(), hi.to_string(), f(100.0 * rate, 2)]);
     }
     e.finish();
 }

@@ -126,7 +126,10 @@ fn main() {
     let explicit =
         std::env::args().any(|a| a == "--scale") || std::env::var("EDONKEY_SCALE").is_ok();
     let scale = if explicit {
-        Scale::from_env()
+        Scale::from_env().unwrap_or_else(|e| {
+            eprintln!("bench_report: {e}");
+            std::process::exit(2)
+        })
     } else {
         Scale::Repro
     };
@@ -370,8 +373,7 @@ fn main() {
         ];
         let (cells, m) = timed(|| {
             experiment::churn_grid(
-                &caches,
-                n_files,
+                &arena,
                 20,
                 &[0, 100, 250, 500],
                 &queries,

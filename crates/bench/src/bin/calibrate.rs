@@ -1,24 +1,26 @@
 //! Calibration helper: prints the headline metrics the shape checks
 //! gate on, for a grid of workload knobs. Not part of the reproduction
 //! itself — a tool for tuning DESIGN.md §4.4's defaults.
-use edonkey_semsearch::experiment;
-use edonkey_semsearch::sim::{simulate, SimConfig};
-use edonkey_trace::pipeline::filter;
+use edonkey_semsearch::experiment::randomization_sweep_arena;
+use edonkey_semsearch::filters::{remove_top_files, remove_top_uploaders};
+use edonkey_semsearch::sim::{simulate_arena, SimConfig};
+use edonkey_trace::compact::TraceArena;
+use edonkey_trace::pipeline::filter_arena;
 use edonkey_trace::randomize::recommended_iterations;
 use edonkey_workload::{generate_trace, WorkloadConfig};
 
 fn probe(label: &str, config: WorkloadConfig) {
     let (_, trace) = generate_trace(config);
-    let filtered = filter(&trace).trace;
-    let caches = filtered.static_caches();
-    let n_files = filtered.files.len();
-    let replicas: usize = caches.iter().map(Vec::len).sum();
+    let view = filter_arena(&TraceArena::from_trace(&trace))
+        .arena
+        .static_arena();
+    let replicas = view.replica_count();
 
-    let popularity = edonkey_analysis::view::popularity_of_caches(&caches, n_files);
+    let popularity = edonkey_analysis::view::popularity(&view);
     let top_spread = *popularity.iter().max().unwrap_or(&0) as f64
-        / caches.iter().filter(|c| !c.is_empty()).count().max(1) as f64;
+        / view.iter().filter(|c| !c.is_empty()).count().max(1) as f64;
     let top15 = {
-        let sizes: Vec<u64> = caches
+        let sizes: Vec<u64> = view
             .iter()
             .map(|c| c.len() as u64)
             .filter(|&s| s > 0)
@@ -26,26 +28,23 @@ fn probe(label: &str, config: WorkloadConfig) {
         edonkey_analysis::stats::top_share(&sizes, 0.15)
     };
 
-    let lru20 = simulate(&caches, n_files, &SimConfig::lru(20)).hit_rate();
-    let (no_up, _) = edonkey_semsearch::filters::remove_top_uploaders(&caches, 0.15);
-    let lru20_noup = simulate(&no_up, n_files, &SimConfig::lru(20)).hit_rate();
-    let lru5 = simulate(&caches, n_files, &SimConfig::lru(5)).hit_rate();
+    let lru20 = simulate_arena(&view, &SimConfig::lru(20)).hit_rate();
+    let (no_up, _) = remove_top_uploaders(&view, 0.15);
+    let lru20_noup = simulate_arena(&no_up, &SimConfig::lru(20)).hit_rate();
+    let lru5 = simulate_arena(&view, &SimConfig::lru(5)).hit_rate();
     let mut pop_sweep = String::new();
     for q in [0.05f64, 0.15, 0.30] {
-        let (no_pop, _) = edonkey_semsearch::filters::remove_top_files(&caches, n_files, q);
-        let left: u64 = no_pop.iter().map(|c| c.len() as u64).sum();
-        let r = simulate(&no_pop, n_files, &SimConfig::lru(5));
+        let (no_pop, _) = remove_top_files(&view, q);
+        let r = simulate_arena(&no_pop, &SimConfig::lru(5));
         pop_sweep.push_str(&format!(
             " -pop{:.0}%={:.2}({:.0}%req)",
             q * 100.0,
             r.hit_rate(),
-            100.0 * left as f64 / replicas as f64
+            100.0 * no_pop.replica_count() as f64 / replicas as f64
         ));
     }
-    let lru5_nopop = -1.0f64;
-    let _ = lru5_nopop;
     let full = recommended_iterations(replicas);
-    let sweep = experiment::randomization_sweep(&caches, n_files, 10, &[0, full], 3);
+    let sweep = randomization_sweep_arena(&view, 10, &[0, full], 3).points;
 
     println!(
         "{label}: top15={top15:.2} spread={top_spread:.3} lru20={lru20:.2} -up15={lru20_noup:.2} lru5={lru5:.2}{pop_sweep} rand: {:.2}->{:.2}",

@@ -2,7 +2,8 @@
 
 use edonkey_analysis::{geo_clustering, overlap, semantic, view};
 use edonkey_proto::query::FileKind;
-use edonkey_trace::randomize::randomize_caches;
+use edonkey_trace::compact::CacheArena;
+use edonkey_trace::randomize::{recommended_iterations, ArenaShuffler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -19,7 +20,9 @@ fn concentration_figure(name: &str, level: geo_clustering::Level, w: &Workload) 
     ));
     e.comment("min_avg_popularity\tpercent_at_home\tcdf");
     let thresholds = [1.0, 5.0, 10.0, 20.0, 50.0, 100.0];
-    for (threshold, cdf) in geo_clustering::concentration_cdfs(&w.filtered, level, &thresholds) {
+    for (threshold, cdf) in
+        geo_clustering::concentration_cdfs(&w.filtered, w.static_view(), level, &thresholds)
+    {
         if cdf.is_empty() {
             e.comment(&format!(
                 "threshold {threshold}: no qualifying files at this scale"
@@ -58,18 +61,10 @@ pub fn fig13(w: &Workload) {
     e.comment("Fig. 13: P(another common file | k files in common)");
     e.comment("series\tk\tprobability_pct\tpairs");
     // All files, first extrapolated day (the paper's day 348).
-    let first_day = &w.extrapolated.days.first();
-    if let Some(snap) = first_day {
-        let mut caches = vec![Vec::new(); w.extrapolated.peers.len()];
-        for (p, c) in &snap.caches {
-            caches[p.index()] = c.clone();
-        }
-        let curve = semantic::clustering_correlation(
-            &caches,
-            w.extrapolated.files.len(),
-            |_| true,
-            Some(HOLDER_CAP),
-        );
+    if let Some(snap) = w.extrapolated.days.first() {
+        let day =
+            CacheArena::from_snapshot(snap, w.extrapolated.peers.len(), w.extrapolated.files.len());
+        let curve = semantic::clustering_correlation_arena(&day, |_| true, Some(HOLDER_CAP));
         for point in curve {
             e.row([
                 "all_day1".to_string(),
@@ -81,12 +76,11 @@ pub fn fig13(w: &Workload) {
         e.blank();
     }
     // Audio files by popularity band, static filtered trace.
-    let caches = w.filtered.static_caches();
-    let popularity = view::popularity_of_caches(&caches, w.filtered.files.len());
+    let static_view = w.static_view();
+    let popularity = view::popularity(static_view);
     for (label, lo, hi) in [("audio_pop_1_10", 1u32, 10u32), ("audio_pop_30_40", 30, 40)] {
-        let curve = semantic::clustering_correlation(
-            &caches,
-            w.filtered.files.len(),
+        let curve = semantic::clustering_correlation_arena(
+            static_view,
             |fr| {
                 w.filtered.files[fr.index()].kind == FileKind::Audio
                     && (lo..=hi).contains(&popularity[fr.index()])
@@ -112,27 +106,27 @@ pub fn fig14(w: &Workload) {
     let mut e = Emitter::new("fig14");
     e.comment("Fig. 14: clustering correlation, trace vs randomized (filtered)");
     e.comment("panel\tseries\tk\tprobability_pct\tpairs");
-    let caches = w.filtered.static_caches();
-    let n_files = w.filtered.files.len();
+    let static_view = w.static_view();
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xf14);
-    let (randomized, stats) = randomize_caches(caches.clone(), &mut rng);
+    let mut shuffler = ArenaShuffler::new(static_view);
+    shuffler.run(recommended_iterations(shuffler.replica_count()), &mut rng);
+    let stats = shuffler.stats();
+    let randomized = shuffler.into_arena();
     e.comment(&format!(
         "randomization: {} attempts, {} swaps performed",
         stats.attempted, stats.performed
     ));
-    let popularity = view::popularity_of_caches(&caches, n_files);
-    let rand_popularity = view::popularity_of_caches(&randomized, n_files);
+    let popularity = view::popularity(static_view);
     // Randomization preserves popularity, so one vector serves both.
-    debug_assert_eq!(popularity, rand_popularity);
+    debug_assert_eq!(popularity, view::popularity(&randomized));
     for (panel, wanted) in [
         ("all", None::<u32>),
         ("popularity_3", Some(3)),
         ("popularity_5", Some(5)),
     ] {
-        for (series, cache_set) in [("trace", &caches), ("random", &randomized)] {
-            let curve = semantic::clustering_correlation(
-                cache_set,
-                n_files,
+        for (series, arena) in [("trace", static_view), ("random", &randomized)] {
+            let curve = semantic::clustering_correlation_arena(
+                arena,
                 |fr| wanted.is_none_or(|p| popularity[fr.index()] == p),
                 if wanted.is_none() {
                     Some(HOLDER_CAP)

@@ -1,6 +1,8 @@
 //! Regeneration of Section 2–3 artefacts: Figs. 1–10, Tables 1–2.
 
 use edonkey_analysis::{contribution, daily, geography, popularity, sizes, spread, summary};
+use edonkey_trace::compact::CacheArena;
+use edonkey_trace::model::Trace;
 
 use crate::{f, Emitter, Workload};
 
@@ -64,17 +66,23 @@ pub fn fig04(w: &Workload) {
     e.finish();
 }
 
+/// Summarizes a stage other than the filtered one, whose static view
+/// the workload keeps; this stage's view is built and dropped here.
+fn summarize_stage(trace: &Trace) -> summary::TraceSummary {
+    summary::summarize(trace, &CacheArena::from_trace_static(trace))
+}
+
 /// Table 1: general characteristics of each trace stage.
 pub fn table1(w: &Workload) {
     let mut e = Emitter::new("table1");
     e.comment("Table 1: general characteristics of the trace");
     e.comment("stage\tduration_days\tclients\tfree_riders\tfree_rider_pct\tsnapshots\tdistinct_files\tterabytes");
-    for (stage, trace) in [
-        ("full", &w.full),
-        ("filtered", &w.filtered),
-        ("extrapolated", &w.extrapolated),
-    ] {
-        let s = summary::summarize(trace);
+    let stages = [
+        ("full", summarize_stage(&w.full)),
+        ("filtered", summary::summarize(&w.filtered, w.static_view())),
+        ("extrapolated", summarize_stage(&w.extrapolated)),
+    ];
+    for (stage, s) in stages {
         e.row([
             stage.to_string(),
             s.duration_days.to_string(),
@@ -109,13 +117,14 @@ pub fn fig06(w: &Workload) {
     let mut e = Emitter::new("fig06");
     e.comment("Fig. 6: CDF of file sizes (KB) for popularity >= 1, 5, 10 (filtered)");
     e.comment("min_popularity\tsize_kb\tcdf");
-    for (threshold, cdf) in sizes::size_cdfs_by_popularity(&w.filtered, &[1, 5, 10]) {
+    let view = w.static_view();
+    for (threshold, cdf) in sizes::size_cdfs_by_popularity(&w.filtered, view, &[1, 5, 10]) {
         for (x, y) in cdf.log_series(6) {
             e.row([threshold.to_string(), f(x, 2), f(y, 4)]);
         }
         e.blank();
     }
-    let (small, mid, large) = sizes::size_mix(&w.filtered);
+    let (small, mid, large) = sizes::size_mix(&w.filtered, view);
     e.comment(&format!(
         "size mix: {:.0}% < 1MB, {:.0}% 1-10MB, {:.0}% >= 10MB (paper: 40/50/10)",
         100.0 * small,
@@ -124,7 +133,7 @@ pub fn fig06(w: &Workload) {
     ));
     e.comment(&format!(
         "among popularity>=5 files, {:.0}% are > 600MB (paper: ~45%)",
-        100.0 * sizes::fraction_larger_than(&w.filtered, 5, 600 << 20)
+        100.0 * sizes::fraction_larger_than(&w.filtered, view, 5, 600 << 20)
     ));
     e.finish();
 }
@@ -133,7 +142,7 @@ pub fn fig06(w: &Workload) {
 pub fn fig07(w: &Workload) {
     let mut e = Emitter::new("fig07");
     e.comment("Fig. 7: files and disk space shared per client (filtered)");
-    let cdfs = contribution::contribution_cdfs(&w.filtered);
+    let cdfs = contribution::contribution_cdfs(&w.filtered, w.static_view());
     e.comment("series\tx\tcdf (x = files, or GB for space series)");
     for (name, cdf) in [
         ("files_all", &cdfs.files_all),
@@ -148,7 +157,7 @@ pub fn fig07(w: &Workload) {
     }
     e.comment(&format!(
         "top 15% of sharers hold {:.0}% of files (paper: 75%)",
-        100.0 * contribution::generosity_concentration(&w.filtered, 0.15)
+        100.0 * contribution::generosity_concentration(&w.filtered, w.static_view(), 0.15)
     ));
     e.finish();
 }
@@ -158,7 +167,7 @@ pub fn fig08(w: &Workload) {
     let mut e = Emitter::new("fig08");
     e.comment("Fig. 8: file spread (% of clients sharing) for the top-6 files");
     e.comment("file_rank\tday\tspread_percent");
-    let top = spread::top_files_overall(&w.filtered, 6);
+    let top = spread::top_files_overall(w.static_view(), 6);
     for (idx, (file, series)) in spread::spread_over_time(&w.filtered, &top)
         .into_iter()
         .enumerate()

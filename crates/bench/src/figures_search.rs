@@ -1,10 +1,10 @@
 //! Regeneration of Section 5 artefacts: Figs. 18–23 and Table 3.
 
-use edonkey_semsearch::experiment;
+use edonkey_semsearch::experiment::{randomization_sweep_arena, sweep_cells, sweep_configs};
+use edonkey_semsearch::filters::{remove_top_files, remove_top_uploaders};
 use edonkey_semsearch::neighbours::PolicyKind;
-use edonkey_semsearch::sim::{simulate, SimConfig};
+use edonkey_semsearch::sim::SimResult;
 use edonkey_trace::compact::CacheArena;
-use edonkey_trace::model::FileRef;
 use edonkey_trace::randomize::recommended_iterations;
 
 use crate::{f, Emitter, Workload, SEED};
@@ -12,8 +12,14 @@ use crate::{f, Emitter, Workload, SEED};
 /// The list sizes every Section 5 sweep uses.
 const SIZES: &[usize] = &[5, 10, 20, 40, 60, 100, 150, 200];
 
-fn static_caches(w: &Workload) -> (Vec<Vec<FileRef>>, usize) {
-    (w.filtered.static_caches(), w.filtered.files.len())
+/// One policy over `sizes` on one cache set, as one split-cell sweep:
+/// one result per list size.
+fn sweep(arena: &CacheArena, policy: PolicyKind, sizes: &[usize], two_hop: bool) -> Vec<SimResult> {
+    let configs = sweep_configs(policy, sizes, two_hop, SEED);
+    sweep_cells(arena, &configs)
+        .into_iter()
+        .map(|(result, _)| result)
+        .collect()
 }
 
 /// Fig. 18: hit rate vs list size for LRU, History and Random.
@@ -21,14 +27,16 @@ pub fn fig18(w: &Workload) {
     let mut e = Emitter::new("fig18");
     e.comment("Fig. 18: semantic-neighbour search hit rate (filtered static trace)");
     e.comment("policy\tlist_size\thit_rate_pct\trequests");
-    let (caches, n_files) = static_caches(w);
-    for (policy, sweep) in experiment::policy_comparison(&caches, n_files, SIZES, SEED) {
-        for point in sweep {
+    for policy in [PolicyKind::Lru, PolicyKind::History, PolicyKind::Random] {
+        for (size, result) in SIZES
+            .iter()
+            .zip(sweep(w.static_view(), policy, SIZES, false))
+        {
             e.row([
                 policy.name().to_string(),
-                point.list_size.to_string(),
-                f(100.0 * point.result.hit_rate(), 2),
-                point.result.requests.to_string(),
+                size.to_string(),
+                f(100.0 * result.hit_rate(), 2),
+                result.requests.to_string(),
             ]);
         }
         e.blank();
@@ -36,24 +44,27 @@ pub fn fig18(w: &Workload) {
     e.finish();
 }
 
+/// One removal fraction's LRU sweep as Fig. 19/20 rows.
+fn removal_rows(e: &mut Emitter, q: f64, sweep: &[SimResult]) {
+    for (size, result) in SIZES.iter().zip(sweep) {
+        e.row([
+            f(100.0 * q, 0),
+            size.to_string(),
+            f(100.0 * result.hit_rate(), 2),
+            result.requests.to_string(),
+        ]);
+    }
+    e.blank();
+}
+
 /// Fig. 19: LRU hit rate without the top 5/10/15 % uploaders.
 pub fn fig19(w: &Workload) {
     let mut e = Emitter::new("fig19");
     e.comment("Fig. 19: LRU hit rate after removing the most generous uploaders");
     e.comment("removed_pct\tlist_size\thit_rate_pct\trequests");
-    let (caches, n_files) = static_caches(w);
-    for (q, sweep) in
-        experiment::uploader_removal_grid(&caches, n_files, &[0.0, 0.05, 0.10, 0.15], SIZES, SEED)
-    {
-        for point in sweep {
-            e.row([
-                f(100.0 * q, 0),
-                point.list_size.to_string(),
-                f(100.0 * point.result.hit_rate(), 2),
-                point.result.requests.to_string(),
-            ]);
-        }
-        e.blank();
+    for q in [0.0, 0.05, 0.10, 0.15] {
+        let (reduced, _) = remove_top_uploaders(w.static_view(), q);
+        removal_rows(&mut e, q, &sweep(&reduced, PolicyKind::Lru, SIZES, false));
     }
     e.finish();
 }
@@ -63,19 +74,9 @@ pub fn fig20(w: &Workload) {
     let mut e = Emitter::new("fig20");
     e.comment("Fig. 20: LRU hit rate after removing the most popular files");
     e.comment("removed_pct\tlist_size\thit_rate_pct\trequests");
-    let (caches, n_files) = static_caches(w);
-    for (q, sweep) in
-        experiment::file_removal_grid(&caches, n_files, &[0.0, 0.05, 0.15, 0.30], SIZES, SEED)
-    {
-        for point in sweep {
-            e.row([
-                f(100.0 * q, 0),
-                point.list_size.to_string(),
-                f(100.0 * point.result.hit_rate(), 2),
-                point.result.requests.to_string(),
-            ]);
-        }
-        e.blank();
+    for q in [0.0, 0.05, 0.15, 0.30] {
+        let (reduced, _) = remove_top_files(w.static_view(), q);
+        removal_rows(&mut e, q, &sweep(&reduced, PolicyKind::Lru, SIZES, false));
     }
     e.finish();
 }
@@ -85,7 +86,6 @@ pub fn table3(w: &Workload) {
     let mut e = Emitter::new("table3");
     e.comment("Table 3: combined removal of generous uploaders and popular files (LRU)");
     e.comment("uploaders_removed_pct\tfiles_removed_pct\tsize5_pct\tsize10_pct\tsize20_pct");
-    let (caches, n_files) = static_caches(w);
     let grid = [
         (0.0, 0.0),
         (0.05, 0.0),
@@ -95,15 +95,16 @@ pub fn table3(w: &Workload) {
         (0.0, 0.15),
         (0.15, 0.15),
     ];
-    for ((uploaders, files), sweep) in
-        experiment::combined_removal_table(&caches, n_files, &grid, &[5, 10, 20], SEED)
-    {
+    for (uploaders, files) in grid {
+        let (reduced, _) = remove_top_uploaders(w.static_view(), uploaders);
+        let (reduced, _) = remove_top_files(&reduced, files);
+        let sweep = sweep(&reduced, PolicyKind::Lru, &[5, 10, 20], false);
         e.row([
             f(100.0 * uploaders, 0),
             f(100.0 * files, 0),
-            f(100.0 * sweep[0].result.hit_rate(), 1),
-            f(100.0 * sweep[1].result.hit_rate(), 1),
-            f(100.0 * sweep[2].result.hit_rate(), 1),
+            f(100.0 * sweep[0].hit_rate(), 1),
+            f(100.0 * sweep[1].hit_rate(), 1),
+            f(100.0 * sweep[2].hit_rate(), 1),
         ]);
     }
     e.finish();
@@ -115,15 +116,12 @@ pub fn fig21(w: &Workload) {
     let mut e = Emitter::new("fig21");
     e.comment("Fig. 21: LRU-10 hit rate vs trace randomization (swap attempts)");
     e.comment("swaps\thit_rate_pct");
-    let (caches, n_files) = static_caches(w);
-    let replicas: usize = caches.iter().map(Vec::len).sum();
-    let full = recommended_iterations(replicas);
+    let full = recommended_iterations(w.static_view().replica_count());
     let checkpoints: Vec<u64> = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
         .iter()
         .map(|&x| (x * full as f64) as u64)
         .collect();
-    let arena = CacheArena::from_caches(&caches, n_files);
-    let run = experiment::randomization_sweep_arena(&arena, 10, &checkpoints, SEED);
+    let run = randomization_sweep_arena(w.static_view(), 10, &checkpoints, SEED);
     for point in run.points {
         e.row([point.swaps.to_string(), f(100.0 * point.hit_rate, 2)]);
     }
@@ -139,11 +137,9 @@ pub fn fig22(w: &Workload) {
     let mut e = Emitter::new("fig22");
     e.comment("Fig. 22: query load per client by rank (LRU, list size 5)");
     e.comment("removed_pct\tclient_rank\tmessages\t(summary rows follow data)");
-    let (caches, n_files) = static_caches(w);
-    for (q, sweep) in
-        experiment::uploader_removal_grid(&caches, n_files, &[0.0, 0.05, 0.10, 0.15], &[5], SEED)
-    {
-        let result = &sweep[0].result;
+    for q in [0.0, 0.05, 0.10, 0.15] {
+        let (reduced, _) = remove_top_uploaders(w.static_view(), q);
+        let result = &sweep(&reduced, PolicyKind::Lru, &[5], false)[0];
         let loads = result.load_by_rank();
         // Log-sample the rank axis, as the paper's log-log plot does.
         let mut rank = 1usize;
@@ -172,35 +168,27 @@ pub fn fig23(w: &Workload) {
     let mut e = Emitter::new("fig23");
     e.comment("Fig. 23: one-hop vs two-hop semantic search (LRU)");
     e.comment("series\tlist_size\thit_rate_pct");
-    let (caches, n_files) = static_caches(w);
-    let one_hop =
-        experiment::sweep_list_sizes(&caches, n_files, PolicyKind::Lru, SIZES, false, SEED);
-    for point in one_hop {
-        e.row([
-            "one_hop".to_string(),
-            point.list_size.to_string(),
-            f(100.0 * point.result.hit_rate(), 2),
-        ]);
+    for (series, two_hop) in [("one_hop", false), ("two_hop", true)] {
+        for (size, result) in
+            SIZES
+                .iter()
+                .zip(sweep(w.static_view(), PolicyKind::Lru, SIZES, two_hop))
+        {
+            e.row([
+                series.to_string(),
+                size.to_string(),
+                f(100.0 * result.hit_rate(), 2),
+            ]);
+        }
+        e.blank();
     }
-    e.blank();
-    let two_hop =
-        experiment::sweep_list_sizes(&caches, n_files, PolicyKind::Lru, SIZES, true, SEED);
-    for point in two_hop {
-        e.row([
-            "two_hop".to_string(),
-            point.list_size.to_string(),
-            f(100.0 * point.result.hit_rate(), 2),
-        ]);
-    }
-    e.blank();
+    let sizes = [5usize, 20, 100];
     for q in [0.05, 0.15] {
-        let (reduced, _) = edonkey_semsearch::filters::remove_top_uploaders(&caches, q);
-        for &size in &[5usize, 20, 100] {
-            let result = simulate(
-                &reduced,
-                n_files,
-                &SimConfig::lru(size).with_two_hop().with_seed(SEED),
-            );
+        let (reduced, _) = remove_top_uploaders(w.static_view(), q);
+        for (size, result) in sizes
+            .iter()
+            .zip(sweep(&reduced, PolicyKind::Lru, &sizes, true))
+        {
             e.row([
                 format!("two_hop_minus_top{:.0}pct", 100.0 * q),
                 size.to_string(),

@@ -1,10 +1,13 @@
-//! `edonkey-bench`: shared harness for the figure/table regeneration
-//! binaries and the criterion benchmarks.
+//! `edonkey-bench`: the reproduction harness behind `reproduce`,
+//! `bench_report`, the end-to-end `benchmark` and the criterion
+//! benchmarks.
 //!
-//! Every binary regenerates one table or figure of the paper (see
-//! DESIGN.md §5). They share this harness: a scale selector, a cached
-//! standard workload (population → crawl/observe → pipeline stages), and
-//! a TSV emitter that writes both to stdout and to `EXPERIMENTS-data/`.
+//! Every figure, table and ablation is one function here (see DESIGN.md
+//! §5), run by `reproduce` or selected with `reproduce --only <name>`.
+//! They share this harness: a scale selector, the standard workload
+//! (generate/load → pipeline stages → the filtered stage's static view),
+//! and a TSV emitter that writes both to stdout and to
+//! `EXPERIMENTS-data/`.
 
 pub mod ablations;
 pub mod alloc;
@@ -12,13 +15,14 @@ pub mod figures_cluster;
 pub mod figures_measure;
 pub mod figures_search;
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
-use edonkey_trace::compact::TraceArena;
+use edonkey_trace::compact::{CacheArena, TraceArena};
 use edonkey_trace::model::Trace;
 use edonkey_trace::pipeline::{extrapolate_arena, filter_arena, ExtrapolateConfig};
-use edonkey_workload::{generate_trace, Population, WorkloadConfig};
+use edonkey_workload::{generate_trace, WorkloadConfig};
 
 /// Every bench binary allocates through the counting wrapper so
 /// `BENCH_report.json` entries can carry heap-traffic fields.
@@ -38,10 +42,22 @@ pub enum Scale {
     Paper,
 }
 
+/// A `--scale` / `EDONKEY_SCALE` value that names no [`Scale`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnknownScale(pub String);
+
+impl fmt::Display for UnknownScale {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "unknown scale {:?} (test|small|repro|paper)", self.0)
+    }
+}
+
+impl std::error::Error for UnknownScale {}
+
 impl Scale {
     /// Reads the scale from `--scale <s>` argv or `EDONKEY_SCALE`,
     /// defaulting to [`Scale::Small`].
-    pub fn from_env() -> Scale {
+    pub fn from_env() -> Result<Scale, UnknownScale> {
         let mut args = std::env::args().skip(1);
         let mut scale = std::env::var("EDONKEY_SCALE").ok();
         while let Some(arg) = args.next() {
@@ -50,11 +66,11 @@ impl Scale {
             }
         }
         match scale.as_deref() {
-            Some("test") => Scale::Test,
-            Some("small") | None => Scale::Small,
-            Some("repro") => Scale::Repro,
-            Some("paper") => Scale::Paper,
-            Some(other) => panic!("unknown scale {other:?} (test|small|repro|paper)"),
+            Some("test") => Ok(Scale::Test),
+            Some("small") | None => Ok(Scale::Small),
+            Some("repro") => Ok(Scale::Repro),
+            Some("paper") => Ok(Scale::Paper),
+            Some(other) => Err(UnknownScale(other.to_string())),
         }
     }
 
@@ -86,17 +102,16 @@ impl Scale {
     }
 }
 
-/// The standard workload every figure binary starts from.
+/// The standard workload every figure and most ablations start from.
 pub struct Workload {
-    /// The generating population (ground truth). `None` when the full
-    /// trace was loaded from a file instead of generated.
-    pub population: Option<Population>,
     /// The observed ("full") trace.
     pub full: Trace,
     /// The filtered trace (static analyses).
     pub filtered: Trace,
     /// The extrapolated trace (dynamic analyses).
     pub extrapolated: Trace,
+    /// The filtered stage's static view, built on first use.
+    static_view: OnceLock<CacheArena>,
 }
 
 /// The workspace-wide default seed for regeneration runs.
@@ -126,9 +141,8 @@ impl Workload {
             return Workload::from_trace_file(&path);
         }
         eprintln!("[bench] generating workload at {scale:?} scale…");
-        let config = scale.config(SEED);
-        let (population, full) = generate_trace(config);
-        Workload::derive(Some(population), full)
+        let (_, full) = generate_trace(scale.config(SEED));
+        Workload::derive(full)
     }
 
     /// Builds the workload from a trace file in any supported format
@@ -137,10 +151,10 @@ impl Workload {
         eprintln!("[bench] loading trace from {}…", path.display());
         let full = edonkey_trace::io::load_auto(path)
             .unwrap_or_else(|e| panic!("load trace {}: {e}", path.display()));
-        Workload::derive(None, full)
+        Workload::derive(full)
     }
 
-    fn derive(population: Option<Population>, full: Trace) -> Workload {
+    fn derive(full: Trace) -> Workload {
         eprintln!(
             "[bench] trace: {} peers, {} files, {} days",
             full.peers.len(),
@@ -161,11 +175,21 @@ impl Workload {
             extrapolated.peers.len()
         );
         Workload {
-            population,
             full,
             filtered,
             extrapolated,
+            static_view: OnceLock::new(),
         }
+    }
+
+    /// The filtered stage's static view: every client's union of shared
+    /// files over the trace. It is the one input of the static analyses
+    /// (Figs. 6–8, 11–14, Table 1's filtered row), every Section 5 figure
+    /// and the ablations that replay the seed trace. Built once, on first
+    /// use, so runs that never read it never pay for it.
+    pub fn static_view(&self) -> &CacheArena {
+        self.static_view
+            .get_or_init(|| CacheArena::from_trace_static(&self.filtered))
     }
 }
 
@@ -261,6 +285,10 @@ mod tests {
         let w = Workload::generate(Scale::Test);
         assert!(w.filtered.peers.len() <= w.full.peers.len());
         assert!(w.extrapolated.peers.len() <= w.filtered.peers.len());
-        assert!(!w.population.expect("generated workload").files.is_empty());
+        assert!(!w.full.files.is_empty());
+        let view = w.static_view();
+        assert_eq!(view.n_peers(), w.filtered.peers.len());
+        assert_eq!(view.to_caches(), w.filtered.static_caches());
+        assert!(std::ptr::eq(view, w.static_view()), "built once");
     }
 }

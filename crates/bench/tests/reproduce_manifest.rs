@@ -5,9 +5,9 @@
 //! Regenerate with `EDONKEY_BLESS=1 cargo test -p edonkey-bench --test
 //! reproduce_manifest` after an *intentional* change to an output.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Stdio};
 
 use edonkey_proto::md4::Md4;
@@ -69,7 +69,7 @@ fn parse(text: &str) -> BTreeMap<String, String> {
 
 #[test]
 fn reproduce_outputs_match_the_manifest() {
-    let dir: PathBuf =
+    let dir =
         std::env::temp_dir().join(format!("edonkey-reproduce-manifest-{}", std::process::id()));
     run_reproduce(&dir);
     let actual = digests(&dir);
@@ -78,13 +78,10 @@ fn reproduce_outputs_match_the_manifest() {
         std::fs::write(MANIFEST, render(&actual)).expect("bless manifest");
     }
     let expected = parse(&std::fs::read_to_string(MANIFEST).expect("read checked-in manifest"));
-    let moved: Vec<&str> = expected
+    let moved: BTreeSet<&String> = expected
         .keys()
         .chain(actual.keys())
         .filter(|name| expected.get(*name) != actual.get(*name))
-        .map(String::as_str)
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
         .collect();
     assert!(
         moved.is_empty(),

@@ -1,6 +1,6 @@
-//! Experiment harnesses: list-size sweeps, removal grids, the
-//! randomization sweep of Fig. 21 — with a parallel runner for the
-//! embarrassingly parallel sweeps.
+//! Experiment harnesses: the split-cell sweep scheduler, the Fig. 21
+//! randomization sweep and the churn and adversary grids — with a
+//! parallel runner for the embarrassingly parallel sweeps.
 
 use edonkey_trace::compact::CacheArena;
 use edonkey_trace::model::FileRef;
@@ -10,7 +10,6 @@ use rand::SeedableRng;
 
 use std::time::Instant;
 
-use crate::filters::{remove_top_files, remove_top_uploaders};
 use crate::index::IndexBackend;
 use crate::neighbours::PolicyKind;
 use crate::query::Tables;
@@ -326,40 +325,9 @@ pub fn sweep_configs(
         .collect()
 }
 
-/// Runs one policy across several list sizes via the split-cell
-/// work-stealing scheduler ([`sweep_cells`]).
-pub fn sweep_list_sizes(
-    caches: &[Vec<FileRef>],
-    n_files: usize,
-    policy: PolicyKind,
-    list_sizes: &[usize],
-    two_hop: bool,
-    seed: u64,
-) -> Vec<SweepPoint> {
-    // Pack the caches once; every sweep point reads the same arena.
-    let arena = CacheArena::from_caches(caches, n_files);
-    sweep_list_sizes_arena(&arena, policy, list_sizes, two_hop, seed)
-}
-
-/// Arena-native [`sweep_list_sizes`].
-pub fn sweep_list_sizes_arena(
-    arena: &CacheArena,
-    policy: PolicyKind,
-    list_sizes: &[usize],
-    two_hop: bool,
-    seed: u64,
-) -> Vec<SweepPoint> {
-    let configs = sweep_configs(policy, list_sizes, two_hop, seed);
-    sweep_cells(arena, &configs)
-        .into_iter()
-        .zip(list_sizes)
-        .map(|((result, _), &list_size)| SweepPoint { list_size, result })
-        .collect()
-}
-
-/// Sequential oracle for [`sweep_list_sizes`]: same cells, one thread,
-/// one scratch. The bench harness diffs the two to prove the parallel
-/// sweep is bit-identical.
+/// Sequential oracle for a [`sweep_cells`] list-size sweep
+/// ([`sweep_configs`]): same cells, one thread, one scratch. The bench
+/// harness diffs the two to prove the parallel sweep is bit-identical.
 pub fn sweep_list_sizes_seq(
     caches: &[Vec<FileRef>],
     n_files: usize,
@@ -384,88 +352,6 @@ pub fn sweep_list_sizes_seq(
                 list_size,
                 result: simulate_arena_with_scratch(&arena, &config, &mut scratch),
             }
-        })
-        .collect()
-}
-
-/// Fig. 18: LRU vs History vs Random across list sizes.
-pub fn policy_comparison(
-    caches: &[Vec<FileRef>],
-    n_files: usize,
-    list_sizes: &[usize],
-    seed: u64,
-) -> Vec<(PolicyKind, Vec<SweepPoint>)> {
-    [PolicyKind::Lru, PolicyKind::History, PolicyKind::Random]
-        .into_iter()
-        .map(|p| {
-            (
-                p,
-                sweep_list_sizes(caches, n_files, p, list_sizes, false, seed),
-            )
-        })
-        .collect()
-}
-
-/// Fig. 19 / Fig. 22: LRU sweeps after removing top uploaders.
-///
-/// Returns `(fraction_removed, sweep)` per requested fraction (0.0 =
-/// baseline).
-pub fn uploader_removal_grid(
-    caches: &[Vec<FileRef>],
-    n_files: usize,
-    fractions: &[f64],
-    list_sizes: &[usize],
-    seed: u64,
-) -> Vec<(f64, Vec<SweepPoint>)> {
-    fractions
-        .iter()
-        .map(|&q| {
-            let (reduced, _) = remove_top_uploaders(caches, q);
-            (
-                q,
-                sweep_list_sizes(&reduced, n_files, PolicyKind::Lru, list_sizes, false, seed),
-            )
-        })
-        .collect()
-}
-
-/// Fig. 20: LRU sweeps after removing top popular files.
-pub fn file_removal_grid(
-    caches: &[Vec<FileRef>],
-    n_files: usize,
-    fractions: &[f64],
-    list_sizes: &[usize],
-    seed: u64,
-) -> Vec<(f64, Vec<SweepPoint>)> {
-    fractions
-        .iter()
-        .map(|&q| {
-            let (reduced, _) = remove_top_files(caches, n_files, q);
-            (
-                q,
-                sweep_list_sizes(&reduced, n_files, PolicyKind::Lru, list_sizes, false, seed),
-            )
-        })
-        .collect()
-}
-
-/// Table 3: the combined removal grid — uploader fraction × file
-/// fraction, LRU, a few list sizes.
-pub fn combined_removal_table(
-    caches: &[Vec<FileRef>],
-    n_files: usize,
-    grid: &[(f64, f64)],
-    list_sizes: &[usize],
-    seed: u64,
-) -> Vec<((f64, f64), Vec<SweepPoint>)> {
-    grid.iter()
-        .map(|&(uploaders, files)| {
-            let (reduced, _) = remove_top_uploaders(caches, uploaders);
-            let (reduced, _) = remove_top_files(&reduced, n_files, files);
-            (
-                (uploaders, files),
-                sweep_list_sizes(&reduced, n_files, PolicyKind::Lru, list_sizes, false, seed),
-            )
         })
         .collect()
 }
@@ -640,8 +526,7 @@ pub const CHURN_POLICIES: [PolicyKind; 4] = [
 /// the cell (seed, list size, churn rate).
 #[allow(clippy::too_many_arguments)]
 pub fn churn_grid(
-    caches: &[Vec<FileRef>],
-    n_files: usize,
+    arena: &CacheArena,
     list_size: usize,
     permilles: &[u32],
     queries: &[QueryPolicy],
@@ -650,7 +535,6 @@ pub fn churn_grid(
     churn_seed: u64,
     seed: u64,
 ) -> Vec<ChurnCell> {
-    let arena = CacheArena::from_caches(caches, n_files);
     let mut cells: Vec<(u32, PolicyKind, QueryPolicy)> = Vec::new();
     for &rate in permilles {
         for policy in CHURN_POLICIES {
@@ -677,7 +561,7 @@ pub fn churn_grid(
         .collect();
     cells
         .into_iter()
-        .zip(configs.iter().zip(sweep_cells(&arena, &configs)))
+        .zip(configs.iter().zip(sweep_cells(arena, &configs)))
         .map(|((rate, policy, query), (config, (result, health)))| {
             health.expect_reconciled(&result, config);
             ChurnCell {
@@ -714,15 +598,13 @@ pub struct AdversaryCell {
 /// cell's [`SearchHealth`] is reconciled against its [`SimResult`]
 /// before returning — a violation panics, naming the cell.
 pub fn adversary_grid(
-    caches: &[Vec<FileRef>],
-    n_files: usize,
+    arena: &CacheArena,
     list_size: usize,
     adversaries: &[AdversaryConfig],
     query: QueryPolicy,
     backend: IndexBackend,
     seed: u64,
 ) -> Vec<AdversaryCell> {
-    let arena = CacheArena::from_caches(caches, n_files);
     let mut cells: Vec<(AdversaryConfig, PolicyKind, bool)> = Vec::new();
     for adversary in adversaries {
         for policy in CHURN_POLICIES {
@@ -752,7 +634,7 @@ pub fn adversary_grid(
         .collect();
     cells
         .into_iter()
-        .zip(configs.iter().zip(sweep_cells(&arena, &configs)))
+        .zip(configs.iter().zip(sweep_cells(arena, &configs)))
         .map(
             |((adversary, policy, defended), (config, (result, health)))| {
                 health.expect_reconciled(&result, config);
@@ -778,6 +660,7 @@ pub use edonkey_trace::par::{
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filters::{remove_top_files, remove_top_uploaders};
     use crate::sim::simulate_arena_health_with_scratch;
 
     fn f(i: u32) -> FileRef {
@@ -839,40 +722,44 @@ mod tests {
         assert!(result.is_err(), "worker panic must propagate to the caller");
     }
 
+    /// One policy's list-size sweep on the split-cell scheduler.
+    fn sweep(arena: &CacheArena, policy: PolicyKind, sizes: &[usize]) -> Vec<SimResult> {
+        sweep_cells(arena, &sweep_configs(policy, sizes, false, 1))
+            .into_iter()
+            .map(|(result, _)| result)
+            .collect()
+    }
+
+    fn workload_arena() -> CacheArena {
+        let (caches, n) = workload();
+        CacheArena::from_caches(&caches, n)
+    }
+
     #[test]
     fn sweep_monotonicity_in_list_size() {
-        let (caches, n) = workload();
-        let sweep = sweep_list_sizes(&caches, n, PolicyKind::Lru, &[2, 8, 32], false, 1);
+        let sweep = sweep(&workload_arena(), PolicyKind::Lru, &[2, 8, 32]);
         assert_eq!(sweep.len(), 3);
         assert!(
-            sweep[2].result.hit_rate() >= sweep[0].result.hit_rate() - 0.02,
+            sweep[2].hit_rate() >= sweep[0].hit_rate() - 0.02,
             "bigger lists should not hurt: {:?}",
-            sweep
-                .iter()
-                .map(|p| p.result.hit_rate())
-                .collect::<Vec<_>>()
+            sweep.iter().map(SimResult::hit_rate).collect::<Vec<_>>()
         );
     }
 
     #[test]
     fn policy_comparison_orders_policies() {
-        let (caches, n) = workload();
-        let cmp = policy_comparison(&caches, n, &[8], 1);
-        let rate = |k: PolicyKind| {
-            cmp.iter().find(|(p, _)| *p == k).unwrap().1[0]
-                .result
-                .hit_rate()
-        };
+        let arena = workload_arena();
+        let rate = |k: PolicyKind| sweep(&arena, k, &[8])[0].hit_rate();
         assert!(rate(PolicyKind::Lru) > rate(PolicyKind::Random));
         assert!(rate(PolicyKind::History) > rate(PolicyKind::Random));
     }
 
     #[test]
     fn uploader_removal_reduces_requests_and_flattens_load() {
-        let (caches, n) = workload();
-        let grid = uploader_removal_grid(&caches, n, &[0.0, 0.15], &[5], 1);
-        let baseline = &grid[0].1[0].result;
-        let reduced = &grid[1].1[0].result;
+        let arena = workload_arena();
+        let (reduced, _) = remove_top_uploaders(&arena, 0.15);
+        let baseline = &sweep(&arena, PolicyKind::Lru, &[5])[0];
+        let reduced = &sweep(&reduced, PolicyKind::Lru, &[5])[0];
         assert!(reduced.requests < baseline.requests);
         assert!(reduced.max_load() <= baseline.max_load());
     }
@@ -881,10 +768,10 @@ mod tests {
     fn file_removal_raises_hit_rate_here() {
         // With super-peers and popular files removed, the tight
         // communities dominate: hit rate should not collapse.
-        let (caches, n) = workload();
-        let grid = file_removal_grid(&caches, n, &[0.0, 0.15], &[5], 1);
-        let baseline = grid[0].1[0].result.hit_rate();
-        let reduced = grid[1].1[0].result.hit_rate();
+        let arena = workload_arena();
+        let (reduced, _) = remove_top_files(&arena, 0.15);
+        let baseline = sweep(&arena, PolicyKind::Lru, &[5])[0].hit_rate();
+        let reduced = sweep(&reduced, PolicyKind::Lru, &[5])[0].hit_rate();
         assert!(
             reduced > baseline * 0.8,
             "baseline {baseline}, reduced {reduced}"
@@ -893,10 +780,17 @@ mod tests {
 
     #[test]
     fn combined_table_runs_all_cells() {
-        let (caches, n) = workload();
-        let table = combined_removal_table(&caches, n, &[(0.05, 0.05), (0.15, 0.15)], &[5, 10], 1);
+        let arena = workload_arena();
+        let table: Vec<Vec<SimResult>> = [(0.05, 0.05), (0.15, 0.15)]
+            .iter()
+            .map(|&(uploaders, files)| {
+                let (reduced, _) = remove_top_uploaders(&arena, uploaders);
+                let (reduced, _) = remove_top_files(&reduced, files);
+                sweep(&reduced, PolicyKind::Lru, &[5, 10])
+            })
+            .collect();
         assert_eq!(table.len(), 2);
-        assert_eq!(table[0].1.len(), 2);
+        assert_eq!(table[0].len(), 2);
     }
 
     #[test]
@@ -978,12 +872,16 @@ mod tests {
     fn sequential_sweep_is_bit_identical_to_parallel() {
         let (caches, n) = workload();
         let sizes = [2usize, 5, 8, 16, 32];
-        let par = sweep_list_sizes(&caches, n, PolicyKind::Lru, &sizes, false, 1);
+        let par = sweep(
+            &CacheArena::from_caches(&caches, n),
+            PolicyKind::Lru,
+            &sizes,
+        );
         let seq = sweep_list_sizes_seq(&caches, n, PolicyKind::Lru, &sizes, false, 1);
         assert_eq!(par.len(), seq.len());
-        for (p, s) in par.iter().zip(&seq) {
-            assert_eq!(p.list_size, s.list_size);
-            assert_eq!(p.result, s.result);
+        for ((p, s), &size) in par.iter().zip(&seq).zip(&sizes) {
+            assert_eq!(s.list_size, size);
+            assert_eq!(*p, s.result);
         }
     }
 
@@ -1065,14 +963,12 @@ mod tests {
 
     #[test]
     fn adversary_grid_covers_the_matrix_and_reconciles() {
-        let (caches, n) = workload();
         let mixes = [
             AdversaryConfig::none(),
             AdversaryConfig::sybils(21, 150).with_polluters(150),
         ];
         let grid = adversary_grid(
-            &caches,
-            n,
+            &workload_arena(),
             5,
             &mixes,
             QueryPolicy::no_retry(),
@@ -1106,12 +1002,11 @@ mod tests {
 
     #[test]
     fn churn_grid_rides_the_split_scheduler_unchanged() {
-        let (caches, n) = workload();
+        let arena = workload_arena();
         // The grid result must be independent of the machine's thread
         // count: cross-check one cell against a direct simulation.
         let grid = churn_grid(
-            &caches,
-            n,
+            &arena,
             5,
             &[0, 250],
             &[QueryPolicy::no_retry()],
@@ -1125,7 +1020,7 @@ mod tests {
             cell.health.check_against(&cell.result).unwrap();
         }
         let direct = simulate_arena_health_with_scratch(
-            &CacheArena::from_caches(&caches, n),
+            &arena,
             &SimConfig {
                 list_size: 5,
                 policy: PolicyKind::Lru,

@@ -9,11 +9,12 @@
 //!
 //! Where the LRU/History lists of [`crate::sim`] learn *reactively* from
 //! downloads, this overlay converges *proactively*, before any search is
-//! issued. Comparing the two (see `bin/gossip`) answers a design
+//! issued. Comparing the two (`reproduce --only gossip`) answers a design
 //! question the paper leaves open: how much of the semantic-search gain
 //! needs download history, and how much can be bootstrapped by gossip
 //! alone?
 
+use edonkey_trace::compact::CacheArena;
 use edonkey_trace::model::FileRef;
 use edonkey_trace::pipeline::sorted_intersection_len;
 use rand::rngs::StdRng;
@@ -54,13 +55,13 @@ pub struct SemanticOverlay {
     pub cycles: u32,
 }
 
-/// Builds semantic views by gossip over a static cache set.
+/// Builds semantic views by gossip over a static view.
 ///
 /// Free-riders participate in the random tier (they gossip) but are
 /// never *kept* in semantic views — an empty cache overlaps nothing, so
 /// proximity selection drops them naturally.
-pub fn build_overlay(caches: &[Vec<FileRef>], config: &GossipConfig) -> SemanticOverlay {
-    let n = caches.len();
+pub fn build_overlay(arena: &CacheArena, config: &GossipConfig) -> SemanticOverlay {
+    let n = arena.n_peers();
     let mut rng = StdRng::seed_from_u64(config.seed);
     if n == 0 {
         return SemanticOverlay {
@@ -88,7 +89,8 @@ pub fn build_overlay(caches: &[Vec<FileRef>], config: &GossipConfig) -> Semantic
 
     let mut semantic_views: Vec<Vec<Peer>> = vec![Vec::new(); n];
 
-    let overlap = |a: usize, b: usize| -> usize { sorted_intersection_len(&caches[a], &caches[b]) };
+    let overlap =
+        |a: usize, b: usize| -> usize { sorted_intersection_len(arena.cache(a), arena.cache(b)) };
 
     for cycle in 0..config.cycles {
         for p in 0..n {
@@ -108,7 +110,7 @@ pub fn build_overlay(caches: &[Vec<FileRef>], config: &GossipConfig) -> Semantic
             }
 
             // --- top tier: improve the semantic view ---
-            if caches[p].is_empty() {
+            if arena.cache(p).is_empty() {
                 continue; // Free-riders have no proximity to optimize.
             }
             // Candidate set: current semantic view, the partner's
@@ -122,7 +124,7 @@ pub fn build_overlay(caches: &[Vec<FileRef>], config: &GossipConfig) -> Semantic
             candidates.remove(&(p as Peer));
             let mut scored: Vec<(usize, Peer)> = candidates
                 .into_iter()
-                .filter(|&c| !caches[c as usize].is_empty())
+                .filter(|&c| !arena.cache(c as usize).is_empty())
                 .map(|c| (overlap(p, c as usize), c))
                 .filter(|&(score, _)| score > 0)
                 .collect();
@@ -165,19 +167,14 @@ fn merge_view(view: &mut Vec<Peer>, incoming: &[Peer], owner: Peer, capacity: us
 /// Measures the converged overlay with the Section 5.1 replay, using the
 /// *fixed* gossip views as each peer's neighbour list (no reactive
 /// updates — this isolates the proactive tier's contribution).
-pub fn overlay_hit_rate(
-    caches: &[Vec<FileRef>],
-    n_files: usize,
-    overlay: &SemanticOverlay,
-    seed: u64,
-) -> f64 {
+pub fn overlay_hit_rate(arena: &CacheArena, overlay: &SemanticOverlay, seed: u64) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let view_sets: Vec<HashSet<Peer>> = overlay
         .views
         .iter()
         .map(|v| v.iter().copied().collect())
         .collect();
-    let mut stream: Vec<(u32, FileRef)> = caches
+    let mut stream: Vec<(u32, FileRef)> = arena
         .iter()
         .enumerate()
         .flat_map(|(p, cache)| cache.iter().map(move |&f| (p as u32, f)))
@@ -186,7 +183,7 @@ pub fn overlay_hit_rate(
         let j = rng.gen_range(0..=i);
         stream.swap(i, j);
     }
-    let mut sharers: Vec<Vec<Peer>> = vec![Vec::new(); n_files];
+    let mut sharers: Vec<Vec<Peer>> = vec![Vec::new(); arena.n_files()];
     let (mut requests, mut hits) = (0u64, 0u64);
     for (peer, file) in stream {
         let current = &sharers[file.index()];
@@ -230,10 +227,13 @@ mod tests {
         caches
     }
 
+    fn clustered() -> CacheArena {
+        CacheArena::from_caches(&clustered_caches(), 8 * 20)
+    }
+
     #[test]
     fn views_converge_to_own_community() {
-        let caches = clustered_caches();
-        let overlay = build_overlay(&caches, &GossipConfig::default());
+        let overlay = build_overlay(&clustered(), &GossipConfig::default());
         // Peer 0 is in community 0 (peers 0..6); after convergence its
         // semantic view must be dominated by community members.
         let mut in_community = 0;
@@ -251,14 +251,17 @@ mod tests {
 
     #[test]
     fn views_never_contain_self_free_riders_or_duplicates() {
-        let caches = clustered_caches();
-        let overlay = build_overlay(&caches, &GossipConfig::default());
+        let arena = clustered();
+        let overlay = build_overlay(&arena, &GossipConfig::default());
         for (p, view) in overlay.views.iter().enumerate() {
             assert!(!view.contains(&(p as Peer)), "peer {p} lists itself");
             let set: HashSet<_> = view.iter().collect();
             assert_eq!(set.len(), view.len(), "peer {p} has duplicates");
             for &n in view {
-                assert!(!caches[n as usize].is_empty(), "free-rider in view of {p}");
+                assert!(
+                    !arena.cache(n as usize).is_empty(),
+                    "free-rider in view of {p}"
+                );
             }
         }
         // Free-riders end with empty semantic views.
@@ -267,19 +270,18 @@ mod tests {
 
     #[test]
     fn gossip_views_beat_random_views_on_replay() {
-        let caches = clustered_caches();
-        let n_files = 8 * 20;
-        let gossip = build_overlay(&caches, &GossipConfig::default());
-        let gossip_rate = overlay_hit_rate(&caches, n_files, &gossip, 7);
+        let arena = clustered();
+        let gossip = build_overlay(&arena, &GossipConfig::default());
+        let gossip_rate = overlay_hit_rate(&arena, &gossip, 7);
         // Random baseline: one gossip cycle only, before clustering bites.
         let cold = build_overlay(
-            &caches,
+            &arena,
             &GossipConfig {
                 cycles: 0,
                 ..GossipConfig::default()
             },
         );
-        let cold_rate = overlay_hit_rate(&caches, n_files, &cold, 7);
+        let cold_rate = overlay_hit_rate(&arena, &cold, 7);
         assert!(
             gossip_rate > cold_rate + 0.2,
             "converged {gossip_rate} vs cold {cold_rate}"
@@ -292,43 +294,43 @@ mod tests {
 
     #[test]
     fn more_cycles_never_hurt_much() {
-        let caches = clustered_caches();
-        let n_files = 8 * 20;
+        let arena = clustered();
         let short = build_overlay(
-            &caches,
+            &arena,
             &GossipConfig {
                 cycles: 3,
                 ..GossipConfig::default()
             },
         );
         let long = build_overlay(
-            &caches,
+            &arena,
             &GossipConfig {
                 cycles: 40,
                 ..GossipConfig::default()
             },
         );
-        let short_rate = overlay_hit_rate(&caches, n_files, &short, 3);
-        let long_rate = overlay_hit_rate(&caches, n_files, &long, 3);
+        let short_rate = overlay_hit_rate(&arena, &short, 3);
+        let long_rate = overlay_hit_rate(&arena, &long, 3);
         assert!(long_rate >= short_rate - 0.05, "{short_rate} → {long_rate}");
     }
 
     #[test]
     fn empty_inputs() {
-        let overlay = build_overlay(&[], &GossipConfig::default());
+        let empty = CacheArena::from_caches(&[], 0);
+        let overlay = build_overlay(&empty, &GossipConfig::default());
         assert!(overlay.views.is_empty());
-        assert_eq!(overlay_hit_rate(&[], 0, &overlay, 1), 0.0);
+        assert_eq!(overlay_hit_rate(&empty, &overlay, 1), 0.0);
         // All free-riders: no requests, rate 0.
-        let caches = vec![Vec::new(); 5];
-        let overlay = build_overlay(&caches, &GossipConfig::default());
-        assert_eq!(overlay_hit_rate(&caches, 0, &overlay, 1), 0.0);
+        let free_riders = CacheArena::from_caches(&vec![Vec::new(); 5], 0);
+        let overlay = build_overlay(&free_riders, &GossipConfig::default());
+        assert_eq!(overlay_hit_rate(&free_riders, &overlay, 1), 0.0);
     }
 
     #[test]
     fn determinism() {
-        let caches = clustered_caches();
-        let a = build_overlay(&caches, &GossipConfig::default());
-        let b = build_overlay(&caches, &GossipConfig::default());
+        let arena = clustered();
+        let a = build_overlay(&arena, &GossipConfig::default());
+        let b = build_overlay(&arena, &GossipConfig::default());
         assert_eq!(a.views, b.views);
     }
 }

@@ -16,9 +16,11 @@
 //! * [`neighbours`] — LRU, History (frequency) and Random list policies;
 //! * [`sim`] — the Section 5.1 request-replay simulator (one- and
 //!   two-hop);
-//! * [`filters`] — top-uploader and popular-file removal (Figs. 19/20);
-//! * [`experiment`] — sweeps, removal grids and the Fig. 21
-//!   randomization sweep, with a parallel runner;
+//! * [`filters`] — top-uploader and popular-file removal (Figs. 19/20),
+//!   arena to arena;
+//! * [`experiment`] — the split-cell sweep scheduler, the Fig. 21
+//!   randomization sweep and the churn/adversary grids, with a parallel
+//!   runner;
 //! * [`serve`] — the always-on query-serving mode: the trace replayed
 //!   as a continuous arrival stream through a sharded neighbour store,
 //!   with bounded ingress queues and latency percentiles;
@@ -54,10 +56,9 @@ pub mod serve;
 pub mod sim;
 
 pub use experiment::{
-    adversary_grid, churn_grid, policy_comparison, randomization_sweep, sweep_cells,
-    sweep_cells_threads, sweep_cells_threads_profiled, sweep_configs, sweep_list_sizes,
-    sweep_list_sizes_arena, AdversaryCell, ChurnCell, RandomizationPoint, SweepPoint, SweepStages,
-    CHURN_POLICIES, PAPER_LIST_SIZES,
+    adversary_grid, churn_grid, randomization_sweep, sweep_cells, sweep_cells_threads,
+    sweep_cells_threads_profiled, sweep_configs, AdversaryCell, ChurnCell, RandomizationPoint,
+    SweepPoint, SweepStages, CHURN_POLICIES, PAPER_LIST_SIZES,
 };
 pub use filters::{remove_top_files, remove_top_uploaders};
 pub use gossip::{build_overlay, overlay_hit_rate, GossipConfig, SemanticOverlay};

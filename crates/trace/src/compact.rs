@@ -273,6 +273,30 @@ impl CacheArena {
         })
     }
 
+    /// Keeps only the entries `keep(peer, file)` accepts, in place. Rows
+    /// stay in peer order and sorted (a peer losing every entry keeps an
+    /// empty row); the holders index is rebuilt on next use.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize, FileRef) -> bool) {
+        let mut write = 0usize;
+        for p in 0..self.n_peers() {
+            let (lo, hi) = (self.offsets[p] as usize, self.offsets[p + 1] as usize);
+            self.offsets[p] = write as u32;
+            for i in lo..hi {
+                let file = self.files[i];
+                if keep(p, file) {
+                    self.files[write] = file;
+                    write += 1;
+                }
+            }
+        }
+        *self
+            .offsets
+            .last_mut()
+            .expect("offsets hold n_peers + 1 entries") = write as u32;
+        self.files.truncate(write);
+        self.holders = OnceLock::new();
+    }
+
     /// Converts back to the legacy per-peer `Vec` representation, for
     /// callers not yet ported to arena slices.
     pub fn to_caches(&self) -> Vec<Vec<FileRef>> {
@@ -578,6 +602,21 @@ mod tests {
         assert!(!arena.contains(0, f(1)));
         assert!(arena.contains(1, f(1)));
         assert!(!arena.contains(1, f(2)));
+    }
+
+    #[test]
+    fn retain_filters_entries_and_rebuilds_holders() {
+        let caches = vec![vec![f(0), f(2), f(4)], vec![], vec![f(2)], vec![f(1), f(2)]];
+        let mut arena = CacheArena::from_caches(&caches, 5);
+        assert_eq!(arena.holders(f(2)), &[0, 2, 3]);
+        arena.retain(|p, file| p != 2 && file != f(4));
+        assert_eq!(
+            arena.to_caches(),
+            vec![vec![f(0), f(2)], vec![], vec![], vec![f(1), f(2)]]
+        );
+        assert_eq!(arena.replica_count(), 4);
+        assert_eq!(arena.holders(f(2)), &[0, 3]);
+        assert!(arena.holders(f(4)).is_empty());
     }
 
     #[test]

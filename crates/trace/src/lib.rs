@@ -53,5 +53,5 @@ pub use pipeline::{
     DerivedArena, DerivedTrace, ExtrapolateConfig,
 };
 pub use randomize::{
-    randomize_caches, recommended_iterations, ArenaShuffler, ShuffleCheckpoint, Shuffler, SwapStats,
+    recommended_iterations, ArenaShuffler, ShuffleCheckpoint, Shuffler, SwapStats,
 };

@@ -19,8 +19,7 @@
 //! full randomization pass is O(N log N) total.
 //!
 //! The paper proves `½·N·ln N` iterations suffice (`N` = total replicas);
-//! [`recommended_iterations`] computes that bound and
-//! [`randomize_caches`] applies it.
+//! [`recommended_iterations`] computes that bound.
 
 use std::collections::HashSet;
 
@@ -318,6 +317,29 @@ impl ShuffleCheckpoint {
 /// uniform pick over the same ordering. [`ArenaShuffler::step`] draws
 /// the same two `gen_range` calls, so the whole swap chain is
 /// byte-identical to the row-path oracle under any seed.
+///
+/// # Examples
+///
+/// ```
+/// use edonkey_trace::compact::CacheArena;
+/// use edonkey_trace::model::FileRef;
+/// use edonkey_trace::randomize::{recommended_iterations, ArenaShuffler};
+/// use rand::SeedableRng;
+///
+/// let caches = vec![
+///     vec![FileRef(0), FileRef(1)],
+///     vec![FileRef(2)],
+///     vec![FileRef(0), FileRef(3)],
+/// ];
+/// let mut shuffler = ArenaShuffler::new(&CacheArena::from_caches(&caches, 4));
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+/// shuffler.run(recommended_iterations(shuffler.replica_count()), &mut rng);
+/// assert!(shuffler.stats().attempted > 0);
+/// // Generosity is preserved...
+/// let shuffled = shuffler.into_arena();
+/// assert_eq!(shuffled.cache(0).len(), 2);
+/// assert_eq!(shuffled.cache(1).len(), 1);
+/// ```
 pub struct ArenaShuffler {
     /// Flat cache entries; peer `p`'s row is
     /// `files[offsets[p]..offsets[p + 1]]`, unsorted while shuffling.
@@ -460,45 +482,24 @@ impl ArenaShuffler {
     }
 }
 
-/// Fully randomizes a set of caches with the paper's recommended
-/// iteration count, returning the shuffled caches and run statistics.
-///
-/// # Examples
-///
-/// ```
-/// use edonkey_trace::model::FileRef;
-/// use edonkey_trace::randomize::randomize_caches;
-/// use rand::SeedableRng;
-///
-/// let caches = vec![
-///     vec![FileRef(0), FileRef(1)],
-///     vec![FileRef(2)],
-///     vec![FileRef(0), FileRef(3)],
-/// ];
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let (shuffled, stats) = randomize_caches(caches.clone(), &mut rng);
-/// // Generosity is preserved...
-/// assert_eq!(shuffled[0].len(), 2);
-/// assert_eq!(shuffled[1].len(), 1);
-/// assert!(stats.attempted > 0);
-/// ```
-pub fn randomize_caches(
-    caches: Vec<Vec<FileRef>>,
-    rng: &mut impl Rng,
-) -> (Vec<Vec<FileRef>>, SwapStats) {
-    let mut shuffler = Shuffler::new(caches);
-    let iterations = recommended_iterations(shuffler.replica_count());
-    shuffler.run(iterations, rng);
-    let stats = shuffler.stats();
-    (shuffler.into_caches(), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
     use std::collections::HashMap;
+
+    /// The row oracle's full randomization: the paper's recommended
+    /// iteration count, then the sorted caches and the run statistics.
+    fn randomize_caches(
+        caches: Vec<Vec<FileRef>>,
+        rng: &mut StdRng,
+    ) -> (Vec<Vec<FileRef>>, SwapStats) {
+        let mut shuffler = Shuffler::new(caches);
+        shuffler.run(recommended_iterations(shuffler.replica_count()), rng);
+        let stats = shuffler.stats();
+        (shuffler.into_caches(), stats)
+    }
 
     fn replica_histogram(caches: &[Vec<FileRef>]) -> HashMap<FileRef, usize> {
         let mut h = HashMap::new();

@@ -47,7 +47,7 @@ fn main() {
     }
 
     // Table 1.
-    let summary = summarize(&trace);
+    let summary = summarize(&trace, &CacheArena::from_trace_static(&trace));
     println!(
         "\ntrace: {} clients ({:.0}% free-riders), {} snapshots, {} files, {:.1} GB",
         summary.clients,
@@ -84,7 +84,8 @@ fn main() {
 
     // Filtered stage + contribution skew (Fig. 7).
     let filtered = filter(&trace);
-    let top15 = contribution::generosity_concentration(&filtered.trace, 0.15);
+    let view = CacheArena::from_trace_static(&filtered.trace);
+    let top15 = contribution::generosity_concentration(&filtered.trace, &view, 0.15);
     println!(
         "\nfiltered: {} clients; top 15% of sharers hold {:.0}% of files",
         filtered.trace.peers.len(),
@@ -94,6 +95,7 @@ fn main() {
     // Fig. 11: geographic clustering, by popularity band.
     let cdfs = geo_clustering::concentration_cdfs(
         &filtered.trace,
+        &view,
         geo_clustering::Level::Country,
         &[1.0, 5.0],
     );

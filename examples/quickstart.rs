@@ -24,7 +24,7 @@ fn main() {
     let (_population, trace) = generate_trace(config);
 
     // 2. The pipeline of Section 2.3: full → filtered → extrapolated.
-    let summary = summarize(&trace);
+    let summary = summarize(&trace, &CacheArena::from_trace_static(&trace));
     println!(
         "full trace:        {} clients, {:.0}% free-riders, {} snapshots, {} files",
         summary.clients,

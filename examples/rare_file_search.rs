@@ -15,7 +15,9 @@
 
 use edonkey_repro::analysis::{semantic, view};
 use edonkey_repro::prelude::*;
-use edonkey_repro::semsearch::experiment;
+use edonkey_repro::semsearch::experiment::{sweep_cells, sweep_configs};
+use edonkey_repro::semsearch::filters::remove_top_files;
+use edonkey_repro::semsearch::sim::simulate_arena;
 
 fn main() {
     let mut config = WorkloadConfig::test_scale(99);
@@ -24,15 +26,13 @@ fn main() {
     config.days = 10;
     let (_population, trace) = generate_trace(config);
     let filtered = filter(&trace);
-    let caches = filtered.trace.static_caches();
-    let n_files = filtered.trace.files.len();
+    let static_view = CacheArena::from_trace_static(&filtered.trace);
 
     // 1. Clustering correlation, all files vs rare files (Fig. 13/14).
-    let popularity = view::popularity_of_caches(&caches, n_files);
-    let all = semantic::clustering_correlation(&caches, n_files, |_| true, Some(500));
-    let rare = semantic::clustering_correlation(
-        &caches,
-        n_files,
+    let popularity = view::popularity(&static_view);
+    let all = semantic::clustering_correlation_arena(&static_view, |_| true, Some(500));
+    let rare = semantic::clustering_correlation_arena(
+        &static_view,
         |f| (2..=6).contains(&popularity[f.index()]),
         None,
     );
@@ -51,23 +51,26 @@ fn main() {
 
     // 2. Removing popular files raises the hit rate (Fig. 20).
     println!("\nLRU hit rate after removing popular files (Fig. 20):");
-    for (q, sweep) in
-        experiment::file_removal_grid(&caches, n_files, &[0.0, 0.05, 0.15, 0.30], &[5, 20], 3)
-    {
+    for q in [0.0, 0.05, 0.15, 0.30] {
+        let (reduced, _) = remove_top_files(&static_view, q);
+        let sweep = sweep_cells(
+            &reduced,
+            &sweep_configs(PolicyKind::Lru, &[5, 20], false, 3),
+        );
         println!(
             "  top {:>2.0}% files removed: size-5 {:>5.1}%  size-20 {:>5.1}%  ({} requests)",
             100.0 * q,
-            100.0 * sweep[0].result.hit_rate(),
-            100.0 * sweep[1].result.hit_rate(),
-            sweep[0].result.requests,
+            100.0 * sweep[0].0.hit_rate(),
+            100.0 * sweep[1].0.hit_rate(),
+            sweep[0].0.requests,
         );
     }
 
     // 3. Two-hop search (Fig. 23).
     println!("\none-hop vs two-hop (LRU):");
     for size in [5usize, 20, 50] {
-        let one = simulate(&caches, n_files, &SimConfig::lru(size));
-        let two = simulate(&caches, n_files, &SimConfig::lru(size).with_two_hop());
+        let one = simulate_arena(&static_view, &SimConfig::lru(size));
+        let two = simulate_arena(&static_view, &SimConfig::lru(size).with_two_hop());
         println!(
             "  {size:>3} neighbours: {:>5.1}% → {:>5.1}%",
             100.0 * one.hit_rate(),

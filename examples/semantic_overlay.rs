@@ -9,8 +9,17 @@
 //! ```
 
 use edonkey_repro::prelude::*;
-use edonkey_repro::semsearch::experiment;
+use edonkey_repro::semsearch::experiment::{randomization_sweep_arena, sweep_cells, sweep_configs};
+use edonkey_repro::semsearch::filters::remove_top_uploaders;
 use edonkey_repro::trace::randomize::recommended_iterations;
+
+/// One policy's list-size sweep on the split-cell scheduler.
+fn sweep(view: &CacheArena, policy: PolicyKind, sizes: &[usize]) -> Vec<SimResult> {
+    sweep_cells(view, &sweep_configs(policy, sizes, false, 1))
+        .into_iter()
+        .map(|(result, _)| result)
+        .collect()
+}
 
 fn main() {
     let mut config = WorkloadConfig::test_scale(2024);
@@ -19,42 +28,37 @@ fn main() {
     config.days = 10;
     let (_population, trace) = generate_trace(config);
     let filtered = filter(&trace);
-    let caches = filtered.trace.static_caches();
-    let n_files = filtered.trace.files.len();
+    let view = CacheArena::from_trace_static(&filtered.trace);
 
     // Fig. 18: LRU vs History vs Random.
     println!("policy comparison (Fig. 18):");
     let sizes = [5usize, 10, 20, 50, 100];
-    for (policy, sweep) in experiment::policy_comparison(&caches, n_files, &sizes, 1) {
+    for policy in [PolicyKind::Lru, PolicyKind::History, PolicyKind::Random] {
         print!("  {:<8}", policy.name());
-        for point in &sweep {
-            print!(
-                " {:>3}:{:>5.1}%",
-                point.list_size,
-                100.0 * point.result.hit_rate()
-            );
+        for (size, result) in sizes.iter().zip(sweep(&view, policy, &sizes)) {
+            print!(" {:>3}:{:>5.1}%", size, 100.0 * result.hit_rate());
         }
         println!();
     }
 
     // Fig. 19: remove the most generous uploaders.
     println!("\nLRU after removing top uploaders (Fig. 19):");
-    for (q, sweep) in
-        experiment::uploader_removal_grid(&caches, n_files, &[0.0, 0.05, 0.15], &[20], 1)
-    {
-        let p = &sweep[0];
+    for q in [0.0, 0.05, 0.15] {
+        let (reduced, _) = remove_top_uploaders(&view, q);
+        let r = &sweep(&reduced, PolicyKind::Lru, &[20])[0];
         println!(
             "  top {:>2.0}% removed: {:>5.1}% hit rate over {} requests",
             100.0 * q,
-            100.0 * p.result.hit_rate(),
-            p.result.requests
+            100.0 * r.hit_rate(),
+            r.requests
         );
     }
 
     // Fig. 22: load distribution with and without generous uploaders.
     println!("\nquery load, LRU-5 (Fig. 22):");
-    for (q, sweep) in experiment::uploader_removal_grid(&caches, n_files, &[0.0, 0.10], &[5], 1) {
-        let r = &sweep[0].result;
+    for q in [0.0, 0.10] {
+        let (reduced, _) = remove_top_uploaders(&view, q);
+        let r = &sweep(&reduced, PolicyKind::Lru, &[5])[0];
         println!(
             "  top {:>2.0}% removed: mean {:>6.1} msgs/client, max {:>7}",
             100.0 * q,
@@ -66,12 +70,10 @@ fn main() {
     // Fig. 21: the randomized-trace control. Whatever hit rate survives
     // full randomization is attributable to generosity + popularity, not
     // semantic structure.
-    let replicas: usize = caches.iter().map(Vec::len).sum();
-    let full = recommended_iterations(replicas);
-    let sweep =
-        experiment::randomization_sweep(&caches, n_files, 10, &[0, full / 10, full / 2, full], 7);
+    let full = recommended_iterations(view.replica_count());
+    let run = randomization_sweep_arena(&view, 10, &[0, full / 10, full / 2, full], 7);
     println!("\nhit rate vs randomization (Fig. 21, LRU-10):");
-    for point in sweep {
+    for point in run.points {
         println!(
             "  {:>9} swaps: {:>5.1}%",
             point.swaps,

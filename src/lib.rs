@@ -52,7 +52,7 @@ pub mod prelude {
     pub use edonkey_proto::query::FileKind;
     pub use edonkey_semsearch::{simulate, PolicyKind, SimConfig, SimResult, PAPER_LIST_SIZES};
     pub use edonkey_trace::{
-        extrapolate, filter, randomize_caches, ExtrapolateConfig, FileRef, PeerId, Trace,
+        extrapolate, filter, CacheArena, ExtrapolateConfig, FileRef, PeerId, Trace,
     };
     pub use edonkey_workload::{generate_trace, Population, WorkloadConfig};
 }

@@ -9,7 +9,9 @@
 use std::path::{Path, PathBuf};
 
 use edonkey_repro::analysis::semantic;
-use edonkey_repro::semsearch::experiment;
+use edonkey_repro::semsearch::experiment::{sweep_cells, sweep_configs};
+use edonkey_repro::semsearch::neighbours::PolicyKind;
+use edonkey_repro::trace::compact::CacheArena;
 use edonkey_repro::trace::io;
 use edonkey_repro::trace::model::Trace;
 use edonkey_repro::trace::pipeline::{extrapolate, filter, filter_streaming, ExtrapolateConfig};
@@ -62,21 +64,22 @@ fn round_trips(trace: &Trace, dir: &Path) -> Vec<(&'static str, Trace)> {
 }
 
 /// The Fig. 18 series, flattened to comparable rows.
-fn fig18_series(
-    caches: &[Vec<edonkey_repro::trace::model::FileRef>],
-    n_files: usize,
-) -> Vec<(String, usize, u64, u64)> {
-    experiment::policy_comparison(caches, n_files, &LIST_SIZES, SEED)
+fn fig18_series(view: &CacheArena) -> Vec<(String, usize, u64, u64)> {
+    [PolicyKind::Lru, PolicyKind::History, PolicyKind::Random]
         .into_iter()
-        .flat_map(|(policy, sweep)| {
-            sweep.into_iter().map(move |point| {
-                (
-                    policy.name().to_string(),
-                    point.list_size,
-                    point.result.hits(),
-                    point.result.requests,
-                )
-            })
+        .flat_map(|policy| {
+            let cells = sweep_cells(view, &sweep_configs(policy, &LIST_SIZES, false, SEED));
+            LIST_SIZES
+                .iter()
+                .zip(cells)
+                .map(move |(&size, (result, _))| {
+                    (
+                        policy.name().to_string(),
+                        size,
+                        result.hits(),
+                        result.requests,
+                    )
+                })
         })
         .collect()
 }
@@ -90,11 +93,9 @@ fn all_formats_agree_down_the_pipeline() {
     // Reference pipeline from the in-memory original.
     let ref_filtered = filter(&full).trace;
     let ref_extrapolated = extrapolate(&ref_filtered, ExtrapolateConfig::default()).trace;
-    let ref_caches = ref_filtered.static_caches();
-    let n_files = ref_filtered.files.len();
-    let ref_fig14 =
-        semantic::clustering_correlation(&ref_caches, n_files, |_| true, Some(HOLDER_CAP));
-    let ref_fig18 = fig18_series(&ref_caches, n_files);
+    let ref_view = CacheArena::from_trace_static(&ref_filtered);
+    let ref_fig14 = semantic::clustering_correlation_arena(&ref_view, |_| true, Some(HOLDER_CAP));
+    let ref_fig18 = fig18_series(&ref_view);
     assert!(
         !ref_fig14.is_empty(),
         "workload too small: empty Fig. 14 series"
@@ -113,10 +114,10 @@ fn all_formats_agree_down_the_pipeline() {
             extrapolated, ref_extrapolated,
             "{name}: extrapolated stage diverged"
         );
-        let caches = filtered.static_caches();
-        let fig14 = semantic::clustering_correlation(&caches, n_files, |_| true, Some(HOLDER_CAP));
+        let view = CacheArena::from_trace_static(&filtered);
+        let fig14 = semantic::clustering_correlation_arena(&view, |_| true, Some(HOLDER_CAP));
         assert_eq!(fig14, ref_fig14, "{name}: Fig. 14 series diverged");
-        let fig18 = fig18_series(&caches, n_files);
+        let fig18 = fig18_series(&view);
         assert_eq!(fig18, ref_fig18, "{name}: Fig. 18 series diverged");
     }
     let _ = std::fs::remove_dir_all(&dir);

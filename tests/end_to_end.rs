@@ -9,7 +9,11 @@ use edonkey_repro::analysis::{
     contribution, daily, geo_clustering, geography, popularity, semantic, sizes, stats, view,
 };
 use edonkey_repro::prelude::*;
-use edonkey_repro::semsearch::experiment;
+use edonkey_repro::semsearch::experiment::{randomization_sweep_arena, sweep_cells, sweep_configs};
+use edonkey_repro::semsearch::filters::{remove_top_files, remove_top_uploaders};
+use edonkey_repro::semsearch::sim::simulate_arena;
+use edonkey_repro::trace::compact::CacheArena;
+use edonkey_repro::trace::randomize::{recommended_iterations, ArenaShuffler};
 
 /// One shared workload for the whole file (generation dominates test
 /// time; every check is read-only on it).
@@ -22,10 +26,19 @@ fn workload() -> (Population, Trace) {
     generate_trace(config)
 }
 
-fn filtered_caches(trace: &Trace) -> (Vec<Vec<FileRef>>, usize) {
+/// The filtered stage and its static view.
+fn filtered_view(trace: &Trace) -> (Trace, CacheArena) {
     let filtered = filter(trace).trace;
-    let n = filtered.files.len();
-    (filtered.static_caches(), n)
+    let view = CacheArena::from_trace_static(&filtered);
+    (filtered, view)
+}
+
+/// One policy's list-size sweep on the split-cell scheduler.
+fn sweep(view: &CacheArena, policy: PolicyKind, sizes: &[usize]) -> Vec<SimResult> {
+    sweep_cells(view, &sweep_configs(policy, sizes, false, 1))
+        .into_iter()
+        .map(|(result, _)| result)
+        .collect()
 }
 
 #[test]
@@ -47,7 +60,7 @@ fn pipeline_stages_shrink_and_stay_valid() {
 #[test]
 fn table1_free_riders_dominate() {
     let (_, trace) = workload();
-    let summary = summarize(&trace);
+    let summary = summarize(&trace, &CacheArena::from_trace_static(&trace));
     let frac = summary.free_rider_fraction();
     assert!(
         (0.6..0.9).contains(&frac),
@@ -81,14 +94,14 @@ fn fig5_popularity_is_zipf_like() {
 #[test]
 fn fig6_popular_files_are_large() {
     let (_, trace) = workload();
-    let filtered = filter(&trace).trace;
-    let (small, mid, large) = sizes::size_mix(&filtered);
+    let (filtered, view) = filtered_view(&trace);
+    let (small, mid, large) = sizes::size_mix(&filtered, &view);
     assert!(small > 0.2, "small-file share {small}");
     assert!(mid > 0.3, "mid-file share {mid}");
     assert!(large < 0.3, "large-file share {large}");
     // Among popular files, big files dominate far beyond their share.
-    let big_among_popular = sizes::fraction_larger_than(&filtered, 5, 100 << 20);
-    let big_among_all = sizes::fraction_larger_than(&filtered, 1, 100 << 20);
+    let big_among_popular = sizes::fraction_larger_than(&filtered, &view, 5, 100 << 20);
+    let big_among_all = sizes::fraction_larger_than(&filtered, &view, 1, 100 << 20);
     assert!(
         big_among_popular > 2.0 * big_among_all,
         "popularity must tilt toward large files: {big_among_popular} vs {big_among_all}"
@@ -98,8 +111,8 @@ fn fig6_popular_files_are_large() {
 #[test]
 fn fig7_generosity_is_concentrated() {
     let (_, trace) = workload();
-    let filtered = filter(&trace).trace;
-    let top15 = contribution::generosity_concentration(&filtered, 0.15);
+    let (filtered, view) = filtered_view(&trace);
+    let top15 = contribution::generosity_concentration(&filtered, &view, 0.15);
     assert!(
         (0.5..0.95).contains(&top15),
         "top-15% share {top15}; paper reports 75%"
@@ -130,9 +143,10 @@ fn fig4_country_mix_matches_plan() {
 #[test]
 fn fig11_rare_files_cluster_geographically() {
     let (_, trace) = workload();
-    let filtered = filter(&trace).trace;
-    let conc = geo_clustering::home_concentration(&filtered, geo_clustering::Level::Country);
-    let spans = edonkey_repro::analysis::view::file_spans(&filtered);
+    let (filtered, static_view) = filtered_view(&trace);
+    let conc =
+        geo_clustering::home_concentration(&filtered, &static_view, geo_clustering::Level::Country);
+    let spans = view::file_spans(&filtered, &static_view);
     // Band by popularity rank (the paper's thresholds are absolute, but
     // "popular" is scale-relative): the 200 most replicated files vs all.
     let mut by_pop: Vec<(usize, f64)> = spans
@@ -168,8 +182,8 @@ fn fig11_rare_files_cluster_geographically() {
 #[test]
 fn fig13_correlation_rises_with_common_files() {
     let (_, trace) = workload();
-    let (caches, n_files) = filtered_caches(&trace);
-    let curve = semantic::clustering_correlation(&caches, n_files, |_| true, Some(400));
+    let (_, static_view) = filtered_view(&trace);
+    let curve = semantic::clustering_correlation_arena(&static_view, |_| true, Some(400));
     assert!(curve.len() >= 5);
     let p1 = curve[0].probability_percent;
     let p5 = curve
@@ -190,18 +204,20 @@ fn fig13_correlation_rises_with_common_files() {
 #[test]
 fn fig14_randomization_destroys_rare_file_clustering() {
     let (_, trace) = workload();
-    let (caches, n_files) = filtered_caches(&trace);
-    let popularity = view::popularity_of_caches(&caches, n_files);
+    let (_, static_view) = filtered_view(&trace);
+    let popularity = view::popularity(&static_view);
     let rare = |fr: FileRef| (3..=5).contains(&popularity[fr.index()]);
-    let before = semantic::clustering_correlation(&caches, n_files, rare, None);
+    let before = semantic::clustering_correlation_arena(&static_view, rare, None);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
-    let (random_caches, _) = randomize_caches(caches, &mut rng);
-    let rand_popularity = view::popularity_of_caches(&random_caches, n_files);
+    let mut shuffler = ArenaShuffler::new(&static_view);
+    shuffler.run(recommended_iterations(shuffler.replica_count()), &mut rng);
+    let randomized = shuffler.into_arena();
+    let rand_popularity = view::popularity(&randomized);
     assert_eq!(
         popularity, rand_popularity,
         "popularity is preserved exactly"
     );
-    let after = semantic::clustering_correlation(&random_caches, n_files, rare, None);
+    let after = semantic::clustering_correlation_arena(&randomized, rare, None);
     let p = |curve: &[semantic::CorrelationPoint]| {
         curve.first().map(|p| p.probability_percent).unwrap_or(0.0)
     };
@@ -216,13 +232,8 @@ fn fig14_randomization_destroys_rare_file_clustering() {
 #[test]
 fn fig18_policy_ordering_and_magnitudes() {
     let (_, trace) = workload();
-    let (caches, n_files) = filtered_caches(&trace);
-    let cmp = experiment::policy_comparison(&caches, n_files, &[20], 1);
-    let rate = |k: PolicyKind| {
-        cmp.iter().find(|(p, _)| *p == k).unwrap().1[0]
-            .result
-            .hit_rate()
-    };
+    let (_, view) = filtered_view(&trace);
+    let rate = |k: PolicyKind| sweep(&view, k, &[20])[0].hit_rate();
     let (lru, history, random) = (
         rate(PolicyKind::Lru),
         rate(PolicyKind::History),
@@ -239,10 +250,10 @@ fn fig18_policy_ordering_and_magnitudes() {
 #[test]
 fn fig19_uploader_removal_hurts_but_does_not_collapse() {
     let (_, trace) = workload();
-    let (caches, n_files) = filtered_caches(&trace);
-    let grid = experiment::uploader_removal_grid(&caches, n_files, &[0.0, 0.15], &[20], 1);
-    let baseline = grid[0].1[0].result.hit_rate();
-    let reduced = grid[1].1[0].result.hit_rate();
+    let (_, view) = filtered_view(&trace);
+    let (without_top, _) = remove_top_uploaders(&view, 0.15);
+    let baseline = sweep(&view, PolicyKind::Lru, &[20])[0].hit_rate();
+    let reduced = sweep(&without_top, PolicyKind::Lru, &[20])[0].hit_rate();
     assert!(reduced < baseline, "removing generous uploaders must hurt");
     assert!(
         reduced > baseline * 0.5,
@@ -253,11 +264,11 @@ fn fig19_uploader_removal_hurts_but_does_not_collapse() {
 #[test]
 fn fig20_popular_file_removal_helps_small_lists_most() {
     let (_, trace) = workload();
-    let (caches, n_files) = filtered_caches(&trace);
-    let grid = experiment::file_removal_grid(&caches, n_files, &[0.0, 0.05, 0.30], &[5], 1);
-    let baseline = grid[0].1[0].result.clone();
-    let light = grid[1].1[0].result.clone();
-    let heavy = grid[2].1[0].result.clone();
+    let (_, view) = filtered_view(&trace);
+    let lru5 = |q: f64| sweep(&remove_top_files(&view, q).0, PolicyKind::Lru, &[5]).remove(0);
+    let baseline = lru5(0.0);
+    let light = lru5(0.05);
+    let heavy = lru5(0.30);
     // Removing the head leaves mostly rare-file requests…
     assert!(
         light.requests < baseline.requests * 9 / 10,
@@ -294,10 +305,9 @@ fn fig20_popular_file_removal_helps_small_lists_most() {
 #[test]
 fn fig21_hit_rate_decays_under_randomization() {
     let (_, trace) = workload();
-    let (caches, n_files) = filtered_caches(&trace);
-    let replicas: usize = caches.iter().map(Vec::len).sum();
-    let full = edonkey_repro::trace::randomize::recommended_iterations(replicas);
-    let sweep = experiment::randomization_sweep(&caches, n_files, 10, &[0, full], 3);
+    let (_, view) = filtered_view(&trace);
+    let full = recommended_iterations(view.replica_count());
+    let sweep = randomization_sweep_arena(&view, 10, &[0, full], 3).points;
     assert!(
         sweep[1].hit_rate < sweep[0].hit_rate * 0.7,
         "full randomization must destroy most of the hit rate: {} → {}",
@@ -313,10 +323,9 @@ fn fig21_hit_rate_decays_under_randomization() {
 #[test]
 fn fig22_removing_uploaders_flattens_load() {
     let (_, trace) = workload();
-    let (caches, n_files) = filtered_caches(&trace);
-    let grid = experiment::uploader_removal_grid(&caches, n_files, &[0.0, 0.10], &[5], 1);
-    let baseline = &grid[0].1[0].result;
-    let reduced = &grid[1].1[0].result;
+    let (_, view) = filtered_view(&trace);
+    let baseline = &sweep(&view, PolicyKind::Lru, &[5])[0];
+    let reduced = &sweep(&remove_top_uploaders(&view, 0.10).0, PolicyKind::Lru, &[5])[0];
     let skew = |r: &SimResult| r.max_load() as f64 / r.mean_load().max(1.0);
     assert!(
         skew(reduced) < skew(baseline),
@@ -329,10 +338,10 @@ fn fig22_removing_uploaders_flattens_load() {
 #[test]
 fn fig23_two_hop_beats_one_hop_most_at_small_lists() {
     let (_, trace) = workload();
-    let (caches, n_files) = filtered_caches(&trace);
+    let (_, view) = filtered_view(&trace);
     let rates = |size: usize| {
-        let one = simulate(&caches, n_files, &SimConfig::lru(size)).hit_rate();
-        let two = simulate(&caches, n_files, &SimConfig::lru(size).with_two_hop()).hit_rate();
+        let one = simulate_arena(&view, &SimConfig::lru(size)).hit_rate();
+        let two = simulate_arena(&view, &SimConfig::lru(size).with_two_hop()).hit_rate();
         (one, two)
     };
     let (one_small, two_small) = rates(5);

@@ -19,6 +19,7 @@ use edonkey_repro::semsearch::experiment::churn_grid;
 use edonkey_repro::semsearch::index::{IndexBackend, IndexRoute};
 use edonkey_repro::semsearch::sim::{simulate_health, AvailabilityConfig, QueryPolicy};
 use edonkey_repro::semsearch::SimConfig;
+use edonkey_repro::trace::compact::CacheArena;
 use edonkey_repro::trace::model::FileRef;
 use edonkey_repro::trace::pipeline::filter;
 use edonkey_repro::workload::{generate_trace, ChurnConfig, ChurnSchedule, WorkloadConfig};
@@ -48,6 +49,15 @@ fn caches() -> &'static (Vec<Vec<FileRef>>, usize) {
     })
 }
 
+/// [`caches`] packed once, for the churn grid.
+fn arena() -> &'static CacheArena {
+    static A: OnceLock<CacheArena> = OnceLock::new();
+    A.get_or_init(|| {
+        let (caches, n_files) = caches();
+        CacheArena::from_caches(caches, *n_files)
+    })
+}
+
 /// A churn + outage `SimConfig` for one backend.
 fn config(backend: IndexBackend, churn_permille: u32, outage: &[u32]) -> SimConfig {
     SimConfig::lru(LIST_SIZE).with_seed(SEED).with_availability(
@@ -71,14 +81,12 @@ const BACKENDS: [IndexBackend; 3] = [
 /// stronger form of the "agree on answered" criterion).
 #[test]
 fn zero_outage_runs_agree_across_backends() {
-    let (caches, n_files) = caches();
     let queries = [QueryPolicy::no_retry(), QueryPolicy::retry_evict()];
     let grids: Vec<_> = BACKENDS
         .iter()
         .map(|&backend| {
             churn_grid(
-                caches,
-                *n_files,
+                arena(),
                 LIST_SIZE,
                 &[0, 250],
                 &queries,

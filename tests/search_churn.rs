@@ -13,6 +13,7 @@ use edonkey_repro::semsearch::index::IndexBackend;
 use edonkey_repro::semsearch::neighbours::PolicyKind;
 use edonkey_repro::semsearch::sim::{simulate_reference, AvailabilityConfig, QueryPolicy};
 use edonkey_repro::semsearch::{simulate, SimConfig};
+use edonkey_repro::trace::compact::CacheArena;
 use edonkey_repro::trace::model::FileRef;
 use edonkey_repro::trace::pipeline::filter;
 use edonkey_repro::workload::{generate_trace, WorkloadConfig};
@@ -35,6 +36,15 @@ fn caches() -> &'static (Vec<Vec<FileRef>>, usize) {
         let filtered = filter(&trace).trace;
         let n = filtered.files.len();
         (filtered.static_caches(), n)
+    })
+}
+
+/// [`caches`] packed once, for the churn grid.
+fn arena() -> &'static CacheArena {
+    static A: OnceLock<CacheArena> = OnceLock::new();
+    A.get_or_init(|| {
+        let (caches, n_files) = caches();
+        CacheArena::from_caches(caches, *n_files)
     })
 }
 
@@ -74,8 +84,7 @@ fn zero_churn_is_bit_identical_to_the_seed_simulator() {
     // policy and either querier reaction, and their ledgers are silent.
     let queries = [QueryPolicy::no_retry(), QueryPolicy::retry_evict()];
     let cells = churn_grid(
-        caches,
-        *n_files,
+        arena(),
         LIST_SIZE,
         &[0],
         &queries,
@@ -103,11 +112,9 @@ fn zero_churn_is_bit_identical_to_the_seed_simulator() {
 /// list policy.
 #[test]
 fn retry_and_eviction_recover_hits_at_25pct_churn_for_every_policy() {
-    let (caches, n_files) = caches();
     let queries = [QueryPolicy::no_retry(), QueryPolicy::retry_evict()];
     let cells = churn_grid(
-        caches,
-        *n_files,
+        arena(),
         LIST_SIZE,
         &[250],
         &queries,
@@ -142,10 +149,8 @@ fn retry_and_eviction_recover_hits_at_25pct_churn_for_every_policy() {
 /// Random — survives 25% churn under the retrying querier.
 #[test]
 fn fig18_ordering_survives_churn() {
-    let (caches, n_files) = caches();
     let cells = churn_grid(
-        caches,
-        *n_files,
+        arena(),
         LIST_SIZE,
         &[250],
         &[QueryPolicy::retry_evict()],
@@ -185,12 +190,10 @@ fn fig18_ordering_survives_churn() {
 /// also asserted inside `churn_grid` itself).
 #[test]
 fn server_outage_strands_and_recovers_in_every_cell() {
-    let (caches, n_files) = caches();
     let outage: Vec<u32> = (7..200).collect();
     let queries = [QueryPolicy::no_retry(), QueryPolicy::retry_evict()];
     let cells = churn_grid(
-        caches,
-        *n_files,
+        arena(),
         LIST_SIZE,
         &[250],
         &queries,
@@ -229,10 +232,8 @@ fn server_outage_strands_and_recovers_in_every_cell() {
 /// overlay goes dark and every request lands on the server.
 #[test]
 fn total_churn_sends_everything_to_the_server() {
-    let (caches, n_files) = caches();
     let cells = churn_grid(
-        caches,
-        *n_files,
+        arena(),
         LIST_SIZE,
         &[1000],
         &[QueryPolicy::retry_evict()],
@@ -252,12 +253,10 @@ fn total_churn_sends_everything_to_the_server() {
 /// distinct churn seeds.
 #[test]
 fn churn_matrix_is_deterministic_across_runs() {
-    let (caches, n_files) = caches();
     for churn_seed in [1u64, 0xfeed, CHURN_SEED] {
         let run = || {
             churn_grid(
-                caches,
-                *n_files,
+                arena(),
                 LIST_SIZE,
                 &[100, 500],
                 &[QueryPolicy::retry_evict()],
