@@ -9,13 +9,14 @@
 use std::collections::HashMap;
 
 use edonkey_trace::compact::CacheArena;
-use edonkey_trace::model::{PeerId, Trace};
+use edonkey_trace::model::{DaySnapshot, FileRef, PeerId, Trace};
+use edonkey_trace::par::parallel_map_init_threads;
 use edonkey_trace::pipeline::sorted_intersection_len;
 
 use crate::semantic::overlap_counts_arena;
 
 /// One tracked group of pairs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct OverlapGroup {
     /// The group's initial overlap (files in common on the first day).
     pub initial_overlap: u32,
@@ -37,11 +38,33 @@ pub struct OverlapGroup {
 ///   carrying no pair-specific signal); `None` uses every file.
 ///
 /// Pairs are formed on the first trace day over peers observed that day.
+/// Days are sharded over `available_parallelism` workers; each day's
+/// group totals are integer sums, so the result does not depend on the
+/// worker count.
 pub fn overlap_evolution(
     trace: &Trace,
     initial_overlaps: &[u32],
     max_pairs_per_group: Option<usize>,
     max_holders: Option<usize>,
+) -> Vec<OverlapGroup> {
+    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+    overlap_evolution_threads(
+        trace,
+        initial_overlaps,
+        max_pairs_per_group,
+        max_holders,
+        threads,
+    )
+}
+
+/// [`overlap_evolution`] with an explicit worker count — the hook the
+/// determinism test uses.
+pub(crate) fn overlap_evolution_threads(
+    trace: &Trace,
+    initial_overlaps: &[u32],
+    max_pairs_per_group: Option<usize>,
+    max_holders: Option<usize>,
+    threads: usize,
 ) -> Vec<OverlapGroup> {
     let Some(first) = trace.days.first() else {
         return Vec::new();
@@ -65,37 +88,48 @@ pub fn overlap_evolution(
         }
     }
 
-    let mut result: Vec<OverlapGroup> = initial_overlaps
+    let tracked: Vec<(u32, &[(u32, u32)])> = initial_overlaps
         .iter()
-        .filter_map(|&k| {
-            groups.get(&k).map(|pairs| OverlapGroup {
-                initial_overlap: k,
-                pairs: pairs.len(),
-                series: Vec::with_capacity(trace.days.len()),
-            })
-        })
+        .filter_map(|&k| groups.get(&k).map(|pairs| (k, pairs.as_slice())))
         .collect();
-
-    for snap in &trace.days {
-        // Caches for this day, indexed by peer (empty when unobserved).
-        let mut caches: Vec<&[edonkey_trace::model::FileRef]> = vec![&[]; n_peers];
-        for (peer, cache) in &snap.caches {
-            caches[peer.index()] = cache;
-        }
-        for group in &mut result {
-            let pairs = &groups[&group.initial_overlap];
-            let total: u64 = pairs
+    let days: Vec<&DaySnapshot> = trace.days.iter().collect();
+    // One row of per-group overlap totals per day.
+    let totals = parallel_map_init_threads(
+        &days,
+        threads,
+        || vec![&[][..]; n_peers],
+        |caches: &mut Vec<&[FileRef]>, snap| {
+            // Caches for this day, indexed by peer (empty when unobserved).
+            caches.fill(&[]);
+            for (peer, cache) in &snap.caches {
+                caches[peer.index()] = cache;
+            }
+            tracked
                 .iter()
-                .map(|&(a, b)| {
-                    sorted_intersection_len(caches[a as usize], caches[b as usize]) as u64
+                .map(|(_, pairs)| {
+                    pairs
+                        .iter()
+                        .map(|&(a, b)| {
+                            sorted_intersection_len(caches[a as usize], caches[b as usize]) as u64
+                        })
+                        .sum::<u64>()
                 })
-                .sum();
-            group
-                .series
-                .push((snap.day, total as f64 / pairs.len().max(1) as f64));
-        }
-    }
-    result
+                .collect::<Vec<u64>>()
+        },
+    );
+    tracked
+        .iter()
+        .enumerate()
+        .map(|(g, &(initial_overlap, pairs))| OverlapGroup {
+            initial_overlap,
+            pairs: pairs.len(),
+            series: days
+                .iter()
+                .zip(&totals)
+                .map(|(snap, row)| (snap.day, row[g] as f64 / pairs.len().max(1) as f64))
+                .collect(),
+        })
+        .collect()
 }
 
 /// The pairs with the largest first-day overlaps (Fig. 17 tracks the
@@ -196,6 +230,32 @@ mod tests {
         assert_eq!(top[0].0, 2);
         assert_eq!(top[0].1, (PeerId(0), PeerId(1)));
         assert_eq!(top[1].0, 1);
+    }
+
+    /// Day sharding sums integers per day, so one worker and the
+    /// machine's worker count give identical groups on the extrapolated
+    /// end-to-end fixture (the Fig. 15 groups and caps).
+    #[test]
+    fn any_worker_count_gives_identical_groups() {
+        use edonkey_trace::pipeline::{extrapolate, filter, ExtrapolateConfig};
+        let mut config = edonkey_workload::WorkloadConfig::test_scale(20060418);
+        config.peers = 2_000;
+        config.files = 40_000;
+        config.topics = 400;
+        config.days = 20;
+        let (_, trace) = edonkey_workload::generate_trace(config);
+        let trace = extrapolate(&filter(&trace).trace, ExtrapolateConfig::default()).trace;
+        let initial: Vec<u32> = (1..=10).collect();
+        let machine = std::thread::available_parallelism().map_or(4, |n| n.get());
+        let one = overlap_evolution_threads(&trace, &initial, Some(5_000), Some(200), 1);
+        assert_eq!(one.len(), initial.len());
+        for threads in [machine, 3] {
+            assert_eq!(
+                overlap_evolution_threads(&trace, &initial, Some(5_000), Some(200), threads),
+                one,
+                "{threads} workers"
+            );
+        }
     }
 
     #[test]

@@ -426,7 +426,9 @@ pub struct RandomizationRun {
 /// Arena-native [`randomization_sweep`]: same RNG draw sequence and
 /// byte-identical shuffled caches, but swap state lives in a flat CSR
 /// arena ([`ArenaShuffler`]) and each checkpoint snapshot is a flat
-/// buffer copy instead of a per-peer `Vec` clone + re-sort.
+/// buffer copy instead of a per-peer `Vec` clone + re-sort. Each
+/// snapshot's simulation runs on a scoped worker while the swap chain
+/// continues to the next checkpoint.
 ///
 /// Returns the points plus a resumable checkpoint — the decay sweep can
 /// extend its x-axis later without replaying the shared prefix.
@@ -475,23 +477,40 @@ fn sweep_from(
         checkpoints.windows(2).all(|w| w[0] <= w[1]),
         "checkpoints must be non-decreasing"
     );
+    let config = SimConfig::lru(list_size).with_seed(seed);
     let mut applied = shuffler.stats().attempted;
-    let mut snapshots: Vec<(u64, CacheArena)> = Vec::with_capacity(checkpoints.len());
-    for &target in checkpoints {
-        shuffler.run(target - applied, rng);
-        applied = target;
-        snapshots.push((target, shuffler.snapshot_arena()));
-    }
-    let checkpoint = shuffler.checkpoint(rng);
-    let points = parallel_map_init(&snapshots, SimScratch::new, |scratch, (swaps, arena)| {
-        let result =
-            simulate_arena_with_scratch(arena, &SimConfig::lru(list_size).with_seed(seed), scratch);
-        RandomizationPoint {
-            swaps: *swaps,
-            hit_rate: result.hit_rate(),
+    // Each snapshot's simulation runs on a worker while the chain moves
+    // on to the next checkpoint; the channel keeps checkpoint order.
+    let (snapshots, received) = std::sync::mpsc::channel::<(u64, CacheArena)>();
+    let points = std::thread::scope(|scope| {
+        let worker = scope.spawn(move || {
+            let mut scratch = SimScratch::new();
+            received
+                .iter()
+                .map(|(swaps, arena)| RandomizationPoint {
+                    swaps,
+                    hit_rate: simulate_arena_with_scratch(&arena, &config, &mut scratch).hit_rate(),
+                })
+                .collect::<Vec<_>>()
+        });
+        for &target in checkpoints {
+            shuffler.run(target - applied, rng);
+            applied = target;
+            // A closed channel means the worker panicked; the join
+            // below re-raises it.
+            if snapshots.send((target, shuffler.snapshot_arena())).is_err() {
+                break;
+            }
         }
+        drop(snapshots);
+        worker
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     });
-    RandomizationRun { points, checkpoint }
+    RandomizationRun {
+        points,
+        checkpoint: shuffler.checkpoint(rng),
+    }
 }
 
 /// One cell of the churn ablation grid: a churn rate × policy × query

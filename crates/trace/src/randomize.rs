@@ -206,9 +206,14 @@ impl PairSet {
         ((peer as u64) << 32) | file.0 as u64
     }
 
-    fn contains(&self, peer: u32, file: FileRef) -> bool {
-        let key = Self::key(peer, file);
-        let mut i = mix64(key) as usize & self.mask;
+    /// The slot `key`'s probe starts at, from its hash `mix64(key)`.
+    fn home(&self, hash: u64) -> usize {
+        hash as usize & self.mask
+    }
+
+    /// Membership of `key`, whose hash the caller computed once.
+    fn contains(&self, key: u64, hash: u64) -> bool {
+        let mut i = self.home(hash);
         loop {
             let slot = self.slots[i];
             if slot == key {
@@ -221,10 +226,9 @@ impl PairSet {
         }
     }
 
-    fn insert(&mut self, peer: u32, file: FileRef) {
-        let key = Self::key(peer, file);
+    fn insert(&mut self, key: u64, hash: u64) {
         debug_assert_ne!(key, PAIR_EMPTY);
-        let mut i = mix64(key) as usize & self.mask;
+        let mut i = self.home(hash);
         while self.slots[i] != PAIR_EMPTY {
             debug_assert_ne!(self.slots[i], key, "pair inserted twice");
             i = (i + 1) & self.mask;
@@ -232,9 +236,8 @@ impl PairSet {
         self.slots[i] = key;
     }
 
-    fn remove(&mut self, peer: u32, file: FileRef) {
-        let key = Self::key(peer, file);
-        let mut i = mix64(key) as usize & self.mask;
+    fn remove(&mut self, key: u64, hash: u64) {
+        let mut i = self.home(hash);
         while self.slots[i] != key {
             debug_assert_ne!(self.slots[i], PAIR_EMPTY, "removing an absent pair");
             i = (i + 1) & self.mask;
@@ -248,7 +251,7 @@ impl PairSet {
             if slot == PAIR_EMPTY {
                 break;
             }
-            let home = mix64(slot) as usize & self.mask;
+            let home = self.home(mix64(slot));
             // `slot` may shift back into the hole only if its home lies
             // outside the (cyclic) range (hole, j].
             let reachable = if hole <= j {
@@ -264,6 +267,60 @@ impl PairSet {
         }
         self.slots[hole] = PAIR_EMPTY;
     }
+}
+
+/// Asks the CPU to start loading the cache line that holds `value`. A
+/// hint only: no program-visible state changes, so it is a no-op
+/// off x86_64.
+#[inline(always)]
+fn prefetch<T>(value: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` never faults and reads nothing the program
+    // can observe; the pointer comes from a live reference regardless.
+    // Its SSE requirement is part of the x86_64 baseline.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((value as *const T).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
+}
+
+/// Attempts drawn ahead of the one [`ArenaShuffler::run`] applies (a
+/// power of two, so the ring index is a mask).
+const LOOKAHEAD: usize = 16;
+
+/// Attempts ahead at which [`ArenaShuffler::run`] hashes the pair keys
+/// and prefetches their home slots: late enough that the entry lines
+/// requested at draw time have arrived, early enough to hide the slot
+/// misses. Below `LOOKAHEAD`, so the attempt is already drawn.
+const HOME_AHEAD: usize = 8;
+
+const _: () = assert!(LOOKAHEAD.is_power_of_two() && HOME_AHEAD < LOOKAHEAD);
+
+/// One drawn swap attempt in [`ArenaShuffler::run`]'s lookahead ring.
+#[derive(Clone, Copy)]
+struct Pending {
+    /// The two drawn entry positions.
+    a: usize,
+    b: usize,
+    /// Set by [`ArenaShuffler::stage`].
+    staged: Option<Staged>,
+}
+
+/// What [`ArenaShuffler::stage`] read and hashed ahead of an attempt.
+#[derive(Clone, Copy)]
+struct Staged {
+    /// `files[a]` and `files[b]` when staged.
+    files: [FileRef; 2],
+    /// `mix64` of the pair keys `(pu, f)`, `(pu, f2)`, `(pv, f)`,
+    /// `(pv, f2)` for those entries.
+    hashes: [u64; 4],
+}
+
+/// The hashes [`Staged::hashes`] holds.
+fn pair_hashes(pu: u32, pv: u32, f: FileRef, f2: FileRef) -> [u64; 4] {
+    [(pu, f), (pu, f2), (pv, f), (pv, f2)].map(|(p, file)| mix64(PairSet::key(p, file)))
 }
 
 /// A cheap, resumable snapshot of an [`ArenaShuffler`]'s progress: the
@@ -378,11 +435,13 @@ impl ArenaShuffler {
         for p in 0..n_peers {
             let (lo, hi) = (offsets[p] as usize, offsets[p + 1] as usize);
             for &f in &files[lo..hi] {
+                let key = PairSet::key(p as u32, f);
+                let hash = mix64(key);
                 assert!(
-                    !members.contains(p as u32, f),
+                    !members.contains(key, hash),
                     "peer {p} cache has duplicates"
                 );
-                members.insert(p as u32, f);
+                members.insert(key, hash);
                 owner.push(p as u32);
             }
         }
@@ -407,15 +466,44 @@ impl ArenaShuffler {
     }
 
     /// Runs `iterations` swap attempts — the same RNG draw sequence as
-    /// [`Shuffler::run`].
+    /// [`Shuffler::run`], and the same swaps as `iterations` calls of
+    /// [`ArenaShuffler::step`].
+    ///
+    /// Positions are drawn `LOOKAHEAD` attempts ahead into a ring, so
+    /// the entry lines and then the pair-set home slots of later
+    /// attempts are in flight while the current one swaps. This is
+    /// exact: each draw is one `gen_range` over the fixed replica
+    /// count, independent of the swap state, so drawing early yields
+    /// the same positions in the same order, and the ring never draws
+    /// past the last attempt.
     pub fn run(&mut self, iterations: u64, rng: &mut impl Rng) {
         if self.files.len() < 2 {
             // Nothing can ever swap; still record the attempts.
             self.stats.attempted += iterations;
             return;
         }
-        for _ in 0..iterations {
-            self.step(rng);
+        let ahead = |i: u64, by: usize| i + (by as u64) < iterations;
+        let primed = iterations.min(LOOKAHEAD as u64) as usize;
+        let mut ring = [Pending {
+            a: 0,
+            b: 0,
+            staged: None,
+        }; LOOKAHEAD];
+        for pending in &mut ring[..primed] {
+            *pending = self.draw(rng);
+        }
+        for pending in &mut ring[..primed.min(HOME_AHEAD)] {
+            self.stage(pending);
+        }
+        for i in 0..iterations {
+            let slot = i as usize % LOOKAHEAD;
+            if ahead(i, HOME_AHEAD) {
+                self.stage(&mut ring[(slot + HOME_AHEAD) % LOOKAHEAD]);
+            }
+            self.attempt(&ring[slot]);
+            if ahead(i, LOOKAHEAD) {
+                ring[slot] = self.draw(rng);
+            }
         }
     }
 
@@ -423,30 +511,67 @@ impl ArenaShuffler {
     /// Draw-for-draw and branch-for-branch identical to
     /// [`Shuffler::step`].
     pub fn step(&mut self, rng: &mut impl Rng) -> bool {
-        self.stats.attempted += 1;
         if self.files.len() < 2 {
+            self.stats.attempted += 1;
             return false;
         }
-        // Uniform position draws are exactly the legacy uniform replica
-        // draws: replica `i` in peer-major order is entry position `i`.
+        let pending = self.draw(rng);
+        self.attempt(&pending)
+    }
+
+    /// Draws one attempt's two positions and prefetches their entries.
+    /// Uniform position draws are exactly the legacy uniform replica
+    /// draws: replica `i` in peer-major order is entry position `i`.
+    fn draw(&self, rng: &mut impl Rng) -> Pending {
         let a = rng.gen_range(0..self.files.len());
         let b = rng.gen_range(0..self.files.len());
-        let pu = self.owner[a];
-        let pv = self.owner[b];
+        for i in [a, b] {
+            prefetch(&self.owner[i]);
+            prefetch(&self.files[i]);
+        }
+        Pending { a, b, staged: None }
+    }
+
+    /// Hashes a drawn attempt's four pair keys and prefetches their home
+    /// slots. Swaps applied before the attempt may still change its
+    /// entries; [`ArenaShuffler::attempt`] then hashes afresh.
+    fn stage(&self, pending: &mut Pending) {
+        let (pu, pv) = (self.owner[pending.a], self.owner[pending.b]);
+        if pu == pv {
+            return;
+        }
+        let files = [self.files[pending.a], self.files[pending.b]];
+        let hashes = pair_hashes(pu, pv, files[0], files[1]);
+        for hash in hashes {
+            prefetch(&self.members.slots[self.members.home(hash)]);
+        }
+        pending.staged = Some(Staged { files, hashes });
+    }
+
+    /// Applies one attempt: the swap rule of [`Shuffler::step`], with
+    /// each pair key hashed once.
+    fn attempt(&mut self, pending: &Pending) -> bool {
+        self.stats.attempted += 1;
+        let (a, b) = (pending.a, pending.b);
+        let (pu, pv) = (self.owner[a], self.owner[b]);
         if pu == pv {
             return false;
         }
-        let f = self.files[a];
-        let f2 = self.files[b];
-        if self.members.contains(pu, f2) || self.members.contains(pv, f) {
+        let (f, f2) = (self.files[a], self.files[b]);
+        let [h_uf, h_uf2, h_vf, h_vf2] = match pending.staged {
+            Some(staged) if staged.files == [f, f2] => staged.hashes,
+            _ => pair_hashes(pu, pv, f, f2),
+        };
+        let key = PairSet::key;
+        if self.members.contains(key(pu, f2), h_uf2) || self.members.contains(key(pv, f), h_vf) {
             return false;
         }
         self.files[a] = f2;
         self.files[b] = f;
-        self.members.remove(pu, f);
-        self.members.insert(pu, f2);
-        self.members.remove(pv, f2);
-        self.members.insert(pv, f);
+        self.members.remove(key(pu, f), h_uf);
+        self.members.insert(key(pu, f2), h_uf2);
+        self.members.remove(key(pv, f2), h_vf2);
+        self.members.insert(key(pv, f), h_vf);
         self.stats.performed += 1;
         true
     }
@@ -633,23 +758,33 @@ mod tests {
 
     #[test]
     fn pair_set_insert_contains_remove() {
+        let pair = |p: u32, f: u32| {
+            let key = PairSet::key(p, FileRef(f));
+            (key, mix64(key))
+        };
         let mut set = PairSet::with_capacity(8);
         for p in 0..4u32 {
             for f in 0..2u32 {
-                set.insert(p, FileRef(f));
+                let (key, hash) = pair(p, f);
+                set.insert(key, hash);
             }
         }
+        let contains = |set: &PairSet, p, f| {
+            let (key, hash) = pair(p, f);
+            set.contains(key, hash)
+        };
         for p in 0..4u32 {
-            assert!(set.contains(p, FileRef(0)));
-            assert!(set.contains(p, FileRef(1)));
-            assert!(!set.contains(p, FileRef(2)));
+            assert!(contains(&set, p, 0));
+            assert!(contains(&set, p, 1));
+            assert!(!contains(&set, p, 2));
         }
-        set.remove(2, FileRef(1));
-        assert!(!set.contains(2, FileRef(1)));
-        assert!(set.contains(2, FileRef(0)));
+        let (key, hash) = pair(2, 1);
+        set.remove(key, hash);
+        assert!(!contains(&set, 2, 1));
+        assert!(contains(&set, 2, 0));
         // Re-insert after a backward-shift deletion still resolves.
-        set.insert(2, FileRef(1));
-        assert!(set.contains(2, FileRef(1)));
+        set.insert(key, hash);
+        assert!(contains(&set, 2, 1));
     }
 
     #[test]
@@ -708,6 +843,73 @@ mod tests {
             resumed.snapshot_arena().to_caches(),
             full.snapshot_arena().to_caches()
         );
+    }
+
+    /// `run(n)` against `n` calls of `step()` at every edge of the
+    /// lookahead ring, and split as `run(k); run(n - k)`: same stats,
+    /// same caches, same next RNG word. A ring that draws past `n`, or
+    /// draws at all on an arena with fewer than two replicas, moves the
+    /// RNG; a stale staged hash moves the caches.
+    #[test]
+    fn run_equals_steps_at_every_lookahead_edge() {
+        // About 1k replicas over 60 peers (free-riders included).
+        let large: Vec<Vec<FileRef>> = (0..60u32)
+            .map(|p| {
+                let size = if p % 7 == 3 {
+                    0
+                } else {
+                    1 + (p * 13 % 37) as usize
+                };
+                let mut cache: Vec<FileRef> = (0..size)
+                    .map(|k| FileRef((p * 17 + k as u32 * 29) % 400))
+                    .collect();
+                cache.sort_unstable();
+                cache.dedup();
+                cache
+            })
+            .collect();
+        let f = |ids: &[u32]| ids.iter().map(|&i| FileRef(i)).collect::<Vec<_>>();
+        let overlapping = [
+            f(&[0, 1, 2]),
+            f(&[1, 2, 3]),
+            f(&[2, 3, 4]),
+            f(&[0, 4]),
+            f(&[1]),
+        ];
+        let arenas = [
+            CacheArena::from_caches(&[vec![], vec![]], 1),
+            CacheArena::from_caches(&[vec![FileRef(0)], vec![]], 1),
+            CacheArena::from_caches(&[vec![FileRef(0)], vec![FileRef(1)]], 2),
+            // A dozen replicas over five files: swaps keep changing the
+            // entries staged for the next attempts, and the membership
+            // checks reject often.
+            CacheArena::from_caches(&overlapping, 5),
+            CacheArena::from_caches(&large, 400),
+        ];
+        assert!((900..1100).contains(&arenas[4].as_csr_parts().0.len()));
+        let w = LOOKAHEAD as u64;
+        let d = HOME_AHEAD as u64;
+        let lengths = [0, 1, d - 1, d, d + 1, w - 1, w, w + 1, 3 * w + 5, 1000];
+        let finish = |s: ArenaShuffler, mut rng: StdRng| {
+            (s.stats(), s.snapshot_arena().to_caches(), rng.next_u64())
+        };
+        for (case, arena) in arenas.iter().enumerate() {
+            for n in lengths {
+                let mut stepped = ArenaShuffler::new(arena);
+                let mut rng = StdRng::seed_from_u64(case as u64);
+                for _ in 0..n {
+                    stepped.step(&mut rng);
+                }
+                let expect = finish(stepped, rng);
+                for k in [n, 0, 1.min(n), n / 2, n.saturating_sub(w + 1)] {
+                    let mut run = ArenaShuffler::new(arena);
+                    let mut rng = StdRng::seed_from_u64(case as u64);
+                    run.run(k, &mut rng);
+                    run.run(n - k, &mut rng);
+                    assert_eq!(finish(run, rng), expect, "arena {case}, n {n}, split {k}");
+                }
+            }
+        }
     }
 
     #[test]

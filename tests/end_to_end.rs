@@ -6,7 +6,8 @@
 //! reproducible assertions — not flaky statistical hopes.
 
 use edonkey_repro::analysis::{
-    contribution, daily, geo_clustering, geography, popularity, semantic, sizes, stats, view,
+    contribution, daily, geo_clustering, geography, overlap, popularity, semantic, sizes, stats,
+    view,
 };
 use edonkey_repro::prelude::*;
 use edonkey_repro::semsearch::experiment::{randomization_sweep_arena, sweep_cells, sweep_configs};
@@ -227,6 +228,37 @@ fn fig14_randomization_destroys_rare_file_clustering() {
         p(&before),
         p(&after)
     );
+}
+
+#[test]
+fn fig15_small_initial_overlaps_decay_smoothly() {
+    let (_, trace) = workload();
+    let extrapolated = extrapolate(&filter(&trace).trace, ExtrapolateConfig::default()).trace;
+    // The fig15 harness's groups, pair cap and holder cap.
+    let initial: Vec<u32> = (1..=10).collect();
+    let groups = overlap::overlap_evolution(&extrapolated, &initial, Some(5_000), Some(200));
+    assert_eq!(
+        groups.iter().map(|g| g.initial_overlap).collect::<Vec<_>>(),
+        initial,
+        "every initial overlap 1-10 has pairs"
+    );
+    for g in &groups {
+        let (first_day, day_one) = g.series[0];
+        let (last_day, last) = *g.series.last().expect("one point per day");
+        assert!(first_day < last_day, "the series spans the trace");
+        // The holder cap only hides shared files, so day one sees at
+        // least the initial overlap.
+        assert!(
+            day_one >= g.initial_overlap as f64,
+            "group {}: day-one mean {day_one} below its initial overlap",
+            g.initial_overlap
+        );
+        assert!(
+            last < day_one,
+            "group {}: mean overlap must decay, day one {day_one} vs last day {last}",
+            g.initial_overlap
+        );
+    }
 }
 
 #[test]
