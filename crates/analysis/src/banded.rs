@@ -614,7 +614,7 @@ mod tests {
     fn arena(n_peers: u32, n_files: u32) -> CacheArena {
         let caches: Vec<Vec<FileRef>> = (0..n_peers)
             .map(|p| {
-                let mut cache: Vec<FileRef> = (0..4 + p % 5).map(|h| FileRef(h)).collect();
+                let mut cache: Vec<FileRef> = (0..4 + p % 5).map(FileRef).collect();
                 cache.extend((0..12u32).map(|i| FileRef(8 + (p / 4) * 12 + i)));
                 cache.retain(|f| f.0 < n_files);
                 cache.sort_unstable();

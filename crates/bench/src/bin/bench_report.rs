@@ -712,7 +712,8 @@ fn main() {
             }
             // Gate 3: nested role bands — a larger attacker fraction is
             // a superset — so hits degrade monotonically per kind.
-            let kinds: [(&str, fn(u64, u32) -> AdversaryConfig); 3] = [
+            type Attack = (&'static str, fn(u64, u32) -> AdversaryConfig);
+            let kinds: [Attack; 3] = [
                 ("sybil", AdversaryConfig::sybils),
                 ("polluter", AdversaryConfig::polluters),
                 ("freerider", AdversaryConfig::freeriders),

@@ -8,6 +8,7 @@ use edonkey_trace::randomize::{ArenaShuffler, ShuffleCheckpoint, Shuffler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::index::IndexBackend;
@@ -126,7 +127,7 @@ fn run_sweep_cells(
     // ranges; a couple of subtasks per worker keeps the stealing queue
     // busy without drowning in merge overhead.
     let tables = Tables::new(configs, arena.n_peers());
-    let mut precomps: Vec<SweepPrecomp> = Vec::new();
+    let mut precomps: Vec<Arc<SweepPrecomp>> = Vec::new();
     let mut draws: Vec<(usize, usize)> = Vec::new();
     let chunks = (threads * 2).max(2);
     let mut tasks: Vec<SweepTask> = Vec::new();
@@ -259,7 +260,7 @@ pub fn sweep_cells_windowed(
     let window = window.max(1) as u32;
     let n_peers = arena.n_peers() as u32;
     let tables = Tables::new(configs, arena.n_peers());
-    let mut precomps: Vec<SweepPrecomp> = Vec::new();
+    let mut precomps: Vec<Arc<SweepPrecomp>> = Vec::new();
     let mut whole = SimScratch::new();
     let mut split = SplitScratch::new();
     configs
@@ -294,13 +295,15 @@ pub fn sweep_cells_windowed(
         .collect()
 }
 
-/// The position of `seed`'s precomputation in `precomps`, building it
-/// on first use.
-fn precomp_index(precomps: &mut Vec<SweepPrecomp>, arena: &CacheArena, seed: u64) -> usize {
+/// The position of `seed`'s precomputation in `precomps`, fetching it
+/// on first use: the arena's own index when `seed` is the first seed
+/// simulated on it ([`CacheArena::derived_index`]), a fresh build
+/// otherwise.
+fn precomp_index(precomps: &mut Vec<Arc<SweepPrecomp>>, arena: &CacheArena, seed: u64) -> usize {
     match precomps.iter().position(|p| p.seed() == seed) {
         Some(i) => i,
         None => {
-            precomps.push(SweepPrecomp::new(arena, seed));
+            precomps.push(arena.derived_index(seed, || SweepPrecomp::new(arena, seed)));
             precomps.len() - 1
         }
     }
@@ -680,7 +683,9 @@ pub use edonkey_trace::par::{
 mod tests {
     use super::*;
     use crate::filters::{remove_top_files, remove_top_uploaders};
+    use crate::serve::{serve_arena_threads, ArrivalConfig, ServeConfig};
     use crate::sim::simulate_arena_health_with_scratch;
+    use std::sync::Barrier;
 
     fn f(i: u32) -> FileRef {
         FileRef(i)
@@ -1054,5 +1059,124 @@ mod tests {
             .find(|c| c.churn_permille == 250 && c.policy == PolicyKind::Lru)
             .unwrap();
         assert_eq!((cell.result.clone(), cell.health), direct);
+    }
+
+    /// The replay index `arena` holds; panics unless it is `seed`'s.
+    fn held_index(arena: &CacheArena, seed: u64) -> Arc<SweepPrecomp> {
+        arena.derived_index(seed, || -> SweepPrecomp {
+            panic!("no index held for seed {seed}")
+        })
+    }
+
+    /// An open LRU cell, then Random behind a bounded queue with bursty
+    /// arrivals.
+    fn serve_cells(seed: u64) -> [ServeConfig; 2] {
+        [
+            ServeConfig::new(SimConfig::lru(5).with_seed(seed)),
+            ServeConfig::new(SimConfig::random(5).with_seed(seed))
+                .with_service(1000, 3, 1)
+                .with_arrival(ArrivalConfig::bursty(seed ^ 0x5e, 600, 0)),
+        ]
+    }
+
+    /// Quiet split cells of each policy, a churned split cell and a
+    /// whole outage cell.
+    fn sweep_batch(seed: u64) -> Vec<SimConfig> {
+        let churn = AvailabilityConfig::churn(11, 250);
+        vec![
+            SimConfig::lru(3).with_seed(seed),
+            SimConfig::history(16).with_seed(seed),
+            SimConfig::random(5).with_seed(seed),
+            SimConfig::lru(5)
+                .with_seed(seed)
+                .with_availability(churn.clone()),
+            SimConfig::lru(5)
+                .with_seed(seed)
+                .with_availability(churn.with_outages(vec![2, 3])),
+        ]
+    }
+
+    #[test]
+    fn shared_index_serves_and_sweeps_from_one_build() {
+        let arena = workload_arena();
+        let [open, loaded] = serve_cells(7);
+        let first = serve_arena_threads(&arena, &open, 2);
+        let index = held_index(&arena, 7);
+        let second = serve_arena_threads(&arena, &loaded, 2);
+        assert!(Arc::ptr_eq(&index, &held_index(&arena, 7)));
+        assert!(second.health.shed > 0, "the bounded cell must shed");
+        assert_eq!(first, serve_arena_threads(&workload_arena(), &open, 2));
+        assert_eq!(second, serve_arena_threads(&workload_arena(), &loaded, 2));
+
+        let batch = sweep_batch(7);
+        let fresh = sweep_cells_threads(&workload_arena(), &batch, 2);
+        assert_eq!(sweep_cells_threads(&arena, &batch, 2), fresh);
+        assert_eq!(sweep_cells_threads(&arena, &batch[2..], 1), fresh[2..]);
+        assert_eq!(sweep_cells_windowed(&arena, &batch, 7), fresh);
+        assert!(Arc::ptr_eq(&index, &held_index(&arena, 7)));
+    }
+
+    #[test]
+    fn shared_index_keeps_its_seed_and_other_seeds_build_fresh() {
+        let arena = workload_arena();
+        let first = sweep_cells_threads(&arena, &sweep_batch(7), 2);
+        let index = held_index(&arena, 7);
+        let batch = sweep_batch(8);
+        let fresh = sweep_cells_threads(&workload_arena(), &batch, 2);
+        assert_ne!(first, fresh, "the seeds must tell apart");
+        assert_eq!(sweep_cells_threads(&arena, &batch, 2), fresh);
+        assert_eq!(sweep_cells_windowed(&arena, &batch, 7), fresh);
+        for config in serve_cells(8) {
+            let fresh = serve_arena_threads(&workload_arena(), &config, 2);
+            assert_eq!(serve_arena_threads(&arena, &config, 2), fresh);
+        }
+        assert!(Arc::ptr_eq(&index, &held_index(&arena, 7)));
+    }
+
+    #[test]
+    fn shared_index_is_rebuilt_after_retain() {
+        let mut arena = workload_arena();
+        let batch = sweep_batch(7);
+        sweep_cells_threads(&arena, &batch, 2);
+        arena.retain(|p, file| p % 3 != 0 && file.0 % 5 != 0);
+        let kept = CacheArena::from_caches(&arena.to_caches(), arena.n_files());
+        assert_eq!(
+            sweep_cells_threads(&arena, &batch, 2),
+            sweep_cells_threads(&kept, &batch, 2)
+        );
+        for config in serve_cells(7) {
+            let fresh = serve_arena_threads(&kept, &config, 2);
+            assert_eq!(serve_arena_threads(&arena, &config, 2), fresh);
+        }
+    }
+
+    #[test]
+    fn shared_index_is_not_carried_by_clones() {
+        let arena = workload_arena();
+        let batch = sweep_batch(7);
+        let original = sweep_cells_threads(&arena, &batch, 2);
+        let clone = arena.clone();
+        assert_eq!(sweep_cells_threads(&clone, &batch, 2), original);
+        assert!(!Arc::ptr_eq(&held_index(&arena, 7), &held_index(&clone, 7)));
+    }
+
+    #[test]
+    fn shared_index_first_call_race_agrees() {
+        let arena = workload_arena();
+        let [_, loaded] = serve_cells(7);
+        let batch = sweep_batch(7);
+        let barrier = Barrier::new(2);
+        let run = || {
+            barrier.wait();
+            let report = serve_arena_threads(&arena, &loaded, 2);
+            (report, sweep_cells_threads(&arena, &batch, 2))
+        };
+        let [a, b] = std::thread::scope(|s| {
+            [s.spawn(run), s.spawn(run)].map(|h| h.join().expect("racer panicked"))
+        });
+        assert_eq!(a, b);
+        let fresh = workload_arena();
+        assert_eq!(a.0, serve_arena_threads(&fresh, &loaded, 2));
+        assert_eq!(a.1, sweep_cells_threads(&fresh, &batch, 2));
     }
 }

@@ -76,5 +76,5 @@ pub use serve::{
 };
 pub use sim::{
     simulate, simulate_health, split_eligible, AdversaryConfig, AdversaryPlan, AvailabilityConfig,
-    ChurnConfig, ChurnSchedule, QueryPolicy, SearchHealth, SimConfig, SimResult, SweepPrecomp,
+    ChurnConfig, ChurnSchedule, QueryPolicy, SearchHealth, SimConfig, SimResult,
 };

@@ -10,11 +10,20 @@
 //! and observe latency. This module adds that serving plane without
 //! giving up any of the repo's bit-identity guarantees:
 //!
-//! * **Sharding by querier.** [`SweepPrecomp`] proves request ranks and
+//! * **Sharding by querier.** The split sweep's replay precomputation
+//!   (`sim::SweepPrecomp`, built for the cells
+//!   [`crate::sim::split_eligible`] accepts) proves request ranks and
 //!   candidate uploader sets policy-independent (no outages, no
 //!   two-hop), so each querier's replay is self-contained. Shards are
 //!   contiguous querier ranges balanced by request count; any shard
 //!   count and any thread count produce the same answers.
+//! * **One replay index per arena.** That precomputation is a function
+//!   of the arena and the seed alone, so the arena keeps the first
+//!   seed's ([`CacheArena::derived_index`]). Every later cell served or
+//!   swept on the same arena with that seed shares it, instead of
+//!   rebuilding it on one thread while the other workers wait. Another
+//!   seed builds its own per call; `retain` drops the index, and clones
+//!   start without one.
 //! * **Tick-batched queues.** Arrivals enqueue into a bounded
 //!   per-shard ingress queue; each simulated tick serves at most
 //!   `service_per_tick` queries. A full queue *sheds* the arrival (the
@@ -40,21 +49,22 @@
 //! * **Latency accounting.** Simulated query latency = queue wait +
 //!   one overlay round trip per attempt ([`QUERY_RTT_MD`]) + retry
 //!   backoff (the PR 4 timing model, under churn) + index routing cost
-//!   on final misses ([`FED_HOP_LATENCY_MD`] per federation forward,
-//!   [`DHT_HOP_LATENCY_MD`] per DHT hop) — recorded in a log-bucketed
-//!   [`LatencyHistogram`] (HDR-style: exact below 16 md, then 16
-//!   sub-buckets per octave, ≤ 6.25 % relative error).
+//!   on final misses ([`crate::index::FED_HOP_LATENCY_MD`] per
+//!   federation forward, [`crate::index::DHT_HOP_LATENCY_MD`] per DHT
+//!   hop) — recorded in a log-bucketed [`LatencyHistogram`]
+//!   (HDR-style: exact below 16 md, then 16 sub-buckets per octave,
+//!   ≤ 6.25 % relative error).
 //!
 //! **Differential contract** (pinned by `tests/service_mode.rs` and
 //! the service proptest): with unbounded queues and the identity
 //! arrival process, a serving replay is bit-identical to
-//! [`simulate_arena_health_with_scratch`] — same [`SimResult`], same
-//! [`SearchHealth`], same final neighbour lists — for every policy
-//! (including Random: the engine replays the batch path's
-//! policy-construction draws) and, because service instants then equal
-//! the batch path's query instants, even under churn — and under an
-//! adversarial plan, whose refusals, hijacks, pollution and reputation
-//! defense replay the batch path's exact sequence.
+//! [`crate::sim::simulate_arena_health_with_scratch`] — same
+//! [`SimResult`], same [`SearchHealth`], same final neighbour lists —
+//! for every policy (including Random: the engine replays the batch
+//! path's policy-construction draws) and, because service instants then
+//! equal the batch path's query instants, even under churn — and under
+//! an adversarial plan, whose refusals, hijacks, pollution and
+//! reputation defense replay the batch path's exact sequence.
 
 use std::collections::VecDeque;
 
@@ -465,7 +475,7 @@ pub fn serve_arena_threads(
 ) -> ServeReport {
     config.validate();
     let sim = &config.sim;
-    let pre = SweepPrecomp::new(arena, sim.seed);
+    let pre = arena.derived_index(sim.seed, || SweepPrecomp::new(arena, sim.seed));
     let n_peers = pre.n_peers;
 
     // Random lists are drawn in peer order from the post-shuffle

@@ -948,7 +948,7 @@ pub(crate) struct QueryRec {
 /// * each querier's request positions (`queries`), the unit the
 ///   work-stealing scheduler splits cells by;
 /// * the generator state the Random lists are drawn from.
-pub struct SweepPrecomp {
+pub(crate) struct SweepPrecomp {
     pub(crate) seed: u64,
     /// Arrival-ordered sharers per file (CSR over files; each
     /// [`QueryRec`] carries its own row offset, so the offsets table is
@@ -1433,7 +1433,8 @@ impl QuietState {
 type Delta = (Option<Peer>, Option<Peer>);
 
 /// One subtask's contribution to a cell: every field merges by plain
-/// summation, in any grouping, so [`merge_partials`] is exact.
+/// summation, in any grouping, so the cell merge (`merge_partials`) is
+/// exact.
 #[derive(Clone, Debug)]
 pub struct CellPartial {
     /// One-hop hits by queriers in this range (split cells never
@@ -1463,10 +1464,10 @@ impl CellPartial {
     }
 
     /// Folds another partial in. Every field merges by plain summation
-    /// over disjoint querier sets — the property [`merge_partials`]
-    /// rests on — so windows can be accumulated one at a time without
-    /// ever holding more than one partial (the bounded-working-set
-    /// sweep's memory contract).
+    /// over disjoint querier sets — the property `merge_partials` rests
+    /// on — so windows can be accumulated one at a time without ever
+    /// holding more than one partial (the bounded-working-set sweep's
+    /// memory contract).
     pub fn absorb(&mut self, other: &CellPartial) {
         self.one_hop_hits += other.one_hop_hits;
         for (dst, &src) in self.messages.iter_mut().zip(&other.messages) {
@@ -1741,7 +1742,10 @@ fn simulate_querier_churn<R: Replayed>(
 /// sets, so addition in any order reproduces the whole-cell run
 /// bit-for-bit; the stream-level totals (requests, contributor seeds)
 /// come from the precomputation.
-pub fn merge_partials(pre: &SweepPrecomp, parts: &[CellPartial]) -> (SimResult, SearchHealth) {
+pub(crate) fn merge_partials(
+    pre: &SweepPrecomp,
+    parts: &[CellPartial],
+) -> (SimResult, SearchHealth) {
     let mut acc = CellPartial::empty(pre.n_peers);
     for part in parts {
         acc.absorb(part);

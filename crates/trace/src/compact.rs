@@ -8,7 +8,9 @@
 //! flat sorted `Vec<FileRef>` plus a per-peer offset table. Per-peer
 //! views are cheap slices, membership is a binary search over a
 //! cache-resident range, and the inverted view (which peers hold file
-//! `f`) is a second CSR built once on demand by counting sort.
+//! `f`) is a second CSR built once on demand by counting sort. One more
+//! derived index, owned by a downstream crate (the Section 5 replay
+//! precomputation), lives beside it: [`CacheArena::derived_index`].
 //!
 //! ```
 //! use edonkey_trace::compact::CacheArena;
@@ -21,7 +23,8 @@
 //! assert_eq!(arena.holders(FileRef(2)), &[0, 1]);
 //! ```
 
-use std::sync::OnceLock;
+use std::any::Any;
+use std::sync::{Arc, OnceLock};
 
 use crate::model::{DaySnapshot, FileInfo, FileRef, PeerId, PeerInfo, Trace};
 
@@ -29,7 +32,8 @@ use crate::model::{DaySnapshot, FileInfo, FileRef, PeerId, PeerInfo, Trace};
 ///
 /// Rows (peers) are contiguous ranges of `files`; `offsets[p]..offsets[p+1]`
 /// delimits peer `p`'s cache, which is sorted and deduplicated. The
-/// inverted holders index is built lazily, once, behind a [`OnceLock`].
+/// inverted holders index and the keyed [`CacheArena::derived_index`]
+/// are built lazily, once, behind a [`OnceLock`] each.
 #[derive(Debug)]
 pub struct CacheArena {
     /// Concatenated caches; each peer's range is sorted + deduplicated.
@@ -40,6 +44,9 @@ pub struct CacheArena {
     n_files: usize,
     /// Inverted index, built on first use.
     holders: OnceLock<HoldersIndex>,
+    /// A downstream index and the key it was built for, built on first
+    /// use (type-erased: this crate cannot name its type).
+    derived: OnceLock<(u64, Arc<dyn Any + Send + Sync>)>,
 }
 
 /// CSR inverted index: for each file, the sorted peers holding it.
@@ -124,12 +131,7 @@ impl CacheArena {
                 }
             }
         }
-        Ok(CacheArena {
-            files,
-            offsets,
-            n_files,
-            holders: OnceLock::new(),
-        })
+        Ok(Self::adopt(files, offsets, n_files))
     }
 
     /// [`CacheArena::from_csr_parts`] for in-crate callers that uphold
@@ -147,12 +149,18 @@ impl CacheArena {
         }
         #[cfg(not(debug_assertions))]
         {
-            CacheArena {
-                files,
-                offsets,
-                n_files,
-                holders: OnceLock::new(),
-            }
+            Self::adopt(files, offsets, n_files)
+        }
+    }
+
+    /// Wraps CSR parts with no lazy index built yet.
+    fn adopt(files: Vec<FileRef>, offsets: Vec<u32>, n_files: usize) -> Self {
+        CacheArena {
+            files,
+            offsets,
+            n_files,
+            holders: OnceLock::new(),
+            derived: OnceLock::new(),
         }
     }
 
@@ -191,12 +199,7 @@ impl CacheArena {
             files.extend_from_slice(cache);
             offsets.push(files.len() as u32);
         }
-        CacheArena {
-            files,
-            offsets,
-            n_files,
-            holders: OnceLock::new(),
-        }
+        Self::adopt(files, offsets, n_files)
     }
 
     /// Number of peers (rows).
@@ -273,9 +276,37 @@ impl CacheArena {
         })
     }
 
+    /// A caller's index derived from this arena's content and `key`,
+    /// shared through an [`Arc`]. The first key asked for is built once
+    /// and every later call with that key gets the same index; a call
+    /// with any other key (or another type) builds its own and keeps
+    /// nothing. `build` must be a pure function of the content and
+    /// `key`. The index lives as long as the arena: [`Self::retain`]
+    /// drops it, and clones start without one.
+    ///
+    /// The slot is type-erased because the one user lives downstream:
+    /// the Section 5 simulator keys its replay precomputation by seed.
+    pub fn derived_index<T: Any + Send + Sync>(
+        &self,
+        key: u64,
+        build: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let mut build = Some(build);
+        let (built_for, index) = self.derived.get_or_init(|| {
+            let build = build.take().expect("the slot builds once");
+            (key, Arc::new(build()) as Arc<dyn Any + Send + Sync>)
+        });
+        let shared = (*built_for == key).then(|| Arc::clone(index).downcast::<T>().ok());
+        shared.flatten().unwrap_or_else(|| {
+            let build = build.expect("a slot built here holds this key and type");
+            Arc::new(build())
+        })
+    }
+
     /// Keeps only the entries `keep(peer, file)` accepts, in place. Rows
     /// stay in peer order and sorted (a peer losing every entry keeps an
-    /// empty row); the holders index is rebuilt on next use.
+    /// empty row); the holders and derived indexes are rebuilt on next
+    /// use.
     pub fn retain(&mut self, mut keep: impl FnMut(usize, FileRef) -> bool) {
         let mut write = 0usize;
         for p in 0..self.n_peers() {
@@ -295,6 +326,7 @@ impl CacheArena {
             .expect("offsets hold n_peers + 1 entries") = write as u32;
         self.files.truncate(write);
         self.holders = OnceLock::new();
+        self.derived = OnceLock::new();
     }
 
     /// Converts back to the legacy per-peer `Vec` representation, for
@@ -497,13 +529,9 @@ impl TraceArena {
 
 impl Clone for CacheArena {
     fn clone(&self) -> Self {
-        // The lazily-built index is cheap to rebuild; don't clone it.
-        CacheArena {
-            files: self.files.clone(),
-            offsets: self.offsets.clone(),
-            n_files: self.n_files,
-            holders: OnceLock::new(),
-        }
+        // The lazily-built indexes are rebuilt on demand; a clone is
+        // usually about to be edited (`retain`), so don't copy them.
+        Self::adopt(self.files.clone(), self.offsets.clone(), self.n_files)
     }
 }
 
@@ -659,6 +687,25 @@ mod tests {
         assert_eq!(arena.holders(f(0)), &[0]);
         let cloned = arena.clone();
         assert_eq!(cloned.holders(f(0)), &[0]);
+    }
+
+    #[test]
+    fn derived_index_is_shared_for_its_first_key_only() {
+        let mut arena = CacheArena::from_caches(&[vec![f(0), f(1)], vec![f(1)]], 2);
+        let first = arena.derived_index(7, || arena.replica_count());
+        let again = arena.derived_index(7, || unreachable!("key 7 is already built"));
+        assert!(Arc::ptr_eq(&first, &again));
+        let other = arena.derived_index(8, || 80);
+        assert_eq!(*other, 80);
+        assert!(!Arc::ptr_eq(&other, &arena.derived_index(8, || 80)));
+        let wrong_type = arena.derived_index(7, || "built afresh");
+        assert_eq!(*wrong_type, "built afresh");
+
+        let cloned = arena.clone();
+        assert_eq!(*cloned.derived_index(8, || 80), 80, "clones start empty");
+        arena.retain(|_, file| file == f(1));
+        let rebuilt = arena.derived_index(7, || arena.replica_count());
+        assert_eq!((*first, *rebuilt), (3, 2), "retain drops the index");
     }
 
     #[test]

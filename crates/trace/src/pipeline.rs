@@ -968,7 +968,7 @@ mod tests {
     fn arena_retain_peers_matches_row() {
         let trace = mixed_trace();
         let arena = TraceArena::from_trace(&trace);
-        let keep = |p: PeerId| p.0 % 2 == 0;
+        let keep = |p: PeerId| p.0.is_multiple_of(2);
         let row = retain_peers(&trace, keep);
         let csr = retain_peers_arena(&arena, keep);
         assert_eq!(csr.kept, row.kept);

@@ -827,13 +827,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         full.run(800, &mut rng);
 
-        // Interrupted: 300 swaps, checkpoint, drop everything, resume 500.
+        // Interrupted: 300 swaps, checkpoint, drop the shuffler, resume
+        // 500 (the resumed generator shadows the spent one).
         let mut prefix = ArenaShuffler::new(&arena);
         let mut rng = StdRng::seed_from_u64(99);
         prefix.run(300, &mut rng);
         let ckpt = prefix.checkpoint(&rng);
         drop(prefix);
-        drop(rng);
         let (mut resumed, mut rng) = ckpt.resume();
         assert_eq!(resumed.stats().attempted, 300);
         resumed.run(500, &mut rng);

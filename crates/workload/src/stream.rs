@@ -485,7 +485,7 @@ mod tests {
         for day in &trace.days {
             for (peer, cache) in &day.caches {
                 let target = pop.peers[peer.index()].target_cache;
-                assert!(cache.len() <= target.max(0), "window exceeds target");
+                assert!(cache.len() <= target, "window exceeds target");
                 if target == 0 {
                     assert!(cache.is_empty());
                     saw_free_rider_row = true;
