@@ -542,7 +542,7 @@ pub fn banded_overlap_histogram_with_threads(
 }
 
 /// The Fig. 13 correlation curve from an overlap histogram — the same
-/// numbers [`correlation_curve`] computes from the pair list.
+/// numbers [`crate::semantic::correlation_curve`] computes from the pair list.
 pub fn curve_from_histogram(hist: &[u64]) -> Vec<CorrelationPoint> {
     let max_overlap = hist.len().saturating_sub(1);
     if max_overlap == 0 {

@@ -2,8 +2,7 @@
 //! free-riders — plus the generosity-concentration headline ("the top
 //! 15 % peers offer 75 % of the files").
 
-use edonkey_trace::compact::CacheArena;
-use edonkey_trace::model::Trace;
+use edonkey_trace::compact::{CacheArena, TraceArena};
 
 use crate::stats::{top_share, Cdf};
 
@@ -17,7 +16,7 @@ pub struct Contribution {
 }
 
 /// Computes per-client contributions from the trace's static view.
-pub fn contributions(trace: &Trace, view: &CacheArena) -> Contribution {
+pub fn contributions(trace: &TraceArena, view: &CacheArena) -> Contribution {
     let files: Vec<u64> = view.iter().map(|c| c.len() as u64).collect();
     let bytes: Vec<u64> = view
         .iter()
@@ -39,7 +38,7 @@ pub struct ContributionCdfs {
 }
 
 /// Fig. 7: builds all four CDFs.
-pub fn contribution_cdfs(trace: &Trace, view: &CacheArena) -> ContributionCdfs {
+pub fn contribution_cdfs(trace: &TraceArena, view: &CacheArena) -> ContributionCdfs {
     let c = contributions(trace, view);
     let gb = |b: u64| b as f64 / (1u64 << 30) as f64;
     ContributionCdfs {
@@ -66,7 +65,7 @@ pub fn contribution_cdfs(trace: &Trace, view: &CacheArena) -> ContributionCdfs {
 /// Share of all shared files held by the top `fraction` of *sharing*
 /// clients (free-riders hold nothing and would dilute the denominator's
 /// meaning).
-pub fn generosity_concentration(trace: &Trace, view: &CacheArena, fraction: f64) -> f64 {
+pub fn generosity_concentration(trace: &TraceArena, view: &CacheArena, fraction: f64) -> f64 {
     let c = contributions(trace, view);
     let sharers: Vec<u64> = c.files.into_iter().filter(|&f| f > 0).collect();
     top_share(&sharers, fraction)
@@ -79,7 +78,7 @@ mod tests {
     use edonkey_proto::query::FileKind;
     use edonkey_trace::model::{CountryCode, FileInfo, PeerInfo, TraceBuilder};
 
-    fn build() -> Trace {
+    fn build() -> TraceArena {
         let mut b = TraceBuilder::new();
         let peers: Vec<_> = (0..4)
             .map(|i| {
@@ -105,13 +104,13 @@ mod tests {
         b.observe(1, peers[1], vec![files[8]]);
         b.observe(1, peers[2], vec![files[9]]);
         b.observe(1, peers[3], vec![]);
-        b.finish()
+        TraceArena::from_trace(&b.finish())
     }
 
     #[test]
     fn contribution_vectors() {
         let trace = build();
-        let c = contributions(&trace, &CacheArena::from_trace_static(&trace));
+        let c = contributions(&trace, &trace.static_arena());
         assert_eq!(c.files, vec![8, 1, 1, 0]);
         assert_eq!(c.bytes[0], 8 << 30);
         assert_eq!(c.bytes[3], 0);
@@ -120,7 +119,7 @@ mod tests {
     #[test]
     fn cdfs_with_and_without_free_riders() {
         let trace = build();
-        let cdfs = contribution_cdfs(&trace, &CacheArena::from_trace_static(&trace));
+        let cdfs = contribution_cdfs(&trace, &trace.static_arena());
         assert_eq!(cdfs.files_all.len(), 4);
         assert_eq!(cdfs.files_sharers.len(), 3);
         // All clients: 25 % share nothing.
@@ -134,8 +133,7 @@ mod tests {
     fn concentration() {
         // Top 1/3 of sharers (= p0) holds 8 of 10 files.
         let trace = build();
-        let share =
-            generosity_concentration(&trace, &CacheArena::from_trace_static(&trace), 1.0 / 3.0);
+        let share = generosity_concentration(&trace, &trace.static_arena(), 1.0 / 3.0);
         assert!((share - 0.8).abs() < 1e-12);
     }
 }

@@ -1,6 +1,6 @@
 //! Per-day series: Figs. 1, 2 and 3.
 
-use edonkey_trace::model::Trace;
+use edonkey_trace::compact::TraceArena;
 
 /// One row of Fig. 1: clients successfully scanned and distinct files
 /// seen on a day.
@@ -15,14 +15,14 @@ pub struct DailyCount {
 }
 
 /// Fig. 1: evolution of clients and files scanned per day.
-pub fn clients_and_files_per_day(trace: &Trace) -> Vec<DailyCount> {
+pub fn clients_and_files_per_day(trace: &TraceArena) -> Vec<DailyCount> {
     trace
         .days
         .iter()
-        .map(|snap| DailyCount {
-            day: snap.day,
-            clients: snap.peer_count(),
-            files: snap.distinct_files(),
+        .map(|day| DailyCount {
+            day: day.day,
+            clients: day.peer_count(),
+            files: day.distinct_files(),
         })
         .collect()
 }
@@ -39,25 +39,23 @@ pub struct DiscoveryCount {
 }
 
 /// Fig. 2: evolution of newly discovered and cumulative files.
-pub fn file_discovery_per_day(trace: &Trace) -> Vec<DiscoveryCount> {
+pub fn file_discovery_per_day(trace: &TraceArena) -> Vec<DiscoveryCount> {
     let mut seen = vec![false; trace.files.len()];
     let mut total = 0usize;
     trace
         .days
         .iter()
-        .map(|snap| {
+        .map(|day| {
             let mut new_files = 0usize;
-            for (_, cache) in &snap.caches {
-                for f in cache {
-                    if !seen[f.index()] {
-                        seen[f.index()] = true;
-                        new_files += 1;
-                    }
+            for f in &day.entries {
+                if !seen[f.index()] {
+                    seen[f.index()] = true;
+                    new_files += 1;
                 }
             }
             total += new_files;
             DiscoveryCount {
-                day: snap.day,
+                day: day.day,
                 new_files,
                 total_files: total,
             }
@@ -79,21 +77,21 @@ pub struct CoverageCount {
 
 /// Fig. 3: per-day files and non-empty caches (run on the extrapolated
 /// trace to pick the analysis window).
-pub fn coverage_per_day(trace: &Trace) -> Vec<CoverageCount> {
+pub fn coverage_per_day(trace: &TraceArena) -> Vec<CoverageCount> {
     trace
         .days
         .iter()
-        .map(|snap| CoverageCount {
-            day: snap.day,
-            files: snap.replica_count(),
-            non_empty_caches: snap.non_empty_count(),
+        .map(|day| CoverageCount {
+            day: day.day,
+            files: day.replica_count(),
+            non_empty_caches: day.non_empty_count(),
         })
         .collect()
 }
 
 /// Mean new files per client per day — the paper's "clients share 5 new
 /// files per day" observation, derived from Figs. 1 and 2.
-pub fn new_files_per_client(trace: &Trace) -> f64 {
+pub fn new_files_per_client(trace: &TraceArena) -> f64 {
     let discovery = file_discovery_per_day(trace);
     let clients = clients_and_files_per_day(trace);
     // Skip day one: everything is "new" on the first crawl day.
@@ -112,7 +110,7 @@ mod tests {
     use edonkey_proto::query::FileKind;
     use edonkey_trace::model::{CountryCode, FileInfo, PeerInfo, TraceBuilder};
 
-    fn build() -> Trace {
+    fn build() -> TraceArena {
         let mut b = TraceBuilder::new();
         let p: Vec<_> = (0..3)
             .map(|i| {
@@ -137,7 +135,7 @@ mod tests {
         b.observe(10, p[1], vec![]);
         b.observe(11, p[0], vec![f[0], f[2]]);
         b.observe(11, p[2], vec![f[3]]);
-        b.finish()
+        TraceArena::from_trace(&b.finish())
     }
 
     #[test]
@@ -204,6 +202,6 @@ mod tests {
     fn new_files_rate() {
         // Day 11: 2 new files over 2 clients = 1.0.
         assert!((new_files_per_client(&build()) - 1.0).abs() < 1e-12);
-        assert_eq!(new_files_per_client(&Trace::new()), 0.0);
+        assert_eq!(new_files_per_client(&TraceArena::default()), 0.0);
     }
 }

@@ -7,8 +7,8 @@
 
 use std::collections::HashMap;
 
-use edonkey_trace::compact::CacheArena;
-use edonkey_trace::model::{FileRef, Trace};
+use edonkey_trace::compact::{CacheArena, TraceArena};
+use edonkey_trace::model::FileRef;
 
 use crate::stats::Cdf;
 use crate::view::file_spans;
@@ -32,7 +32,11 @@ pub struct HomeConcentration {
 
 /// Computes, for every file, the share of its sources located in its
 /// home country/AS (`view` is the trace's static view).
-pub fn home_concentration(trace: &Trace, view: &CacheArena, level: Level) -> HomeConcentration {
+pub fn home_concentration(
+    trace: &TraceArena,
+    view: &CacheArena,
+    level: Level,
+) -> HomeConcentration {
     let locate = |peer: u32| -> u64 {
         let info = &trace.peers[peer as usize];
         match level {
@@ -63,7 +67,7 @@ pub fn home_concentration(trace: &Trace, view: &CacheArena, level: Level) -> Hom
 /// Returns `(threshold, Cdf over percent-at-home)` for files whose
 /// average popularity (distinct sources / days seen) is ≥ the threshold.
 pub fn concentration_cdfs(
-    trace: &Trace,
+    trace: &TraceArena,
     view: &CacheArena,
     level: Level,
     thresholds: &[f64],
@@ -90,7 +94,7 @@ pub fn concentration_cdfs(
 /// Headline number of Fig. 11: the fraction of files (within a
 /// popularity band) whose sources are *all* in one location.
 pub fn fully_clustered_fraction(
-    trace: &Trace,
+    trace: &TraceArena,
     view: &CacheArena,
     level: Level,
     min_avg_popularity: f64,
@@ -124,7 +128,7 @@ mod tests {
 
     /// f0: 3 FR sources + 1 DE source (75 % home). f1: 2 DE sources
     /// (100 % home). FR peers sit in two different ASes.
-    fn build() -> Trace {
+    fn build() -> TraceArena {
         let mut b = TraceBuilder::new();
         let mk = |b: &mut TraceBuilder, i: u8, cc: &str, asn: u32| {
             b.intern_peer(PeerInfo {
@@ -154,17 +158,13 @@ mod tests {
         b.observe(1, fr3, vec![f0]);
         b.observe(1, de1, vec![f0, f1]);
         b.observe(1, de2, vec![f1]);
-        b.finish()
-    }
-
-    fn static_view(trace: &Trace) -> CacheArena {
-        CacheArena::from_trace_static(trace)
+        TraceArena::from_trace(&b.finish())
     }
 
     #[test]
     fn country_concentration() {
         let trace = build();
-        let conc = home_concentration(&trace, &static_view(&trace), Level::Country);
+        let conc = home_concentration(&trace, &trace.static_arena(), Level::Country);
         assert!((conc.percent_at_home[0].unwrap() - 75.0).abs() < 1e-9);
         assert!((conc.percent_at_home[1].unwrap() - 100.0).abs() < 1e-9);
     }
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn as_concentration_is_finer() {
         let trace = build();
-        let conc = home_concentration(&trace, &static_view(&trace), Level::AutonomousSystem);
+        let conc = home_concentration(&trace, &trace.static_arena(), Level::AutonomousSystem);
         // f0 sources: 2×AS3215, 1×AS12322, 1×AS3320 → home AS share 50 %.
         assert!((conc.percent_at_home[0].unwrap() - 50.0).abs() < 1e-9);
     }
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn cdfs_by_popularity_band() {
         let trace = build();
-        let cdfs = concentration_cdfs(&trace, &static_view(&trace), Level::Country, &[1.0, 3.0]);
+        let cdfs = concentration_cdfs(&trace, &trace.static_arena(), Level::Country, &[1.0, 3.0]);
         assert_eq!(cdfs[0].1.len(), 2, "both files qualify at threshold 1");
         assert_eq!(
             cdfs[1].1.len(),
@@ -195,11 +195,11 @@ mod tests {
     #[test]
     fn fully_clustered() {
         let trace = build();
-        let frac = fully_clustered_fraction(&trace, &static_view(&trace), Level::Country, 1.0);
+        let frac = fully_clustered_fraction(&trace, &trace.static_arena(), Level::Country, 1.0);
         assert!((frac - 0.5).abs() < 1e-12, "one of two files is 100% home");
-        let empty = Trace::new();
+        let empty = TraceArena::default();
         assert_eq!(
-            fully_clustered_fraction(&empty, &static_view(&empty), Level::Country, 1.0),
+            fully_clustered_fraction(&empty, &empty.static_arena(), Level::Country, 1.0),
             0.0
         );
     }
@@ -219,8 +219,8 @@ mod tests {
             kind: FileKind::Audio,
         });
         b.observe(1, p, vec![]);
-        let trace = b.finish();
-        let view = static_view(&trace);
+        let trace = TraceArena::from_trace(&b.finish());
+        let view = trace.static_arena();
         let conc = home_concentration(&trace, &view, Level::Country);
         assert_eq!(conc.percent_at_home[0], None);
         let cdfs = concentration_cdfs(&trace, &view, Level::Country, &[1.0]);

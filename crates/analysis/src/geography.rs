@@ -2,10 +2,11 @@
 
 use std::collections::HashMap;
 
-use edonkey_trace::model::{CountryCode, Trace};
+use edonkey_trace::compact::TraceArena;
+use edonkey_trace::model::CountryCode;
 
 /// Fig. 4: clients per country, descending, with fractional shares.
-pub fn clients_per_country(trace: &Trace) -> Vec<(CountryCode, usize, f64)> {
+pub fn clients_per_country(trace: &TraceArena) -> Vec<(CountryCode, usize, f64)> {
     let mut counts: HashMap<CountryCode, usize> = HashMap::new();
     for peer in &trace.peers {
         *counts.entry(peer.country).or_insert(0) += 1;
@@ -35,7 +36,7 @@ pub struct AsRow {
 }
 
 /// Table 2: the top-`k` ASes by hosted clients.
-pub fn top_autonomous_systems(trace: &Trace, k: usize) -> Vec<AsRow> {
+pub fn top_autonomous_systems(trace: &TraceArena, k: usize) -> Vec<AsRow> {
     let mut by_as: HashMap<u32, (usize, CountryCode)> = HashMap::new();
     let mut by_country: HashMap<CountryCode, usize> = HashMap::new();
     for peer in &trace.peers {
@@ -61,7 +62,7 @@ pub fn top_autonomous_systems(trace: &Trace, k: usize) -> Vec<AsRow> {
 
 /// The combined share of the top-`k` ASes — the paper notes the top five
 /// host 54 % of all clients.
-pub fn top_as_combined_share(trace: &Trace, k: usize) -> f64 {
+pub fn top_as_combined_share(trace: &TraceArena, k: usize) -> f64 {
     top_autonomous_systems(trace, k)
         .iter()
         .map(|r| r.global_share)
@@ -74,7 +75,7 @@ mod tests {
     use edonkey_proto::md4::Md4;
     use edonkey_trace::model::{PeerInfo, TraceBuilder};
 
-    fn build() -> Trace {
+    fn build() -> TraceArena {
         let mut b = TraceBuilder::new();
         let spec = [
             ("FR", 3215u32, 3),
@@ -94,7 +95,7 @@ mod tests {
                 i += 1;
             }
         }
-        b.finish()
+        TraceArena::from_trace(&b.finish())
     }
 
     #[test]
@@ -123,7 +124,7 @@ mod tests {
 
     #[test]
     fn empty_trace() {
-        let trace = Trace::new();
+        let trace = TraceArena::default();
         assert!(clients_per_country(&trace).is_empty());
         assert!(top_autonomous_systems(&trace, 5).is_empty());
         assert_eq!(top_as_combined_share(&trace, 5), 0.0);

@@ -8,8 +8,8 @@
 
 use std::collections::HashMap;
 
-use edonkey_trace::compact::CacheArena;
-use edonkey_trace::model::{DaySnapshot, FileRef, PeerId, Trace};
+use edonkey_trace::compact::{CacheArena, DayArena, TraceArena};
+use edonkey_trace::model::{FileRef, PeerId};
 use edonkey_trace::par::parallel_map_init_threads;
 use edonkey_trace::pipeline::sorted_intersection_len;
 
@@ -42,7 +42,7 @@ pub struct OverlapGroup {
 /// group totals are integer sums, so the result does not depend on the
 /// worker count.
 pub fn overlap_evolution(
-    trace: &Trace,
+    trace: &TraceArena,
     initial_overlaps: &[u32],
     max_pairs_per_group: Option<usize>,
     max_holders: Option<usize>,
@@ -60,7 +60,7 @@ pub fn overlap_evolution(
 /// [`overlap_evolution`] with an explicit worker count — the hook the
 /// determinism test uses.
 pub(crate) fn overlap_evolution_threads(
-    trace: &Trace,
+    trace: &TraceArena,
     initial_overlaps: &[u32],
     max_pairs_per_group: Option<usize>,
     max_holders: Option<usize>,
@@ -72,7 +72,7 @@ pub(crate) fn overlap_evolution_threads(
     // Initial overlaps among first-day caches, packed columnar — no
     // per-peer clone of the snapshot.
     let n_peers = trace.peers.len();
-    let arena = CacheArena::from_snapshot(first, n_peers, trace.files.len());
+    let arena = CacheArena::from_day(first, n_peers, trace.files.len());
     let counts = overlap_counts_arena(&arena, |_| true, max_holders);
     let mut groups: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
     let wanted: std::collections::HashSet<u32> = initial_overlaps.iter().copied().collect();
@@ -92,17 +92,17 @@ pub(crate) fn overlap_evolution_threads(
         .iter()
         .filter_map(|&k| groups.get(&k).map(|pairs| (k, pairs.as_slice())))
         .collect();
-    let days: Vec<&DaySnapshot> = trace.days.iter().collect();
+    let days: Vec<&DayArena> = trace.days.iter().collect();
     // One row of per-group overlap totals per day.
     let totals = parallel_map_init_threads(
         &days,
         threads,
         || vec![&[][..]; n_peers],
-        |caches: &mut Vec<&[FileRef]>, snap| {
+        |caches: &mut Vec<&[FileRef]>, day| {
             // Caches for this day, indexed by peer (empty when unobserved).
             caches.fill(&[]);
-            for (peer, cache) in &snap.caches {
-                caches[peer.index()] = cache;
+            for (peer, row) in day.iter() {
+                caches[peer as usize] = row;
             }
             tracked
                 .iter()
@@ -126,7 +126,7 @@ pub(crate) fn overlap_evolution_threads(
             series: days
                 .iter()
                 .zip(&totals)
-                .map(|(snap, row)| (snap.day, row[g] as f64 / pairs.len().max(1) as f64))
+                .map(|(day, row)| (day.day, row[g] as f64 / pairs.len().max(1) as f64))
                 .collect(),
         })
         .collect()
@@ -136,14 +136,14 @@ pub(crate) fn overlap_evolution_threads(
 /// extreme groups: 327, 172, 161, 159 common files). Returns
 /// `(overlap, pair)` descending, up to `k` entries.
 pub fn largest_initial_overlaps(
-    trace: &Trace,
+    trace: &TraceArena,
     k: usize,
     max_holders: Option<usize>,
 ) -> Vec<(u32, (PeerId, PeerId))> {
     let Some(first) = trace.days.first() else {
         return Vec::new();
     };
-    let arena = CacheArena::from_snapshot(first, trace.peers.len(), trace.files.len());
+    let arena = CacheArena::from_day(first, trace.peers.len(), trace.files.len());
     let counts = overlap_counts_arena(&arena, |_| true, max_holders);
     let mut all: Vec<(u32, (u32, u32))> = counts.iter().map(|(p, c)| (c, p)).collect();
     all.sort_unstable_by_key(|&(c, p)| (std::cmp::Reverse(c), p));
@@ -162,7 +162,7 @@ mod tests {
 
     /// Two pairs: (p0,p1) start with overlap 2 and keep it; (p2,p3)
     /// start with overlap 1 and lose it on day 2.
-    fn build() -> Trace {
+    fn build() -> TraceArena {
         let mut b = TraceBuilder::new();
         let peers: Vec<_> = (0..4)
             .map(|i| {
@@ -191,7 +191,7 @@ mod tests {
         b.observe(2, peers[1], vec![files[0], files[1]]);
         b.observe(2, peers[2], vec![files[4]]);
         b.observe(2, peers[3], vec![files[3]]);
-        b.finish()
+        TraceArena::from_trace(&b.finish())
     }
 
     #[test]
@@ -237,14 +237,16 @@ mod tests {
     /// end-to-end fixture (the Fig. 15 groups and caps).
     #[test]
     fn any_worker_count_gives_identical_groups() {
-        use edonkey_trace::pipeline::{extrapolate, filter, ExtrapolateConfig};
+        use edonkey_trace::pipeline::{extrapolate_arena, filter_arena, ExtrapolateConfig};
         let mut config = edonkey_workload::WorkloadConfig::test_scale(20060418);
         config.peers = 2_000;
         config.files = 40_000;
         config.topics = 400;
         config.days = 20;
         let (_, trace) = edonkey_workload::generate_trace(config);
-        let trace = extrapolate(&filter(&trace).trace, ExtrapolateConfig::default()).trace;
+        let full = TraceArena::from_trace(&trace);
+        let trace =
+            extrapolate_arena(&filter_arena(&full).arena, ExtrapolateConfig::default()).arena;
         let initial: Vec<u32> = (1..=10).collect();
         let machine = std::thread::available_parallelism().map_or(4, |n| n.get());
         let one = overlap_evolution_threads(&trace, &initial, Some(5_000), Some(200), 1);
@@ -260,7 +262,8 @@ mod tests {
 
     #[test]
     fn empty_trace() {
-        assert!(overlap_evolution(&Trace::new(), &[1], None, None).is_empty());
-        assert!(largest_initial_overlaps(&Trace::new(), 3, None).is_empty());
+        let empty = TraceArena::default();
+        assert!(overlap_evolution(&empty, &[1], None, None).is_empty());
+        assert!(largest_initial_overlaps(&empty, 3, None).is_empty());
     }
 }

@@ -11,8 +11,7 @@
 
 use std::collections::HashMap;
 
-use edonkey_trace::compact::CacheArena;
-use edonkey_trace::model::Trace;
+use edonkey_trace::compact::{CacheArena, TraceArena};
 
 use crate::view::popularity;
 
@@ -52,7 +51,7 @@ impl LocalityCounts {
 /// Each `(peer, file)` cache entry stands for one request (the Section
 /// 5.1 replay model); the question is whether *another* holder of the
 /// file shares the requester's AS or country.
-pub fn request_locality(trace: &Trace, view: &CacheArena) -> LocalityCounts {
+pub fn request_locality(trace: &TraceArena, view: &CacheArena) -> LocalityCounts {
     let mut counts = LocalityCounts::default();
     for (peer_idx, cache) in view.iter().enumerate() {
         let me = &trace.peers[peer_idx];
@@ -88,7 +87,11 @@ pub fn request_locality(trace: &Trace, view: &CacheArena) -> LocalityCounts {
 /// Per-AS cache effectiveness: for the top ASes by client count, the
 /// fraction of their members' servable requests answerable inside the
 /// AS. Returns `(asn, clients, as_hit_rate)` sorted by clients.
-pub fn per_as_hit_rates(trace: &Trace, view: &CacheArena, top: usize) -> Vec<(u32, usize, f64)> {
+pub fn per_as_hit_rates(
+    trace: &TraceArena,
+    view: &CacheArena,
+    top: usize,
+) -> Vec<(u32, usize, f64)> {
     let mut clients_per_as: HashMap<u32, usize> = HashMap::new();
     for p in &trace.peers {
         *clients_per_as.entry(p.asn).or_insert(0) += 1;
@@ -139,7 +142,7 @@ pub fn per_as_hit_rates(trace: &Trace, view: &CacheArena, top: usize) -> Vec<(u3
 /// most where sources are plentiful, so this quantifies how much of the
 /// benefit is popular-file traffic.
 pub fn as_hit_rate_by_popularity(
-    trace: &Trace,
+    trace: &TraceArena,
     view: &CacheArena,
     bands: &[(u32, u32)],
 ) -> Vec<((u32, u32), f64)> {
@@ -192,7 +195,7 @@ mod tests {
     use edonkey_trace::model::{CountryCode, FileInfo, PeerInfo, TraceBuilder};
 
     /// Two FR peers in AS 3215, one FR peer in AS 12322, one DE peer.
-    fn build() -> Trace {
+    fn build() -> TraceArena {
         let mut b = TraceBuilder::new();
         let mk = |b: &mut TraceBuilder, i: u8, cc: &str, asn: u32| {
             b.intern_peer(PeerInfo {
@@ -221,17 +224,13 @@ mod tests {
         b.observe(1, a2, vec![f0]);
         b.observe(1, fr3, vec![f1]);
         b.observe(1, de, vec![f2, f3]);
-        b.finish()
-    }
-
-    fn static_view(trace: &Trace) -> CacheArena {
-        CacheArena::from_trace_static(trace)
+        TraceArena::from_trace(&b.finish())
     }
 
     #[test]
     fn locality_counts() {
         let trace = build();
-        let c = request_locality(&trace, &static_view(&trace));
+        let c = request_locality(&trace, &trace.static_arena());
         // Requests: a1 {f0,f1,f2}, a2 {f0}, fr3 {f1}, de {f2,f3} → 7 total.
         assert_eq!(c.total, 7);
         // f3 has a single holder → unservable; the rest have partners.
@@ -247,7 +246,7 @@ mod tests {
     #[test]
     fn per_as_rates() {
         let trace = build();
-        let rows = per_as_hit_rates(&trace, &static_view(&trace), 10);
+        let rows = per_as_hit_rates(&trace, &trace.static_arena(), 10);
         assert_eq!(rows[0].0, 3215, "largest AS first");
         assert_eq!(rows[0].1, 2);
         // AS 3215's servable requests: a1 {f0,f1,f2}, a2 {f0};
@@ -258,7 +257,7 @@ mod tests {
     #[test]
     fn popularity_bands() {
         let trace = build();
-        let rows = as_hit_rate_by_popularity(&trace, &static_view(&trace), &[(1, 1), (2, 9)]);
+        let rows = as_hit_rate_by_popularity(&trace, &trace.static_arena(), &[(1, 1), (2, 9)]);
         // Band (2,9): files with 2 holders: f0, f1, f2.
         let (_, rate) = rows[1];
         assert!((rate - 2.0 / 6.0).abs() < 1e-12);
@@ -268,8 +267,8 @@ mod tests {
 
     #[test]
     fn empty_trace_is_zero() {
-        let empty = Trace::new();
-        let view = static_view(&empty);
+        let empty = TraceArena::default();
+        let view = empty.static_arena();
         let c = request_locality(&empty, &view);
         assert_eq!(c.total, 0);
         assert_eq!(c.as_hit_rate(), 0.0);

@@ -1,20 +1,18 @@
 //! Fig. 5 (file replication vs rank) and popularity helpers.
 
-use edonkey_trace::model::Trace;
+use edonkey_trace::compact::TraceArena;
 
 use crate::stats::{log_downsample, rank_curve};
 
 /// Fig. 5: the rank–replication curve for one day: `(rank, sources)`
 /// with rank 1 = most replicated, files with zero sources omitted.
-pub fn replication_rank_curve(trace: &Trace, day: u32) -> Vec<(usize, u64)> {
-    let Some(snap) = trace.snapshot(day) else {
+pub fn replication_rank_curve(trace: &TraceArena, day: u32) -> Vec<(usize, u64)> {
+    let Ok(idx) = trace.days.binary_search_by_key(&day, |d| d.day) else {
         return Vec::new();
     };
     let mut counts = vec![0u64; trace.files.len()];
-    for (_, cache) in &snap.caches {
-        for f in cache {
-            counts[f.index()] += 1;
-        }
+    for f in &trace.days[idx].entries {
+        counts[f.index()] += 1;
     }
     let nonzero: Vec<u64> = counts.into_iter().filter(|&c| c > 0).collect();
     rank_curve(nonzero)
@@ -22,7 +20,7 @@ pub fn replication_rank_curve(trace: &Trace, day: u32) -> Vec<(usize, u64)> {
 
 /// Fig. 5, plot-ready: log-downsampled curves for several days.
 pub fn replication_curves(
-    trace: &Trace,
+    trace: &TraceArena,
     days: &[u32],
     points_per_decade: usize,
 ) -> Vec<(u32, Vec<(usize, u64)>)> {
@@ -38,7 +36,7 @@ pub fn replication_curves(
 
 /// Picks `n` sample days evenly spread across the trace (the paper uses
 /// days 346, 356, 366, 376, 386 — every tenth day).
-pub fn sample_days(trace: &Trace, n: usize) -> Vec<u32> {
+pub fn sample_days(trace: &TraceArena, n: usize) -> Vec<u32> {
     let (Some(first), Some(last)) = (trace.first_day(), trace.last_day()) else {
         return Vec::new();
     };
@@ -57,7 +55,7 @@ mod tests {
     use edonkey_proto::query::FileKind;
     use edonkey_trace::model::{CountryCode, FileInfo, PeerInfo, TraceBuilder};
 
-    fn build() -> Trace {
+    fn build() -> TraceArena {
         let mut b = TraceBuilder::new();
         let peers: Vec<_> = (0..5)
             .map(|i| {
@@ -84,7 +82,7 @@ mod tests {
         }
         b.observe(20, peers[4], vec![files[1]]);
         b.observe(25, peers[0], vec![files[1], files[2]]);
-        b.finish()
+        TraceArena::from_trace(&b.finish())
     }
 
     #[test]
@@ -111,7 +109,7 @@ mod tests {
         let trace = build();
         assert_eq!(sample_days(&trace, 2), vec![20, 25]);
         assert_eq!(sample_days(&trace, 1), vec![20]);
-        assert_eq!(sample_days(&Trace::new(), 3), Vec::<u32>::new());
+        assert_eq!(sample_days(&TraceArena::default(), 3), Vec::<u32>::new());
         let five = sample_days(&trace, 5);
         assert_eq!(five.len(), 5);
         assert_eq!(five[0], 20);

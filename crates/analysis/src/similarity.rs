@@ -2,7 +2,7 @@
 //!
 //! The paper measures proximity as the raw number of common files (the
 //! natural choice for "will this peer answer my next query"). Follow-up
-//! systems (e.g. the epidemic overlay of related work [31]) use
+//! systems (e.g. the epidemic overlay of related work \[31\]) use
 //! normalized metrics so that whales don't dominate every ranking. This
 //! module provides the standard family over sorted cache slices:
 //!

@@ -1,7 +1,6 @@
 //! Fig. 6: cumulative distribution of file sizes by popularity level.
 
-use edonkey_trace::compact::CacheArena;
-use edonkey_trace::model::Trace;
+use edonkey_trace::compact::{CacheArena, TraceArena};
 
 use crate::stats::Cdf;
 use crate::view::popularity;
@@ -12,7 +11,7 @@ use crate::view::popularity;
 /// Returns one `(threshold, Cdf)` per requested level; files never
 /// observed shared are excluded even at threshold 1.
 pub fn size_cdfs_by_popularity(
-    trace: &Trace,
+    trace: &TraceArena,
     view: &CacheArena,
     thresholds: &[u32],
 ) -> Vec<(u32, Cdf)> {
@@ -34,7 +33,7 @@ pub fn size_cdfs_by_popularity(
 
 /// Summary fractions the paper quotes for the full catalogue: files
 /// `< 1 MB`, in `[1, 10) MB`, and `>= 10 MB`.
-pub fn size_mix(trace: &Trace, view: &CacheArena) -> (f64, f64, f64) {
+pub fn size_mix(trace: &TraceArena, view: &CacheArena) -> (f64, f64, f64) {
     let popularity = popularity(view);
     let sizes: Vec<u64> = trace
         .files
@@ -61,7 +60,7 @@ pub fn size_mix(trace: &Trace, view: &CacheArena) -> (f64, f64, f64) {
 /// `min_popularity` — e.g. the paper's "among files with popularity ≥ 5,
 /// about 45 % are larger than 600 MB".
 pub fn fraction_larger_than(
-    trace: &Trace,
+    trace: &TraceArena,
     view: &CacheArena,
     min_popularity: u32,
     bytes: u64,
@@ -91,7 +90,7 @@ mod tests {
     use edonkey_trace::model::{CountryCode, FileInfo, PeerInfo, TraceBuilder};
 
     /// Three peers; a small file shared by all, a big file by one.
-    fn build() -> Trace {
+    fn build() -> TraceArena {
         let mut b = TraceBuilder::new();
         let peers: Vec<_> = (0..3)
             .map(|i| {
@@ -122,13 +121,13 @@ mod tests {
             b.observe(1, *p, vec![small]);
         }
         b.observe(2, peers[0], vec![small, big]);
-        b.finish()
+        TraceArena::from_trace(&b.finish())
     }
 
     #[test]
     fn cdfs_by_threshold() {
         let trace = build();
-        let cdfs = size_cdfs_by_popularity(&trace, &CacheArena::from_trace_static(&trace), &[1, 2]);
+        let cdfs = size_cdfs_by_popularity(&trace, &trace.static_arena(), &[1, 2]);
         // Threshold 1: both shared files (ghost excluded).
         assert_eq!(cdfs[0].1.len(), 2);
         // Threshold 2: only the small file (3 holders).
@@ -139,15 +138,15 @@ mod tests {
     #[test]
     fn mix_and_tail() {
         let trace = build();
-        let view = CacheArena::from_trace_static(&trace);
+        let view = trace.static_arena();
         let (small, mid, large) = size_mix(&trace, &view);
         assert!((small - 0.5).abs() < 1e-12);
         assert_eq!(mid, 0.0);
         assert!((large - 0.5).abs() < 1e-12);
         assert!((fraction_larger_than(&trace, &view, 1, 600 << 20) - 0.5).abs() < 1e-12);
         assert_eq!(fraction_larger_than(&trace, &view, 2, 600 << 20), 0.0);
-        let empty = Trace::new();
-        let empty_view = CacheArena::from_trace_static(&empty);
+        let empty = TraceArena::default();
+        let empty_view = empty.static_arena();
         assert_eq!(fraction_larger_than(&empty, &empty_view, 1, 0), 0.0);
     }
 }

@@ -1,17 +1,16 @@
 //! Figs. 8, 9, 10: file spread over time and rank evolution.
 
-use edonkey_trace::compact::CacheArena;
-use edonkey_trace::model::{FileRef, Trace};
+use edonkey_trace::compact::{CacheArena, DayArena, TraceArena};
+use edonkey_trace::model::FileRef;
 
 use crate::view::{popularity, top_k_files};
 
-/// Per-day holder counts for one day of the trace, as a dense vector.
-fn day_counts(trace: &Trace, day_index: usize) -> Vec<u32> {
-    let mut counts = vec![0u32; trace.files.len()];
-    for (_, cache) in &trace.days[day_index].caches {
-        for f in cache {
-            counts[f.index()] += 1;
-        }
+/// Per-file holder counts for one day, as a dense vector over the
+/// trace's `n_files` files.
+fn day_counts(day: &DayArena, n_files: usize) -> Vec<u32> {
+    let mut counts = vec![0u32; n_files];
+    for f in &day.entries {
+        counts[f.index()] += 1;
     }
     counts
 }
@@ -24,11 +23,11 @@ pub fn top_files_overall(view: &CacheArena, k: usize) -> Vec<FileRef> {
 
 /// The `k` most-replicated files on one specific day — Figs. 9/10 track
 /// "the top 5 of day 348" and "of day 367".
-pub fn top_files_on_day(trace: &Trace, day: u32, k: usize) -> Vec<FileRef> {
-    let Some(idx) = trace.days.iter().position(|s| s.day == day) else {
+pub fn top_files_on_day(trace: &TraceArena, day: u32, k: usize) -> Vec<FileRef> {
+    let Some(day) = trace.days.iter().find(|d| d.day == day) else {
         return Vec::new();
     };
-    let counts = day_counts(trace, idx);
+    let counts = day_counts(day, trace.files.len());
     top_k_files(&counts, k)
         .into_iter()
         .filter(|f| counts[f.index()] > 0)
@@ -40,16 +39,16 @@ pub fn top_files_on_day(trace: &Trace, day: u32, k: usize) -> Vec<FileRef> {
 ///
 /// Output: one `(file, series)` per tracked file, where the series holds
 /// `(day, spread_percent)`.
-pub fn spread_over_time(trace: &Trace, files: &[FileRef]) -> Vec<(FileRef, Vec<(u32, f64)>)> {
+pub fn spread_over_time(trace: &TraceArena, files: &[FileRef]) -> Vec<(FileRef, Vec<(u32, f64)>)> {
     let clients = trace.peers.len().max(1) as f64;
     let mut result: Vec<(FileRef, Vec<(u32, f64)>)> = files
         .iter()
         .map(|&f| (f, Vec::with_capacity(trace.days.len())))
         .collect();
-    for (idx, snap) in trace.days.iter().enumerate() {
-        let counts = day_counts(trace, idx);
+    for day in &trace.days {
+        let counts = day_counts(day, trace.files.len());
         for (f, series) in &mut result {
-            series.push((snap.day, 100.0 * counts[f.index()] as f64 / clients));
+            series.push((day.day, 100.0 * counts[f.index()] as f64 / clients));
         }
     }
     result
@@ -61,20 +60,20 @@ pub type RankSeries = Vec<(u32, Option<usize>)>;
 /// Figs. 9/10: for each tracked file, its per-day popularity *rank*
 /// (1 = most replicated; ties broken by file index; files with zero
 /// holders that day get rank `None`).
-pub fn rank_over_time(trace: &Trace, files: &[FileRef]) -> Vec<(FileRef, RankSeries)> {
+pub fn rank_over_time(trace: &TraceArena, files: &[FileRef]) -> Vec<(FileRef, RankSeries)> {
     let mut result: Vec<(FileRef, RankSeries)> = files
         .iter()
         .map(|&f| (f, Vec::with_capacity(trace.days.len())))
         .collect();
-    for (idx, snap) in trace.days.iter().enumerate() {
-        let counts = day_counts(trace, idx);
+    for day in &trace.days {
+        let counts = day_counts(day, trace.files.len());
         // Rank of file f = 1 + number of files strictly more replicated
         // (+ ties with lower index). Computing only for tracked files
         // keeps this O(files × tracked) instead of a full sort per day.
         for (f, series) in &mut result {
             let mine = counts[f.index()];
             if mine == 0 {
-                series.push((snap.day, None));
+                series.push((day.day, None));
                 continue;
             }
             let mut rank = 1usize;
@@ -83,7 +82,7 @@ pub fn rank_over_time(trace: &Trace, files: &[FileRef]) -> Vec<(FileRef, RankSer
                     rank += 1;
                 }
             }
-            series.push((snap.day, Some(rank)));
+            series.push((day.day, Some(rank)));
         }
     }
     result
@@ -91,13 +90,13 @@ pub fn rank_over_time(trace: &Trace, files: &[FileRef]) -> Vec<(FileRef, RankSer
 
 /// The largest single-day holder count and its day, over tracked files —
 /// the paper reports a maximum of 372 holders (0.7 % of clients).
-pub fn peak_spread(trace: &Trace) -> Option<(FileRef, u32, u32)> {
+pub fn peak_spread(trace: &TraceArena) -> Option<(FileRef, u32, u32)> {
     let mut best: Option<(FileRef, u32, u32)> = None;
-    for (idx, snap) in trace.days.iter().enumerate() {
-        let counts = day_counts(trace, idx);
+    for day in &trace.days {
+        let counts = day_counts(day, trace.files.len());
         for (file_idx, &c) in counts.iter().enumerate() {
             if c > 0 && best.is_none_or(|(_, _, bc)| c > bc) {
-                best = Some((FileRef(file_idx as u32), snap.day, c));
+                best = Some((FileRef(file_idx as u32), day.day, c));
             }
         }
     }
@@ -112,7 +111,7 @@ mod tests {
     use edonkey_trace::model::{CountryCode, FileInfo, PeerInfo, TraceBuilder};
 
     /// f0 surges on day 2 (3 holders) then decays; f1 is steady at 1.
-    fn build() -> (Trace, Vec<FileRef>) {
+    fn build() -> (TraceArena, Vec<FileRef>) {
         let mut b = TraceBuilder::new();
         let peers: Vec<_> = (0..4)
             .map(|i| {
@@ -141,16 +140,13 @@ mod tests {
         b.observe(2, peers[3], vec![files[1]]);
         b.observe(3, peers[0], vec![files[0]]);
         b.observe(3, peers[1], vec![files[1]]);
-        (b.finish(), files)
+        (TraceArena::from_trace(&b.finish()), files)
     }
 
     #[test]
     fn top_selection() {
         let (trace, files) = build();
-        assert_eq!(
-            top_files_overall(&CacheArena::from_trace_static(&trace), 1),
-            vec![files[0]]
-        );
+        assert_eq!(top_files_overall(&trace.static_arena(), 1), vec![files[0]]);
         assert_eq!(top_files_on_day(&trace, 2, 2), vec![files[0], files[1]]);
         assert!(top_files_on_day(&trace, 99, 2).is_empty());
         // Day 1: both have one holder; tie broken by index.
@@ -184,6 +180,6 @@ mod tests {
     fn peak() {
         let (trace, files) = build();
         assert_eq!(peak_spread(&trace), Some((files[0], 2, 3)));
-        assert_eq!(peak_spread(&Trace::new()), None);
+        assert_eq!(peak_spread(&TraceArena::default()), None);
     }
 }

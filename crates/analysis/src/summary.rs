@@ -1,7 +1,6 @@
 //! Table 1: general trace characteristics, for each pipeline stage.
 
-use edonkey_trace::compact::CacheArena;
-use edonkey_trace::model::Trace;
+use edonkey_trace::compact::{CacheArena, TraceArena};
 
 /// One stage's row set in Table 1.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,7 +33,7 @@ impl TraceSummary {
 }
 
 /// Computes a stage's Table 1 rows; `view` is the stage's static view.
-pub fn summarize(trace: &Trace, view: &CacheArena) -> TraceSummary {
+pub fn summarize(trace: &TraceArena, view: &CacheArena) -> TraceSummary {
     let free_riders = view.iter().filter(|c| c.is_empty()).count();
     let mut observed = vec![false; trace.files.len()];
     let mut observed_files = 0usize;
@@ -95,8 +94,8 @@ mod tests {
         b.observe(5, p0, vec![f0]);
         b.observe(7, p0, vec![f0]);
         b.observe(7, p1, vec![]);
-        let trace = b.finish();
-        let s = summarize(&trace, &CacheArena::from_trace_static(&trace));
+        let trace = TraceArena::from_trace(&b.finish());
+        let s = summarize(&trace, &trace.static_arena());
         assert_eq!(s.duration_days, 3);
         assert_eq!(s.clients, 2);
         assert_eq!(s.free_riders, 1);
@@ -108,8 +107,8 @@ mod tests {
 
     #[test]
     fn empty_trace_summary() {
-        let empty = Trace::new();
-        let s = summarize(&empty, &CacheArena::from_trace_static(&empty));
+        let empty = TraceArena::default();
+        let s = summarize(&empty, &empty.static_arena());
         assert_eq!(s.clients, 0);
         assert_eq!(s.free_rider_fraction(), 0.0);
     }

@@ -6,8 +6,8 @@
 //! [`CacheArena`] — is derived once per trace stage by the caller and
 //! passed in; its lazy holders index is the inverted direction.
 
-use edonkey_trace::compact::CacheArena;
-use edonkey_trace::model::{FileRef, Trace};
+use edonkey_trace::compact::{CacheArena, TraceArena};
+use edonkey_trace::model::FileRef;
 
 /// Number of distinct peers holding each file in a static view (the
 /// paper's "number of replicas or sources per file").
@@ -43,7 +43,7 @@ impl FileSpan {
 
 /// Computes per-file spans (days seen, distinct sources) in one pass;
 /// `view` is the trace's static view.
-pub fn file_spans(trace: &Trace, view: &CacheArena) -> Vec<FileSpan> {
+pub fn file_spans(trace: &TraceArena, view: &CacheArena) -> Vec<FileSpan> {
     let mut spans = vec![FileSpan::default(); trace.files.len()];
     // Distinct sources via the static union.
     for (count, span) in popularity(view).into_iter().zip(spans.iter_mut()) {
@@ -52,18 +52,14 @@ pub fn file_spans(trace: &Trace, view: &CacheArena) -> Vec<FileSpan> {
     // Days seen via a per-day distinct-file scan.
     let mut seen_today = vec![false; trace.files.len()];
     for day in &trace.days {
-        for (_, cache) in &day.caches {
-            for f in cache {
-                if !seen_today[f.index()] {
-                    seen_today[f.index()] = true;
-                    spans[f.index()].days_seen += 1;
-                }
+        for f in &day.entries {
+            if !seen_today[f.index()] {
+                seen_today[f.index()] = true;
+                spans[f.index()].days_seen += 1;
             }
         }
-        for (_, cache) in &day.caches {
-            for f in cache {
-                seen_today[f.index()] = false;
-            }
+        for f in &day.entries {
+            seen_today[f.index()] = false;
         }
     }
     spans
@@ -84,7 +80,7 @@ mod tests {
     use edonkey_proto::query::FileKind;
     use edonkey_trace::model::{CountryCode, FileInfo, PeerInfo, TraceBuilder};
 
-    fn build() -> (Trace, Vec<FileRef>) {
+    fn build() -> (TraceArena, Vec<FileRef>) {
         let mut b = TraceBuilder::new();
         let peers: Vec<_> = (0..4)
             .map(|i| {
@@ -110,22 +106,19 @@ mod tests {
         b.observe(1, peers[1], vec![files[0]]);
         b.observe(2, peers[2], vec![files[0]]);
         b.observe(2, peers[3], vec![files[2]]);
-        (b.finish(), files)
+        (TraceArena::from_trace(&b.finish()), files)
     }
 
     #[test]
     fn popularity_counts_distinct_holders() {
         let (trace, _) = build();
-        assert_eq!(
-            popularity(&CacheArena::from_trace_static(&trace)),
-            vec![3, 1, 1]
-        );
+        assert_eq!(popularity(&trace.static_arena()), vec![3, 1, 1]);
     }
 
     #[test]
     fn holders_inverts_caches() {
         let (trace, files) = build();
-        let view = CacheArena::from_trace_static(&trace);
+        let view = trace.static_arena();
         assert_eq!(view.holders(files[0]), &[0, 1, 2]);
         assert_eq!(view.holders(files[1]), &[0]);
         assert_eq!(view.holders(files[2]), &[3]);
@@ -134,7 +127,7 @@ mod tests {
     #[test]
     fn spans_and_average_popularity() {
         let (trace, _) = build();
-        let spans = file_spans(&trace, &CacheArena::from_trace_static(&trace));
+        let spans = file_spans(&trace, &trace.static_arena());
         assert_eq!(
             spans[0],
             FileSpan {

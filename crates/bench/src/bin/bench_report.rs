@@ -63,7 +63,7 @@ use edonkey_semsearch::neighbours::PolicyKind;
 use edonkey_semsearch::serve::{serve_arena_threads, ServeConfig};
 use edonkey_semsearch::sim::{simulate_arena_health_with_scratch, SimScratch};
 use edonkey_semsearch::SimConfig;
-use edonkey_trace::compact::{CacheArena, TraceArena};
+use edonkey_trace::compact::CacheArena;
 use edonkey_trace::io;
 use edonkey_trace::model::FileRef;
 use edonkey_trace::pipeline::{
@@ -151,7 +151,9 @@ fn main() {
     }
 
     let w = Workload::generate(scale);
-    let caches = w.filtered.static_caches();
+    // The row form of the filtered static view: the input of the
+    // sequential overlap, whole-cell sweep and row-shuffler oracles.
+    let caches = w.static_view().to_caches();
     let n_files = w.filtered.files.len();
     let n_peers = caches.len();
     let replicas: usize = caches.iter().map(Vec::len).sum();
@@ -909,14 +911,15 @@ fn main() {
 
     // Trace pipeline: the legacy row path is the oracle; the report's
     // entry times the arena-native CSR path, derived traces diffed
-    // exactly (kept set and every snapshot).
+    // exactly (kept set and every snapshot). The row oracle and the
+    // codec entries below read one untimed row copy of the full trace.
+    let full = w.full.to_trace();
     let (row_derived, m_row) = timed(|| {
-        let filtered = filter(&w.full);
+        let filtered = filter(&full);
         extrapolate(&filtered.trace, ExtrapolateConfig::default())
     });
-    let full_arena = TraceArena::from_trace(&w.full);
     let (arena_derived, m_arena) = timed(|| {
-        let filtered = filter_arena(&full_arena);
+        let filtered = filter_arena(&w.full);
         extrapolate_arena(&filtered.arena, ExtrapolateConfig::default())
     });
     let derived = arena_derived.to_derived_trace();
@@ -961,12 +964,12 @@ fn main() {
     let json_path = dir.join("full.json");
     let bin_path = dir.join("full.etrc");
 
-    let (_, m_json_write) = timed(|| io::save_json(&w.full, &json_path).expect("save_json"));
+    let (_, m_json_write) = timed(|| io::save_json(&full, &json_path).expect("save_json"));
     let (json_loaded, m_json_read) = timed(|| io::load_json(&json_path).expect("load_json"));
-    assert_eq!(json_loaded, w.full, "JSON round trip must be lossless");
-    let (_, m_bin_write) = timed(|| io::save_bin(&w.full, &bin_path).expect("save_bin"));
+    assert_eq!(json_loaded, full, "JSON round trip must be lossless");
+    let (_, m_bin_write) = timed(|| io::save_bin(&full, &bin_path).expect("save_bin"));
     let (bin_loaded, m_bin_read) = timed(|| io::load_bin(&bin_path).expect("load_bin"));
-    assert_eq!(bin_loaded, w.full, "binary round trip must be lossless");
+    assert_eq!(bin_loaded, full, "binary round trip must be lossless");
 
     let json_bytes = std::fs::metadata(&json_path).expect("stat json").len();
     let bin_bytes = std::fs::metadata(&bin_path).expect("stat bin").len();

@@ -61,9 +61,12 @@ pub fn fig13(w: &Workload) {
     e.comment("Fig. 13: P(another common file | k files in common)");
     e.comment("series\tk\tprobability_pct\tpairs");
     // All files, first extrapolated day (the paper's day 348).
-    if let Some(snap) = w.extrapolated.days.first() {
-        let day =
-            CacheArena::from_snapshot(snap, w.extrapolated.peers.len(), w.extrapolated.files.len());
+    if let Some(first) = w.extrapolated.days.first() {
+        let day = CacheArena::from_day(
+            first,
+            w.extrapolated.peers.len(),
+            w.extrapolated.files.len(),
+        );
         let curve = semantic::clustering_correlation_arena(&day, |_| true, Some(HOLDER_CAP));
         for point in curve {
             e.row([

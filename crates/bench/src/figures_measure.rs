@@ -1,8 +1,7 @@
 //! Regeneration of Section 2–3 artefacts: Figs. 1–10, Tables 1–2.
 
 use edonkey_analysis::{contribution, daily, geography, popularity, sizes, spread, summary};
-use edonkey_trace::compact::CacheArena;
-use edonkey_trace::model::Trace;
+use edonkey_trace::compact::TraceArena;
 
 use crate::{f, Emitter, Workload};
 
@@ -68,8 +67,8 @@ pub fn fig04(w: &Workload) {
 
 /// Summarizes a stage other than the filtered one, whose static view
 /// the workload keeps; this stage's view is built and dropped here.
-fn summarize_stage(trace: &Trace) -> summary::TraceSummary {
-    summary::summarize(trace, &CacheArena::from_trace_static(trace))
+fn summarize_stage(trace: &TraceArena) -> summary::TraceSummary {
+    summary::summarize(trace, &trace.static_arena())
 }
 
 /// Table 1: general characteristics of each trace stage.

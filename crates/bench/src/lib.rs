@@ -102,14 +102,15 @@ impl Scale {
     }
 }
 
-/// The standard workload every figure and most ablations start from.
+/// The standard workload every figure and most ablations start from:
+/// the three pipeline stages, as arenas.
 pub struct Workload {
     /// The observed ("full") trace.
-    pub full: Trace,
+    pub full: TraceArena,
     /// The filtered trace (static analyses).
-    pub filtered: Trace,
+    pub filtered: TraceArena,
     /// The extrapolated trace (dynamic analyses).
-    pub extrapolated: Trace,
+    pub extrapolated: TraceArena,
     /// The filtered stage's static view, built on first use.
     static_view: OnceLock<CacheArena>,
 }
@@ -154,21 +155,19 @@ impl Workload {
         Workload::derive(full)
     }
 
-    fn derive(full: Trace) -> Workload {
+    /// Packs the row trace into an arena and drops it before deriving
+    /// the other two stages, so no stage is ever held as rows.
+    fn derive(trace: Trace) -> Workload {
+        let full = TraceArena::from_trace(&trace);
+        drop(trace);
         eprintln!(
             "[bench] trace: {} peers, {} files, {} days",
             full.peers.len(),
             full.files.len(),
             full.days.len()
         );
-        // Arena-native derivation: filter and extrapolate run on CSR
-        // buffers, row tables are materialized once at the end.
-        let arena = TraceArena::from_trace(&full);
-        let filtered_arena = filter_arena(&arena).arena;
-        let filtered = filtered_arena.to_trace();
-        let extrapolated = extrapolate_arena(&filtered_arena, ExtrapolateConfig::default())
-            .arena
-            .to_trace();
+        let filtered = filter_arena(&full).arena;
+        let extrapolated = extrapolate_arena(&filtered, ExtrapolateConfig::default()).arena;
         eprintln!(
             "[bench] filtered: {} peers; extrapolated: {} peers",
             filtered.peers.len(),
@@ -189,7 +188,7 @@ impl Workload {
     /// use, so runs that never read it never pay for it.
     pub fn static_view(&self) -> &CacheArena {
         self.static_view
-            .get_or_init(|| CacheArena::from_trace_static(&self.filtered))
+            .get_or_init(|| self.filtered.static_arena())
     }
 }
 
@@ -288,7 +287,6 @@ mod tests {
         assert!(!w.full.files.is_empty());
         let view = w.static_view();
         assert_eq!(view.n_peers(), w.filtered.peers.len());
-        assert_eq!(view.to_caches(), w.filtered.static_caches());
         assert!(std::ptr::eq(view, w.static_view()), "built once");
     }
 }

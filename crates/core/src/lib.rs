@@ -26,7 +26,7 @@
 //!   with bounded ingress queues and latency percentiles;
 //! * [`overlay`] — the paper's announced next step: a *live* semantic
 //!   overlay maintained across days of cache churn;
-//! * [`gossip`] — the epidemic alternative (related work [31]): views
+//! * [`gossip`] — the epidemic alternative (related work \[31\]): views
 //!   converged proactively by cache-overlap gossip.
 //!
 //! # Examples

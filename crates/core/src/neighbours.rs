@@ -849,7 +849,7 @@ const REPUTATION_FIRE_AT: u32 = 3;
 /// probation, not proof: the entry stays listed, but every subsequent
 /// query it leaves unanswered raises a *promised-but-never-served*
 /// score — decayed exponentially (`p - p/8 + 1`) so old sins fade —
-/// and at [`REPUTATION_FIRE_AT`] the defense fires: the slot is
+/// and at `REPUTATION_FIRE_AT` the defense fires: the slot is
 /// hard-reclaimed ([`AnyPolicy::expel`]) and the peer is *banned* —
 /// the querier refuses to ever record it again. The ban is the real
 /// defense: expulsion alone barely moves the hit rate, because an
@@ -916,7 +916,7 @@ impl ReputationBook {
 
     /// Scores one unanswered query to `peer`. Non-suspects are
     /// untouched (returns `false`). A suspect's score decays then
-    /// increments; when it reaches [`REPUTATION_FIRE_AT`] the entry
+    /// increments; when it reaches `REPUTATION_FIRE_AT` the entry
     /// moves to the ban list and `true` is returned — the caller must
     /// then reclaim the slot via [`AnyPolicy::expel`], and the banned
     /// peer is never recorded again.

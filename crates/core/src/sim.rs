@@ -749,7 +749,7 @@ pub(crate) fn simulate_whole_cell(
 /// and the benchmark harness all compare the arena and split-cell paths
 /// against it. The only change since the seed version is the server
 /// fallback, which is now drawn statelessly from the stream position
-/// (see [`fallback_index`]) in lockstep with the optimised paths.
+/// (see `fallback_index`) in lockstep with the optimised paths.
 pub fn simulate_reference(
     caches: &[Vec<FileRef>],
     n_files: usize,

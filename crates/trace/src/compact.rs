@@ -74,22 +74,14 @@ impl CacheArena {
         Self::build(caches.len(), n_files, |p| &caches[p])
     }
 
-    /// Builds a peer-indexed arena from one day's snapshot: slot `p`
-    /// holds peer `p`'s cache that day, empty when the peer was not
-    /// observed. This replaces the `Vec<Vec<FileRef>>` scatter-clone the
-    /// per-day analyses previously performed.
-    pub fn from_snapshot(snapshot: &DaySnapshot, n_peers: usize, n_files: usize) -> Self {
+    /// Builds a peer-indexed arena from one day: slot `p` holds peer
+    /// `p`'s cache that day, empty when the peer was not observed.
+    pub fn from_day(day: &DayArena, n_peers: usize, n_files: usize) -> Self {
         let mut by_peer: Vec<&[FileRef]> = vec![&[]; n_peers];
-        for (peer, cache) in &snapshot.caches {
-            by_peer[peer.index()] = cache;
+        for (peer, row) in day.iter() {
+            by_peer[peer as usize] = row;
         }
         Self::build(n_peers, n_files, |p| by_peer[p])
-    }
-
-    /// Builds the static (union-over-days) arena for a whole trace —
-    /// the arena equivalent of [`Trace::static_caches`].
-    pub fn from_trace_static(trace: &Trace) -> Self {
-        Self::from_caches(&trace.static_caches(), trace.files.len())
     }
 
     /// Adopts already-CSR data without copying or re-sorting — the
@@ -329,8 +321,8 @@ impl CacheArena {
         self.derived = OnceLock::new();
     }
 
-    /// Converts back to the legacy per-peer `Vec` representation, for
-    /// callers not yet ported to arena slices.
+    /// Converts back to the per-peer `Vec` representation the row
+    /// oracles take.
     pub fn to_caches(&self) -> Vec<Vec<FileRef>> {
         self.iter().map(<[FileRef]>::to_vec).collect()
     }
@@ -409,6 +401,26 @@ impl DayArena {
         self.peers.len()
     }
 
+    /// Number of observed peers with at least one shared file.
+    pub fn non_empty_count(&self) -> usize {
+        self.offsets.windows(2).filter(|w| w[0] < w[1]).count()
+    }
+
+    /// Total cache entries (file replicas) observed this day.
+    pub fn replica_count(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Number of *distinct* files observed this day.
+    pub fn distinct_files(&self) -> usize {
+        let n = self.entries.iter().max().map_or(0, |f| f.index() + 1);
+        let mut seen = vec![false; n];
+        self.entries
+            .iter()
+            .filter(|f| !std::mem::replace(&mut seen[f.index()], true))
+            .count()
+    }
+
     /// Row `i`'s cache slice (row index, not peer id).
     pub fn row(&self, i: usize) -> &[FileRef] {
         &self.entries[self.offsets[i] as usize..self.offsets[i + 1] as usize]
@@ -461,7 +473,7 @@ impl DayArena {
 /// observed day — the arena-native counterpart of [`Trace`] that the
 /// derivation pipeline (`pipeline::filter_arena` and friends) transforms
 /// without ever materializing per-cache `Vec`s.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceArena {
     /// Distinct files, indexed by [`FileRef`].
     pub files: Vec<FileInfo>,
@@ -481,8 +493,8 @@ impl TraceArena {
         }
     }
 
-    /// Materializes the row-oriented trace (for consumers not yet ported
-    /// to CSR slices).
+    /// Materializes the row-oriented trace, for the codecs and the row
+    /// oracles.
     pub fn to_trace(&self) -> Trace {
         let trace = Trace {
             files: self.files.clone(),
@@ -491,6 +503,24 @@ impl TraceArena {
         };
         debug_assert_eq!(trace.check_invariants(), Ok(()));
         trace
+    }
+
+    /// First observed day, if any.
+    pub fn first_day(&self) -> Option<u32> {
+        self.days.first().map(|d| d.day)
+    }
+
+    /// Last observed day, if any.
+    pub fn last_day(&self) -> Option<u32> {
+        self.days.last().map(|d| d.day)
+    }
+
+    /// Duration in days, inclusive of both endpoints.
+    pub fn duration_days(&self) -> u32 {
+        match (self.first_day(), self.last_day()) {
+            (Some(a), Some(b)) => b - a + 1,
+            _ => 0,
+        }
     }
 
     /// Total `(peer, day)` snapshots, like [`Trace::snapshot_count`].
@@ -669,11 +699,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_arena_is_peer_indexed() {
+    fn day_arena_is_peer_indexed() {
         let mut snap = DaySnapshot::new(7);
         snap.insert(PeerId(1), vec![f(0), f(1)]);
         snap.insert(PeerId(3), vec![f(1)]);
-        let arena = CacheArena::from_snapshot(&snap, 5, 2);
+        let arena = CacheArena::from_day(&DayArena::from_snapshot(&snap), 5, 2);
         assert_eq!(arena.n_peers(), 5);
         assert_eq!(arena.cache(0), &[] as &[FileRef]);
         assert_eq!(arena.cache(1), &[f(0), f(1)]);
@@ -727,6 +757,9 @@ mod tests {
         assert_eq!(day.row(2), &[f(0)]);
         assert_eq!(day.check_invariants(8, 4), Ok(()));
         assert_eq!(day.to_snapshot(), snap);
+        assert_eq!(day.non_empty_count(), 2);
+        assert_eq!(day.replica_count(), 3);
+        assert_eq!(day.distinct_files(), 3);
         assert_eq!(
             day.iter().map(|(p, r)| (p, r.len())).collect::<Vec<_>>(),
             vec![(2, 2), (5, 0), (7, 1)]
@@ -783,10 +816,14 @@ mod tests {
         let arena = TraceArena::from_trace(&trace);
         assert_eq!(arena.check_invariants(), Ok(()));
         assert_eq!(arena.snapshot_count(), 3);
+        assert_eq!(arena.duration_days(), 3);
+        assert_eq!(arena.days[0].distinct_files(), 3);
+        assert_eq!(TraceArena::default().duration_days(), 0);
         assert_eq!(arena.to_trace(), trace);
         let back = arena.static_arena();
         assert_eq!(back.cache(0), &[f(0), f(2)]);
         assert_eq!(back.cache(1), &[f(1), f(2)]);
+        assert_eq!(back.to_caches(), trace.static_caches());
     }
 
     #[test]

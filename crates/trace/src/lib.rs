@@ -3,13 +3,15 @@
 //!
 //! A [`model::Trace`] is the object the paper's crawler produces: intern
 //! tables for files and peers plus one cache snapshot per browsed client
-//! per day. From it the paper derives:
+//! per day. Codecs, generators and the crawler speak it; everything
+//! downstream reads its CSR form, [`compact::TraceArena`]. From it the
+//! paper derives:
 //!
-//! * the **filtered** trace ([`pipeline::filter`]) — IP/uid aliases
-//!   removed, used for all static analyses;
-//! * the **extrapolated** trace ([`pipeline::extrapolate`]) — regular
-//!   clients only, with missed days filled pessimistically, used for all
-//!   dynamic analyses;
+//! * the **filtered** trace ([`pipeline::filter_arena`]) — IP/uid
+//!   aliases removed, used for all static analyses;
+//! * the **extrapolated** trace ([`pipeline::extrapolate_arena`]) —
+//!   regular clients only, with missed days filled pessimistically, used
+//!   for all dynamic analyses;
 //! * **randomized** caches ([`randomize`]) — same generosity and
 //!   popularity, all interest structure destroyed (the appendix
 //!   algorithm), used as the null model in Figs. 14 and 21.
@@ -28,16 +30,15 @@
 //!     id: Md4::digest(b"song"), size: 4_000_000, kind: FileKind::Audio,
 //! });
 //! b.observe(350, p, vec![f]);
-//! let trace = b.finish();
+//! let trace = edonkey_trace::TraceArena::from_trace(&b.finish());
 //! assert_eq!(trace.snapshot_count(), 1);
-//! let filtered = edonkey_trace::pipeline::filter(&trace);
-//! assert_eq!(filtered.trace.peers.len(), 1);
+//! let filtered = edonkey_trace::pipeline::filter_arena(&trace);
+//! assert_eq!(filtered.arena.peers.len(), 1);
 //! ```
 
 pub mod compact;
 pub mod io;
 pub mod model;
-pub mod ops;
 pub mod par;
 pub mod pipeline;
 pub mod randomize;

@@ -157,25 +157,6 @@ impl DaySnapshot {
     pub fn peer_count(&self) -> usize {
         self.caches.len()
     }
-
-    /// Number of peers observed with at least one shared file.
-    pub fn non_empty_count(&self) -> usize {
-        self.caches.iter().filter(|(_, c)| !c.is_empty()).count()
-    }
-
-    /// Total cache entries (file replicas) observed this day.
-    pub fn replica_count(&self) -> usize {
-        self.caches.iter().map(|(_, c)| c.len()).sum()
-    }
-
-    /// Number of *distinct* files observed this day.
-    pub fn distinct_files(&self) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        for (_, cache) in &self.caches {
-            seen.extend(cache.iter().copied());
-        }
-        seen.len()
-    }
 }
 
 /// A complete crawl trace: intern tables plus daily snapshots.
@@ -209,14 +190,6 @@ impl Trace {
         self.days.last().map(|d| d.day)
     }
 
-    /// Duration in days, inclusive of both endpoints.
-    pub fn duration_days(&self) -> u32 {
-        match (self.first_day(), self.last_day()) {
-            (Some(a), Some(b)) => b - a + 1,
-            _ => 0,
-        }
-    }
-
     /// The snapshot for an absolute day number, if the crawler ran then.
     pub fn snapshot(&self, day: u32) -> Option<&DaySnapshot> {
         self.days
@@ -244,21 +217,10 @@ impl Trace {
         caches
     }
 
-    /// Peers that never shared a file: the free-riders of Table 1.
-    pub fn free_rider_count(&self) -> usize {
-        self.static_caches().iter().filter(|c| c.is_empty()).count()
-    }
-
     /// Number of successful `(peer, day)` snapshots, the "successful
     /// snapshots" row of Table 1.
     pub fn snapshot_count(&self) -> usize {
         self.days.iter().map(|d| d.peer_count()).sum()
-    }
-
-    /// Total bytes across distinct files — Table 1's "space used by
-    /// distinct files".
-    pub fn distinct_bytes(&self) -> u64 {
-        self.files.iter().map(|f| f.size).sum()
     }
 
     /// Days on which each peer was observed, indexed by peer.
@@ -542,27 +504,7 @@ mod tests {
         let caches = trace.static_caches();
         assert_eq!(caches[p.index()], vec![f1, f2]);
         assert!(caches[q.index()].is_empty());
-        assert_eq!(trace.free_rider_count(), 1);
         assert_eq!(trace.snapshot_count(), 3);
-    }
-
-    #[test]
-    fn day_counters() {
-        let mut b = TraceBuilder::new();
-        let p = b.intern_peer(peer(1));
-        let q = b.intern_peer(peer(2));
-        let f1 = b.intern_file(file(1));
-        let f2 = b.intern_file(file(2));
-        b.observe(350, p, vec![f1, f2]);
-        b.observe(350, q, vec![f2]);
-        let trace = b.finish();
-        let snap = trace.snapshot(350).unwrap();
-        assert_eq!(snap.peer_count(), 2);
-        assert_eq!(snap.non_empty_count(), 2);
-        assert_eq!(snap.replica_count(), 3);
-        assert_eq!(snap.distinct_files(), 2);
-        assert_eq!(trace.duration_days(), 1);
-        assert_eq!(trace.distinct_bytes(), 3000);
     }
 
     #[test]

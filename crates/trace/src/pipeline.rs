@@ -103,7 +103,7 @@ pub struct DerivedArena {
 
 impl DerivedArena {
     /// Materializes the row-oriented [`DerivedTrace`] (one allocation per
-    /// cache) for consumers not yet ported to CSR slices.
+    /// cache), to diff against the row pipeline oracle.
     pub fn to_derived_trace(&self) -> DerivedTrace {
         DerivedTrace {
             trace: self.arena.to_trace(),
@@ -602,7 +602,7 @@ fn gallop_lower_bound(hay: &[FileRef], lo: usize, needle: FileRef) -> usize {
 /// hot path threads through its per-worker scratch.
 ///
 /// Balanced inputs take the linear two-pointer merge; when one side is
-/// more than [`GALLOP_CUTOFF`]× longer (a peer's 6-file cache against a
+/// more than `GALLOP_CUTOFF`× longer (a peer's 6-file cache against a
 /// blockbuster row, say) the short side gallops through the long one
 /// instead, turning the cost from `O(short + long)` into
 /// `O(short * log(long))`.

@@ -363,7 +363,7 @@ impl ShuffleCheckpoint {
 ///
 /// Caches live in one flat entry array with a per-peer offset table
 /// (rows are unsorted while shuffling, exactly like [`Shuffler`]'s
-/// per-cache `Vec`s); membership is a flat open-addressed [`PairSet`]
+/// per-cache `Vec`s); membership is a flat open-addressed `PairSet`
 /// instead of one `HashSet` per peer.
 ///
 /// [`Shuffler`] keeps an explicit replica array of `(peer, slot)` pairs

@@ -28,7 +28,7 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ArrivalConfig {
     /// Seed for the jitter draws (domain-separated from every other
-    /// decision stream by [`SALT_JITTER`]).
+    /// decision stream by `SALT_JITTER`).
     pub seed: u64,
     /// Maximum forward jitter per arrival, in milli-days (0 = none).
     pub jitter_md: u32,

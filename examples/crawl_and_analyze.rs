@@ -37,6 +37,7 @@ fn main() {
         NetConfig::default(),
         CrawlerConfig::default().budget_for(peers, 1.0, 0.4),
     );
+    let trace = TraceArena::from_trace(&trace);
 
     println!("\nper-day crawl coverage (Fig. 1 mechanics):");
     for s in stats.iter().step_by(4) {
@@ -47,7 +48,7 @@ fn main() {
     }
 
     // Table 1.
-    let summary = summarize(&trace, &CacheArena::from_trace_static(&trace));
+    let summary = summarize(&trace, &trace.static_arena());
     println!(
         "\ntrace: {} clients ({:.0}% free-riders), {} snapshots, {} files, {:.1} GB",
         summary.clients,
@@ -83,18 +84,18 @@ fn main() {
     }
 
     // Filtered stage + contribution skew (Fig. 7).
-    let filtered = filter(&trace);
-    let view = CacheArena::from_trace_static(&filtered.trace);
-    let top15 = contribution::generosity_concentration(&filtered.trace, &view, 0.15);
+    let filtered = filter_arena(&trace).arena;
+    let view = filtered.static_arena();
+    let top15 = contribution::generosity_concentration(&filtered, &view, 0.15);
     println!(
         "\nfiltered: {} clients; top 15% of sharers hold {:.0}% of files",
-        filtered.trace.peers.len(),
+        filtered.peers.len(),
         100.0 * top15
     );
 
     // Fig. 11: geographic clustering, by popularity band.
     let cdfs = geo_clustering::concentration_cdfs(
-        &filtered.trace,
+        &filtered,
         &view,
         geo_clustering::Level::Country,
         &[1.0, 5.0],
@@ -112,11 +113,11 @@ fn main() {
     }
 
     // Extrapolated stage (the dynamic-analysis input).
-    let extrapolated = extrapolate(&filtered.trace, ExtrapolateConfig::default());
+    let extrapolated = extrapolate_arena(&filtered, ExtrapolateConfig::default()).arena;
     println!(
         "extrapolated: {} regular clients over {} days",
-        extrapolated.trace.peers.len(),
-        extrapolated.trace.days.len()
+        extrapolated.peers.len(),
+        extrapolated.days.len()
     );
 
     // The same crawl, streamed: each completed day goes straight to the
@@ -139,7 +140,8 @@ fn main() {
     let outcome = filter_streaming(&full_path, &filtered_path).expect("streaming filter");
     let reloaded = io::load_auto(&filtered_path).expect("reload filtered trace");
     assert_eq!(
-        reloaded, filtered.trace,
+        TraceArena::from_trace(&reloaded),
+        filtered,
         "streamed pipeline must match in-memory"
     );
     println!(

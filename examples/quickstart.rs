@@ -22,9 +22,10 @@ fn main() {
         config.peers, config.files
     );
     let (_population, trace) = generate_trace(config);
+    let full = TraceArena::from_trace(&trace);
 
     // 2. The pipeline of Section 2.3: full → filtered → extrapolated.
-    let summary = summarize(&trace, &CacheArena::from_trace_static(&trace));
+    let summary = summarize(&full, &full.static_arena());
     println!(
         "full trace:        {} clients, {:.0}% free-riders, {} snapshots, {} files",
         summary.clients,
@@ -32,26 +33,25 @@ fn main() {
         summary.snapshots,
         summary.distinct_files,
     );
-    let filtered = filter(&trace);
-    let extrapolated = extrapolate(&filtered.trace, ExtrapolateConfig::default());
+    let filtered = filter_arena(&full).arena;
+    let extrapolated = extrapolate_arena(&filtered, ExtrapolateConfig::default()).arena;
     println!(
         "filtered trace:    {} clients; extrapolated trace: {} clients",
-        filtered.trace.peers.len(),
-        extrapolated.trace.peers.len(),
+        filtered.peers.len(),
+        extrapolated.peers.len(),
     );
 
     // 3. Section 5: server-less search via semantic neighbours.
-    let caches = filtered.trace.static_caches();
-    let n_files = filtered.trace.files.len();
+    let view = filtered.static_arena();
     println!("\nhit rates (trace-driven simulation, Section 5):");
     println!(
         "{:>10} {:>8} {:>8} {:>8}",
         "neighbours", "LRU", "History", "Random"
     );
     for &size in &[5usize, 10, 20, 50] {
-        let lru = simulate(&caches, n_files, &SimConfig::lru(size));
-        let history = simulate(&caches, n_files, &SimConfig::history(size));
-        let random = simulate(&caches, n_files, &SimConfig::random(size));
+        let lru = simulate_arena(&view, &SimConfig::lru(size));
+        let history = simulate_arena(&view, &SimConfig::history(size));
+        let random = simulate_arena(&view, &SimConfig::random(size));
         println!(
             "{size:>10} {:>7.1}% {:>7.1}% {:>7.1}%",
             100.0 * lru.hit_rate(),
@@ -61,8 +61,8 @@ fn main() {
     }
 
     // 4. Two-hop search (Fig. 23): neighbours-of-neighbours help.
-    let one = simulate(&caches, n_files, &SimConfig::lru(20));
-    let two = simulate(&caches, n_files, &SimConfig::lru(20).with_two_hop());
+    let one = simulate_arena(&view, &SimConfig::lru(20));
+    let two = simulate_arena(&view, &SimConfig::lru(20).with_two_hop());
     println!(
         "\ntwo-hop search, 20 neighbours: {:.1}% → {:.1}%",
         100.0 * one.hit_rate(),

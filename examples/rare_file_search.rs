@@ -17,7 +17,6 @@ use edonkey_repro::analysis::{semantic, view};
 use edonkey_repro::prelude::*;
 use edonkey_repro::semsearch::experiment::{sweep_cells, sweep_configs};
 use edonkey_repro::semsearch::filters::remove_top_files;
-use edonkey_repro::semsearch::sim::simulate_arena;
 
 fn main() {
     let mut config = WorkloadConfig::test_scale(99);
@@ -25,8 +24,9 @@ fn main() {
     config.files = 18_000;
     config.days = 10;
     let (_population, trace) = generate_trace(config);
-    let filtered = filter(&trace);
-    let static_view = CacheArena::from_trace_static(&filtered.trace);
+    let static_view = filter_arena(&TraceArena::from_trace(&trace))
+        .arena
+        .static_arena();
 
     // 1. Clustering correlation, all files vs rare files (Fig. 13/14).
     let popularity = view::popularity(&static_view);

@@ -27,8 +27,9 @@ fn main() {
     config.files = 18_000;
     config.days = 10;
     let (_population, trace) = generate_trace(config);
-    let filtered = filter(&trace);
-    let view = CacheArena::from_trace_static(&filtered.trace);
+    let view = filter_arena(&TraceArena::from_trace(&trace))
+        .arena
+        .static_arena();
 
     // Fig. 18: LRU vs History vs Random.
     println!("policy comparison (Fig. 18):");

@@ -28,9 +28,8 @@
 //! config.days = 10;
 //! config.cache_max = 500;
 //! let (population, trace) = generate_trace(config);
-//! let filtered = filter(&trace);
-//! let caches = filtered.trace.static_caches();
-//! let result = simulate(&caches, trace.files.len(), &SimConfig::lru(20));
+//! let filtered = filter_arena(&TraceArena::from_trace(&trace)).arena;
+//! let result = simulate_arena(&filtered.static_arena(), &SimConfig::lru(20));
 //! assert!(result.requests > 0);
 //! let _ = population; // ground truth stays available for calibration
 //! ```
@@ -50,9 +49,11 @@ pub mod prelude {
         RetryPolicy,
     };
     pub use edonkey_proto::query::FileKind;
+    pub use edonkey_semsearch::sim::simulate_arena;
     pub use edonkey_semsearch::{simulate, PolicyKind, SimConfig, SimResult, PAPER_LIST_SIZES};
     pub use edonkey_trace::{
-        extrapolate, filter, CacheArena, ExtrapolateConfig, FileRef, PeerId, Trace,
+        extrapolate_arena, filter_arena, CacheArena, ExtrapolateConfig, FileRef, PeerId, Trace,
+        TraceArena,
     };
     pub use edonkey_workload::{generate_trace, Population, WorkloadConfig};
 }

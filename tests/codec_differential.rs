@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use edonkey_repro::analysis::semantic;
 use edonkey_repro::semsearch::experiment::{sweep_cells, sweep_configs};
 use edonkey_repro::semsearch::neighbours::PolicyKind;
-use edonkey_repro::trace::compact::CacheArena;
+use edonkey_repro::trace::compact::{CacheArena, TraceArena};
 use edonkey_repro::trace::io;
 use edonkey_repro::trace::model::Trace;
 use edonkey_repro::trace::pipeline::{extrapolate, filter, filter_streaming, ExtrapolateConfig};
@@ -93,7 +93,7 @@ fn all_formats_agree_down_the_pipeline() {
     // Reference pipeline from the in-memory original.
     let ref_filtered = filter(&full).trace;
     let ref_extrapolated = extrapolate(&ref_filtered, ExtrapolateConfig::default()).trace;
-    let ref_view = CacheArena::from_trace_static(&ref_filtered);
+    let ref_view = TraceArena::from_trace(&ref_filtered).static_arena();
     let ref_fig14 = semantic::clustering_correlation_arena(&ref_view, |_| true, Some(HOLDER_CAP));
     let ref_fig18 = fig18_series(&ref_view);
     assert!(
@@ -114,7 +114,7 @@ fn all_formats_agree_down_the_pipeline() {
             extrapolated, ref_extrapolated,
             "{name}: extrapolated stage diverged"
         );
-        let view = CacheArena::from_trace_static(&filtered);
+        let view = TraceArena::from_trace(&filtered).static_arena();
         let fig14 = semantic::clustering_correlation_arena(&view, |_| true, Some(HOLDER_CAP));
         assert_eq!(fig14, ref_fig14, "{name}: Fig. 14 series diverged");
         let fig18 = fig18_series(&view);

@@ -10,7 +10,7 @@ use edonkey_repro::netsim::run_crawl_streaming;
 use edonkey_repro::prelude::*;
 use edonkey_repro::trace::io::bin::{from_bin, save_bin, to_bin, TraceWriter};
 use edonkey_repro::trace::io::{from_compact, from_json, to_compact, to_json};
-use edonkey_repro::trace::pipeline::filter_streaming;
+use edonkey_repro::trace::pipeline::{extrapolate, filter, filter_streaming};
 use std::sync::OnceLock;
 
 const SEED: u64 = 20060418;

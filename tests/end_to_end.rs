@@ -6,31 +6,29 @@
 //! reproducible assertions — not flaky statistical hopes.
 
 use edonkey_repro::analysis::{
-    contribution, daily, geo_clustering, geography, overlap, popularity, semantic, sizes, stats,
-    view,
+    contribution, daily, geo_clustering, geography, overlap, popularity, semantic, sizes, spread,
+    stats, view,
 };
 use edonkey_repro::prelude::*;
 use edonkey_repro::semsearch::experiment::{randomization_sweep_arena, sweep_cells, sweep_configs};
 use edonkey_repro::semsearch::filters::{remove_top_files, remove_top_uploaders};
-use edonkey_repro::semsearch::sim::simulate_arena;
-use edonkey_repro::trace::compact::CacheArena;
 use edonkey_repro::trace::randomize::{recommended_iterations, ArenaShuffler};
 
 /// One shared workload for the whole file (generation dominates test
-/// time; every check is read-only on it).
-fn workload() -> (Population, Trace) {
+/// time; every check is read-only on it): the full trace as an arena.
+fn workload() -> TraceArena {
     let mut config = WorkloadConfig::test_scale(20060418);
     config.peers = 2_000;
     config.files = 40_000;
     config.topics = 400;
     config.days = 20;
-    generate_trace(config)
+    TraceArena::from_trace(&generate_trace(config).1)
 }
 
 /// The filtered stage and its static view.
-fn filtered_view(trace: &Trace) -> (Trace, CacheArena) {
-    let filtered = filter(trace).trace;
-    let view = CacheArena::from_trace_static(&filtered);
+fn filtered_view(full: &TraceArena) -> (TraceArena, CacheArena) {
+    let filtered = filter_arena(full).arena;
+    let view = filtered.static_arena();
     (filtered, view)
 }
 
@@ -44,24 +42,24 @@ fn sweep(view: &CacheArena, policy: PolicyKind, sizes: &[usize]) -> Vec<SimResul
 
 #[test]
 fn pipeline_stages_shrink_and_stay_valid() {
-    let (_, trace) = workload();
+    let trace = workload();
     assert_eq!(trace.check_invariants(), Ok(()));
-    let filtered = filter(&trace);
-    assert_eq!(filtered.trace.check_invariants(), Ok(()));
-    assert!(filtered.trace.peers.len() <= trace.peers.len());
-    let extrapolated = extrapolate(&filtered.trace, ExtrapolateConfig::default());
-    assert_eq!(extrapolated.trace.check_invariants(), Ok(()));
-    assert!(extrapolated.trace.peers.len() <= filtered.trace.peers.len());
+    let filtered = filter_arena(&trace).arena;
+    assert_eq!(filtered.check_invariants(), Ok(()));
+    assert!(filtered.peers.len() <= trace.peers.len());
+    let extrapolated = extrapolate_arena(&filtered, ExtrapolateConfig::default()).arena;
+    assert_eq!(extrapolated.check_invariants(), Ok(()));
+    assert!(extrapolated.peers.len() <= filtered.peers.len());
     assert!(
-        extrapolated.trace.peers.len() > 100,
+        extrapolated.peers.len() > 100,
         "regular clients must survive"
     );
 }
 
 #[test]
 fn table1_free_riders_dominate() {
-    let (_, trace) = workload();
-    let summary = summarize(&trace, &CacheArena::from_trace_static(&trace));
+    let trace = workload();
+    let summary = summarize(&trace, &trace.static_arena());
     let frac = summary.free_rider_fraction();
     assert!(
         (0.6..0.9).contains(&frac),
@@ -75,7 +73,7 @@ fn table1_free_riders_dominate() {
 
 #[test]
 fn fig5_popularity_is_zipf_like() {
-    let (_, trace) = workload();
+    let trace = workload();
     let day = trace.days[trace.days.len() / 2].day;
     let curve = popularity::replication_rank_curve(&trace, day);
     assert!(curve.len() > 1_000);
@@ -94,7 +92,7 @@ fn fig5_popularity_is_zipf_like() {
 
 #[test]
 fn fig6_popular_files_are_large() {
-    let (_, trace) = workload();
+    let trace = workload();
     let (filtered, view) = filtered_view(&trace);
     let (small, mid, large) = sizes::size_mix(&filtered, &view);
     assert!(small > 0.2, "small-file share {small}");
@@ -111,7 +109,7 @@ fn fig6_popular_files_are_large() {
 
 #[test]
 fn fig7_generosity_is_concentrated() {
-    let (_, trace) = workload();
+    let trace = workload();
     let (filtered, view) = filtered_view(&trace);
     let top15 = contribution::generosity_concentration(&filtered, &view, 0.15);
     assert!(
@@ -121,8 +119,36 @@ fn fig7_generosity_is_concentrated() {
 }
 
 #[test]
+fn fig8_top_file_surges_then_decays() {
+    let trace = workload();
+    let (filtered, view) = filtered_view(&trace);
+    let top = spread::top_files_overall(&view, 6);
+    let series = spread::spread_over_time(&filtered, &top);
+    // The first day on which a file's spread reaches its maximum.
+    let peak = |s: &[(u32, f64)]| {
+        (0..s.len()).fold(0, |best, i| if s[i].1 > s[best].1 { i } else { best })
+    };
+    let top_file = &series[0].1;
+    let at = peak(top_file);
+    let (peak_day, peak_pct) = top_file[at];
+    let (last_day, last_pct) = *top_file.last().expect("one point per day");
+    assert!(
+        0 < at && at < top_file.len() - 1,
+        "the top file must peak strictly inside the trace, not on day {peak_day}"
+    );
+    assert!(
+        last_pct < peak_pct / 2.0,
+        "the top file must decay: {peak_pct}% on day {peak_day}, {last_pct}% on day {last_day}"
+    );
+    assert!(
+        series.iter().any(|(_, s)| s[0].1 == 0.0 && peak(s) > 0),
+        "some top-6 file must start absent and surge later"
+    );
+}
+
+#[test]
 fn fig4_country_mix_matches_plan() {
-    let (_, trace) = workload();
+    let trace = workload();
     let rows = geography::clients_per_country(&trace);
     assert_eq!(rows[0].0.as_str().len(), 2);
     // FR and DE must lead with roughly 29/28%.
@@ -143,7 +169,7 @@ fn fig4_country_mix_matches_plan() {
 
 #[test]
 fn fig11_rare_files_cluster_geographically() {
-    let (_, trace) = workload();
+    let trace = workload();
     let (filtered, static_view) = filtered_view(&trace);
     let conc =
         geo_clustering::home_concentration(&filtered, &static_view, geo_clustering::Level::Country);
@@ -182,7 +208,7 @@ fn fig11_rare_files_cluster_geographically() {
 
 #[test]
 fn fig13_correlation_rises_with_common_files() {
-    let (_, trace) = workload();
+    let trace = workload();
     let (_, static_view) = filtered_view(&trace);
     let curve = semantic::clustering_correlation_arena(&static_view, |_| true, Some(400));
     assert!(curve.len() >= 5);
@@ -204,7 +230,7 @@ fn fig13_correlation_rises_with_common_files() {
 
 #[test]
 fn fig14_randomization_destroys_rare_file_clustering() {
-    let (_, trace) = workload();
+    let trace = workload();
     let (_, static_view) = filtered_view(&trace);
     let popularity = view::popularity(&static_view);
     let rare = |fr: FileRef| (3..=5).contains(&popularity[fr.index()]);
@@ -232,8 +258,9 @@ fn fig14_randomization_destroys_rare_file_clustering() {
 
 #[test]
 fn fig15_small_initial_overlaps_decay_smoothly() {
-    let (_, trace) = workload();
-    let extrapolated = extrapolate(&filter(&trace).trace, ExtrapolateConfig::default()).trace;
+    let trace = workload();
+    let extrapolated =
+        extrapolate_arena(&filter_arena(&trace).arena, ExtrapolateConfig::default()).arena;
     // The fig15 harness's groups, pair cap and holder cap.
     let initial: Vec<u32> = (1..=10).collect();
     let groups = overlap::overlap_evolution(&extrapolated, &initial, Some(5_000), Some(200));
@@ -263,7 +290,7 @@ fn fig15_small_initial_overlaps_decay_smoothly() {
 
 #[test]
 fn fig18_policy_ordering_and_magnitudes() {
-    let (_, trace) = workload();
+    let trace = workload();
     let (_, view) = filtered_view(&trace);
     let rate = |k: PolicyKind| sweep(&view, k, &[20])[0].hit_rate();
     let (lru, history, random) = (
@@ -281,7 +308,7 @@ fn fig18_policy_ordering_and_magnitudes() {
 
 #[test]
 fn fig19_uploader_removal_hurts_but_does_not_collapse() {
-    let (_, trace) = workload();
+    let trace = workload();
     let (_, view) = filtered_view(&trace);
     let (without_top, _) = remove_top_uploaders(&view, 0.15);
     let baseline = sweep(&view, PolicyKind::Lru, &[20])[0].hit_rate();
@@ -295,7 +322,7 @@ fn fig19_uploader_removal_hurts_but_does_not_collapse() {
 
 #[test]
 fn fig20_popular_file_removal_helps_small_lists_most() {
-    let (_, trace) = workload();
+    let trace = workload();
     let (_, view) = filtered_view(&trace);
     let lru5 = |q: f64| sweep(&remove_top_files(&view, q).0, PolicyKind::Lru, &[5]).remove(0);
     let baseline = lru5(0.0);
@@ -336,7 +363,7 @@ fn fig20_popular_file_removal_helps_small_lists_most() {
 
 #[test]
 fn fig21_hit_rate_decays_under_randomization() {
-    let (_, trace) = workload();
+    let trace = workload();
     let (_, view) = filtered_view(&trace);
     let full = recommended_iterations(view.replica_count());
     let sweep = randomization_sweep_arena(&view, 10, &[0, full], 3).points;
@@ -354,7 +381,7 @@ fn fig21_hit_rate_decays_under_randomization() {
 
 #[test]
 fn fig22_removing_uploaders_flattens_load() {
-    let (_, trace) = workload();
+    let trace = workload();
     let (_, view) = filtered_view(&trace);
     let baseline = &sweep(&view, PolicyKind::Lru, &[5])[0];
     let reduced = &sweep(&remove_top_uploaders(&view, 0.10).0, PolicyKind::Lru, &[5])[0];
@@ -369,7 +396,7 @@ fn fig22_removing_uploaders_flattens_load() {
 
 #[test]
 fn fig23_two_hop_beats_one_hop_most_at_small_lists() {
-    let (_, trace) = workload();
+    let trace = workload();
     let (_, view) = filtered_view(&trace);
     let rates = |size: usize| {
         let one = simulate_arena(&view, &SimConfig::lru(size)).hit_rate();
@@ -396,7 +423,7 @@ fn fig23_two_hop_beats_one_hop_most_at_small_lists() {
 
 #[test]
 fn fig2_new_files_keep_arriving() {
-    let (_, trace) = workload();
+    let trace = workload();
     let discovery = daily::file_discovery_per_day(&trace);
     let last = discovery.last().unwrap();
     assert!(
