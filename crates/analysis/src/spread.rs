@@ -24,10 +24,10 @@ pub fn top_files_overall(view: &CacheArena, k: usize) -> Vec<FileRef> {
 /// The `k` most-replicated files on one specific day — Figs. 9/10 track
 /// "the top 5 of day 348" and "of day 367".
 pub fn top_files_on_day(trace: &TraceArena, day: u32, k: usize) -> Vec<FileRef> {
-    let Some(day) = trace.days.iter().find(|d| d.day == day) else {
+    let Ok(idx) = trace.days.binary_search_by_key(&day, |d| d.day) else {
         return Vec::new();
     };
-    let counts = day_counts(day, trace.files.len());
+    let counts = day_counts(&trace.days[idx], trace.files.len());
     top_k_files(&counts, k)
         .into_iter()
         .filter(|f| counts[f.index()] > 0)

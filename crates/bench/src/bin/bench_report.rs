@@ -153,7 +153,7 @@ fn main() {
     let w = Workload::generate(scale);
     // The row form of the filtered static view: the input of the
     // sequential overlap, whole-cell sweep and row-shuffler oracles.
-    let caches = w.static_view().to_caches();
+    let caches = w.filtered.static_arena().to_caches();
     let n_files = w.filtered.files.len();
     let n_peers = caches.len();
     let replicas: usize = caches.iter().map(Vec::len).sum();

@@ -287,6 +287,7 @@ mod tests {
         assert!(!w.full.files.is_empty());
         let view = w.static_view();
         assert_eq!(view.n_peers(), w.filtered.peers.len());
+        assert_eq!(view.to_caches(), w.filtered.to_trace().static_caches());
         assert!(std::ptr::eq(view, w.static_view()), "built once");
     }
 }

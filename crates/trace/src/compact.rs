@@ -749,20 +749,21 @@ mod tests {
         let mut snap = DaySnapshot::new(9);
         snap.insert(PeerId(2), vec![f(1), f(3)]);
         snap.insert(PeerId(5), vec![]);
-        snap.insert(PeerId(7), vec![f(0)]);
+        snap.insert(PeerId(7), vec![f(0), f(3)]);
         let day = DayArena::from_snapshot(&snap);
         assert_eq!(day.peer_count(), 3);
         assert_eq!(day.row(0), &[f(1), f(3)]);
         assert_eq!(day.row(1), &[] as &[FileRef]);
-        assert_eq!(day.row(2), &[f(0)]);
+        assert_eq!(day.row(2), &[f(0), f(3)]);
         assert_eq!(day.check_invariants(8, 4), Ok(()));
         assert_eq!(day.to_snapshot(), snap);
         assert_eq!(day.non_empty_count(), 2);
-        assert_eq!(day.replica_count(), 3);
+        // f(3) is held by two peers: four replicas of three files.
+        assert_eq!(day.replica_count(), 4);
         assert_eq!(day.distinct_files(), 3);
         assert_eq!(
             day.iter().map(|(p, r)| (p, r.len())).collect::<Vec<_>>(),
-            vec![(2, 2), (5, 0), (7, 1)]
+            vec![(2, 2), (5, 0), (7, 2)]
         );
     }
 

@@ -141,8 +141,10 @@ fn fig8_top_file_surges_then_decays() {
         "the top file must decay: {peak_pct}% on day {peak_day}, {last_pct}% on day {last_day}"
     );
     assert!(
-        series.iter().any(|(_, s)| s[0].1 == 0.0 && peak(s) > 0),
-        "some top-6 file must start absent and surge later"
+        series
+            .iter()
+            .any(|(_, s)| s[0].1 == 0.0 && s[peak(s)].1 > peak_pct / 3.0),
+        "some top-6 file must start absent and surge to a third of the top file's {peak_pct}%"
     );
 }
 
