@@ -1,15 +1,14 @@
-//! Banded out-of-core overlap: the paper-scale Fig. 13/14 engine
-//! (DESIGN.md §13).
+//! Banded overlap: the one pairwise-overlap engine behind Figs. 13–17
+//! and the out-of-core paper tier (DESIGN.md §13).
 //!
-//! [`crate::semantic::overlap_counts_arena`] touches every co-holder
-//! pair of every qualifying file: with holder cap `H` its work and —
-//! more importantly at 320 k peers — its *emitted pair list* grow as
-//! `Σ_f h_f²`, which the dense head of the holder distribution
-//! dominates ("Ten weeks in the life of an eDonkey server" shows the
-//! same head). The banded engine splits qualifying files by holder
-//! count at `band_cap`:
+//! Every co-holder pair of every qualifying file is an overlap
+//! increment: with holder cap `H` the work and, at 320 k peers, the
+//! *emitted pair list* grow as `Σ_f h_f²`, which the dense head of the
+//! holder distribution dominates ("Ten weeks in the life of an eDonkey
+//! server" shows the same head). The engine splits qualifying files by
+//! holder count at `band_cap`:
 //!
-//! * the **sparse tail** (`2 ≤ holders ≤ band_cap`) keeps the exact
+//! * the **sparse tail** (`2 ≤ holders ≤ band_cap`) feeds an exact
 //!   row-sharded dense accumulator — cheap, and the bulk of distinct
 //!   files;
 //! * the **dense head** (`band_cap < holders ≤ max_holders`) never
@@ -23,12 +22,15 @@
 //!   bounds the emitted pair list — and the correlation curve's error —
 //!   at paper scale.
 //!
-//! Two pinned exactness modes guard the approximation: `prefilter_off`
-//! (every candidate resolved exactly) and `admit_floor == 0` (every
-//! estimate clears the floor) are both bit-identical to the exact
-//! parallel engine — same entries, same order — for any thread count.
-//! The pruned curve is tolerance-checked against the exact curve at
-//! repro scale in `bench_report` before the report writes.
+//! Exact mode is either of two configurations, and both give the exact
+//! counts, in pair order, for any thread count:
+//! [`BandedOverlapConfig::exact`] has no head band (every qualifying
+//! file goes to the tail), and is what
+//! [`crate::semantic::overlap_counts_arena`] runs; `admit_floor == 0`
+//! keeps the head band but admits every candidate. The sequential
+//! [`crate::semantic::overlap_counts`] is the oracle for both, and the
+//! pruned curve is tolerance-checked against the exact curve at repro
+//! scale in `bench_report` before the report writes.
 
 use edonkey_trace::compact::CacheArena;
 use edonkey_trace::model::FileRef;
@@ -68,9 +70,6 @@ pub struct BandedOverlapConfig {
     /// Minimum *estimated* head overlap for a candidate pair to earn an
     /// exact head intersection; `0` admits everything (exact mode).
     pub admit_floor: u32,
-    /// Bypass the estimator: resolve every candidate exactly. Pinned
-    /// bit-identical to the exact parallel engine.
-    pub prefilter_off: bool,
     /// Seed of the sketch hash family.
     pub seed: u64,
 }
@@ -84,8 +83,20 @@ impl BandedOverlapConfig {
             max_holders: Some(200),
             sketch_k: 128,
             admit_floor: 2,
-            prefilter_off: false,
             seed,
+        }
+    }
+
+    /// Exact mode without a head band: every qualifying file with at
+    /// most `max_holders` holders goes to the tail accumulator, so the
+    /// counts are exact and no sketch is built.
+    pub fn exact(max_holders: Option<usize>) -> Self {
+        BandedOverlapConfig {
+            band_cap: usize::MAX,
+            max_holders,
+            sketch_k: 1,
+            admit_floor: 0,
+            seed: 0,
         }
     }
 }
@@ -123,9 +134,17 @@ pub struct HeadRows {
 }
 
 impl HeadRows {
-    /// Extracts the head-band rows from an arena given the file classes.
-    fn build(arena: &CacheArena, class: &[u8]) -> Self {
+    /// Extracts the head-band rows from an arena given the file classes
+    /// and the number of head files among them.
+    fn build(arena: &CacheArena, class: &[u8], head_files: usize) -> Self {
         let n_peers = arena.n_peers();
+        if head_files == 0 {
+            // No head band: every row is empty, no pass over the arena.
+            return HeadRows {
+                offsets: vec![0; n_peers + 1],
+                files: Vec::new(),
+            };
+        }
         let mut offsets = Vec::with_capacity(n_peers + 1);
         offsets.push(0u32);
         let mut total = 0u32;
@@ -182,6 +201,15 @@ impl HeadSketches {
     /// sharded over `threads` contiguous slot ranges (output is
     /// position-keyed, so it is thread-invariant by construction).
     pub fn build(rows: &HeadRows, k: usize, seed: u64, threads: usize) -> Self {
+        if rows.files.is_empty() {
+            // No head band: nothing to sketch, every estimate is 0.
+            return HeadSketches {
+                k,
+                slot: Vec::new(),
+                mins: Vec::new(),
+                head_len: Vec::new(),
+            };
+        }
         let n_peers = rows.n_peers();
         let keys: Vec<u64> = (0..k as u64)
             .map(|j| splitmix64(seed ^ SALT_MINHASH ^ j.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
@@ -199,7 +227,7 @@ impl HeadSketches {
         }
         let mut mins = vec![u64::MAX; sketched.len() * k];
         let per = sketched.len().div_ceil(threads.max(1)).max(1);
-        let fill = |base: usize, peers: &[u32], out: &mut [u64]| {
+        let fill = |peers: &[u32], out: &mut [u64]| {
             for (s, &p) in peers.iter().enumerate() {
                 let row = rows.row(p as usize);
                 let dst = &mut out[s * k..(s + 1) * k];
@@ -211,18 +239,16 @@ impl HeadSketches {
                         }
                     }
                 }
-                let _ = base; // slots are absolute; base kept for clarity
             }
         };
         if sketched.len() <= per {
-            fill(0, &sketched, &mut mins);
+            fill(&sketched, &mut mins);
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = sketched
                     .chunks(per)
                     .zip(mins.chunks_mut(per * k))
-                    .enumerate()
-                    .map(|(w, (peers, out))| scope.spawn(move || fill(w * per, peers, out)))
+                    .map(|(peers, out)| scope.spawn(move || fill(peers, out)))
                     .collect();
                 for h in handles {
                     h.join().expect("sketch worker panicked");
@@ -243,9 +269,12 @@ impl HeadSketches {
     }
 
     /// Estimated number of common head-band files of `a` and `b`
-    /// (0 when either peer holds no head file).
+    /// (0 when either peer holds no head file, or there is no head
+    /// band).
     pub fn estimate_common(&self, a: usize, b: usize) -> u32 {
-        let (sa, sb) = (self.slot[a], self.slot[b]);
+        let (Some(&sa), Some(&sb)) = (self.slot.get(a), self.slot.get(b)) else {
+            return 0;
+        };
         if sa == u32::MAX || sb == u32::MAX {
             return 0;
         }
@@ -358,8 +387,7 @@ fn process_row(
         let mut total = tail;
         if head_hit[b as usize] {
             stats.candidate_pairs += 1;
-            let admitted =
-                cfg.prefilter_off || sketches.estimate_common(a, b as usize) >= cfg.admit_floor;
+            let admitted = sketches.estimate_common(a, b as usize) >= cfg.admit_floor;
             if admitted {
                 stats.admitted_pairs += 1;
                 total += sorted_intersection_len(rows.row(a), rows.row(b as usize)) as u32;
@@ -376,21 +404,33 @@ fn process_row(
     touched.clear();
 }
 
-/// The shared banded fan-out: workers claim row chunks off a cursor and
-/// fold each row through `process_row` into a per-chunk output.
-#[allow(clippy::too_many_arguments)]
+/// The banded pass shared by both output modes: classifies the files,
+/// builds the head rows and sketches, then fans out — workers claim row
+/// chunks off a cursor and fold each row through `process_row` into a
+/// per-chunk output. Returns the chunks sorted by first row, so
+/// concatenating them keeps the emission order for any thread count.
 fn run_banded<Out: Send>(
     arena: &CacheArena,
-    class: &[u8],
-    rows: &HeadRows,
-    sketches: &HeadSketches,
+    qualifies: impl Fn(FileRef) -> bool,
     cfg: &BandedOverlapConfig,
     threads: usize,
     make_out: impl Fn() -> Out + Sync,
     fold: impl Fn(&mut Out, u32, u32, u32) + Sync,
 ) -> (Vec<(usize, Out)>, BandedOverlapStats) {
     let n_peers = arena.n_peers();
-    let threads = threads.max(1).min(n_peers.max(1));
+    if arena.n_files() == 0 || n_peers < 2 {
+        return (Vec::new(), BandedOverlapStats::default());
+    }
+    arena.ensure_holders();
+    let (class, tail_files, head_files) = classify(arena, qualifies, cfg);
+    let rows = HeadRows::build(arena, &class, head_files);
+    let sketches = HeadSketches::build(&rows, cfg.sketch_k.max(1), cfg.seed, threads);
+    let (class, rows, sketches) = (&class, &rows, &sketches);
+
+    let threads = threads.max(1).min(n_peers);
+    // Chunked dynamic sharding: per-row cost is skewed (a generous peer
+    // with popular files scans long holder lists), so workers claim
+    // modest row chunks off a shared cursor rather than fixed stripes.
     let chunk = (n_peers / (threads * 16)).max(8);
     let cursor = std::sync::atomic::AtomicUsize::new(0);
     let run_worker = || {
@@ -432,7 +472,12 @@ fn run_banded<Out: Send>(
         })
     };
     let mut segments = Vec::new();
-    let mut stats = BandedOverlapStats::default();
+    let mut stats = BandedOverlapStats {
+        tail_files,
+        head_files,
+        sketched_peers: sketches.sketched_peers(),
+        ..BandedOverlapStats::default()
+    };
     for (segs, part_stats) in parts {
         segments.extend(segs);
         stats.absorb(&part_stats);
@@ -441,38 +486,23 @@ fn run_banded<Out: Send>(
     (segments, stats)
 }
 
-/// Banded [`crate::semantic::overlap_counts_arena`]: materializes the
-/// pair list. With `prefilter_off` (or `admit_floor == 0`) the result
-/// is bit-identical to the exact parallel engine for any thread count.
+/// Materializes the banded pair list, `((a, b), overlap)` with `a < b`
+/// in ascending pair order. In exact mode (no head band, or
+/// `admit_floor == 0`) these are the exact counts for any thread count.
 pub fn overlap_counts_banded_with_threads(
     arena: &CacheArena,
     qualifies: impl Fn(FileRef) -> bool + Sync,
     cfg: &BandedOverlapConfig,
     threads: usize,
 ) -> (OverlapCounts, BandedOverlapStats) {
-    if arena.n_files() == 0 || arena.n_peers() < 2 {
-        return (
-            OverlapCounts::from_entries(Vec::new()),
-            BandedOverlapStats::default(),
-        );
-    }
-    arena.ensure_holders();
-    let (class, tail_files, head_files) = classify(arena, qualifies, cfg);
-    let rows = HeadRows::build(arena, &class);
-    let sketches = HeadSketches::build(&rows, cfg.sketch_k.max(1), cfg.seed, threads);
-    let (segments, mut stats) = run_banded(
+    let (segments, stats) = run_banded(
         arena,
-        &class,
-        &rows,
-        &sketches,
+        qualifies,
         cfg,
         threads,
         Vec::new,
         |out: &mut Vec<((u32, u32), u32)>, a, b, c| out.push(((a, b), c)),
     );
-    stats.tail_files = tail_files;
-    stats.head_files = head_files;
-    stats.sketched_peers = sketches.sketched_peers();
     let total = segments.iter().map(|(_, s)| s.len()).sum();
     let mut entries = Vec::with_capacity(total);
     for (_, segment) in segments {
@@ -481,14 +511,14 @@ pub fn overlap_counts_banded_with_threads(
     (OverlapCounts::from_entries(entries), stats)
 }
 
-/// [`overlap_counts_banded_with_threads`] on all available cores.
-pub fn overlap_counts_banded(
-    arena: &CacheArena,
-    qualifies: impl Fn(FileRef) -> bool + Sync,
-    cfg: &BandedOverlapConfig,
-) -> (OverlapCounts, BandedOverlapStats) {
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    overlap_counts_banded_with_threads(arena, qualifies, cfg, threads)
+/// Counts one pair of overlap `c` into `hist` (`hist[c]` = pairs with
+/// overlap exactly `c`), growing it as needed.
+pub(crate) fn add_to_histogram(hist: &mut Vec<u64>, c: u32) {
+    let c = c as usize;
+    if hist.len() <= c {
+        hist.resize(c + 1, 0);
+    }
+    hist[c] += 1;
 }
 
 /// The out-of-core variant: folds every emitted pair straight into an
@@ -502,32 +532,14 @@ pub fn banded_overlap_histogram_with_threads(
     cfg: &BandedOverlapConfig,
     threads: usize,
 ) -> (Vec<u64>, BandedOverlapStats) {
-    if arena.n_files() == 0 || arena.n_peers() < 2 {
-        return (Vec::new(), BandedOverlapStats::default());
-    }
-    arena.ensure_holders();
-    let (class, tail_files, head_files) = classify(arena, qualifies, cfg);
-    let rows = HeadRows::build(arena, &class);
-    let sketches = HeadSketches::build(&rows, cfg.sketch_k.max(1), cfg.seed, threads);
-    let (segments, mut stats) = run_banded(
+    let (segments, stats) = run_banded(
         arena,
-        &class,
-        &rows,
-        &sketches,
+        qualifies,
         cfg,
         threads,
         Vec::new,
-        |hist: &mut Vec<u64>, _a, _b, c| {
-            let c = c as usize;
-            if hist.len() <= c {
-                hist.resize(c + 1, 0);
-            }
-            hist[c] += 1;
-        },
+        |hist: &mut Vec<u64>, _a, _b, c| add_to_histogram(hist, c),
     );
-    stats.tail_files = tail_files;
-    stats.head_files = head_files;
-    stats.sketched_peers = sketches.sketched_peers();
     let mut hist: Vec<u64> = Vec::new();
     for (_, part) in segments {
         if hist.len() < part.len() {
@@ -537,12 +549,13 @@ pub fn banded_overlap_histogram_with_threads(
             *dst += src;
         }
     }
-    stats.tail_files = tail_files;
     (hist, stats)
 }
 
-/// The Fig. 13 correlation curve from an overlap histogram — the same
-/// numbers [`crate::semantic::correlation_curve`] computes from the pair list.
+/// The Fig. 13/14 correlation curve from an overlap histogram: for each
+/// `k ≥ 1` some pair reaches, `P(overlap ≥ k+1 | overlap ≥ k)`. The one
+/// curve function: [`crate::semantic::correlation_curve`] is this over
+/// the pair list's histogram.
 pub fn curve_from_histogram(hist: &[u64]) -> Vec<CorrelationPoint> {
     let max_overlap = hist.len().saturating_sub(1);
     if max_overlap == 0 {
@@ -599,7 +612,7 @@ pub fn curve_max_abs_diff(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semantic::{correlation_curve, overlap_counts_arena_with_threads};
+    use crate::semantic::{overlap_counts, overlap_counts_arena_with_threads};
 
     #[test]
     fn splitmix64_is_pinned_to_the_workspace_constants() {
@@ -625,47 +638,69 @@ mod tests {
         CacheArena::from_caches(&caches, n_files as usize)
     }
 
-    fn cfg(prefilter_off: bool, admit_floor: u32) -> BandedOverlapConfig {
+    fn cfg(admit_floor: u32) -> BandedOverlapConfig {
         BandedOverlapConfig {
             band_cap: 6,
             max_holders: Some(64),
             sketch_k: 64,
             admit_floor,
-            prefilter_off,
             seed: 7,
         }
     }
 
+    /// The sequential oracle's entries for `arena` at holder cap 64.
+    fn oracle(arena: &CacheArena) -> Vec<((u32, u32), u32)> {
+        overlap_counts(&arena.to_caches(), arena.n_files(), |_| true, Some(64))
+            .iter()
+            .collect()
+    }
+
     #[test]
-    fn prefilter_off_is_bit_identical_to_the_exact_engine() {
+    fn exact_mode_has_no_head_band_and_matches_the_oracle() {
         let arena = arena(40, 200);
-        let exact = overlap_counts_arena_with_threads(&arena, |_| true, Some(64), 3);
+        let expected = oracle(&arena);
         for threads in [1, 2, 8] {
-            let (banded, stats) =
-                overlap_counts_banded_with_threads(&arena, |_| true, &cfg(true, 3), threads);
-            assert!(banded.iter().eq(exact.iter()), "threads={threads}");
-            assert_eq!(stats.pruned_pairs, 0);
-            assert!(stats.head_files > 0 && stats.tail_files > 0, "{stats:?}");
+            let (counts, stats) = overlap_counts_banded_with_threads(
+                &arena,
+                |_| true,
+                &BandedOverlapConfig::exact(Some(64)),
+                threads,
+            );
+            assert_eq!(
+                counts.iter().collect::<Vec<_>>(),
+                expected,
+                "threads={threads}"
+            );
+            assert_eq!(stats.head_files, 0, "{stats:?}");
+            assert_eq!(stats.sketched_peers, 0);
+            assert_eq!(stats.candidate_pairs, 0);
+            assert!(stats.tail_files > 0);
         }
     }
 
     #[test]
-    fn zero_floor_is_bit_identical_too() {
+    fn zero_floor_resolves_the_head_band_exactly() {
         let arena = arena(40, 200);
-        let exact = overlap_counts_arena_with_threads(&arena, |_| true, Some(64), 2);
-        let (banded, stats) =
-            overlap_counts_banded_with_threads(&arena, |_| true, &cfg(false, 0), 4);
-        assert!(banded.iter().eq(exact.iter()));
-        assert_eq!(stats.pruned_pairs, 0);
-        assert_eq!(stats.admitted_pairs, stats.candidate_pairs);
+        let expected = oracle(&arena);
+        for threads in [1, 2, 8] {
+            let (banded, stats) =
+                overlap_counts_banded_with_threads(&arena, |_| true, &cfg(0), threads);
+            assert_eq!(
+                banded.iter().collect::<Vec<_>>(),
+                expected,
+                "threads={threads}"
+            );
+            assert!(stats.head_files > 0 && stats.tail_files > 0, "{stats:?}");
+            assert_eq!(stats.pruned_pairs, 0);
+            assert_eq!(stats.admitted_pairs, stats.candidate_pairs);
+        }
     }
 
     #[test]
     fn pruning_only_drops_head_contributions() {
         let arena = arena(48, 240);
         let exact = overlap_counts_arena_with_threads(&arena, |_| true, Some(64), 2);
-        let (banded, stats) =
-            overlap_counts_banded_with_threads(&arena, |_| true, &cfg(false, 6), 4);
+        let (banded, stats) = overlap_counts_banded_with_threads(&arena, |_| true, &cfg(6), 4);
         assert!(stats.pruned_pairs > 0, "floor 6 must prune something");
         assert!(stats.admitted_pairs > 0, "floor 6 must admit something");
         for ((a, b), count) in banded.iter() {
@@ -679,32 +714,24 @@ mod tests {
         let arena = arena(40, 200);
         for threads in [1, 3] {
             let (counts, s1) =
-                overlap_counts_banded_with_threads(&arena, |_| true, &cfg(false, 2), threads);
+                overlap_counts_banded_with_threads(&arena, |_| true, &cfg(2), threads);
             let (hist, s2) =
-                banded_overlap_histogram_with_threads(&arena, |_| true, &cfg(false, 2), threads);
-            let mut expect = Vec::new();
+                banded_overlap_histogram_with_threads(&arena, |_| true, &cfg(2), threads);
+            let mut expect = vec![0u64; counts.iter().map(|(_, c)| c).max().unwrap() as usize + 1];
             for (_, c) in counts.iter() {
-                let c = c as usize;
-                if expect.len() <= c {
-                    expect.resize(c + 1, 0u64);
-                }
-                expect[c] += 1;
+                expect[c as usize] += 1;
             }
             assert_eq!(hist, expect);
+            assert_eq!(counts.histogram(), expect);
             assert_eq!(s1, s2);
-            assert_eq!(
-                curve_from_histogram(&hist),
-                correlation_curve(&counts),
-                "curve paths must agree"
-            );
         }
     }
 
     #[test]
     fn estimator_tracks_true_head_overlap() {
         let arena = arena(40, 200);
-        let (class, _, _) = classify(&arena, |_| true, &cfg(false, 2));
-        let rows = HeadRows::build(&arena, &class);
+        let (class, _, head_files) = classify(&arena, |_| true, &cfg(2));
+        let rows = HeadRows::build(&arena, &class, head_files);
         let sketches = HeadSketches::build(&rows, 128, 7, 2);
         // Head files are held broadly: the estimate for a pair must
         // land near its true head overlap.

@@ -14,11 +14,20 @@
 //! the paper's own need to study the metric *without* popular files
 //! (their Fig. 14 "all files" panel shows popular files mask genuine
 //! clustering anyway).
-
-use std::collections::HashMap;
+//!
+//! [`overlap_counts_arena`] is the banded engine of [`crate::banded`] in
+//! exact mode (no head band), and [`correlation_curve`] is
+//! [`crate::banded::curve_from_histogram`] over the pair list's
+//! histogram, so one engine and one curve function serve Figs. 13–17
+//! and the out-of-core tier. The sequential [`overlap_counts`] is their
+//! oracle.
 
 use edonkey_trace::compact::CacheArena;
 use edonkey_trace::model::FileRef;
+
+use crate::banded::{
+    add_to_histogram, curve_from_histogram, overlap_counts_banded_with_threads, BandedOverlapConfig,
+};
 
 /// Pairwise overlap counts between peers.
 ///
@@ -33,7 +42,7 @@ pub struct OverlapCounts {
 
 impl OverlapCounts {
     /// Wraps a pre-sorted `((a, b), overlap)` entry list (the banded
-    /// engine emits in the same order as the engines here).
+    /// engine and the sequential oracle both emit in pair order).
     pub(crate) fn from_entries(entries: Vec<((u32, u32), u32)>) -> Self {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "pair-sorted");
         OverlapCounts { entries }
@@ -47,6 +56,16 @@ impl OverlapCounts {
     /// Iterates over `(pair, overlap)` entries in ascending pair order.
     pub fn iter(&self) -> impl Iterator<Item = ((u32, u32), u32)> + '_ {
         self.entries.iter().copied()
+    }
+
+    /// The overlap histogram: `hist[c]` = pairs with overlap exactly
+    /// `c` (empty when no pair shares a file).
+    pub(crate) fn histogram(&self) -> Vec<u64> {
+        let mut hist = Vec::new();
+        for &(_, c) in &self.entries {
+            add_to_histogram(&mut hist, c);
+        }
+        hist
     }
 
     /// The overlap of a specific pair (unordered).
@@ -99,8 +118,8 @@ pub struct OverlapScratch {
 }
 
 /// [`overlap_counts`] with caller-owned scratch. Identical output; the
-/// algorithm is the arena engine's row fold run sequentially, so the
-/// entry list comes out pair-sorted without a final sort.
+/// algorithm is the banded engine's tail fold run sequentially over
+/// rows, so the entry list comes out pair-sorted without a final sort.
 pub fn overlap_counts_with_scratch(
     caches: &[Vec<FileRef>],
     n_files: usize,
@@ -145,8 +164,8 @@ pub fn overlap_counts_with_scratch(
         }
     }
 
-    // Row-major dense accumulation — the same fold the arena engine
-    // runs per worker, here over every row in order.
+    // Row-major dense accumulation — the fold the banded engine runs
+    // per worker, here over every row in order.
     acc.clear();
     acc.resize(caches.len(), 0);
     touched.clear();
@@ -181,13 +200,13 @@ pub fn overlap_counts_with_scratch(
 /// Arena-backed, parallel [`overlap_counts`] using all available cores.
 ///
 /// Produces exactly the same counts as the sequential path for any
-/// thread count, and is several times faster even on one core: instead
-/// of hashing every pair increment, peers (rows) are sharded across
-/// workers and each worker folds its rows through a dense sparse
-/// accumulator — `acc[b]` counts row `a`'s overlap with peer `b`, a
-/// touched-list remembers which slots to harvest and reset. Row shards
-/// are disjoint, so the merge is a deterministic concatenation in row
-/// order; no summation across workers is ever needed.
+/// thread count: it is the banded engine with no head band
+/// ([`BandedOverlapConfig::exact`]), so every qualifying file feeds the
+/// row-sharded dense accumulator. Instead of hashing every pair
+/// increment, workers claim row chunks and fold each row through
+/// `acc[b]` (row `a`'s overlap with peer `b`) plus a touched-list of the
+/// slots to harvest and reset. Row chunks are disjoint, so the merge is
+/// a deterministic concatenation in row order.
 pub fn overlap_counts_arena(
     arena: &CacheArena,
     qualifies: impl Fn(FileRef) -> bool + Sync,
@@ -196,10 +215,6 @@ pub fn overlap_counts_arena(
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
     overlap_counts_arena_with_threads(arena, qualifies, max_holders, threads)
 }
-
-/// A worker's output for one claimed row chunk: the chunk's first row
-/// plus its `((a, b), overlap)` entries, emitted pair-sorted.
-type Segment = (usize, Vec<((u32, u32), u32)>);
 
 /// [`overlap_counts_arena`] with an explicit worker count (1 runs on
 /// the calling thread). Exposed so equivalence tests can pin 1, 2 and 8
@@ -210,88 +225,8 @@ pub fn overlap_counts_arena_with_threads(
     max_holders: Option<usize>,
     threads: usize,
 ) -> OverlapCounts {
-    let n_files = arena.n_files();
-    let n_peers = arena.n_peers();
-    let cap = max_holders.unwrap_or(usize::MAX);
-    if n_files == 0 || n_peers < 2 {
-        return OverlapCounts {
-            entries: Vec::new(),
-        };
-    }
-    // Build the inverted index once, before the fan-out.
-    arena.ensure_holders();
-
-    let threads = threads.max(1).min(n_peers);
-    let qualifies = &qualifies;
-    // Chunked dynamic sharding: per-row cost is skewed (a generous peer
-    // with popular files scans long holder lists), so workers claim
-    // modest row chunks off a shared cursor rather than fixed stripes.
-    let chunk = (n_peers / (threads * 16)).max(8);
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-
-    // Each worker returns `(chunk_start, entries)` segments; rows
-    // within a segment are emitted in order with columns sorted, so
-    // sorting segments by start and concatenating yields the globally
-    // pair-sorted entry list — identical for any thread count.
-    let run_worker = || {
-        let mut acc: Vec<u32> = vec![0; n_peers];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut segments: Vec<Segment> = Vec::new();
-        loop {
-            let start = cursor.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-            if start >= n_peers {
-                break;
-            }
-            let mut out: Vec<((u32, u32), u32)> = Vec::new();
-            for a in start..(start + chunk).min(n_peers) {
-                for &f in arena.cache(a) {
-                    if !qualifies(f) {
-                        continue;
-                    }
-                    let hs = arena.holders(f);
-                    if hs.len() < 2 || hs.len() > cap {
-                        continue;
-                    }
-                    // Holder lists are sorted; count only partners
-                    // after `a` (each unordered pair once, no self).
-                    let from = hs.partition_point(|&b| b <= a as u32);
-                    for &b in &hs[from..] {
-                        if acc[b as usize] == 0 {
-                            touched.push(b);
-                        }
-                        acc[b as usize] += 1;
-                    }
-                }
-                touched.sort_unstable();
-                out.extend(touched.iter().map(|&b| ((a as u32, b), acc[b as usize])));
-                for &b in &touched {
-                    acc[b as usize] = 0;
-                }
-                touched.clear();
-            }
-            segments.push((start, out));
-        }
-        segments
-    };
-
-    let mut segments: Vec<Segment> = if threads == 1 {
-        run_worker()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(run_worker)).collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("overlap worker panicked"))
-                .collect()
-        })
-    };
-    segments.sort_unstable_by_key(|&(start, _)| start);
-    let total = segments.iter().map(|(_, s)| s.len()).sum();
-    let mut entries = Vec::with_capacity(total);
-    for (_, segment) in segments {
-        entries.extend(segment);
-    }
-    OverlapCounts { entries }
+    let cfg = BandedOverlapConfig::exact(max_holders);
+    overlap_counts_banded_with_threads(arena, qualifies, &cfg, threads).0
 }
 
 /// One point of the Fig. 13 curve.
@@ -308,32 +243,7 @@ pub struct CorrelationPoint {
 /// The clustering correlation curve: for each `k ≥ 1` present in the
 /// data, `P(overlap ≥ k+1 | overlap ≥ k)`.
 pub fn correlation_curve(overlaps: &OverlapCounts) -> Vec<CorrelationPoint> {
-    // pairs_with_at_least[k] via a histogram + suffix sum.
-    let mut histogram: HashMap<u32, usize> = HashMap::new();
-    let mut max_overlap = 0u32;
-    for (_, c) in overlaps.iter() {
-        *histogram.entry(c).or_insert(0) += 1;
-        max_overlap = max_overlap.max(c);
-    }
-    if max_overlap == 0 {
-        return Vec::new();
-    }
-    let mut at_least = vec![0usize; max_overlap as usize + 2];
-    for (&overlap, &n) in &histogram {
-        at_least[overlap as usize] += n;
-    }
-    for k in (1..=max_overlap as usize).rev() {
-        at_least[k] += at_least[k + 1];
-    }
-    (1..=max_overlap)
-        .filter(|&k| at_least[k as usize] > 0)
-        .map(|k| CorrelationPoint {
-            common: k,
-            probability_percent: 100.0 * at_least[k as usize + 1] as f64
-                / at_least[k as usize] as f64,
-            pairs: at_least[k as usize],
-        })
-        .collect()
+    curve_from_histogram(&overlaps.histogram())
 }
 
 /// The full Fig. 13 pipeline over an existing arena (no repacking).

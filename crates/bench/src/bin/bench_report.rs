@@ -40,7 +40,7 @@
 //!   the banded MinHash overlap histogram and the windowed
 //!   bounded-working-set sweep, with the RSS high-water mark asserted
 //!   under a per-scale ceiling. At the in-memory scales it also proves
-//!   `prefilter_off` bit-identical to the exact engine and the pruned
+//!   `admit_floor 0` bit-identical to the exact engine and the pruned
 //!   curve within tolerance; `--scale paper` runs *only* this tier.
 //!
 //! Every entry also records `alloc_count` / `alloc_bytes` (heap traffic
@@ -1103,7 +1103,7 @@ fn streamed_union_caches(path: &Path) -> (Vec<Vec<FileRef>>, usize) {
 /// list), and the windowed bounded-working-set sweep — with the RSS
 /// high-water mark asserted under [`rss_ceiling_kb`] before the entry
 /// is recorded. At the in-memory scales the tier additionally proves
-/// `prefilter_off` bit-identical to the exact arena engine, holds the
+/// `admit_floor 0` bit-identical to the exact arena engine, holds the
 /// pruned curve within [`curve_tolerance_pct`], and diffs the windowed
 /// sweep against the work-stealing scheduler cell for cell.
 ///
@@ -1177,16 +1177,16 @@ fn out_of_core_tier(scale: Scale, threads: usize, entries: &mut Vec<Entry>) -> (
                 cfg.max_holders,
                 threads,
             );
-            let off = BandedOverlapConfig {
-                prefilter_off: true,
+            let admit_all = BandedOverlapConfig {
+                admit_floor: 0,
                 ..cfg
             };
             let (banded_exact, _) =
-                banded::overlap_counts_banded_with_threads(&arena, |_| true, &off, threads);
+                banded::overlap_counts_banded_with_threads(&arena, |_| true, &admit_all, threads);
             assert!(
                 banded_exact.pair_count() == exact.pair_count()
                     && banded_exact.iter().eq(exact.iter()),
-                "prefilter_off banded overlap must be bit-identical to the exact engine"
+                "admit_floor 0 banded overlap must be bit-identical to the exact engine"
             );
             let exact_curve = semantic::correlation_curve(&exact);
             // Points at or below the admit floor (plus estimator slack)

@@ -8,7 +8,7 @@
 //! writes), in the default run order; the workload is generated only
 //! when a selected entry reads it. With `--trace <path>` (or
 //! `EDONKEY_TRACE`), the full trace is loaded from the file — binary
-//! columnar, JSON, or compact, sniffed from the contents — instead of
+//! columnar or JSON, sniffed from the contents — instead of
 //! being generated, and every entry that reads the workload draws from
 //! it. An unknown scale or entry name exits with status 2.
 use edonkey_bench::{

@@ -147,7 +147,7 @@ impl Workload {
     }
 
     /// Builds the workload from a trace file in any supported format
-    /// (binary, JSON, or compact — sniffed from the file contents).
+    /// (binary or JSON — sniffed from the file contents).
     pub fn from_trace_file(path: &Path) -> Workload {
         eprintln!("[bench] loading trace from {}…", path.display());
         let full = edonkey_trace::io::load_auto(path)

@@ -1,20 +1,9 @@
-//! Trace serialization: JSON (interoperable), a compact line format
-//! (diff-able, what the anonymized trace release would look like), and
-//! a binary columnar format ([`bin`]) for paper-scale traces, with
+//! Trace serialization: JSON (the interoperable text format) and a
+//! binary columnar format ([`bin`]) for paper-scale traces, with
 //! streaming writer/reader APIs.
 //!
 //! [`load_auto`] sniffs the format from the leading bytes, so every
-//! consumer (bench binaries, examples) accepts any of the three.
-//!
-//! The compact format is line-oriented ASCII:
-//!
-//! ```text
-//! # edonkey-trace v1
-//! F <hex-id> <size> <kind>          one line per file, in FileRef order
-//! P <hex-uid> <ip> <cc> <asn>       one line per peer, in PeerId order
-//! D <day>                           starts a day section
-//! C <peer> <fref> <fref> ...        one cache within the current day
-//! ```
+//! consumer (bench binaries, examples) accepts either.
 
 pub mod bin;
 
@@ -38,13 +27,6 @@ pub enum TraceIoError {
     Io(io::Error),
     /// JSON syntax or schema error.
     Json(String),
-    /// Compact-format syntax error with line number and message.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
     /// The parsed trace violated a structural invariant.
     Invalid(String),
     /// Binary-format error with the absolute byte offset it was
@@ -88,9 +70,6 @@ impl std::fmt::Display for TraceIoError {
         match self {
             TraceIoError::Io(e) => write!(f, "i/o error: {e}"),
             TraceIoError::Json(e) => write!(f, "json error: {e}"),
-            TraceIoError::Parse { line, message } => {
-                write!(f, "parse error at line {line}: {message}")
-            }
             TraceIoError::Invalid(msg) => write!(f, "invalid trace: {msg}"),
             TraceIoError::Bin { offset, message } => {
                 write!(f, "binary format error at byte {offset}: {message}")
@@ -267,7 +246,7 @@ pub fn from_json(text: &str) -> Result<Trace, TraceIoError> {
             let uid = p.hex_digest()?;
             p.expect(b',')?;
             p.key("ip")?;
-            let ip = p.number()? as u32;
+            let ip = p.number_u32()?;
             p.expect(b',')?;
             p.key("country")?;
             let cc = p.string()?;
@@ -276,7 +255,7 @@ pub fn from_json(text: &str) -> Result<Trace, TraceIoError> {
             }
             p.expect(b',')?;
             p.key("asn")?;
-            let asn = p.number()? as u32;
+            let asn = p.number_u32()?;
             p.expect(b'}')?;
             trace.peers.push(PeerInfo {
                 uid,
@@ -297,7 +276,7 @@ pub fn from_json(text: &str) -> Result<Trace, TraceIoError> {
         loop {
             p.expect(b'{')?;
             p.key("day")?;
-            let day_no = p.number()? as u32;
+            let day_no = p.number_u32()?;
             let mut snapshot = DaySnapshot::new(day_no);
             p.expect(b',')?;
             p.key("caches")?;
@@ -305,13 +284,13 @@ pub fn from_json(text: &str) -> Result<Trace, TraceIoError> {
             if !p.try_consume(b']') {
                 loop {
                     p.expect(b'[')?;
-                    let peer = PeerId(p.number()? as u32);
+                    let peer = PeerId(p.number_u32()?);
                     p.expect(b',')?;
                     p.expect(b'[')?;
                     let mut cache = Vec::new();
                     if !p.try_consume(b']') {
                         loop {
-                            cache.push(FileRef(p.number()? as u32));
+                            cache.push(FileRef(p.number_u32()?));
                             if !p.try_consume(b',') {
                                 break;
                             }
@@ -439,6 +418,14 @@ impl JsonCursor<'_> {
             .map_err(|_| self.error("number out of range"))
     }
 
+    /// Consumes a non-negative integer that must fit a `u32` (days, peer
+    /// ids, file refs, IPs, ASNs): a wider value is an error, never
+    /// truncated.
+    fn number_u32(&mut self) -> Result<u32, TraceIoError> {
+        let n = self.number()?;
+        u32::try_from(n).map_err(|_| self.error(&format!("{n} exceeds u32")))
+    }
+
     fn end(&mut self) -> Result<(), TraceIoError> {
         self.skip_ws();
         if self.pos == self.bytes.len() {
@@ -449,134 +436,6 @@ impl JsonCursor<'_> {
     }
 }
 
-/// Serializes a trace into the compact line format.
-pub fn to_compact(trace: &Trace) -> String {
-    let mut out = String::new();
-    out.push_str("# edonkey-trace v1\n");
-    for f in &trace.files {
-        writeln!(out, "F {} {} {}", f.id.to_hex(), f.size, f.kind).expect("string write");
-    }
-    for p in &trace.peers {
-        writeln!(out, "P {} {} {} {}", p.uid.to_hex(), p.ip, p.country, p.asn)
-            .expect("string write");
-    }
-    for day in &trace.days {
-        writeln!(out, "D {}", day.day).expect("string write");
-        for (peer, cache) in &day.caches {
-            write!(out, "C {}", peer.0).expect("string write");
-            for f in cache {
-                write!(out, " {}", f.0).expect("string write");
-            }
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Parses the compact line format.
-pub fn from_compact(text: &str) -> Result<Trace, TraceIoError> {
-    let mut trace = Trace::new();
-    let mut current_day: Option<DaySnapshot> = None;
-    let err = |line: usize, message: &str| TraceIoError::Parse {
-        line,
-        message: message.to_string(),
-    };
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split(' ');
-        let tag = parts.next().expect("split yields at least one item");
-        match tag {
-            "F" => {
-                let hex = parts.next().ok_or_else(|| err(lineno, "missing file id"))?;
-                let id = Digest::from_hex(hex).ok_or_else(|| err(lineno, "bad file id hex"))?;
-                let size: u64 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(lineno, "bad size"))?;
-                let kind_str = parts.next().ok_or_else(|| err(lineno, "missing kind"))?;
-                let kind =
-                    FileKind::from_str_ci(kind_str).ok_or_else(|| err(lineno, "unknown kind"))?;
-                trace.files.push(FileInfo { id, size, kind });
-            }
-            "P" => {
-                let hex = parts.next().ok_or_else(|| err(lineno, "missing uid"))?;
-                let uid = Digest::from_hex(hex).ok_or_else(|| err(lineno, "bad uid hex"))?;
-                let ip: u32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(lineno, "bad ip"))?;
-                let cc = parts.next().ok_or_else(|| err(lineno, "missing country"))?;
-                if cc.len() != 2 || !cc.bytes().all(|b| b.is_ascii_alphabetic()) {
-                    return Err(err(lineno, "bad country code"));
-                }
-                let asn: u32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(lineno, "bad asn"))?;
-                trace.peers.push(PeerInfo {
-                    uid,
-                    ip,
-                    country: CountryCode::new(cc),
-                    asn,
-                });
-            }
-            "D" => {
-                if let Some(done) = current_day.take() {
-                    trace.days.push(done);
-                }
-                let day: u32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(lineno, "bad day"))?;
-                current_day = Some(DaySnapshot::new(day));
-            }
-            "C" => {
-                let day = current_day
-                    .as_mut()
-                    .ok_or_else(|| err(lineno, "cache line before any day"))?;
-                let peer: u32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(lineno, "bad peer id"))?;
-                let mut cache = Vec::new();
-                for item in parts {
-                    let f: u32 = item.parse().map_err(|_| err(lineno, "bad file ref"))?;
-                    cache.push(FileRef(f));
-                }
-                // `insert` re-sorts and would panic on duplicates; map that
-                // to a parse error instead.
-                if day.cache_of(PeerId(peer)).is_some() {
-                    return Err(err(lineno, "duplicate peer in day"));
-                }
-                day.insert(PeerId(peer), cache);
-            }
-            other => return Err(err(lineno, &format!("unknown record tag {other:?}"))),
-        }
-    }
-    if let Some(done) = current_day.take() {
-        trace.days.push(done);
-    }
-    trace.days.sort_by_key(|d| d.day);
-    trace.check_invariants().map_err(TraceIoError::Invalid)?;
-    Ok(trace)
-}
-
-/// Saves a trace in the compact format (crash-safe: tmp sibling +
-/// atomic rename).
-pub fn save_compact(trace: &Trace, path: &Path) -> Result<(), TraceIoError> {
-    write_atomic(path, &to_compact(trace))
-}
-
-/// Loads a compact-format trace.
-pub fn load_compact(path: &Path) -> Result<Trace, TraceIoError> {
-    let load = || -> Result<Trace, TraceIoError> { from_compact(&fs::read_to_string(path)?) };
-    load().map_err(|e| e.with_path(path))
-}
-
 /// The on-disk formats [`load_auto`] can distinguish.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceFormat {
@@ -584,24 +443,19 @@ pub enum TraceFormat {
     Binary,
     /// The JSON interchange schema.
     Json,
-    /// The compact line format.
-    Compact,
 }
 
 /// Sniffs a trace file's format from its leading bytes: the binary
-/// magic wins outright, a leading `{` (after whitespace) means JSON,
-/// anything else is read as the compact line format.
+/// magic means binary, anything else is read as JSON.
 pub fn sniff_format(path: &Path) -> Result<TraceFormat, TraceIoError> {
     let mut head = [0u8; 8];
     let mut sniff = || -> io::Result<usize> { fs::File::open(path)?.read(&mut head) };
     let n = sniff().map_err(|e| TraceIoError::Io(e).with_path(path))?;
-    if head[..n] == bin::MAGIC[..] {
-        return Ok(TraceFormat::Binary);
-    }
-    match head[..n].iter().find(|b| !b.is_ascii_whitespace()) {
-        Some(b'{') => Ok(TraceFormat::Json),
-        _ => Ok(TraceFormat::Compact),
-    }
+    Ok(if head[..n] == bin::MAGIC[..] {
+        TraceFormat::Binary
+    } else {
+        TraceFormat::Json
+    })
 }
 
 /// Loads a trace in any supported format, sniffing it from the file's
@@ -610,7 +464,6 @@ pub fn load_auto(path: &Path) -> Result<Trace, TraceIoError> {
     match sniff_format(path)? {
         TraceFormat::Binary => load_bin(path),
         TraceFormat::Json => load_json(path),
-        TraceFormat::Compact => load_compact(path),
     }
 }
 
@@ -662,92 +515,59 @@ mod tests {
     }
 
     #[test]
-    fn compact_round_trip() {
-        let trace = sample_trace();
-        let text = to_compact(&trace);
-        let loaded = from_compact(&text).unwrap();
-        assert_eq!(loaded, trace);
-    }
-
-    #[test]
-    fn compact_file_round_trip() {
-        let trace = sample_trace();
-        let dir = std::env::temp_dir().join("edonkey-trace-test-compact");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.trace");
-        save_compact(&trace, &path).unwrap();
-        assert_eq!(load_compact(&path).unwrap(), trace);
-    }
-
-    #[test]
-    fn compact_tolerates_comments_and_blank_lines() {
-        let trace = sample_trace();
-        let text = format!("# comment\n\n{}\n# trailing\n", to_compact(&trace));
-        assert_eq!(from_compact(&text).unwrap(), trace);
-    }
-
-    #[test]
-    fn compact_parse_errors_carry_line_numbers() {
-        let bad = "# edonkey-trace v1\nF nothex 12 Audio\n";
-        match from_compact(bad) {
-            Err(TraceIoError::Parse { line, .. }) => assert_eq!(line, 2),
-            other => panic!("expected parse error, got {other:?}"),
-        }
+    fn json_rejects_integers_wider_than_u32() {
+        // One file, one peer; day 350 names peer and file 2^32, which a
+        // truncating reader would load as peer 0 holding file 0.
+        let json = |ip: u64, asn: u64, day: u64, peer: u64, file: u64| {
+            format!(
+                "{{\"files\":[{{\"id\":\"{id}\",\"size\":1,\"kind\":\"Audio\"}}],\
+                 \"peers\":[{{\"uid\":\"{id}\",\"ip\":{ip},\"country\":\"FR\",\"asn\":{asn}}}],\
+                 \"days\":[{{\"day\":{day},\"caches\":[[{peer},[{file}]]]}}]}}",
+                id = Md4::digest(b"x").to_hex()
+            )
+        };
+        assert!(
+            from_json(&json(1, 3215, 350, 0, 0)).is_ok(),
+            "in-range control"
+        );
+        const WIDE: u64 = 1 << 32;
         for bad in [
-            "X what\n",
-            "C 0 1\n",        // cache before day
-            "F aa 1 Audio\n", // short hex
-            "D notaday\n",
-            "P 31d6cfe0d16ae931b73c59d7e0c089c0 1 F1 3215\n", // bad country
+            json(1, 3215, 350, WIDE, WIDE),
+            json(1, 3215, 350, 0, WIDE),
+            json(1, 3215, WIDE, 0, 0),
+            json(WIDE, 3215, 350, 0, 0),
+            json(1, WIDE, 350, 0, 0),
         ] {
-            assert!(from_compact(bad).is_err(), "input {bad:?}");
+            match from_json(&bad) {
+                Err(TraceIoError::Json(msg)) => assert!(msg.contains("exceeds u32"), "{msg}"),
+                other => panic!("expected a JSON range error for {bad}, got {other:?}"),
+            }
         }
     }
 
     #[test]
-    fn compact_rejects_out_of_range_refs() {
-        // A cache referencing file 99 with no files declared.
-        let bad = "P 31d6cfe0d16ae931b73c59d7e0c089c0 1 FR 3215\nD 350\nC 0 99\n";
-        assert!(matches!(from_compact(bad), Err(TraceIoError::Invalid(_))));
-    }
-
-    #[test]
-    fn compact_rejects_duplicate_peer_in_day() {
-        let trace = sample_trace();
-        let mut text = to_compact(&trace);
-        text.push_str("D 360\nC 0 0\nC 0 1\n");
-        assert!(matches!(
-            from_compact(&text),
-            Err(TraceIoError::Parse { .. })
-        ));
-    }
-
-    #[test]
-    fn load_auto_sniffs_all_three_formats() {
+    fn load_auto_sniffs_both_formats() {
         let trace = sample_trace();
         let dir = std::env::temp_dir().join("edonkey-trace-test-auto");
         fs::create_dir_all(&dir).unwrap();
         let json = dir.join("t.json");
-        let compact = dir.join("t.trace");
         let bin = dir.join("t.edt");
         save_json(&trace, &json).unwrap();
-        save_compact(&trace, &compact).unwrap();
         save_bin(&trace, &bin).unwrap();
         assert_eq!(sniff_format(&json).unwrap(), TraceFormat::Json);
-        assert_eq!(sniff_format(&compact).unwrap(), TraceFormat::Compact);
         assert_eq!(sniff_format(&bin).unwrap(), TraceFormat::Binary);
-        for path in [&json, &compact, &bin] {
+        for path in [&json, &bin] {
             assert_eq!(load_auto(path).unwrap(), trace, "{}", path.display());
         }
     }
 
     #[test]
     fn error_display() {
-        let e = TraceIoError::Parse {
-            line: 3,
+        let e = TraceIoError::Bin {
+            offset: 3,
             message: "boom".into(),
         };
-        assert!(e.to_string().contains("line 3"));
+        assert_eq!(e.to_string(), "binary format error at byte 3: boom");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The versioned binary columnar trace format (`.edt`), plus streaming
 //! writer/reader APIs.
 //!
-//! Text codecs (`io::to_json`, `io::to_compact`) parse whole traces and
-//! dominate wall-clock at paper scale. This format stores the same
+//! The text codec (`io::to_json`) parses whole traces and dominates
+//! wall-clock at paper scale. This format stores the same
 //! `Trace` columnar and delta-compressed, aligned with the
 //! [`CacheArena`](crate::compact::CacheArena) CSR layout: a day section
 //! is cache *lengths* plus one concatenated run of sorted, delta+varint

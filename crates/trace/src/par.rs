@@ -1,11 +1,14 @@
 //! Order-preserving parallel map over slices.
 //!
 //! The workspace's sweeps and derivations are CPU-bound and
-//! embarrassingly parallel; this module provides the one fan-out
-//! primitive they all share. It lives in the trace crate (the bottom of
-//! the dependency stack) so the derivation pipeline can shard work per
-//! client without pulling in the simulation crates; `edonkey-semsearch`
-//! re-exports it for its experiment harnesses.
+//! embarrassingly parallel; this module provides the order-preserving
+//! fan-out most of them share. It lives in the trace crate (the bottom
+//! of the dependency stack) so the derivation pipeline can shard work
+//! per client without pulling in the simulation crates;
+//! `edonkey-semsearch` re-exports it for its experiment harnesses. A
+//! few stages run their own scoped threads instead: the banded overlap
+//! engine's row cursor and sketch split, the population build, the
+//! streaming generator and the randomization sweep's snapshot worker.
 
 /// Maps `items` in parallel with scoped threads, preserving order.
 ///

@@ -112,16 +112,19 @@ impl DerivedArena {
     }
 }
 
-/// Arena-native [`retain_peers`]: restricts a CSR trace to a subset of
-/// its peers, re-indexing densely.
-///
-/// No intermediate row materialization: the peer remap is a flat array
-/// (no hashing), each output day is sized exactly from one counting
-/// pass, and surviving cache rows are copied as slices.
-pub fn retain_peers_arena(arena: &TraceArena, keep: impl Fn(PeerId) -> bool) -> DerivedArena {
-    const DROPPED: u32 = u32::MAX;
+/// A peer's slot in a dense remap table when the stage drops it.
+const DROPPED: u32 = u32::MAX;
+
+/// The dense renumbering of the peers `keep` accepts: `kept[new]` is
+/// the source id of new peer `new`, `remap[old]` is `old`'s new id or
+/// [`DROPPED`], and the third part is the kept peers' table in new-id
+/// order.
+fn dense_remap(
+    peers: &[PeerInfo],
+    keep: impl Fn(PeerId) -> bool,
+) -> (Vec<PeerId>, Vec<u32>, Vec<PeerInfo>) {
     let mut kept = Vec::new();
-    let mut remap: Vec<u32> = vec![DROPPED; arena.peers.len()];
+    let mut remap = vec![DROPPED; peers.len()];
     for (idx, slot) in remap.iter_mut().enumerate() {
         let old = PeerId(idx as u32);
         if keep(old) {
@@ -129,39 +132,58 @@ pub fn retain_peers_arena(arena: &TraceArena, keep: impl Fn(PeerId) -> bool) -> 
             kept.push(old);
         }
     }
-    let peers = kept
-        .iter()
-        .map(|p| arena.peers[p.index()].clone())
-        .collect();
-    let mut days = Vec::with_capacity(arena.days.len());
-    for day in &arena.days {
-        let mut n_rows = 0usize;
-        let mut n_entries = 0usize;
-        for i in 0..day.peers.len() {
-            if remap[day.peers[i] as usize] != DROPPED {
-                n_rows += 1;
-                n_entries += day.row(i).len();
-            }
+    let kept_peers = kept.iter().map(|p| peers[p.index()].clone()).collect();
+    (kept, remap, kept_peers)
+}
+
+/// Writes `day`'s rows of the peers `remap` keeps into `out` (cleared
+/// first, then sized exactly from one counting pass), renumbered to
+/// their new ids. Dense remapping preserves relative order, so the
+/// output rows stay sorted by the new ids.
+fn remap_day_into(day: &DayArena, remap: &[u32], out: &mut DayArena) {
+    let mut n_rows = 0usize;
+    let mut n_entries = 0usize;
+    for (i, &p) in day.peers.iter().enumerate() {
+        if remap[p as usize] != DROPPED {
+            n_rows += 1;
+            n_entries += day.row(i).len();
         }
-        let mut out = DayArena {
-            day: day.day,
-            peers: Vec::with_capacity(n_rows),
-            offsets: Vec::with_capacity(n_rows + 1),
-            entries: Vec::with_capacity(n_entries),
-        };
-        out.offsets.push(0);
-        for i in 0..day.peers.len() {
-            let new = remap[day.peers[i] as usize];
-            if new != DROPPED {
-                // Dense remapping preserves relative order, so the output
-                // rows stay sorted by the new ids.
-                out.peers.push(new);
-                out.entries.extend_from_slice(day.row(i));
-                out.offsets.push(out.entries.len() as u32);
-            }
-        }
-        days.push(out);
     }
+    out.day = day.day;
+    out.peers.clear();
+    out.offsets.clear();
+    out.entries.clear();
+    out.peers.reserve_exact(n_rows);
+    out.offsets.reserve_exact(n_rows + 1);
+    out.entries.reserve_exact(n_entries);
+    out.offsets.push(0);
+    for (i, &p) in day.peers.iter().enumerate() {
+        let new = remap[p as usize];
+        if new != DROPPED {
+            out.peers.push(new);
+            out.entries.extend_from_slice(day.row(i));
+            out.offsets.push(out.entries.len() as u32);
+        }
+    }
+}
+
+/// Arena-native [`retain_peers`]: restricts a CSR trace to a subset of
+/// its peers, re-indexing densely.
+///
+/// No intermediate row materialization: the peer remap is a flat array
+/// (no hashing), each output day is sized exactly from one counting
+/// pass, and surviving cache rows are copied as slices.
+pub fn retain_peers_arena(arena: &TraceArena, keep: impl Fn(PeerId) -> bool) -> DerivedArena {
+    let (kept, remap, peers) = dense_remap(&arena.peers, keep);
+    let days = arena
+        .days
+        .iter()
+        .map(|day| {
+            let mut out = DayArena::new(day.day);
+            remap_day_into(day, &remap, &mut out);
+            out
+        })
+        .collect();
     let arena = TraceArena {
         files: arena.files.clone(),
         peers,
@@ -171,30 +193,58 @@ pub fn retain_peers_arena(arena: &TraceArena, keep: impl Fn(PeerId) -> bool) -> 
     DerivedArena { arena, kept }
 }
 
-/// Arena-native [`filter`]: emits the filtered trace as CSR parts
-/// directly, keeping exactly the peers the row-path oracle keeps.
-pub fn filter_arena(arena: &TraceArena) -> DerivedArena {
-    // "Ever shared?" needs no union materialization in CSR form: one
-    // pass over the day rows flips a bit per peer.
-    let mut shared = vec![false; arena.peers.len()];
-    for day in &arena.days {
+/// The Section 2.3 filter rule, fed the trace one day at a time: a peer
+/// is dropped when it ever shared a file *and* its IP or user id
+/// collides with another peer's. [`filter_arena`] and
+/// [`filter_streaming`] both apply it; the row [`filter`] states the
+/// rule on its own and is their oracle.
+struct AliasRule {
+    /// `shared[p]`: peer `p` shared a file on some observed day.
+    shared: Vec<bool>,
+}
+
+impl AliasRule {
+    fn new(n_peers: usize) -> Self {
+        AliasRule {
+            shared: vec![false; n_peers],
+        }
+    }
+
+    /// Records which peers share a file on `day`. "Ever shared?" needs
+    /// no union materialization in CSR form: one bit per peer.
+    fn observe(&mut self, day: &DayArena) {
         for (peer, row) in day.iter() {
             if !row.is_empty() {
-                shared[peer as usize] = true;
+                self.shared[peer as usize] = true;
             }
         }
     }
-    let mut by_ip: HashMap<u32, u32> = HashMap::new();
-    let mut by_uid: HashMap<[u8; 16], u32> = HashMap::new();
-    for peer in &arena.peers {
-        *by_ip.entry(peer.ip).or_insert(0) += 1;
-        *by_uid.entry(peer.uid.0).or_insert(0) += 1;
+
+    /// The keep predicate over the peer table, once every day has been
+    /// observed.
+    fn keep(self, peers: &[PeerInfo]) -> impl Fn(PeerId) -> bool + '_ {
+        let mut by_ip: HashMap<u32, u32> = HashMap::new();
+        let mut by_uid: HashMap<[u8; 16], u32> = HashMap::new();
+        for peer in peers {
+            *by_ip.entry(peer.ip).or_insert(0) += 1;
+            *by_uid.entry(peer.uid.0).or_insert(0) += 1;
+        }
+        move |p| {
+            let info = &peers[p.index()];
+            let aliased = by_ip[&info.ip] > 1 || by_uid[&info.uid.0] > 1;
+            !self.shared[p.index()] || !aliased
+        }
     }
-    retain_peers_arena(arena, |p| {
-        let info = &arena.peers[p.index()];
-        let aliased = by_ip[&info.ip] > 1 || by_uid[&info.uid.0] > 1;
-        !shared[p.index()] || !aliased
-    })
+}
+
+/// Arena-native [`filter`]: emits the filtered trace as CSR parts
+/// directly, keeping exactly the peers the row-path oracle keeps.
+pub fn filter_arena(arena: &TraceArena) -> DerivedArena {
+    let mut rule = AliasRule::new(arena.peers.len());
+    for day in &arena.days {
+        rule.observe(day);
+    }
+    retain_peers_arena(arena, rule.keep(&arena.peers))
 }
 
 /// One observation in the flattened per-client series: which day, and
@@ -446,41 +496,17 @@ pub struct StreamedFilter {
 /// [`DaySnapshot`], not the trace: the paper-scale bottleneck was
 /// holding all 56 days × 1.16 M caches at once.
 pub fn filter_streaming(input: &Path, output: &Path) -> Result<StreamedFilter, TraceIoError> {
-    const DROPPED: u32 = u32::MAX;
     // Pass 1: who ever shared? (The alias counts come from the peer
     // table, which the reader loads up front.) Days stream through in
     // CSR form — no per-cache allocations on either pass.
     let mut pass1 = TraceReader::open(input)?;
-    let mut shared = vec![false; pass1.peers().len()];
+    let mut rule = AliasRule::new(pass1.peers().len());
     while let Some(day) = pass1.next_day_arena()? {
-        for (peer, row) in day.iter() {
-            if !row.is_empty() {
-                shared[peer as usize] = true;
-            }
-        }
+        rule.observe(&day);
     }
+    let (kept, remap, peers) = dense_remap(pass1.peers(), rule.keep(pass1.peers()));
 
-    let mut by_ip: HashMap<u32, u32> = HashMap::new();
-    let mut by_uid: HashMap<[u8; 16], u32> = HashMap::new();
-    for peer in pass1.peers() {
-        *by_ip.entry(peer.ip).or_insert(0) += 1;
-        *by_uid.entry(peer.uid.0).or_insert(0) += 1;
-    }
-    let mut kept: Vec<PeerId> = Vec::new();
-    let mut remap: Vec<u32> = vec![DROPPED; pass1.peers().len()];
-    let mut peers: Vec<PeerInfo> = Vec::new();
-    for (idx, info) in pass1.peers().iter().enumerate() {
-        let aliased = by_ip[&info.ip] > 1 || by_uid[&info.uid.0] > 1;
-        if !shared[idx] || !aliased {
-            remap[idx] = kept.len() as u32;
-            kept.push(PeerId(idx as u32));
-            peers.push(info.clone());
-        }
-    }
-
-    // Pass 2: remap each CSR day and stream it out. Dense remapping
-    // preserves relative order, so each filtered day stays sorted by
-    // the new ids.
+    // Pass 2: remap each CSR day and stream it out.
     let files = pass1.files().to_vec();
     drop(pass1);
     let mut pass2 = TraceReader::open(input)?;
@@ -488,19 +514,7 @@ pub fn filter_streaming(input: &Path, output: &Path) -> Result<StreamedFilter, T
     let mut days = 0u32;
     let mut out = DayArena::new(0);
     while let Some(day) = pass2.next_day_arena()? {
-        out.day = day.day;
-        out.peers.clear();
-        out.entries.clear();
-        out.offsets.clear();
-        out.offsets.push(0);
-        for i in 0..day.peers.len() {
-            let new = remap[day.peers[i] as usize];
-            if new != DROPPED {
-                out.peers.push(new);
-                out.entries.extend_from_slice(day.row(i));
-                out.offsets.push(out.entries.len() as u32);
-            }
-        }
+        remap_day_into(&day, &remap, &mut out);
         writer.write_day_arena(&out)?;
         days += 1;
     }

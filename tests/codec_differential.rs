@@ -1,6 +1,6 @@
-//! Differential battery across the three on-disk trace formats: a
-//! generated workload saved and reloaded through JSON, compact text,
-//! and the binary columnar codec must yield identical traces — and
+//! Differential battery across the two on-disk trace formats: a
+//! generated workload saved and reloaded through JSON and the binary
+//! columnar codec must yield identical traces — and
 //! identical derived artefacts all the way down the pipeline (filtered
 //! and extrapolated stages, the Fig. 14 clustering-correlation series,
 //! the Fig. 18 policy-comparison hit rates). The streaming filter is
@@ -40,16 +40,13 @@ fn scratch_dir(name: &str) -> PathBuf {
 /// format-specific loader, once with the sniffing [`io::load_auto`].
 fn round_trips(trace: &Trace, dir: &Path) -> Vec<(&'static str, Trace)> {
     let json = dir.join("trace.json");
-    let compact = dir.join("trace.txt");
     let bin = dir.join("trace.etrc");
     io::save_json(trace, &json).expect("save_json");
-    io::save_compact(trace, &compact).expect("save_compact");
     io::save_bin(trace, &bin).expect("save_bin");
     let mut out = Vec::new();
     type Loader = fn(&std::path::Path) -> Result<Trace, io::TraceIoError>;
     for (name, path, load) in [
         ("json", &json, io::load_json as Loader),
-        ("compact", &compact, io::load_compact as Loader),
         ("binary", &bin, io::load_bin as Loader),
     ] {
         let direct = load(path).expect(name);

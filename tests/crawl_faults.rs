@@ -9,7 +9,7 @@
 use edonkey_repro::netsim::run_crawl_streaming;
 use edonkey_repro::prelude::*;
 use edonkey_repro::trace::io::bin::{from_bin, save_bin, to_bin, TraceWriter};
-use edonkey_repro::trace::io::{from_compact, from_json, to_compact, to_json};
+use edonkey_repro::trace::io::{from_json, to_json};
 use edonkey_repro::trace::pipeline::{extrapolate, filter, filter_streaming};
 use std::sync::OnceLock;
 
@@ -286,7 +286,7 @@ fn same_seed_is_bit_identical_across_runs() {
 }
 
 /// Truncated (mid-browse-disconnect) snapshots flow through the whole
-/// trace pipeline unchanged: all three codecs round-trip them, the
+/// trace pipeline unchanged: both codecs round-trip them, the
 /// streaming filter agrees with the in-memory filter, and extrapolation
 /// accepts the survivors.
 #[test]
@@ -307,14 +307,9 @@ fn truncated_traces_flow_through_the_pipeline() {
     );
     assert_eq!(trace.check_invariants(), Ok(()));
 
-    // All three codecs round-trip the truncated trace.
+    // Both codecs round-trip the truncated trace.
     assert_eq!(from_bin(&to_bin(&trace)).unwrap(), trace, "binary codec");
     assert_eq!(from_json(&to_json(&trace)).unwrap(), trace, "JSON codec");
-    assert_eq!(
-        from_compact(&to_compact(&trace)).unwrap(),
-        trace,
-        "compact codec"
-    );
 
     // Streaming filter agrees with the in-memory filter.
     let dir = std::env::temp_dir().join(format!("edonkey_crawl_faults_{SEED}"));

@@ -291,6 +291,53 @@ fn fig15_small_initial_overlaps_decay_smoothly() {
 }
 
 #[test]
+fn fig16_fig17_larger_overlaps_persist() {
+    let trace = workload();
+    let extrapolated =
+        extrapolate_arena(&filter_arena(&trace).arena, ExtrapolateConfig::default()).arena;
+    // Each group's mean overlap on the middle day of the series, as a
+    // share of its initial overlap, under the fig15-17 harness's pair
+    // and holder caps. The middle day, not the last: the sparse final
+    // days collapse with the crawl budget.
+    let retained = |groups: &[u32]| -> Vec<(u32, f64)> {
+        overlap::overlap_evolution(&extrapolated, groups, Some(5_000), Some(200))
+            .iter()
+            .map(|g| {
+                let (_, mean) = g.series[g.series.len() / 2];
+                (g.initial_overlap, mean / f64::from(g.initial_overlap))
+            })
+            .collect()
+    };
+    let small = retained(&[1, 12]);
+    assert_eq!(
+        small.iter().map(|&(k, _)| k).collect::<Vec<_>>(),
+        [1, 12],
+        "both small groups have pairs"
+    );
+    let (one, twelve) = (small[0].1, small[1].1);
+    assert!(
+        twelve > one,
+        "relative persistence must grow with overlap: overlap-12 keeps {twelve:.2}, \
+         overlap-1 keeps {one:.2}"
+    );
+    // Fig. 17's groups: the largest first-day overlaps.
+    let mut top: Vec<u32> = overlap::largest_initial_overlaps(&extrapolated, 4, Some(200))
+        .iter()
+        .map(|&(c, _)| c)
+        .collect();
+    top.sort_unstable();
+    top.dedup();
+    let largest = retained(&top);
+    assert_eq!(largest.len(), top.len(), "every fig17 group has pairs");
+    for (k, share) in largest {
+        assert!(
+            share >= 2.0 * one,
+            "fig17 group {k} keeps {share:.2}, under twice the overlap-1 share {one:.2}"
+        );
+    }
+}
+
+#[test]
 fn fig18_policy_ordering_and_magnitudes() {
     let trace = workload();
     let (_, view) = filtered_view(&trace);

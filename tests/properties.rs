@@ -473,15 +473,6 @@ proptest! {
         prop_assert_eq!(decoded, trace);
     }
 
-    /// The compact text codec round-trips the same trace family
-    /// losslessly.
-    #[test]
-    fn compact_codec_round_trips(trace in arb_trace()) {
-        let decoded =
-            io::from_compact(&io::to_compact(&trace)).expect("decode own compact text");
-        prop_assert_eq!(decoded, trace);
-    }
-
     /// Crawls under arbitrary fault schedules never panic, reconcile
     /// their health ledger with the emitted trace, are bit-identical
     /// when re-run with the same seed, and the (possibly truncated)
@@ -510,11 +501,7 @@ proptest! {
         let bytes = io::to_bin(&trace);
         prop_assert_eq!(&bytes, &io::to_bin(&trace2), "same seed, same bytes");
         prop_assert_eq!(io::from_bin(&bytes).expect("binary"), trace.clone());
-        prop_assert_eq!(io::from_json(&io::to_json(&trace)).expect("json"), trace.clone());
-        prop_assert_eq!(
-            io::from_compact(&io::to_compact(&trace)).expect("compact"),
-            trace
-        );
+        prop_assert_eq!(io::from_json(&io::to_json(&trace)).expect("json"), trace);
     }
 
     /// Churn schedules are pure functions of `(seed, peer, day)`: two
@@ -970,8 +957,8 @@ proptest! {
     /// The arena-native derivation pipeline (retain/filter/extrapolate
     /// over CSR parts) is exactly the legacy row pipeline on arbitrary
     /// traces — same kept sets, same derived traces for 1, 2 and 8
-    /// worker threads — and the arena-derived traces round-trip all
-    /// three codecs losslessly.
+    /// worker threads — and the arena-derived traces round-trip both
+    /// codecs losslessly.
     #[test]
     fn arena_pipeline_equals_row_pipeline(trace in arb_trace()) {
         prop_assert_eq!(trace.check_invariants(), Ok(()));
@@ -1011,10 +998,6 @@ proptest! {
         );
         prop_assert_eq!(
             io::from_json(&io::to_json(&derived)).expect("json"),
-            derived.clone()
-        );
-        prop_assert_eq!(
-            io::from_compact(&io::to_compact(&derived)).expect("compact"),
             derived
         );
     }
@@ -1094,8 +1077,8 @@ proptest! {
 
     /// Banded-overlap laws, for any cache shape, band split, sketch
     /// size, admit floor and thread count:
-    ///  * `prefilter_off` is bit-identical to the exact arena engine;
-    ///  * so is `admit_floor == 0` (everything admitted);
+    ///  * `admit_floor == 0` (everything admitted) is bit-identical to
+    ///    the sequential oracle;
     ///  * pruning only ever removes or shrinks pairs (never invents
     ///    overlap), and the emitted pair set shrinks monotonically as
     ///    the floor rises (the estimate per pair is fixed by the seed);
@@ -1110,29 +1093,21 @@ proptest! {
         threads in 1usize..5,
     ) {
         let arena = CacheArena::from_caches(&caches, 64);
-        let exact = semantic::overlap_counts_arena_with_threads(&arena, |_| true, None, threads);
+        let exact = semantic::overlap_counts(&caches, 64, |_| true, None);
         let base = BandedOverlapConfig {
             band_cap,
             max_holders: None,
             sketch_k,
             admit_floor: 2,
-            prefilter_off: false,
             seed,
         };
 
-        let off = BandedOverlapConfig { prefilter_off: true, ..base };
-        let (off_counts, _) =
-            banded::overlap_counts_banded_with_threads(&arena, |_| true, &off, threads);
-        prop_assert!(
-            off_counts.iter().eq(exact.iter()),
-            "prefilter_off must be bit-identical to the exact engine"
-        );
         let zero = BandedOverlapConfig { admit_floor: 0, ..base };
         let (zero_counts, _) =
             banded::overlap_counts_banded_with_threads(&arena, |_| true, &zero, threads);
         prop_assert!(
             zero_counts.iter().eq(exact.iter()),
-            "floor 0 admits everything and must also be exact"
+            "floor 0 admits everything and must be exact"
         );
 
         let mut prev_pairs: Option<HashSet<(u32, u32)>> = None;
