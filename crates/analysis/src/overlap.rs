@@ -76,10 +76,8 @@ pub(crate) fn overlap_evolution_threads(
     let counts = overlap_counts_arena(&arena, |_| true, max_holders);
     let mut groups: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
     let wanted: std::collections::HashSet<u32> = initial_overlaps.iter().copied().collect();
-    let mut pairs_sorted: Vec<((u32, u32), u32)> = counts.iter().collect();
-    // Deterministic order regardless of hash-map iteration.
-    pairs_sorted.sort_unstable_by_key(|&(pair, _)| pair);
-    for (pair, overlap) in pairs_sorted {
+    // Pair order, so a capped group keeps its first pairs in peer order.
+    for (pair, overlap) in counts.iter() {
         if wanted.contains(&overlap) {
             let group = groups.entry(overlap).or_default();
             if max_pairs_per_group.is_none_or(|cap| group.len() < cap) {
@@ -146,9 +144,14 @@ pub fn largest_initial_overlaps(
     let arena = CacheArena::from_day(first, trace.peers.len(), trace.files.len());
     let counts = overlap_counts_arena(&arena, |_| true, max_holders);
     let mut all: Vec<(u32, (u32, u32))> = counts.iter().map(|(p, c)| (c, p)).collect();
-    all.sort_unstable_by_key(|&(c, p)| (std::cmp::Reverse(c), p));
+    let key = |&(c, p): &(u32, (u32, u32))| (std::cmp::Reverse(c), p);
+    // Select the top `k` in linear time, then sort only those.
+    if k < all.len() {
+        all.select_nth_unstable_by_key(k, key);
+        all.truncate(k);
+    }
+    all.sort_unstable_by_key(key);
     all.into_iter()
-        .take(k)
         .map(|(c, (a, b))| (c, (PeerId(a), PeerId(b))))
         .collect()
 }
@@ -230,6 +233,12 @@ mod tests {
         assert_eq!(top[0].0, 2);
         assert_eq!(top[0].1, (PeerId(0), PeerId(1)));
         assert_eq!(top[1].0, 1);
+        // Fewer than the pair count: the selection keeps the largest.
+        assert_eq!(
+            largest_initial_overlaps(&trace, 1, None),
+            vec![(2, (PeerId(0), PeerId(1)))]
+        );
+        assert!(largest_initial_overlaps(&trace, 0, None).is_empty());
     }
 
     /// Day sharding sums integers per day, so one worker and the

@@ -1,9 +1,8 @@
-//! Criterion bench: MD4 digest and ed2k part-hashing throughput — the
-//! hot path of any real client-side crawler or indexer built on this
-//! protocol substrate.
+//! Criterion bench: MD4 digest throughput — eDonkey's content hash, and
+//! the digest that derives generated peer and file ids and pins the
+//! reproduction's outputs.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use edonkey_proto::hash::PartHasher;
 use edonkey_proto::md4::Md4;
 
 fn bench_md4(c: &mut Criterion) {
@@ -18,23 +17,5 @@ fn bench_md4(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_part_hashing(c: &mut Criterion) {
-    let mut group = c.benchmark_group("part_hashing");
-    group.sample_size(10);
-    // One full 9.5 MB part plus change.
-    let data = vec![0x5au8; (edonkey_proto::hash::PART_SIZE + 4096) as usize];
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    group.bench_function("one_part_plus_tail", |b| {
-        b.iter(|| {
-            let mut h = PartHasher::new();
-            for chunk in std::hint::black_box(&data).chunks(1 << 20) {
-                h.update(chunk);
-            }
-            h.finalize()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_md4, bench_part_hashing);
+criterion_group!(benches, bench_md4);
 criterion_main!(benches);

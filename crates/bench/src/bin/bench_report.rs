@@ -150,7 +150,10 @@ fn main() {
         return;
     }
 
-    let w = Workload::generate(scale);
+    let w = Workload::generate(scale).unwrap_or_else(|e| {
+        eprintln!("bench_report: cannot load trace {e}");
+        std::process::exit(2)
+    });
     // The row form of the filtered static view: the input of the
     // sequential overlap, whole-cell sweep and row-shuffler oracles.
     let caches = w.filtered.static_arena().to_caches();

@@ -10,7 +10,8 @@
 //! `EDONKEY_TRACE`), the full trace is loaded from the file — binary
 //! columnar or JSON, sniffed from the contents — instead of
 //! being generated, and every entry that reads the workload draws from
-//! it. An unknown scale or entry name exits with status 2.
+//! it. An unknown scale or entry name, or a trace file that cannot be
+//! loaded, exits with status 2.
 use edonkey_bench::{
     ablations as ab, figures_cluster as fc, figures_measure as fm, figures_search as fs, Scale,
     Workload,
@@ -107,7 +108,10 @@ fn main() {
     for (name, input) in ENTRIES.iter().filter(|(n, _)| names.iter().any(|s| s == n)) {
         eprintln!("[reproduce] {name}…");
         match input {
-            Input::Workload(run) => run(workload.get_or_insert_with(|| Workload::generate(scale))),
+            Input::Workload(run) => run(workload.get_or_insert_with(|| {
+                Workload::generate(scale)
+                    .unwrap_or_else(|e| usage_error(&format!("cannot load trace {e}")))
+            })),
             Input::Scale(run) => run(scale),
         }
     }

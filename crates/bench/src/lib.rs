@@ -20,6 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use edonkey_trace::compact::{CacheArena, TraceArena};
+use edonkey_trace::io::TraceIoError;
 use edonkey_trace::model::Trace;
 use edonkey_trace::pipeline::{extrapolate_arena, filter_arena, ExtrapolateConfig};
 use edonkey_workload::{generate_trace, WorkloadConfig};
@@ -137,22 +138,36 @@ pub fn trace_override() -> Option<PathBuf> {
 impl Workload {
     /// Generates the standard workload at `scale`, or derives it from a
     /// trace file when [`trace_override`] names one.
-    pub fn generate(scale: Scale) -> Workload {
+    ///
+    /// # Errors
+    ///
+    /// Returns the read or decode error of a trace file that cannot be
+    /// loaded (see [`Workload::load`]).
+    pub fn generate(scale: Scale) -> Result<Workload, TraceIoError> {
         if let Some(path) = trace_override() {
-            return Workload::from_trace_file(&path);
+            return Workload::load(&path);
         }
         eprintln!("[bench] generating workload at {scale:?} scale…");
         let (_, full) = generate_trace(scale.config(SEED));
-        Workload::derive(full)
+        Ok(Workload::derive(full))
     }
 
     /// Builds the workload from a trace file in any supported format
     /// (binary or JSON — sniffed from the file contents).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the file cannot be read or decoded;
+    /// [`Workload::load`] returns the error instead.
     pub fn from_trace_file(path: &Path) -> Workload {
+        Workload::load(path).unwrap_or_else(|e| panic!("load trace {e}"))
+    }
+
+    /// [`Workload::from_trace_file`], returning the read or decode error
+    /// (which names the file) instead of panicking.
+    pub fn load(path: &Path) -> Result<Workload, TraceIoError> {
         eprintln!("[bench] loading trace from {}…", path.display());
-        let full = edonkey_trace::io::load_auto(path)
-            .unwrap_or_else(|e| panic!("load trace {}: {e}", path.display()));
-        Workload::derive(full)
+        Ok(Workload::derive(edonkey_trace::io::load_auto(path)?))
     }
 
     /// Packs the row trace into an arena and drops it before deriving
@@ -281,7 +296,7 @@ mod tests {
 
     #[test]
     fn tiny_workload_generates() {
-        let w = Workload::generate(Scale::Test);
+        let w = Workload::generate(Scale::Test).expect("no trace file to load");
         assert!(w.filtered.peers.len() <= w.full.peers.len());
         assert!(w.extrapolated.peers.len() <= w.filtered.peers.len());
         assert!(!w.full.files.is_empty());

@@ -1,6 +1,6 @@
-//! `reproduce`'s command line: bad flags exit with status 2 and a
-//! message instead of a panic, and `--trace` reaches every entry that
-//! reads the workload, ablations included.
+//! `reproduce`'s command line: bad flags and unreadable trace files exit
+//! with status 2 and a message instead of a panic, and `--trace` reaches
+//! every entry that reads the workload, ablations included.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -54,6 +54,19 @@ fn unknown_only_entry_exits_2_listing_the_valid_names() {
         &["--scale", "test", "--only", "fig01,fig99"],
         "unknown --only entry \"fig99\"; valid names: fig01, fig02,",
     );
+}
+
+#[test]
+fn malformed_trace_file_exits_2_without_panicking() {
+    let path =
+        std::env::temp_dir().join(format!("edonkey-reproduce-cli-{}.bad", std::process::id()));
+    std::fs::write(&path, "not a trace").expect("write bad trace");
+    let path_str = path.to_str().expect("utf-8 path");
+    assert_usage_error(
+        &["--scale", "test", "--trace", path_str, "--only", "fig01"],
+        &format!("cannot load trace {path_str}: json error"),
+    );
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -8,7 +8,6 @@
 //! the crawler depends on).
 
 use edonkey_proto::md4::Digest;
-use edonkey_proto::tags::{SpecialTag, Tag, TagValue};
 use edonkey_proto::wire::{Message, PublishedFile};
 use edonkey_trace::model::FileRef;
 use edonkey_workload::population::Population;
@@ -86,10 +85,6 @@ impl Client {
         population: &Population,
     ) -> Option<Message> {
         match msg {
-            Message::Hello { .. } => Some(Message::HelloReply {
-                uid: self.uid,
-                nick: population.peers[self.peer_idx].nick.clone(),
-            }),
             Message::BrowseRequest => {
                 if !self.browsable {
                     return Some(Message::BrowseDenied);
@@ -102,38 +97,16 @@ impl Client {
                             file_id: info.id,
                             ip: if self.firewalled { 0 } else { self.ip },
                             port: self.port,
-                            // Size and type tags only: the crawler needs
-                            // content identity and metadata, not display
-                            // names (the released trace is anonymized
-                            // anyway).
-                            tags: [
-                                Tag::special(
-                                    SpecialTag::Size,
-                                    TagValue::U32(info.size.min(u32::MAX as u64) as u32),
-                                ),
-                                Tag::special(
-                                    SpecialTag::Type,
-                                    TagValue::String(info.kind.as_str().into()),
-                                ),
-                            ]
-                            .into_iter()
-                            .collect(),
+                            // No display names: the crawler needs content
+                            // identity, size and kind (the released trace
+                            // is anonymized anyway). The protocol's size
+                            // field is 32 bits wide.
+                            size: info.size.min(u32::MAX as u64) as u32,
+                            kind: info.kind,
                         }
                     })
                     .collect();
                 Some(Message::BrowseResult(files))
-            }
-            Message::QueryFile { file_id } => {
-                let shared = cache
-                    .iter()
-                    .any(|&f| population.files[f.index()].info.id == *file_id);
-                shared.then(|| {
-                    // Every verified part is available in our model.
-                    Message::FileStatus {
-                        file_id: *file_id,
-                        parts: vec![0xff],
-                    }
-                })
             }
             _ => None,
         }
@@ -178,10 +151,7 @@ mod tests {
             Some(Message::BrowseResult(files)) => {
                 assert_eq!(files.len(), 2);
                 assert_eq!(files[0].file_id, population.files[0].info.id);
-                assert_eq!(
-                    files[0].tags.get_str(SpecialTag::Type),
-                    Some(population.files[0].info.kind.as_str())
-                );
+                assert_eq!(files[0].kind, population.files[0].info.kind);
             }
             other => panic!("expected BrowseResult, got {other:?}"),
         }
@@ -201,27 +171,5 @@ mod tests {
             panic!()
         };
         assert_eq!(files[0].ip, 0);
-    }
-
-    #[test]
-    fn hello_and_query_file() {
-        let population = pop();
-        let client = Client::new(&population, 3, false, true, 0.9);
-        let hello = Message::Hello {
-            uid: Digest([9; 16]),
-            nick: "crawler".into(),
-            port: 1,
-        };
-        match client.handle(&hello, &[], &population) {
-            Some(Message::HelloReply { uid, nick }) => {
-                assert_eq!(uid, client.uid);
-                assert_eq!(nick, population.peers[3].nick);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let wanted = population.files[7].info.id;
-        let q = Message::QueryFile { file_id: wanted };
-        assert!(client.handle(&q, &[FileRef(7)], &population).is_some());
-        assert!(client.handle(&q, &[FileRef(8)], &population).is_none());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The crawler:
 //!
-//! 1. connects to every known server and retrieves server lists;
+//! 1. logs in to every server;
 //! 2. repeatedly issues `query-users` nickname queries (a fixed set of
 //!    three-letter patterns, `aaa` … `zzz`) against the servers that
 //!    still support the feature, each reply capped at 200 users;
@@ -23,8 +23,7 @@ use std::collections::{HashMap, HashSet};
 use std::io::{Seek, Write};
 
 use edonkey_proto::md4::Digest;
-use edonkey_proto::tags::SpecialTag;
-use edonkey_proto::wire::Message;
+use edonkey_proto::wire::{Message, PublishedFile, UserRecord};
 use edonkey_trace::io::bin::TraceWriter;
 use edonkey_trace::io::TraceIoError;
 use edonkey_trace::model::{DaySnapshot, FileInfo, PeerInfo, Trace, TraceBuilder};
@@ -309,32 +308,28 @@ impl Crawler {
         self.stats.push(stats);
     }
 
-    /// The discovery sweep: connect to each server, fetch its server
-    /// list, and run the nickname queries where supported.
+    /// The discovery sweep: log in to each server and run the nickname
+    /// queries where supported.
     fn discover(&mut self, net: &mut Network<'_>, day_offset: u32) {
         let patterns = Self::patterns(self.config.patterns);
         let crawler_uid = Digest([0xCC; 16]);
         // Collect discoveries first (the server borrow must end before
         // uid resolution walks the client table).
-        let mut discovered: Vec<edonkey_proto::wire::UserRecord> = Vec::new();
+        let mut discovered: Vec<UserRecord> = Vec::new();
         for (server_idx, server) in net.servers.iter_mut().enumerate() {
             let login = Message::Login {
                 uid: crawler_uid,
                 nick: "crawler".into(),
                 port: 4662,
-                tags: Default::default(),
             };
-            let (_, session) = server.connect(&login, 0x7f00_0001);
-            // Server list exchange (kept for fidelity; all servers are
-            // already known in this simulation).
-            let _ = server.handle(session, &Message::GetServerList);
+            let session = server.connect(&login, 0x7f00_0001);
             for (pattern_idx, pattern) in patterns.iter().enumerate() {
                 // A dropped reply is indistinguishable from a slow
                 // server, so the crawler re-asks within its retry
                 // budget; a server *without* query-users answers (with
                 // a refusal) and ends the sweep as before.
                 enum Outcome {
-                    Found(Vec<edonkey_proto::wire::UserRecord>),
+                    Found(Vec<UserRecord>),
                     Unsupported,
                     Dropped,
                 }
@@ -383,12 +378,7 @@ impl Crawler {
     /// Records a successful browse as a trace observation. Returns
     /// `false` when the peer was already observed today (the browse
     /// succeeded but added nothing to the trace).
-    fn record(
-        &mut self,
-        net: &Network<'_>,
-        client_idx: usize,
-        files: &[edonkey_proto::wire::PublishedFile],
-    ) -> bool {
+    fn record(&mut self, net: &Network<'_>, client_idx: usize, files: &[PublishedFile]) -> bool {
         let client = &net.clients[client_idx];
         let peer_info = &net.population.peers[client.peer_idx].info;
         let peer = self.builder.intern_peer(PeerInfo {
@@ -408,12 +398,8 @@ impl Crawler {
             .map(|f| {
                 self.builder.intern_file(FileInfo {
                     id: f.file_id,
-                    size: f.tags.get_u32(SpecialTag::Size).map(u64::from).unwrap_or(0),
-                    kind: f
-                        .tags
-                        .get_str(SpecialTag::Type)
-                        .and_then(edonkey_proto::query::FileKind::from_str_ci)
-                        .unwrap_or(edonkey_proto::query::FileKind::Document),
+                    size: u64::from(f.size),
+                    kind: f.kind,
                 })
             })
             .collect();
@@ -571,7 +557,16 @@ mod tests {
 
     #[test]
     fn crawl_produces_a_valid_trace() {
-        let population = pop(5);
+        let mut population = pop(5);
+        // The most attractive file is the likeliest to be browsed; give
+        // it a size beyond the browse reply's 32-bit size field.
+        let big = (0..population.files.len())
+            .max_by(|&a, &b| {
+                let attr = |i: usize| population.files[i].attractiveness;
+                attr(a).total_cmp(&attr(b))
+            })
+            .expect("files");
+        population.files[big].info.size = u64::from(u32::MAX) + 1_000;
         let (trace, stats) = run_crawl(
             &population,
             NetConfig::default(),
@@ -592,6 +587,28 @@ mod tests {
         // Firewalled clients never appear: every observed peer is
         // reachable. (~25% of population is firewalled.)
         assert!(trace.peers.len() < 200);
+        // Browsed metadata is the population's, with sizes clamped to the
+        // 32-bit size field.
+        let truth: HashMap<Digest, &FileInfo> = population
+            .files
+            .iter()
+            .map(|f| (f.info.id, &f.info))
+            .collect();
+        for file in &trace.files {
+            let expected = truth[&file.id];
+            assert_eq!(file.kind, expected.kind, "{:?}", file.id);
+            assert_eq!(
+                file.size,
+                expected.size.min(u64::from(u32::MAX)),
+                "{:?}",
+                file.id
+            );
+        }
+        let big_id = population.files[big].info.id;
+        assert!(
+            trace.files.iter().any(|f| f.id == big_id),
+            "the oversized file was never browsed"
+        );
     }
 
     #[test]

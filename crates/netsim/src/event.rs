@@ -92,24 +92,11 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedules `event` `delay` ticks from now.
-    pub fn schedule_in(&mut self, delay: u64, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Pops the earliest event, advancing the clock.
     pub fn pop(&mut self) -> Option<(u64, E)> {
         let Reverse(entry) = self.heap.pop()?;
         self.now = entry.time;
         Some((entry.time, entry.event))
-    }
-
-    /// Pops the earliest event only if it is due at or before `deadline`.
-    pub fn pop_until(&mut self, deadline: u64) -> Option<(u64, E)> {
-        match self.heap.peek() {
-            Some(Reverse(e)) if e.time <= deadline => self.pop(),
-            _ => None,
-        }
     }
 
     /// Drops every pending event, returning how many were discarded —
@@ -118,16 +105,6 @@ impl<E> EventQueue<E> {
         let n = self.heap.len();
         self.heap.clear();
         n
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -157,26 +134,23 @@ mod tests {
         let mut q = EventQueue::new();
         assert_eq!(q.now(), 0);
         q.schedule(7, ());
-        q.schedule_in(2, ());
+        q.schedule(2, ());
         assert_eq!(q.pop().unwrap().0, 2);
         assert_eq!(q.now(), 2);
-        q.schedule_in(1, ());
+        q.schedule(q.now() + 1, ());
         assert_eq!(q.pop().unwrap().0, 3);
         assert_eq!(q.pop().unwrap().0, 7);
     }
 
     #[test]
-    fn pop_until_respects_deadline() {
+    fn clear_discards_pending_events() {
         let mut q = EventQueue::new();
         q.schedule(5, 'x');
         q.schedule(10, 'y');
-        assert_eq!(q.pop_until(4), None);
-        assert_eq!(q.pop_until(5), Some((5, 'x')));
-        assert_eq!(q.pop_until(9), None);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
+        assert_eq!(q.pop(), Some((5, 'x')));
         assert_eq!(q.clear(), 1);
-        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.now(), 5, "clearing does not move the clock");
     }
 
     #[test]

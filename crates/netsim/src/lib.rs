@@ -2,7 +2,7 @@
 //! and the paper's measurement crawler.
 //!
 //! Where `edonkey-workload` *generates* a plausible trace directly, this
-//! crate *earns* one: servers index what online clients publish, the
+//! crate *earns* one: online clients log in to index servers, the
 //! crawler discovers users through capped `query-users` nickname sweeps,
 //! browses reachable clients under a declining bandwidth budget, and
 //! every measurement artefact the paper mentions — firewalled blind
@@ -11,15 +11,14 @@
 //!
 //! Modules:
 //! * [`event`] — the discrete-event queue;
-//! * [`server`] — index servers speaking `edonkey_proto` messages;
-//! * [`client`] — per-client network state and message handling;
+//! * [`server`] — index server sessions and the capped `query-users`
+//!   nickname search;
+//! * [`client`] — per-client network state and browse replies;
 //! * [`network`] — the day-level network loop (churn, sessions);
 //! * [`crawler`] — the measurement crawler and trace assembly;
 //! * [`fault`] — seeded deterministic fault injection ([`FaultConfig`]
 //!   / [`fault::FaultPlan`]) and the crawler's counter-measures
-//!   ([`RetryPolicy`], [`CrawlHealth`]);
-//! * [`download`] — multi-source block downloads with MD4 part
-//!   verification, corruption banning and partial sharing.
+//!   ([`RetryPolicy`], [`CrawlHealth`]).
 //!
 //! # Examples
 //!
@@ -45,7 +44,6 @@
 
 pub mod client;
 pub mod crawler;
-pub mod download;
 pub mod event;
 pub mod fault;
 pub mod network;

@@ -12,7 +12,7 @@
 //! * clients come and go (availability), so even a perfect crawler
 //!   misses days — the gaps extrapolation must fill.
 
-use edonkey_proto::wire::{Message, SourceAddr};
+use edonkey_proto::wire::Message;
 use edonkey_trace::model::FileRef;
 use edonkey_workload::dynamics::Dynamics;
 use edonkey_workload::population::Population;
@@ -43,8 +43,6 @@ pub struct NetConfig {
     pub dhcp_daily_prob: f64,
     /// Daily probability of a reinstall (fresh user hash).
     pub reinstall_daily_prob: f64,
-    /// Maximum files a client publishes to its server per day.
-    pub publish_cap: usize,
 }
 
 impl Default for NetConfig {
@@ -58,7 +56,6 @@ impl Default for NetConfig {
             availability_range: (0.35, 0.95),
             dhcp_daily_prob: 0.02,
             reinstall_daily_prob: 0.002,
-            publish_cap: 200,
         }
     }
 }
@@ -101,19 +98,12 @@ impl<'a> Network<'a> {
             })
             .collect();
         let servers: Vec<Server> = (0..config.servers)
-            .map(|i| {
-                let addr = SourceAddr {
-                    ip: 0xC0A8_0000 + i as u32,
-                    port: 4661,
-                };
-                let supports = (i as f64) < config.query_users_fraction * config.servers as f64;
-                Server::new(addr, supports)
-            })
+            .map(|i| Server::new((i as f64) < config.query_users_fraction * config.servers as f64))
             .collect();
         let mut dyn_rng = StdRng::seed_from_u64(config.seed ^ 0x00d1_ce5e);
         let dynamics = Dynamics::new(population, &mut dyn_rng);
         let caches = dynamics.snapshot();
-        let mut network = Network {
+        Network {
             population,
             config,
             clients,
@@ -124,9 +114,7 @@ impl<'a> Network<'a> {
             day_offset: 0,
             dhcp_counter: 1 << 19, // above any static host index
             fault_plan: None,
-        };
-        network.interconnect_servers();
-        network
+        }
     }
 
     /// Installs the fault schedule (churn bursts are applied by the
@@ -136,27 +124,13 @@ impl<'a> Network<'a> {
         self.fault_plan = Some(plan);
     }
 
-    fn interconnect_servers(&mut self) {
-        let addrs: Vec<SourceAddr> = self.servers.iter().map(|s| s.addr).collect();
-        for server in &mut self.servers {
-            for &addr in &addrs {
-                server.learn_server(addr);
-            }
-        }
-    }
-
     /// The current absolute day.
     pub fn day(&self) -> u32 {
         self.population.config.start_day + self.day_offset
     }
 
-    /// Today's cache of a client (sorted file refs).
-    pub fn cache_of(&self, peer_idx: usize) -> &[FileRef] {
-        &self.caches[peer_idx]
-    }
-
     /// Advances to the next day: cache churn, availability, DHCP and
-    /// reinstall events, server sessions and publishing.
+    /// reinstall events, and server sessions.
     pub fn step_day(&mut self) {
         self.day_offset += 1;
         let mut dyn_rng =
@@ -166,14 +140,13 @@ impl<'a> Network<'a> {
         self.refresh_sessions();
     }
 
-    /// (Re)connects today's online clients to servers and publishes
-    /// their caches. Also called for day zero.
+    /// (Re)connects today's online clients to servers. Also called for
+    /// day zero.
     pub fn refresh_sessions(&mut self) {
         // Fresh servers each day: sessions are daily in this model.
         for server in &mut self.servers {
-            *server = Server::new(server.addr, server.supports_query_users);
+            *server = Server::new(server.supports_query_users);
         }
-        self.interconnect_servers();
         let n_servers = self.servers.len();
         for idx in 0..self.clients.len() {
             // Churn events.
@@ -199,58 +172,30 @@ impl<'a> Network<'a> {
             if !online {
                 continue;
             }
-            // Connect to a random server and publish (a prefix of) the
-            // cache, exactly as a client would on login.
+            // Connect to a random server, exactly as a client would on
+            // login.
             let server_idx = self.rng.gen_range(0..n_servers);
             let client = &self.clients[idx];
             let login = Message::Login {
                 uid: client.uid,
                 nick: self.population.peers[idx].nick.clone(),
                 port: client.port,
-                tags: Default::default(),
             };
             let wire_ip = if client.firewalled { 0 } else { client.ip };
-            let (_, client_id) = self.servers[server_idx].connect(&login, wire_ip);
-            let cache = &self.caches[idx];
-            if !cache.is_empty() {
-                let publish = cache
-                    .iter()
-                    .take(self.config.publish_cap)
-                    .map(|&f| {
-                        let info = &self.population.files[f.index()].info;
-                        edonkey_proto::wire::PublishedFile {
-                            file_id: info.id,
-                            ip: wire_ip,
-                            port: client.port,
-                            tags: Default::default(),
-                        }
-                    })
-                    .collect();
-                self.servers[server_idx].handle(client_id, &Message::PublishFiles(publish));
-            }
+            self.servers[server_idx].connect(&login, wire_ip);
         }
-    }
-
-    /// Sends a client-to-client message to the client currently owning
-    /// `uid`, as the crawler does. Returns `None` when the client is
-    /// offline, unknown, or ignores the message.
-    pub fn deliver(&self, uid: &edonkey_proto::md4::Digest, msg: &Message) -> Option<Message> {
-        let client = self.clients.iter().find(|c| c.uid == *uid)?;
-        if !client.reachable() {
-            return None;
-        }
-        client.handle(msg, &self.caches[client.peer_idx], self.population)
     }
 
     /// Index lookup used by the crawler: which client currently holds
-    /// this uid (linear scan is fine for the crawler's rate; the
-    /// hot-path lookups go through [`Network::deliver_to_idx`]).
+    /// this uid (linear scan is fine for the crawler's rate; browses go
+    /// through [`Network::deliver_to_idx`]).
     pub fn client_by_uid(&self, uid: &edonkey_proto::md4::Digest) -> Option<usize> {
         self.clients.iter().position(|c| c.uid == *uid)
     }
 
-    /// Fast-path delivery when the caller already resolved the client
-    /// index.
+    /// Sends a client-to-client message to client `idx`, as the crawler
+    /// does. Returns `None` when the client is unreachable today (offline
+    /// or firewalled) or ignores the message.
     pub fn deliver_to_idx(&self, idx: usize, msg: &Message) -> Option<Message> {
         let client = &self.clients[idx];
         if !client.reachable() {
@@ -331,29 +276,20 @@ mod tests {
         else {
             panic!("expected at least one reachable client")
         };
-        let uid = net.clients[idx].uid;
-        let reply = net.deliver(&uid, &Message::BrowseRequest);
+        let reply = net.deliver_to_idx(idx, &Message::BrowseRequest);
         assert!(matches!(reply, Some(Message::BrowseResult(_))));
+        assert_eq!(net.client_by_uid(&net.clients[idx].uid), Some(idx));
         // Unknown uid.
         assert_eq!(
-            net.deliver(
-                &edonkey_proto::md4::Digest([0xEE; 16]),
-                &Message::BrowseRequest
-            ),
+            net.client_by_uid(&edonkey_proto::md4::Digest([0xEE; 16])),
             None
         );
+        // Firewalled client.
+        net.clients[idx].firewalled = true;
+        assert_eq!(net.deliver_to_idx(idx, &Message::BrowseRequest), None);
         // Offline client.
-        let mut net = net;
+        net.clients[idx].firewalled = false;
         net.clients[idx].online = false;
-        assert_eq!(net.deliver(&uid, &Message::BrowseRequest), None);
-    }
-
-    #[test]
-    fn servers_index_published_files() {
-        let population = pop();
-        let mut net = Network::new(&population, NetConfig::default());
-        net.refresh_sessions();
-        let indexed: usize = net.servers.iter().map(|s| s.file_count()).sum();
-        assert!(indexed > 0, "online sharers must publish something");
+        assert_eq!(net.deliver_to_idx(idx, &Message::BrowseRequest), None);
     }
 }

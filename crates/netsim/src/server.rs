@@ -1,21 +1,18 @@
-//! An eDonkey index server.
+//! An eDonkey index server, as the crawler sees it.
 //!
-//! Servers form the first tier of the hybrid architecture (Section 2.1):
-//! they index the files their connected clients publish, answer keyword
-//! searches and source queries, exchange only server lists among
-//! themselves, and — crucially for the paper — some of them implement
-//! the `query-users` nickname search the crawler exploits, capped at
+//! Servers form the first tier of the hybrid architecture (Section 2.1).
+//! The crawl needs only two things from them: a session per connected
+//! client, and — crucially for the paper — the legacy `query-users`
+//! nickname search that some servers still implement, capped at
 //! [`Server::MAX_USER_REPLY`] records per reply.
 //!
-//! The server speaks actual [`edonkey_proto::wire::Message`] values, so
-//! the protocol substrate is exercised end-to-end by the simulation.
+//! The server speaks [`edonkey_proto::wire::Message`] values, so the
+//! crawl runs the protocol's login and `query-users` exchange as a
+//! real client would.
 
 use std::collections::HashMap;
 
-use edonkey_proto::hash::FileId;
-use edonkey_proto::query::{FileMeta, Query};
-use edonkey_proto::tags::SpecialTag;
-use edonkey_proto::wire::{Message, PublishedFile, SourceAddr, UserRecord};
+use edonkey_proto::wire::{Message, UserRecord};
 
 /// A connected client's registration state.
 #[derive(Clone, Debug)]
@@ -25,26 +22,18 @@ struct Session {
     ip: u32,
     port: u16,
     client_id: u32,
-    /// Files this session has published (for cleanup on disconnect).
-    published: Vec<FileId>,
 }
 
 /// One index server.
 pub struct Server {
-    /// The server's address (for server lists).
-    pub addr: SourceAddr,
     /// Whether this server supports the legacy `query-users` feature
     /// ("some old servers support the query-users functionality").
     pub supports_query_users: bool,
     sessions: HashMap<u32, Session>,
-    /// file → (source address, metadata) entries.
-    index: HashMap<FileId, Vec<(u32, PublishedFile)>>,
     /// nickname trigram → client ids, for `query-users` at crawl scale
     /// (the crawler sweeps every `aaa`…`zzz` pattern; a linear scan per
     /// pattern would be quadratic in practice).
     nick_index: HashMap<[u8; 3], Vec<u32>>,
-    /// Known other servers.
-    server_list: Vec<SourceAddr>,
     next_low_id: u32,
 }
 
@@ -63,15 +52,12 @@ impl Server {
     /// replies are limited to 200 users per query").
     pub const MAX_USER_REPLY: usize = 200;
 
-    /// Creates a server at `addr`.
-    pub fn new(addr: SourceAddr, supports_query_users: bool) -> Self {
+    /// Creates a server with no sessions.
+    pub fn new(supports_query_users: bool) -> Self {
         Server {
-            addr,
             supports_query_users,
             sessions: HashMap::new(),
-            index: HashMap::new(),
             nick_index: HashMap::new(),
-            server_list: Vec::new(),
             next_low_id: 1,
         }
     }
@@ -81,30 +67,14 @@ impl Server {
         self.sessions.len()
     }
 
-    /// Number of distinct indexed files.
-    pub fn file_count(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Teaches this server about another server (server-to-server
-    /// exchange is *only* the server list, per the paper).
-    pub fn learn_server(&mut self, addr: SourceAddr) {
-        if addr != self.addr && !self.server_list.contains(&addr) {
-            self.server_list.push(addr);
-        }
-    }
-
     /// Handles a client connection: a `Login` message from a client at
     /// `ip` (0 marks a firewalled client that cannot accept inbound
     /// connections and therefore gets a *low id*).
     ///
-    /// Returns the reply and the session key the caller must use for
-    /// subsequent messages.
-    pub fn connect(&mut self, msg: &Message, ip: u32) -> (Message, u32) {
-        let Message::Login {
-            uid, nick, port, ..
-        } = msg
-        else {
+    /// Returns the assigned client id, the session key the caller must
+    /// use for subsequent messages.
+    pub fn connect(&mut self, msg: &Message, ip: u32) -> u32 {
+        let Message::Login { uid, nick, port } = msg else {
             panic!("connect expects a Login message, got {msg:?}");
         };
         // High-id clients are addressed by IP; firewalled clients get a
@@ -124,16 +94,15 @@ impl Server {
                 ip,
                 port: *port,
                 client_id,
-                published: Vec::new(),
             },
         );
         for gram in trigrams(nick) {
             self.nick_index.entry(gram).or_default().push(client_id);
         }
-        (Message::IdChange { client_id }, client_id)
+        client_id
     }
 
-    /// Handles a client disconnect: unindexes its published files.
+    /// Handles a client disconnect: drops its session and nickname.
     pub fn disconnect(&mut self, client_id: u32) {
         let Some(session) = self.sessions.remove(&client_id) else {
             return;
@@ -146,14 +115,6 @@ impl Server {
                 }
             }
         }
-        for file_id in session.published {
-            if let Some(entry) = self.index.get_mut(&file_id) {
-                entry.retain(|(cid, _)| *cid != client_id);
-                if entry.is_empty() {
-                    self.index.remove(&file_id);
-                }
-            }
-        }
     }
 
     /// Handles an in-session message, returning the reply (if any).
@@ -161,25 +122,13 @@ impl Server {
     /// # Panics
     ///
     /// Panics if `client_id` has no session (a caller bug: the network
-    /// layer owns connection state).
-    pub fn handle(&mut self, client_id: u32, msg: &Message) -> Option<Message> {
+    /// layer owns connection state), or if `msg` is not a server request.
+    pub fn handle(&self, client_id: u32, msg: &Message) -> Option<Message> {
         assert!(
             self.sessions.contains_key(&client_id),
             "message from unconnected client {client_id}"
         );
         match msg {
-            Message::PublishFiles(files) => {
-                for file in files {
-                    let session = self.sessions.get_mut(&client_id).expect("checked");
-                    session.published.push(file.file_id);
-                    let sources = self.index.entry(file.file_id).or_default();
-                    if !sources.iter().any(|(cid, _)| *cid == client_id) {
-                        sources.push((client_id, file.clone()));
-                    }
-                }
-                None
-            }
-            Message::Search(query) => Some(Message::SearchResults(self.search(query))),
             Message::QueryUsers { pattern } => {
                 if !self.supports_query_users {
                     // New servers silently drop the query ("a server
@@ -188,45 +137,8 @@ impl Server {
                 }
                 Some(Message::FoundUsers(self.query_users(pattern)))
             }
-            Message::QuerySources { file_id } => {
-                let sources = self
-                    .index
-                    .get(file_id)
-                    .map(|entries| {
-                        entries
-                            .iter()
-                            .filter(|(_, f)| f.ip != 0)
-                            .map(|(_, f)| SourceAddr {
-                                ip: f.ip,
-                                port: f.port,
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                Some(Message::FoundSources {
-                    file_id: *file_id,
-                    sources,
-                })
-            }
-            Message::GetServerList => Some(Message::ServerList(self.server_list.clone())),
             other => panic!("server cannot handle {other:?}"),
         }
-    }
-
-    /// Evaluates a metadata search against the index.
-    fn search(&self, query: &Query) -> Vec<PublishedFile> {
-        let mut results = Vec::new();
-        for sources in self.index.values() {
-            let Some((_, file)) = sources.first() else {
-                continue;
-            };
-            if query.matches(&meta_of(file, sources.len() as u32)) {
-                results.push(file.clone());
-            }
-        }
-        // Deterministic order for tests and reproducibility.
-        results.sort_by_key(|f| f.file_id);
-        results
     }
 
     /// Nickname substring search, capped at [`Self::MAX_USER_REPLY`].
@@ -264,173 +176,58 @@ impl Server {
     }
 }
 
-/// Reconstructs searchable metadata from a published file's tags.
-fn meta_of(file: &PublishedFile, availability: u32) -> FileMeta {
-    let name = file
-        .tags
-        .get_str(SpecialTag::Name)
-        .unwrap_or("")
-        .to_string();
-    let size = file
-        .tags
-        .get_u32(SpecialTag::Size)
-        .map(u64::from)
-        .unwrap_or(0);
-    let kind = file
-        .tags
-        .get_str(SpecialTag::Type)
-        .and_then(edonkey_proto::query::FileKind::from_str_ci)
-        .unwrap_or(edonkey_proto::query::FileKind::Document);
-    let mut meta = FileMeta::new(name, size, kind);
-    meta.bitrate = file.tags.get_u32(SpecialTag::Bitrate);
-    meta.availability = availability;
-    meta
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use edonkey_proto::md4::Digest;
-    use edonkey_proto::tags::{Tag, TagValue};
-
-    fn addr(ip: u32) -> SourceAddr {
-        SourceAddr { ip, port: 4661 }
-    }
 
     fn login(n: u8, nick: &str) -> Message {
         Message::Login {
             uid: Digest([n; 16]),
             nick: nick.into(),
             port: 4662,
-            tags: Default::default(),
         }
     }
 
-    fn published(n: u8, name: &str, size: u32, kind: &str, ip: u32) -> PublishedFile {
-        PublishedFile {
-            file_id: Digest([n; 16]),
-            ip,
-            port: 4662,
-            tags: [
-                Tag::special(SpecialTag::Name, TagValue::String(name.into())),
-                Tag::special(SpecialTag::Size, TagValue::U32(size)),
-                Tag::special(SpecialTag::Type, TagValue::String(kind.into())),
-            ]
-            .into_iter()
-            .collect(),
-        }
+    fn found(s: &Server, cid: u32, pattern: &str) -> Vec<UserRecord> {
+        let Some(Message::FoundUsers(users)) = s.handle(
+            cid,
+            &Message::QueryUsers {
+                pattern: pattern.into(),
+            },
+        ) else {
+            panic!("expected FoundUsers")
+        };
+        users
     }
 
     #[test]
     fn login_assigns_ids() {
-        let mut s = Server::new(addr(1), true);
-        let (reply, cid) = s.connect(&login(1, "alice"), 0x0a00_0001);
-        assert_eq!(
-            reply,
-            Message::IdChange {
-                client_id: 0x0a00_0001
-            }
-        );
-        assert_eq!(cid, 0x0a00_0001);
+        let mut s = Server::new(true);
+        assert_eq!(s.connect(&login(1, "alice"), 0x0a00_0001), 0x0a00_0001);
         // Firewalled client gets a low id.
-        let (_, low) = s.connect(&login(2, "bob"), 0);
+        let low = s.connect(&login(2, "bob"), 0);
         assert!(low < 1000);
         assert_eq!(s.user_count(), 2);
     }
 
     #[test]
-    fn publish_search_and_sources() {
-        let mut s = Server::new(addr(1), true);
-        let (_, cid) = s.connect(&login(1, "alice"), 77);
-        s.handle(
-            cid,
-            &Message::PublishFiles(vec![
-                published(1, "beatles - help.mp3", 4_000_000, "Audio", 77),
-                published(2, "some movie.avi", 700_000_000, "Video", 77),
-            ]),
-        );
-        assert_eq!(s.file_count(), 2);
-
-        let q = Query::parse("beatles AND type:Audio").unwrap();
-        let Some(Message::SearchResults(results)) = s.handle(cid, &Message::Search(q)) else {
-            panic!("expected results");
-        };
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].file_id, Digest([1; 16]));
-
-        let Some(Message::FoundSources { sources, .. }) = s.handle(
-            cid,
-            &Message::QuerySources {
-                file_id: Digest([2; 16]),
-            },
-        ) else {
-            panic!("expected sources");
-        };
-        assert_eq!(sources, vec![SourceAddr { ip: 77, port: 4662 }]);
-
-        // Unknown file: empty source list, not an error.
-        let Some(Message::FoundSources { sources, .. }) = s.handle(
-            cid,
-            &Message::QuerySources {
-                file_id: Digest([9; 16]),
-            },
-        ) else {
-            panic!("expected sources");
-        };
-        assert!(sources.is_empty());
-    }
-
-    #[test]
-    fn firewalled_sources_are_not_advertised() {
-        let mut s = Server::new(addr(1), true);
-        let (_, cid) = s.connect(&login(1, "x"), 0);
-        s.handle(
-            cid,
-            &Message::PublishFiles(vec![published(1, "f", 1, "Audio", 0)]),
-        );
-        let Some(Message::FoundSources { sources, .. }) = s.handle(
-            cid,
-            &Message::QuerySources {
-                file_id: Digest([1; 16]),
-            },
-        ) else {
-            panic!()
-        };
-        assert!(sources.is_empty(), "low-id sources need a server relay");
-    }
-
-    #[test]
     fn query_users_cap_and_matching() {
-        let mut s = Server::new(addr(1), true);
+        let mut s = Server::new(true);
         for i in 0..250u32 {
             let nick = format!("aaa{i}");
-            let (_, _cid) = s.connect(&login((i % 256) as u8, &nick), 1000 + i);
+            s.connect(&login((i % 256) as u8, &nick), 1000 + i);
         }
-        let Some(Message::FoundUsers(users)) = s.handle(
-            1000,
-            &Message::QueryUsers {
-                pattern: "aaa".into(),
-            },
-        ) else {
-            panic!()
-        };
-        assert_eq!(users.len(), Server::MAX_USER_REPLY);
-        let Some(Message::FoundUsers(users)) = s.handle(
-            1000,
-            &Message::QueryUsers {
-                pattern: "aaa7".into(),
-            },
-        ) else {
-            panic!()
-        };
+        assert_eq!(found(&s, 1000, "aaa").len(), Server::MAX_USER_REPLY);
+        let users = found(&s, 1000, "aaa7");
         assert_eq!(users.len(), 11, "aaa7, aaa7x, aaa17x…");
         assert!(users.iter().all(|u| u.nick.contains("aaa7")));
     }
 
     #[test]
     fn query_users_unsupported_drops() {
-        let mut s = Server::new(addr(1), false);
-        let (_, cid) = s.connect(&login(1, "alice"), 5);
+        let mut s = Server::new(false);
+        let cid = s.connect(&login(1, "alice"), 5);
         assert_eq!(
             s.handle(
                 cid,
@@ -443,38 +240,28 @@ mod tests {
     }
 
     #[test]
-    fn disconnect_unindexes() {
-        let mut s = Server::new(addr(1), true);
-        let (_, cid) = s.connect(&login(1, "x"), 5);
-        s.handle(
-            cid,
-            &Message::PublishFiles(vec![published(1, "f", 1, "Audio", 5)]),
-        );
-        assert_eq!(s.file_count(), 1);
-        s.disconnect(cid);
-        assert_eq!(s.user_count(), 0);
-        assert_eq!(s.file_count(), 0);
+    fn disconnect_drops_the_session_and_nickname() {
+        let mut s = Server::new(true);
+        let alice = s.connect(&login(1, "alice"), 5);
+        let bob = s.connect(&login(2, "bob"), 6);
+        assert_eq!(found(&s, bob, "ali").len(), 1);
+        s.disconnect(alice);
+        assert_eq!(s.user_count(), 1);
+        assert!(found(&s, bob, "ali").is_empty());
         // Idempotent.
-        s.disconnect(cid);
-    }
-
-    #[test]
-    fn server_lists_propagate() {
-        let mut s = Server::new(addr(1), true);
-        s.learn_server(addr(2));
-        s.learn_server(addr(2));
-        s.learn_server(addr(1)); // self, ignored
-        let (_, cid) = s.connect(&login(1, "x"), 5);
-        let Some(Message::ServerList(list)) = s.handle(cid, &Message::GetServerList) else {
-            panic!()
-        };
-        assert_eq!(list, vec![addr(2)]);
+        s.disconnect(alice);
+        assert_eq!(s.user_count(), 1);
     }
 
     #[test]
     #[should_panic(expected = "unconnected client")]
     fn unconnected_client_panics() {
-        let mut s = Server::new(addr(1), true);
-        s.handle(42, &Message::GetServerList);
+        let s = Server::new(true);
+        s.handle(
+            42,
+            &Message::QueryUsers {
+                pattern: "abc".into(),
+            },
+        );
     }
 }

@@ -3,14 +3,14 @@
 //!
 //! The paper's measurement infrastructure is a modified eDonkey client
 //! (MLdonkey) crawling a live network. This crate rebuilds the protocol
-//! pieces that infrastructure depends on:
+//! pieces that crawl depends on:
 //!
-//! * [`md4`] — the MD4 digest (RFC 1320), eDonkey's content hash;
-//! * [`hash`] — 9.5 MB part hashing and ed2k file identifiers;
-//! * [`tags`] — the tag metadata system servers index;
-//! * [`query`] — the search language (keywords, ranges, and/or/not);
-//! * [`wire`] — client↔server and client↔client messages with framing;
-//! * [`error`] — the little-endian codec primitives and decode errors.
+//! * [`md4`] — the MD4 digest (RFC 1320), eDonkey's content hash; it
+//!   also derives generated peer and file ids and pins the
+//!   reproduction's outputs;
+//! * [`query`] — the media kinds a browse reply reports;
+//! * [`wire`] — the login, `query-users` and browse messages the
+//!   simulated crawl exchanges.
 //!
 //! Everything is implemented from scratch; no cryptography or protocol
 //! crates are used.
@@ -18,24 +18,27 @@
 //! # Examples
 //!
 //! ```
-//! use edonkey_proto::hash::PartHashes;
-//! use edonkey_proto::wire::Message;
+//! use edonkey_proto::md4::Md4;
+//! use edonkey_proto::query::FileKind;
+//! use edonkey_proto::wire::{Message, PublishedFile};
 //!
-//! // Hash a (tiny) file and ask a peer whether it shares it.
-//! let hashes = PartHashes::of_bytes(b"file body");
-//! let frame = Message::QueryFile { file_id: hashes.file_id() }.to_frame();
-//! let (decoded, _) = Message::from_frame(&frame).unwrap();
-//! assert_eq!(decoded, Message::QueryFile { file_id: hashes.file_id() });
+//! // A browse reply lists a peer's shared files by content hash, with
+//! // the size and kind the crawler records.
+//! let reply = Message::BrowseResult(vec![PublishedFile {
+//!     file_id: Md4::digest(b"file body"),
+//!     ip: 0x0a00_0001,
+//!     port: 4662,
+//!     size: 9,
+//!     kind: FileKind::Document,
+//! }]);
+//! let Message::BrowseResult(files) = &reply else { unreachable!() };
+//! assert_eq!((files[0].size, files[0].kind), (9, FileKind::Document));
 //! ```
 
-pub mod error;
-pub mod hash;
 pub mod md4;
 pub mod query;
-pub mod tags;
 pub mod wire;
 
-pub use hash::{FileId, PartHashes, PART_SIZE};
 pub use md4::{Digest, Md4};
-pub use query::{FileKind, FileMeta, Query};
-pub use wire::{Message, PublishedFile, UserId, UserRecord};
+pub use query::FileKind;
+pub use wire::{FileId, Message, PublishedFile, UserId, UserRecord};

@@ -1,9 +1,11 @@
 //! MD4 message digest, implemented from scratch after RFC 1320.
 //!
 //! eDonkey identifies every 9.28 MB file part by its MD4 digest, and every
-//! file by the MD4 digest of the concatenation of its part digests (see
-//! [`crate::hash`]). MD4 is cryptographically broken, but the reproduction
-//! needs it for fidelity with the protocol, not for security.
+//! file by the MD4 digest of the concatenation of its part digests (a
+//! [`crate::wire::FileId`]). MD4 is cryptographically broken, but the
+//! reproduction needs it for fidelity with the protocol, not for
+//! security. Here it also derives the generator's peer and file ids and
+//! pins the reproduction's output TSVs.
 //!
 //! The implementation is incremental: bytes may be fed in arbitrary chunks
 //! through [`Md4::update`], and [`Md4::finalize`] appends the RFC 1320

@@ -1,29 +1,14 @@
-//! The eDonkey search-query language: AST, wire codec, text parser and
-//! evaluator.
+//! File media kinds.
 //!
-//! Section 2.1 of the paper: *"Queries can be complex: searches by
-//! keywords in fields (e.g. MP3 tags), range queries on size, bit rates
-//! and availability, and any combination of them with logical operators
-//! (and, or, not)."* This module implements exactly that language.
-//!
-//! # Examples
-//!
-//! ```
-//! use edonkey_proto::query::{Query, FileMeta, FileKind};
-//!
-//! let q = Query::parse("beatles AND type:Audio AND size<10000000").unwrap();
-//! let file = FileMeta::new("The Beatles - Help.mp3", 4_200_000, FileKind::Audio);
-//! assert!(q.matches(&file));
-//!
-//! let movie = FileMeta::new("beatles documentary.avi", 700_000_000, FileKind::Video);
-//! assert!(!q.matches(&movie));
-//! ```
+//! A browse reply reports every shared file's kind (the protocol's `Type`
+//! tag), and the trace keeps it. The module is named after the eDonkey
+//! search language, whose `type:` filter matched these kinds; the
+//! language itself is not modelled, because the crawl never searches by
+//! metadata.
 
 use std::fmt;
 
-use crate::error::{DecodeError, Reader, Writer};
-
-/// Media kind of a file, as carried by the `Type` tag.
+/// Media kind of a file, as a browse reply reports it.
 ///
 /// The workload generator assigns kinds jointly with sizes (MP3s are
 /// megabytes, DivX movies are hundreds of megabytes — Fig. 6 of the
@@ -82,616 +67,9 @@ impl fmt::Display for FileKind {
     }
 }
 
-/// The searchable metadata of a file, the domain of query evaluation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FileMeta {
-    /// File name (keyword matching is word-based and case-insensitive).
-    pub name: String,
-    /// File size in bytes.
-    pub size: u64,
-    /// Media kind.
-    pub kind: FileKind,
-    /// Audio bitrate in kbit/s, when known.
-    pub bitrate: Option<u32>,
-    /// Number of known sources (availability).
-    pub availability: u32,
-}
-
-impl FileMeta {
-    /// Builds metadata with no bitrate and zero availability.
-    pub fn new(name: impl Into<String>, size: u64, kind: FileKind) -> Self {
-        FileMeta {
-            name: name.into(),
-            size,
-            kind,
-            bitrate: None,
-            availability: 0,
-        }
-    }
-
-    /// Whether `word` occurs in the file name, case-insensitively, as a
-    /// substring (eDonkey keyword semantics are substring-per-keyword).
-    fn contains_word(&self, word: &str) -> bool {
-        self.name
-            .to_ascii_lowercase()
-            .contains(&word.to_ascii_lowercase())
-    }
-}
-
-/// Numeric fields a range query can target.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RangeField {
-    /// File size in bytes.
-    Size,
-    /// Audio bitrate in kbit/s.
-    Bitrate,
-    /// Number of sources.
-    Availability,
-}
-
-impl RangeField {
-    fn value_of(&self, meta: &FileMeta) -> Option<u64> {
-        match self {
-            RangeField::Size => Some(meta.size),
-            RangeField::Bitrate => meta.bitrate.map(u64::from),
-            RangeField::Availability => Some(u64::from(meta.availability)),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            RangeField::Size => "size",
-            RangeField::Bitrate => "bitrate",
-            RangeField::Availability => "avail",
-        }
-    }
-}
-
-/// A search query AST node.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Query {
-    /// Keyword match against the file name.
-    Keyword(String),
-    /// Exact media-kind match.
-    KindIs(FileKind),
-    /// `field > bound` (strict).
-    Greater(RangeField, u64),
-    /// `field < bound` (strict).
-    Less(RangeField, u64),
-    /// Both sub-queries must match.
-    And(Box<Query>, Box<Query>),
-    /// Either sub-query must match.
-    Or(Box<Query>, Box<Query>),
-    /// The sub-query must not match.
-    Not(Box<Query>),
-}
-
-// Wire discriminants for the query tree (pre-order encoding).
-const Q_KEYWORD: u8 = 0x01;
-const Q_KIND: u8 = 0x02;
-const Q_GREATER: u8 = 0x03;
-const Q_LESS: u8 = 0x04;
-const Q_AND: u8 = 0x10;
-const Q_OR: u8 = 0x11;
-const Q_NOT: u8 = 0x12;
-
-const FIELD_SIZE: u8 = 0x01;
-const FIELD_BITRATE: u8 = 0x02;
-const FIELD_AVAIL: u8 = 0x03;
-
-/// Maximum depth accepted by the wire decoder; deeper trees are rejected
-/// to bound stack use on hostile input.
-const MAX_QUERY_DEPTH: usize = 64;
-
-impl Query {
-    /// Convenience constructor for a keyword query.
-    pub fn keyword(word: impl Into<String>) -> Query {
-        Query::Keyword(word.into())
-    }
-
-    /// Builds `self AND other`.
-    pub fn and(self, other: Query) -> Query {
-        Query::And(Box::new(self), Box::new(other))
-    }
-
-    /// Builds `self OR other`.
-    pub fn or(self, other: Query) -> Query {
-        Query::Or(Box::new(self), Box::new(other))
-    }
-
-    /// Builds `NOT self`.
-    #[allow(clippy::should_implement_trait)]
-    pub fn not(self) -> Query {
-        Query::Not(Box::new(self))
-    }
-
-    /// Evaluates the query against a file's metadata.
-    pub fn matches(&self, meta: &FileMeta) -> bool {
-        match self {
-            Query::Keyword(w) => meta.contains_word(w),
-            Query::KindIs(k) => meta.kind == *k,
-            Query::Greater(field, bound) => field.value_of(meta).is_some_and(|v| v > *bound),
-            Query::Less(field, bound) => field.value_of(meta).is_some_and(|v| v < *bound),
-            Query::And(a, b) => a.matches(meta) && b.matches(meta),
-            Query::Or(a, b) => a.matches(meta) || b.matches(meta),
-            Query::Not(q) => !q.matches(meta),
-        }
-    }
-
-    /// Encodes the query tree (pre-order) into `w`.
-    pub fn encode(&self, w: &mut Writer) {
-        match self {
-            Query::Keyword(word) => {
-                w.u8(Q_KEYWORD);
-                w.str16(word);
-            }
-            Query::KindIs(kind) => {
-                w.u8(Q_KIND);
-                w.str16(kind.as_str());
-            }
-            Query::Greater(field, bound) => {
-                w.u8(Q_GREATER);
-                w.u8(field_byte(*field));
-                w.u64(*bound);
-            }
-            Query::Less(field, bound) => {
-                w.u8(Q_LESS);
-                w.u8(field_byte(*field));
-                w.u64(*bound);
-            }
-            Query::And(a, b) => {
-                w.u8(Q_AND);
-                a.encode(w);
-                b.encode(w);
-            }
-            Query::Or(a, b) => {
-                w.u8(Q_OR);
-                a.encode(w);
-                b.encode(w);
-            }
-            Query::Not(q) => {
-                w.u8(Q_NOT);
-                q.encode(w);
-            }
-        }
-    }
-
-    /// Reads a query tree from a [`Reader`].
-    pub fn read(r: &mut Reader<'_>) -> Result<Query, DecodeError> {
-        Self::read_depth(r, 0)
-    }
-
-    fn read_depth(r: &mut Reader<'_>, depth: usize) -> Result<Query, DecodeError> {
-        if depth > MAX_QUERY_DEPTH {
-            return Err(DecodeError::BadCount(depth as u32));
-        }
-        let disc = r.u8()?;
-        Ok(match disc {
-            Q_KEYWORD => Query::Keyword(r.str16()?),
-            Q_KIND => {
-                let s = r.str16()?;
-                let kind = FileKind::from_str_ci(&s).ok_or(DecodeError::BadUtf8)?;
-                Query::KindIs(kind)
-            }
-            Q_GREATER => Query::Greater(read_field(r)?, r.u64()?),
-            Q_LESS => Query::Less(read_field(r)?, r.u64()?),
-            Q_AND => {
-                let a = Self::read_depth(r, depth + 1)?;
-                let b = Self::read_depth(r, depth + 1)?;
-                a.and(b)
-            }
-            Q_OR => {
-                let a = Self::read_depth(r, depth + 1)?;
-                let b = Self::read_depth(r, depth + 1)?;
-                a.or(b)
-            }
-            Q_NOT => Self::read_depth(r, depth + 1)?.not(),
-            other => return Err(DecodeError::BadOpcode(other)),
-        })
-    }
-
-    /// Parses the textual query syntax.
-    ///
-    /// Grammar (case-insensitive operators, left-associative, `AND` binds
-    /// tighter than `OR`, `NOT` tightest; parentheses group):
-    ///
-    /// ```text
-    /// expr   := term (OR term)*
-    /// term   := factor (AND factor)*
-    /// factor := NOT factor | '(' expr ')' | atom
-    /// atom   := type:KIND | size>N | size<N | bitrate>N | bitrate<N
-    ///         | avail>N | avail<N | WORD
-    /// ```
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use edonkey_proto::query::Query;
-    /// let q = Query::parse("(madonna OR beatles) AND NOT type:Video").unwrap();
-    /// assert!(Query::parse("size>>3").is_err());
-    /// ```
-    pub fn parse(input: &str) -> Result<Query, ParseError> {
-        let tokens = tokenize(input)?;
-        let mut p = Parser { tokens, pos: 0 };
-        let q = p.expr()?;
-        if p.pos != p.tokens.len() {
-            return Err(ParseError::TrailingInput(p.pos));
-        }
-        Ok(q)
-    }
-}
-
-fn field_byte(f: RangeField) -> u8 {
-    match f {
-        RangeField::Size => FIELD_SIZE,
-        RangeField::Bitrate => FIELD_BITRATE,
-        RangeField::Availability => FIELD_AVAIL,
-    }
-}
-
-fn read_field(r: &mut Reader<'_>) -> Result<RangeField, DecodeError> {
-    match r.u8()? {
-        FIELD_SIZE => Ok(RangeField::Size),
-        FIELD_BITRATE => Ok(RangeField::Bitrate),
-        FIELD_AVAIL => Ok(RangeField::Availability),
-        other => Err(DecodeError::BadOpcode(other)),
-    }
-}
-
-impl fmt::Display for Query {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Query::Keyword(w) => write!(f, "{w}"),
-            Query::KindIs(k) => write!(f, "type:{k}"),
-            Query::Greater(field, b) => write!(f, "{}>{b}", field.name()),
-            Query::Less(field, b) => write!(f, "{}<{b}", field.name()),
-            Query::And(a, b) => write!(f, "({a} AND {b})"),
-            Query::Or(a, b) => write!(f, "({a} OR {b})"),
-            Query::Not(q) => write!(f, "NOT {q}"),
-        }
-    }
-}
-
-/// A query text parse error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseError {
-    /// The input ended where a term was expected.
-    UnexpectedEnd,
-    /// An unexpected token at the given token index.
-    UnexpectedToken(usize),
-    /// Parsing finished with tokens left over (index of first leftover).
-    TrailingInput(usize),
-    /// A numeric bound did not parse.
-    BadNumber(String),
-    /// An unknown media kind after `type:`.
-    BadKind(String),
-    /// A malformed comparison like `size>>3`.
-    BadComparison(String),
-    /// Unbalanced parentheses.
-    UnbalancedParens,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParseError::UnexpectedEnd => write!(f, "unexpected end of query"),
-            ParseError::UnexpectedToken(i) => write!(f, "unexpected token at {i}"),
-            ParseError::TrailingInput(i) => write!(f, "trailing input from token {i}"),
-            ParseError::BadNumber(s) => write!(f, "bad number: {s}"),
-            ParseError::BadKind(s) => write!(f, "unknown media kind: {s}"),
-            ParseError::BadComparison(s) => write!(f, "bad comparison: {s}"),
-            ParseError::UnbalancedParens => write!(f, "unbalanced parentheses"),
-        }
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Token {
-    And,
-    Or,
-    Not,
-    LParen,
-    RParen,
-    Atom(String),
-}
-
-fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
-    let mut tokens = Vec::new();
-    let mut word = String::new();
-    let flush = |word: &mut String, tokens: &mut Vec<Token>| {
-        if word.is_empty() {
-            return;
-        }
-        let tok = match word.to_ascii_uppercase().as_str() {
-            "AND" => Token::And,
-            "OR" => Token::Or,
-            "NOT" => Token::Not,
-            _ => Token::Atom(std::mem::take(word)),
-        };
-        word.clear();
-        tokens.push(tok);
-    };
-    for c in input.chars() {
-        match c {
-            '(' => {
-                flush(&mut word, &mut tokens);
-                tokens.push(Token::LParen);
-            }
-            ')' => {
-                flush(&mut word, &mut tokens);
-                tokens.push(Token::RParen);
-            }
-            c if c.is_whitespace() => flush(&mut word, &mut tokens),
-            c => word.push(c),
-        }
-    }
-    flush(&mut word, &mut tokens);
-    Ok(tokens)
-}
-
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
-    }
-
-    fn expr(&mut self) -> Result<Query, ParseError> {
-        let mut left = self.term()?;
-        while self.peek() == Some(&Token::Or) {
-            self.pos += 1;
-            let right = self.term()?;
-            left = left.or(right);
-        }
-        Ok(left)
-    }
-
-    fn term(&mut self) -> Result<Query, ParseError> {
-        let mut left = self.factor()?;
-        while self.peek() == Some(&Token::And) {
-            self.pos += 1;
-            let right = self.factor()?;
-            left = left.and(right);
-        }
-        Ok(left)
-    }
-
-    fn factor(&mut self) -> Result<Query, ParseError> {
-        match self.peek() {
-            Some(Token::Not) => {
-                self.pos += 1;
-                Ok(self.factor()?.not())
-            }
-            Some(Token::LParen) => {
-                self.pos += 1;
-                let q = self.expr()?;
-                match self.peek() {
-                    Some(Token::RParen) => {
-                        self.pos += 1;
-                        Ok(q)
-                    }
-                    _ => Err(ParseError::UnbalancedParens),
-                }
-            }
-            Some(Token::Atom(_)) => {
-                let Some(Token::Atom(word)) = self.tokens.get(self.pos).cloned() else {
-                    unreachable!("peeked an atom");
-                };
-                self.pos += 1;
-                atom(&word)
-            }
-            Some(_) => Err(ParseError::UnexpectedToken(self.pos)),
-            None => Err(ParseError::UnexpectedEnd),
-        }
-    }
-}
-
-fn atom(word: &str) -> Result<Query, ParseError> {
-    if let Some(kind) = word.strip_prefix("type:") {
-        return FileKind::from_str_ci(kind)
-            .map(Query::KindIs)
-            .ok_or_else(|| ParseError::BadKind(kind.to_string()));
-    }
-    for (prefix, field) in [
-        ("size", RangeField::Size),
-        ("bitrate", RangeField::Bitrate),
-        ("avail", RangeField::Availability),
-    ] {
-        if let Some(rest) = word.strip_prefix(prefix) {
-            if let Some(op) = rest.chars().next() {
-                if op == '>' || op == '<' {
-                    let num = &rest[1..];
-                    let bound: u64 = num
-                        .parse()
-                        .map_err(|_| ParseError::BadNumber(num.to_string()))?;
-                    return Ok(if op == '>' {
-                        Query::Greater(field, bound)
-                    } else {
-                        Query::Less(field, bound)
-                    });
-                }
-                // `sizeable` is a keyword, but `size=3` is a user error.
-                if !op.is_alphanumeric() {
-                    return Err(ParseError::BadComparison(word.to_string()));
-                }
-            }
-        }
-    }
-    Ok(Query::Keyword(word.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn mp3(name: &str) -> FileMeta {
-        let mut m = FileMeta::new(name, 4_000_000, FileKind::Audio);
-        m.bitrate = Some(192);
-        m.availability = 3;
-        m
-    }
-
-    fn divx(name: &str) -> FileMeta {
-        let mut m = FileMeta::new(name, 700_000_000, FileKind::Video);
-        m.availability = 40;
-        m
-    }
-
-    #[test]
-    fn keyword_is_case_insensitive_substring() {
-        let q = Query::keyword("BeAtLeS");
-        assert!(q.matches(&mp3("the beatles - help.mp3")));
-        assert!(!q.matches(&mp3("rolling stones.mp3")));
-    }
-
-    #[test]
-    fn range_queries() {
-        let small = Query::Less(RangeField::Size, 10_000_000);
-        assert!(small.matches(&mp3("a")));
-        assert!(!small.matches(&divx("b")));
-        let hi_fi = Query::Greater(RangeField::Bitrate, 128);
-        assert!(hi_fi.matches(&mp3("a")));
-        assert!(
-            !hi_fi.matches(&divx("b")),
-            "missing bitrate never matches a range"
-        );
-        let popular = Query::Greater(RangeField::Availability, 10);
-        assert!(popular.matches(&divx("b")));
-        assert!(!popular.matches(&mp3("a")));
-    }
-
-    #[test]
-    fn boolean_combinators() {
-        let q = Query::keyword("live").and(Query::KindIs(FileKind::Audio));
-        assert!(q.matches(&mp3("concert live.mp3")));
-        assert!(!q.matches(&divx("concert live.avi")));
-        let q = Query::keyword("live").or(Query::KindIs(FileKind::Video));
-        assert!(q.matches(&divx("whatever.avi")));
-        let q = Query::KindIs(FileKind::Video).not();
-        assert!(q.matches(&mp3("x")));
-        assert!(!q.matches(&divx("x")));
-    }
-
-    #[test]
-    fn parse_precedence_and_parens() {
-        // AND binds tighter than OR.
-        let q = Query::parse("a OR b AND c").unwrap();
-        assert_eq!(
-            q,
-            Query::keyword("a").or(Query::keyword("b").and(Query::keyword("c")))
-        );
-        let q = Query::parse("(a OR b) AND c").unwrap();
-        assert_eq!(
-            q,
-            Query::keyword("a")
-                .or(Query::keyword("b"))
-                .and(Query::keyword("c"))
-        );
-        let q = Query::parse("NOT a AND b").unwrap();
-        assert_eq!(q, Query::keyword("a").not().and(Query::keyword("b")));
-    }
-
-    #[test]
-    fn parse_atoms() {
-        assert_eq!(
-            Query::parse("type:audio").unwrap(),
-            Query::KindIs(FileKind::Audio)
-        );
-        assert_eq!(
-            Query::parse("size>1000").unwrap(),
-            Query::Greater(RangeField::Size, 1000)
-        );
-        assert_eq!(
-            Query::parse("bitrate<320").unwrap(),
-            Query::Less(RangeField::Bitrate, 320)
-        );
-        assert_eq!(
-            Query::parse("avail>5").unwrap(),
-            Query::Greater(RangeField::Availability, 5)
-        );
-        // Words that merely start with a field name stay keywords.
-        assert_eq!(
-            Query::parse("sizeable").unwrap(),
-            Query::keyword("sizeable")
-        );
-    }
-
-    #[test]
-    fn parse_errors() {
-        assert!(matches!(Query::parse(""), Err(ParseError::UnexpectedEnd)));
-        assert!(matches!(
-            Query::parse("(a"),
-            Err(ParseError::UnbalancedParens)
-        ));
-        assert!(matches!(
-            Query::parse("a b"),
-            Err(ParseError::TrailingInput(_))
-        ));
-        assert!(matches!(
-            Query::parse("type:music"),
-            Err(ParseError::BadKind(_))
-        ));
-        assert!(matches!(
-            Query::parse("size>abc"),
-            Err(ParseError::BadNumber(_))
-        ));
-        assert!(matches!(
-            Query::parse("size>>3"),
-            Err(ParseError::BadNumber(_))
-        ));
-        assert!(matches!(
-            Query::parse("size=3"),
-            Err(ParseError::BadComparison(_))
-        ));
-        assert!(matches!(
-            Query::parse("AND a"),
-            Err(ParseError::UnexpectedToken(0))
-        ));
-    }
-
-    #[test]
-    fn wire_round_trip() {
-        let queries = [
-            Query::keyword("beatles"),
-            Query::parse("(madonna OR beatles) AND NOT type:Video AND size>1000000").unwrap(),
-            Query::Greater(RangeField::Availability, 3).and(Query::Less(RangeField::Bitrate, 320)),
-        ];
-        for q in queries {
-            let mut w = Writer::new();
-            q.encode(&mut w);
-            let bytes = w.into_vec();
-            let mut r = Reader::new(&bytes);
-            let decoded = Query::read(&mut r).expect("decode");
-            assert_eq!(decoded, q);
-            assert_eq!(r.remaining(), 0);
-        }
-    }
-
-    #[test]
-    fn wire_rejects_deep_bombs() {
-        // 100 nested NOTs exceed MAX_QUERY_DEPTH.
-        let mut w = Writer::new();
-        for _ in 0..100 {
-            w.u8(0x12); // Q_NOT
-        }
-        w.u8(0x01); // Q_KEYWORD
-        w.str16("x");
-        let bytes = w.into_vec();
-        let mut r = Reader::new(&bytes);
-        assert!(Query::read(&mut r).is_err());
-    }
-
-    #[test]
-    fn display_round_trips_through_parse() {
-        let q = Query::parse("(a OR b) AND NOT type:Video").unwrap();
-        let q2 = Query::parse(&q.to_string()).unwrap();
-        assert_eq!(q, q2);
-    }
 
     #[test]
     fn kind_string_round_trip() {

@@ -1,39 +1,34 @@
-//! eDonkey wire messages and framing.
+//! The eDonkey messages the paper's crawler exchanges.
 //!
-//! This module models the subset of the eDonkey TCP protocol that the
-//! paper's measurement infrastructure exercises:
+//! The measurement infrastructure (Section 2.2) needs three exchanges:
 //!
-//! * **client ↔ server**: login, file publication (cache contents), keyword
-//!   search, source queries, `query-users` (the nickname search the crawler
-//!   exploits, Section 2.2), and server-list propagation;
-//! * **client ↔ client**: hello handshake, *browse* (asking a peer for its
-//!   full shared-file list — the crawler's main tool), file/part queries
-//!   and download sessions.
+//! * **login**: a client opens a session with an index server;
+//! * **`query-users`**: the nickname search the crawler sweeps with
+//!   `aaa`…`zzz` patterns to discover clients, each reply capped by the
+//!   server;
+//! * **browse**: the crawler asks a client for its full shared-file list,
+//!   which the client may refuse.
 //!
-//! Frames follow the classic layout: a protocol marker byte (`0xE3`), a
-//! little-endian `u32` length covering the opcode and payload, then the
-//! opcode byte and the payload.
+//! The simulated network passes these as typed [`Message`] values; no
+//! byte stream ever enters or leaves the program, so there is no frame
+//! codec.
 
-use crate::error::{DecodeError, Reader, Writer};
-use crate::hash::FileId;
 use crate::md4::Digest;
-use crate::query::Query;
-use crate::tags::TagList;
-
-/// Protocol marker byte for classic eDonkey frames.
-pub const PROTO_EDONKEY: u8 = 0xe3;
-
-/// Upper bound on a frame's announced payload length (16 MiB).
-///
-/// Real servers enforce a similar cap; without one, a hostile peer could
-/// make the decoder allocate arbitrarily much from a five-byte header.
-pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
+use crate::query::FileKind;
 
 /// A 16-byte client user id ("user hash"). Stable across sessions unless
 /// the user reinstalls the client — the aliasing source the paper filters.
 pub type UserId = Digest;
 
-/// A published file record: what a client tells its server it shares.
+/// Globally unique identifier of a file's *content* (not its name): the
+/// ed2k MD4 hash.
+///
+/// Two files with identical bytes share the same `FileId` regardless of
+/// their names — the property the eDonkey network uses to aggregate
+/// sources, and the property the paper relies on when counting replicas.
+pub type FileId = Digest;
+
+/// One entry of a browse reply: a file the client shares.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PublishedFile {
     /// Content identifier.
@@ -42,30 +37,11 @@ pub struct PublishedFile {
     pub ip: u32,
     /// Claimed source TCP port.
     pub port: u16,
-    /// Metadata tags (name, size, type, bitrate…).
-    pub tags: TagList,
-}
-
-impl PublishedFile {
-    fn encode(&self, w: &mut Writer) {
-        w.bytes(self.file_id.as_bytes());
-        w.u32(self.ip);
-        w.u16(self.port);
-        self.tags.encode(w);
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let file_id = Digest(r.bytes(16)?.try_into().expect("16 bytes"));
-        let ip = r.u32()?;
-        let port = r.u16()?;
-        let tags = TagList::read(r)?;
-        Ok(PublishedFile {
-            file_id,
-            ip,
-            port,
-            tags,
-        })
-    }
+    /// File size in bytes, in the protocol's 32-bit size field (larger
+    /// files are clamped to `u32::MAX`).
+    pub size: u32,
+    /// Media kind.
+    pub kind: FileKind,
 }
 
 /// A user record as returned by the `query-users` server feature.
@@ -84,45 +60,7 @@ pub struct UserRecord {
     pub port: u16,
 }
 
-impl UserRecord {
-    fn encode(&self, w: &mut Writer) {
-        w.bytes(self.uid.as_bytes());
-        w.u32(self.client_id);
-        w.str16(&self.nick);
-        w.u32(self.ip);
-        w.u16(self.port);
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let uid = Digest(r.bytes(16)?.try_into().expect("16 bytes"));
-        let client_id = r.u32()?;
-        let nick = r.str16()?;
-        let ip = r.u32()?;
-        let port = r.u16()?;
-        Ok(UserRecord {
-            uid,
-            client_id,
-            nick,
-            ip,
-            port,
-        })
-    }
-}
-
-/// A `(ip, port)` source address for a file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SourceAddr {
-    /// IPv4 address.
-    pub ip: u32,
-    /// TCP port.
-    pub port: u16,
-}
-
 /// One eDonkey protocol message.
-///
-/// The opcode space mirrors the historical protocol where a value exists
-/// (login `0x01`, search `0x16`, found sources `0x42`, …) and uses free
-/// slots for the handful of messages we model more abstractly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Message {
     // --- client → server ---
@@ -134,71 +72,19 @@ pub enum Message {
         nick: String,
         /// Listening TCP port.
         port: u16,
-        /// Client metadata tags.
-        tags: TagList,
     },
-    /// Publish (part of) the cache contents for indexing.
-    PublishFiles(Vec<PublishedFile>),
-    /// Metadata search against the server index.
-    Search(Query),
     /// Nickname search — the crawler's discovery primitive.
     QueryUsers {
         /// Substring pattern matched against nicknames.
         pattern: String,
     },
-    /// Ask for sources of a file (retried every 20 minutes by clients).
-    QuerySources {
-        /// The file whose sources are requested.
-        file_id: FileId,
-    },
-    /// Ask for the server's list of other servers.
-    GetServerList,
 
     // --- server → client ---
-    /// Login accepted; carries the assigned client id.
-    IdChange {
-        /// Assigned client id (IP for high-id clients).
-        client_id: u32,
-    },
-    /// Search results: matching published files.
-    SearchResults(Vec<PublishedFile>),
     /// Reply to [`Message::QueryUsers`] — capped at 200 records by real
     /// servers, a cap the crawler works around by issuing many patterns.
     FoundUsers(Vec<UserRecord>),
-    /// Reply to [`Message::QuerySources`].
-    FoundSources {
-        /// The queried file.
-        file_id: FileId,
-        /// Known sources.
-        sources: Vec<SourceAddr>,
-    },
-    /// Known other servers.
-    ServerList(Vec<SourceAddr>),
-    /// Periodic server statistics (user count, file count).
-    ServerStatus {
-        /// Connected users.
-        users: u32,
-        /// Indexed files.
-        files: u32,
-    },
 
     // --- client ↔ client ---
-    /// Peer handshake.
-    Hello {
-        /// User hash.
-        uid: UserId,
-        /// Nickname.
-        nick: String,
-        /// Listening TCP port.
-        port: u16,
-    },
-    /// Handshake reply.
-    HelloReply {
-        /// User hash.
-        uid: UserId,
-        /// Nickname.
-        nick: String,
-    },
     /// Ask a peer for its full shared-file list (browse). Peers may refuse
     /// — the user-disabled feature that made the paper's crawl possible.
     BrowseRequest,
@@ -206,565 +92,4 @@ pub enum Message {
     BrowseResult(Vec<PublishedFile>),
     /// Browse refused (feature disabled).
     BrowseDenied,
-    /// Ask whether a peer shares a file.
-    QueryFile {
-        /// The file asked about.
-        file_id: FileId,
-    },
-    /// Reply: which parts of the file the peer has (bit `i` = part `i`).
-    FileStatus {
-        /// The file described.
-        file_id: FileId,
-        /// Part availability bitmap, little-endian bit order.
-        parts: Vec<u8>,
-    },
-    /// Request a download session for byte ranges of a file.
-    RequestParts {
-        /// The file requested.
-        file_id: FileId,
-        /// Up to three `(start, end)` byte ranges, per the protocol.
-        ranges: Vec<(u64, u64)>,
-    },
-    /// Ask for a file's part-hash set.
-    QueryHashset {
-        /// The file whose hashset is requested.
-        file_id: FileId,
-    },
-    /// Hashset reply: per-part digests.
-    Hashset {
-        /// The file described.
-        file_id: FileId,
-        /// Per-part MD4 digests.
-        parts: Vec<Digest>,
-    },
-}
-
-// Opcode constants. Historical values are used where they exist.
-const OP_LOGIN: u8 = 0x01;
-const OP_PUBLISH: u8 = 0x15;
-const OP_SEARCH: u8 = 0x16;
-const OP_QUERY_USERS: u8 = 0x1a;
-const OP_QUERY_SOURCES: u8 = 0x19;
-const OP_GET_SERVER_LIST: u8 = 0x14;
-const OP_ID_CHANGE: u8 = 0x40;
-const OP_SEARCH_RESULTS: u8 = 0x33;
-const OP_FOUND_USERS: u8 = 0x43;
-const OP_FOUND_SOURCES: u8 = 0x42;
-const OP_SERVER_LIST: u8 = 0x32;
-const OP_SERVER_STATUS: u8 = 0x34;
-const OP_HELLO: u8 = 0x4c;
-const OP_HELLO_REPLY: u8 = 0x4d;
-const OP_BROWSE_REQUEST: u8 = 0x4e;
-const OP_BROWSE_RESULT: u8 = 0x4f;
-const OP_BROWSE_DENIED: u8 = 0x50;
-const OP_QUERY_FILE: u8 = 0x58;
-const OP_FILE_STATUS: u8 = 0x59;
-const OP_REQUEST_PARTS: u8 = 0x47;
-const OP_QUERY_HASHSET: u8 = 0x51;
-const OP_HASHSET: u8 = 0x52;
-
-fn encode_digest_list(w: &mut Writer, items: &[Digest]) {
-    w.u32(items.len() as u32);
-    for d in items {
-        w.bytes(d.as_bytes());
-    }
-}
-
-fn read_digest_list(r: &mut Reader<'_>) -> Result<Vec<Digest>, DecodeError> {
-    let count = r.u32()?;
-    if (count as usize).saturating_mul(16) > r.remaining() {
-        return Err(DecodeError::BadCount(count));
-    }
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        out.push(Digest(r.bytes(16)?.try_into().expect("16 bytes")));
-    }
-    Ok(out)
-}
-
-fn encode_published_files(w: &mut Writer, files: &[PublishedFile]) {
-    w.u32(files.len() as u32);
-    for f in files {
-        f.encode(w);
-    }
-}
-
-fn read_published_files(r: &mut Reader<'_>) -> Result<Vec<PublishedFile>, DecodeError> {
-    let count = r.u32()?;
-    // Each record is at least 16 + 4 + 2 + 4 bytes.
-    if (count as usize).saturating_mul(26) > r.remaining() {
-        return Err(DecodeError::BadCount(count));
-    }
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        out.push(PublishedFile::read(r)?);
-    }
-    Ok(out)
-}
-
-fn encode_sources(w: &mut Writer, sources: &[SourceAddr]) {
-    w.u32(sources.len() as u32);
-    for s in sources {
-        w.u32(s.ip);
-        w.u16(s.port);
-    }
-}
-
-fn read_sources(r: &mut Reader<'_>) -> Result<Vec<SourceAddr>, DecodeError> {
-    let count = r.u32()?;
-    if (count as usize).saturating_mul(6) > r.remaining() {
-        return Err(DecodeError::BadCount(count));
-    }
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        out.push(SourceAddr {
-            ip: r.u32()?,
-            port: r.u16()?,
-        });
-    }
-    Ok(out)
-}
-
-impl Message {
-    /// The opcode byte identifying this message on the wire.
-    pub fn opcode(&self) -> u8 {
-        match self {
-            Message::Login { .. } => OP_LOGIN,
-            Message::PublishFiles(_) => OP_PUBLISH,
-            Message::Search(_) => OP_SEARCH,
-            Message::QueryUsers { .. } => OP_QUERY_USERS,
-            Message::QuerySources { .. } => OP_QUERY_SOURCES,
-            Message::GetServerList => OP_GET_SERVER_LIST,
-            Message::IdChange { .. } => OP_ID_CHANGE,
-            Message::SearchResults(_) => OP_SEARCH_RESULTS,
-            Message::FoundUsers(_) => OP_FOUND_USERS,
-            Message::FoundSources { .. } => OP_FOUND_SOURCES,
-            Message::ServerList(_) => OP_SERVER_LIST,
-            Message::ServerStatus { .. } => OP_SERVER_STATUS,
-            Message::Hello { .. } => OP_HELLO,
-            Message::HelloReply { .. } => OP_HELLO_REPLY,
-            Message::BrowseRequest => OP_BROWSE_REQUEST,
-            Message::BrowseResult(_) => OP_BROWSE_RESULT,
-            Message::BrowseDenied => OP_BROWSE_DENIED,
-            Message::QueryFile { .. } => OP_QUERY_FILE,
-            Message::FileStatus { .. } => OP_FILE_STATUS,
-            Message::RequestParts { .. } => OP_REQUEST_PARTS,
-            Message::QueryHashset { .. } => OP_QUERY_HASHSET,
-            Message::Hashset { .. } => OP_HASHSET,
-        }
-    }
-
-    /// Encodes the message payload (opcode excluded) into `w`.
-    pub fn encode_payload(&self, w: &mut Writer) {
-        match self {
-            Message::Login {
-                uid,
-                nick,
-                port,
-                tags,
-            } => {
-                w.bytes(uid.as_bytes());
-                w.str16(nick);
-                w.u16(*port);
-                tags.encode(w);
-            }
-            Message::PublishFiles(files) => encode_published_files(w, files),
-            Message::Search(query) => query.encode(w),
-            Message::QueryUsers { pattern } => w.str16(pattern),
-            Message::QuerySources { file_id } => w.bytes(file_id.as_bytes()),
-            Message::GetServerList => {}
-            Message::IdChange { client_id } => w.u32(*client_id),
-            Message::SearchResults(files) => encode_published_files(w, files),
-            Message::FoundUsers(users) => {
-                w.u32(users.len() as u32);
-                for u in users {
-                    u.encode(w);
-                }
-            }
-            Message::FoundSources { file_id, sources } => {
-                w.bytes(file_id.as_bytes());
-                encode_sources(w, sources);
-            }
-            Message::ServerList(servers) => encode_sources(w, servers),
-            Message::ServerStatus { users, files } => {
-                w.u32(*users);
-                w.u32(*files);
-            }
-            Message::Hello { uid, nick, port } => {
-                w.bytes(uid.as_bytes());
-                w.str16(nick);
-                w.u16(*port);
-            }
-            Message::HelloReply { uid, nick } => {
-                w.bytes(uid.as_bytes());
-                w.str16(nick);
-            }
-            Message::BrowseRequest | Message::BrowseDenied => {}
-            Message::BrowseResult(files) => encode_published_files(w, files),
-            Message::QueryFile { file_id } => w.bytes(file_id.as_bytes()),
-            Message::FileStatus { file_id, parts } => {
-                w.bytes(file_id.as_bytes());
-                w.u16(parts.len() as u16);
-                w.bytes(parts);
-            }
-            Message::RequestParts { file_id, ranges } => {
-                w.bytes(file_id.as_bytes());
-                w.u8(ranges.len() as u8);
-                for (start, end) in ranges {
-                    w.u64(*start);
-                    w.u64(*end);
-                }
-            }
-            Message::QueryHashset { file_id } => w.bytes(file_id.as_bytes()),
-            Message::Hashset { file_id, parts } => {
-                w.bytes(file_id.as_bytes());
-                encode_digest_list(w, parts);
-            }
-        }
-    }
-
-    /// Decodes a message from an opcode and payload bytes.
-    pub fn decode(opcode: u8, payload: &[u8]) -> Result<Message, DecodeError> {
-        let mut r = Reader::new(payload);
-        let read_digest = |r: &mut Reader<'_>| -> Result<Digest, DecodeError> {
-            Ok(Digest(r.bytes(16)?.try_into().expect("16 bytes")))
-        };
-        let msg = match opcode {
-            OP_LOGIN => {
-                let uid = read_digest(&mut r)?;
-                let nick = r.str16()?;
-                let port = r.u16()?;
-                let tags = TagList::read(&mut r)?;
-                Message::Login {
-                    uid,
-                    nick,
-                    port,
-                    tags,
-                }
-            }
-            OP_PUBLISH => Message::PublishFiles(read_published_files(&mut r)?),
-            OP_SEARCH => Message::Search(Query::read(&mut r)?),
-            OP_QUERY_USERS => Message::QueryUsers {
-                pattern: r.str16()?,
-            },
-            OP_QUERY_SOURCES => Message::QuerySources {
-                file_id: read_digest(&mut r)?,
-            },
-            OP_GET_SERVER_LIST => Message::GetServerList,
-            OP_ID_CHANGE => Message::IdChange {
-                client_id: r.u32()?,
-            },
-            OP_SEARCH_RESULTS => Message::SearchResults(read_published_files(&mut r)?),
-            OP_FOUND_USERS => {
-                let count = r.u32()?;
-                if (count as usize).saturating_mul(28) > r.remaining() {
-                    return Err(DecodeError::BadCount(count));
-                }
-                let mut users = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    users.push(UserRecord::read(&mut r)?);
-                }
-                Message::FoundUsers(users)
-            }
-            OP_FOUND_SOURCES => {
-                let file_id = read_digest(&mut r)?;
-                let sources = read_sources(&mut r)?;
-                Message::FoundSources { file_id, sources }
-            }
-            OP_SERVER_LIST => Message::ServerList(read_sources(&mut r)?),
-            OP_SERVER_STATUS => Message::ServerStatus {
-                users: r.u32()?,
-                files: r.u32()?,
-            },
-            OP_HELLO => {
-                let uid = read_digest(&mut r)?;
-                let nick = r.str16()?;
-                let port = r.u16()?;
-                Message::Hello { uid, nick, port }
-            }
-            OP_HELLO_REPLY => {
-                let uid = read_digest(&mut r)?;
-                let nick = r.str16()?;
-                Message::HelloReply { uid, nick }
-            }
-            OP_BROWSE_REQUEST => Message::BrowseRequest,
-            OP_BROWSE_RESULT => Message::BrowseResult(read_published_files(&mut r)?),
-            OP_BROWSE_DENIED => Message::BrowseDenied,
-            OP_QUERY_FILE => Message::QueryFile {
-                file_id: read_digest(&mut r)?,
-            },
-            OP_FILE_STATUS => {
-                let file_id = read_digest(&mut r)?;
-                let len = r.u16()?;
-                let parts = r.bytes(len as usize)?.to_vec();
-                Message::FileStatus { file_id, parts }
-            }
-            OP_REQUEST_PARTS => {
-                let file_id = read_digest(&mut r)?;
-                let count = r.u8()?;
-                let mut ranges = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    ranges.push((r.u64()?, r.u64()?));
-                }
-                Message::RequestParts { file_id, ranges }
-            }
-            OP_QUERY_HASHSET => Message::QueryHashset {
-                file_id: read_digest(&mut r)?,
-            },
-            OP_HASHSET => {
-                let file_id = read_digest(&mut r)?;
-                let parts = read_digest_list(&mut r)?;
-                Message::Hashset { file_id, parts }
-            }
-            other => return Err(DecodeError::BadOpcode(other)),
-        };
-        Ok(msg)
-    }
-
-    /// Encodes the message as a complete frame: marker, length, opcode,
-    /// payload.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use edonkey_proto::wire::Message;
-    ///
-    /// let frame = Message::BrowseRequest.to_frame();
-    /// let (msg, used) = Message::from_frame(&frame).unwrap();
-    /// assert_eq!(msg, Message::BrowseRequest);
-    /// assert_eq!(used, frame.len());
-    /// ```
-    pub fn to_frame(&self) -> Vec<u8> {
-        let mut payload = Writer::new();
-        self.encode_payload(&mut payload);
-        let payload = payload.into_vec();
-        let mut w = Writer::with_capacity(payload.len() + 6);
-        w.u8(PROTO_EDONKEY);
-        w.u32(payload.len() as u32 + 1); // length covers opcode + payload
-        w.u8(self.opcode());
-        w.bytes(&payload);
-        w.into_vec()
-    }
-
-    /// Decodes one frame from the front of `data`, returning the message
-    /// and the number of bytes consumed.
-    ///
-    /// Returns [`DecodeError::Truncated`] when `data` does not yet hold a
-    /// complete frame, so callers can use this directly on a growing
-    /// receive buffer.
-    pub fn from_frame(data: &[u8]) -> Result<(Message, usize), DecodeError> {
-        let mut r = Reader::new(data);
-        let marker = r.u8()?;
-        if marker != PROTO_EDONKEY {
-            return Err(DecodeError::BadProtocolMarker(marker));
-        }
-        let len = r.u32()?;
-        if len == 0 {
-            return Err(DecodeError::BadCount(0));
-        }
-        if len > MAX_FRAME_LEN {
-            return Err(DecodeError::FrameTooLarge(len));
-        }
-        let body = r.bytes(len as usize)?;
-        let msg = Message::decode(body[0], &body[1..])?;
-        Ok((msg, 5 + len as usize))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::query::Query;
-    use crate::tags::{SpecialTag, Tag, TagValue};
-
-    fn uid(b: u8) -> UserId {
-        Digest([b; 16])
-    }
-
-    fn sample_file(b: u8) -> PublishedFile {
-        PublishedFile {
-            file_id: Digest([b; 16]),
-            ip: 0x0a00_0001,
-            port: 4662,
-            tags: [
-                Tag::special(SpecialTag::Name, TagValue::String(format!("file-{b}.mp3"))),
-                Tag::special(SpecialTag::Size, TagValue::U32(3_500_000)),
-            ]
-            .into_iter()
-            .collect(),
-        }
-    }
-
-    fn all_messages() -> Vec<Message> {
-        vec![
-            Message::Login {
-                uid: uid(1),
-                nick: "crawler-01".into(),
-                port: 4662,
-                tags: TagList::new(),
-            },
-            Message::PublishFiles(vec![sample_file(2), sample_file(3)]),
-            Message::Search(Query::keyword("beatles")),
-            Message::QueryUsers {
-                pattern: "aab".into(),
-            },
-            Message::QuerySources {
-                file_id: Digest([9; 16]),
-            },
-            Message::GetServerList,
-            Message::IdChange {
-                client_id: 0x0a00_0001,
-            },
-            Message::SearchResults(vec![sample_file(4)]),
-            Message::FoundUsers(vec![UserRecord {
-                uid: uid(5),
-                client_id: 77,
-                nick: "aaberg".into(),
-                ip: 0x0a00_0002,
-                port: 4663,
-            }]),
-            Message::FoundSources {
-                file_id: Digest([6; 16]),
-                sources: vec![SourceAddr { ip: 1, port: 2 }, SourceAddr { ip: 3, port: 4 }],
-            },
-            Message::ServerList(vec![SourceAddr { ip: 5, port: 4661 }]),
-            Message::ServerStatus {
-                users: 200_000,
-                files: 11_000_000,
-            },
-            Message::Hello {
-                uid: uid(7),
-                nick: "peer".into(),
-                port: 4662,
-            },
-            Message::HelloReply {
-                uid: uid(8),
-                nick: "other".into(),
-            },
-            Message::BrowseRequest,
-            Message::BrowseResult(vec![sample_file(10)]),
-            Message::BrowseDenied,
-            Message::QueryFile {
-                file_id: Digest([11; 16]),
-            },
-            Message::FileStatus {
-                file_id: Digest([12; 16]),
-                parts: vec![0b1010_1010, 0x01],
-            },
-            Message::RequestParts {
-                file_id: Digest([13; 16]),
-                ranges: vec![(0, 9_728_000), (9_728_000, 19_456_000)],
-            },
-            Message::QueryHashset {
-                file_id: Digest([14; 16]),
-            },
-            Message::Hashset {
-                file_id: Digest([15; 16]),
-                parts: vec![uid(1), uid(2)],
-            },
-        ]
-    }
-
-    #[test]
-    fn every_message_frame_round_trips() {
-        for msg in all_messages() {
-            let frame = msg.to_frame();
-            let (decoded, used) =
-                Message::from_frame(&frame).unwrap_or_else(|e| panic!("{msg:?}: {e}"));
-            assert_eq!(used, frame.len(), "{msg:?}");
-            assert_eq!(decoded, msg);
-        }
-    }
-
-    #[test]
-    fn opcodes_are_unique() {
-        let msgs = all_messages();
-        let mut seen = std::collections::HashSet::new();
-        for m in &msgs {
-            assert!(
-                seen.insert(m.opcode()),
-                "duplicate opcode {:#04x}",
-                m.opcode()
-            );
-        }
-    }
-
-    #[test]
-    fn truncated_frames_ask_for_more() {
-        let frame = Message::ServerStatus { users: 1, files: 2 }.to_frame();
-        for cut in 0..frame.len() {
-            match Message::from_frame(&frame[..cut]) {
-                Err(DecodeError::Truncated { .. }) => {}
-                other => panic!("cut {cut}: expected Truncated, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn back_to_back_frames_report_consumed_length() {
-        let a = Message::BrowseRequest.to_frame();
-        let b = Message::GetServerList.to_frame();
-        let mut buf = a.clone();
-        buf.extend_from_slice(&b);
-        let (m1, used) = Message::from_frame(&buf).unwrap();
-        assert_eq!(m1, Message::BrowseRequest);
-        let (m2, used2) = Message::from_frame(&buf[used..]).unwrap();
-        assert_eq!(m2, Message::GetServerList);
-        assert_eq!(used + used2, buf.len());
-    }
-
-    #[test]
-    fn bad_marker_rejected() {
-        let mut frame = Message::BrowseRequest.to_frame();
-        frame[0] = 0x42;
-        assert!(matches!(
-            Message::from_frame(&frame),
-            Err(DecodeError::BadProtocolMarker(0x42))
-        ));
-    }
-
-    #[test]
-    fn oversized_frame_rejected() {
-        let mut w = Writer::new();
-        w.u8(PROTO_EDONKEY);
-        w.u32(MAX_FRAME_LEN + 1);
-        w.u8(OP_BROWSE_REQUEST);
-        assert!(matches!(
-            Message::from_frame(&w.into_vec()),
-            Err(DecodeError::FrameTooLarge(_))
-        ));
-    }
-
-    #[test]
-    fn unknown_opcode_rejected() {
-        let mut w = Writer::new();
-        w.u8(PROTO_EDONKEY);
-        w.u32(1);
-        w.u8(0xff);
-        assert!(matches!(
-            Message::from_frame(&w.into_vec()),
-            Err(DecodeError::BadOpcode(0xff))
-        ));
-    }
-
-    #[test]
-    fn corrupt_payload_rejected_not_panicking() {
-        // A Login frame whose tag list is cut off.
-        let msg = Message::Login {
-            uid: uid(1),
-            nick: "x".into(),
-            port: 1,
-            tags: [Tag::special(SpecialTag::Port, TagValue::U32(4662))]
-                .into_iter()
-                .collect(),
-        };
-        let frame = msg.to_frame();
-        // Shrink the announced length to chop the tags, keeping the header
-        // consistent so we exercise payload decoding, not framing.
-        let mut bad = frame.clone();
-        let new_len = (frame.len() - 5 - 4) as u32; // drop the tag's u32 value
-        bad[1..5].copy_from_slice(&new_len.to_le_bytes());
-        bad.truncate(5 + new_len as usize);
-        assert!(Message::from_frame(&bad).is_err());
-    }
 }

@@ -6,8 +6,8 @@
 //! This facade crate re-exports the workspace so examples and downstream
 //! users need a single dependency:
 //!
-//! * [`proto`] — the eDonkey protocol substrate (MD4, ed2k hashing,
-//!   tags, wire messages, the search-query language);
+//! * [`proto`] — the eDonkey protocol substrate (MD4, file kinds, the
+//!   crawl's login, `query-users` and browse messages);
 //! * [`netsim`] — the network + crawler simulation;
 //! * [`trace`] — the trace model, filtering/extrapolation pipeline, and
 //!   the appendix randomization algorithm;

@@ -7,12 +7,8 @@ use std::collections::{HashMap, HashSet};
 
 use edonkey_repro::analysis::banded::{self, BandedOverlapConfig};
 use edonkey_repro::analysis::semantic;
-use edonkey_repro::proto::error::{Reader, Writer};
-use edonkey_repro::proto::md4::{Digest, Md4};
+use edonkey_repro::proto::md4::Md4;
 use edonkey_repro::proto::query::FileKind;
-use edonkey_repro::proto::query::Query;
-use edonkey_repro::proto::tags::{Tag, TagList, TagValue};
-use edonkey_repro::proto::wire::{Message, PublishedFile, SourceAddr};
 use edonkey_repro::semsearch::experiment::{self, sweep_cells_threads};
 use edonkey_repro::semsearch::neighbours::{AnyPolicy, Lru, NeighbourPolicy, PolicyKind};
 use edonkey_repro::semsearch::overlay::{
@@ -75,64 +71,6 @@ fn availability(seed: u64, churn_permille: u32, adversary: Option<bool>) -> Avai
         }
     }
     avail
-}
-
-fn arb_digest() -> impl Strategy<Value = Digest> {
-    any::<[u8; 16]>().prop_map(Digest)
-}
-
-fn arb_tag() -> impl Strategy<Value = Tag> {
-    let value = prop_oneof![
-        any::<u32>().prop_map(TagValue::U32),
-        "[a-zA-Z0-9 ._-]{0,40}".prop_map(TagValue::String),
-    ];
-    ("[a-z]{2,12}", value).prop_map(|(name, value)| Tag::custom(name, value))
-}
-
-fn arb_published_file() -> impl Strategy<Value = PublishedFile> {
-    (
-        arb_digest(),
-        any::<u32>(),
-        any::<u16>(),
-        prop::collection::vec(arb_tag(), 0..4),
-    )
-        .prop_map(|(file_id, ip, port, tags)| PublishedFile {
-            file_id,
-            ip,
-            port,
-            tags: tags.into_iter().collect(),
-        })
-}
-
-fn arb_message() -> impl Strategy<Value = Message> {
-    prop_oneof![
-        (arb_digest(), "[a-z]{1,16}", any::<u16>()).prop_map(|(uid, nick, port)| {
-            Message::Login {
-                uid,
-                nick,
-                port,
-                tags: TagList::new(),
-            }
-        }),
-        prop::collection::vec(arb_published_file(), 0..5).prop_map(Message::PublishFiles),
-        "[a-z]{1,10}".prop_map(|p| Message::QueryUsers { pattern: p }),
-        arb_digest().prop_map(|d| Message::QuerySources { file_id: d }),
-        Just(Message::GetServerList),
-        Just(Message::BrowseRequest),
-        Just(Message::BrowseDenied),
-        prop::collection::vec(arb_published_file(), 0..5).prop_map(Message::BrowseResult),
-        (any::<u32>(), any::<u32>())
-            .prop_map(|(users, files)| Message::ServerStatus { users, files }),
-        prop::collection::vec((any::<u32>(), any::<u16>()), 0..6).prop_map(|v| {
-            Message::ServerList(
-                v.into_iter()
-                    .map(|(ip, port)| SourceAddr { ip, port })
-                    .collect(),
-            )
-        }),
-        (arb_digest(), prop::collection::vec(arb_digest(), 0..5))
-            .prop_map(|(file_id, parts)| Message::Hashset { file_id, parts }),
-    ]
 }
 
 /// Caches: up to 24 peers, each holding distinct refs below 64.
@@ -288,36 +226,6 @@ fn replica_histogram(caches: &[Vec<FileRef>]) -> HashMap<FileRef, usize> {
 // --- properties -------------------------------------------------------
 
 proptest! {
-    /// Every wire message survives a frame round-trip byte-exactly.
-    #[test]
-    fn wire_messages_round_trip(msg in arb_message()) {
-        let frame = msg.to_frame();
-        let (decoded, used) = Message::from_frame(&frame).expect("decode own frame");
-        prop_assert_eq!(used, frame.len());
-        prop_assert_eq!(decoded, msg);
-    }
-
-    /// Frame decoding never panics on arbitrary bytes; it either errors
-    /// or consumes a prefix.
-    #[test]
-    fn frame_decoder_is_total(bytes in prop::collection::vec(any::<u8>(), 0..128)) {
-        if let Ok((_, used)) = Message::from_frame(&bytes) {
-            prop_assert!(used <= bytes.len());
-        }
-    }
-
-    /// Tag lists round-trip through the binary codec.
-    #[test]
-    fn tag_lists_round_trip(tags in prop::collection::vec(arb_tag(), 0..8)) {
-        let list: TagList = tags.into_iter().collect();
-        let mut w = Writer::new();
-        list.encode(&mut w);
-        let bytes = w.into_vec();
-        let mut r = Reader::new(&bytes);
-        prop_assert_eq!(TagList::read(&mut r).expect("decode"), list);
-        prop_assert_eq!(r.remaining(), 0);
-    }
-
     /// The MD4 digest is invariant under arbitrary chunking.
     #[test]
     fn md4_chunking_invariance(
@@ -335,18 +243,6 @@ proptest! {
             hasher.update(&data[pair[0]..pair[1]]);
         }
         prop_assert_eq!(hasher.finalize(), expected);
-    }
-
-    /// Query text that parses always re-parses from its Display output
-    /// to the same AST.
-    #[test]
-    // Words of length >= 4 cannot collide with the AND/OR/NOT operators
-    // or the size/avail comparison atoms.
-    fn query_display_parse_fixpoint(words in prop::collection::vec("[a-z]{4,8}", 1..5)) {
-        let text = words.join(" AND ");
-        let q = Query::parse(&text).expect("well-formed");
-        let q2 = Query::parse(&q.to_string()).expect("display output re-parses");
-        prop_assert_eq!(q, q2);
     }
 
     /// Randomization preserves peer generosity and file popularity
