@@ -21,8 +21,6 @@ pub struct Client {
     pub uid: Digest,
     /// Current IPv4 address; DHCP renewals replace it.
     pub ip: u32,
-    /// Listening port.
-    pub port: u16,
     /// Whether the client is connected today.
     pub online: bool,
     /// Firewalled clients cannot accept inbound connections (the
@@ -50,7 +48,6 @@ impl Client {
             peer_idx,
             uid: info.uid,
             ip: info.ip,
-            port: 4662,
             online: false,
             firewalled,
             browsable,
@@ -95,8 +92,6 @@ impl Client {
                         let info = &population.files[f.index()].info;
                         PublishedFile {
                             file_id: info.id,
-                            ip: if self.firewalled { 0 } else { self.ip },
-                            port: self.port,
                             // No display names: the crawler needs content
                             // identity, size and kind (the released trace
                             // is anonymized anyway). The protocol's size
@@ -159,17 +154,5 @@ mod tests {
             closed.handle(&Message::BrowseRequest, &cache, &population),
             Some(Message::BrowseDenied)
         );
-    }
-
-    #[test]
-    fn firewalled_clients_publish_null_source_ip() {
-        let population = pop();
-        let fw = Client::new(&population, 2, true, true, 0.9);
-        let Some(Message::BrowseResult(files)) =
-            fw.handle(&Message::BrowseRequest, &[FileRef(3)], &population)
-        else {
-            panic!()
-        };
-        assert_eq!(files[0].ip, 0);
     }
 }

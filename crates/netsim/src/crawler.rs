@@ -320,7 +320,6 @@ impl Crawler {
             let login = Message::Login {
                 uid: crawler_uid,
                 nick: "crawler".into(),
-                port: 4662,
             };
             let session = server.connect(&login, 0x7f00_0001);
             for (pattern_idx, pattern) in patterns.iter().enumerate() {

@@ -179,7 +179,6 @@ impl<'a> Network<'a> {
             let login = Message::Login {
                 uid: client.uid,
                 nick: self.population.peers[idx].nick.clone(),
-                port: client.port,
             };
             let wire_ip = if client.firewalled { 0 } else { client.ip };
             self.servers[server_idx].connect(&login, wire_ip);

@@ -20,8 +20,6 @@ struct Session {
     uid: edonkey_proto::wire::UserId,
     nick: String,
     ip: u32,
-    port: u16,
-    client_id: u32,
 }
 
 /// One index server.
@@ -74,7 +72,7 @@ impl Server {
     /// Returns the assigned client id, the session key the caller must
     /// use for subsequent messages.
     pub fn connect(&mut self, msg: &Message, ip: u32) -> u32 {
-        let Message::Login { uid, nick, port } = msg else {
+        let Message::Login { uid, nick } = msg else {
             panic!("connect expects a Login message, got {msg:?}");
         };
         // High-id clients are addressed by IP; firewalled clients get a
@@ -92,8 +90,6 @@ impl Server {
                 uid: *uid,
                 nick: nick.clone(),
                 ip,
-                port: *port,
-                client_id,
             },
         );
         for gram in trigrams(nick) {
@@ -146,33 +142,31 @@ impl Server {
     /// Three-letter patterns (the crawler's whole query space) go
     /// through the trigram index; anything else falls back to a scan.
     fn query_users(&self, pattern: &str) -> Vec<UserRecord> {
-        let record = |s: &Session| UserRecord {
-            uid: s.uid,
-            client_id: s.client_id,
-            nick: s.nick.clone(),
-            ip: s.ip,
-            port: s.port,
-        };
-        let mut users: Vec<UserRecord> = if pattern.len() == 3 {
+        let mut ids: Vec<u32> = if pattern.len() == 3 {
             let key = {
                 let lower = pattern.to_ascii_lowercase();
                 let b = lower.as_bytes();
                 [b[0], b[1], b[2]]
             };
-            self.nick_index
-                .get(&key)
-                .map(|ids| ids.iter().map(|id| record(&self.sessions[id])).collect())
-                .unwrap_or_default()
+            self.nick_index.get(&key).cloned().unwrap_or_default()
         } else {
             self.sessions
-                .values()
-                .filter(|s| s.nick.contains(pattern))
-                .map(record)
+                .iter()
+                .filter(|(_, s)| s.nick.contains(pattern))
+                .map(|(&id, _)| id)
                 .collect()
         };
-        users.sort_by_key(|u| u.client_id);
-        users.truncate(Self::MAX_USER_REPLY);
-        users
+        ids.sort_unstable();
+        ids.truncate(Self::MAX_USER_REPLY);
+        ids.iter()
+            .map(|id| {
+                let s = &self.sessions[id];
+                UserRecord {
+                    uid: s.uid,
+                    ip: s.ip,
+                }
+            })
+            .collect()
     }
 }
 
@@ -185,7 +179,6 @@ mod tests {
         Message::Login {
             uid: Digest([n; 16]),
             nick: nick.into(),
-            port: 4662,
         }
     }
 
@@ -219,9 +212,13 @@ mod tests {
             s.connect(&login((i % 256) as u8, &nick), 1000 + i);
         }
         assert_eq!(found(&s, 1000, "aaa").len(), Server::MAX_USER_REPLY);
-        let users = found(&s, 1000, "aaa7");
-        assert_eq!(users.len(), 11, "aaa7, aaa7x, aaa17x…");
-        assert!(users.iter().all(|u| u.nick.contains("aaa7")));
+        // Nickname `aaa{i}` logged in with uid `[i; 16]`.
+        let uids: Vec<u8> = found(&s, 1000, "aaa7").iter().map(|u| u.uid.0[0]).collect();
+        assert_eq!(
+            uids,
+            [7, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79],
+            "aaa7 and aaa7x"
+        );
     }
 
     #[test]

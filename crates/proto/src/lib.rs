@@ -26,8 +26,6 @@
 //! // the size and kind the crawler records.
 //! let reply = Message::BrowseResult(vec![PublishedFile {
 //!     file_id: Md4::digest(b"file body"),
-//!     ip: 0x0a00_0001,
-//!     port: 4662,
 //!     size: 9,
 //!     kind: FileKind::Document,
 //! }]);

@@ -33,10 +33,6 @@ pub type FileId = Digest;
 pub struct PublishedFile {
     /// Content identifier.
     pub file_id: FileId,
-    /// Claimed source IPv4 address (0 when firewalled / low-id).
-    pub ip: u32,
-    /// Claimed source TCP port.
-    pub port: u16,
     /// File size in bytes, in the protocol's 32-bit size field (larger
     /// files are clamped to `u32::MAX`).
     pub size: u32,
@@ -49,15 +45,9 @@ pub struct PublishedFile {
 pub struct UserRecord {
     /// The user hash.
     pub uid: UserId,
-    /// Server-assigned client id (an IP for high-id clients, a small
-    /// number for firewalled low-id clients).
-    pub client_id: u32,
-    /// Nickname (what the crawler's `aaa`…`zzz` queries match against).
-    pub nick: String,
-    /// IPv4 address.
+    /// IPv4 address (0 for a firewalled client, which the crawler cannot
+    /// reach).
     pub ip: u32,
-    /// TCP port.
-    pub port: u16,
 }
 
 /// One eDonkey protocol message.
@@ -70,8 +60,6 @@ pub enum Message {
         uid: UserId,
         /// Nickname.
         nick: String,
-        /// Listening TCP port.
-        port: u16,
     },
     /// Nickname search — the crawler's discovery primitive.
     QueryUsers {

@@ -573,6 +573,17 @@ impl<R: Read + Seek> TraceReader<R> {
         self.declared_days
     }
 
+    /// Seeks back to the first day section for another pass over the
+    /// days, keeping the decoded intern tables. Every check of the
+    /// first pass (day order, the declared day count) applies afresh.
+    pub fn rewind(&mut self) -> Result<(), TraceIoError> {
+        self.src.seek(SeekFrom::Start(HEADER_LEN))?;
+        self.pos = HEADER_LEN;
+        self.days_read = 0;
+        self.last_day = None;
+        Ok(())
+    }
+
     /// Decodes the next day section, or `None` after the last one.
     ///
     /// Each snapshot is validated in full (day order, peer order and
@@ -1273,6 +1284,52 @@ mod tests {
                 .unwrap();
         }
         assert!(reader.next_day_arena().unwrap().is_none());
+    }
+
+    #[test]
+    fn rewound_reader_replays_the_days_and_their_count_check() {
+        let trace = sample_trace();
+        let bytes = to_bin(&trace);
+        let days = |reader: &mut TraceReader<Cursor<&[u8]>>| -> Vec<DayArena> {
+            std::iter::from_fn(|| reader.next_day_arena().unwrap()).collect()
+        };
+        let fresh = days(&mut TraceReader::new(Cursor::new(&bytes[..])).unwrap());
+        assert_eq!(fresh.len(), 2);
+        let mut reader = TraceReader::new(Cursor::new(&bytes[..])).unwrap();
+        reader.next_day_arena().unwrap().unwrap();
+        // Mid-stream and after the last day alike, a rewind restarts
+        // at the first day with the tables kept.
+        for _ in 0..2 {
+            reader.rewind().unwrap();
+            assert_eq!(days(&mut reader), fresh);
+            assert_eq!(reader.files(), &trace.files[..]);
+            assert_eq!(reader.peers(), &trace.peers[..]);
+        }
+
+        // End markers declaring one day too many or too few fail the
+        // same way on every pass.
+        for (declared, message) in [(3u32, "declares 3"), (1, "than the declared 1")] {
+            let mut forged = bytes.clone();
+            let n = forged.len();
+            forged[n - 12..n - 8].copy_from_slice(&declared.to_le_bytes());
+            let checksum = fnv1a64(&forged[n - 12..n - 8]);
+            forged[n - 8..].copy_from_slice(&checksum.to_le_bytes());
+            let mut reader = TraceReader::new(Cursor::new(&forged[..])).unwrap();
+            assert_eq!(reader.declared_days(), declared);
+            for _ in 0..2 {
+                let mut read = 0;
+                let err = loop {
+                    match reader.next_day_arena() {
+                        Ok(Some(_)) => read += 1,
+                        Ok(None) => panic!("declared {declared} days, read {read} cleanly"),
+                        Err(err) => break err,
+                    }
+                };
+                assert_eq!(read, declared.min(2), "days read before the error");
+                assert!(err.to_string().contains(message), "{err}");
+                reader.rewind().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -489,36 +489,35 @@ pub struct StreamedFilter {
 ///
 /// 1. stream every day accumulating one bit per peer (*did this client
 ///    ever share a file?*) — free-rider status needs the full period;
-/// 2. stream again, remapping each snapshot to the kept peers and
+/// 2. rewind the same reader (the intern tables are decoded once) and
+///    stream again, remapping each snapshot to the kept peers and
 ///    appending it to `output`.
 ///
-/// Peak resident memory is the intern tables plus **one**
+/// Peak resident memory is one copy of the intern tables plus **one**
 /// [`DaySnapshot`], not the trace: the paper-scale bottleneck was
 /// holding all 56 days × 1.16 M caches at once.
 pub fn filter_streaming(input: &Path, output: &Path) -> Result<StreamedFilter, TraceIoError> {
     // Pass 1: who ever shared? (The alias counts come from the peer
     // table, which the reader loads up front.) Days stream through in
     // CSR form — no per-cache allocations on either pass.
-    let mut pass1 = TraceReader::open(input)?;
-    let mut rule = AliasRule::new(pass1.peers().len());
-    while let Some(day) = pass1.next_day_arena()? {
+    let mut reader = TraceReader::open(input)?;
+    let mut rule = AliasRule::new(reader.peers().len());
+    while let Some(day) = reader.next_day_arena()? {
         rule.observe(&day);
     }
-    let (kept, remap, peers) = dense_remap(pass1.peers(), rule.keep(pass1.peers()));
+    let (kept, remap, peers) = dense_remap(reader.peers(), rule.keep(reader.peers()));
 
     // Pass 2: remap each CSR day and stream it out.
-    let files = pass1.files().to_vec();
-    drop(pass1);
-    let mut pass2 = TraceReader::open(input)?;
+    reader.rewind()?;
     let mut writer = TraceWriter::create(output)?;
     let mut days = 0u32;
     let mut out = DayArena::new(0);
-    while let Some(day) = pass2.next_day_arena()? {
+    while let Some(day) = reader.next_day_arena()? {
         remap_day_into(&day, &remap, &mut out);
         writer.write_day_arena(&out)?;
         days += 1;
     }
-    writer.finish(&files, &peers)?;
+    writer.finish(reader.files(), &peers)?;
     Ok(StreamedFilter { kept, days })
 }
 

@@ -19,8 +19,8 @@ use rand::Rng;
 /// Zipf; larger `q` flattens the head (the small flat region the paper
 /// observes before the log-log linear trend).
 ///
-/// Sampling is by binary search over the cumulative weights: O(log n) per
-/// draw after O(n) setup.
+/// Sampling is by binary search over the cumulative weights
+/// ([`sample_cumulative`]): O(log n) per draw after O(n) setup.
 ///
 /// # Examples
 ///
@@ -89,11 +89,7 @@ impl ZipfMandelbrot {
 
     /// Draws a rank.
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
-        let x = rng.gen_range(0.0..self.total());
-        // partition_point: first index whose cumulative weight exceeds x.
-        self.cumulative
-            .partition_point(|&c| c <= x)
-            .min(self.len() - 1)
+        sample_cumulative(&self.cumulative, &[], rng)
     }
 }
 
@@ -101,19 +97,101 @@ impl ZipfMandelbrot {
 /// cumulative value exceeds a uniform draw.
 ///
 /// Shared helper for the generator's many "weighted pick" tables.
+/// `guide` is the table's [`guide_for`] index, or empty to search the
+/// whole table; it only narrows the range searched, so both return the
+/// same index for the same draw and consume the same randomness.
 ///
 /// # Panics
 ///
 /// Panics if `cumulative` is empty or ends at a non-positive total.
-pub fn sample_cumulative(cumulative: &[f64], rng: &mut impl Rng) -> usize {
+///
+/// # Examples
+///
+/// ```
+/// use edonkey_workload::dist::{cumulative_from_weights, guide_for, sample_cumulative};
+/// use rand::SeedableRng;
+///
+/// let cum = cumulative_from_weights(&[1.0, 0.0, 3.0, 2.0, 0.5]);
+/// let guide = guide_for(&cum);
+/// let mut plain = rand::rngs::StdRng::seed_from_u64(5);
+/// let mut guided = plain.clone();
+/// for _ in 0..100 {
+///     assert_eq!(
+///         sample_cumulative(&cum, &[], &mut plain),
+///         sample_cumulative(&cum, &guide, &mut guided)
+///     );
+/// }
+/// ```
+pub fn sample_cumulative(cumulative: &[f64], guide: &[u32], rng: &mut impl Rng) -> usize {
     let total = *cumulative
         .last()
         .expect("cumulative table must be non-empty");
     assert!(total > 0.0, "cumulative table must have positive total");
     let x = rng.gen_range(0.0..total);
-    cumulative
-        .partition_point(|&c| c <= x)
-        .min(cumulative.len() - 1)
+    locate(cumulative, guide, total, x)
+}
+
+/// The index [`sample_cumulative`] returns for draw `x`.
+fn locate(cumulative: &[f64], guide: &[u32], total: f64, x: f64) -> usize {
+    let (lo, hi) = if guide.is_empty() {
+        (0, cumulative.len())
+    } else {
+        debug_assert_eq!(
+            guide[guide.len() - 1] as usize,
+            cumulative.len(),
+            "foreign guide"
+        );
+        let buckets = guide.len() - 1;
+        let b = guide_bucket(x, buckets as f64 / total, buckets);
+        (guide[b] as usize, guide[b + 1] as usize)
+    };
+    // partition_point: first index whose cumulative weight exceeds x.
+    (lo + cumulative[lo..hi].partition_point(|&c| c <= x)).min(cumulative.len() - 1)
+}
+
+/// Cumulative-table entries per guide bucket.
+const GUIDE_STRIDE: usize = 4;
+
+/// The guide bucket of value `v` among `buckets` equal slices of a
+/// table's total, given `scale = buckets / total`:
+/// `min(buckets − 1, ⌊v · scale⌋)`, monotone in `v`.
+fn guide_bucket(v: f64, scale: f64, buckets: usize) -> usize {
+    ((v * scale) as usize).min(buckets - 1)
+}
+
+/// Builds the guide ("cutpoint") index of a cumulative table for
+/// [`sample_cumulative`]: one bucket per four entries, and `guide[j]`
+/// is the first entry whose bucket is at least `j` (`guide[buckets]`
+/// is the table length).
+///
+/// Because the bucket map is monotone, every entry before `guide[j]`
+/// is below any draw in bucket `j` and every entry from `guide[j + 1]`
+/// on is above it, so the answer to a draw in bucket `j` lies in
+/// `guide[j] ..= guide[j + 1]`: an O(1) expected search that returns
+/// exactly the index the whole-table search does. A table nothing can
+/// be drawn from (empty, or with a zero total) gets an empty guide.
+///
+/// # Panics
+///
+/// Panics if `cumulative` holds more than `u32::MAX` entries.
+pub fn guide_for(cumulative: &[f64]) -> Vec<u32> {
+    let total = cumulative.last().copied().unwrap_or(0.0);
+    if total <= 0.0 {
+        return Vec::new();
+    }
+    let n = u32::try_from(cumulative.len()).expect("table indexes fit in u32");
+    let buckets = cumulative.len().div_ceil(GUIDE_STRIDE);
+    let scale = buckets as f64 / total;
+    let mut guide = Vec::with_capacity(buckets + 1);
+    for (i, &c) in (0u32..).zip(cumulative) {
+        // Entry `i` starts every bucket up to its own not yet started.
+        let b = guide_bucket(c, scale, buckets);
+        while guide.len() <= b {
+            guide.push(i);
+        }
+    }
+    guide.resize(buckets + 1, n);
+    guide
 }
 
 /// Builds a cumulative table from weights.
@@ -125,15 +203,20 @@ pub fn sample_cumulative(cumulative: &[f64], rng: &mut impl Rng) -> usize {
 /// assert_eq!(cumulative_from_weights(&[1.0, 2.0, 3.0]), vec![1.0, 3.0, 6.0]);
 /// ```
 pub fn cumulative_from_weights(weights: &[f64]) -> Vec<f64> {
+    let mut cumulative = weights.to_vec();
+    cumulate(&mut cumulative);
+    cumulative
+}
+
+/// Replaces weights by their running sums, in place: the table
+/// [`cumulative_from_weights`] builds, without a second buffer.
+pub(crate) fn cumulate(weights: &mut [f64]) {
     let mut acc = 0.0;
-    weights
-        .iter()
-        .map(|w| {
-            debug_assert!(*w >= 0.0, "weights must be non-negative");
-            acc += w;
-            acc
-        })
-        .collect()
+    for w in weights {
+        debug_assert!(*w >= 0.0, "weights must be non-negative");
+        acc += *w;
+        *w = acc;
+    }
 }
 
 /// A Pareto (power-law tail) distribution with scale `x_min` and shape
@@ -244,6 +327,7 @@ impl LogNormal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -299,10 +383,77 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut counts = [0usize; 3];
         for _ in 0..10_000 {
-            counts[sample_cumulative(&cum, &mut rng)] += 1;
+            counts[sample_cumulative(&cum, &[], &mut rng)] += 1;
         }
         assert_eq!(counts[1], 0, "zero-weight index must never be drawn");
         assert!(counts[2] > counts[0]);
+    }
+
+    /// Non-negative weights with a positive total: runs of zeros (at
+    /// either end, inside, and across whole guide buckets), runs of
+    /// equal weights and lone weights from 1e-12 to 1e12, and the
+    /// single-entry table.
+    fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
+        let weight = |milli_exp: i64| 10f64.powf(milli_exp as f64 / 1000.0);
+        let single = (-12_000i64..=12_000).prop_map(move |e| vec![weight(e)]);
+        let runs = (
+            0usize..9,
+            prop::collection::vec((0u32..4, 1usize..9, -12_000i64..=12_000), 1..40),
+            0usize..9,
+        )
+            .prop_map(move |(lead, runs, trail)| {
+                let mut weights = vec![0.0; lead];
+                for (kind, len, e) in runs {
+                    match kind {
+                        0 => weights.extend(std::iter::repeat_n(0.0, len)),
+                        1 => weights.extend(std::iter::repeat_n(weight(e), len)),
+                        _ => weights.push(weight(e)),
+                    }
+                }
+                if weights.iter().all(|&w| w == 0.0) {
+                    weights.push(1.0);
+                }
+                weights.extend(std::iter::repeat_n(0.0, trail));
+                weights
+            });
+        prop_oneof![single, runs]
+    }
+
+    proptest! {
+        /// The guide only narrows the search: over arbitrary tables the
+        /// guided draw returns the whole-table index and consumes the
+        /// same randomness, and so does every draw at a table value or
+        /// a bucket edge, or one ulp to either side of it.
+        #[test]
+        fn guided_draws_match_the_plain_search(weights in arb_weights(), seed in any::<u64>()) {
+            let cum = cumulative_from_weights(&weights);
+            let guide = guide_for(&cum);
+            prop_assert_eq!(guide.len(), cum.len().div_ceil(GUIDE_STRIDE) + 1);
+            let mut plain = StdRng::seed_from_u64(seed);
+            let mut guided = plain.clone();
+            for _ in 0..64 {
+                prop_assert_eq!(
+                    sample_cumulative(&cum, &[], &mut plain),
+                    sample_cumulative(&cum, &guide, &mut guided)
+                );
+            }
+            prop_assert_eq!(format!("{plain:?}"), format!("{guided:?}"));
+
+            let total = *cum.last().unwrap();
+            let buckets = guide.len() - 1;
+            let edges = (0..buckets).map(|j| j as f64 * total / buckets as f64);
+            for v in cum.iter().copied().chain(edges) {
+                for x in [v.next_down(), v, v.next_up()] {
+                    if (0.0..total).contains(&x) {
+                        prop_assert_eq!(
+                            locate(&cum, &[], total, x),
+                            locate(&cum, &guide, total, x),
+                            "draw {} of table {:?}", x, cum
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

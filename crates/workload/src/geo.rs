@@ -194,8 +194,8 @@ impl Geography {
 
     /// Samples a client location from the country and AS marginals.
     pub fn sample_location(&self, rng: &mut impl Rng) -> Location {
-        let country_idx = sample_cumulative(&self.country_cumulative, rng);
-        let as_idx = sample_cumulative(&self.as_cumulative[country_idx], rng);
+        let country_idx = sample_cumulative(&self.country_cumulative, &[], rng);
+        let as_idx = sample_cumulative(&self.as_cumulative[country_idx], &[], rng);
         Location {
             country_idx,
             country: self.countries[country_idx].code,
@@ -205,7 +205,7 @@ impl Geography {
 
     /// Samples a country index only (used for file home countries).
     pub fn sample_country(&self, rng: &mut impl Rng) -> usize {
-        sample_cumulative(&self.country_cumulative, rng)
+        sample_cumulative(&self.country_cumulative, &[], rng)
     }
 
     /// Allocates a fresh IP for the `n`-th client of an AS.

@@ -20,15 +20,21 @@
 //!   clustering), otherwise from the global popularity distribution.
 
 use edonkey_proto::md4::{Digest, Md4};
+use edonkey_proto::query::FileKind;
 use edonkey_trace::model::{FileInfo, FileRef, PeerInfo};
 use edonkey_trace::parallel_map_init_threads;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::collections::HashSet;
+use std::sync::mpsc;
 
 use crate::config::WorkloadConfig;
-use crate::dist::{cumulative_from_weights, sample_cumulative, LogNormal, Pareto, ZipfMandelbrot};
+use crate::dist::{
+    cumulate, cumulative_from_weights, guide_for, sample_cumulative, LogNormal, Pareto,
+    ZipfMandelbrot,
+};
 use crate::geo::Geography;
 use crate::names::nickname;
 
@@ -110,10 +116,11 @@ impl Population {
         Self::generate_with_threads(config, 1)
     }
 
-    /// [`Population::generate`] with the file ids and the interest-depth
-    /// tables built on `threads` workers. Neither consumes the RNG and
-    /// every table keeps its own summation order, so the population is
-    /// the same for any thread count.
+    /// [`Population::generate`] with the file ids hashed on a helper
+    /// thread beside the file draws (when `threads > 1`) and the
+    /// interest-depth tables built on `threads` workers. Neither
+    /// consumes the RNG and every table keeps its own summation order,
+    /// so the population is the same for any thread count.
     pub(crate) fn generate_with_threads(config: WorkloadConfig, threads: usize) -> Self {
         if let Err(msg) = config.validate() {
             panic!("invalid workload config: {msg}");
@@ -121,9 +128,8 @@ impl Population {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let geography = Geography::paper();
         let topics = Self::gen_topics(&config, &geography, &mut rng);
-        let mut files = Self::gen_files(&config, &topics, &mut rng);
+        let files = Self::gen_files(&config, &topics, &mut rng, threads);
         let peers = Self::gen_peers(&config, &geography, &topics, &mut rng);
-        Self::assign_file_ids(&mut files, config.seed, threads);
         Self::index(config, geography, topics, files, peers, threads)
     }
 
@@ -137,7 +143,16 @@ impl Population {
             .collect()
     }
 
-    fn gen_files(config: &WorkloadConfig, topics: &[Topic], rng: &mut StdRng) -> Vec<GenFile> {
+    /// Draws every file's attributes in order from `rng` and sets file
+    /// `i`'s id to `digest_of(seed, "file", i)`: chunk by chunk on a
+    /// helper thread while the next chunk is drawn when `threads > 1`,
+    /// inline otherwise.
+    fn gen_files(
+        config: &WorkloadConfig,
+        topics: &[Topic],
+        rng: &mut StdRng,
+        threads: usize,
+    ) -> Vec<GenFile> {
         // Files spread across topics flatter than consumption: niche
         // topics carry deep catalogues (config.topic_assignment_skew).
         let skew = config.topic_assignment_skew;
@@ -147,6 +162,7 @@ impl Population {
                 .map(|t| t.weight.powf(skew))
                 .collect::<Vec<_>>(),
         );
+        let topic_guide = guide_for(&topic_cum);
         let kind_cum = cumulative_from_weights(
             &config
                 .kind_profiles
@@ -162,48 +178,68 @@ impl Population {
         let attraction = Pareto::new(1.0, config.file_attractiveness_alpha);
         let end_day = config.start_day + config.days;
         let pre_span = 180u32; // catalogue accumulated before the crawl
-        (0..config.files)
-            .map(|_| {
-                let topic_idx = sample_cumulative(&topic_cum, rng);
-                let kind_idx = sample_cumulative(&kind_cum, rng);
-                let profile = &config.kind_profiles[kind_idx];
-                let size = size_samplers[kind_idx].sample(rng).max(1.0) as u64;
-                let birth_day = if rng.gen_bool(config.born_before_fraction) {
-                    config.start_day.saturating_sub(rng.gen_range(1..=pre_span))
-                } else {
-                    rng.gen_range(config.start_day..end_day)
-                };
-                // Cap the heavy tail so one file cannot dwarf the system.
-                let intrinsic = attraction.sample(rng).min(config.file_attractiveness_cap);
-                GenFile {
-                    info: FileInfo {
-                        // Filled by `assign_file_ids`, off the RNG stream.
-                        id: Digest([0; 16]),
-                        size,
-                        kind: profile.kind,
-                    },
-                    topic: topic_idx as u32,
-                    home_country: topics[topic_idx].home_country,
-                    attractiveness: topics[topic_idx].weight * intrinsic * profile.attractiveness,
-                    birth_day,
-                }
-            })
-            .collect()
-    }
-
-    /// Sets file `i`'s id to `digest_of(seed, "file", i)`, sharded over
-    /// `threads` contiguous ranges.
-    fn assign_file_ids(files: &mut [GenFile], seed: u64, threads: usize) {
-        let per = files.len().div_ceil(threads.max(1)).max(1);
+        let mut draw = || {
+            let topic_idx = sample_cumulative(&topic_cum, &topic_guide, rng);
+            let kind_idx = sample_cumulative(&kind_cum, &[], rng);
+            let profile = &config.kind_profiles[kind_idx];
+            let size = size_samplers[kind_idx].sample(rng).max(1.0) as u64;
+            let birth_day = if rng.gen_bool(config.born_before_fraction) {
+                config.start_day.saturating_sub(rng.gen_range(1..=pre_span))
+            } else {
+                rng.gen_range(config.start_day..end_day)
+            };
+            // Cap the heavy tail so one file cannot dwarf the system.
+            let intrinsic = attraction.sample(rng).min(config.file_attractiveness_cap);
+            GenFile {
+                info: FileInfo {
+                    // Hashed once the chunk is drawn, off the RNG stream.
+                    id: Digest([0; 16]),
+                    size,
+                    kind: profile.kind,
+                },
+                topic: topic_idx as u32,
+                home_country: topics[topic_idx].home_country,
+                attractiveness: topics[topic_idx].weight * intrinsic * profile.attractiveness,
+                birth_day,
+            }
+        };
+        let seed = config.seed;
+        let hash_ids = move |start: usize, chunk: &mut [GenFile]| {
+            for (i, file) in (start..).zip(chunk) {
+                file.info.id = digest_of(seed, "file", i as u64);
+            }
+        };
+        let blank = GenFile {
+            info: FileInfo {
+                id: Digest([0; 16]),
+                size: 0,
+                kind: FileKind::Audio,
+            },
+            topic: 0,
+            home_country: 0,
+            attractiveness: 0.0,
+            birth_day: 0,
+        };
+        let mut files = vec![blank; config.files];
         std::thread::scope(|scope| {
-            for (c, chunk) in files.chunks_mut(per).enumerate() {
+            let hasher = (threads > 1).then(|| {
+                let (tx, rx) = mpsc::channel::<(usize, &mut [GenFile])>();
                 scope.spawn(move || {
-                    for (i, file) in (c * per..).zip(chunk) {
-                        file.info.id = digest_of(seed, "file", i as u64);
+                    for (start, chunk) in rx {
+                        hash_ids(start, chunk);
                     }
                 });
+                tx
+            });
+            for (c, chunk) in files.chunks_mut(ID_CHUNK).enumerate() {
+                chunk.fill_with(&mut draw);
+                match &hasher {
+                    Some(tx) => tx.send((c * ID_CHUNK, chunk)).expect("id hasher alive"),
+                    None => hash_ids(c * ID_CHUNK, chunk),
+                }
             }
         });
+        files
     }
 
     fn gen_peers(
@@ -259,9 +295,9 @@ impl Population {
                     guard += 1;
                     let local = &country_topics[location.country_idx];
                     let topic = if !local.is_empty() && rng.gen_bool(config.topic_locality) {
-                        local[sample_cumulative(&country_topic_cum[location.country_idx], rng)]
+                        local[sample_cumulative(&country_topic_cum[location.country_idx], &[], rng)]
                     } else {
-                        sample_cumulative(&topic_cum, rng) as u32
+                        sample_cumulative(&topic_cum, &[], rng) as u32
                     };
                     if !interests.contains(&topic) {
                         interests.push(topic);
@@ -291,36 +327,52 @@ impl Population {
         peers: Vec<GenPeer>,
         threads: usize,
     ) -> Self {
-        let mut topic_files: Vec<Vec<u32>> = vec![Vec::new(); topics.len()];
-        let mut country_files: Vec<Vec<u32>> = vec![Vec::new(); geography.countries().len()];
+        // One pass takes the attractiveness column and counts the lists,
+        // a second fills the presized lists in ascending file order.
+        let mut global_cum = Vec::with_capacity(files.len());
+        let mut topic_lens = vec![0usize; topics.len()];
+        let mut country_lens = vec![0usize; geography.countries().len()];
+        for file in &files {
+            global_cum.push(file.attractiveness);
+            topic_lens[file.topic as usize] += 1;
+            country_lens[file.home_country] += 1;
+        }
+        let presized = |lens: Vec<usize>| -> Vec<Vec<u32>> {
+            lens.into_iter().map(Vec::with_capacity).collect()
+        };
+        let mut topic_files = presized(topic_lens);
+        let mut country_files = presized(country_lens);
         for (idx, file) in files.iter().enumerate() {
             topic_files[file.topic as usize].push(idx as u32);
             country_files[file.home_country].push(idx as u32);
         }
-        let weight_table = |list: &[u32]| -> Vec<f64> {
-            cumulative_from_weights(
-                &list
-                    .iter()
-                    .map(|&f| files[f as usize].attractiveness)
-                    .collect::<Vec<_>>(),
-            )
+        // The lists gather their weights from the 8-byte column, not
+        // from the 56-byte files.
+        let column = &global_cum;
+        let table = |mut weights: Vec<f64>| {
+            cumulate(&mut weights);
+            weights
         };
         // Interest draws flatten within-topic popularity: collectors dig
         // into their topics' tails (the source of rare-file clustering).
         let depth = config.interest_depth;
-        let depth_table = |list: &[u32]| -> Vec<f64> {
-            cumulative_from_weights(
-                &list
-                    .iter()
-                    .map(|&f| files[f as usize].attractiveness.powf(depth))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let topic_file_cum =
-            parallel_map_init_threads(&topic_files, threads, || (), |(), l| depth_table(l));
-        let country_file_cum = country_files.iter().map(|l| weight_table(l)).collect();
-        let global_cum =
-            cumulative_from_weights(&files.iter().map(|f| f.attractiveness).collect::<Vec<_>>());
+        let topic_file_cum = parallel_map_init_threads(
+            &topic_files,
+            threads,
+            || (),
+            |(), list| {
+                table(
+                    list.iter()
+                        .map(|&f| column[f as usize].powf(depth))
+                        .collect(),
+                )
+            },
+        );
+        let country_file_cum = country_files
+            .iter()
+            .map(|list| table(list.iter().map(|&f| column[f as usize]).collect()))
+            .collect();
+        cumulate(&mut global_cum);
         Population {
             config,
             geography,
@@ -364,28 +416,32 @@ impl Population {
             for _ in 0..8 {
                 let t = peer.interests[rng.gen_range(0..peer.interests.len())] as usize;
                 if !tables.topic_files[t].is_empty() && *tables.topic_cum[t].last().unwrap() > 0.0 {
-                    let i = sample_cumulative(&tables.topic_cum[t], rng);
+                    let i = sample_cumulative(&tables.topic_cum[t], &[], rng);
                     return tables.topic_files[t][i];
                 }
             }
         } else if roll < self.config.interest_mix + self.config.geo_mix {
             let c = peer.country_idx;
             if !tables.country_files[c].is_empty() && *tables.country_cum[c].last().unwrap() > 0.0 {
-                let i = sample_cumulative(&tables.country_cum[c], rng);
+                let i = sample_cumulative(&tables.country_cum[c], &tables.country_guide[c], rng);
                 return tables.country_files[c][i];
             }
         }
-        sample_cumulative(&tables.global_cum, rng) as u32
+        sample_cumulative(&tables.global_cum, &tables.global_guide, rng) as u32
     }
 
-    /// The static (lifecycle-free) sampling tables.
+    /// The static (lifecycle-free) sampling tables, with guide indexes
+    /// over the global and per-country tables (the draws that would
+    /// otherwise binary-search megabytes of weights).
     pub fn static_tables(&self) -> SampleTables<'_> {
         SampleTables {
             topic_files: &self.topic_files,
-            topic_cum: std::borrow::Cow::Borrowed(&self.topic_file_cum),
+            topic_cum: Cow::Borrowed(&self.topic_file_cum),
             country_files: &self.country_files,
-            country_cum: std::borrow::Cow::Borrowed(&self.country_file_cum),
-            global_cum: std::borrow::Cow::Borrowed(&self.global_cum),
+            country_cum: Cow::Borrowed(&self.country_file_cum),
+            country_guide: self.country_file_cum.iter().map(|c| guide_for(c)).collect(),
+            global_cum: Cow::Borrowed(&self.global_cum),
+            global_guide: guide_for(&self.global_cum),
         }
     }
 
@@ -413,22 +469,25 @@ impl Population {
         let table = |list: &[u32], w: &[f64]| -> Vec<f64> {
             cumulative_from_weights(&list.iter().map(|&f| w[f as usize]).collect::<Vec<_>>())
         };
+        // Rebuilt every day for a few thousand draws: no guides.
         SampleTables {
             topic_files: &self.topic_files,
-            topic_cum: std::borrow::Cow::Owned(
+            topic_cum: Cow::Owned(
                 self.topic_files
                     .iter()
                     .map(|l| table(l, &depth_weights))
                     .collect(),
             ),
             country_files: &self.country_files,
-            country_cum: std::borrow::Cow::Owned(
+            country_cum: Cow::Owned(
                 self.country_files
                     .iter()
                     .map(|l| table(l, &weights))
                     .collect(),
             ),
-            global_cum: std::borrow::Cow::Owned(cumulative_from_weights(&weights)),
+            country_guide: vec![Vec::new(); self.country_files.len()],
+            global_cum: Cow::Owned(cumulative_from_weights(&weights)),
+            global_guide: Vec::new(),
         }
     }
 
@@ -477,11 +536,19 @@ impl Population {
 /// Borrowed or per-day sampling tables used by [`Population::sample_file`].
 pub struct SampleTables<'a> {
     topic_files: &'a [Vec<u32>],
-    topic_cum: std::borrow::Cow<'a, [Vec<f64>]>,
+    topic_cum: Cow<'a, [Vec<f64>]>,
     country_files: &'a [Vec<u32>],
-    country_cum: std::borrow::Cow<'a, [Vec<f64>]>,
-    global_cum: std::borrow::Cow<'a, [f64]>,
+    country_cum: Cow<'a, [Vec<f64>]>,
+    /// [`guide_for`] of each country table (empty: search it whole).
+    country_guide: Vec<Vec<u32>>,
+    global_cum: Cow<'a, [f64]>,
+    /// [`guide_for`] of `global_cum` (empty: search it whole).
+    global_guide: Vec<u32>,
 }
+
+/// Files per chunk [`Population::generate_with_threads`] hands to its
+/// id-hashing helper.
+const ID_CHUNK: usize = 4096;
 
 /// Derives a stable 16-byte identity from `(seed, label, index)`.
 fn digest_of(seed: u64, label: &str, index: u64) -> Digest {
@@ -515,6 +582,26 @@ mod tests {
             a.sample_static_caches(&mut rng_a),
             b.sample_static_caches(&mut rng_b)
         );
+    }
+
+    #[test]
+    fn population_build_is_thread_invariant() {
+        // 16 000 files: three whole id chunks and a partial one.
+        let config = WorkloadConfig::test_scale(42);
+        let one = Population::generate_with_threads(config.clone(), 1);
+        for threads in [2, 5] {
+            let other = Population::generate_with_threads(config.clone(), threads);
+            assert_eq!(other.file_infos(), one.file_infos(), "{threads} threads");
+            assert_eq!(other.peer_infos(), one.peer_infos(), "{threads} threads");
+            assert_eq!(other.topic_files, one.topic_files);
+            assert_eq!(other.topic_file_cum, one.topic_file_cum);
+            assert_eq!(other.country_files, one.country_files);
+            assert_eq!(other.country_file_cum, one.country_file_cum);
+            assert_eq!(other.global_cum, one.global_cum);
+        }
+        let id = |i: u64| digest_of(config.seed, "file", i);
+        assert_eq!(one.files[0].info.id, id(0));
+        assert_eq!(one.files[15_999].info.id, id(15_999));
     }
 
     #[test]
