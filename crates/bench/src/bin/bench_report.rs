@@ -61,8 +61,10 @@ use edonkey_bench::{alloc, Scale, Workload, SEED};
 use edonkey_semsearch::experiment::{self, PAPER_LIST_SIZES};
 use edonkey_semsearch::neighbours::PolicyKind;
 use edonkey_semsearch::serve::{serve_arena_threads, ServeConfig};
-use edonkey_semsearch::sim::{simulate_arena_health_with_scratch, SimScratch};
-use edonkey_semsearch::SimConfig;
+use edonkey_semsearch::sim::{
+    simulate_arena_health_with_scratch, simulate_arena_with_scratch, SimScratch,
+};
+use edonkey_semsearch::{SimConfig, SimResult};
 use edonkey_trace::compact::CacheArena;
 use edonkey_trace::io;
 use edonkey_trace::model::FileRef;
@@ -117,6 +119,22 @@ fn timed<R>(f: impl FnOnce() -> R) -> (R, Meas) {
             peak_rss_kb: alloc::peak_rss_kb().unwrap_or(0),
         },
     )
+}
+
+/// The sequential baseline the split sweeps are diffed against and
+/// timed by: `configs` run whole, in order, on one thread and one pooled
+/// scratch, over an arena packed from `caches` (packing included).
+fn sequential_sweep(
+    caches: &[Vec<FileRef>],
+    n_files: usize,
+    configs: &[SimConfig],
+) -> Vec<SimResult> {
+    let arena = CacheArena::from_caches(caches, n_files);
+    let mut scratch = SimScratch::new();
+    configs
+        .iter()
+        .map(|config| simulate_arena_with_scratch(&arena, config, &mut scratch))
+        .collect()
 }
 
 fn main() {
@@ -248,22 +266,13 @@ fn main() {
     ] {
         let configs = experiment::sweep_configs(policy, &PAPER_LIST_SIZES, false, SEED);
         let (sweep, m_split) = timed(|| experiment::sweep_cells(&arena, &configs));
-        let (seq_sweep, m_seq) = timed(|| {
-            experiment::sweep_list_sizes_seq(
-                &caches,
-                n_files,
-                policy,
-                &PAPER_LIST_SIZES,
-                false,
-                SEED,
-            )
-        });
+        let (seq_sweep, m_seq) = timed(|| sequential_sweep(&caches, n_files, &configs));
         assert!(
             sweep.len() == seq_sweep.len()
                 && sweep
                     .iter()
                     .zip(&seq_sweep)
-                    .all(|((result, _), s)| *result == s.result),
+                    .all(|((result, _), s)| result == s),
             "{name}: split-cell sweep must match the sequential oracle cell for cell"
         );
         let (profiled, stages) =
@@ -425,8 +434,8 @@ fn main() {
     // Pluggable index backends: the quiet LRU list-size sweep routed
     // through each IndexBackend at 1 and N threads. Three invariants are
     // asserted before the report writes: every backend is
-    // thread-count-invariant; SingleServer through the trait is
-    // bit-identical to the sequential pre-trait oracle; and with no
+    // thread-count-invariant; the SingleServer backend is
+    // bit-identical to the sequential whole-cell oracle; and with no
     // outage all three backends produce identical SimResults (routing
     // only changes how the fallback resolves, never which uploader
     // answers).
@@ -437,13 +446,10 @@ fn main() {
             edonkey_semsearch::IndexBackend::Federated { n_servers: 8 },
             edonkey_semsearch::IndexBackend::Dht { replication_k: 3 },
         ];
-        let oracle = experiment::sweep_list_sizes_seq(
+        let oracle = sequential_sweep(
             &caches,
             n_files,
-            PolicyKind::Lru,
-            &sizes,
-            false,
-            SEED,
+            &experiment::sweep_configs(PolicyKind::Lru, &sizes, false, SEED),
         );
         let (runs, m) = timed(|| {
             backends
@@ -470,9 +476,9 @@ fn main() {
             runs[0][0]
                 .iter()
                 .zip(&oracle)
-                .all(|((result, _), o)| *result == o.result),
-            "single-server backend through the trait must be bit-identical to the \
-             sequential pre-trait oracle"
+                .all(|((result, _), o)| result == o),
+            "single-server backend must be bit-identical to the sequential \
+             whole-cell oracle"
         );
         for (backend, run) in backends.iter().zip(&runs).skip(1) {
             assert!(

@@ -20,15 +20,6 @@ use crate::sim::{
     SearchHealth, SimConfig, SimResult, SimScratch, SplitScratch, SweepPrecomp,
 };
 
-/// One sweep point: a list size and its simulation result.
-#[derive(Clone, Debug)]
-pub struct SweepPoint {
-    /// Neighbour-list length.
-    pub list_size: usize,
-    /// Full simulation result.
-    pub result: SimResult,
-}
-
 /// The paper's canonical sweep sizes (x-axes of Figs. 18–20, 23).
 pub const PAPER_LIST_SIZES: [usize; 8] = [5, 10, 20, 40, 60, 100, 150, 200];
 
@@ -324,37 +315,6 @@ pub fn sweep_configs(
             two_hop,
             seed,
             availability: AvailabilityConfig::none(),
-        })
-        .collect()
-}
-
-/// Sequential oracle for a [`sweep_cells`] list-size sweep
-/// ([`sweep_configs`]): same cells, one thread, one scratch. The bench
-/// harness diffs the two to prove the parallel sweep is bit-identical.
-pub fn sweep_list_sizes_seq(
-    caches: &[Vec<FileRef>],
-    n_files: usize,
-    policy: PolicyKind,
-    list_sizes: &[usize],
-    two_hop: bool,
-    seed: u64,
-) -> Vec<SweepPoint> {
-    let arena = CacheArena::from_caches(caches, n_files);
-    let mut scratch = SimScratch::new();
-    list_sizes
-        .iter()
-        .map(|&list_size| {
-            let config = SimConfig {
-                list_size,
-                policy,
-                two_hop,
-                seed,
-                availability: AvailabilityConfig::none(),
-            };
-            SweepPoint {
-                list_size,
-                result: simulate_arena_with_scratch(&arena, &config, &mut scratch),
-            }
         })
         .collect()
 }
@@ -901,12 +861,13 @@ mod tests {
             PolicyKind::Lru,
             &sizes,
         );
-        let seq = sweep_list_sizes_seq(&caches, n, PolicyKind::Lru, &sizes, false, 1);
-        assert_eq!(par.len(), seq.len());
-        for ((p, s), &size) in par.iter().zip(&seq).zip(&sizes) {
-            assert_eq!(s.list_size, size);
-            assert_eq!(*p, s.result);
-        }
+        let arena = CacheArena::from_caches(&caches, n);
+        let mut scratch = SimScratch::new();
+        let seq: Vec<SimResult> = sweep_configs(PolicyKind::Lru, &sizes, false, 1)
+            .iter()
+            .map(|config| simulate_arena_with_scratch(&arena, config, &mut scratch))
+            .collect();
+        assert_eq!(par, seq);
     }
 
     #[test]

@@ -15,13 +15,16 @@
 //! alone?
 
 use edonkey_trace::compact::CacheArena;
-use edonkey_trace::model::FileRef;
 use edonkey_trace::pipeline::sorted_intersection_len;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
 use crate::neighbours::Peer;
+use crate::query::Tables;
+use crate::sim::{
+    merge_partials, simulate_cell_range, DrawnLists, SimConfig, SplitScratch, SweepPrecomp,
+};
 
 /// Gossip protocol parameters.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -167,48 +170,73 @@ fn merge_view(view: &mut Vec<Peer>, incoming: &[Peer], owner: Peer, capacity: us
 /// Measures the converged overlay with the Section 5.1 replay, using the
 /// *fixed* gossip views as each peer's neighbour list (no reactive
 /// updates — this isolates the proactive tier's contribution).
+///
+/// The views run as the lists of a quiet Random cell on the split path,
+/// over the arena's shared replay index for `seed`: the same request
+/// order as every other `seed` replay of the arena, and a Random list
+/// never changes.
 pub fn overlay_hit_rate(arena: &CacheArena, overlay: &SemanticOverlay, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let view_sets: Vec<HashSet<Peer>> = overlay
-        .views
-        .iter()
-        .map(|v| v.iter().copied().collect())
-        .collect();
-    let mut stream: Vec<(u32, FileRef)> = arena
-        .iter()
-        .enumerate()
-        .flat_map(|(p, cache)| cache.iter().map(move |&f| (p as u32, f)))
-        .collect();
-    for i in (1..stream.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        stream.swap(i, j);
-    }
-    let mut sharers: Vec<Vec<Peer>> = vec![Vec::new(); arena.n_files()];
-    let (mut requests, mut hits) = (0u64, 0u64);
-    for (peer, file) in stream {
-        let current = &sharers[file.index()];
-        if current.is_empty() {
-            sharers[file.index()].push(peer);
-            continue;
-        }
-        requests += 1;
-        if current.iter().any(|s| view_sets[peer as usize].contains(s)) {
-            hits += 1;
-        }
-        sharers[file.index()].push(peer);
-    }
-    if requests == 0 {
-        return 0.0;
-    }
-    hits as f64 / requests as f64
+    let list_size = overlay.views.iter().map(Vec::len).max().unwrap_or(0);
+    let cell = SimConfig::random(list_size.max(1)).with_seed(seed);
+    let pre = arena.derived_index(seed, || SweepPrecomp::new(arena, seed));
+    let part = simulate_cell_range(
+        arena,
+        &pre,
+        Some(&DrawnLists::from_lists(&overlay.views)),
+        &Tables::new(std::slice::from_ref(&cell), arena.n_peers()),
+        &cell,
+        (0, arena.n_peers() as u32),
+        &mut SplitScratch::new(),
+        false,
+    );
+    merge_partials(&pre, &[part]).0.hit_rate()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edonkey_trace::model::FileRef;
 
     fn f(i: u32) -> FileRef {
         FileRef(i)
+    }
+
+    /// `overlay_hit_rate`'s oracle: the Section 5.1 replay of the fixed
+    /// views with its own stream shuffle, sharer lists and view sets.
+    fn hit_rate_oracle(arena: &CacheArena, overlay: &SemanticOverlay, seed: u64) -> f64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let view_sets: Vec<HashSet<Peer>> = overlay
+            .views
+            .iter()
+            .map(|v| v.iter().copied().collect())
+            .collect();
+        let mut stream: Vec<(u32, FileRef)> = arena
+            .iter()
+            .enumerate()
+            .flat_map(|(p, cache)| cache.iter().map(move |&f| (p as u32, f)))
+            .collect();
+        for i in (1..stream.len()).rev() {
+            let j = rng.gen_range(0..=i);
+            stream.swap(i, j);
+        }
+        let mut sharers: Vec<Vec<Peer>> = vec![Vec::new(); arena.n_files()];
+        let (mut requests, mut hits) = (0u64, 0u64);
+        for (peer, file) in stream {
+            let current = &sharers[file.index()];
+            if current.is_empty() {
+                sharers[file.index()].push(peer);
+                continue;
+            }
+            requests += 1;
+            if current.iter().any(|s| view_sets[peer as usize].contains(s)) {
+                hits += 1;
+            }
+            sharers[file.index()].push(peer);
+        }
+        if requests == 0 {
+            return 0.0;
+        }
+        hits as f64 / requests as f64
     }
 
     /// Communities of 6 peers with heavily overlapping caches, plus
@@ -312,6 +340,29 @@ mod tests {
         let short_rate = overlay_hit_rate(&arena, &short, 3);
         let long_rate = overlay_hit_rate(&arena, &long, 3);
         assert!(long_rate >= short_rate - 0.05, "{short_rate} → {long_rate}");
+    }
+
+    #[test]
+    fn hit_rate_matches_the_standalone_replay() {
+        // The clustered fixture, and one where 300 peers share a
+        // popular file, so hit checks also probe member by member.
+        let popular: Vec<Vec<FileRef>> = (0..300u32)
+            .map(|p| vec![f(0), f(1 + p % 40), f(41 + p % 7)])
+            .collect();
+        for arena in [clustered(), CacheArena::from_caches(&popular, 48)] {
+            for (semantic_view, cycles) in [(1, 0), (5, 3), (20, 25)] {
+                let config = GossipConfig {
+                    semantic_view,
+                    cycles,
+                    ..GossipConfig::default()
+                };
+                let overlay = build_overlay(&arena, &config);
+                for seed in [1, 7, 0x905_51b] {
+                    let rate = overlay_hit_rate(&arena, &overlay, seed);
+                    assert_eq!(rate, hit_rate_oracle(&arena, &overlay, seed), "{config:?}");
+                }
+            }
+        }
     }
 
     #[test]

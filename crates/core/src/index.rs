@@ -6,12 +6,10 @@
 //! and its descendants replaced the server with a Kademlia DHT. This
 //! module extracts the simulator's index-server surface — "is the index
 //! reachable for this request?" plus the routing cost of asking it —
-//! behind the [`IndexRoute`] trait, with three deterministic
-//! implementations:
+//! into [`IndexRouter::lookup`], over three deterministic backends:
 //!
-//! * [`SingleServerRoute`] — the paper's implicit backend, bit-identical
-//!   to the pre-trait simulator: reachable unless `outage_days` covers
-//!   the day, zero routing cost.
+//! * [`IndexRouter::Single`] — the paper's implicit backend: reachable
+//!   unless `outage_days` covers the day, zero routing cost.
 //! * [`FederatedRoute`] — `n_servers` index servers. Peers home onto
 //!   servers by splitmix64 hash (an eDonkey client holds one server
 //!   connection); file records live on a per-file aggregation server and
@@ -108,7 +106,7 @@ impl IndexBackend {
     /// Builds the run-scoped router (precomputes the DHT node table).
     pub fn router(&self, seed: u64) -> IndexRouter {
         match *self {
-            IndexBackend::SingleServer => IndexRouter::Single(SingleServerRoute),
+            IndexBackend::SingleServer => IndexRouter::Single,
             IndexBackend::Federated { n_servers } => IndexRouter::Federated(FederatedRoute {
                 seed,
                 n_servers: n_servers.max(1),
@@ -179,45 +177,6 @@ impl Lookup {
     }
 }
 
-/// One index backend's routing behaviour: resolve a final-miss lookup
-/// by `querier` for `file` at `(day, milli)` under `schedule`'s outage
-/// days. Implementations must be pure functions of their arguments (no
-/// interior state, no RNG) — the whole-cell simulator calls this from
-/// arbitrary thread interleavings and replays must agree bit-for-bit.
-pub trait IndexRoute {
-    /// Resolves one lookup; see [`Lookup`].
-    fn lookup(
-        &self,
-        schedule: &ChurnSchedule,
-        querier: Peer,
-        file: FileRef,
-        day: u32,
-        milli: u32,
-    ) -> Lookup;
-}
-
-/// The single fallback server: reachable unless the day is an outage
-/// day, zero routing cost. Byte-for-byte the pre-trait miss path.
-#[derive(Clone, Copy, Debug)]
-pub struct SingleServerRoute;
-
-impl IndexRoute for SingleServerRoute {
-    fn lookup(
-        &self,
-        schedule: &ChurnSchedule,
-        _querier: Peer,
-        _file: FileRef,
-        day: u32,
-        _milli: u32,
-    ) -> Lookup {
-        if schedule.server_out(day) {
-            Lookup::stranded(0, 0)
-        } else {
-            Lookup::resolved(0, 0)
-        }
-    }
-}
-
 /// The server federation. `outage_days` here means "one federation
 /// member is down that day" — which one is a `(churn_seed, day)` draw —
 /// so a blanket outage schedule that blacks out the single server only
@@ -259,7 +218,8 @@ impl FederatedRoute {
     }
 }
 
-impl IndexRoute for FederatedRoute {
+impl FederatedRoute {
+    /// Resolves one lookup; see [`IndexRouter::lookup`].
     fn lookup(
         &self,
         schedule: &ChurnSchedule,
@@ -364,7 +324,8 @@ impl DhtRoute {
     }
 }
 
-impl IndexRoute for DhtRoute {
+impl DhtRoute {
+    /// Resolves one lookup; see [`IndexRouter::lookup`].
     fn lookup(
         &self,
         schedule: &ChurnSchedule,
@@ -412,16 +373,22 @@ impl IndexRoute for DhtRoute {
 /// simulator dispatches statically. Build via [`IndexBackend::router`].
 #[derive(Clone, Debug)]
 pub enum IndexRouter {
-    /// See [`SingleServerRoute`].
-    Single(SingleServerRoute),
+    /// The single fallback server: reachable unless the day is an
+    /// outage day, zero routing cost.
+    Single,
     /// See [`FederatedRoute`].
     Federated(FederatedRoute),
     /// See [`DhtRoute`].
     Dht(DhtRoute),
 }
 
-impl IndexRoute for IndexRouter {
-    fn lookup(
+impl IndexRouter {
+    /// Resolves a final-miss lookup by `querier` for `file` at
+    /// `(day, milli)` under `schedule`'s outage days; see [`Lookup`].
+    /// A pure function of its arguments (no interior state, no RNG):
+    /// the whole-cell simulator calls it from arbitrary thread
+    /// interleavings and replays must agree bit-for-bit.
+    pub fn lookup(
         &self,
         schedule: &ChurnSchedule,
         querier: Peer,
@@ -430,7 +397,8 @@ impl IndexRoute for IndexRouter {
         milli: u32,
     ) -> Lookup {
         match self {
-            IndexRouter::Single(r) => r.lookup(schedule, querier, file, day, milli),
+            IndexRouter::Single if schedule.server_out(day) => Lookup::stranded(0, 0),
+            IndexRouter::Single => Lookup::resolved(0, 0),
             IndexRouter::Federated(r) => r.lookup(schedule, querier, file, day, milli),
             IndexRouter::Dht(r) => r.lookup(schedule, querier, file, day, milli),
         }

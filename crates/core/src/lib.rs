@@ -13,7 +13,8 @@
 //! Modules:
 //! * [`index`] — pluggable index backends for the final-miss fallback
 //!   (single server, federated servers, Kademlia-style DHT);
-//! * [`neighbours`] — LRU, History (frequency) and Random list policies;
+//! * [`neighbours`] — the neighbour list under its LRU, History
+//!   (frequency), Random and rare-file LRU policies;
 //! * [`sim`] — the Section 5.1 request-replay simulator (one- and
 //!   two-hop);
 //! * [`filters`] — top-uploader and popular-file removal (Figs. 19/20),
@@ -58,14 +59,12 @@ pub mod sim;
 pub use experiment::{
     adversary_grid, churn_grid, randomization_sweep, sweep_cells, sweep_cells_threads,
     sweep_cells_threads_profiled, sweep_configs, AdversaryCell, ChurnCell, RandomizationPoint,
-    SweepPoint, SweepStages, CHURN_POLICIES, PAPER_LIST_SIZES,
+    SweepStages, CHURN_POLICIES, PAPER_LIST_SIZES,
 };
 pub use filters::{remove_top_files, remove_top_uploaders};
 pub use gossip::{build_overlay, overlay_hit_rate, GossipConfig, SemanticOverlay};
-pub use index::{IndexBackend, IndexRoute, IndexRouter, Lookup};
-pub use neighbours::{
-    AnyPolicy, History, Lru, NeighbourPolicy, PolicyKind, RandomList, RareLru, StaleReaction,
-};
+pub use index::{IndexBackend, IndexRouter, Lookup};
+pub use neighbours::{NeighbourList, PolicyKind, StaleReaction};
 pub use overlay::{
     simulate_overlay, simulate_overlay_health, simulate_overlay_reference, OverlayConfig,
     OverlayDayStats,

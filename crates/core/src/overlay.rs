@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
 use crate::index::IndexBackend;
-use crate::neighbours::{AnyPolicy, NeighbourPolicy, Peer, PolicyKind};
+use crate::neighbours::{NeighbourList, Peer, PolicyKind};
 use crate::query::{QueryCtx, Request, Tables, WalkScratch};
 use crate::sim::{AvailabilityConfig, SearchHealth, SimConfig};
 
@@ -157,8 +157,8 @@ pub fn simulate_overlay_health(
         .filter(|(_, c)| !c.is_empty())
         .map(|(p, _)| p as Peer)
         .collect();
-    let mut policies: Vec<AnyPolicy> = (0..n_peers as Peer)
-        .map(|p| AnyPolicy::new(config.policy, config.list_size, p, &sharer_pool, &mut rng))
+    let mut policies: Vec<NeighbourList> = (0..n_peers as Peer)
+        .map(|p| NeighbourList::new(config.policy, config.list_size, p, &sharer_pool, &mut rng))
         .collect();
     // The overlay runs the query kernel as a one-hop cell.
     let cell = SimConfig {
@@ -290,9 +290,9 @@ pub fn simulate_overlay_reference(
         .filter(|(_, c)| !c.is_empty())
         .map(|(p, _)| p as Peer)
         .collect();
-    let mut policies: Vec<AnyPolicy> = (0..n_peers)
+    let mut policies: Vec<NeighbourList> = (0..n_peers)
         .map(|p| {
-            AnyPolicy::new(
+            NeighbourList::new(
                 config.policy,
                 config.list_size,
                 p as Peer,
@@ -357,7 +357,8 @@ pub fn simulate_overlay_reference(
                 }
                 None => sources[rng.gen_range(0..sources.len())],
             };
-            policies[peer as usize].record_upload(uploader);
+            // Every upload counts as rare (0 sources), as in the kernel.
+            policies[peer as usize].record(uploader, 0);
         }
 
         // Roll the world forward to tonight's caches.

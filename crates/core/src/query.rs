@@ -10,10 +10,8 @@ use edonkey_trace::model::FileRef;
 use edonkey_workload::adversary::{AdversaryPlan, RoleTable};
 use edonkey_workload::churn::{ChurnSchedule, OfflineTable, QueryPolicy};
 
-use crate::index::{IndexBackend, IndexRoute, IndexRouter, DHT_HOP_LATENCY_MD, FED_HOP_LATENCY_MD};
-use crate::neighbours::{
-    AnyPolicy, NeighbourPolicy, Peer, PolicyKind, ReputationBook, StaleReaction,
-};
+use crate::index::{IndexBackend, IndexRouter, DHT_HOP_LATENCY_MD, FED_HOP_LATENCY_MD};
+use crate::neighbours::{NeighbourList, Peer, PolicyKind, ReputationBook, StaleReaction};
 use crate::sim::{fallback_index, SearchHealth, SimConfig};
 
 /// One overlay query round trip (ask the neighbours, hear back), in
@@ -264,7 +262,7 @@ impl<'a> QueryCtx<'a> {
         &self,
         scratch: &mut WalkScratch,
         req: &Request,
-        policies: &mut [AnyPolicy],
+        policies: &mut [NeighbourList],
         slot: usize,
         mut book: Option<&mut ReputationBook>,
         messages: &mut [u64],
@@ -465,7 +463,7 @@ impl<'a> QueryCtx<'a> {
     fn record(
         &self,
         req: &Request,
-        policy: &mut AnyPolicy,
+        policy: &mut NeighbourList,
         book: Option<&mut ReputationBook>,
         uploader: Peer,
         fell_back: bool,
@@ -501,7 +499,7 @@ impl<'a> QueryCtx<'a> {
         } else if hijacked {
             health.sybil_slots_held += 1;
         }
-        let (added, removed) = policy.record_upload_with_popularity_delta(recorded, req.popularity);
+        let (added, removed) = policy.record(recorded, req.popularity);
         if let Some(b) = book {
             if polluted || hijacked {
                 // Suspect any slot the adversary now holds; a repeat
@@ -532,7 +530,7 @@ impl<'a> QueryCtx<'a> {
         &self,
         scratch: &mut WalkScratch,
         req: &Request,
-        policies: &mut [AnyPolicy],
+        policies: &mut [NeighbourList],
         slot: usize,
         mut book: Option<&mut ReputationBook>,
         pick: impl FnOnce() -> Peer,

@@ -25,7 +25,7 @@
 //! time out (no message delivered, no mark stamped), the querier
 //! retries per its [`QueryPolicy`] with backoff in simulated time, and
 //! stale entries get the per-policy reaction of
-//! [`AnyPolicy::handle_stale`]. Day-scoped server outages strand final
+//! [`NeighbourList::handle_stale`]. Day-scoped server outages strand final
 //! misses: the file is not acquired and nothing is recorded. A
 //! [`SearchHealth`] ledger accounts for every attempt and reconciles
 //! exactly against the [`SimResult`] totals. When the schedule is quiet
@@ -44,7 +44,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use crate::index::IndexBackend;
-use crate::neighbours::{draw_random_list, AnyPolicy, NeighbourPolicy, Peer, PolicyKind};
+use crate::neighbours::{draw_random_list, Delta, NeighbourList, Peer, PolicyKind};
 use crate::query::{QueryCtx, Request, Tables, WalkScratch, QUERY_RTT_MD};
 
 /// Stateless server-fallback pick: which of the `len` current sharers
@@ -75,8 +75,8 @@ pub struct AvailabilityConfig {
     /// but still bit-identically harmless — when `churn` is quiet.
     pub virtual_days: u32,
     /// Which index backend resolves final misses (and how `outage_days`
-    /// degrade it). [`IndexBackend::SingleServer`] is the pre-trait
-    /// behaviour, bit-for-bit.
+    /// degrade it). [`IndexBackend::SingleServer`] is the paper's
+    /// single fallback server, bit-for-bit.
     pub backend: IndexBackend,
     /// Which peers play sybil / polluter / free-rider on which days
     /// (quiet by default — nobody attacks).
@@ -551,10 +551,10 @@ pub struct SimScratch {
     sharer_heads: Vec<u32>,
     sharer_len: Vec<u32>,
     sharer_flat: Vec<Peer>,
-    /// Pooled per-peer neighbour policies, renewed in place each run
-    /// ([`AnyPolicy::renew`] replays the construction draw sequence, so
-    /// reuse is invisible to the RNG stream).
-    policies: Vec<AnyPolicy>,
+    /// Pooled per-peer neighbour lists, renewed in place each run
+    /// ([`NeighbourList::renew`] replays the construction draw sequence,
+    /// so reuse is invisible to the RNG stream).
+    policies: Vec<NeighbourList>,
     /// Pooled candidate pool (the non-free-riders) for random lists.
     sharer_pool: Vec<Peer>,
     /// The query kernel's walk buffers.
@@ -571,7 +571,10 @@ impl SimScratch {
     /// final policy state the service-mode differential tests compare
     /// against. Empty before the first run.
     pub fn final_lists(&self) -> Vec<Vec<Peer>> {
-        self.policies.iter().map(AnyPolicy::snapshot).collect()
+        self.policies
+            .iter()
+            .map(|p| p.neighbours().to_vec())
+            .collect()
     }
 }
 
@@ -661,7 +664,7 @@ pub(crate) fn simulate_whole_cell(
         );
     }
     for p in policies.len()..n_peers {
-        policies.push(AnyPolicy::new(
+        policies.push(NeighbourList::new(
             config.policy,
             config.list_size,
             p as Peer,
@@ -774,9 +777,9 @@ pub fn simulate_reference(
     shuffle(&mut stream, &mut rng);
 
     // Mutable simulation state.
-    let mut policies: Vec<AnyPolicy> = (0..caches.len())
+    let mut policies: Vec<NeighbourList> = (0..caches.len())
         .map(|p| {
-            AnyPolicy::new(
+            NeighbourList::new(
                 config.policy,
                 config.list_size,
                 p as Peer,
@@ -848,7 +851,7 @@ pub fn simulate_reference(
 
         let uploader = uploader.expect("an uploader always exists here");
         let sources = sharers[file.index()].len() as u32;
-        policies[peer_idx].record_upload_with_popularity(uploader, sources);
+        policies[peer_idx].record(uploader, sources);
         sharers[file.index()].push(peer);
         holdings[peer_idx].insert(file);
     }
@@ -885,7 +888,7 @@ pub struct DrawnLists {
 impl DrawnLists {
     /// Draws the lists of peers `0..n_peers`, in peer order, from
     /// `pool`: the picks, list contents and generator state of renewing
-    /// one Random [`AnyPolicy`] per peer with the same arguments. A
+    /// one Random [`NeighbourList`] per peer with the same arguments. A
     /// peer-stamp array (`stamp[p] == owner + 1` ⇔ `p` is already
     /// listed) stands in for the list's membership set.
     ///
@@ -911,6 +914,20 @@ impl DrawnLists {
             off.push(flat.len() as u32);
         }
         DrawnLists { flat, off }
+    }
+
+    /// Adopts fixed lists, one per peer in peer order — the gossip
+    /// overlay's converged views, replayed as a Random cell's lists.
+    pub(crate) fn from_lists(lists: &[Vec<Peer>]) -> Self {
+        let mut off = vec![0];
+        off.extend(lists.iter().scan(0, |end, list| {
+            *end += list.len() as u32;
+            Some(*end)
+        }));
+        DrawnLists {
+            flat: lists.concat(),
+            off,
+        }
     }
 
     /// `peer`'s list, in draw order.
@@ -1134,7 +1151,7 @@ impl SweepPrecomp {
 /// kernel's walk buffers, and the quiet path's interval ledger.
 #[derive(Debug, Default)]
 pub struct SplitScratch {
-    policy: Option<AnyPolicy>,
+    policy: Option<NeighbourList>,
     walk: WalkScratch,
     /// Quiet path: `start_of[p]` is the request index at which member
     /// `p` became queryable — messages are settled per *interval* on
@@ -1161,7 +1178,7 @@ impl SplitScratch {
         } else {
             self.policy
                 .as_ref()
-                .map_or_else(Vec::new, AnyPolicy::snapshot)
+                .map_or_else(Vec::new, |p| p.neighbours().to_vec())
         }
     }
 }
@@ -1178,7 +1195,7 @@ const NO_PEER: u32 = u32::MAX;
 
 /// Peer-indexed policy state for the quiet split path.
 ///
-/// The `neighbours` policies hash every membership test and `memmove`
+/// A [`NeighbourList`] hashes every membership test and `memmove`s
 /// every head insert; amortised over ~10⁵ requests per cell that is
 /// most of a sweep's runtime. This mirror keeps the identical delta
 /// semantics (pinned by the split determinism tests) with O(1) LRU
@@ -1210,8 +1227,8 @@ struct QuietState {
     seen: Vec<u64>,
     clock: u64,
     /// History's member list, sorted by `(count, recency)` descending —
-    /// exactly [`History`]'s list order — or a Random list in draw
-    /// order.
+    /// exactly a History [`NeighbourList`]'s order — or a Random list
+    /// in draw order.
     list: Vec<Peer>,
 }
 
@@ -1285,9 +1302,9 @@ impl QuietState {
         self.len -= 1;
     }
 
-    /// [`Lru::record_upload_delta`] over the intrusive links: the tail
-    /// is the least recently used member, evicted before the insert,
-    /// exactly like the Vec policy's `pop`-then-`insert(0, ..)`.
+    /// An LRU [`NeighbourList::record`] over the intrusive links: the
+    /// tail is the least recently used member, evicted before the
+    /// insert, exactly like the list's `pop`-then-`insert(0, ..)`.
     #[inline]
     fn lru_record(&mut self, u: u32, cap: usize) -> Delta {
         if self.contains(u) {
@@ -1320,8 +1337,8 @@ impl QuietState {
         }
     }
 
-    /// [`History::record_upload_delta`] with the hash maps replaced by
-    /// generation-stamped arrays; the sorted member list and its
+    /// A History [`NeighbourList::record`] with the hash maps replaced
+    /// by generation-stamped arrays; the sorted member list and its
     /// rejection/placement rules are verbatim.
     fn hist_record(&mut self, u: u32, cap: usize) -> Delta {
         self.clock += 1;
@@ -1428,9 +1445,6 @@ impl QuietState {
         self.bits = bits;
     }
 }
-
-/// Membership delta of one policy update: `(added, removed)`.
-type Delta = (Option<Peer>, Option<Peer>);
 
 /// One subtask's contribution to a cell: every field merges by plain
 /// summation, in any grouping, so the cell merge (`merge_partials`) is
@@ -1703,7 +1717,7 @@ fn simulate_querier_churn<R: Replayed>(
     let (kind, cap) = (config.policy, config.list_size);
     let policy = scratch
         .policy
-        .get_or_insert_with(|| AnyPolicy::from_drawn(kind, cap, querier, drawn));
+        .get_or_insert_with(|| NeighbourList::from_drawn(kind, cap, querier, drawn));
     policy.renew_drawn(kind, cap, querier, drawn);
     let mut books = ctx.books(1);
     for req in requests {

@@ -213,7 +213,7 @@ pub struct QueryPolicy {
     /// Multiplier applied per further retry.
     pub backoff_factor: u32,
     /// Evict/probe neighbour entries that timed out (per-policy
-    /// reaction: see `AnyPolicy::handle_stale` in `edonkey-semsearch`).
+    /// reaction: see `NeighbourList::handle_stale` in `edonkey-semsearch`).
     pub handle_stale: bool,
     /// Consecutive within-request timeouts before the staleness
     /// reaction fires (≤ 1 = react on the first timeout). Probation

@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use edonkey_repro::semsearch::experiment::churn_grid;
-use edonkey_repro::semsearch::index::{IndexBackend, IndexRoute};
+use edonkey_repro::semsearch::index::IndexBackend;
 use edonkey_repro::semsearch::sim::{simulate_health, AvailabilityConfig, QueryPolicy};
 use edonkey_repro::semsearch::SimConfig;
 use edonkey_repro::trace::compact::CacheArena;

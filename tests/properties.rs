@@ -10,7 +10,7 @@ use edonkey_repro::analysis::semantic;
 use edonkey_repro::proto::md4::Md4;
 use edonkey_repro::proto::query::FileKind;
 use edonkey_repro::semsearch::experiment::{self, sweep_cells_threads};
-use edonkey_repro::semsearch::neighbours::{AnyPolicy, Lru, NeighbourPolicy, PolicyKind};
+use edonkey_repro::semsearch::neighbours::{NeighbourList, PolicyKind, StaleReaction};
 use edonkey_repro::semsearch::overlay::{
     simulate_overlay, simulate_overlay_reference, OverlayConfig,
 };
@@ -213,6 +213,78 @@ fn arb_retry_policy() -> impl Strategy<Value = RetryPolicy> {
     prop_oneof![Just(RetryPolicy::no_retry()), Just(RetryPolicy::backoff())]
 }
 
+/// Every list policy; RareLRU with a source cutoff of 0–3.
+fn arb_policy() -> impl Strategy<Value = PolicyKind> {
+    prop_oneof![
+        Just(PolicyKind::Lru),
+        Just(PolicyKind::History),
+        Just(PolicyKind::Random),
+        (0u32..4).prop_map(|max_sources| PolicyKind::RareLru { max_sources }),
+    ]
+}
+
+/// Up to 60 neighbour-list calls `(op, peer, arg)` on peers 0..16: op 0
+/// records `peer` with `arg` sources; ops 1 and 2 report `peer` stale
+/// or expel it, with `arg` as the replacement (`None` from 16 up).
+fn arb_list_calls() -> impl Strategy<Value = Vec<(u8, u32, u32)>> {
+    prop::collection::vec((0u8..3, 0u32..16, 0u32..20), 0..60)
+}
+
+/// Applies one [`arb_list_calls`] call to `list`, checking what the
+/// call itself promises and the invariants every list keeps after it.
+fn check_list_call(
+    list: &mut NeighbourList,
+    kind: PolicyKind,
+    owner: u32,
+    (op, peer, arg): (u8, u32, u32),
+) -> Result<(), String> {
+    let before = list.neighbours().to_vec();
+    let replacement = (arg < 16).then_some(arg);
+    let members = |l: &NeighbourList| -> HashSet<u32> { l.neighbours().iter().copied().collect() };
+    let was = members(list);
+    match op {
+        0 => {
+            let (added, removed) = list.record(peer, arg);
+            let now = members(list);
+            prop_assert_eq!(added.into_iter().collect::<HashSet<_>>(), &now - &was);
+            prop_assert_eq!(removed.into_iter().collect::<HashSet<_>>(), &was - &now);
+            match kind {
+                PolicyKind::Random => prop_assert_eq!(list.neighbours(), &before[..]),
+                PolicyKind::RareLru { max_sources } if arg > max_sources => {
+                    prop_assert_eq!(list.neighbours(), &before[..]);
+                }
+                PolicyKind::History => {}
+                _ => prop_assert_eq!(list.neighbours()[0], peer, "head is the latest uploader"),
+            }
+        }
+        1 => match list.handle_stale(peer, replacement) {
+            StaleReaction::Kept => prop_assert_eq!(list.neighbours(), &before[..]),
+            StaleReaction::Probed => prop_assert_eq!(members(list), was),
+            StaleReaction::Evicted => prop_assert_eq!(members(list), &was - &HashSet::from([peer])),
+            StaleReaction::Replaced => {
+                let mut expected = &was - &HashSet::from([peer]);
+                prop_assert!(expected.insert(replacement.expect("a replacement")));
+                prop_assert_eq!(members(list), expected);
+            }
+        },
+        _ => {
+            prop_assert_eq!(list.expel(peer, replacement), was.contains(&peer));
+            // Only a Random list can take the expelled peer straight back.
+            prop_assert!(!list.contains(peer) || replacement == Some(peer));
+        }
+    }
+    let listed = list.neighbours();
+    prop_assert!(listed.len() <= list.capacity());
+    prop_assert_eq!(members(list).len(), listed.len(), "duplicate-free");
+    for p in 0..16 {
+        prop_assert_eq!(list.contains(p), listed.contains(&p));
+    }
+    if kind == PolicyKind::Random {
+        prop_assert!(!list.contains(owner), "a Random list never holds its owner");
+    }
+    Ok(())
+}
+
 fn replica_histogram(caches: &[Vec<FileRef>]) -> HashMap<FileRef, usize> {
     let mut h = HashMap::new();
     for cache in caches {
@@ -277,17 +349,39 @@ proptest! {
         prop_assert_eq!(sorted_intersection_len(&va, &vb), expected.len());
     }
 
-    /// LRU neighbour lists never exceed capacity, never hold duplicates,
-    /// and always lead with the latest uploader.
+    /// Every neighbour list stays within capacity and duplicate-free
+    /// with `contains` agreeing, under any interleaving of records,
+    /// staleness reactions and expulsions, each call doing what it
+    /// reports; and a dirtied list renewed in place equals a fresh one.
     #[test]
-    fn lru_invariants(uploads in prop::collection::vec(0u32..12, 1..60), cap in 1usize..8) {
-        let mut lru = Lru::new(cap);
-        for &u in &uploads {
-            lru.record_upload(u);
-            prop_assert!(lru.neighbours().len() <= cap);
-            prop_assert_eq!(lru.neighbours()[0], u, "head is the latest uploader");
-            let set: HashSet<_> = lru.neighbours().iter().collect();
-            prop_assert_eq!(set.len(), lru.neighbours().len());
+    fn neighbour_list_invariants(
+        kind in arb_policy(),
+        cap in 1usize..8,
+        owner in 0u32..16,
+        seed in any::<u64>(),
+        calls in arb_list_calls(),
+        split in 0usize..60,
+    ) {
+        let pool: Vec<u32> = (0..16).collect();
+        let mut list = NeighbourList::new(kind, cap, owner, &pool, &mut StdRng::seed_from_u64(seed));
+        let (dirty, tail) = calls.split_at(split.min(calls.len()));
+        for &call in dirty {
+            check_list_call(&mut list, kind, owner, call)?;
+        }
+        let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(!seed), StdRng::seed_from_u64(!seed));
+        let mut fresh = NeighbourList::new(kind, cap, owner, &pool, &mut rng_b);
+        let mut renewed = list.clone();
+        renewed.renew(kind, cap, owner, &pool, &mut rng_a);
+        prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "same draws");
+        list.renew_drawn(kind, cap, owner, fresh.neighbours());
+        for call in std::iter::once(None).chain(tail.iter().map(Some)) {
+            for l in [&mut fresh, &mut renewed, &mut list] {
+                if let Some(&call) = call {
+                    check_list_call(l, kind, owner, call)?;
+                }
+            }
+            prop_assert_eq!(renewed.neighbours(), fresh.neighbours());
+            prop_assert_eq!(list.neighbours(), fresh.neighbours());
         }
     }
 
@@ -492,7 +586,7 @@ proptest! {
             let mut stamped = StdRng::seed_from_u64(seed);
             let lists = DrawnLists::draw(&mut stamped, list_size, &pool, n_peers);
             let mut hashed = StdRng::seed_from_u64(seed);
-            let mut policy = AnyPolicy::from_drawn(PolicyKind::Random, list_size, 0, &[]);
+            let mut policy = NeighbourList::from_drawn(PolicyKind::Random, list_size, 0, &[]);
             for owner in 0..n_peers as u32 {
                 policy.renew(PolicyKind::Random, list_size, owner, &pool, &mut hashed);
                 prop_assert_eq!(lists.list(owner), policy.neighbours(), "owner {}", owner);
@@ -660,9 +754,9 @@ proptest! {
         }
     }
 
-    /// The index-backend trait is invisible when quiet: routing every
-    /// final miss through an explicit `SingleServer` backend stays
-    /// bit-identical to the pre-trait request-replay oracle, for every
+    /// The index backend is invisible when quiet: routing every final
+    /// miss through an explicit `SingleServer` backend stays
+    /// bit-identical to the request-replay oracle, for every
     /// policy family.
     #[test]
     fn single_server_backend_matches_reference(caches in arb_caches(), seed in 0u64..200) {
@@ -761,7 +855,7 @@ proptest! {
         );
         prop_assert_eq!(simulate_overlay(&days, 340, 16, &armed), reference.clone());
         // The same quiet run routed through an explicit SingleServer
-        // backend stays pinned to the pre-trait overlay oracle too.
+        // backend stays pinned to the overlay oracle too.
         let routed = config.with_availability(
             AvailabilityConfig::none()
                 .with_query(QueryPolicy::retry_evict())
