@@ -29,7 +29,6 @@ pub mod overlap;
 pub mod peercache;
 pub mod popularity;
 pub mod semantic;
-pub mod similarity;
 pub mod sizes;
 pub mod spread;
 pub mod stats;

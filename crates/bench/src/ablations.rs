@@ -13,10 +13,11 @@ use edonkey_netsim::{run_crawl_full, CrawlerConfig, FaultConfig, NetConfig, Retr
 use edonkey_semsearch::gossip::{build_overlay, overlay_hit_rate, GossipConfig};
 use edonkey_semsearch::overlay::{simulate_overlay, steady_state_hit_rate, OverlayConfig};
 use edonkey_semsearch::serve::{serve_arena_threads, ArrivalConfig, ServeConfig};
-use edonkey_semsearch::sim::{
-    simulate_arena, simulate_arena_with_scratch, QueryPolicy, SimConfig, SimScratch,
+use edonkey_semsearch::sim::{QueryPolicy, SimConfig};
+use edonkey_semsearch::{
+    adversary_grid, churn_grid, sweep_cells, sweep_configs, AdversaryConfig, ChurnCell,
+    IndexBackend, PolicyKind,
 };
-use edonkey_semsearch::{adversary_grid, churn_grid, AdversaryConfig, ChurnCell, IndexBackend};
 use edonkey_trace::compact::{CacheArena, TraceArena};
 use edonkey_trace::model::Trace;
 use edonkey_trace::pipeline::filter_arena;
@@ -56,7 +57,9 @@ pub fn ablation_interest(scale: Scale) {
             .find(|p| p.common == 3)
             .map(|p| p.probability_percent)
             .unwrap_or(0.0);
-        let hit = simulate_arena(&static_view, &SimConfig::lru(20).with_seed(SEED)).hit_rate();
+        let hit = sweep_cells(&static_view, &[SimConfig::lru(20).with_seed(SEED)])[0]
+            .0
+            .hit_rate();
         e.row([f(beta, 2), f(p3, 2), f(100.0 * hit, 2)]);
     }
     e.finish();
@@ -176,10 +179,13 @@ pub fn ablation_fault_sweep(scale: Scale) {
     };
     let (clean, _) = crawl(0.0, RetryPolicy::no_retry());
     let clean_snapshots = clean.snapshot_count().max(1);
-    // One scratch pool serves every (rate, policy) row; each row packs
-    // its crawled trace's static view once and reuses it for all three
-    // list policies.
-    let mut scratch = SimScratch::new();
+    // Each row packs its crawled trace's static view once and sweeps
+    // all three list policies over it in one call.
+    let policies = [
+        SimConfig::lru(20).with_seed(SEED),
+        SimConfig::history(20).with_seed(SEED),
+        SimConfig::random(20).with_seed(SEED),
+    ];
     for &rate in &[0.0, 0.1, 0.25, 0.5] {
         for (name, retry) in [
             ("no_retry", RetryPolicy::no_retry()),
@@ -190,12 +196,8 @@ pub fn ablation_fault_sweep(scale: Scale) {
                 .health
                 .check_invariants()
                 .expect("crawl health must reconcile");
-            let static_view = filtered_static_view(&trace);
-            let mut hit = |c: SimConfig| {
-                100.0
-                    * simulate_arena_with_scratch(&static_view, &c.with_seed(SEED), &mut scratch)
-                        .hit_rate()
-            };
+            let cells = sweep_cells(&filtered_static_view(&trace), &policies);
+            let hit = |i: usize| 100.0 * cells[i].0.hit_rate();
             e.row([
                 f(rate, 2),
                 name.to_string(),
@@ -204,9 +206,9 @@ pub fn ablation_fault_sweep(scale: Scale) {
                     100.0 * trace.snapshot_count() as f64 / clean_snapshots as f64,
                     1,
                 ),
-                f(hit(SimConfig::lru(20)), 2),
-                f(hit(SimConfig::history(20)), 2),
-                f(hit(SimConfig::random(20)), 2),
+                f(hit(0), 2),
+                f(hit(1), 2),
+                f(hit(2), 2),
             ]);
         }
     }
@@ -444,26 +446,25 @@ pub fn ablation_policies(w: &Workload) {
     let mut e = Emitter::new("ablation_policies");
     e.comment("Ablation: list policies incl. popularity-filtered LRU");
     e.comment("policy\tlist_size\thit_rate_pct");
-    // All twelve cells replay the same static view: pool scratch.
-    let mut scratch = SimScratch::new();
-    for &size in &[5usize, 20, 100] {
-        for config in [
-            SimConfig::lru(size),
-            SimConfig::history(size),
-            SimConfig::random(size),
-            SimConfig::rare_lru(size, 10),
-        ] {
-            let result = simulate_arena_with_scratch(
-                w.static_view(),
-                &config.clone().with_seed(SEED),
-                &mut scratch,
-            );
-            e.row([
-                config.policy.name().to_string(),
-                size.to_string(),
-                f(100.0 * result.hit_rate(), 2),
-            ]);
-        }
+    // All twelve cells replay the same static view, in one sweep.
+    let configs: Vec<SimConfig> = [5usize, 20, 100]
+        .into_iter()
+        .flat_map(|size| {
+            [
+                SimConfig::lru(size),
+                SimConfig::history(size),
+                SimConfig::random(size),
+                SimConfig::rare_lru(size, 10),
+            ]
+        })
+        .map(|config| config.with_seed(SEED))
+        .collect();
+    for (config, (result, _)) in configs.iter().zip(sweep_cells(w.static_view(), &configs)) {
+        e.row([
+            config.policy.name().to_string(),
+            config.list_size.to_string(),
+            f(100.0 * result.hit_rate(), 2),
+        ]);
     }
     e.finish();
 }
@@ -475,8 +476,14 @@ pub fn gossip(w: &Workload) {
     let mut e = Emitter::new("gossip");
     e.comment("Gossip-built vs download-learned semantic neighbours");
     e.comment("mechanism\tview_size\thit_rate_pct");
-    for &size in &[5usize, 10, 20] {
-        let lru = simulate_arena(static_view, &SimConfig::lru(size).with_seed(SEED));
+    // The LRU baselines share the view's replay index with
+    // `overlay_hit_rate`'s replays (same seed).
+    let sizes = [5usize, 10, 20];
+    let baselines = sweep_cells(
+        static_view,
+        &sweep_configs(PolicyKind::Lru, &sizes, false, SEED),
+    );
+    for (size, (lru, _)) in sizes.into_iter().zip(baselines) {
         e.row([
             "lru".to_string(),
             size.to_string(),

@@ -61,9 +61,7 @@ use edonkey_bench::{alloc, Scale, Workload, SEED};
 use edonkey_semsearch::experiment::{self, PAPER_LIST_SIZES};
 use edonkey_semsearch::neighbours::PolicyKind;
 use edonkey_semsearch::serve::{serve_arena_threads, ServeConfig};
-use edonkey_semsearch::sim::{
-    simulate_arena_health_with_scratch, simulate_arena_with_scratch, SimScratch,
-};
+use edonkey_semsearch::sim::{simulate_arena_health_with_scratch, SimScratch};
 use edonkey_semsearch::{SimConfig, SimResult};
 use edonkey_trace::compact::CacheArena;
 use edonkey_trace::io;
@@ -133,7 +131,7 @@ fn sequential_sweep(
     let mut scratch = SimScratch::new();
     configs
         .iter()
-        .map(|config| simulate_arena_with_scratch(&arena, config, &mut scratch))
+        .map(|config| simulate_arena_health_with_scratch(&arena, config, &mut scratch).0)
         .collect()
 }
 

@@ -1,13 +1,18 @@
 //! Calibration helper: prints the headline metrics the shape checks
 //! gate on, for a grid of workload knobs. Not part of the reproduction
 //! itself — a tool for tuning DESIGN.md §4.4's defaults.
-use edonkey_semsearch::experiment::randomization_sweep_arena;
+use edonkey_semsearch::experiment::{randomization_sweep_arena, sweep_cells};
 use edonkey_semsearch::filters::{remove_top_files, remove_top_uploaders};
-use edonkey_semsearch::sim::{simulate_arena, SimConfig};
-use edonkey_trace::compact::TraceArena;
+use edonkey_semsearch::sim::{SimConfig, SimResult};
+use edonkey_trace::compact::{CacheArena, TraceArena};
 use edonkey_trace::pipeline::filter_arena;
 use edonkey_trace::randomize::recommended_iterations;
 use edonkey_workload::{generate_trace, WorkloadConfig};
+
+/// One LRU cell through the sweep scheduler.
+fn lru(view: &CacheArena, list_size: usize) -> SimResult {
+    sweep_cells(view, &[SimConfig::lru(list_size)]).remove(0).0
+}
 
 fn probe(label: &str, config: WorkloadConfig) {
     let (_, trace) = generate_trace(config);
@@ -28,14 +33,14 @@ fn probe(label: &str, config: WorkloadConfig) {
         edonkey_analysis::stats::top_share(&sizes, 0.15)
     };
 
-    let lru20 = simulate_arena(&view, &SimConfig::lru(20)).hit_rate();
+    let lru20 = lru(&view, 20).hit_rate();
     let (no_up, _) = remove_top_uploaders(&view, 0.15);
-    let lru20_noup = simulate_arena(&no_up, &SimConfig::lru(20)).hit_rate();
-    let lru5 = simulate_arena(&view, &SimConfig::lru(5)).hit_rate();
+    let lru20_noup = lru(&no_up, 20).hit_rate();
+    let lru5 = lru(&view, 5).hit_rate();
     let mut pop_sweep = String::new();
     for q in [0.05f64, 0.15, 0.30] {
         let (no_pop, _) = remove_top_files(&view, q);
-        let r = simulate_arena(&no_pop, &SimConfig::lru(5));
+        let r = lru(&no_pop, 5);
         pop_sweep.push_str(&format!(
             " -pop{:.0}%={:.2}({:.0}%req)",
             q * 100.0,

@@ -15,7 +15,7 @@ use crate::index::IndexBackend;
 use crate::neighbours::PolicyKind;
 use crate::query::Tables;
 use crate::sim::{
-    merge_partials, simulate_arena_with_scratch, simulate_cell_range, simulate_whole_cell,
+    merge_partials, simulate_arena_health_with_scratch, simulate_cell_range, simulate_whole_cell,
     split_eligible, AdversaryConfig, AvailabilityConfig, CellPartial, DrawnLists, QueryPolicy,
     SearchHealth, SimConfig, SimResult, SimScratch, SplitScratch, SweepPrecomp,
 };
@@ -360,16 +360,14 @@ pub fn randomization_sweep(
         }
         snapshots.push((target, caches));
     }
+    let config = SimConfig::lru(list_size).with_seed(seed);
     parallel_map_init(&snapshots, SimScratch::new, |scratch, (swaps, caches)| {
         let arena = CacheArena::from_caches(caches, n_files);
-        let result = simulate_arena_with_scratch(
-            &arena,
-            &SimConfig::lru(list_size).with_seed(seed),
-            scratch,
-        );
         RandomizationPoint {
             swaps: *swaps,
-            hit_rate: result.hit_rate(),
+            hit_rate: simulate_arena_health_with_scratch(&arena, &config, scratch)
+                .0
+                .hit_rate(),
         }
     })
 }
@@ -444,6 +442,9 @@ fn sweep_from(
     let mut applied = shuffler.stats().attempted;
     // Each snapshot's simulation runs on a worker while the chain moves
     // on to the next checkpoint; the channel keeps checkpoint order.
+    // Every checkpoint is a fresh arena, so a split replay would build
+    // its own replay index per checkpoint; the whole-cell run needs
+    // none.
     let (snapshots, received) = std::sync::mpsc::channel::<(u64, CacheArena)>();
     let points = std::thread::scope(|scope| {
         let worker = scope.spawn(move || {
@@ -452,7 +453,9 @@ fn sweep_from(
                 .iter()
                 .map(|(swaps, arena)| RandomizationPoint {
                     swaps,
-                    hit_rate: simulate_arena_with_scratch(&arena, &config, &mut scratch).hit_rate(),
+                    hit_rate: simulate_arena_health_with_scratch(&arena, &config, &mut scratch)
+                        .0
+                        .hit_rate(),
                 })
                 .collect::<Vec<_>>()
         });
@@ -644,7 +647,6 @@ mod tests {
     use super::*;
     use crate::filters::{remove_top_files, remove_top_uploaders};
     use crate::serve::{serve_arena_threads, ArrivalConfig, ServeConfig};
-    use crate::sim::simulate_arena_health_with_scratch;
     use std::sync::Barrier;
 
     fn f(i: u32) -> FileRef {
@@ -865,7 +867,7 @@ mod tests {
         let mut scratch = SimScratch::new();
         let seq: Vec<SimResult> = sweep_configs(PolicyKind::Lru, &sizes, false, 1)
             .iter()
-            .map(|config| simulate_arena_with_scratch(&arena, config, &mut scratch))
+            .map(|config| simulate_arena_health_with_scratch(&arena, config, &mut scratch).0)
             .collect();
         assert_eq!(par, seq);
     }

@@ -16,12 +16,14 @@
 //! * [`neighbours`] — the neighbour list under its LRU, History
 //!   (frequency), Random and rare-file LRU policies;
 //! * [`sim`] — the Section 5.1 request-replay simulator (one- and
-//!   two-hop);
+//!   two-hop), with [`sim::simulate_arena_health_with_scratch`] as the
+//!   whole-cell oracle;
 //! * [`filters`] — top-uploader and popular-file removal (Figs. 19/20),
 //!   arena to arena;
-//! * [`experiment`] — the split-cell sweep scheduler, the Fig. 21
-//!   randomization sweep and the churn/adversary grids, with a parallel
-//!   runner;
+//! * [`experiment`] — the sweep scheduler [`sweep_cells`], which runs
+//!   every cell and alone decides whether it replays split by querier
+//!   or whole, the Fig. 21 randomization sweep and the churn/adversary
+//!   grids, with a parallel runner;
 //! * [`serve`] — the always-on query-serving mode: the trace replayed
 //!   as a continuous arrival stream through a sharded neighbour store,
 //!   with bounded ingress queues and latency percentiles;
@@ -33,7 +35,8 @@
 //! # Examples
 //!
 //! ```
-//! use edonkey_semsearch::{SimConfig, simulate};
+//! use edonkey_semsearch::{sweep_cells, SimConfig};
+//! use edonkey_trace::compact::CacheArena;
 //! use edonkey_trace::model::FileRef;
 //!
 //! // Two mirrored peers: after the first exchange the second request
@@ -42,7 +45,8 @@
 //!     vec![FileRef(0), FileRef(1)],
 //!     vec![FileRef(0), FileRef(1)],
 //! ];
-//! let result = simulate(&caches, 2, &SimConfig::lru(5));
+//! let arena = CacheArena::from_caches(&caches, 2);
+//! let (result, _health) = &sweep_cells(&arena, &[SimConfig::lru(5)])[0];
 //! assert!(result.hits() >= 1);
 //! ```
 
@@ -74,6 +78,6 @@ pub use serve::{
     ServeHealth, ServeReport, QUERY_RTT_MD,
 };
 pub use sim::{
-    simulate, simulate_health, split_eligible, AdversaryConfig, AdversaryPlan, AvailabilityConfig,
-    ChurnConfig, ChurnSchedule, QueryPolicy, SearchHealth, SimConfig, SimResult,
+    split_eligible, AdversaryConfig, AdversaryPlan, AvailabilityConfig, ChurnConfig, ChurnSchedule,
+    QueryPolicy, SearchHealth, SimConfig, SimResult,
 };

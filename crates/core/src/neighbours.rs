@@ -13,10 +13,14 @@
 //! * **RareLRU**: LRU that records only rare-file uploads — the
 //!   "popularity" algorithm of Section 5.3.2.
 //!
-//! Every list also maintains a membership set, so "is this sharer one of
-//! my neighbours?" is O(1) during simulation.
+//! A list keeps one slot per listed peer, linked in list order, and
+//! finds a peer's slot through an index, so a membership test, an LRU
+//! record and a removal each cost O(1), and only History's rank walk
+//! visits entries. The index is hashed in lists held one per peer; a
+//! list pooled across the queriers of one population indexes an array
+//! over its peers instead ([`NeighbourList::with_peer_array`]).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::Rng;
@@ -29,11 +33,11 @@ pub type Delta = (Option<Peer>, Option<Peer>);
 
 /// Multiply-shift hashing for [`Peer`] keys: one multiply by the golden
 /// ratio, the high half folded into the low bits the table indexes by.
-/// The lists' sets and maps are probed on every record and staleness
+/// A per-peer list's index is probed on every record and staleness
 /// reaction, where SipHash cost more than the lookups it guards. Peers
 /// are dense indices the simulator assigns, not values an input can
-/// pick to collide, and nothing iterates these containers, so the hash
-/// never reaches an output.
+/// pick to collide, and nothing iterates these maps, so the hash never
+/// reaches an output.
 #[derive(Clone, Copy, Debug, Default)]
 struct PeerHasher(u64);
 
@@ -57,8 +61,63 @@ impl Hasher for PeerHasher {
     }
 }
 
-type PeerSet = HashSet<Peer, BuildHasherDefault<PeerHasher>>;
 type PeerMap<V> = HashMap<Peer, V, BuildHasherDefault<PeerHasher>>;
+
+/// The end of a slot chain, and "not listed" in a peer array.
+const NIL: u32 = u32::MAX;
+
+/// History's sort key packs `(upload count, clock of the last upload)`
+/// into one integer, count in the high half: comparing keys compares
+/// counts, then recency. 0 is the key of a peer that never uploaded.
+const CLOCK_BITS: u64 = 0xffff_ffff;
+
+/// One listed peer and its neighbours in list order.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    peer: Peer,
+    prev: u32,
+    next: u32,
+}
+
+/// Where a list finds each listed peer's slot.
+#[derive(Clone, Debug)]
+enum SlotIndex {
+    /// A hash map, in proportion to the entries: lists held one per peer.
+    Hashed(PeerMap<u32>),
+    /// An array over peers `0..n`, `NIL` where unlisted: one list pooled
+    /// across the queriers of a population.
+    Array(Vec<u32>),
+}
+
+impl SlotIndex {
+    #[inline]
+    fn get(&self, peer: Peer) -> Option<u32> {
+        match self {
+            SlotIndex::Hashed(slots) => slots.get(&peer).copied(),
+            SlotIndex::Array(slots) => Some(slots[peer as usize]).filter(|&s| s != NIL),
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, peer: Peer, slot: u32) {
+        match self {
+            SlotIndex::Hashed(slots) => {
+                slots.insert(peer, slot);
+            }
+            SlotIndex::Array(slots) => slots[peer as usize] = slot,
+        }
+    }
+
+    #[inline]
+    fn unset(&mut self, peer: Peer) {
+        match self {
+            SlotIndex::Hashed(slots) => {
+                slots.remove(&peer);
+            }
+            SlotIndex::Array(slots) => slots[peer as usize] = NIL,
+        }
+    }
+}
 
 /// How a list reacted to a *stale* neighbour — one whose query timed
 /// out because the peer is offline (see `edonkey_workload::churn`).
@@ -120,6 +179,8 @@ impl PolicyKind {
 /// ties going to the newer uploader so the early simulation does not
 /// ossify on arbitrary first-comers), or in draw order (Random, which
 /// never adapts: the benchmark's list carries no semantic information).
+/// History's counts and clock are 32-bit: a list records fewer than 2³²
+/// uploads.
 ///
 /// # Examples
 ///
@@ -130,21 +191,21 @@ impl PolicyKind {
 /// lru.record(7, 1);
 /// lru.record(8, 1);
 /// lru.record(7, 1); // moves 7 back to the head
-/// assert_eq!(lru.neighbours(), &[7, 8]);
+/// assert_eq!(lru.to_vec(), [7, 8]);
 /// assert_eq!(lru.record(9, 1), (Some(9), Some(8))); // evicts the LRU tail
-/// assert_eq!(lru.neighbours(), &[9, 7]);
+/// assert_eq!(lru.to_vec(), [9, 7]);
 ///
 /// let mut history = NeighbourList::from_drawn(PolicyKind::History, 2, 0, &[]);
 /// for uploader in [1, 2, 2, 3] {
 ///     history.record(uploader, 1); // 3 ties with 1 at count 1: newer wins
 /// }
-/// assert_eq!(history.neighbours(), &[2, 3]);
+/// assert_eq!(history.to_vec(), [2, 3]);
 ///
 /// let rare = PolicyKind::RareLru { max_sources: 3 };
 /// let mut rare = NeighbourList::from_drawn(rare, 2, 0, &[]);
 /// rare.record(7, 2); // rare: recorded
 /// rare.record(8, 50); // popular: ignored
-/// assert_eq!(rare.neighbours(), &[7]);
+/// assert_eq!(rare.to_vec(), [7]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct NeighbourList {
@@ -152,15 +213,19 @@ pub struct NeighbourList {
     capacity: usize,
     /// The peer keeping the list; a Random list never holds it.
     owner: Peer,
-    /// Highest priority first. Small lists: a Vec beats pointer
-    /// structures for every capacity the paper uses (≤ 200).
-    list: Vec<Peer>,
-    members: PeerSet,
-    /// History: `(upload count, last upload's clock)` for every peer
-    /// ever recorded (the "history") — its sort key, one lookup away.
-    keys: PeerMap<(u64, u64)>,
+    /// One slot per listed peer, in no particular order (a removal moves
+    /// the last slot into the hole); `head`, `tail` and the slots'
+    /// links give the list order.
+    slots: Vec<Slot>,
+    /// History: each slot's key, read by the rank walk beside the links.
+    slot_keys: Vec<u64>,
+    head: u32,
+    tail: u32,
+    index: SlotIndex,
+    /// History: the key of every peer ever recorded (the "history").
+    keys: PeerMap<u64>,
     /// History: logical clock for recency tie-breaks.
-    clock: u64,
+    clock: u32,
 }
 
 impl NeighbourList {
@@ -198,13 +263,35 @@ impl NeighbourList {
             kind,
             capacity,
             owner,
-            list: Vec::with_capacity(capacity),
-            members: PeerSet::default(),
+            slots: Vec::new(),
+            slot_keys: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            index: SlotIndex::Hashed(PeerMap::default()),
             keys: PeerMap::default(),
             clock: 0,
         };
         fresh.renew_drawn(kind, capacity, owner, drawn);
         fresh
+    }
+
+    /// The same list, its slots indexed by an array over peers
+    /// `0..n_peers` instead of a hash map: the layout of one list pooled
+    /// across the queriers of a population and renewed per querier,
+    /// whose array costs O(`n_peers`) once rather than per list. It
+    /// behaves exactly as the hashed list does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list holds, or is later handed, a peer at or above
+    /// `n_peers`.
+    pub fn with_peer_array(mut self, n_peers: usize) -> Self {
+        let mut slots = vec![NIL; n_peers];
+        for (slot, s) in self.slots.iter().zip(0..) {
+            slots[slot.peer as usize] = s;
+        }
+        self.index = SlotIndex::Array(slots);
+        self
     }
 
     /// Re-initializes this list in place to exactly the state
@@ -223,11 +310,10 @@ impl NeighbourList {
     ) {
         self.clear(kind, capacity, owner);
         if kind == PolicyKind::Random {
-            let (list, members) = (&mut self.list, &mut self.members);
             draw_random_list(capacity, owner, candidates, rng, |pick| {
-                let fresh = members.insert(pick);
+                let fresh = !self.contains(pick);
                 if fresh {
-                    list.push(pick);
+                    self.push_back(pick);
                 }
                 fresh
             });
@@ -238,8 +324,17 @@ impl NeighbourList {
     pub fn renew_drawn(&mut self, kind: PolicyKind, capacity: usize, owner: Peer, drawn: &[Peer]) {
         self.clear(kind, capacity, owner);
         if kind == PolicyKind::Random {
-            self.list.extend_from_slice(drawn);
-            self.members.extend(drawn.iter().copied());
+            // Draw order is list order: slot `s` links to `s ± 1`.
+            let n = drawn.len() as u32;
+            for (&peer, s) in drawn.iter().zip(0..) {
+                let prev = if s == 0 { NIL } else { s - 1 };
+                let next = if s + 1 == n { NIL } else { s + 1 };
+                self.slots.push(Slot { peer, prev, next });
+                self.index.set(peer, s);
+            }
+            if n > 0 {
+                (self.head, self.tail) = (0, n - 1);
+            }
         }
     }
 
@@ -249,9 +344,15 @@ impl NeighbourList {
         self.kind = kind;
         self.capacity = capacity;
         self.owner = owner;
-        self.list.clear();
-        self.members.clear();
+        match &mut self.index {
+            SlotIndex::Hashed(slots) => slots.clear(),
+            SlotIndex::Array(slots) => self.slots.iter().for_each(|s| slots[s.peer as usize] = NIL),
+        }
         self.keys.clear();
+        self.slots.clear();
+        self.slot_keys.clear();
+        self.head = NIL;
+        self.tail = NIL;
         self.clock = 0;
     }
 
@@ -267,6 +368,7 @@ impl NeighbourList {
     /// counter and recency even when the list rejects it — rejection
     /// only skips the *list* change — and admits a newcomer over the
     /// tail only if it now outranks it. A Random list never changes.
+    #[inline(always)]
     pub fn record(&mut self, uploader: Peer, sources: u32) -> Delta {
         match self.kind {
             PolicyKind::Lru => self.record_recent(uploader),
@@ -278,77 +380,155 @@ impl NeighbourList {
         }
     }
 
+    #[inline(always)]
     fn record_recent(&mut self, uploader: Peer) -> Delta {
-        let mut delta = (None, None);
-        if let Some(pos) = self.list.iter().position(|&p| p == uploader) {
-            self.list.remove(pos);
-        } else {
-            self.members.insert(uploader);
-            delta.0 = Some(uploader);
-            if self.list.len() == self.capacity {
-                let evicted = self.list.pop().expect("list is at capacity > 0");
-                self.members.remove(&evicted);
-                delta.1 = Some(evicted);
+        if let Some(s) = self.index.get(uploader) {
+            if s != self.head {
+                self.unlink(s);
+                self.link_before(s, self.head);
             }
+            return (None, None);
         }
-        self.list.insert(0, uploader);
-        delta
+        if self.slots.len() < self.capacity {
+            let s = self.alloc(uploader);
+            self.link_before(s, self.head);
+            return (Some(uploader), None);
+        }
+        let s = self.tail;
+        let evicted = self.reassign(s, uploader);
+        self.link_before(s, self.head);
+        (Some(uploader), Some(evicted))
     }
 
+    /// Out of line, so that [`NeighbourList::record`] stays small
+    /// enough to inline into the replay loops.
+    #[inline(never)]
     fn record_frequent(&mut self, uploader: Peer) -> Delta {
         self.clock += 1;
-        let key = self.keys.entry(uploader).or_insert((0, 0));
-        *key = (key.0 + 1, self.clock);
-        let mut delta = (None, None);
-        if self.members.contains(&uploader) {
+        let key = self.keys.entry(uploader).or_insert(0);
+        *key = ((*key >> 32) + 1) << 32 | u64::from(self.clock);
+        let key = *key;
+        if let Some(s) = self.index.get(uploader) {
             // Re-sort its position upward.
-            let pos = self.position(uploader);
-            self.list.remove(pos);
-        } else if self.list.len() == self.capacity {
-            // Replace the tail only if the newcomer now outranks it.
-            let tail = *self.list.last().expect("at capacity > 0");
-            if self.key(uploader) <= self.key(tail) {
-                return delta;
-            }
-            self.list.pop();
-            self.members.remove(&tail);
-            self.members.insert(uploader);
-            delta = (Some(uploader), Some(tail));
-        } else {
-            self.members.insert(uploader);
-            delta = (Some(uploader), None);
+            self.slot_keys[s as usize] = key;
+            self.unlink(s);
+            self.link_ranked(s);
+            return (None, None);
         }
-        self.insert_ranked(uploader);
-        delta
+        if self.slots.len() < self.capacity {
+            let s = self.alloc(uploader);
+            self.slot_keys.push(key);
+            self.link_ranked(s);
+            return (Some(uploader), None);
+        }
+        // Replace the tail only if the newcomer now outranks it.
+        let s = self.tail;
+        if key <= self.slot_keys[s as usize] {
+            return (None, None);
+        }
+        let evicted = self.reassign(s, uploader);
+        self.slot_keys[s as usize] = key;
+        self.link_ranked(s);
+        (Some(uploader), Some(evicted))
     }
 
-    fn key(&self, peer: Peer) -> (u64, u64) {
-        self.keys.get(&peer).copied().unwrap_or((0, 0))
+    /// A new, unlinked slot for `peer`.
+    #[inline(always)]
+    fn alloc(&mut self, peer: Peer) -> u32 {
+        let s = self.slots.len() as u32;
+        self.slots.push(Slot {
+            peer,
+            prev: NIL,
+            next: NIL,
+        });
+        self.index.set(peer, s);
+        s
     }
 
-    /// Where member `peer` sits in the list.
-    fn position(&self, peer: Peer) -> usize {
-        self.list.iter().position(|&p| p == peer).expect("member")
+    /// Unlinks slot `s` and hands it to `peer`; returns its old peer.
+    #[inline(always)]
+    fn reassign(&mut self, s: u32, peer: Peer) -> Peer {
+        self.unlink(s);
+        let old = std::mem::replace(&mut self.slots[s as usize].peer, peer);
+        self.index.unset(old);
+        self.index.set(peer, s);
+        old
     }
 
-    /// Inserts `peer` ahead of the first entry it outranks (History).
-    fn insert_ranked(&mut self, peer: Peer) {
-        let key = self.key(peer);
-        let pos = self
-            .list
-            .iter()
-            .position(|&p| self.key(p) < key)
-            .unwrap_or(self.list.len());
-        self.list.insert(pos, peer);
+    /// Appends `peer` at the tail.
+    fn push_back(&mut self, peer: Peer) {
+        let s = self.alloc(peer);
+        self.link_before(s, NIL);
+    }
+
+    /// Links unlinked slot `s` just ahead of slot `at` (at the tail when
+    /// `at` is `NIL`).
+    #[inline(always)]
+    fn link_before(&mut self, s: u32, at: u32) {
+        let prev = if at == NIL {
+            self.tail
+        } else {
+            self.slots[at as usize].prev
+        };
+        let slot = &mut self.slots[s as usize];
+        (slot.prev, slot.next) = (prev, at);
+        self.point_at(s);
+    }
+
+    /// Points slot `s`'s neighbours — or the list's ends — at `s`.
+    #[inline(always)]
+    fn point_at(&mut self, s: u32) {
+        let Slot { prev, next, .. } = self.slots[s as usize];
+        match prev {
+            NIL => self.head = s,
+            p => self.slots[p as usize].next = s,
+        }
+        match next {
+            NIL => self.tail = s,
+            n => self.slots[n as usize].prev = s,
+        }
+    }
+
+    #[inline(always)]
+    fn unlink(&mut self, s: u32) {
+        let Slot { prev, next, .. } = self.slots[s as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    /// Links unlinked slot `s` ahead of the first entry it outranks
+    /// (History).
+    fn link_ranked(&mut self, s: u32) {
+        let key = self.slot_keys[s as usize];
+        let mut at = self.head;
+        while at != NIL && self.slot_keys[at as usize] >= key {
+            at = self.slots[at as usize].next;
+        }
+        self.link_before(s, at);
     }
 
     /// Removes `peer` from the list; returns whether it was a member.
+    /// The last slot moves into the freed one.
     fn evict(&mut self, peer: Peer) -> bool {
-        if !self.members.remove(&peer) {
+        let Some(s) = self.index.get(peer) else {
             return false;
+        };
+        self.unlink(s);
+        self.index.unset(peer);
+        self.slots.swap_remove(s as usize);
+        if !self.slot_keys.is_empty() {
+            self.slot_keys.swap_remove(s as usize);
         }
-        let pos = self.position(peer);
-        self.list.remove(pos);
+        if let Some(moved) = self.slots.get(s as usize) {
+            self.index.set(moved.peer, s);
+            self.point_at(s);
+        }
         true
     }
 
@@ -361,8 +541,8 @@ impl NeighbourList {
             return StaleReaction::Kept;
         }
         match replacement {
-            Some(r) if r != self.owner && self.members.insert(r) => {
-                self.list.push(r);
+            Some(r) if r != self.owner && !self.contains(r) => {
+                self.push_back(r);
                 StaleReaction::Replaced
             }
             _ => StaleReaction::Evicted,
@@ -377,28 +557,27 @@ impl NeighbourList {
     /// from the sharer pool — never the simulation's main RNG —
     /// supplies it).
     pub fn handle_stale(&mut self, stale: Peer, replacement: Option<Peer>) -> StaleReaction {
-        let (member, reaction) = match self.kind {
-            PolicyKind::Random => return self.replace(stale, replacement),
+        match self.kind {
+            PolicyKind::Random => self.replace(stale, replacement),
             PolicyKind::History => {
-                let member = self.members.contains(&stale);
-                if member {
-                    let pos = self.position(stale);
-                    self.list.remove(pos);
-                    if let Some((count, _)) = self.keys.get_mut(&stale) {
-                        *count /= 2;
-                    }
-                    self.insert_ranked(stale);
-                }
-                (member, StaleReaction::Probed)
+                let Some(s) = self.index.get(stale) else {
+                    return StaleReaction::Kept;
+                };
+                let key = self.slot_keys[s as usize];
+                let key = ((key >> 32) / 2) << 32 | (key & CLOCK_BITS);
+                self.slot_keys[s as usize] = key;
+                self.keys.insert(stale, key);
+                self.unlink(s);
+                self.link_ranked(s);
+                StaleReaction::Probed
             }
             PolicyKind::Lru | PolicyKind::RareLru { .. } => {
-                (self.evict(stale), StaleReaction::Evicted)
+                if self.evict(stale) {
+                    StaleReaction::Evicted
+                } else {
+                    StaleReaction::Kept
+                }
             }
-        };
-        if member {
-            reaction
-        } else {
-            StaleReaction::Kept
         }
     }
 
@@ -430,13 +609,42 @@ impl NeighbourList {
     }
 
     /// The current neighbour list, highest priority first.
-    pub fn neighbours(&self) -> &[Peer] {
-        &self.list
+    pub fn neighbours(&self) -> impl Iterator<Item = Peer> + '_ {
+        let mut at = self.head;
+        std::iter::from_fn(move || {
+            // `NIL` indexes past the slots and ends the walk.
+            let slot = self.slots.get(at as usize)?;
+            at = slot.next;
+            Some(slot.peer)
+        })
+    }
+
+    /// [`NeighbourList::neighbours`], collected into one allocation.
+    pub fn to_vec(&self) -> Vec<Peer> {
+        let mut list = Vec::with_capacity(self.len());
+        list.extend(self.neighbours());
+        list
+    }
+
+    /// The listed peers in no particular order: what a caller that only
+    /// needs the member set walks, without following the links.
+    pub(crate) fn members(&self) -> impl Iterator<Item = Peer> + '_ {
+        self.slots.iter().map(|s| s.peer)
+    }
+
+    /// How many peers are listed.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True iff no peer is listed.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
     }
 
     /// O(1) membership test.
     pub fn contains(&self, peer: Peer) -> bool {
-        self.members.contains(&peer)
+        self.index.get(peer).is_some()
     }
 
     /// The configured maximum list length.
@@ -591,6 +799,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
+    use std::collections::HashSet;
 
     const KINDS: [PolicyKind; 4] = [
         PolicyKind::Lru,
@@ -611,11 +820,12 @@ mod tests {
     }
 
     fn check_invariants(p: &NeighbourList) {
-        let list = p.neighbours();
+        let list = p.to_vec();
         assert!(list.len() <= p.capacity());
+        assert_eq!(list.len(), p.len());
         let set: HashSet<Peer> = list.iter().copied().collect();
         assert_eq!(set.len(), list.len(), "list must be duplicate-free");
-        for &n in list {
+        for &n in &list {
             assert!(p.contains(n));
         }
     }
@@ -624,16 +834,16 @@ mod tests {
     fn lru_ordering_and_eviction() {
         let mut lru = list(PolicyKind::Lru, 3);
         record_all(&mut lru, &[1, 2, 3]);
-        assert_eq!(lru.neighbours(), &[3, 2, 1]);
+        assert_eq!(lru.to_vec(), [3, 2, 1]);
         lru.record(1, 1); // refresh
-        assert_eq!(lru.neighbours(), &[1, 3, 2]);
+        assert_eq!(lru.to_vec(), [1, 3, 2]);
         lru.record(4, 1_000_000); // evict 2; plain LRU ignores popularity
-        assert_eq!(lru.neighbours(), &[4, 1, 3]);
+        assert_eq!(lru.to_vec(), [4, 1, 3]);
         assert!(!lru.contains(2));
         check_invariants(&lru);
         let mut lru = list(PolicyKind::Lru, 2);
         record_all(&mut lru, &[5; 10]);
-        assert_eq!(lru.neighbours(), &[5], "a repeated uploader does not grow");
+        assert_eq!(lru.to_vec(), [5], "a repeated uploader does not grow");
     }
 
     #[test]
@@ -641,15 +851,15 @@ mod tests {
         let mut h = list(PolicyKind::History, 2);
         record_all(&mut h, &[1, 1, 1, 1, 1, 2, 2, 2]);
         h.record(3, 1); // count 1 < tail's 3 → not admitted
-        assert_eq!(h.neighbours(), &[1, 2]);
+        assert_eq!(h.to_vec(), [1, 2]);
         record_all(&mut h, &[3, 3, 3]); // count reaches 4 > peer 2's 3
-        assert_eq!(h.neighbours(), &[1, 3]);
+        assert_eq!(h.to_vec(), [1, 3]);
         assert!(!h.contains(2));
         check_invariants(&h);
         let mut h = list(PolicyKind::History, 5);
         record_all(&mut h, &[1, 2, 2, 3, 3, 3, 4, 1, 2]);
         // counts: 1→2, 2→3, 3→3, 4→1; 2 is more recent than 3.
-        assert_eq!(h.neighbours(), &[2, 3, 1, 4]);
+        assert_eq!(h.to_vec(), [2, 3, 1, 4]);
         check_invariants(&h);
     }
 
@@ -658,14 +868,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let candidates: Vec<Peer> = (0..100).collect();
         let mut r = NeighbourList::new(PolicyKind::Random, 10, 5, &candidates, &mut rng);
-        assert_eq!(r.neighbours().len(), 10);
-        assert!(!r.neighbours().contains(&5), "owner excluded");
+        assert_eq!(r.len(), 10);
+        assert!(!r.to_vec().contains(&5), "owner excluded");
         check_invariants(&r);
-        let before = r.neighbours().to_vec();
+        let before = r.to_vec();
         assert_eq!(r.record(42, 1), (None, None));
-        assert_eq!(r.neighbours(), &before[..], "random list never adapts");
+        assert_eq!(r.to_vec(), before, "random list never adapts");
         let r = NeighbourList::new(PolicyKind::Random, 10, 0, &[0, 1, 2], &mut rng);
-        assert_eq!(r.neighbours().len(), 2, "only two non-owner candidates");
+        assert_eq!(r.len(), 2, "only two non-owner candidates");
     }
 
     #[test]
@@ -675,7 +885,7 @@ mod tests {
         assert_eq!(p.record(2, 6), (None, None), "too popular");
         p.record(3, 5); // boundary: recorded
         p.record(4, 0);
-        assert_eq!(p.neighbours(), &[4, 3, 1]);
+        assert_eq!(p.to_vec(), [4, 3, 1]);
         assert!(!p.contains(2));
         check_invariants(&p);
         assert_eq!(PolicyKind::RareLru { max_sources: 2 }.name(), "RareLRU");
@@ -693,7 +903,7 @@ mod tests {
             let mut p = list(kind, 3);
             record_all(&mut p, &[1, 2]);
             assert_eq!(p.handle_stale(1, None), StaleReaction::Evicted);
-            assert_eq!(p.neighbours(), &[2]);
+            assert_eq!(p.to_vec(), [2]);
             assert!(!p.contains(1));
             assert_eq!(p.handle_stale(1, None), StaleReaction::Kept, "already gone");
             check_invariants(&p);
@@ -704,10 +914,10 @@ mod tests {
     fn history_staleness_probes_and_demotes() {
         let mut p = list(PolicyKind::History, 4);
         record_all(&mut p, &[1, 1, 1, 1, 2, 2, 2]);
-        assert_eq!(p.neighbours(), &[1, 2]);
+        assert_eq!(p.to_vec(), [1, 2]);
         // Halving 1's count (4 → 2) drops it below 2's count of 3.
         assert_eq!(p.handle_stale(1, None), StaleReaction::Probed);
-        assert_eq!(p.neighbours(), &[2, 1], "demoted, not evicted");
+        assert_eq!(p.to_vec(), [2, 1], "demoted, not evicted");
         assert!(p.contains(1), "probed entries stay members");
         assert_eq!(p.handle_stale(9, None), StaleReaction::Kept);
         check_invariants(&p);
@@ -718,16 +928,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let candidates: Vec<Peer> = (0..50).collect();
         let mut p = NeighbourList::new(PolicyKind::Random, 5, 0, &candidates, &mut rng);
-        let stale = p.neighbours()[0];
+        let stale = p.to_vec()[0];
         let fresh = (1..50).find(|&c| !p.contains(c)).expect("pool > list");
         assert_eq!(p.handle_stale(stale, Some(fresh)), StaleReaction::Replaced);
         assert!(!p.contains(stale) && p.contains(fresh));
-        assert_eq!(p.neighbours().len(), 5);
+        assert_eq!(p.len(), 5);
         check_invariants(&p);
         // Invalid replacements degrade to plain eviction.
-        let stale = p.neighbours()[0];
+        let stale = p.to_vec()[0];
         assert_eq!(p.handle_stale(stale, Some(0)), StaleReaction::Evicted);
-        assert_eq!(p.neighbours().len(), 4);
+        assert_eq!(p.len(), 4);
         // Non-members are untouched even with a replacement on offer.
         assert_eq!(p.handle_stale(stale, Some(fresh)), StaleReaction::Kept);
         check_invariants(&p);
@@ -744,13 +954,13 @@ mod tests {
             (Some(3), Some(2)),
             "newcomer in, tail out"
         );
-        assert_eq!(lru.neighbours(), &[3, 1]);
+        assert_eq!(lru.to_vec(), [3, 1]);
 
         let mut h = list(PolicyKind::History, 2);
         record_all(&mut h, &[1, 1, 1, 2, 2]);
         // Rejected newcomer: counters move, membership does not.
         assert_eq!(h.record(3, 1), (None, None));
-        assert_eq!(h.neighbours(), &[1, 2]);
+        assert_eq!(h.to_vec(), [1, 2]);
         // Its count now reaches 2's count with newer recency: replaces.
         assert_eq!(h.record(3, 1), (Some(3), Some(2)));
         assert!(h.contains(3) && !h.contains(2));
@@ -776,15 +986,22 @@ mod tests {
                 assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "{kind:?}");
                 let mut adopted = NeighbourList::from_drawn(dirty_kind, 6, 1, &[3, 4]);
                 record_all(&mut adopted, &[7, 7]);
-                adopted.renew_drawn(kind, 5, 2, fresh.neighbours());
-                let stale = fresh.neighbours().first().copied().unwrap_or(0);
-                for p in [&mut pooled, &mut adopted, &mut fresh] {
+                adopted.renew_drawn(kind, 5, 2, &fresh.to_vec());
+                // The array-indexed layout, dirtied before and after
+                // the conversion, renews to the same list.
+                let mut arrayed = NeighbourList::from_drawn(dirty_kind, 6, 1, &[3, 4]);
+                record_all(&mut arrayed, &[8, 7]);
+                let mut arrayed = arrayed.with_peer_array(80);
+                record_all(&mut arrayed, &[7, 9, 8]);
+                arrayed.renew_drawn(kind, 5, 2, &fresh.to_vec());
+                let stale = fresh.neighbours().next().unwrap_or(0);
+                for p in [&mut pooled, &mut adopted, &mut arrayed, &mut fresh] {
                     p.handle_stale(stale, Some(2));
                     p.handle_stale(stale, Some(79));
                     record_all(p, &[8, 7, 9]);
                 }
-                for p in [&pooled, &adopted] {
-                    assert_eq!(p.neighbours(), fresh.neighbours(), "{kind:?}");
+                for p in [&pooled, &adopted, &arrayed] {
+                    assert_eq!(p.to_vec(), fresh.to_vec(), "{kind:?}");
                     assert_eq!(p.capacity(), fresh.capacity(), "{kind:?}");
                     assert!((0..80).all(|q| p.contains(q) == fresh.contains(q)));
                 }
@@ -808,7 +1025,7 @@ mod tests {
             assert!(!p.expel(7, None), "{kind:?}: already gone");
         }
         let mut p = NeighbourList::new(PolicyKind::Random, 5, 0, &candidates, &mut rng);
-        let target = p.neighbours()[0];
+        let target = p.to_vec()[0];
         let fresh = (1..60).find(|&c| !p.contains(c)).expect("pool > list");
         assert!(p.expel(target, Some(fresh)));
         assert!(!p.contains(target) && p.contains(fresh));
@@ -819,11 +1036,11 @@ mod tests {
         let mut h = list(PolicyKind::History, 2);
         record_all(&mut h, &[1, 1, 1, 1, 1, 2]);
         assert!(h.expel(1, None), "member removal succeeds");
-        assert_eq!(h.neighbours(), &[2]);
+        assert_eq!(h.to_vec(), [2]);
         // The counter is erased too: unlike the staleness probe, one
         // new upload does not restore the old rank.
         record_all(&mut h, &[2, 2, 1]);
-        assert_eq!(h.neighbours(), &[2, 1], "peer 1 re-enters at count 1");
+        assert_eq!(h.to_vec(), [2, 1], "peer 1 re-enters at count 1");
         check_invariants(&h);
     }
 

@@ -2,8 +2,10 @@
 //! semantic neighbours, resolve a miss against the index, record the
 //! uploader — shared by the whole-cell, split-cell, serve and overlay
 //! simulators, which only schedule requests (DESIGN.md §7). Quiet split
-//! and serve cells replay on the split path's own membership mirror and
-//! share only [`QueryCtx::resolve_miss`] and [`QueryCtx::fallback`].
+//! and serve replays record into the same pooled neighbour list under
+//! the quiet accounting rules (interval-settled messages, a rank-based
+//! hit check) and share [`QueryCtx::resolve_miss`] and
+//! [`QueryCtx::fallback`] with the kernel.
 
 use edonkey_trace::compact::RowBits;
 use edonkey_trace::model::FileRef;
@@ -90,6 +92,14 @@ pub(crate) struct QueryCtx<'a> {
     seed: u64,
     policy: PolicyKind,
     two_hop: bool,
+    /// The walk must visit the list in order: only a Random list's
+    /// refills (appended in walk order, under staleness handling or the
+    /// armed defense) and the two-hop relay scan see that order. Every
+    /// other reaction commutes — LRU evictions, and History's probes,
+    /// whose list is sorted by its keys alone (each key carries the
+    /// clock of its peer's last record, so no two are equal) — so those
+    /// walks copy the slots as they lie, which costs less (DESIGN.md §7).
+    ordered: bool,
     /// Candidates for the Random policy's stateless replacements.
     sharer_pool: &'a [Peer],
     n_peers: usize,
@@ -178,11 +188,13 @@ impl<'a> QueryCtx<'a> {
                 .find(|r| r.plan().config() == plan)
                 .expect("tables cover every live plan of the batch")
         });
+        let defend = availability.reputation && roles.is_some();
+        let refills = availability.query.handle_stale || defend;
         QueryCtx {
             churn: !schedule.is_quiet(),
             starts: tables.offline.iter().find(|t| t.seed() == churn_seed),
             roles,
-            defend: availability.reputation && roles.is_some(),
+            defend,
             schedule,
             query: availability.query,
             exposure: availability.backend.pollution_exposure(),
@@ -192,6 +204,7 @@ impl<'a> QueryCtx<'a> {
             seed,
             policy: cell.policy,
             two_hop: cell.two_hop,
+            ordered: cell.two_hop || (cell.policy == PolicyKind::Random && refills),
             sharer_pool,
             n_peers,
             span_md: u64::from(availability.virtual_days.max(1)) * 1000,
@@ -295,7 +308,11 @@ impl<'a> QueryCtx<'a> {
             let gen = *generation;
             let mut saw_timeout = false;
             query_buf.clear();
-            query_buf.extend_from_slice(policies[slot].neighbours());
+            if self.ordered {
+                query_buf.extend(policies[slot].neighbours());
+            } else {
+                query_buf.extend(policies[slot].members());
+            }
             stale_cur.clear();
             for &n in query_buf.iter() {
                 if self.offline(n, day, milli) {
@@ -354,10 +371,10 @@ impl<'a> QueryCtx<'a> {
                     // bitset once; rare files keep the direct probe.
                     // Same scan order, same answer.
                     let relay = &policies[n as usize];
-                    let stamped = req.sharers.len() * 4 >= relay.neighbours().len();
+                    let stamped = req.sharers.len() * 4 >= relay.len();
                     if stamped {
                         relay_bits.clear();
-                        for &m in relay.neighbours() {
+                        for m in relay.members() {
                             relay_bits.insert(m);
                         }
                     }

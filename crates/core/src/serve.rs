@@ -36,11 +36,11 @@
 //!   instants and capacities alone. So each shard first runs its queue
 //!   pass, touching no policy, and then replays every querier's served
 //!   requests, in service order and at their service instants, through
-//!   the split sweep's per-querier path — the pooled quiet mirror for
-//!   quiet cells, the kernel step on one pooled policy otherwise. A
-//!   querier's outcome depends only on its own requests, so this
-//!   equals interleaving the walks into the tick loop, request for
-//!   request.
+//!   the split sweep's per-querier path on one pooled neighbour list —
+//!   under the quiet accounting rules for quiet cells, the kernel step
+//!   otherwise. A querier's outcome depends only on its own requests,
+//!   so this equals interleaving the walks into the tick loop, request
+//!   for request.
 //! * **Deterministic arrivals.** The nominal instant is the batch
 //!   path's `t · span / len` milli-days; burst compression and
 //!   `(seed, querier, tick)`-keyed splitmix64 jitter come from
@@ -595,11 +595,6 @@ fn run_shard(
                 }),
         );
         served.sort_unstable_by_key(|s| (s.service_md - s.wait_md, s.rec.t));
-        let drawn = drawn.map_or(&[][..], |d| d.list(p));
-        if served.is_empty() {
-            out.lists.push(drawn.to_vec());
-            continue;
-        }
         let latency = &mut out.latency;
         replay_querier(
             arena,
@@ -608,13 +603,13 @@ fn run_shard(
             sim,
             p,
             served,
-            drawn,
+            drawn.map_or(&[], |d| d.list(p)),
             split,
             false,
             &mut out.part,
             |s: &Served, walk_md| latency.record(s.wait_md + walk_md),
         );
-        out.lists.push(split.final_list(sim));
+        out.lists.push(split.final_list());
     }
     out.health.search = out.part.health;
     out.health.expect_reconciled(

@@ -44,7 +44,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use crate::index::IndexBackend;
-use crate::neighbours::{draw_random_list, Delta, NeighbourList, Peer, PolicyKind};
+use crate::neighbours::{draw_random_list, NeighbourList, Peer, PolicyKind};
 use crate::query::{QueryCtx, Request, Tables, WalkScratch, QUERY_RTT_MD};
 
 /// Stateless server-fallback pick: which of the `len` current sharers
@@ -488,51 +488,9 @@ impl SimResult {
     }
 }
 
-/// Runs the Section 5.1 simulation over a static cache set.
-///
-/// `caches[p]` is the potential request set of peer `p` (its cache in
-/// the trace). Peers with empty caches are free-riders: they issue no
-/// requests (the paper's request model has no free-rider requests) and,
-/// holding nothing, never appear in neighbour lists.
-///
-/// # Examples
-///
-/// ```
-/// use edonkey_semsearch::sim::{simulate, SimConfig};
-/// use edonkey_trace::model::FileRef;
-///
-/// // Two peers with identical two-file caches: whoever requests second
-/// // finds the first via the fallback, then hits on the second file.
-/// let caches = vec![
-///     vec![FileRef(0), FileRef(1)],
-///     vec![FileRef(0), FileRef(1)],
-/// ];
-/// let result = simulate(&caches, 2, &SimConfig::lru(5));
-/// assert_eq!(result.requests + result.contributor_seeds, 4);
-/// ```
-pub fn simulate(caches: &[Vec<FileRef>], n_files: usize, config: &SimConfig) -> SimResult {
-    let arena = CacheArena::from_caches(caches, n_files);
-    simulate_arena(&arena, config)
-}
-
-/// [`simulate`], also returning the availability ledger.
-pub fn simulate_health(
-    caches: &[Vec<FileRef>],
-    n_files: usize,
-    config: &SimConfig,
-) -> (SimResult, SearchHealth) {
-    let arena = CacheArena::from_caches(caches, n_files);
-    simulate_arena_health_with_scratch(&arena, config, &mut SimScratch::new())
-}
-
-/// Arena-backed [`simulate`] with fresh scratch buffers.
-pub fn simulate_arena(arena: &CacheArena, config: &SimConfig) -> SimResult {
-    simulate_arena_with_scratch(arena, config, &mut SimScratch::new())
-}
-
 /// Reusable simulation buffers.
 ///
-/// One `simulate` run needs a request stream, a per-file sharer table
+/// One whole-cell run needs a request stream, a per-file sharer table
 /// and a per-peer membership mark; across a sweep those allocations
 /// dwarf the useful work for small traces. A `SimScratch` carried from
 /// run to run (e.g. one per worker thread via
@@ -571,38 +529,47 @@ impl SimScratch {
     /// final policy state the service-mode differential tests compare
     /// against. Empty before the first run.
     pub fn final_lists(&self) -> Vec<Vec<Peer>> {
-        self.policies
-            .iter()
-            .map(|p| p.neighbours().to_vec())
-            .collect()
+        self.policies.iter().map(NeighbourList::to_vec).collect()
     }
 }
 
-/// The arena-backed simulation core.
+/// The whole-cell oracle: runs one cell in a single pass over the
+/// shuffled request stream, with one neighbour list per peer, and
+/// returns its availability ledger beside the result
+/// ([`SearchHealth::check_against`] holds for every config).
 ///
-/// Behaviourally identical to the original `Vec<Vec<FileRef>>` +
-/// per-peer `HashSet` implementation (kept as [`simulate_reference`]):
-/// the request stream, every policy update and every RNG draw happen in
-/// the same order, so results are bit-identical for a given seed. What
-/// changed is the data layout:
+/// Row `p` of `arena` is the potential request set of peer `p` (its
+/// cache in the trace). Peers with empty caches are free-riders: they
+/// issue no requests and, holding nothing, never appear in lists.
 ///
-/// * the stream is filled from contiguous arena rows instead of chasing
-///   per-peer heap allocations;
-/// * the "is this sharer one of my neighbours?" test is a generation-
-///   stamped mark-array probe, stamped for free during the (already
-///   mandatory) message-accounting walk over the requester's neighbour
-///   list, instead of a `HashSet` lookup per candidate sharer;
-/// * all large buffers live in `scratch` and are reused across runs.
-pub fn simulate_arena_with_scratch(
-    arena: &CacheArena,
-    config: &SimConfig,
-    scratch: &mut SimScratch,
-) -> SimResult {
-    simulate_arena_health_with_scratch(arena, config, scratch).0
-}
-
-/// [`simulate_arena_with_scratch`], also returning the availability
-/// ledger ([`SearchHealth::check_against`] holds for every config).
+/// Production code runs cells through
+/// [`crate::experiment::sweep_cells`], which picks the split or the
+/// whole path per cell. The differential tests and `bench_report`'s
+/// sequential baseline call this directly; afterwards
+/// [`SimScratch::final_lists`] holds every peer's final list. It
+/// replays the RNG draws and policy updates of [`simulate_reference`]
+/// in the same order, bit for bit, over arena rows, a generation-stamped
+/// mark array stamped by the message-accounting walk (instead of a
+/// `HashSet` probe per candidate sharer) and buffers reused through
+/// `scratch`.
+///
+/// # Examples
+///
+/// ```
+/// use edonkey_semsearch::sim::{simulate_arena_health_with_scratch, SimConfig, SimScratch};
+/// use edonkey_trace::compact::CacheArena;
+/// use edonkey_trace::model::FileRef;
+///
+/// // Two peers with identical two-file caches: whoever requests second
+/// // finds the first via the fallback, then hits on the second file.
+/// let caches = vec![vec![FileRef(0), FileRef(1)], vec![FileRef(0), FileRef(1)]];
+/// let arena = CacheArena::from_caches(&caches, 2);
+/// let config = SimConfig::lru(5);
+/// let (result, health) =
+///     simulate_arena_health_with_scratch(&arena, &config, &mut SimScratch::new());
+/// assert_eq!(result.requests + result.contributor_seeds, 4);
+/// assert!(health.check_against(&result).is_ok());
+/// ```
 pub fn simulate_arena_health_with_scratch(
     arena: &CacheArena,
     config: &SimConfig,
@@ -814,7 +781,7 @@ pub fn simulate_reference(
         result.requests += 1;
 
         // Querying loads every one-hop neighbour.
-        for &n in policies[peer_idx].neighbours() {
+        for n in policies[peer_idx].neighbours() {
             result.messages_per_peer[n as usize] += 1;
         }
 
@@ -827,7 +794,7 @@ pub fn simulate_reference(
 
         // Two-hop: query each neighbour's neighbours.
         if uploader.is_none() && config.two_hop {
-            'outer: for &n in policies[peer_idx].neighbours() {
+            'outer: for n in policies[peer_idx].neighbours() {
                 for &s in file_sharers {
                     if s != peer && policies[n as usize].contains(s) {
                         uploader = Some(s);
@@ -1147,18 +1114,23 @@ impl SweepPrecomp {
 }
 
 /// Per-worker scratch for the per-querier replays (the split sweep and
-/// the serving engine): one pooled policy (renewed per querier), the
-/// kernel's walk buffers, and the quiet path's interval ledger.
+/// the serving engine): one pooled list, array-indexed over the
+/// population and renewed per querier, the kernel's walk buffers, and
+/// the quiet replay's interval ledger and member bitset.
 #[derive(Debug, Default)]
 pub struct SplitScratch {
     policy: Option<NeighbourList>,
     walk: WalkScratch,
-    /// Quiet path: `start_of[p]` is the request index at which member
-    /// `p` became queryable — messages are settled per *interval* on
-    /// eviction instead of per request. Only meaningful while `p` is a
-    /// member.
+    /// Quiet replays: `start_of[p]` is the request index at which
+    /// member `p` became queryable — messages are settled per
+    /// *interval* on eviction instead of per request. Only meaningful
+    /// while `p` is a member.
     start_of: Vec<u32>,
-    quiet: QuietState,
+    /// Quiet replays: the members as a bitset over peers, kept from
+    /// each record's delta — ~2.5 KB at repro scale, so the hit check's
+    /// prefix scan probes L1. All-zero between queriers (members are
+    /// unset during settling).
+    bits: Vec<u64>,
 }
 
 impl SplitScratch {
@@ -1167,19 +1139,27 @@ impl SplitScratch {
         Self::default()
     }
 
-    /// The list the last querier replayed under `config` ended with, in
-    /// list order. Meaningful only right after a replay of at least one
-    /// request.
-    pub(crate) fn final_list(&self, config: &SimConfig) -> Vec<Peer> {
-        if uses_quiet_state(config) {
-            let mut list = Vec::with_capacity(self.quiet.count());
-            self.quiet.for_each(|m| list.push(m));
-            list
-        } else {
-            self.policy
-                .as_ref()
-                .map_or_else(Vec::new, |p| p.neighbours().to_vec())
+    /// Renews the pooled list for `querier` under `config`, from its
+    /// `drawn` list, growing the peer-indexed buffers to `n_peers`.
+    fn renew(&mut self, config: &SimConfig, querier: Peer, drawn: &[Peer], n_peers: usize) {
+        let (kind, cap) = (config.policy, config.list_size);
+        if self.start_of.len() < n_peers {
+            self.start_of.resize(n_peers, 0);
+            self.bits.resize(n_peers.div_ceil(64), 0);
+            self.policy = None;
         }
+        self.policy
+            .get_or_insert_with(|| {
+                NeighbourList::from_drawn(kind, cap, querier, &[]).with_peer_array(n_peers)
+            })
+            .renew_drawn(kind, cap, querier, drawn);
+    }
+
+    /// The list the last querier replayed ended with, in list order.
+    pub(crate) fn final_list(&self) -> Vec<Peer> {
+        self.policy
+            .as_ref()
+            .map_or_else(Vec::new, NeighbourList::to_vec)
     }
 }
 
@@ -1190,260 +1170,46 @@ impl SplitScratch {
 /// uploader the sequential sharer-order scan finds.
 const MEMBER_MAJOR_CUTOFF: usize = 128;
 
-/// Sentinel for "no peer" in [`QuietState`]'s intrusive links.
-const NO_PEER: u32 = u32::MAX;
-
-/// Peer-indexed policy state for the quiet split path.
-///
-/// A [`NeighbourList`] hashes every membership test and `memmove`s
-/// every head insert; amortised over ~10⁵ requests per cell that is
-/// most of a sweep's runtime. This mirror keeps the identical delta
-/// semantics (pinned by the split determinism tests) with O(1) LRU
-/// updates over intrusive recency links and generation-stamped History
-/// counters — no hashing, no per-querier clearing. The History arrays
-/// are valid only where stamped with the current querier's generation.
-/// A Random list is preloaded and never changes.
-#[derive(Debug, Default)]
-struct QuietState {
-    /// Membership bitset over peers — ~2.5 KB at repro scale, so the
-    /// hot prefix scan probes L1 instead of a peer-indexed word array.
-    /// All-zero between queriers (members are unset during settling).
-    bits: Vec<u64>,
-    /// Recency links (head = most recently used), LRU kinds only.
-    next: Vec<u32>,
-    prev: Vec<u32>,
-    head: u32,
-    tail: u32,
-    len: usize,
-    /// The members are `list` (History's sorted list or a drawn Random
-    /// list), not the LRU links.
-    listed: bool,
-    /// Bumped per querier; invalidates the History arrays.
-    generation: u64,
-    /// History upload counters, valid iff `seen[p] == generation`.
-    counts: Vec<u64>,
-    /// History recency tie-break clocks, valid with `counts`.
-    last: Vec<u64>,
-    seen: Vec<u64>,
-    clock: u64,
-    /// History's member list, sorted by `(count, recency)` descending —
-    /// exactly a History [`NeighbourList`]'s order — or a Random list
-    /// in draw order.
-    list: Vec<Peer>,
+#[inline]
+fn bit(bits: &[u64], p: Peer) -> bool {
+    bits[(p >> 6) as usize] & (1u64 << (p & 63)) != 0
 }
 
-impl QuietState {
-    /// Resets to the empty-list state for the next querier. The
-    /// membership bits were already cleared during the previous
-    /// querier's settling and the counter arrays are invalidated by the
-    /// generation bump, so this is O(1) after the first call.
-    fn reset(&mut self, n_peers: usize, listed: bool) {
-        if self.next.len() < n_peers {
-            self.next.resize(n_peers, NO_PEER);
-            self.prev.resize(n_peers, NO_PEER);
-            self.counts.resize(n_peers, 0);
-            self.last.resize(n_peers, 0);
-            self.seen.resize(n_peers, 0);
-            self.bits.resize(n_peers.div_ceil(64), 0);
-        }
-        self.head = NO_PEER;
-        self.tail = NO_PEER;
-        self.len = 0;
-        self.listed = listed;
-        self.generation += 1;
-        self.clock = 0;
-        self.list.clear();
-    }
+#[inline]
+fn flip(bits: &mut [u64], p: Peer) {
+    bits[(p >> 6) as usize] ^= 1u64 << (p & 63);
+}
 
-    /// Loads a drawn Random list as the members, in draw order.
-    fn preload(&mut self, drawn: &[Peer]) {
-        for &m in drawn {
-            self.set_member(m);
-        }
-        self.list.extend_from_slice(drawn);
+/// The one-hop hit of a quiet request: the member with the minimal
+/// arrival rank below the request's — exactly the first member in the
+/// file's sharer prefix. Popular files (prefix far longer than the
+/// list) probe member-major through the arena's rank table; rare files
+/// scan the prefix against the member bitset.
+#[inline]
+fn quiet_hit(
+    arena: &CacheArena,
+    pre: &SweepPrecomp,
+    rec: &QueryRec,
+    list: &NeighbourList,
+    bits: &[u64],
+) -> Option<Peer> {
+    let r = rec.rank as usize;
+    if r <= MEMBER_MAJOR_CUTOFF * list.len().max(1) {
+        return pre.prefix(rec).iter().copied().find(|&s| bit(bits, s));
     }
-
-    #[inline]
-    fn set_member(&mut self, p: u32) {
-        self.bits[(p >> 6) as usize] |= 1u64 << (p & 63);
-    }
-
-    #[inline]
-    fn unset_member(&mut self, p: u32) {
-        self.bits[(p >> 6) as usize] &= !(1u64 << (p & 63));
-    }
-
-    #[inline]
-    fn push_front(&mut self, u: u32) {
-        self.prev[u as usize] = NO_PEER;
-        self.next[u as usize] = self.head;
-        if self.head == NO_PEER {
-            self.tail = u;
-        } else {
-            self.prev[self.head as usize] = u;
-        }
-        self.head = u;
-        self.len += 1;
-    }
-
-    #[inline]
-    fn unlink(&mut self, u: u32) {
-        let (p, n) = (self.prev[u as usize], self.next[u as usize]);
-        if p == NO_PEER {
-            self.head = n;
-        } else {
-            self.next[p as usize] = n;
-        }
-        if n == NO_PEER {
-            self.tail = p;
-        } else {
-            self.prev[n as usize] = p;
-        }
-        self.len -= 1;
-    }
-
-    /// An LRU [`NeighbourList::record`] over the intrusive links: the
-    /// tail is the least recently used member, evicted before the
-    /// insert, exactly like the list's `pop`-then-`insert(0, ..)`.
-    #[inline]
-    fn lru_record(&mut self, u: u32, cap: usize) -> Delta {
-        if self.contains(u) {
-            if self.head != u {
-                self.unlink(u);
-                self.push_front(u);
-            }
-            (None, None)
-        } else {
-            let removed = if self.len == cap {
-                let t = self.tail;
-                self.unlink(t);
-                self.unset_member(t);
-                Some(t)
-            } else {
-                None
-            };
-            self.push_front(u);
-            self.set_member(u);
-            (Some(u), removed)
-        }
-    }
-
-    #[inline]
-    fn hist_key(&self, p: u32) -> (u64, u64) {
-        if self.seen[p as usize] == self.generation {
-            (self.counts[p as usize], self.last[p as usize])
-        } else {
-            (0, 0)
-        }
-    }
-
-    /// A History [`NeighbourList::record`] with the hash maps replaced
-    /// by generation-stamped arrays; the sorted member list and its
-    /// rejection/placement rules are verbatim.
-    fn hist_record(&mut self, u: u32, cap: usize) -> Delta {
-        self.clock += 1;
-        let ui = u as usize;
-        if self.seen[ui] == self.generation {
-            self.counts[ui] += 1;
-        } else {
-            self.seen[ui] = self.generation;
-            self.counts[ui] = 1;
-        }
-        self.last[ui] = self.clock;
-        let mut delta = (None, None);
-        if self.contains(u) {
-            let pos = self.list.iter().position(|&p| p == u).expect("member");
-            self.list.remove(pos);
-        } else if self.list.len() == cap {
-            let tail = *self.list.last().expect("at capacity > 0");
-            if self.hist_key(u) <= self.hist_key(tail) {
-                return delta;
-            }
-            self.list.pop();
-            self.unset_member(tail);
-            self.set_member(u);
-            delta = (Some(u), Some(tail));
-        } else {
-            self.set_member(u);
-            delta = (Some(u), None);
-        }
-        let key = self.hist_key(u);
-        let pos = self
-            .list
-            .iter()
-            .position(|&p| self.hist_key(p) < key)
-            .unwrap_or(self.list.len());
-        self.list.insert(pos, u);
-        delta
-    }
-
-    /// How many members there are.
-    #[inline]
-    fn count(&self) -> usize {
-        if self.listed {
-            self.list.len()
-        } else {
-            self.len
-        }
-    }
-
-    /// Is `p` a member?
-    #[inline]
-    fn contains(&self, p: Peer) -> bool {
-        self.bits[(p >> 6) as usize] & (1u64 << (p & 63)) != 0
-    }
-
-    /// Visits every member in list order.
-    #[inline]
-    fn for_each(&self, mut f: impl FnMut(Peer)) {
-        if self.listed {
-            self.list.iter().for_each(|&m| f(m));
-        } else {
-            let mut m = self.head;
-            while m != NO_PEER {
-                f(m);
-                m = self.next[m as usize];
+    let (files, offsets) = arena.as_csr_parts();
+    let mut best: Option<(u32, Peer)> = None;
+    for m in list.members() {
+        let lo = offsets[m as usize] as usize;
+        let row = &files[lo..offsets[m as usize + 1] as usize];
+        if let Ok(pos) = row.binary_search(&rec.file) {
+            let rank = pre.rank_by[lo + pos];
+            if (rank as usize) < r && best.is_none_or(|(b, _)| rank < b) {
+                best = Some((rank, m));
             }
         }
     }
-
-    /// The one-hop hit of a quiet request: the member with the minimal
-    /// arrival rank below the request's — exactly the first member in
-    /// the file's sharer prefix. Popular files (prefix far longer than
-    /// the list) probe member-major through the arena's rank table;
-    /// rare files scan the prefix.
-    #[inline]
-    fn hit(&self, arena: &CacheArena, pre: &SweepPrecomp, rec: &QueryRec) -> Option<Peer> {
-        let r = rec.rank as usize;
-        if r <= MEMBER_MAJOR_CUTOFF * self.count().max(1) {
-            return pre.prefix(rec).iter().copied().find(|&s| self.contains(s));
-        }
-        let (files, offsets) = arena.as_csr_parts();
-        let mut best: Option<(u32, Peer)> = None;
-        self.for_each(|m| {
-            let lo = offsets[m as usize] as usize;
-            let row = &files[lo..offsets[m as usize + 1] as usize];
-            if let Ok(pos) = row.binary_search(&rec.file) {
-                let rank = pre.rank_by[lo + pos];
-                if (rank as usize) < r && best.is_none_or(|(b, _)| rank < b) {
-                    best = Some((rank, m));
-                }
-            }
-        });
-        best.map(|(_, m)| m)
-    }
-
-    /// End-of-querier settling walk: visits every member while clearing
-    /// its membership bit, restoring the all-zero invariant `reset`
-    /// relies on.
-    fn settle_members(&mut self, mut f: impl FnMut(u32)) {
-        let mut bits = std::mem::take(&mut self.bits);
-        self.for_each(|m| {
-            bits[(m >> 6) as usize] &= !(1u64 << (m & 63));
-            f(m);
-        });
-        self.bits = bits;
-    }
+    best.map(|(_, m)| m)
 }
 
 /// One subtask's contribution to a cell: every field merges by plain
@@ -1571,17 +1337,20 @@ impl Replayed for QueryRec {
     }
 }
 
-/// Quiet cells replay on [`QuietState`]; churn and adversaries take
-/// the kernel's full step.
-fn uses_quiet_state(config: &SimConfig) -> bool {
-    config.availability.is_quiet()
-}
-
 /// Replays one querier's `requests`, in order, into `part` — the split
-/// path the sweep and the serving engine share. `drawn` is the
-/// querier's constructed Random list (empty for every other policy);
-/// `walked` hears each request's walk latency in milli-days: a round
-/// trip per attempt, the retry backoff, and a miss's index routing.
+/// path the sweep and the serving engine share — on the worker's pooled
+/// list, renewed from `drawn`, the querier's constructed Random list
+/// (empty for every other policy). `walked` hears each request's walk
+/// latency in milli-days: a round trip per attempt, the retry backoff,
+/// and a miss's index routing.
+///
+/// Churn or an adversary takes the kernel's full step, with messages
+/// counted per request (attempts differ per request). A quiet cell
+/// queries every member once per request, so it keeps the quiet rules:
+/// messages settle per membership interval, the hit is the member of
+/// minimal arrival rank ([`quiet_hit`]), and nothing walks the list. A
+/// quiet Random list never changes, so it records nothing and every
+/// member settles once, at the end.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn replay_querier<R: Replayed>(
     arena: &CacheArena,
@@ -1594,57 +1363,59 @@ pub(crate) fn replay_querier<R: Replayed>(
     scratch: &mut SplitScratch,
     profile: bool,
     part: &mut CellPartial,
-    walked: impl FnMut(&R, u64),
-) {
-    if uses_quiet_state(config) {
-        simulate_querier_quiet(
-            arena, pre, ctx, config, querier, requests, drawn, scratch, profile, part, walked,
-        );
-    } else {
-        simulate_querier_churn(
-            pre, ctx, config, querier, requests, drawn, scratch, profile, part, walked,
-        );
-    }
-}
-
-/// Quiet-regime querier replay: interval-settled messages, rank-based
-/// hit checks, no walk. A Random querier starts from its `drawn` list,
-/// which no quiet request changes: every member settles once, at the
-/// end of the stream.
-#[allow(clippy::too_many_arguments)]
-fn simulate_querier_quiet<R: Replayed>(
-    arena: &CacheArena,
-    pre: &SweepPrecomp,
-    ctx: &QueryCtx,
-    config: &SimConfig,
-    querier: Peer,
-    requests: &[R],
-    drawn: &[Peer],
-    scratch: &mut SplitScratch,
-    profile: bool,
-    part: &mut CellPartial,
     mut walked: impl FnMut(&R, u64),
 ) {
+    scratch.renew(config, querier, drawn, pre.n_peers);
     let SplitScratch {
-        start_of, quiet, ..
+        policy,
+        walk,
+        start_of,
+        bits,
     } = scratch;
-    let kind = config.policy;
-    let cap = config.list_size;
-    if start_of.len() < pre.n_peers {
-        start_of.resize(pre.n_peers, 0);
+    let list = policy.as_mut().expect("renewed above");
+    if !config.availability.is_quiet() {
+        let mut books = ctx.books(1);
+        for req in requests {
+            let rec = req.rec();
+            let request = Request {
+                querier,
+                file: rec.file,
+                key: u64::from(rec.t),
+                popularity: rec.rank,
+                sharers: pre.prefix(rec),
+                start_md: req.start_md(ctx, pre),
+            };
+            let t0 = profile.then(Instant::now);
+            let (walk, route_md) = ctx
+                .step(
+                    walk,
+                    &request,
+                    std::slice::from_mut(list),
+                    0,
+                    books.first_mut(),
+                    || ctx.fallback(request.key, request.sharers),
+                    &mut part.messages,
+                    &mut part.health,
+                )
+                .expect("replayed cells have no outages");
+            if let Some(t0) = t0 {
+                part.intersect_ns += t0.elapsed().as_nanos() as u64;
+            }
+            part.one_hop_hits += u64::from(walk.uploader.is_some());
+            walked(req, walk.latency_md(route_md));
+        }
+        return;
     }
-    quiet.reset(
-        pre.n_peers,
-        matches!(kind, PolicyKind::History | PolicyKind::Random),
-    );
-    quiet.preload(drawn);
+
     for &m in drawn {
+        flip(bits, m);
         start_of[m as usize] = 0;
     }
+    let records = config.policy != PolicyKind::Random;
     for (q, req) in requests.iter().enumerate() {
         let (q, rec) = (q as u32, req.rec());
         let t0 = profile.then(Instant::now);
-        let hit = quiet.hit(arena, pre, rec);
+        let hit = quiet_hit(arena, pre, rec, list, bits);
         if let Some(t0) = t0 {
             part.intersect_ns += t0.elapsed().as_nanos() as u64;
         }
@@ -1666,23 +1437,21 @@ fn simulate_querier_quiet<R: Replayed>(
             }
         };
         walked(req, QUERY_RTT_MD + route_md);
+        if !records {
+            continue;
+        }
 
         // Policy update + interval settling: a member evicted after
         // request `q` was queried during `[start, q]`.
         let t0 = profile.then(Instant::now);
-        let (added, removed) = match kind {
-            PolicyKind::Lru => quiet.lru_record(uploader, cap),
-            PolicyKind::History => quiet.hist_record(uploader, cap),
-            PolicyKind::RareLru { max_sources } if rec.rank <= max_sources => {
-                quiet.lru_record(uploader, cap)
-            }
-            PolicyKind::RareLru { .. } | PolicyKind::Random => (None, None),
-        };
+        let (added, removed) = list.record(uploader, rec.rank);
         if let Some(rm) = removed {
             part.messages[rm as usize] += u64::from(q + 1 - start_of[rm as usize]);
+            flip(bits, rm);
         }
         if let Some(ad) = added {
             start_of[ad as usize] = q + 1;
+            flip(bits, ad);
         }
         if let Some(t0) = t0 {
             part.update_ns += t0.elapsed().as_nanos() as u64;
@@ -1691,63 +1460,9 @@ fn simulate_querier_quiet<R: Replayed>(
     // Settle members still listed at the end of the querier's stream,
     // clearing their membership bits for the next querier.
     let total = requests.len() as u32;
-    quiet.settle_members(|m| {
+    for m in list.members() {
         part.messages[m as usize] += u64::from(total - start_of[m as usize]);
-    });
-}
-
-/// Churn- or adversary-regime querier replay: the kernel's full step,
-/// restricted to one querier with its own pooled policy (a Random one
-/// starting from its `drawn` list) and reputation book. Message
-/// accounting is immediate (attempts differ per request, so intervals
-/// don't apply).
-#[allow(clippy::too_many_arguments)]
-fn simulate_querier_churn<R: Replayed>(
-    pre: &SweepPrecomp,
-    ctx: &QueryCtx,
-    config: &SimConfig,
-    querier: Peer,
-    requests: &[R],
-    drawn: &[Peer],
-    scratch: &mut SplitScratch,
-    profile: bool,
-    part: &mut CellPartial,
-    mut walked: impl FnMut(&R, u64),
-) {
-    let (kind, cap) = (config.policy, config.list_size);
-    let policy = scratch
-        .policy
-        .get_or_insert_with(|| NeighbourList::from_drawn(kind, cap, querier, drawn));
-    policy.renew_drawn(kind, cap, querier, drawn);
-    let mut books = ctx.books(1);
-    for req in requests {
-        let rec = req.rec();
-        let request = Request {
-            querier,
-            file: rec.file,
-            key: u64::from(rec.t),
-            popularity: rec.rank,
-            sharers: pre.prefix(rec),
-            start_md: req.start_md(ctx, pre),
-        };
-        let t0 = profile.then(Instant::now);
-        let (walk, route_md) = ctx
-            .step(
-                &mut scratch.walk,
-                &request,
-                std::slice::from_mut(policy),
-                0,
-                books.first_mut(),
-                || ctx.fallback(request.key, request.sharers),
-                &mut part.messages,
-                &mut part.health,
-            )
-            .expect("replayed cells have no outages");
-        if let Some(t0) = t0 {
-            part.intersect_ns += t0.elapsed().as_nanos() as u64;
-        }
-        part.one_hop_hits += u64::from(walk.uploader.is_some());
-        walked(req, walk.latency_md(route_md));
+        flip(bits, m);
     }
 }
 
@@ -1792,6 +1507,16 @@ mod tests {
         FileRef(i)
     }
 
+    /// One cell through the sweep scheduler, on one thread.
+    fn cell(
+        caches: &[Vec<FileRef>],
+        n_files: usize,
+        config: &SimConfig,
+    ) -> (SimResult, SearchHealth) {
+        let arena = CacheArena::from_caches(caches, n_files);
+        crate::experiment::sweep_cells_threads(&arena, std::slice::from_ref(config), 1).remove(0)
+    }
+
     /// A tight community: 10 peers sharing the same 20 files.
     fn community(n_peers: u32, n_files: u32) -> Vec<Vec<FileRef>> {
         (0..n_peers)
@@ -1802,7 +1527,7 @@ mod tests {
     #[test]
     fn accounting_adds_up() {
         let caches = community(10, 20);
-        let result = simulate(&caches, 20, &SimConfig::lru(5));
+        let result = cell(&caches, 20, &SimConfig::lru(5)).0;
         assert_eq!(
             result.requests + result.contributor_seeds,
             200,
@@ -1818,7 +1543,7 @@ mod tests {
     #[test]
     fn clustered_caches_give_high_lru_hit_rates() {
         let caches = community(10, 40);
-        let result = simulate(&caches, 40, &SimConfig::lru(5));
+        let result = cell(&caches, 40, &SimConfig::lru(5)).0;
         // Everyone's neighbours quickly converge on the community.
         assert!(
             result.hit_rate() > 0.6,
@@ -1836,8 +1561,8 @@ mod tests {
                 caches.push((0..10).map(|k| f(c * 10 + k)).collect());
             }
         }
-        let lru = simulate(&caches, 200, &SimConfig::lru(4));
-        let random = simulate(&caches, 200, &SimConfig::random(4));
+        let lru = cell(&caches, 200, &SimConfig::lru(4)).0;
+        let random = cell(&caches, 200, &SimConfig::random(4)).0;
         assert!(
             lru.hit_rate() > random.hit_rate() + 0.2,
             "LRU {} vs random {}",
@@ -1849,7 +1574,7 @@ mod tests {
     #[test]
     fn history_also_learns() {
         let caches = community(10, 40);
-        let result = simulate(&caches, 40, &SimConfig::history(5));
+        let result = cell(&caches, 40, &SimConfig::history(5)).0;
         assert!(
             result.hit_rate() > 0.5,
             "history hit rate {}",
@@ -1865,8 +1590,8 @@ mod tests {
                 caches.push((0..8).map(|k| f(c * 8 + k)).collect());
             }
         }
-        let one = simulate(&caches, 80, &SimConfig::lru(3));
-        let two = simulate(&caches, 80, &SimConfig::lru(3).with_two_hop());
+        let one = cell(&caches, 80, &SimConfig::lru(3)).0;
+        let two = cell(&caches, 80, &SimConfig::lru(3).with_two_hop()).0;
         assert!(two.hit_rate() >= one.hit_rate());
         assert!(two.two_hop_hits > 0, "two-hop must answer something");
         assert_eq!(one.two_hop_hits, 0);
@@ -1876,7 +1601,7 @@ mod tests {
     fn free_riders_issue_nothing_and_receive_nothing() {
         let mut caches = community(5, 10);
         caches.push(vec![]); // a free-rider
-        let result = simulate(&caches, 10, &SimConfig::lru(5));
+        let result = cell(&caches, 10, &SimConfig::lru(5)).0;
         assert_eq!(result.messages_per_peer[5], 0);
         assert_eq!(result.requests + result.contributor_seeds, 50);
     }
@@ -1884,7 +1609,7 @@ mod tests {
     #[test]
     fn load_is_counted_per_queried_neighbour() {
         let caches = community(4, 10);
-        let result = simulate(&caches, 10, &SimConfig::lru(2));
+        let result = cell(&caches, 10, &SimConfig::lru(2)).0;
         let total: u64 = result.messages_per_peer.iter().sum();
         // Each request queries at most 2 neighbours (less while lists
         // warm up).
@@ -1898,10 +1623,10 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let caches = community(8, 15);
-        let a = simulate(&caches, 15, &SimConfig::lru(5).with_seed(9));
-        let b = simulate(&caches, 15, &SimConfig::lru(5).with_seed(9));
+        let a = cell(&caches, 15, &SimConfig::lru(5).with_seed(9)).0;
+        let b = cell(&caches, 15, &SimConfig::lru(5).with_seed(9)).0;
         assert_eq!(a, b);
-        let c = simulate(&caches, 15, &SimConfig::lru(5).with_seed(10));
+        let c = cell(&caches, 15, &SimConfig::lru(5).with_seed(10)).0;
         // Different order, same accounting identity.
         assert_eq!(c.requests + c.contributor_seeds, 120);
         // The arena rewrite preserves the RNG call sequence exactly, so
@@ -1918,8 +1643,8 @@ mod tests {
             SimConfig::lru(3).with_seed(9).with_two_hop(),
         ] {
             let legacy = simulate_reference(&caches, 15, &config);
-            let fresh = simulate(&caches, 15, &config);
-            let reused = simulate_arena_with_scratch(&arena, &config, &mut scratch);
+            let fresh = cell(&caches, 15, &config).0;
+            let reused = simulate_arena_health_with_scratch(&arena, &config, &mut scratch).0;
             assert_eq!(legacy, fresh, "config {config:?}");
             assert_eq!(legacy, reused, "config {config:?} (reused scratch)");
         }
@@ -1927,12 +1652,12 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let result = simulate(&[], 0, &SimConfig::lru(5));
+        let result = cell(&[], 0, &SimConfig::lru(5)).0;
         assert_eq!(result.requests, 0);
         assert_eq!(result.hit_rate(), 0.0);
         assert_eq!(result.mean_load(), 0.0);
         assert_eq!(result.max_load(), 0);
-        let (result, health) = simulate_health(&[], 0, &SimConfig::lru(5));
+        let (result, health) = cell(&[], 0, &SimConfig::lru(5));
         assert!(health.check_against(&result).is_ok());
         assert_eq!(health, SearchHealth::default());
     }
@@ -1960,7 +1685,7 @@ mod tests {
         ] {
             let reference = simulate_reference(&caches, 15, &base);
             let config = base.with_availability(quiet.clone());
-            let (result, health) = simulate_health(&caches, 15, &config);
+            let (result, health) = cell(&caches, 15, &config);
             assert_eq!(reference, result, "config {config:?}");
             assert!(health.check_against(&result).is_ok());
             assert_eq!(health.timed_out, 0);
@@ -1987,7 +1712,7 @@ mod tests {
                     let config = base.clone().with_availability(
                         AvailabilityConfig::churn(7, permille).with_query(query),
                     );
-                    let (result, health) = simulate_health(&caches, 30, &config);
+                    let (result, health) = cell(&caches, 30, &config);
                     health
                         .check_against(&result)
                         .unwrap_or_else(|e| panic!("{e} (config {config:?})"));
@@ -2003,7 +1728,7 @@ mod tests {
         let hit_at = |permille: u32| {
             let config =
                 SimConfig::lru(6).with_availability(AvailabilityConfig::churn(3, permille));
-            simulate(&caches, 40, &config).hits()
+            cell(&caches, 40, &config).0.hits()
         };
         let h0 = hit_at(0);
         let h250 = hit_at(250);
@@ -2019,7 +1744,7 @@ mod tests {
         let run = |query: QueryPolicy| {
             let config = SimConfig::lru(6)
                 .with_availability(AvailabilityConfig::churn(3, 250).with_query(query));
-            simulate_health(&caches, 40, &config)
+            cell(&caches, 40, &config)
         };
         let (none, none_health) = run(QueryPolicy::no_retry());
         let (retry, retry_health) = run(QueryPolicy::retry_evict());
@@ -2044,7 +1769,7 @@ mod tests {
                 .with_query(QueryPolicy::retry_evict())
                 .with_outages(late_days),
         );
-        let (result, health) = simulate_health(&caches, 30, &config);
+        let (result, health) = cell(&caches, 30, &config);
         assert!(health.check_against(&result).is_ok());
         assert!(health.stranded > 0, "outage misses must strand");
         assert!(health.recovered > 0, "the warm overlay still answers");
@@ -2064,7 +1789,7 @@ mod tests {
                 .with_query(QueryPolicy::retry_evict())
                 .with_outages(all_days),
         );
-        let (result, health) = simulate_health(&caches, 30, &config);
+        let (result, health) = cell(&caches, 30, &config);
         assert!(health.check_against(&result).is_ok());
         assert_eq!(health.server_fallback, 0, "no server to fall back to");
         assert_eq!(result.hits(), 0, "LRU lists never seed without a server");
@@ -2074,7 +1799,7 @@ mod tests {
         let config = SimConfig::lru(5).with_availability(
             AvailabilityConfig::churn(3, 250).with_query(QueryPolicy::retry_evict()),
         );
-        let (result, health) = simulate_health(&caches, 30, &config);
+        let (result, health) = cell(&caches, 30, &config);
         assert!(health.check_against(&result).is_ok());
         assert_eq!(health.stranded, 0);
         assert_eq!(health.recovered, 0);
@@ -2089,8 +1814,8 @@ mod tests {
                 .with_query(QueryPolicy::retry_evict())
                 .with_outages(vec![2, 3]),
         );
-        let a = simulate_health(&caches, 25, &config);
-        let b = simulate_health(&caches, 25, &config);
+        let a = cell(&caches, 25, &config);
+        let b = cell(&caches, 25, &config);
         assert_eq!(a, b);
     }
 
@@ -2183,7 +1908,7 @@ mod tests {
                         .with_freeriders(150),
                 ),
             );
-            let (result, health) = simulate_health(&caches, 60, &config);
+            let (result, health) = cell(&caches, 60, &config);
             health
                 .check_against(&result)
                 .unwrap_or_else(|e| panic!("{e} (config {config:?})"));
@@ -2205,7 +1930,7 @@ mod tests {
             if reputation {
                 avail = avail.with_reputation();
             }
-            simulate_health(&caches, 60, &SimConfig::lru(4).with_availability(avail))
+            cell(&caches, 60, &SimConfig::lru(4).with_availability(avail))
         };
         let (honest, _) = run(AdversaryConfig::none(), false);
         let (attacked, attacked_health) = run(AdversaryConfig::sybils(21, 300), false);
@@ -2244,10 +1969,7 @@ mod tests {
             let avail = AvailabilityConfig::churn(7, 250).with_query(QueryPolicy::retry_evict());
             let plain = base.clone().with_availability(avail.clone());
             let armed = base.with_availability(avail.with_reputation());
-            assert_eq!(
-                simulate_health(&caches, 30, &plain),
-                simulate_health(&caches, 30, &armed)
-            );
+            assert_eq!(cell(&caches, 30, &plain), cell(&caches, 30, &armed));
         }
     }
 
@@ -2299,21 +2021,21 @@ mod tests {
     #[test]
     fn forwarding_backends_account_hops_and_preserve_results() {
         let caches = community(10, 30);
-        let (base, base_health) = simulate_health(&caches, 30, &SimConfig::lru(5));
+        let (base, base_health) = cell(&caches, 30, &SimConfig::lru(5));
         assert_eq!(base_health.forwarded + base_health.dht_hops, 0);
 
         // Zero outages: the uploader pick is backend-agnostic, so the
         // SimResult is identical across backends — only the routing-cost
         // counters move.
         let fed = SimConfig::lru(5).with_backend(IndexBackend::Federated { n_servers: 8 });
-        let (fed_result, fed_health) = simulate_health(&caches, 30, &fed);
+        let (fed_result, fed_health) = cell(&caches, 30, &fed);
         assert!(fed_health.check_against(&fed_result).is_ok());
         assert_eq!(fed_result, base);
         assert!(fed_health.forwarded > 0, "some fallback must forward");
         assert_eq!(fed_health.dht_hops, 0);
 
         let dht = SimConfig::lru(5).with_backend(IndexBackend::Dht { replication_k: 3 });
-        let (dht_result, dht_health) = simulate_health(&caches, 30, &dht);
+        let (dht_result, dht_health) = cell(&caches, 30, &dht);
         assert!(dht_health.check_against(&dht_result).is_ok());
         assert_eq!(dht_result, base);
         assert!(dht_health.dht_hops > 0, "DHT lookups must walk the ring");
@@ -2502,8 +2224,8 @@ mod tests {
     #[test]
     fn larger_lists_do_not_reduce_hits() {
         let caches = community(12, 30);
-        let small = simulate(&caches, 30, &SimConfig::lru(2));
-        let large = simulate(&caches, 30, &SimConfig::lru(11));
+        let small = cell(&caches, 30, &SimConfig::lru(2)).0;
+        let large = cell(&caches, 30, &SimConfig::lru(11)).0;
         assert!(large.hit_rate() >= small.hit_rate() - 0.02);
     }
 }

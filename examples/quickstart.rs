@@ -42,27 +42,40 @@ fn main() {
     );
 
     // 3. Section 5: server-less search via semantic neighbours.
+    //    Every cell runs through the sweep scheduler, which replays
+    //    each one split by querier or whole, as the cell allows.
     let view = filtered.static_arena();
     println!("\nhit rates (trace-driven simulation, Section 5):");
     println!(
         "{:>10} {:>8} {:>8} {:>8}",
         "neighbours", "LRU", "History", "Random"
     );
-    for &size in &[5usize, 10, 20, 50] {
-        let lru = simulate_arena(&view, &SimConfig::lru(size));
-        let history = simulate_arena(&view, &SimConfig::history(size));
-        let random = simulate_arena(&view, &SimConfig::random(size));
+    let sizes = [5usize, 10, 20, 50];
+    let configs: Vec<SimConfig> = sizes
+        .iter()
+        .flat_map(|&size| {
+            [
+                SimConfig::lru(size),
+                SimConfig::history(size),
+                SimConfig::random(size),
+            ]
+        })
+        .collect();
+    for (size, row) in sizes.iter().zip(sweep_cells(&view, &configs).chunks(3)) {
         println!(
             "{size:>10} {:>7.1}% {:>7.1}% {:>7.1}%",
-            100.0 * lru.hit_rate(),
-            100.0 * history.hit_rate(),
-            100.0 * random.hit_rate(),
+            100.0 * row[0].0.hit_rate(),
+            100.0 * row[1].0.hit_rate(),
+            100.0 * row[2].0.hit_rate(),
         );
     }
 
     // 4. Two-hop search (Fig. 23): neighbours-of-neighbours help.
-    let one = simulate_arena(&view, &SimConfig::lru(20));
-    let two = simulate_arena(&view, &SimConfig::lru(20).with_two_hop());
+    let hops = sweep_cells(
+        &view,
+        &[SimConfig::lru(20), SimConfig::lru(20).with_two_hop()],
+    );
+    let (one, two) = (&hops[0].0, &hops[1].0);
     println!(
         "\ntwo-hop search, 20 neighbours: {:.1}% → {:.1}%",
         100.0 * one.hit_rate(),

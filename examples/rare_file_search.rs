@@ -15,7 +15,6 @@
 
 use edonkey_repro::analysis::{semantic, view};
 use edonkey_repro::prelude::*;
-use edonkey_repro::semsearch::experiment::{sweep_cells, sweep_configs};
 use edonkey_repro::semsearch::filters::remove_top_files;
 
 fn main() {
@@ -69,8 +68,11 @@ fn main() {
     // 3. Two-hop search (Fig. 23).
     println!("\none-hop vs two-hop (LRU):");
     for size in [5usize, 20, 50] {
-        let one = simulate_arena(&static_view, &SimConfig::lru(size));
-        let two = simulate_arena(&static_view, &SimConfig::lru(size).with_two_hop());
+        let hops = sweep_cells(
+            &static_view,
+            &[SimConfig::lru(size), SimConfig::lru(size).with_two_hop()],
+        );
+        let (one, two) = (&hops[0].0, &hops[1].0);
         println!(
             "  {size:>3} neighbours: {:>5.1}% → {:>5.1}%",
             100.0 * one.hit_rate(),

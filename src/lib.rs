@@ -14,7 +14,8 @@
 //! * [`workload`] — the calibrated synthetic population generator;
 //! * [`analysis`] — every Section 2–4 statistic;
 //! * [`semsearch`] — the Section 5 semantic-neighbour search simulation
-//!   (the paper's contribution).
+//!   (the paper's contribution); every cell runs through
+//!   `semsearch::sweep_cells`.
 //!
 //! # Quickstart
 //!
@@ -29,7 +30,8 @@
 //! config.cache_max = 500;
 //! let (population, trace) = generate_trace(config);
 //! let filtered = filter_arena(&TraceArena::from_trace(&trace)).arena;
-//! let result = simulate_arena(&filtered.static_arena(), &SimConfig::lru(20));
+//! let cells = sweep_cells(&filtered.static_arena(), &[SimConfig::lru(20)]);
+//! let (result, _health) = &cells[0];
 //! assert!(result.requests > 0);
 //! let _ = population; // ground truth stays available for calibration
 //! ```
@@ -49,8 +51,9 @@ pub mod prelude {
         RetryPolicy,
     };
     pub use edonkey_proto::query::FileKind;
-    pub use edonkey_semsearch::sim::simulate_arena;
-    pub use edonkey_semsearch::{simulate, PolicyKind, SimConfig, SimResult, PAPER_LIST_SIZES};
+    pub use edonkey_semsearch::{
+        sweep_cells, sweep_configs, PolicyKind, SimConfig, SimResult, PAPER_LIST_SIZES,
+    };
     pub use edonkey_trace::{
         extrapolate_arena, filter_arena, CacheArena, ExtrapolateConfig, FileRef, PeerId, Trace,
         TraceArena,

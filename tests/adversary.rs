@@ -27,9 +27,9 @@ use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use edonkey_repro::semsearch::neighbours::PolicyKind;
-use edonkey_repro::semsearch::sim::{simulate_health, AvailabilityConfig, QueryPolicy};
-use edonkey_repro::semsearch::{AdversaryConfig, SimConfig, CHURN_POLICIES};
-use edonkey_repro::trace::model::FileRef;
+use edonkey_repro::semsearch::sim::{AvailabilityConfig, QueryPolicy, SearchHealth, SimResult};
+use edonkey_repro::semsearch::{sweep_cells, AdversaryConfig, SimConfig, CHURN_POLICIES};
+use edonkey_repro::trace::compact::CacheArena;
 use edonkey_repro::trace::pipeline::filter;
 use edonkey_repro::workload::{generate_trace, WorkloadConfig};
 
@@ -41,10 +41,10 @@ const FIXTURE: &str = concat!(
     "/tests/data/adversary_golden.tsv"
 );
 
-/// One shared filtered workload for the whole file (generation
+/// One shared filtered static view for the whole file (generation
 /// dominates test time; every check is read-only on it).
-fn caches() -> &'static (Vec<Vec<FileRef>>, usize) {
-    static W: OnceLock<(Vec<Vec<FileRef>>, usize)> = OnceLock::new();
+fn arena() -> &'static CacheArena {
+    static W: OnceLock<CacheArena> = OnceLock::new();
     W.get_or_init(|| {
         let mut config = WorkloadConfig::test_scale(SEED);
         config.peers = 1_000;
@@ -53,9 +53,13 @@ fn caches() -> &'static (Vec<Vec<FileRef>>, usize) {
         config.days = 12;
         let (_, trace) = generate_trace(config);
         let filtered = filter(&trace).trace;
-        let n = filtered.files.len();
-        (filtered.static_caches(), n)
+        CacheArena::from_caches(&filtered.static_caches(), filtered.files.len())
     })
+}
+
+/// One cell through the sweep scheduler.
+fn cell(config: &SimConfig) -> (SimResult, SearchHealth) {
+    sweep_cells(arena(), std::slice::from_ref(config)).remove(0)
 }
 
 /// A `SimConfig` under one adversary plan (no churn: the adversary is
@@ -81,7 +85,6 @@ fn config(policy: PolicyKind, adversary: AdversaryConfig, defended: bool) -> Sim
 /// each kind moves exactly its own ledger counters.
 #[test]
 fn each_attack_kind_degrades_hits_monotonically() {
-    let (caches, n_files) = caches();
     type Make = fn(u64, u32) -> AdversaryConfig;
     let kinds: [(&str, Make); 3] = [
         ("sybil", AdversaryConfig::sybils),
@@ -93,7 +96,7 @@ fn each_attack_kind_degrades_hits_monotonically() {
             let mut prev = u64::MAX;
             for permille in [0u32, 100, 200, 400] {
                 let cfg = config(policy, make(ADVERSARY_SEED, permille), false);
-                let (result, health) = simulate_health(caches, *n_files, &cfg);
+                let (result, health) = cell(&cfg);
                 health.expect_reconciled(&result, &cfg);
                 assert!(
                     result.one_hop_hits <= prev,
@@ -137,13 +140,12 @@ fn each_attack_kind_degrades_hits_monotonically() {
 /// back and never does worse than no defense.
 #[test]
 fn defense_recovers_against_the_mixed_attack() {
-    let (caches, n_files) = caches();
     let mix = AdversaryConfig::sybils(ADVERSARY_SEED, 50).with_polluters(50);
     let twin = AdversaryConfig::freeriders(ADVERSARY_SEED, 100);
     for policy in CHURN_POLICIES {
         let run = |adversary: AdversaryConfig, defended: bool| {
             let cfg = config(policy, adversary, defended);
-            let (result, health) = simulate_health(caches, *n_files, &cfg);
+            let (result, health) = cell(&cfg);
             health.expect_reconciled(&result, &cfg);
             (result, health)
         };
@@ -195,13 +197,8 @@ fn defense_recovers_against_the_mixed_attack() {
 /// quiet plan is invisible: both replay the plain honest run exactly.
 #[test]
 fn honest_runs_ignore_quiet_plans_and_armed_defenses() {
-    let (caches, n_files) = caches();
     for policy in CHURN_POLICIES {
-        let (expected, expected_health) = simulate_health(
-            caches,
-            *n_files,
-            &config(policy, AdversaryConfig::none(), false),
-        );
+        let (expected, expected_health) = cell(&config(policy, AdversaryConfig::none(), false));
         for (label, adversary, defended) in [
             ("armed defense", AdversaryConfig::none(), true),
             ("quiet plan", AdversaryConfig::sybils(0xfeed_beef, 0), false),
@@ -211,8 +208,7 @@ fn honest_runs_ignore_quiet_plans_and_armed_defenses() {
                 true,
             ),
         ] {
-            let (result, health) =
-                simulate_health(caches, *n_files, &config(policy, adversary, defended));
+            let (result, health) = cell(&config(policy, adversary, defended));
             assert_eq!(result, expected, "{policy:?}: {label}");
             assert_eq!(health, expected_health, "{policy:?}: {label}");
         }
@@ -224,13 +220,12 @@ fn honest_runs_ignore_quiet_plans_and_armed_defenses() {
 /// yields a reconciled, deterministic run of its own.
 #[test]
 fn adversarial_runs_replay_bit_identically_across_seeds() {
-    let (caches, n_files) = caches();
     for adversary_seed in [ADVERSARY_SEED, 0x0dd5_eed5, u64::MAX] {
         let mix = AdversaryConfig::sybils(adversary_seed, 150).with_freeriders(100);
         for defended in [false, true] {
             let cfg = config(PolicyKind::Lru, mix.clone(), defended);
-            let (first, first_health) = simulate_health(caches, *n_files, &cfg);
-            let (second, second_health) = simulate_health(caches, *n_files, &cfg);
+            let (first, first_health) = cell(&cfg);
+            let (second, second_health) = cell(&cfg);
             first_health.expect_reconciled(&first, &cfg);
             assert_eq!(
                 first, second,
@@ -251,7 +246,6 @@ fn adversarial_runs_replay_bit_identically_across_seeds() {
 /// Renders the fixture: one attacked and one defended run per policy
 /// under the pinned 10% mix — hits plus the full attack/defense ledger.
 fn golden_fixture() -> String {
-    let (caches, n_files) = caches();
     let mix = AdversaryConfig::sybils(ADVERSARY_SEED, 50).with_polluters(50);
     let mut out = String::from(
         "# adversary golden fixture v1 — bless with EDONKEY_BLESS=1\n\
@@ -260,7 +254,7 @@ fn golden_fixture() -> String {
     for policy in CHURN_POLICIES {
         for defended in [false, true] {
             let cfg = config(policy, mix.clone(), defended);
-            let (result, health) = simulate_health(caches, *n_files, &cfg);
+            let (result, health) = cell(&cfg);
             writeln!(
                 out,
                 "run\t{}\tdefended={defended}\tseed={SEED}\tadversary_seed={ADVERSARY_SEED}\t\

@@ -226,13 +226,19 @@ fn fig18_policy_ordering_survives_faults() {
     assert_eq!(report.health.check_invariants(), Ok(()));
     assert!(report.health.truncated > 0, "disconnects must truncate");
     let filtered = filter(&trace).trace;
-    let caches = filtered.static_caches();
-    let n_files = filtered.files.len();
-    let hit = |c: SimConfig| simulate(&caches, n_files, &c.with_seed(SEED)).hit_rate();
+    let view = CacheArena::from_caches(&filtered.static_caches(), filtered.files.len());
+    let cells = sweep_cells(
+        &view,
+        &[
+            SimConfig::lru(20).with_seed(SEED),
+            SimConfig::history(20).with_seed(SEED),
+            SimConfig::random(20).with_seed(SEED),
+        ],
+    );
     let (lru, history, random) = (
-        hit(SimConfig::lru(20)),
-        hit(SimConfig::history(20)),
-        hit(SimConfig::random(20)),
+        cells[0].0.hit_rate(),
+        cells[1].0.hit_rate(),
+        cells[2].0.hit_rate(),
     );
     assert!(lru > 0.2, "LRU-20 hit rate {lru} on the faulted trace");
     assert!(

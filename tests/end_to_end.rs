@@ -10,7 +10,7 @@ use edonkey_repro::analysis::{
     stats, view,
 };
 use edonkey_repro::prelude::*;
-use edonkey_repro::semsearch::experiment::{randomization_sweep_arena, sweep_cells, sweep_configs};
+use edonkey_repro::semsearch::experiment::randomization_sweep_arena;
 use edonkey_repro::semsearch::filters::{remove_top_files, remove_top_uploaders};
 use edonkey_repro::trace::randomize::{recommended_iterations, ArenaShuffler};
 
@@ -448,9 +448,9 @@ fn fig23_two_hop_beats_one_hop_most_at_small_lists() {
     let trace = workload();
     let (_, view) = filtered_view(&trace);
     let rates = |size: usize| {
-        let one = simulate_arena(&view, &SimConfig::lru(size)).hit_rate();
-        let two = simulate_arena(&view, &SimConfig::lru(size).with_two_hop()).hit_rate();
-        (one, two)
+        let hops = [SimConfig::lru(size), SimConfig::lru(size).with_two_hop()];
+        let cells = sweep_cells(&view, &hops);
+        (cells[0].0.hit_rate(), cells[1].0.hit_rate())
     };
     let (one_small, two_small) = rates(5);
     let (one_large, two_large) = rates(100);

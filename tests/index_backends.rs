@@ -15,9 +15,9 @@
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
-use edonkey_repro::semsearch::experiment::churn_grid;
+use edonkey_repro::semsearch::experiment::{churn_grid, sweep_cells};
 use edonkey_repro::semsearch::index::IndexBackend;
-use edonkey_repro::semsearch::sim::{simulate_health, AvailabilityConfig, QueryPolicy};
+use edonkey_repro::semsearch::sim::{AvailabilityConfig, QueryPolicy, SearchHealth, SimResult};
 use edonkey_repro::semsearch::SimConfig;
 use edonkey_repro::trace::compact::CacheArena;
 use edonkey_repro::trace::model::FileRef;
@@ -32,11 +32,11 @@ const FIXTURE: &str = concat!(
     "/tests/data/index_backend_golden.tsv"
 );
 
-/// One shared filtered workload for the whole file (generation
+/// One shared filtered static view for the whole file (generation
 /// dominates test time; every check is read-only on it).
-fn caches() -> &'static (Vec<Vec<FileRef>>, usize) {
-    static W: OnceLock<(Vec<Vec<FileRef>>, usize)> = OnceLock::new();
-    W.get_or_init(|| {
+fn arena() -> &'static CacheArena {
+    static A: OnceLock<CacheArena> = OnceLock::new();
+    A.get_or_init(|| {
         let mut config = WorkloadConfig::test_scale(SEED);
         config.peers = 1_000;
         config.files = 20_000;
@@ -44,18 +44,13 @@ fn caches() -> &'static (Vec<Vec<FileRef>>, usize) {
         config.days = 12;
         let (_, trace) = generate_trace(config);
         let filtered = filter(&trace).trace;
-        let n = filtered.files.len();
-        (filtered.static_caches(), n)
+        CacheArena::from_caches(&filtered.static_caches(), filtered.files.len())
     })
 }
 
-/// [`caches`] packed once, for the churn grid.
-fn arena() -> &'static CacheArena {
-    static A: OnceLock<CacheArena> = OnceLock::new();
-    A.get_or_init(|| {
-        let (caches, n_files) = caches();
-        CacheArena::from_caches(caches, *n_files)
-    })
+/// One cell through the sweep scheduler.
+fn cell(config: &SimConfig) -> (SimResult, SearchHealth) {
+    sweep_cells(arena(), std::slice::from_ref(config)).remove(0)
 }
 
 /// A churn + outage `SimConfig` for one backend.
@@ -126,9 +121,8 @@ fn zero_outage_runs_agree_across_backends() {
 ///   per day); with `replication_k = 1` it strands like a shard.
 #[test]
 fn full_outage_differentiates_the_backends() {
-    let (caches, n_files) = caches();
     let outage: Vec<u32> = (0..400).collect();
-    let run = |backend| simulate_health(caches, *n_files, &config(backend, 0, &outage));
+    let run = |backend| cell(&config(backend, 0, &outage));
 
     let (single_result, single_health) = run(IndexBackend::SingleServer);
     assert_eq!(
@@ -181,16 +175,11 @@ fn full_outage_differentiates_the_backends() {
 /// fixed by the trace).
 #[test]
 fn degradation_is_monotone_in_outage_breadth() {
-    let (caches, n_files) = caches();
     let breadths: [Vec<u32>; 3] = [vec![], (7..200).collect(), (0..400).collect()];
     for backend in BACKENDS {
         let stranded: Vec<u64> = breadths
             .iter()
-            .map(|outage| {
-                simulate_health(caches, *n_files, &config(backend, 250, outage))
-                    .1
-                    .stranded
-            })
+            .map(|outage| cell(&config(backend, 250, outage)).1.stranded)
             .collect();
         assert!(
             stranded.windows(2).all(|w| w[0] <= w[1]),
@@ -216,7 +205,6 @@ fn degradation_is_monotone_in_outage_breadth() {
 /// pinned seed — the health ledger of a churn + outage simulation and
 /// the first 64 raw routing picks (8 queriers × 4 files × 2 days).
 fn golden_fixture() -> String {
-    let (caches, n_files) = caches();
     let outage: Vec<u32> = (7..200).collect();
     let mut out = String::from(
         "# index backend golden fixture v1 — bless with EDONKEY_BLESS=1\n\
@@ -226,7 +214,7 @@ fn golden_fixture() -> String {
         IndexBackend::Federated { n_servers: 8 },
         IndexBackend::Dht { replication_k: 3 },
     ] {
-        let (result, health) = simulate_health(caches, *n_files, &config(backend, 250, &outage));
+        let (result, health) = cell(&config(backend, 250, &outage));
         writeln!(
             out,
             "run\t{}\tseed={SEED}\tchurn_seed={CHURN_SEED}\tlist_size={LIST_SIZE}",

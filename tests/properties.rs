@@ -16,12 +16,11 @@ use edonkey_repro::semsearch::overlay::{
 };
 use edonkey_repro::semsearch::serve::{serve_arena_threads, ArrivalConfig, ServeConfig};
 use edonkey_repro::semsearch::sim::{
-    simulate_arena_health_with_scratch, simulate_arena_with_scratch, simulate_reference,
-    DrawnLists, SimScratch,
+    simulate_arena_health_with_scratch, simulate_reference, DrawnLists, SimScratch,
 };
 use edonkey_repro::semsearch::{
-    simulate, split_eligible, AdversaryConfig, AvailabilityConfig, IndexBackend, QueryPolicy,
-    SimConfig,
+    split_eligible, AdversaryConfig, AvailabilityConfig, IndexBackend, QueryPolicy, SearchHealth,
+    SimConfig, SimResult,
 };
 use edonkey_repro::trace::compact::{CacheArena, TraceArena};
 use edonkey_repro::trace::io;
@@ -213,76 +212,289 @@ fn arb_retry_policy() -> impl Strategy<Value = RetryPolicy> {
     prop_oneof![Just(RetryPolicy::no_retry()), Just(RetryPolicy::backoff())]
 }
 
-/// Every list policy; RareLRU with a source cutoff of 0–3.
-fn arb_policy() -> impl Strategy<Value = PolicyKind> {
+/// Every list policy; RareLRU with a source cutoff below `cutoffs`.
+fn arb_policy(cutoffs: u32) -> impl Strategy<Value = PolicyKind> {
     prop_oneof![
         Just(PolicyKind::Lru),
         Just(PolicyKind::History),
         Just(PolicyKind::Random),
-        (0u32..4).prop_map(|max_sources| PolicyKind::RareLru { max_sources }),
+        (0..cutoffs).prop_map(|max_sources| PolicyKind::RareLru { max_sources }),
     ]
 }
 
-/// Up to 60 neighbour-list calls `(op, peer, arg)` on peers 0..16: op 0
-/// records `peer` with `arg` sources; ops 1 and 2 report `peer` stale
-/// or expel it, with `arg` as the replacement (`None` from 16 up).
-fn arb_list_calls() -> impl Strategy<Value = Vec<(u8, u32, u32)>> {
-    prop::collection::vec((0u8..3, 0u32..16, 0u32..20), 0..60)
+/// Up to `len` neighbour-list calls `(op, peer, arg)` on peers
+/// `0..peers`: op 0 records `peer` with `arg` sources; ops 1 and 2
+/// report `peer` stale or expel it, with `arg` as the replacement
+/// (`None` from `peers` up, a fifth of the draws).
+fn arb_list_calls(peers: u32, len: usize) -> impl Strategy<Value = Vec<(u8, u32, u32)>> {
+    prop::collection::vec((0u8..3, 0..peers, 0..peers + peers / 4), 0..len)
 }
 
-/// Applies one [`arb_list_calls`] call to `list`, checking what the
-/// call itself promises and the invariants every list keeps after it.
+/// What one [`arb_list_calls`] call returned.
+#[derive(Debug, PartialEq)]
+enum ListOutcome {
+    Recorded(Option<u32>, Option<u32>),
+    Stale(StaleReaction),
+    Expelled(bool),
+}
+
+/// The list rules written the plain way — a `Vec` in priority order
+/// and a map of History's `(count, last upload)` keys — as the oracle
+/// of every [`NeighbourList`] call in [`check_list_run`].
+struct ListModel {
+    kind: PolicyKind,
+    cap: usize,
+    owner: u32,
+    list: Vec<u32>,
+    keys: HashMap<u32, (u64, u64)>,
+    clock: u64,
+}
+
+impl ListModel {
+    /// A list starting as `list` (a Random list's draw).
+    fn new(kind: PolicyKind, cap: usize, owner: u32, list: Vec<u32>) -> Self {
+        let keys = HashMap::new();
+        ListModel {
+            kind,
+            cap,
+            owner,
+            list,
+            keys,
+            clock: 0,
+        }
+    }
+
+    fn key(&self, peer: u32) -> (u64, u64) {
+        self.keys.get(&peer).copied().unwrap_or((0, 0))
+    }
+
+    fn remove(&mut self, peer: u32) -> bool {
+        let at = self.list.iter().position(|&p| p == peer);
+        at.map(|i| self.list.remove(i)).is_some()
+    }
+
+    fn insert_ranked(&mut self, peer: u32) {
+        let key = self.key(peer);
+        let at = self.list.iter().position(|&p| self.key(p) < key);
+        self.list.insert(at.unwrap_or(self.list.len()), peer);
+    }
+
+    fn record(&mut self, uploader: u32, sources: u32) -> (Option<u32>, Option<u32>) {
+        match self.kind {
+            PolicyKind::Random => return (None, None),
+            PolicyKind::RareLru { max_sources } if sources > max_sources => return (None, None),
+            PolicyKind::History => {
+                self.clock += 1;
+                let (count, _) = self.key(uploader);
+                self.keys.insert(uploader, (count + 1, self.clock));
+            }
+            _ => {}
+        }
+        let lru = self.kind != PolicyKind::History;
+        if self.remove(uploader) {
+            if lru {
+                self.list.insert(0, uploader);
+            } else {
+                self.insert_ranked(uploader);
+            }
+            return (None, None);
+        }
+        let mut evicted = None;
+        if self.list.len() == self.cap {
+            let tail = *self.list.last().expect("capacity is positive");
+            if !lru && self.key(uploader) <= self.key(tail) {
+                return (None, None);
+            }
+            evicted = self.list.pop();
+        }
+        if lru {
+            self.list.insert(0, uploader);
+        } else {
+            self.insert_ranked(uploader);
+        }
+        (Some(uploader), evicted)
+    }
+
+    fn refill(&mut self, peer: u32, replacement: Option<u32>) -> StaleReaction {
+        if !self.remove(peer) {
+            return StaleReaction::Kept;
+        }
+        match replacement {
+            Some(r) if r != self.owner && !self.list.contains(&r) => {
+                self.list.push(r);
+                StaleReaction::Replaced
+            }
+            _ => StaleReaction::Evicted,
+        }
+    }
+
+    fn apply(&mut self, peers: u32, (op, peer, arg): (u8, u32, u32)) -> ListOutcome {
+        let replacement = (arg < peers).then_some(arg);
+        match (op, self.kind) {
+            (0, _) => {
+                let (added, removed) = self.record(peer, arg);
+                ListOutcome::Recorded(added, removed)
+            }
+            (1 | 2, PolicyKind::Random) => {
+                let reaction = self.refill(peer, replacement);
+                match op {
+                    1 => ListOutcome::Stale(reaction),
+                    _ => ListOutcome::Expelled(reaction != StaleReaction::Kept),
+                }
+            }
+            (1, PolicyKind::History) => {
+                if !self.remove(peer) {
+                    return ListOutcome::Stale(StaleReaction::Kept);
+                }
+                let (count, last) = self.key(peer);
+                self.keys.insert(peer, (count / 2, last));
+                self.insert_ranked(peer);
+                ListOutcome::Stale(StaleReaction::Probed)
+            }
+            (1, _) => ListOutcome::Stale(match self.remove(peer) {
+                true => StaleReaction::Evicted,
+                false => StaleReaction::Kept,
+            }),
+            _ => {
+                let member = self.remove(peer);
+                if member {
+                    self.keys.remove(&peer);
+                }
+                ListOutcome::Expelled(member)
+            }
+        }
+    }
+}
+
+/// Applies one [`arb_list_calls`] call to `list`, checking it against
+/// the `model` (which has taken the call and returned `expected`), what
+/// the call itself promises, and the invariants every list keeps after
+/// it.
 fn check_list_call(
     list: &mut NeighbourList,
-    kind: PolicyKind,
-    owner: u32,
+    model: &ListModel,
+    expected: &ListOutcome,
+    peers: u32,
     (op, peer, arg): (u8, u32, u32),
 ) -> Result<(), String> {
-    let before = list.neighbours().to_vec();
-    let replacement = (arg < 16).then_some(arg);
-    let members = |l: &NeighbourList| -> HashSet<u32> { l.neighbours().iter().copied().collect() };
+    let (kind, owner) = (model.kind, model.owner);
+    let before = list.to_vec();
+    let replacement = (arg < peers).then_some(arg);
+    let members = |l: &NeighbourList| -> HashSet<u32> { l.neighbours().collect() };
     let was = members(list);
-    match op {
+    let outcome = match op {
         0 => {
             let (added, removed) = list.record(peer, arg);
             let now = members(list);
             prop_assert_eq!(added.into_iter().collect::<HashSet<_>>(), &now - &was);
             prop_assert_eq!(removed.into_iter().collect::<HashSet<_>>(), &was - &now);
             match kind {
-                PolicyKind::Random => prop_assert_eq!(list.neighbours(), &before[..]),
+                PolicyKind::Random => prop_assert_eq!(list.to_vec(), before),
                 PolicyKind::RareLru { max_sources } if arg > max_sources => {
-                    prop_assert_eq!(list.neighbours(), &before[..]);
+                    prop_assert_eq!(list.to_vec(), before);
                 }
                 PolicyKind::History => {}
-                _ => prop_assert_eq!(list.neighbours()[0], peer, "head is the latest uploader"),
+                _ => prop_assert_eq!(list.to_vec()[0], peer, "head is the latest uploader"),
             }
+            ListOutcome::Recorded(added, removed)
         }
-        1 => match list.handle_stale(peer, replacement) {
-            StaleReaction::Kept => prop_assert_eq!(list.neighbours(), &before[..]),
-            StaleReaction::Probed => prop_assert_eq!(members(list), was),
-            StaleReaction::Evicted => prop_assert_eq!(members(list), &was - &HashSet::from([peer])),
-            StaleReaction::Replaced => {
-                let mut expected = &was - &HashSet::from([peer]);
-                prop_assert!(expected.insert(replacement.expect("a replacement")));
-                prop_assert_eq!(members(list), expected);
+        1 => {
+            let reaction = list.handle_stale(peer, replacement);
+            match reaction {
+                StaleReaction::Kept => prop_assert_eq!(list.to_vec(), before),
+                StaleReaction::Probed => prop_assert_eq!(members(list), was),
+                StaleReaction::Evicted => {
+                    prop_assert_eq!(members(list), &was - &HashSet::from([peer]));
+                }
+                StaleReaction::Replaced => {
+                    let mut expected = &was - &HashSet::from([peer]);
+                    prop_assert!(expected.insert(replacement.expect("a replacement")));
+                    prop_assert_eq!(members(list), expected);
+                }
             }
-        },
+            ListOutcome::Stale(reaction)
+        }
         _ => {
-            prop_assert_eq!(list.expel(peer, replacement), was.contains(&peer));
+            let listed = list.expel(peer, replacement);
+            prop_assert_eq!(listed, was.contains(&peer));
             // Only a Random list can take the expelled peer straight back.
             prop_assert!(!list.contains(peer) || replacement == Some(peer));
+            ListOutcome::Expelled(listed)
         }
-    }
-    let listed = list.neighbours();
+    };
+    prop_assert_eq!(&outcome, expected, "{:?} on {:?}", (op, peer, arg), before);
+    let listed = list.to_vec();
+    prop_assert_eq!(
+        &listed,
+        &model.list,
+        "{:?} on {:?}",
+        (op, peer, arg),
+        before
+    );
     prop_assert!(listed.len() <= list.capacity());
+    prop_assert_eq!(listed.len(), list.len());
     prop_assert_eq!(members(list).len(), listed.len(), "duplicate-free");
-    for p in 0..16 {
+    for p in 0..peers {
         prop_assert_eq!(list.contains(p), listed.contains(&p));
     }
     if kind == PolicyKind::Random {
         prop_assert!(!list.contains(owner), "a Random list never holds its owner");
     }
     Ok(())
+}
+
+/// One [`neighbour_list_invariants`] case over peers `0..peers`: the
+/// `dirty` prefix of `calls` on a fresh list and on its array-indexed
+/// twin (the pooled layout), both against [`ListModel`]; then both,
+/// renewed in place, beside a fresh list over the tail, all against a
+/// model started from the fresh list.
+fn check_list_run(
+    kind: PolicyKind,
+    cap: usize,
+    owner: u32,
+    peers: u32,
+    seed: u64,
+    calls: &[(u8, u32, u32)],
+    split: usize,
+) -> Result<(), String> {
+    let pool: Vec<u32> = (0..peers).collect();
+    let mut list = NeighbourList::new(kind, cap, owner, &pool, &mut StdRng::seed_from_u64(seed));
+    let mut arrayed = list.clone().with_peer_array(peers as usize);
+    let mut model = ListModel::new(kind, cap, owner, list.to_vec());
+    let (dirty, tail) = calls.split_at(split.min(calls.len()));
+    for &call in dirty {
+        let expected = model.apply(peers, call);
+        for l in [&mut list, &mut arrayed] {
+            check_list_call(l, &model, &expected, peers, call)?;
+        }
+    }
+    let rng = || StdRng::seed_from_u64(!seed);
+    let (mut rng_a, mut rng_b, mut rng_c) = (rng(), rng(), rng());
+    let mut fresh = NeighbourList::new(kind, cap, owner, &pool, &mut rng_b);
+    let mut renewed = list.clone();
+    renewed.renew(kind, cap, owner, &pool, &mut rng_a);
+    arrayed.renew(kind, cap, owner, &pool, &mut rng_c);
+    let next = rng_b.next_u64();
+    prop_assert_eq!(rng_a.next_u64(), next, "same draws");
+    prop_assert_eq!(rng_c.next_u64(), next, "same draws, array-indexed");
+    list.renew_drawn(kind, cap, owner, &fresh.to_vec());
+    let mut model = ListModel::new(kind, cap, owner, fresh.to_vec());
+    for l in [&renewed, &list, &arrayed] {
+        prop_assert_eq!(l.to_vec(), fresh.to_vec());
+    }
+    for &call in tail {
+        let expected = model.apply(peers, call);
+        for l in [&mut fresh, &mut renewed, &mut list, &mut arrayed] {
+            check_list_call(l, &model, &expected, peers, call)?;
+        }
+    }
+    Ok(())
+}
+
+/// One cell through the sweep scheduler, on two threads.
+fn cell(caches: &[Vec<FileRef>], n_files: usize, config: &SimConfig) -> (SimResult, SearchHealth) {
+    let arena = CacheArena::from_caches(caches, n_files);
+    sweep_cells_threads(&arena, std::slice::from_ref(config), 2).remove(0)
 }
 
 fn replica_histogram(caches: &[Vec<FileRef>]) -> HashMap<FileRef, usize> {
@@ -349,40 +561,37 @@ proptest! {
         prop_assert_eq!(sorted_intersection_len(&va, &vb), expected.len());
     }
 
-    /// Every neighbour list stays within capacity and duplicate-free
-    /// with `contains` agreeing, under any interleaving of records,
-    /// staleness reactions and expulsions, each call doing what it
-    /// reports; and a dirtied list renewed in place equals a fresh one.
+    /// Every neighbour list follows the plain-`Vec` model of its rules
+    /// and stays within capacity and duplicate-free with `contains`
+    /// agreeing, under any interleaving of records, staleness reactions
+    /// and expulsions, each call doing what it reports; the
+    /// array-indexed layout behaves exactly as the hashed one; and a
+    /// dirtied list renewed in place equals a fresh one.
     #[test]
     fn neighbour_list_invariants(
-        kind in arb_policy(),
+        kind in arb_policy(4),
         cap in 1usize..8,
         owner in 0u32..16,
         seed in any::<u64>(),
-        calls in arb_list_calls(),
+        calls in arb_list_calls(16, 60),
         split in 0usize..60,
     ) {
-        let pool: Vec<u32> = (0..16).collect();
-        let mut list = NeighbourList::new(kind, cap, owner, &pool, &mut StdRng::seed_from_u64(seed));
-        let (dirty, tail) = calls.split_at(split.min(calls.len()));
-        for &call in dirty {
-            check_list_call(&mut list, kind, owner, call)?;
-        }
-        let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(!seed), StdRng::seed_from_u64(!seed));
-        let mut fresh = NeighbourList::new(kind, cap, owner, &pool, &mut rng_b);
-        let mut renewed = list.clone();
-        renewed.renew(kind, cap, owner, &pool, &mut rng_a);
-        prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "same draws");
-        list.renew_drawn(kind, cap, owner, fresh.neighbours());
-        for call in std::iter::once(None).chain(tail.iter().map(Some)) {
-            for l in [&mut fresh, &mut renewed, &mut list] {
-                if let Some(&call) = call {
-                    check_list_call(l, kind, owner, call)?;
-                }
-            }
-            prop_assert_eq!(renewed.neighbours(), fresh.neighbours());
-            prop_assert_eq!(list.neighbours(), fresh.neighbours());
-        }
+        check_list_run(kind, cap, owner, 16, seed, &calls, split)?;
+    }
+
+    /// [`neighbour_list_invariants`] at the sizes the sweeps use — lists
+    /// of up to 64 over peers 0..256 and up to 400 calls — where slots
+    /// are freed mid-list and reused, and long chains relink.
+    #[test]
+    fn neighbour_list_invariants_at_sweep_sizes(
+        kind in arb_policy(320),
+        cap in 1usize..65,
+        owner in 0u32..256,
+        seed in any::<u64>(),
+        calls in arb_list_calls(256, 400),
+        split in 0usize..400,
+    ) {
+        check_list_run(kind, cap, owner, 256, seed, &calls, split)?;
     }
 
     /// Simulation accounting identity: every (peer, file) pair becomes
@@ -392,7 +601,7 @@ proptest! {
     fn simulation_accounting(caches in arb_caches(), list_size in 1usize..6) {
         let n_files = 64;
         let total: u64 = caches.iter().map(|c| c.len() as u64).sum();
-        let result = simulate(&caches, n_files, &SimConfig::lru(list_size));
+        let (result, _) = cell(&caches, n_files, &SimConfig::lru(list_size));
         prop_assert_eq!(result.requests + result.contributor_seeds, total);
         prop_assert!(result.hits() <= result.requests);
         for (peer, &load) in result.messages_per_peer.iter().enumerate() {
@@ -418,7 +627,7 @@ proptest! {
             SimConfig::lru(2).with_seed(seed).with_two_hop(),
         ] {
             let legacy = simulate_reference(&caches, n_files, &config);
-            let arena_result = simulate_arena_with_scratch(&arena, &config, &mut scratch);
+            let arena_result = simulate_arena_health_with_scratch(&arena, &config, &mut scratch).0;
             prop_assert_eq!(&legacy, &arena_result, "config {:?}", config);
         }
     }
@@ -589,7 +798,7 @@ proptest! {
             let mut policy = NeighbourList::from_drawn(PolicyKind::Random, list_size, 0, &[]);
             for owner in 0..n_peers as u32 {
                 policy.renew(PolicyKind::Random, list_size, owner, &pool, &mut hashed);
-                prop_assert_eq!(lists.list(owner), policy.neighbours(), "owner {}", owner);
+                prop_assert_eq!(lists.list(owner), &policy.to_vec()[..], "owner {}", owner);
             }
             prop_assert_eq!(stamped.next_u64(), hashed.next_u64());
         }
@@ -613,7 +822,7 @@ proptest! {
         ] {
             let legacy = simulate_reference(&caches, n_files, &config);
             let armed = config.with_availability(quiet.clone());
-            let got = simulate_arena_with_scratch(&arena, &armed, &mut scratch);
+            let got = simulate_arena_health_with_scratch(&arena, &armed, &mut scratch).0;
             prop_assert_eq!(&legacy, &got, "config {:?}", armed);
         }
     }
@@ -775,7 +984,7 @@ proptest! {
         ] {
             let reference = simulate_reference(&caches, n_files, &config);
             let armed = config.with_availability(quiet.clone());
-            let got = simulate_arena_with_scratch(&arena, &armed, &mut scratch);
+            let got = simulate_arena_health_with_scratch(&arena, &armed, &mut scratch).0;
             prop_assert_eq!(&got, &reference, "config {:?}", armed);
         }
     }
@@ -939,8 +1148,8 @@ proptest! {
         let caches: Vec<Vec<FileRef>> = (0..12u32)
             .map(|p| (0..8).map(|k| FileRef((p / 4) * 8 + k)).collect())
             .collect();
-        let small = simulate(&caches, 24, &SimConfig::lru(2).with_seed(seed));
-        let large = simulate(&caches, 24, &SimConfig::lru(12).with_seed(seed));
+        let (small, _) = cell(&caches, 24, &SimConfig::lru(2).with_seed(seed));
+        let (large, _) = cell(&caches, 24, &SimConfig::lru(12).with_seed(seed));
         prop_assert!(large.hits() + 1 >= small.hits());
     }
 
@@ -1160,5 +1369,52 @@ proptest! {
         let windowed = experiment::sweep_cells_windowed(&arena, &configs, window);
         let full = sweep_cells_threads(&arena, &configs, 4);
         prop_assert_eq!(windowed, full);
+    }
+}
+
+/// The quiet replay's member-major hit check — taken when a file's
+/// sharer prefix is more than 128 times the list — against the
+/// whole-cell oracle, for every policy at list sizes 1–3, quiet and
+/// under 250‰ churn with retries and eviction, at 1 and 2 threads.
+/// Three files are held by all 400 peers, so their requests reach
+/// arrival ranks up to 399 (past 128 × 3), while every peer's dozen
+/// rarer files keep its short list turning over afterwards: picking
+/// any member but the earliest sharer moves a later eviction.
+#[test]
+fn split_sweep_member_major_hit_check_matches_whole_cells() {
+    let caches: Vec<Vec<FileRef>> = (0..400u32)
+        .map(|p| {
+            let (community, mut cache) = (p % 20, vec![0, 1, 2]);
+            cache.extend((0..12).map(|k| 3 + community * 16 + (p / 20 + k) % 16));
+            cache.sort_unstable();
+            cache.into_iter().map(FileRef).collect()
+        })
+        .collect();
+    let arena = CacheArena::from_caches(&caches, 3 + 20 * 16);
+    let churn = AvailabilityConfig::churn(0xc4, 250).with_query(QueryPolicy::retry_evict());
+    let mut configs = Vec::new();
+    for list_size in 1..=3 {
+        for base in [
+            SimConfig::lru(list_size),
+            SimConfig::history(list_size),
+            SimConfig::rare_lru(list_size, 30),
+            SimConfig::random(list_size),
+        ] {
+            for avail in [AvailabilityConfig::none(), churn.clone()] {
+                configs.push(base.clone().with_seed(11).with_availability(avail));
+            }
+        }
+    }
+    assert!(configs.iter().all(split_eligible));
+    let mut scratch = SimScratch::new();
+    let expected: Vec<(SimResult, SearchHealth)> = configs
+        .iter()
+        .map(|c| simulate_arena_health_with_scratch(&arena, c, &mut scratch))
+        .collect();
+    for threads in [1, 2] {
+        let got = sweep_cells_threads(&arena, &configs, threads);
+        for ((config, got), want) in configs.iter().zip(&got).zip(&expected) {
+            assert_eq!(got, want, "{config:?} at {threads} threads");
+        }
     }
 }

@@ -8,11 +8,14 @@
 
 use std::sync::OnceLock;
 
-use edonkey_repro::semsearch::experiment::{churn_grid, CHURN_POLICIES};
+use edonkey_repro::semsearch::experiment::{churn_grid, sweep_cells, CHURN_POLICIES};
 use edonkey_repro::semsearch::index::IndexBackend;
 use edonkey_repro::semsearch::neighbours::PolicyKind;
-use edonkey_repro::semsearch::sim::{simulate_reference, AvailabilityConfig, QueryPolicy};
-use edonkey_repro::semsearch::{simulate, SimConfig};
+use edonkey_repro::semsearch::sim::{
+    simulate_arena_health_with_scratch, simulate_reference, AvailabilityConfig, QueryPolicy,
+    SimScratch,
+};
+use edonkey_repro::semsearch::{SimConfig, SimResult};
 use edonkey_repro::trace::compact::CacheArena;
 use edonkey_repro::trace::model::FileRef;
 use edonkey_repro::trace::pipeline::filter;
@@ -59,6 +62,13 @@ fn plain_config(policy: PolicyKind) -> SimConfig {
     config.with_seed(SEED)
 }
 
+/// One cell through the sweep scheduler.
+fn run(config: &SimConfig) -> SimResult {
+    sweep_cells(arena(), std::slice::from_ref(config))
+        .remove(0)
+        .0
+}
+
 /// Churn 0 + no outages ⇒ bit-identical to the pre-availability
 /// simulator, both through the oracle (`simulate_reference`) and
 /// through the churn grid itself — even with retries and staleness
@@ -75,13 +85,14 @@ fn zero_churn_is_bit_identical_to_the_seed_simulator() {
         let armed = config
             .with_availability(AvailabilityConfig::none().with_query(QueryPolicy::retry_evict()));
         assert_eq!(
-            simulate(caches, *n_files, &armed),
+            run(&armed),
             reference,
             "quiet availability changed the result for {armed:?}"
         );
     }
-    // The grid's rate-0 cells equal the plain simulator for every
-    // policy and either querier reaction, and their ledgers are silent.
+    // The grid's rate-0 cells (split replays) equal the whole-cell
+    // oracle on the plain config for every policy and either querier
+    // reaction, and their ledgers are silent.
     let queries = [QueryPolicy::no_retry(), QueryPolicy::retry_evict()];
     let cells = churn_grid(
         arena(),
@@ -93,8 +104,10 @@ fn zero_churn_is_bit_identical_to_the_seed_simulator() {
         CHURN_SEED,
         SEED,
     );
+    let mut scratch = SimScratch::new();
     for cell in &cells {
-        let plain = simulate(caches, *n_files, &plain_config(cell.policy));
+        let plain =
+            simulate_arena_health_with_scratch(arena(), &plain_config(cell.policy), &mut scratch).0;
         assert_eq!(
             cell.result, plain,
             "rate-0 cell diverged: {:?}",
