@@ -24,7 +24,7 @@
 //!
 //! Exact mode is either of two configurations, and both give the exact
 //! counts, in pair order, for any thread count:
-//! [`BandedOverlapConfig::exact`] has no head band (every qualifying
+//! `BandedOverlapConfig::exact` has no head band (every qualifying
 //! file goes to the tail), and is what
 //! [`crate::semantic::overlap_counts_arena`] runs; `admit_floor == 0`
 //! keeps the head band but admits every candidate. The sequential
@@ -90,7 +90,7 @@ impl BandedOverlapConfig {
     /// Exact mode without a head band: every qualifying file with at
     /// most `max_holders` holders goes to the tail accumulator, so the
     /// counts are exact and no sketch is built.
-    pub fn exact(max_holders: Option<usize>) -> Self {
+    pub(crate) fn exact(max_holders: Option<usize>) -> Self {
         BandedOverlapConfig {
             band_cap: usize::MAX,
             max_holders,
@@ -128,7 +128,7 @@ impl BandedOverlapStats {
 
 /// CSR of each peer's head-band files (sorted, like the arena rows they
 /// are filtered from).
-pub struct HeadRows {
+pub(crate) struct HeadRows {
     offsets: Vec<u32>,
     files: Vec<FileRef>,
 }
@@ -170,12 +170,12 @@ impl HeadRows {
     }
 
     /// Peer `p`'s head-band files, sorted ascending.
-    pub fn row(&self, p: usize) -> &[FileRef] {
+    pub(crate) fn row(&self, p: usize) -> &[FileRef] {
         &self.files[self.offsets[p] as usize..self.offsets[p + 1] as usize]
     }
 
     /// Number of peers covered.
-    pub fn n_peers(&self) -> usize {
+    pub(crate) fn n_peers(&self) -> usize {
         self.offsets.len() - 1
     }
 }
@@ -186,7 +186,7 @@ impl HeadRows {
 /// tail-only peers cost nothing); `estimate_common` maps the matched-min
 /// fraction `m/k` through the Jaccard identity `|A∩B| = J/(1+J) ·
 /// (|A|+|B|)` to an estimated common-file count.
-pub struct HeadSketches {
+pub(crate) struct HeadSketches {
     k: usize,
     /// `slot[p]` indexes into `mins`, `u32::MAX` for unsketched peers.
     slot: Vec<u32>,
@@ -200,7 +200,7 @@ impl HeadSketches {
     /// Builds sketches for every peer with a non-empty head row,
     /// sharded over `threads` contiguous slot ranges (output is
     /// position-keyed, so it is thread-invariant by construction).
-    pub fn build(rows: &HeadRows, k: usize, seed: u64, threads: usize) -> Self {
+    pub(crate) fn build(rows: &HeadRows, k: usize, seed: u64, threads: usize) -> Self {
         if rows.files.is_empty() {
             // No head band: nothing to sketch, every estimate is 0.
             return HeadSketches {
@@ -264,14 +264,14 @@ impl HeadSketches {
     }
 
     /// Number of sketched peers.
-    pub fn sketched_peers(&self) -> usize {
+    pub(crate) fn sketched_peers(&self) -> usize {
         self.mins.len() / self.k.max(1)
     }
 
     /// Estimated number of common head-band files of `a` and `b`
     /// (0 when either peer holds no head file, or there is no head
     /// band).
-    pub fn estimate_common(&self, a: usize, b: usize) -> u32 {
+    pub(crate) fn estimate_common(&self, a: usize, b: usize) -> u32 {
         let (Some(&sa), Some(&sb)) = (self.slot.get(a), self.slot.get(b)) else {
             return 0;
         };

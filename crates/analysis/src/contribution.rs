@@ -8,7 +8,7 @@ use crate::stats::{top_share, Cdf};
 
 /// Per-client contribution samples.
 #[derive(Clone, Debug)]
-pub struct Contribution {
+pub(crate) struct Contribution {
     /// Files shared per client (static union), one entry per client.
     pub files: Vec<u64>,
     /// Bytes shared per client, aligned with `files`.
@@ -16,7 +16,7 @@ pub struct Contribution {
 }
 
 /// Computes per-client contributions from the trace's static view.
-pub fn contributions(trace: &TraceArena, view: &CacheArena) -> Contribution {
+pub(crate) fn contributions(trace: &TraceArena, view: &CacheArena) -> Contribution {
     let files: Vec<u64> = view.iter().map(|c| c.len() as u64).collect();
     let bytes: Vec<u64> = view
         .iter()

@@ -91,34 +91,6 @@ pub fn concentration_cdfs(
         .collect()
 }
 
-/// Headline number of Fig. 11: the fraction of files (within a
-/// popularity band) whose sources are *all* in one location.
-pub fn fully_clustered_fraction(
-    trace: &TraceArena,
-    view: &CacheArena,
-    level: Level,
-    min_avg_popularity: f64,
-) -> f64 {
-    let conc = home_concentration(trace, view, level);
-    let spans = file_spans(trace, view);
-    let mut total = 0usize;
-    let mut full = 0usize;
-    for (pct, span) in conc.percent_at_home.iter().zip(&spans) {
-        if let Some(p) = pct {
-            if span.average_popularity() >= min_avg_popularity {
-                total += 1;
-                if *p >= 100.0 - 1e-9 {
-                    full += 1;
-                }
-            }
-        }
-    }
-    if total == 0 {
-        return 0.0;
-    }
-    full as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,18 +162,6 @@ mod tests {
         // CDF of the ≥3 band: the single file is at 75 %.
         assert_eq!(cdfs[1].1.fraction_at_most(74.0), 0.0);
         assert_eq!(cdfs[1].1.fraction_at_most(75.0), 1.0);
-    }
-
-    #[test]
-    fn fully_clustered() {
-        let trace = build();
-        let frac = fully_clustered_fraction(&trace, &trace.static_arena(), Level::Country, 1.0);
-        assert!((frac - 0.5).abs() < 1e-12, "one of two files is 100% home");
-        let empty = TraceArena::default();
-        assert_eq!(
-            fully_clustered_fraction(&empty, &empty.static_arena(), Level::Country, 1.0),
-            0.0
-        );
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub fn overlap_counts(
 /// allocation-free apart from the output itself — the same
 /// caller-owned pattern as `sorted_intersection_into`.
 #[derive(Debug, Default)]
-pub struct OverlapScratch {
+pub(crate) struct OverlapScratch {
     /// CSR row offsets per file (`n_files + 1`).
     heads: Vec<u32>,
     /// Concatenated holder lists, each ascending by peer id.
@@ -120,7 +120,7 @@ pub struct OverlapScratch {
 /// [`overlap_counts`] with caller-owned scratch. Identical output; the
 /// algorithm is the banded engine's tail fold run sequentially over
 /// rows, so the entry list comes out pair-sorted without a final sort.
-pub fn overlap_counts_with_scratch(
+pub(crate) fn overlap_counts_with_scratch(
     caches: &[Vec<FileRef>],
     n_files: usize,
     qualifies: impl Fn(FileRef) -> bool,
@@ -201,7 +201,7 @@ pub fn overlap_counts_with_scratch(
 ///
 /// Produces exactly the same counts as the sequential path for any
 /// thread count: it is the banded engine with no head band
-/// ([`BandedOverlapConfig::exact`]), so every qualifying file feeds the
+/// (`BandedOverlapConfig::exact`), so every qualifying file feeds the
 /// row-sharded dense accumulator. Instead of hashing every pair
 /// increment, workers claim row chunks and fold each row through
 /// `acc[b]` (row `a`'s overlap with peer `b`) plus a touched-list of the

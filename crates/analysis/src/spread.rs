@@ -55,7 +55,7 @@ pub fn spread_over_time(trace: &TraceArena, files: &[FileRef]) -> Vec<(FileRef, 
 }
 
 /// Per-day `(day, rank)` series; `None` = zero holders that day.
-pub type RankSeries = Vec<(u32, Option<usize>)>;
+pub(crate) type RankSeries = Vec<(u32, Option<usize>)>;
 
 /// Figs. 9/10: for each tracked file, its per-day popularity *rank*
 /// (1 = most replicated; ties broken by file index; files with zero

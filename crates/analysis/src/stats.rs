@@ -5,17 +5,6 @@
 //! share table. These helpers produce them from raw samples.
 
 /// An empirical cumulative distribution function over `f64` samples.
-///
-/// # Examples
-///
-/// ```
-/// use edonkey_analysis::stats::Cdf;
-///
-/// let cdf = Cdf::from_samples(vec![1.0, 2.0, 2.0, 10.0]);
-/// assert_eq!(cdf.fraction_at_most(0.5), 0.0);
-/// assert_eq!(cdf.fraction_at_most(2.0), 0.75);
-/// assert_eq!(cdf.fraction_at_most(10.0), 1.0);
-/// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
@@ -27,7 +16,7 @@ impl Cdf {
     /// # Panics
     ///
     /// Panics if any sample is NaN.
-    pub fn from_samples(mut samples: Vec<f64>) -> Self {
+    pub(crate) fn from_samples(mut samples: Vec<f64>) -> Self {
         assert!(
             samples.iter().all(|x| !x.is_nan()),
             "CDF samples must not be NaN"
@@ -65,15 +54,6 @@ impl Cdf {
         Some(self.sorted[rank - 1])
     }
 
-    /// Evaluates the CDF at each of `points`, yielding `(x, F(x))` pairs —
-    /// the exact series a figure plots.
-    pub fn series(&self, points: &[f64]) -> Vec<(f64, f64)> {
-        points
-            .iter()
-            .map(|&x| (x, self.fraction_at_most(x)))
-            .collect()
-    }
-
     /// Evaluates the CDF at logarithmically spaced points spanning the
     /// sample range — convenient for the paper's log-x CDFs (Figs. 6, 7).
     pub fn log_series(&self, points_per_decade: usize) -> Vec<(f64, f64)> {
@@ -99,14 +79,7 @@ impl Cdf {
 /// A rank–frequency curve: values sorted descending, 1-indexed ranks.
 ///
 /// This is the shape of Fig. 5 (sources per file vs file rank).
-///
-/// # Examples
-///
-/// ```
-/// use edonkey_analysis::stats::rank_curve;
-/// assert_eq!(rank_curve(vec![3, 9, 1]), vec![(1, 9), (2, 3), (3, 1)]);
-/// ```
-pub fn rank_curve(mut values: Vec<u64>) -> Vec<(usize, u64)> {
+pub(crate) fn rank_curve(mut values: Vec<u64>) -> Vec<(usize, u64)> {
     values.sort_unstable_by(|a, b| b.cmp(a));
     values
         .into_iter()
@@ -117,7 +90,10 @@ pub fn rank_curve(mut values: Vec<u64>) -> Vec<(usize, u64)> {
 
 /// Downsamples a rank curve logarithmically (plots with 10⁷ points are
 /// pointless; the paper's figures are log-log).
-pub fn log_downsample(curve: &[(usize, u64)], points_per_decade: usize) -> Vec<(usize, u64)> {
+pub(crate) fn log_downsample(
+    curve: &[(usize, u64)],
+    points_per_decade: usize,
+) -> Vec<(usize, u64)> {
     if curve.is_empty() {
         return Vec::new();
     }
@@ -202,6 +178,11 @@ mod tests {
         assert!((cdf.fraction_at_most(1.0) - 1.0 / 3.0).abs() < 1e-12);
         assert!((cdf.fraction_at_most(4.0) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(cdf.fraction_at_most(5.0), 1.0);
+        // Tied samples all count at their value.
+        let cdf = Cdf::from_samples(vec![1.0, 2.0, 2.0, 10.0]);
+        assert_eq!(cdf.fraction_at_most(0.5), 0.0);
+        assert_eq!(cdf.fraction_at_most(2.0), 0.75);
+        assert_eq!(cdf.fraction_at_most(10.0), 1.0);
     }
 
     #[test]
@@ -243,6 +224,7 @@ mod tests {
     fn rank_curve_sorted_descending() {
         let curve = rank_curve(vec![1, 100, 5, 5]);
         assert_eq!(curve, vec![(1, 100), (2, 5), (3, 5), (4, 1)]);
+        assert_eq!(rank_curve(vec![3, 9, 1]), vec![(1, 9), (2, 3), (3, 1)]);
     }
 
     #[test]

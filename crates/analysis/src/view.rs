@@ -67,7 +67,7 @@ pub fn file_spans(trace: &TraceArena, view: &CacheArena) -> Vec<FileSpan> {
 
 /// Returns the indices of the `k` files with the highest values,
 /// descending (ties broken by lower index first).
-pub fn top_k_files(values: &[u32], k: usize) -> Vec<FileRef> {
+pub(crate) fn top_k_files(values: &[u32], k: usize) -> Vec<FileRef> {
     let mut order: Vec<u32> = (0..values.len() as u32).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(values[i as usize]), i));
     order.into_iter().take(k).map(FileRef).collect()

@@ -13,14 +13,11 @@
 //!   list-size sweeps over the paper's canonical sizes on the
 //!   split-cell work-stealing scheduler, diffed against the sequential
 //!   whole-cell oracle (`cells_equal`; `speedup_floor 4x` and a ≥ 10×
-//!   allocation reduction asserted at repro scale), plus a metered
-//!   pass recording the per-stage breakdown (`stage_intersect_ms` /
-//!   `stage_update_ms` / `stage_merge_ms`);
+//!   allocation reduction asserted at repro scale);
 //! * `randomize_arena` — the Fig. 21 shuffle-and-simulate loop on the
-//!   arena shuffler, run as prefix + checkpoint-resumed suffix and
-//!   diffed against the row-shuffler oracle (`checkpoint_equal`;
-//!   ≥ 1.5× asserted at repro scale; the row baseline is recorded in
-//!   the entry's config);
+//!   arena shuffler, diffed against the row-shuffler oracle at every
+//!   checkpoint (`checkpoint_equal`; ≥ 1.5× asserted at repro scale;
+//!   the row baseline is recorded in the entry's config);
 //! * `service_mode` — the always-on query-serving mode replaying the
 //!   trace as a timed stream through the sharded neighbour store, once
 //!   per index backend (`service_equal` asserted bit-identical to the
@@ -57,7 +54,7 @@ use std::time::Instant;
 
 use edonkey_analysis::banded::{self, BandedOverlapConfig};
 use edonkey_analysis::semantic;
-use edonkey_bench::{alloc, Scale, Workload, SEED};
+use edonkey_bench::{alloc, trace_override, Scale, Workload, SEED};
 use edonkey_semsearch::experiment::{self, PAPER_LIST_SIZES};
 use edonkey_semsearch::neighbours::PolicyKind;
 use edonkey_semsearch::serve::{serve_arena_threads, ServeConfig};
@@ -94,9 +91,6 @@ struct Entry {
     /// Work units per second (units named in `config`).
     throughput: f64,
     config: String,
-    /// Per-stage breakdown from a separately metered pass (sweep
-    /// entries only).
-    stages: Option<experiment::SweepStages>,
     /// Simulated query-latency percentiles `(p50, p99, p999)` in
     /// milli-days (service-mode entry only).
     latency_md: Option<(u64, u64, u64)>,
@@ -149,6 +143,10 @@ fn main() {
     } else {
         Scale::Repro
     };
+    let trace = trace_override().unwrap_or_else(|e| {
+        eprintln!("bench_report: {e}");
+        std::process::exit(2)
+    });
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
 
     // Paper scale runs ONLY the out-of-core tier: the in-memory battery
@@ -166,7 +164,7 @@ fn main() {
         return;
     }
 
-    let w = Workload::generate(scale).unwrap_or_else(|e| {
+    let w = Workload::generate(scale, trace.as_deref()).unwrap_or_else(|e| {
         eprintln!("bench_report: cannot load trace {e}");
         std::process::exit(2)
     });
@@ -187,7 +185,6 @@ fn main() {
         meas: m_build,
         throughput: replicas as f64 / (m_build.ms / 1e3),
         config: format!("replicas/s over {replicas} replicas"),
-        stages: None,
         latency_md: None,
     });
 
@@ -230,7 +227,6 @@ fn main() {
             "pairs/s, holder cap {HOLDER_CAP}, sequential seed path on caller-owned \
              scratch, seed oracle alloc baseline {OVERLAP_SEQ_SEED_ALLOCS}"
         ),
-        stages: None,
         latency_md: None,
     });
     entries.push(Entry {
@@ -242,19 +238,15 @@ fn main() {
              curve_equal true",
             m_seq.ms / m_par.ms
         ),
-        stages: None,
         latency_md: None,
     });
 
     // Simulation sweeps at the paper's list sizes: the split-cell
     // work-stealing scheduler against the sequential whole-cell
-    // oracle, cell results diffed exactly. A second, separately metered
-    // pass records where the split path spends its time (the metering
-    // reads clocks per request, so the headline timing comes from the
-    // unmetered run). The pooled-scratch rebuild is also held to a
-    // bounded allocation count — the seed harness allocated per cell
-    // (552,916 / 862,793 per sweep); the split path must stay >= 10x
-    // under that at repro scale. Random, split since its lists are
+    // oracle, cell results diffed exactly. The pooled-scratch rebuild
+    // is also held to a bounded allocation count — the seed harness
+    // allocated per cell (552,916 / 862,793 per sweep); the split path
+    // must stay >= 10x under that at repro scale. Random, split since its lists are
     // drawn up front, has no seed-harness figure: it is held to 10x
     // under the sequential oracle's per-peer list sets instead.
     for (name, policy, seed_allocs) in [
@@ -273,24 +265,12 @@ fn main() {
                     .all(|((result, _), s)| result == s),
             "{name}: split-cell sweep must match the sequential oracle cell for cell"
         );
-        let (profiled, stages) =
-            experiment::sweep_cells_threads_profiled(&arena, &configs, threads);
-        assert!(
-            profiled.iter().zip(&sweep).all(|(p, s)| p == s),
-            "{name}: metered sweep pass must reproduce the unmetered cells"
-        );
         let speedup = m_seq.ms / m_split.ms;
         let requests: u64 = sweep.iter().map(|(r, _)| r.requests).sum();
         eprintln!(
             "[bench_report] {name}: split {:.1} ms, seq {:.1} ms ({speedup:.2}x, \
-             cells identical; stages intersect {:.1} / update {:.1} / merge {:.1} ms; \
-             {} allocs)",
-            m_split.ms,
-            m_seq.ms,
-            stages.intersect_ms,
-            stages.update_ms,
-            stages.merge_ms,
-            m_split.alloc_count
+             cells identical; {} allocs)",
+            m_split.ms, m_seq.ms, m_split.alloc_count
         );
         let (alloc_baseline, baseline_source) = match seed_allocs {
             Some(allocs) => (allocs, "seed harness"),
@@ -319,39 +299,32 @@ fn main() {
                  (speedup_floor 4x), cells_equal true, \
                  {baseline_source} alloc baseline {alloc_baseline}"
             ),
-            stages: Some(stages),
             latency_md: None,
         });
     }
 
     // Randomization sweep (Fig. 21 shape): the legacy row shuffler as
-    // oracle, then the arena shuffler run as prefix + checkpoint-resumed
-    // suffix — the report's entry times the resumable arena path.
+    // oracle, then the arena shuffler — the report's entry times the
+    // arena path, checked equal to the oracle at every checkpoint.
     let full = recommended_iterations(replicas);
     let checkpoints = [0, full / 4, full / 2, full];
     let (row_points, m_row) =
         timed(|| experiment::randomization_sweep(&caches, n_files, 10, &checkpoints, SEED));
-    let (arena_points, m_arena) = timed(|| {
-        let prefix = experiment::randomization_sweep_arena(&arena, 10, &checkpoints[..2], SEED);
-        let suffix =
-            experiment::randomization_sweep_resume(&prefix.checkpoint, 10, &checkpoints[2..], SEED);
-        let mut points = prefix.points;
-        points.extend(suffix.points);
-        points
-    });
+    let (arena_points, m_arena) =
+        timed(|| experiment::randomization_sweep_arena(&arena, 10, &checkpoints, SEED));
     assert!(
         row_points.len() == arena_points.len()
             && row_points
                 .iter()
                 .zip(&arena_points)
                 .all(|(r, a)| r.swaps == a.swaps && r.hit_rate == a.hit_rate),
-        "checkpoint-resumed arena sweep must match the row-shuffler oracle exactly\n\
+        "arena randomization sweep must match the row-shuffler oracle exactly\n\
          row:   {row_points:?}\narena: {arena_points:?}"
     );
     let rand_speedup = m_row.ms / m_arena.ms;
     eprintln!(
         "[bench_report] randomization: row {:.1} ms, arena {:.1} ms ({rand_speedup:.2}x, \
-         points identical across resume)",
+         points identical)",
         m_row.ms, m_arena.ms
     );
     entries.push(Entry {
@@ -359,12 +332,10 @@ fn main() {
         meas: m_arena,
         throughput: full as f64 / (m_arena.ms / 1e3),
         config: format!(
-            "swap attempts/s, checkpoints {checkpoints:?}, list size 10, arena swap state \
-             resumed from checkpoint after {}, speedup {rand_speedup:.2}x vs row-shuffler \
-             baseline {:.1} ms, checkpoint_equal true",
-            checkpoints[1], m_row.ms
+            "swap attempts/s, checkpoints {checkpoints:?}, list size 10, speedup \
+             {rand_speedup:.2}x vs row-shuffler baseline {:.1} ms, checkpoint_equal true",
+            m_row.ms
         ),
-        stages: None,
         latency_md: None,
     });
     if scale == Scale::Repro || scale == Scale::Paper {
@@ -424,7 +395,6 @@ fn main() {
                  scheduler, seed harness alloc baseline {CHURN_SEED_ALLOCS}",
                 cells.len()
             ),
-            stages: None,
             latency_md: None,
         });
     }
@@ -524,7 +494,6 @@ fn main() {
                  backends_equal_quiet true, thread_invariant true, \
                  seed sweep alloc baseline {BACKEND_SEED_ALLOCS}"
             ),
-            stages: None,
             latency_md: None,
         });
     }
@@ -611,7 +580,6 @@ fn main() {
                  latency_md p50/p99/p999: single {:?}, federated8 {:?}, dht_k3 {:?}",
                 triples[0], triples[1], triples[2]
             ),
-            stages: None,
             latency_md: Some(triples[0]),
         });
     }
@@ -847,7 +815,6 @@ fn main() {
                  defense_recovery_ok true, serve threads [1, 2, 8], \
                  recovery honest/twin/attacked/defended hit %:{recovery}"
             ),
-            stages: None,
             latency_md: None,
         });
     }
@@ -911,7 +878,6 @@ fn main() {
                  {} retries, {} quarantined",
                 report.health.retries, report.health.quarantined
             ),
-            stages: None,
             latency_md: None,
         });
     }
@@ -954,7 +920,6 @@ fn main() {
              derived_equal true",
             m_row.ms
         ),
-        stages: None,
         latency_md: None,
     });
     if scale == Scale::Repro || scale == Scale::Paper {
@@ -1000,7 +965,6 @@ fn main() {
         meas: m_json_write,
         throughput: json_bytes as f64 / (m_json_write.ms / 1e3),
         config: format!("bytes/s writing {json_bytes} B of JSON"),
-        stages: None,
         latency_md: None,
     });
     entries.push(Entry {
@@ -1008,7 +972,6 @@ fn main() {
         meas: m_json_read,
         throughput: json_bytes as f64 / (m_json_read.ms / 1e3),
         config: format!("bytes/s reading {json_bytes} B of JSON, round trip lossless"),
-        stages: None,
         latency_md: None,
     });
     entries.push(Entry {
@@ -1016,7 +979,6 @@ fn main() {
         meas: m_bin_write,
         throughput: bin_bytes as f64 / (m_bin_write.ms / 1e3),
         config: format!("bytes/s writing {bin_bytes} B of binary columnar v1"),
-        stages: None,
         latency_md: None,
     });
     entries.push(Entry {
@@ -1027,7 +989,6 @@ fn main() {
             "bytes/s reading {bin_bytes} B of binary columnar v1, round trip lossless, \
              {read_speedup:.1}x faster than JSON read"
         ),
-        stages: None,
         latency_md: None,
     });
 
@@ -1290,15 +1251,13 @@ fn out_of_core_tier(scale: Scale, threads: usize, entries: &mut Vec<Entry>) -> (
                 "proven_at_smaller_scales"
             }
         ),
-        stages: None,
         latency_md: None,
     });
     (n_peers, n_files)
 }
 
 /// `{bench_name: {wall_ms, throughput, alloc_count, alloc_bytes,
-/// peak_rss_kb, [stage_*_ms,] config}}` plus a `_meta` record. Sweep
-/// entries carry the per-stage breakdown from their metered pass.
+/// peak_rss_kb, config}}` plus a `_meta` record.
 fn render_json(entries: &[Entry], scale: Scale, n_peers: usize, n_files: usize) -> String {
     let mut out = String::from("{\n");
     write!(
@@ -1320,15 +1279,6 @@ fn render_json(entries: &[Entry], scale: Scale, n_peers: usize, n_files: usize) 
             e.meas.peak_rss_kb,
         )
         .expect("string write");
-        if let Some(s) = &e.stages {
-            write!(
-                out,
-                "\"stage_intersect_ms\": {:.3}, \"stage_update_ms\": {:.3}, \
-                 \"stage_merge_ms\": {:.3}, ",
-                s.intersect_ms, s.update_ms, s.merge_ms
-            )
-            .expect("string write");
-        }
         if let Some((p50, p99, p999)) = e.latency_md {
             write!(
                 out,

@@ -49,7 +49,7 @@ fn probe(label: &str, config: WorkloadConfig) {
         ));
     }
     let full = recommended_iterations(replicas);
-    let sweep = randomization_sweep_arena(&view, 10, &[0, full], 3).points;
+    let sweep = randomization_sweep_arena(&view, 10, &[0, full], 3);
 
     println!(
         "{label}: top15={top15:.2} spread={top_spread:.3} lru20={lru20:.2} -up15={lru20_noup:.2} lru5={lru5:.2}{pop_sweep} rand: {:.2}->{:.2}",

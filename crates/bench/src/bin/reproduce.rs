@@ -10,11 +10,12 @@
 //! `EDONKEY_TRACE`), the full trace is loaded from the file — binary
 //! columnar or JSON, sniffed from the contents — instead of
 //! being generated, and every entry that reads the workload draws from
-//! it. An unknown scale or entry name, or a trace file that cannot be
-//! loaded, exits with status 2.
+//! it. An unknown scale or entry name, a `--scale`, `--trace` or
+//! `--only` with no value, or a trace file that cannot be loaded, exits
+//! with status 2.
 use edonkey_bench::{
-    ablations as ab, figures_cluster as fc, figures_measure as fm, figures_search as fs, Scale,
-    Workload,
+    ablations as ab, figures_cluster as fc, figures_measure as fm, figures_search as fs,
+    trace_override, Scale, Workload,
 };
 
 /// What one entry reads.
@@ -103,13 +104,14 @@ fn usage_error(message: &str) -> ! {
 
 fn main() {
     let scale = Scale::from_env().unwrap_or_else(|e| usage_error(&e.to_string()));
+    let trace = trace_override().unwrap_or_else(|e| usage_error(&e.to_string()));
     let names = selected().unwrap_or_else(|e| usage_error(&e));
     let mut workload: Option<Workload> = None;
     for (name, input) in ENTRIES.iter().filter(|(n, _)| names.iter().any(|s| s == n)) {
         eprintln!("[reproduce] {name}…");
         match input {
             Input::Workload(run) => run(workload.get_or_insert_with(|| {
-                Workload::generate(scale)
+                Workload::generate(scale, trace.as_deref())
                     .unwrap_or_else(|e| usage_error(&format!("cannot load trace {e}")))
             })),
             Input::Scale(run) => run(scale),

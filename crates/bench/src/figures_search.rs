@@ -121,8 +121,7 @@ pub fn fig21(w: &Workload) {
         .iter()
         .map(|&x| (x * full as f64) as u64)
         .collect();
-    let run = randomization_sweep_arena(w.static_view(), 10, &checkpoints, SEED);
-    for point in run.points {
+    for point in randomization_sweep_arena(w.static_view(), 10, &checkpoints, SEED) {
         e.row([point.swaps.to_string(), f(100.0 * point.hit_rate, 2)]);
     }
     e.comment(&format!(

@@ -43,35 +43,47 @@ pub enum Scale {
     Paper,
 }
 
-/// A `--scale` / `EDONKEY_SCALE` value that names no [`Scale`].
+/// A command line the bench binaries reject: a `--scale` /
+/// `EDONKEY_SCALE` value that names no [`Scale`], or a `--scale` or
+/// `--trace` flag with no value after it.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnknownScale(pub String);
+pub struct UsageError(pub String);
 
-impl fmt::Display for UnknownScale {
+impl fmt::Display for UsageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown scale {:?} (test|small|repro|paper)", self.0)
+        f.write_str(&self.0)
     }
 }
 
-impl std::error::Error for UnknownScale {}
+impl std::error::Error for UsageError {}
+
+/// The value of the last `flag <value>` in argv, else of the
+/// environment variable `env`. A trailing `flag` with no value is an
+/// error: dropping it silently would run with the default instead.
+fn flag_or_env(flag: &str, env: &str) -> Result<Option<String>, UsageError> {
+    let mut args = std::env::args().skip(1);
+    let mut value = std::env::var(env).ok();
+    while let Some(arg) = args.next() {
+        if arg == flag {
+            let next = args.next();
+            value = Some(next.ok_or_else(|| UsageError(format!("{flag} needs a value")))?);
+        }
+    }
+    Ok(value)
+}
 
 impl Scale {
     /// Reads the scale from `--scale <s>` argv or `EDONKEY_SCALE`,
     /// defaulting to [`Scale::Small`].
-    pub fn from_env() -> Result<Scale, UnknownScale> {
-        let mut args = std::env::args().skip(1);
-        let mut scale = std::env::var("EDONKEY_SCALE").ok();
-        while let Some(arg) = args.next() {
-            if arg == "--scale" {
-                scale = args.next();
-            }
-        }
-        match scale.as_deref() {
+    pub fn from_env() -> Result<Scale, UsageError> {
+        match flag_or_env("--scale", "EDONKEY_SCALE")?.as_deref() {
             Some("test") => Ok(Scale::Test),
             Some("small") | None => Ok(Scale::Small),
             Some("repro") => Ok(Scale::Repro),
             Some("paper") => Ok(Scale::Paper),
-            Some(other) => Err(UnknownScale(other.to_string())),
+            Some(other) => Err(UsageError(format!(
+                "unknown scale {other:?} (test|small|repro|paper)"
+            ))),
         }
     }
 
@@ -124,28 +136,21 @@ pub const SEED: u64 = 20060418; // EuroSys'06 opening day.
 /// When set, [`Workload::generate`] loads the full trace from this path
 /// (any of the three on-disk formats, sniffed by
 /// [`edonkey_trace::io::load_auto`]) instead of generating one.
-pub fn trace_override() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    let mut path = std::env::var("EDONKEY_TRACE").ok();
-    while let Some(arg) = args.next() {
-        if arg == "--trace" {
-            path = args.next();
-        }
-    }
-    path.map(PathBuf::from)
+pub fn trace_override() -> Result<Option<PathBuf>, UsageError> {
+    Ok(flag_or_env("--trace", "EDONKEY_TRACE")?.map(PathBuf::from))
 }
 
 impl Workload {
-    /// Generates the standard workload at `scale`, or derives it from a
-    /// trace file when [`trace_override`] names one.
+    /// Generates the standard workload at `scale`, or derives it from
+    /// the trace file `trace` (the binaries pass [`trace_override`]).
     ///
     /// # Errors
     ///
     /// Returns the read or decode error of a trace file that cannot be
     /// loaded (see [`Workload::load`]).
-    pub fn generate(scale: Scale) -> Result<Workload, TraceIoError> {
-        if let Some(path) = trace_override() {
-            return Workload::load(&path);
+    pub fn generate(scale: Scale, trace: Option<&Path>) -> Result<Workload, TraceIoError> {
+        if let Some(path) = trace {
+            return Workload::load(path);
         }
         eprintln!("[bench] generating workload at {scale:?} scale…");
         let (_, full) = generate_trace(scale.config(SEED));
@@ -296,7 +301,7 @@ mod tests {
 
     #[test]
     fn tiny_workload_generates() {
-        let w = Workload::generate(Scale::Test).expect("no trace file to load");
+        let w = Workload::generate(Scale::Test, None).expect("no trace file to load");
         assert!(w.filtered.peers.len() <= w.full.peers.len());
         assert!(w.extrapolated.peers.len() <= w.filtered.peers.len());
         assert!(!w.full.files.is_empty());

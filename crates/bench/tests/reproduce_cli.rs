@@ -1,6 +1,7 @@
-//! `reproduce`'s command line: bad flags and unreadable trace files exit
-//! with status 2 and a message instead of a panic, and `--trace` reaches
-//! every entry that reads the workload, ablations included.
+//! `reproduce`'s command line: bad flags, flags missing their value and
+//! unreadable trace files exit with status 2 and a message instead of a
+//! panic, and `--trace` reaches every entry that reads the workload,
+//! ablations included.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -53,6 +54,19 @@ fn unknown_only_entry_exits_2_listing_the_valid_names() {
     assert_usage_error(
         &["--scale", "test", "--only", "fig01,fig99"],
         "unknown --only entry \"fig99\"; valid names: fig01, fig02,",
+    );
+}
+
+#[test]
+fn trailing_scale_without_a_value_exits_2() {
+    assert_usage_error(&["--only", "fig01", "--scale"], "--scale needs a value");
+}
+
+#[test]
+fn trailing_trace_without_a_path_exits_2() {
+    assert_usage_error(
+        &["--scale", "test", "--only", "fig01", "--trace"],
+        "--trace needs a value",
     );
 }
 

@@ -4,12 +4,11 @@
 
 use edonkey_trace::compact::CacheArena;
 use edonkey_trace::model::FileRef;
-use edonkey_trace::randomize::{ArenaShuffler, ShuffleCheckpoint, Shuffler};
+use edonkey_trace::randomize::{ArenaShuffler, Shuffler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::index::IndexBackend;
 use crate::neighbours::PolicyKind;
@@ -22,22 +21,6 @@ use crate::sim::{
 
 /// The paper's canonical sweep sizes (x-axes of Figs. 18–20, 23).
 pub const PAPER_LIST_SIZES: [usize; 8] = [5, 10, 20, 40, 60, 100, 150, 200];
-
-/// Wall-clock spent per stage of a profiled sweep
-/// ([`sweep_cells_threads_profiled`]), for the benchmark report's
-/// per-stage breakdown. Worker stage times are summed across subtasks
-/// (they overlap in wall-clock when threads > 1); the merge is timed on
-/// the orchestrating thread.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SweepStages {
-    /// Hit checks (sharer-prefix scans / member-major probes / mark
-    /// walks), milliseconds.
-    pub intersect_ms: f64,
-    /// Policy updates and message settling, milliseconds.
-    pub update_ms: f64,
-    /// Deterministic partial merge, milliseconds.
-    pub merge_ms: f64,
-}
 
 /// One schedulable unit of a sweep: either a whole split-ineligible
 /// cell, or one querier range of a split-eligible cell (with its
@@ -88,26 +71,6 @@ pub fn sweep_cells_threads(
     configs: &[SimConfig],
     threads: usize,
 ) -> Vec<(SimResult, SearchHealth)> {
-    run_sweep_cells(arena, configs, threads, false).0
-}
-
-/// [`sweep_cells_threads`] that additionally meters per-stage time.
-/// The metering reads two clocks per request, so benchmark headline
-/// timings should come from the unmetered variant.
-pub fn sweep_cells_threads_profiled(
-    arena: &CacheArena,
-    configs: &[SimConfig],
-    threads: usize,
-) -> (Vec<(SimResult, SearchHealth)>, SweepStages) {
-    run_sweep_cells(arena, configs, threads, true)
-}
-
-fn run_sweep_cells(
-    arena: &CacheArena,
-    configs: &[SimConfig],
-    threads: usize,
-    profile: bool,
-) -> (Vec<(SimResult, SearchHealth)>, SweepStages) {
     // One precomputation per distinct seed serves every split-eligible
     // cell of the batch (the shuffled stream and arrival ranks are
     // policy- and list-size-independent), one set of Random lists every
@@ -181,7 +144,6 @@ fn run_sweep_cells(
                 &configs[cell],
                 (lo, hi),
                 &mut worker.split,
-                profile,
             )),
         },
     );
@@ -189,8 +151,6 @@ fn run_sweep_cells(
     // Deterministic merge: partials regroup per cell in subtask order
     // (every merged quantity is a plain sum over disjoint querier sets,
     // so any order reproduces the sequential run bit-for-bit).
-    let merge_start = Instant::now();
-    let mut stages = SweepStages::default();
     let mut parts: Vec<Vec<CellPartial>> = configs.iter().map(|_| Vec::new()).collect();
     let mut results: Vec<Option<(SimResult, SearchHealth)>> =
         configs.iter().map(|_| None).collect();
@@ -200,8 +160,6 @@ fn run_sweep_cells(
                 results[*cell] = Some(*whole);
             }
             (SweepTask::Split { cell, .. }, SweepTaskOut::Part(part)) => {
-                stages.intersect_ms += part.intersect_ns as f64 / 1e6;
-                stages.update_ms += part.update_ns as f64 / 1e6;
                 parts[*cell].push(part);
             }
             _ => unreachable!("task and output kinds always agree"),
@@ -216,25 +174,23 @@ fn run_sweep_cells(
             results[cell] = Some(merge_partials(pre, &parts[cell]));
         }
     }
-    stages.merge_ms = merge_start.elapsed().as_secs_f64() * 1e3;
-    let results = results
+    results
         .into_iter()
         .map(|r| r.expect("every cell produced a result"))
-        .collect();
-    (results, stages)
+        .collect()
 }
 
 /// Bounded-working-set sweep — the out-of-core paper tier's simulator
 /// driver (DESIGN.md §13).
 ///
 /// [`sweep_cells`] fans every cell's querier ranges out to a
-/// work-stealing pool and holds one [`CellPartial`] per subtask until
+/// work-stealing pool and holds one `CellPartial` per subtask until
 /// the merge — at paper scale that is dozens of per-peer message
 /// vectors alive at once. This driver instead walks each
 /// split-eligible cell as a sequence of `window`-sized querier windows
 /// against the explicitly loaded window of the precomputed query
 /// stream, folding every window into a single running partial
-/// ([`CellPartial::absorb`]) before the next one loads: peak memory is
+/// (`CellPartial::absorb`) before the next one loads: peak memory is
 /// the precomputation plus *two* per-peer vectors and one pooled
 /// scratch, independent of the window count. Ineligible cells run
 /// whole with pooled scratch, exactly as the work-stealing sweep runs
@@ -276,7 +232,6 @@ pub fn sweep_cells_windowed(
                     config,
                     (lo, hi),
                     &mut split,
-                    false,
                 );
                 acc.absorb(&part);
                 lo = hi;
@@ -372,81 +327,33 @@ pub fn randomization_sweep(
     })
 }
 
-/// A finished (or partial) arena randomization sweep: the measured
-/// points plus a [`ShuffleCheckpoint`] at the last applied swap count,
-/// from which [`randomization_sweep_resume`] extends the sweep without
-/// re-shuffling the prefix.
-#[derive(Clone, Debug)]
-pub struct RandomizationRun {
-    /// One point per requested checkpoint, in order.
-    pub points: Vec<RandomizationPoint>,
-    /// Swap state frozen after the last checkpoint.
-    pub checkpoint: ShuffleCheckpoint,
-}
-
 /// Arena-native [`randomization_sweep`]: same RNG draw sequence and
 /// byte-identical shuffled caches, but swap state lives in a flat CSR
 /// arena ([`ArenaShuffler`]) and each checkpoint snapshot is a flat
 /// buffer copy instead of a per-peer `Vec` clone + re-sort. Each
 /// snapshot's simulation runs on a scoped worker while the swap chain
 /// continues to the next checkpoint.
-///
-/// Returns the points plus a resumable checkpoint — the decay sweep can
-/// extend its x-axis later without replaying the shared prefix.
 pub fn randomization_sweep_arena(
     arena: &CacheArena,
     list_size: usize,
     checkpoints: &[u64],
     seed: u64,
-) -> RandomizationRun {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let shuffler = ArenaShuffler::new(arena);
-    sweep_from(shuffler, &mut rng, list_size, checkpoints, seed)
-}
-
-/// Continues an arena sweep from a [`ShuffleCheckpoint`]: `checkpoints`
-/// are cumulative swap-attempt counts and must start at or after the
-/// checkpoint's own count. Producing points `[a, b]` here after a run
-/// that ended at `a` is byte-identical to one uninterrupted sweep over
-/// `[..., a, b]`.
-pub fn randomization_sweep_resume(
-    from: &ShuffleCheckpoint,
-    list_size: usize,
-    checkpoints: &[u64],
-    seed: u64,
-) -> RandomizationRun {
-    let (shuffler, mut rng) = from.resume();
-    if let Some(&first) = checkpoints.first() {
-        assert!(
-            first >= shuffler.stats().attempted,
-            "cannot rewind a checkpoint: first target {} < {} already applied",
-            first,
-            shuffler.stats().attempted
-        );
-    }
-    sweep_from(shuffler, &mut rng, list_size, checkpoints, seed)
-}
-
-fn sweep_from(
-    mut shuffler: ArenaShuffler,
-    rng: &mut StdRng,
-    list_size: usize,
-    checkpoints: &[u64],
-    seed: u64,
-) -> RandomizationRun {
+) -> Vec<RandomizationPoint> {
     assert!(
         checkpoints.windows(2).all(|w| w[0] <= w[1]),
         "checkpoints must be non-decreasing"
     );
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut shuffler = ArenaShuffler::new(arena);
     let config = SimConfig::lru(list_size).with_seed(seed);
-    let mut applied = shuffler.stats().attempted;
+    let mut applied = 0;
     // Each snapshot's simulation runs on a worker while the chain moves
     // on to the next checkpoint; the channel keeps checkpoint order.
     // Every checkpoint is a fresh arena, so a split replay would build
     // its own replay index per checkpoint; the whole-cell run needs
     // none.
     let (snapshots, received) = std::sync::mpsc::channel::<(u64, CacheArena)>();
-    let points = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let worker = scope.spawn(move || {
             let mut scratch = SimScratch::new();
             received
@@ -460,7 +367,7 @@ fn sweep_from(
                 .collect::<Vec<_>>()
         });
         for &target in checkpoints {
-            shuffler.run(target - applied, rng);
+            shuffler.run(target - applied, &mut rng);
             applied = target;
             // A closed channel means the worker panicked; the join
             // below re-raises it.
@@ -472,11 +379,7 @@ fn sweep_from(
         worker
             .join()
             .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-    });
-    RandomizationRun {
-        points,
-        checkpoint: shuffler.checkpoint(rng),
-    }
+    })
 }
 
 /// One cell of the churn ablation grid: a churn rate × policy × query
@@ -815,43 +718,11 @@ mod tests {
         let checkpoints = [0u64, 500, 2000, 8000];
         let row = randomization_sweep(&caches, n, 8, &checkpoints, 2);
         let arena = CacheArena::from_caches(&caches, n);
-        let run = randomization_sweep_arena(&arena, 8, &checkpoints, 2);
+        let points = randomization_sweep_arena(&arena, 8, &checkpoints, 2);
         assert!(
-            points_equal(&row, &run.points),
-            "row {row:?} vs arena {:?}",
-            run.points
+            points_equal(&row, &points),
+            "row {row:?} vs arena {points:?}"
         );
-        assert_eq!(run.checkpoint.stats().attempted, 8000);
-    }
-
-    #[test]
-    fn resumed_sweep_matches_uninterrupted_sweep() {
-        let (caches, n) = workload();
-        let arena = CacheArena::from_caches(&caches, n);
-        let full = randomization_sweep_arena(&arena, 8, &[0, 500, 2000, 8000], 2);
-        let prefix = randomization_sweep_arena(&arena, 8, &[0, 500], 2);
-        let suffix = randomization_sweep_resume(&prefix.checkpoint, 8, &[2000, 8000], 2);
-        let stitched: Vec<RandomizationPoint> = prefix
-            .points
-            .iter()
-            .chain(&suffix.points)
-            .cloned()
-            .collect();
-        assert!(
-            points_equal(&full.points, &stitched),
-            "full {:?} vs stitched {stitched:?}",
-            full.points
-        );
-        assert_eq!(suffix.checkpoint.stats(), full.checkpoint.stats());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot rewind")]
-    fn resume_rejects_rewinding_targets() {
-        let (caches, n) = workload();
-        let arena = CacheArena::from_caches(&caches, n);
-        let run = randomization_sweep_arena(&arena, 5, &[1000], 1);
-        let _ = randomization_sweep_resume(&run.checkpoint, 5, &[10], 1);
     }
 
     #[test]
@@ -906,12 +777,9 @@ mod tests {
             .map(|c| simulate_arena_health_with_scratch(&arena, c, &mut scratch))
             .collect();
         for threads in [1, 2, 3, 8] {
-            let (split, stages) = sweep_cells_threads_profiled(&arena, &configs, threads);
+            let split = sweep_cells_threads(&arena, &configs, threads);
             assert_eq!(split, oracle, "threads = {threads}");
-            assert!(stages.merge_ms >= 0.0);
         }
-        // The unprofiled path must agree too (profiling only meters).
-        assert_eq!(sweep_cells_threads(&arena, &configs, 2), oracle);
     }
 
     #[test]

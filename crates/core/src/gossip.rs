@@ -187,7 +187,6 @@ pub fn overlay_hit_rate(arena: &CacheArena, overlay: &SemanticOverlay, seed: u64
         &cell,
         (0, arena.n_peers() as u32),
         &mut SplitScratch::new(),
-        false,
     );
     merge_partials(&pre, &[part]).0.hit_rate()
 }

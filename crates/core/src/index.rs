@@ -14,11 +14,11 @@
 //!   servers by splitmix64 hash (an eDonkey client holds one server
 //!   connection); file records live on a per-file aggregation server and
 //!   queries forward server-to-server around the ring, each hop costing
-//!   [`FED_HOP_LATENCY_MD`] simulated milli-days. On an outage day one
+//!   `FED_HOP_LATENCY_MD` simulated milli-days. On an outage day one
 //!   server — `(churn_seed, day)`-drawn — is down: queries homed on it
 //!   strand, everyone else routes around the hole.
 //! * [`DhtRoute`] — Kademlia-style XOR-distance routing over a stateless
-//!   ID space of [`DHT_NODES`] virtual index nodes with per-key
+//!   ID space of `DHT_NODES` virtual index nodes with per-key
 //!   `replication_k` replication. Replicas are tried in XOR-closeness
 //!   order, so a lookup survives any `replication_k - 1` concurrent
 //!   node outages.
@@ -48,7 +48,7 @@ use crate::neighbours::Peer;
 /// simulated milli-days (~3 minutes). Latency is real simulated time: a
 /// forwarded lookup arrives `hops × latency` later, and the *arrival*
 /// day decides whether the record server is up.
-pub const FED_HOP_LATENCY_MD: u64 = 2;
+pub(crate) const FED_HOP_LATENCY_MD: u64 = 2;
 
 /// Per-hop XOR-routing latency of the DHT backend, in simulated
 /// milli-days (~1.5 minutes — one UDP round trip per routing step,
@@ -56,12 +56,12 @@ pub const FED_HOP_LATENCY_MD: u64 = 2;
 /// model predates this constant and is unchanged; the serving engine
 /// multiplies it in when converting a lookup's `dht_hops` into
 /// simulated query latency.
-pub const DHT_HOP_LATENCY_MD: u64 = 1;
+pub(crate) const DHT_HOP_LATENCY_MD: u64 = 1;
 
 /// Size of the DHT's virtual node ring. 64 nodes on a 6-bit Kademlia
 /// ID space: each routing step resolves one more prefix bit, so a
 /// lookup costs at most 6 hops.
-pub const DHT_NODES: usize = 64;
+pub(crate) const DHT_NODES: usize = 64;
 
 /// Domain-separation salts (same scheme as `edonkey_workload::churn`).
 const SALT_FED_HOME: u64 = 0x1d38_a7c2_90f1_0001;
@@ -126,7 +126,7 @@ impl IndexBackend {
     /// it to; the DHT holds one per replica. Replication, the very
     /// mechanism that buys outage survival, is what amplifies
     /// pollution.
-    pub fn pollution_exposure(&self) -> u32 {
+    pub(crate) fn pollution_exposure(&self) -> u32 {
         match *self {
             IndexBackend::SingleServer => 1,
             IndexBackend::Federated { .. } => 2,
@@ -190,19 +190,19 @@ pub struct FederatedRoute {
 impl FederatedRoute {
     /// The server `peer` is connected to (registers its files with,
     /// sends its queries through).
-    pub fn home(&self, peer: Peer) -> u32 {
+    pub(crate) fn home(&self, peer: Peer) -> u32 {
         (route_hash(self.seed, SALT_FED_HOME, u64::from(peer)) % u64::from(self.n_servers)) as u32
     }
 
     /// The server aggregating `file`'s source records (inter-server
     /// gossip pushes every announce there).
-    pub fn record_server(&self, file: FileRef) -> u32 {
+    pub(crate) fn record_server(&self, file: FileRef) -> u32 {
         (route_hash(self.seed, SALT_FED_RECORD, u64::from(file.0)) % u64::from(self.n_servers))
             as u32
     }
 
     /// Which server is down on `day` — `None` outside outage days.
-    pub fn victim(&self, schedule: &ChurnSchedule, day: u32) -> Option<u32> {
+    pub(crate) fn victim(&self, schedule: &ChurnSchedule, day: u32) -> Option<u32> {
         if !schedule.server_out(day) {
             return None;
         }
@@ -258,7 +258,7 @@ impl FederatedRoute {
     }
 }
 
-/// The Kademlia-style DHT: [`DHT_NODES`] virtual index nodes on a
+/// The Kademlia-style DHT: `DHT_NODES` virtual index nodes on a
 /// 64-bit ID ring, each file key stored on its `replication_k`
 /// XOR-closest nodes. An outage day takes down one `(churn_seed, day)`-
 /// drawn node; replicas are tried in XOR-closeness order, so the lookup
@@ -284,30 +284,12 @@ impl DhtRoute {
     }
 
     /// The node `querier` enters the DHT through.
-    pub fn start_node(&self, querier: Peer) -> u32 {
+    pub(crate) fn start_node(&self, querier: Peer) -> u32 {
         (route_hash(self.seed, SALT_DHT_START, u64::from(querier)) % DHT_NODES as u64) as u32
     }
 
-    /// `file`'s replica holders in XOR-closeness order (ties broken by
-    /// node index; `replication_k` entries).
-    pub fn replicas(&self, file: FileRef) -> Vec<u32> {
-        let key = route_hash(self.seed, SALT_DHT_KEY, u64::from(file.0));
-        let mut by_dist: Vec<(u64, u32)> = self
-            .node_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id ^ key, i as u32))
-            .collect();
-        by_dist.sort_unstable();
-        by_dist
-            .into_iter()
-            .take(self.replication_k as usize)
-            .map(|(_, i)| i)
-            .collect()
-    }
-
     /// Which node is down on `day` — `None` outside outage days.
-    pub fn victim(&self, schedule: &ChurnSchedule, day: u32) -> Option<u32> {
+    pub(crate) fn victim(&self, schedule: &ChurnSchedule, day: u32) -> Option<u32> {
         if !schedule.server_out(day) {
             return None;
         }
@@ -319,7 +301,7 @@ impl DhtRoute {
     /// each step resolves one more prefix bit of the 6-bit XOR
     /// distance, so the cost is the distance's bit length (0 when the
     /// entry node already holds the key).
-    pub fn hops_between(from: u32, to: u32) -> u64 {
+    pub(crate) fn hops_between(from: u32, to: u32) -> u64 {
         u64::from(u32::BITS - (from ^ to).leading_zeros())
     }
 }
@@ -337,12 +319,12 @@ impl DhtRoute {
         let start = self.start_node(querier);
         let victim = self.victim(schedule, day);
         let key = route_hash(self.seed, SALT_DHT_KEY, u64::from(file.0));
-        // Walk the replicas in XOR-closeness order (ties by node index,
-        // like [`Self::replicas`]) via repeated min-scans over a
-        // visited bitmask: the lookup sits on the simulator's final-
-        // miss path, where the sorted-Vec selection used to be the last
-        // per-query allocation churn. `k ≤ DHT_NODES = 64`, so the
-        // k·64 scan is cheaper than the sort it replaces.
+        // Walk the replicas in XOR-closeness order (ties by node index)
+        // via repeated min-scans over a visited bitmask: the lookup sits
+        // on the simulator's final-miss path, where the sorted-Vec
+        // selection used to be the last per-query allocation churn.
+        // `k ≤ DHT_NODES = 64`, so the k·64 scan is cheaper than the
+        // sort it replaces.
         let mut visited = 0u64;
         let mut hops = 0u64;
         for _ in 0..self.replication_k {
@@ -525,19 +507,7 @@ mod tests {
     }
 
     #[test]
-    fn dht_replicas_are_distinct_and_closest_first() {
-        let backend = IndexBackend::Dht { replication_k: 5 };
-        let IndexRouter::Dht(dht) = backend.router(13) else {
-            panic!("dht backend builds a dht router");
-        };
-        for f in 0..32u32 {
-            let replicas = dht.replicas(FileRef(f));
-            assert_eq!(replicas.len(), 5);
-            let mut sorted = replicas.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), 5, "replica holders are distinct nodes");
-        }
+    fn dht_hops_are_the_xor_distance_bit_length() {
         assert_eq!(DhtRoute::hops_between(5, 5), 0);
         assert_eq!(DhtRoute::hops_between(0, 1), 1);
         assert_eq!(DhtRoute::hops_between(0, 63), 6);

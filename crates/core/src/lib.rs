@@ -62,8 +62,7 @@ pub mod sim;
 
 pub use experiment::{
     adversary_grid, churn_grid, randomization_sweep, sweep_cells, sweep_cells_threads,
-    sweep_cells_threads_profiled, sweep_configs, AdversaryCell, ChurnCell, RandomizationPoint,
-    SweepStages, CHURN_POLICIES, PAPER_LIST_SIZES,
+    sweep_configs, AdversaryCell, ChurnCell, RandomizationPoint, CHURN_POLICIES, PAPER_LIST_SIZES,
 };
 pub use filters::{remove_top_files, remove_top_uploaders};
 pub use gossip::{build_overlay, overlay_hit_rate, GossipConfig, SemanticOverlay};

@@ -26,10 +26,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 use rand::Rng;
 
 /// A peer index in the simulation (dense, like `edonkey_trace::PeerId`).
-pub type Peer = u32;
+pub(crate) type Peer = u32;
 
 /// Membership delta of one [`NeighbourList::record`]: `(added, removed)`.
-pub type Delta = (Option<Peer>, Option<Peer>);
+pub(crate) type Delta = (Option<Peer>, Option<Peer>);
 
 /// Multiply-shift hashing for [`Peer`] keys: one multiply by the golden
 /// ratio, the high half folded into the low bits the table indexes by.
@@ -582,7 +582,7 @@ impl NeighbourList {
     }
 
     /// Hard-removes a neighbour whose reputation collapsed (see
-    /// [`ReputationBook`]). Unlike the staleness reaction — which may
+    /// `ReputationBook`). Unlike the staleness reaction — which may
     /// merely demote (History) — every policy drops the peer outright:
     /// the defense only fires on members that were *recorded through an
     /// attack* and then answered nothing, and a demotion would leave
@@ -708,7 +708,7 @@ const REPUTATION_FIRE_AT: u32 = 3;
 /// not — the property `bench_report`'s `honest_defense_noop` gate
 /// pins.
 #[derive(Clone, Debug, Default)]
-pub struct ReputationBook {
+pub(crate) struct ReputationBook {
     /// `(suspect, promised-but-never-served score)` — a handful of
     /// entries at most, so a Vec beats a map.
     suspects: Vec<(Peer, u32)>,
@@ -717,24 +717,14 @@ pub struct ReputationBook {
 }
 
 impl ReputationBook {
-    /// An empty book.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True iff nobody is under suspicion or banned.
-    pub fn is_empty(&self) -> bool {
-        self.suspects.is_empty() && self.banned.is_empty()
-    }
-
     /// O(n) membership test over the (tiny) suspect set.
-    pub fn contains(&self, peer: Peer) -> bool {
+    pub(crate) fn contains(&self, peer: Peer) -> bool {
         self.suspects.iter().any(|&(p, _)| p == peer)
     }
 
     /// Has `peer`'s probation fired? Banned peers must never be
     /// recorded again — the caller drops the record on the floor.
-    pub fn banned(&self, peer: Peer) -> bool {
+    pub(crate) fn banned(&self, peer: Peer) -> bool {
         self.banned.contains(&peer)
     }
 
@@ -745,7 +735,7 @@ impl ReputationBook {
     /// attacker to one miscredited record per probation is what keeps
     /// cumulative-count policies (History) recoverable: unlike LRU,
     /// frequency lists never age the stolen credit out.
-    pub fn suspect(&mut self, peer: Peer) -> bool {
+    pub(crate) fn suspect(&mut self, peer: Peer) -> bool {
         if self.banned(peer) {
             return false;
         }
@@ -765,7 +755,7 @@ impl ReputationBook {
     /// moves to the ban list and `true` is returned — the caller must
     /// then reclaim the slot via [`NeighbourList::expel`], and the banned
     /// peer is never recorded again.
-    pub fn on_query(&mut self, peer: Peer) -> bool {
+    pub(crate) fn on_query(&mut self, peer: Peer) -> bool {
         let Some(i) = self.suspects.iter().position(|&(p, _)| p == peer) else {
             return false;
         };
@@ -782,14 +772,14 @@ impl ReputationBook {
     }
 
     /// Clears `peer`'s suspicion — it genuinely served an upload.
-    pub fn redeem(&mut self, peer: Peer) {
+    pub(crate) fn redeem(&mut self, peer: Peer) {
         self.remove(peer);
     }
 
     /// Drops `peer` from the suspect set (it left the neighbour list
     /// by other means, so there is no slot left to defend). A ban, if
     /// any, persists — leaving the list is not rehabilitation.
-    pub fn remove(&mut self, peer: Peer) {
+    pub(crate) fn remove(&mut self, peer: Peer) {
         self.suspects.retain(|&(p, _)| p != peer);
     }
 }
@@ -800,6 +790,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
     use std::collections::HashSet;
+
+    impl ReputationBook {
+        /// True iff nobody is under suspicion or banned.
+        fn is_empty(&self) -> bool {
+            self.suspects.is_empty() && self.banned.is_empty()
+        }
+    }
 
     const KINDS: [PolicyKind; 4] = [
         PolicyKind::Lru,
@@ -1046,7 +1043,7 @@ mod tests {
 
     #[test]
     fn reputation_book_scores_only_suspects() {
-        let mut book = ReputationBook::new();
+        let mut book = ReputationBook::default();
         assert!(book.is_empty());
         // Non-suspects are never scored.
         for _ in 0..100 {
@@ -1071,7 +1068,7 @@ mod tests {
 
     #[test]
     fn reputation_book_redeems_and_removes() {
-        let mut book = ReputationBook::new();
+        let mut book = ReputationBook::default();
         book.suspect(1);
         book.suspect(2);
         assert!(!book.on_query(1));
@@ -1083,7 +1080,7 @@ mod tests {
 
     #[test]
     fn reputation_book_bans_on_repeat_capture() {
-        let mut book = ReputationBook::new();
+        let mut book = ReputationBook::default();
         assert!(!book.suspect(9), "first capture: probation only");
         assert!(book.contains(9) && !book.banned(9));
         assert!(book.suspect(9), "a second capture on probation fires");

@@ -49,8 +49,8 @@
 //! * **Latency accounting.** Simulated query latency = queue wait +
 //!   one overlay round trip per attempt ([`QUERY_RTT_MD`]) + retry
 //!   backoff (the PR 4 timing model, under churn) + index routing cost
-//!   on final misses ([`crate::index::FED_HOP_LATENCY_MD`] per
-//!   federation forward, [`crate::index::DHT_HOP_LATENCY_MD`] per DHT
+//!   on final misses (`crate::index::FED_HOP_LATENCY_MD` per
+//!   federation forward, `crate::index::DHT_HOP_LATENCY_MD` per DHT
 //!   hop) — recorded in a log-bucketed [`LatencyHistogram`]
 //!   (HDR-style: exact below 16 md, then 16 sub-buckets per octave,
 //!   ≤ 6.25 % relative error).
@@ -177,7 +177,7 @@ const HISTOGRAM_BUCKETS: usize = 16 + 60 * 16;
 
 impl LatencyHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatencyHistogram {
             counts: vec![0; HISTOGRAM_BUCKETS],
             total: 0,
@@ -198,7 +198,7 @@ impl LatencyHistogram {
 
     /// The smallest value that lands in bucket `idx` (percentiles
     /// report this floor).
-    pub fn bucket_floor(idx: usize) -> u64 {
+    pub(crate) fn bucket_floor(idx: usize) -> u64 {
         if idx < 16 {
             idx as u64
         } else {
@@ -210,13 +210,13 @@ impl LatencyHistogram {
 
     /// Records one latency sample (milli-days).
     #[inline]
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         self.counts[Self::bucket_index(v)] += 1;
         self.total += 1;
     }
 
     /// Adds another histogram's counts (shard merge).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
+    pub(crate) fn merge(&mut self, other: &LatencyHistogram) {
         for (dst, &src) in self.counts.iter_mut().zip(&other.counts) {
             *dst += src;
         }
@@ -605,7 +605,6 @@ fn run_shard(
             served,
             drawn.map_or(&[], |d| d.list(p)),
             split,
-            false,
             &mut out.part,
             |s: &Served, walk_md| latency.record(s.wait_md + walk_md),
         );

@@ -41,7 +41,6 @@ use edonkey_workload::mix::splitmix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-use std::time::Instant;
 
 use crate::index::IndexBackend;
 use crate::neighbours::{draw_random_list, NeighbourList, Peer, PolicyKind};
@@ -146,7 +145,7 @@ impl AvailabilityConfig {
     }
 
     /// True iff the availability layer cannot affect the simulation.
-    pub fn is_quiet(&self) -> bool {
+    pub(crate) fn is_quiet(&self) -> bool {
         self.churn.is_quiet() && self.adversary.is_quiet()
     }
 }
@@ -969,7 +968,7 @@ impl SweepPrecomp {
     /// post-shuffle generator — but each entry now names its own
     /// `rank_by` slot, so no per-replica row search is needed, and
     /// carries its file, so neither pass reads the arena again.
-    pub fn new(arena: &CacheArena, seed: u64) -> Self {
+    pub(crate) fn new(arena: &CacheArena, seed: u64) -> Self {
         let n_peers = arena.n_peers();
         let n_files = arena.n_files();
         let (entries, offsets) = arena.as_csr_parts();
@@ -1073,13 +1072,13 @@ impl SweepPrecomp {
     }
 
     /// The seed this precomputation was built for.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
     /// Requests issued by queriers in `[lo, hi)` — the scheduler's cost
     /// estimate for a subtask.
-    pub fn requests_in(&self, lo: u32, hi: u32) -> u64 {
+    pub(crate) fn requests_in(&self, lo: u32, hi: u32) -> u64 {
         u64::from(self.queries_off[hi as usize]) - u64::from(self.queries_off[lo as usize])
     }
 
@@ -1087,7 +1086,7 @@ impl SweepPrecomp {
     /// roughly equal request counts. Any partition yields bit-identical
     /// sweep results (queriers are independent); this one just balances
     /// the work-stealing queue.
-    pub fn peer_ranges(&self, chunks: usize) -> Vec<(u32, u32)> {
+    pub(crate) fn peer_ranges(&self, chunks: usize) -> Vec<(u32, u32)> {
         let n = self.n_peers as u32;
         if n == 0 {
             return Vec::new();
@@ -1118,7 +1117,7 @@ impl SweepPrecomp {
 /// population and renewed per querier, the kernel's walk buffers, and
 /// the quiet replay's interval ledger and member bitset.
 #[derive(Debug, Default)]
-pub struct SplitScratch {
+pub(crate) struct SplitScratch {
     policy: Option<NeighbourList>,
     walk: WalkScratch,
     /// Quiet replays: `start_of[p]` is the request index at which
@@ -1135,7 +1134,7 @@ pub struct SplitScratch {
 
 impl SplitScratch {
     /// Creates empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -1216,7 +1215,7 @@ fn quiet_hit(
 /// summation, in any grouping, so the cell merge (`merge_partials`) is
 /// exact.
 #[derive(Clone, Debug)]
-pub struct CellPartial {
+pub(crate) struct CellPartial {
     /// One-hop hits by queriers in this range (split cells never
     /// answer at two hops).
     pub one_hop_hits: u64,
@@ -1224,22 +1223,16 @@ pub struct CellPartial {
     pub messages: Vec<u64>,
     /// Availability ledger restricted to this range's requests.
     pub health: SearchHealth,
-    /// Nanoseconds in the hit check (only when profiling).
-    pub intersect_ns: u64,
-    /// Nanoseconds in policy updates + message settling (profiling).
-    pub update_ns: u64,
 }
 
 impl CellPartial {
     /// An all-zero partial covering no queriers — the identity of
     /// [`CellPartial::absorb`].
-    pub fn empty(n_peers: usize) -> Self {
+    pub(crate) fn empty(n_peers: usize) -> Self {
         CellPartial {
             one_hop_hits: 0,
             messages: vec![0; n_peers],
             health: SearchHealth::default(),
-            intersect_ns: 0,
-            update_ns: 0,
         }
     }
 
@@ -1248,14 +1241,12 @@ impl CellPartial {
     /// on — so windows can be accumulated one at a time without ever
     /// holding more than one partial (the bounded-working-set sweep's
     /// memory contract).
-    pub fn absorb(&mut self, other: &CellPartial) {
+    pub(crate) fn absorb(&mut self, other: &CellPartial) {
         self.one_hop_hits += other.one_hop_hits;
         for (dst, &src) in self.messages.iter_mut().zip(&other.messages) {
             *dst += src;
         }
         self.health += other.health;
-        self.intersect_ns += other.intersect_ns;
-        self.update_ns += other.update_ns;
     }
 }
 
@@ -1271,10 +1262,7 @@ impl CellPartial {
 ///
 /// `drawn` holds the cell's Random lists ([`SweepPrecomp::draw_lists`];
 /// `None` for every other policy) and `tables` the sweep's churn and
-/// role tables. `profile` additionally meters the hit-check and update
-/// stages into the partial (off the sweeps' timed path; the metered run
-/// is a separate pass).
-#[allow(clippy::too_many_arguments)]
+/// role tables.
 pub(crate) fn simulate_cell_range(
     arena: &CacheArena,
     pre: &SweepPrecomp,
@@ -1283,7 +1271,6 @@ pub(crate) fn simulate_cell_range(
     config: &SimConfig,
     peers: (u32, u32),
     scratch: &mut SplitScratch,
-    profile: bool,
 ) -> CellPartial {
     debug_assert!(split_eligible(config), "cell must be split-eligible");
     debug_assert_eq!(config.seed, pre.seed, "precomp seed must match the cell");
@@ -1306,7 +1293,6 @@ pub(crate) fn simulate_cell_range(
             requests,
             drawn.map_or(&[][..], |d| d.list(p)),
             scratch,
-            profile,
             &mut part,
             |_, _| {},
         );
@@ -1361,7 +1347,6 @@ pub(crate) fn replay_querier<R: Replayed>(
     requests: &[R],
     drawn: &[Peer],
     scratch: &mut SplitScratch,
-    profile: bool,
     part: &mut CellPartial,
     mut walked: impl FnMut(&R, u64),
 ) {
@@ -1385,7 +1370,6 @@ pub(crate) fn replay_querier<R: Replayed>(
                 sharers: pre.prefix(rec),
                 start_md: req.start_md(ctx, pre),
             };
-            let t0 = profile.then(Instant::now);
             let (walk, route_md) = ctx
                 .step(
                     walk,
@@ -1398,9 +1382,6 @@ pub(crate) fn replay_querier<R: Replayed>(
                     &mut part.health,
                 )
                 .expect("replayed cells have no outages");
-            if let Some(t0) = t0 {
-                part.intersect_ns += t0.elapsed().as_nanos() as u64;
-            }
             part.one_hop_hits += u64::from(walk.uploader.is_some());
             walked(req, walk.latency_md(route_md));
         }
@@ -1414,11 +1395,7 @@ pub(crate) fn replay_querier<R: Replayed>(
     let records = config.policy != PolicyKind::Random;
     for (q, req) in requests.iter().enumerate() {
         let (q, rec) = (q as u32, req.rec());
-        let t0 = profile.then(Instant::now);
         let hit = quiet_hit(arena, pre, rec, list, bits);
-        if let Some(t0) = t0 {
-            part.intersect_ns += t0.elapsed().as_nanos() as u64;
-        }
 
         // No outage days here: nothing is recovered, every miss
         // resolves, and a route does not depend on the instant.
@@ -1443,7 +1420,6 @@ pub(crate) fn replay_querier<R: Replayed>(
 
         // Policy update + interval settling: a member evicted after
         // request `q` was queried during `[start, q]`.
-        let t0 = profile.then(Instant::now);
         let (added, removed) = list.record(uploader, rec.rank);
         if let Some(rm) = removed {
             part.messages[rm as usize] += u64::from(q + 1 - start_of[rm as usize]);
@@ -1452,9 +1428,6 @@ pub(crate) fn replay_querier<R: Replayed>(
         if let Some(ad) = added {
             start_of[ad as usize] = q + 1;
             flip(bits, ad);
-        }
-        if let Some(t0) = t0 {
-            part.update_ns += t0.elapsed().as_nanos() as u64;
         }
     }
     // Settle members still listed at the end of the querier's stream,

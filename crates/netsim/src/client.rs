@@ -36,7 +36,7 @@ pub struct Client {
 
 impl Client {
     /// Creates the day-zero state for a population peer.
-    pub fn new(
+    pub(crate) fn new(
         population: &Population,
         peer_idx: usize,
         firewalled: bool,
@@ -57,7 +57,7 @@ impl Client {
     }
 
     /// Whether the crawler can open a connection to this client today.
-    pub fn reachable(&self) -> bool {
+    pub(crate) fn reachable(&self) -> bool {
         self.online && !self.firewalled
     }
 
@@ -65,7 +65,7 @@ impl Client {
     /// one (deterministic, collision-free). The derivation is shared
     /// with the ideal observer's alias model so both paths produce the
     /// same uid chains.
-    pub fn reinstall(&mut self) {
+    pub(crate) fn reinstall(&mut self) {
         self.reinstalls += 1;
         self.uid = edonkey_workload::dynamics::reinstall_uid(&self.uid, self.reinstalls);
     }
@@ -75,7 +75,7 @@ impl Client {
     ///
     /// `cache` is the client's current shared-file list (owned by the
     /// dynamics layer); `population` supplies file metadata.
-    pub fn handle(
+    pub(crate) fn handle(
         &self,
         msg: &Message,
         cache: &[FileRef],

@@ -132,7 +132,7 @@ pub struct Crawler {
 
 impl Crawler {
     /// Creates an idle crawler.
-    pub fn new(config: CrawlerConfig) -> Self {
+    pub(crate) fn new(config: CrawlerConfig) -> Self {
         let rng = StdRng::seed_from_u64(config.seed);
         let plan = FaultPlan::new(config.fault.clone());
         Crawler {
@@ -149,13 +149,13 @@ impl Crawler {
     }
 
     /// The fault schedule this crawler runs against.
-    pub fn fault_plan(&self) -> &FaultPlan {
+    pub(crate) fn fault_plan(&self) -> &FaultPlan {
         &self.plan
     }
 
     /// The fixed pattern list: `patterns` trigrams evenly spaced through
     /// `aaa`…`zzz`.
-    pub fn patterns(count: usize) -> Vec<String> {
+    pub(crate) fn patterns(count: usize) -> Vec<String> {
         let total = 26 * 26 * 26;
         (0..count)
             .map(|i| {
@@ -171,7 +171,7 @@ impl Crawler {
     }
 
     /// Runs one crawl day against the network.
-    pub fn crawl_day(&mut self, net: &mut Network<'_>, day_offset: u32, total_days: u32) {
+    pub(crate) fn crawl_day(&mut self, net: &mut Network<'_>, day_offset: u32, total_days: u32) {
         let mut stats = CrawlDayStats {
             day_offset,
             ..Default::default()
@@ -407,12 +407,12 @@ impl Crawler {
     }
 
     /// Per-day statistics so far.
-    pub fn stats(&self) -> &[CrawlDayStats] {
+    pub(crate) fn stats(&self) -> &[CrawlDayStats] {
         &self.stats
     }
 
     /// The graceful-degradation counters so far.
-    pub fn health(&self) -> CrawlHealth {
+    pub(crate) fn health(&self) -> CrawlHealth {
         self.health
     }
 
@@ -420,17 +420,17 @@ impl Crawler {
     /// recorded — the streaming hook for feeding a
     /// [`TraceWriter`] day-by-day instead of accumulating the whole
     /// trace (outage days record nothing and return `None`).
-    pub fn take_day(&mut self, day: u32) -> Option<DaySnapshot> {
+    pub(crate) fn take_day(&mut self, day: u32) -> Option<DaySnapshot> {
         self.builder.take_day(day)
     }
 
     /// The intern tables accumulated so far, for [`TraceWriter::finish`].
-    pub fn tables(&self) -> (&[FileInfo], &[PeerInfo]) {
+    pub(crate) fn tables(&self) -> (&[FileInfo], &[PeerInfo]) {
         (self.builder.files(), self.builder.peers())
     }
 
     /// Finishes the crawl, returning the trace.
-    pub fn finish(self) -> Trace {
+    pub(crate) fn finish(self) -> Trace {
         self.builder.finish()
     }
 }

@@ -10,22 +10,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A time-ordered event queue with FIFO tie-breaking.
-///
-/// # Examples
-///
-/// ```
-/// use edonkey_netsim::event::EventQueue;
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(10, "b");
-/// q.schedule(5, "a");
-/// q.schedule(10, "c");
-/// assert_eq!(q.pop(), Some((5, "a")));
-/// assert_eq!(q.pop(), Some((10, "b")), "FIFO among equal times");
-/// assert_eq!(q.pop(), Some((10, "c")));
-/// assert_eq!(q.pop(), None);
-/// ```
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
     now: u64,
@@ -59,7 +44,7 @@ impl<E> Ord for Entry<E> {
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue at time 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             seq: 0,
@@ -68,7 +53,7 @@ impl<E> EventQueue<E> {
     }
 
     /// The time of the most recently popped event (0 initially).
-    pub fn now(&self) -> u64 {
+    pub(crate) fn now(&self) -> u64 {
         self.now
     }
 
@@ -78,7 +63,7 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `time` is in the past (before the last popped event) —
     /// a scheduling bug that would silently reorder causality otherwise.
-    pub fn schedule(&mut self, time: u64, event: E) {
+    pub(crate) fn schedule(&mut self, time: u64, event: E) {
         assert!(
             time >= self.now,
             "scheduling into the past: {time} < {}",
@@ -93,7 +78,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the earliest event, advancing the clock.
-    pub fn pop(&mut self) -> Option<(u64, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(u64, E)> {
         let Reverse(entry) = self.heap.pop()?;
         self.now = entry.time;
         Some((entry.time, entry.event))
@@ -101,7 +86,7 @@ impl<E> EventQueue<E> {
 
     /// Drops every pending event, returning how many were discarded —
     /// the crawler's abandoned-attempt accounting when a budget expires.
-    pub fn clear(&mut self) -> usize {
+    pub(crate) fn clear(&mut self) -> usize {
         let n = self.heap.len();
         self.heap.clear();
         n
@@ -127,6 +112,15 @@ mod tests {
         q.schedule(2, 'b');
         let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!['a', 'b', 'c', 'd']);
+
+        let mut q = EventQueue::new();
+        q.schedule(10, "b");
+        q.schedule(5, "a");
+        q.schedule(10, "c");
+        assert_eq!(q.pop(), Some((5, "a")));
+        assert_eq!(q.pop(), Some((10, "b")), "FIFO among equal times");
+        assert_eq!(q.pop(), Some((10, "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * a [`FaultConfig`] holds the rates (NAT, transient connect
 //!   timeouts, mid-browse disconnects, server query drops, day-scoped
 //!   churn bursts);
-//! * a [`FaultPlan`] turns the config into a pure function of
+//! * a `FaultPlan` turns the config into a pure function of
 //!   `(seed, fault kind, keys)` via a splitmix64-style hash, so the
 //!   same seed always yields the same fault schedule — no RNG state is
 //!   consumed, and a quiet plan leaves every other random stream
@@ -98,24 +98,14 @@ use edonkey_workload::mix::splitmix64 as mix;
 /// Every method is a pure function of the config — cloning a plan or
 /// querying it in a different order cannot change any outcome.
 #[derive(Clone, Debug)]
-pub struct FaultPlan {
+pub(crate) struct FaultPlan {
     config: FaultConfig,
 }
 
 impl FaultPlan {
     /// Builds the schedule for a config.
-    pub fn new(config: FaultConfig) -> Self {
+    pub(crate) fn new(config: FaultConfig) -> Self {
         FaultPlan { config }
-    }
-
-    /// The underlying config.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
-    /// Whether this plan can never produce a fault.
-    pub fn is_quiet(&self) -> bool {
-        self.config.is_quiet()
     }
 
     /// A uniform draw in `[0, 1)` from `(seed, salt, keys)` — rate
@@ -129,12 +119,12 @@ impl FaultPlan {
     }
 
     /// Whether a client is NATed for the whole crawl (never connectable).
-    pub fn natted(&self, client_idx: usize) -> bool {
+    pub(crate) fn natted(&self, client_idx: usize) -> bool {
         self.roll(SALT_NAT, [client_idx as u64, 0, 0]) < self.config.nat_prob
     }
 
     /// Whether one browse attempt hits a transient connect timeout.
-    pub fn connect_timeout(&self, client_idx: usize, day_offset: u32, attempt: u32) -> bool {
+    pub(crate) fn connect_timeout(&self, client_idx: usize, day_offset: u32, attempt: u32) -> bool {
         self.roll(
             SALT_TRANSIENT,
             [client_idx as u64, u64::from(day_offset), u64::from(attempt)],
@@ -142,7 +132,7 @@ impl FaultPlan {
     }
 
     /// Whether an answered browse is cut mid-transfer.
-    pub fn mid_browse_cut(&self, client_idx: usize, day_offset: u32, attempt: u32) -> bool {
+    pub(crate) fn mid_browse_cut(&self, client_idx: usize, day_offset: u32, attempt: u32) -> bool {
         self.roll(
             SALT_DISCONNECT,
             [client_idx as u64, u64::from(day_offset), u64::from(attempt)],
@@ -151,7 +141,7 @@ impl FaultPlan {
 
     /// How many files of a `full_len`-entry browse reply survive a
     /// mid-browse cut: a strict prefix, possibly empty.
-    pub fn truncated_len(
+    pub(crate) fn truncated_len(
         &self,
         full_len: usize,
         client_idx: usize,
@@ -166,7 +156,7 @@ impl FaultPlan {
     }
 
     /// Whether a server silently drops one `query-users` reply.
-    pub fn query_dropped(
+    pub(crate) fn query_dropped(
         &self,
         server_idx: usize,
         pattern_idx: usize,
@@ -185,7 +175,7 @@ impl FaultPlan {
 
     /// Whether a churn burst knocks an (otherwise online) client
     /// offline on `day_offset`.
-    pub fn burst_offline(&self, client_idx: usize, day_offset: u32) -> bool {
+    pub(crate) fn burst_offline(&self, client_idx: usize, day_offset: u32) -> bool {
         self.config.burst_days.contains(&day_offset)
             && self.roll(SALT_BURST, [client_idx as u64, u64::from(day_offset), 0])
                 < self.config.burst_offline_prob
@@ -240,7 +230,7 @@ impl RetryPolicy {
 
     /// The backoff before retry number `attempt + 1`, given that
     /// `attempt` attempts have already failed.
-    pub fn backoff_for(&self, attempt: u32) -> u64 {
+    pub(crate) fn backoff_for(&self, attempt: u32) -> u64 {
         self.backoff_base
             .saturating_mul(self.backoff_factor.saturating_pow(attempt))
     }
@@ -334,7 +324,7 @@ mod tests {
     #[test]
     fn quiet_plan_never_faults() {
         let p = FaultPlan::new(FaultConfig::none());
-        assert!(p.is_quiet());
+        assert!(p.config.is_quiet());
         for i in 0..500 {
             assert!(!p.natted(i));
             assert!(!p.connect_timeout(i, 3, 1));
@@ -350,7 +340,7 @@ mod tests {
         let b = plan(0.3);
         let c = FaultPlan::new(FaultConfig {
             seed: 100,
-            ..a.config().clone()
+            ..a.config.clone()
         });
         let hits_a: Vec<bool> = (0..200).map(|i| a.connect_timeout(i, 5, 0)).collect();
         let hits_b: Vec<bool> = (0..200).map(|i| b.connect_timeout(i, 5, 0)).collect();

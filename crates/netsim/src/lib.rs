@@ -10,14 +10,14 @@
 //! decline — emerges from the mechanics.
 //!
 //! Modules:
-//! * [`event`] — the discrete-event queue;
+//! * `event` — the discrete-event queue (crate-private);
 //! * [`server`] — index server sessions and the capped `query-users`
 //!   nickname search;
 //! * [`client`] — per-client network state and browse replies;
 //! * [`network`] — the day-level network loop (churn, sessions);
 //! * [`crawler`] — the measurement crawler and trace assembly;
 //! * [`fault`] — seeded deterministic fault injection ([`FaultConfig`]
-//!   / [`fault::FaultPlan`]) and the crawler's counter-measures
+//!   / `fault::FaultPlan`) and the crawler's counter-measures
 //!   ([`RetryPolicy`], [`CrawlHealth`]).
 //!
 //! # Examples
@@ -44,7 +44,7 @@
 
 pub mod client;
 pub mod crawler;
-pub mod event;
+mod event;
 pub mod fault;
 pub mod network;
 pub mod server;

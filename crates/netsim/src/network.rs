@@ -86,7 +86,7 @@ pub struct Network<'a> {
 
 impl<'a> Network<'a> {
     /// Brings up the network at the population's start day.
-    pub fn new(population: &'a Population, config: NetConfig) -> Self {
+    pub(crate) fn new(population: &'a Population, config: NetConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let clients: Vec<Client> = (0..population.peers.len())
             .map(|idx| {
@@ -120,18 +120,18 @@ impl<'a> Network<'a> {
     /// Installs the fault schedule (churn bursts are applied by the
     /// network; everything else is crawler-side). Call before the first
     /// [`Network::refresh_sessions`].
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+    pub(crate) fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault_plan = Some(plan);
     }
 
     /// The current absolute day.
-    pub fn day(&self) -> u32 {
+    pub(crate) fn day(&self) -> u32 {
         self.population.config.start_day + self.day_offset
     }
 
     /// Advances to the next day: cache churn, availability, DHCP and
     /// reinstall events, and server sessions.
-    pub fn step_day(&mut self) {
+    pub(crate) fn step_day(&mut self) {
         self.day_offset += 1;
         let mut dyn_rng =
             StdRng::seed_from_u64(self.config.seed ^ 0x00d1_ce5e ^ u64::from(self.day_offset));
@@ -142,7 +142,7 @@ impl<'a> Network<'a> {
 
     /// (Re)connects today's online clients to servers. Also called for
     /// day zero.
-    pub fn refresh_sessions(&mut self) {
+    pub(crate) fn refresh_sessions(&mut self) {
         // Fresh servers each day: sessions are daily in this model.
         for server in &mut self.servers {
             *server = Server::new(server.supports_query_users);
@@ -188,14 +188,14 @@ impl<'a> Network<'a> {
     /// Index lookup used by the crawler: which client currently holds
     /// this uid (linear scan is fine for the crawler's rate; browses go
     /// through [`Network::deliver_to_idx`]).
-    pub fn client_by_uid(&self, uid: &edonkey_proto::md4::Digest) -> Option<usize> {
+    pub(crate) fn client_by_uid(&self, uid: &edonkey_proto::md4::Digest) -> Option<usize> {
         self.clients.iter().position(|c| c.uid == *uid)
     }
 
     /// Sends a client-to-client message to client `idx`, as the crawler
     /// does. Returns `None` when the client is unreachable today (offline
     /// or firewalled) or ignores the message.
-    pub fn deliver_to_idx(&self, idx: usize, msg: &Message) -> Option<Message> {
+    pub(crate) fn deliver_to_idx(&self, idx: usize, msg: &Message) -> Option<Message> {
         let client = &self.clients[idx];
         if !client.reachable() {
             return None;

@@ -4,7 +4,7 @@
 //! The crawl needs only two things from them: a session per connected
 //! client, and — crucially for the paper — the legacy `query-users`
 //! nickname search that some servers still implement, capped at
-//! [`Server::MAX_USER_REPLY`] records per reply.
+//! `Server::MAX_USER_REPLY` records per reply.
 //!
 //! The server speaks [`edonkey_proto::wire::Message`] values, so the
 //! crawl runs the protocol's login and `query-users` exchange as a
@@ -48,10 +48,10 @@ fn trigrams(nick: &str) -> Vec<[u8; 3]> {
 impl Server {
     /// Reply cap for `query-users`, matching real servers ("server
     /// replies are limited to 200 users per query").
-    pub const MAX_USER_REPLY: usize = 200;
+    pub(crate) const MAX_USER_REPLY: usize = 200;
 
     /// Creates a server with no sessions.
-    pub fn new(supports_query_users: bool) -> Self {
+    pub(crate) fn new(supports_query_users: bool) -> Self {
         Server {
             supports_query_users,
             sessions: HashMap::new(),
@@ -60,18 +60,13 @@ impl Server {
         }
     }
 
-    /// Number of connected clients.
-    pub fn user_count(&self) -> usize {
-        self.sessions.len()
-    }
-
     /// Handles a client connection: a `Login` message from a client at
     /// `ip` (0 marks a firewalled client that cannot accept inbound
     /// connections and therefore gets a *low id*).
     ///
     /// Returns the assigned client id, the session key the caller must
     /// use for subsequent messages.
-    pub fn connect(&mut self, msg: &Message, ip: u32) -> u32 {
+    pub(crate) fn connect(&mut self, msg: &Message, ip: u32) -> u32 {
         let Message::Login { uid, nick } = msg else {
             panic!("connect expects a Login message, got {msg:?}");
         };
@@ -99,7 +94,7 @@ impl Server {
     }
 
     /// Handles a client disconnect: drops its session and nickname.
-    pub fn disconnect(&mut self, client_id: u32) {
+    pub(crate) fn disconnect(&mut self, client_id: u32) {
         let Some(session) = self.sessions.remove(&client_id) else {
             return;
         };
@@ -119,7 +114,7 @@ impl Server {
     ///
     /// Panics if `client_id` has no session (a caller bug: the network
     /// layer owns connection state), or if `msg` is not a server request.
-    pub fn handle(&self, client_id: u32, msg: &Message) -> Option<Message> {
+    pub(crate) fn handle(&self, client_id: u32, msg: &Message) -> Option<Message> {
         assert!(
             self.sessions.contains_key(&client_id),
             "message from unconnected client {client_id}"
@@ -174,6 +169,14 @@ impl Server {
 mod tests {
     use super::*;
     use edonkey_proto::md4::Digest;
+
+    impl Server {
+        /// Number of connected clients (the session tests here and in
+        /// `network` count them).
+        pub(crate) fn user_count(&self) -> usize {
+            self.sessions.len()
+        }
+    }
 
     fn login(n: u8, nick: &str) -> Message {
         Message::Login {

@@ -41,7 +41,7 @@ impl FileKind {
     ];
 
     /// The canonical tag string (`"Audio"`, `"Video"`, …).
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             FileKind::Audio => "Audio",
             FileKind::Video => "Video",

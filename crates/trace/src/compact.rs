@@ -92,7 +92,7 @@ impl CacheArena {
     /// Validates the CSR invariants (offset monotonicity and bounds,
     /// per-row sorted/deduplicated entries, refs `< n_files`) instead of
     /// panicking, since the data may come from disk.
-    pub fn from_csr_parts(
+    pub(crate) fn from_csr_parts(
         files: Vec<FileRef>,
         offsets: Vec<u32>,
         n_files: usize,
@@ -135,12 +135,9 @@ impl CacheArena {
         offsets: Vec<u32>,
         n_files: usize,
     ) -> Self {
-        #[cfg(debug_assertions)]
-        {
+        if cfg!(debug_assertions) {
             Self::from_csr_parts(files, offsets, n_files).expect("caller-validated CSR parts")
-        }
-        #[cfg(not(debug_assertions))]
-        {
+        } else {
             Self::adopt(files, offsets, n_files)
         }
     }
@@ -367,7 +364,7 @@ impl DayArena {
     }
 
     /// Converts a row-oriented snapshot (one `Vec` per cache) into CSR.
-    pub fn from_snapshot(snapshot: &DaySnapshot) -> Self {
+    pub(crate) fn from_snapshot(snapshot: &DaySnapshot) -> Self {
         let total: usize = snapshot.caches.iter().map(|(_, c)| c.len()).sum();
         let mut peers = Vec::with_capacity(snapshot.caches.len());
         let mut offsets = Vec::with_capacity(snapshot.caches.len() + 1);
@@ -387,7 +384,7 @@ impl DayArena {
     }
 
     /// Materializes the row-oriented snapshot (one allocation per cache).
-    pub fn to_snapshot(&self) -> DaySnapshot {
+    pub(crate) fn to_snapshot(&self) -> DaySnapshot {
         DaySnapshot {
             day: self.day,
             caches: (0..self.peers.len())
@@ -422,7 +419,7 @@ impl DayArena {
     }
 
     /// Row `i`'s cache slice (row index, not peer id).
-    pub fn row(&self, i: usize) -> &[FileRef] {
+    pub(crate) fn row(&self, i: usize) -> &[FileRef] {
         &self.entries[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
@@ -433,7 +430,7 @@ impl DayArena {
 
     /// Validates the CSR invariants, mirroring what
     /// [`Trace::check_invariants`] checks per snapshot.
-    pub fn check_invariants(&self, n_peers: usize, n_files: usize) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self, n_peers: usize, n_files: usize) -> Result<(), String> {
         if self.offsets.first() != Some(&0) || self.offsets.len() != self.peers.len() + 1 {
             return Err(format!("day {}: malformed offset table", self.day));
         }
@@ -583,11 +580,6 @@ pub struct RowBits {
 }
 
 impl RowBits {
-    /// Creates an empty bitset; the word table grows on `ensure`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Grows the universe to hold ids `0..n` (never shrinks).
     pub fn ensure(&mut self, n: usize) {
         let words = n.div_ceil(64);
@@ -850,7 +842,7 @@ mod tests {
 
     #[test]
     fn row_bits_insert_probe_and_touched_clear() {
-        let mut bits = RowBits::new();
+        let mut bits = RowBits::default();
         bits.ensure(300);
         // Word boundaries: 63/64 share nothing, 64/65 share a word.
         for id in [0u32, 63, 64, 65, 130, 299] {

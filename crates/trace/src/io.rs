@@ -38,7 +38,7 @@ pub enum TraceIoError {
         message: String,
     },
     /// Any of the above, annotated with the file it occurred on. Every
-    /// path-taking entry point (`load_*`, `save_*`, [`sniff_format`],
+    /// path-taking entry point (`load_*`, `save_*`, `sniff_format`,
     /// [`load_auto`]) wraps its errors in this variant, so a failure
     /// deep in a parse still names the file.
     WithPath {
@@ -54,7 +54,7 @@ impl TraceIoError {
     /// Idempotent: an error already carrying a path is returned as-is,
     /// so nested entry points (e.g. [`load_auto`] calling `load_bin`)
     /// keep the innermost, most specific annotation.
-    pub fn with_path(self, path: &Path) -> TraceIoError {
+    pub(crate) fn with_path(self, path: &Path) -> TraceIoError {
         match self {
             TraceIoError::WithPath { .. } => self,
             other => TraceIoError::WithPath {
@@ -438,7 +438,7 @@ impl JsonCursor<'_> {
 
 /// The on-disk formats [`load_auto`] can distinguish.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceFormat {
+pub(crate) enum TraceFormat {
     /// Binary columnar (`io::bin`).
     Binary,
     /// The JSON interchange schema.
@@ -447,7 +447,7 @@ pub enum TraceFormat {
 
 /// Sniffs a trace file's format from its leading bytes: the binary
 /// magic means binary, anything else is read as JSON.
-pub fn sniff_format(path: &Path) -> Result<TraceFormat, TraceIoError> {
+pub(crate) fn sniff_format(path: &Path) -> Result<TraceFormat, TraceIoError> {
     let mut head = [0u8; 8];
     let mut sniff = || -> io::Result<usize> { fs::File::open(path)?.read(&mut head) };
     let n = sniff().map_err(|e| TraceIoError::Io(e).with_path(path))?;

@@ -492,7 +492,7 @@ impl TraceReader<BufReader<File>> {
 impl<R: Read + Seek> TraceReader<R> {
     /// Validates the header, tables and end marker of `src` and
     /// positions the stream at the first day section.
-    pub fn new(mut src: R) -> Result<Self, TraceIoError> {
+    pub(crate) fn new(mut src: R) -> Result<Self, TraceIoError> {
         let file_len = src.seek(SeekFrom::End(0))?;
         src.seek(SeekFrom::Start(0))?;
         if file_len < HEADER_LEN {
@@ -568,15 +568,10 @@ impl<R: Read + Seek> TraceReader<R> {
         &self.peers
     }
 
-    /// Number of day sections the file declares.
-    pub fn declared_days(&self) -> u32 {
-        self.declared_days
-    }
-
     /// Seeks back to the first day section for another pass over the
     /// days, keeping the decoded intern tables. Every check of the
     /// first pass (day order, the declared day count) applies afresh.
-    pub fn rewind(&mut self) -> Result<(), TraceIoError> {
+    pub(crate) fn rewind(&mut self) -> Result<(), TraceIoError> {
         self.src.seek(SeekFrom::Start(HEADER_LEN))?;
         self.pos = HEADER_LEN;
         self.days_read = 0;
@@ -588,7 +583,7 @@ impl<R: Read + Seek> TraceReader<R> {
     ///
     /// Each snapshot is validated in full (day order, peer order and
     /// range, entry order and range) before it is returned.
-    pub fn next_day(&mut self) -> Result<Option<DaySnapshot>, TraceIoError> {
+    pub(crate) fn next_day(&mut self) -> Result<Option<DaySnapshot>, TraceIoError> {
         Ok(self.next_day_arena()?.map(|d| d.to_snapshot()))
     }
 
@@ -596,7 +591,7 @@ impl<R: Read + Seek> TraceReader<R> {
     /// after the last one — the allocation-lean path streaming
     /// transforms (e.g. `pipeline::filter_streaming`) consume: one flat
     /// entry buffer per day instead of one `Vec` per cache. Validation
-    /// is identical to [`TraceReader::next_day`].
+    /// is identical to `TraceReader::next_day`.
     pub fn next_day_arena(&mut self) -> Result<Option<DayArena>, TraceIoError> {
         if self.pos == self.table_offset {
             if self.days_read != self.declared_days {
@@ -632,7 +627,7 @@ impl<R: Read + Seek> TraceReader<R> {
     }
 
     /// Drains the remaining days into a complete [`Trace`].
-    pub fn into_trace(mut self) -> Result<Trace, TraceIoError> {
+    pub(crate) fn into_trace(mut self) -> Result<Trace, TraceIoError> {
         let mut days = Vec::new();
         while let Some(day) = self.next_day()? {
             days.push(day);
@@ -1142,7 +1137,7 @@ mod tests {
         let mut reader = TraceReader::new(Cursor::new(&bytes[..])).unwrap();
         assert_eq!(reader.files(), &trace.files[..]);
         assert_eq!(reader.peers(), &trace.peers[..]);
-        assert_eq!(reader.declared_days(), 2);
+        assert_eq!(reader.declared_days, 2);
         let d0 = reader.next_day().unwrap().unwrap();
         assert_eq!(d0, trace.days[0]);
         let d1 = reader.next_day().unwrap().unwrap();
@@ -1315,7 +1310,7 @@ mod tests {
             let checksum = fnv1a64(&forged[n - 12..n - 8]);
             forged[n - 8..].copy_from_slice(&checksum.to_le_bytes());
             let mut reader = TraceReader::new(Cursor::new(&forged[..])).unwrap();
-            assert_eq!(reader.declared_days(), declared);
+            assert_eq!(reader.declared_days, declared);
             for _ in 0..2 {
                 let mut read = 0;
                 let err = loop {

@@ -53,6 +53,4 @@ pub use pipeline::{
     extrapolate, extrapolate_arena, filter, filter_arena, filter_streaming, retain_peers_arena,
     DerivedArena, DerivedTrace, ExtrapolateConfig,
 };
-pub use randomize::{
-    recommended_iterations, ArenaShuffler, ShuffleCheckpoint, Shuffler, SwapStats,
-};
+pub use randomize::{recommended_iterations, ArenaShuffler, Shuffler, SwapStats};

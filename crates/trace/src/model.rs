@@ -136,7 +136,7 @@ impl DaySnapshot {
     /// # Panics
     ///
     /// Panics if the peer was already recorded for this day.
-    pub fn insert(&mut self, peer: PeerId, mut cache: Vec<FileRef>) {
+    pub(crate) fn insert(&mut self, peer: PeerId, mut cache: Vec<FileRef>) {
         cache.sort_unstable();
         cache.dedup();
         match self.caches.binary_search_by_key(&peer, |(p, _)| *p) {
@@ -146,7 +146,7 @@ impl DaySnapshot {
     }
 
     /// Looks up a peer's cache for this day.
-    pub fn cache_of(&self, peer: PeerId) -> Option<&[FileRef]> {
+    pub(crate) fn cache_of(&self, peer: PeerId) -> Option<&[FileRef]> {
         self.caches
             .binary_search_by_key(&peer, |(p, _)| *p)
             .ok()
@@ -172,7 +172,7 @@ pub struct Trace {
 
 impl Trace {
     /// Creates an empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Trace {
             files: Vec::new(),
             peers: Vec::new(),
@@ -181,12 +181,12 @@ impl Trace {
     }
 
     /// First observed day, if any.
-    pub fn first_day(&self) -> Option<u32> {
+    pub(crate) fn first_day(&self) -> Option<u32> {
         self.days.first().map(|d| d.day)
     }
 
     /// Last observed day, if any.
-    pub fn last_day(&self) -> Option<u32> {
+    pub(crate) fn last_day(&self) -> Option<u32> {
         self.days.last().map(|d| d.day)
     }
 
@@ -224,7 +224,7 @@ impl Trace {
     }
 
     /// Days on which each peer was observed, indexed by peer.
-    pub fn observation_days(&self) -> Vec<Vec<u32>> {
+    pub(crate) fn observation_days(&self) -> Vec<Vec<u32>> {
         let mut result = vec![Vec::new(); self.peers.len()];
         for day in &self.days {
             for (peer, _) in &day.caches {
@@ -306,7 +306,7 @@ impl Default for Trace {
 /// });
 /// b.observe(350, peer, vec![file]);
 /// let trace = b.finish();
-/// assert_eq!(trace.snapshot(350).unwrap().cache_of(peer).unwrap(), &[file]);
+/// assert_eq!(trace.snapshot(350).unwrap().caches, vec![(peer, vec![file])]);
 /// ```
 pub struct TraceBuilder {
     files: Vec<FileInfo>,
@@ -355,11 +355,6 @@ impl TraceBuilder {
         self.peer_index.insert(info.uid, pid);
         self.peers.push(info);
         pid
-    }
-
-    /// Looks up an already-interned peer.
-    pub fn peer_by_uid(&self, uid: &Digest) -> Option<PeerId> {
-        self.peer_index.get(uid).copied()
     }
 
     /// Records a successful browse of `peer` on `day`.
@@ -469,8 +464,8 @@ mod tests {
         let p1 = b.intern_peer(peer(1));
         let p1_again = b.intern_peer(peer(1));
         assert_eq!(p1, p1_again);
-        assert_eq!(b.peer_by_uid(&peer(1).uid), Some(p1));
-        assert_eq!(b.peer_by_uid(&peer(9).uid), None);
+        assert_eq!(b.peer_index.get(&peer(1).uid), Some(&p1));
+        assert_eq!(b.peer_index.get(&peer(9).uid), None);
     }
 
     #[test]

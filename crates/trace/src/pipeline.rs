@@ -490,11 +490,12 @@ pub struct StreamedFilter {
 /// 1. stream every day accumulating one bit per peer (*did this client
 ///    ever share a file?*) — free-rider status needs the full period;
 /// 2. rewind the same reader (the intern tables are decoded once) and
-///    stream again, remapping each snapshot to the kept peers and
-///    appending it to `output`.
+///    stream again, remapping each day to the kept peers and appending
+///    it to `output`.
 ///
-/// Peak resident memory is one copy of the intern tables plus **one**
-/// [`DaySnapshot`], not the trace: the paper-scale bottleneck was
+/// Both passes stream days as flat CSR [`DayArena`]s, so peak resident
+/// memory is one copy of the intern tables plus the day being read and
+/// the day being written, not the trace: the paper-scale bottleneck was
 /// holding all 56 days × 1.16 M caches at once.
 pub fn filter_streaming(input: &Path, output: &Path) -> Result<StreamedFilter, TraceIoError> {
     // Pass 1: who ever shared? (The alias counts come from the peer
@@ -619,14 +620,14 @@ fn gallop_lower_bound(hay: &[FileRef], lo: usize, needle: FileRef) -> usize {
 /// blockbuster row, say) the short side gallops through the long one
 /// instead, turning the cost from `O(short + long)` into
 /// `O(short * log(long))`.
-pub fn sorted_intersection_into(a: &[FileRef], b: &[FileRef], out: &mut Vec<FileRef>) {
+pub(crate) fn sorted_intersection_into(a: &[FileRef], b: &[FileRef], out: &mut Vec<FileRef>) {
     out.clear();
     intersect_sorted(a, b, |f| out.push(f));
 }
 
 /// Counts elements common to two sorted, deduplicated slices without
 /// allocating. Same gallop-vs-merge selection as
-/// [`sorted_intersection_into`].
+/// `sorted_intersection_into`.
 pub fn sorted_intersection_len(a: &[FileRef], b: &[FileRef]) -> usize {
     let mut count = 0;
     intersect_sorted(a, b, |_| count += 1);

@@ -23,7 +23,6 @@
 
 use std::collections::HashSet;
 
-use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::compact::CacheArena;
@@ -323,41 +322,6 @@ fn pair_hashes(pu: u32, pv: u32, f: FileRef, f2: FileRef) -> [u64; 4] {
     [(pu, f), (pu, f2), (pv, f), (pv, f2)].map(|(p, file)| mix64(PairSet::key(p, file)))
 }
 
-/// A cheap, resumable snapshot of an [`ArenaShuffler`]'s progress: the
-/// flat replica contents, the swap statistics, and the RNG state.
-///
-/// Taking one is two flat memcpys (entries + offsets) and a 32-byte RNG
-/// clone — no per-peer structures — which is what lets the Fig. 21
-/// randomization-decay sweep resume each prefix instead of replaying
-/// the whole swap chain from zero.
-#[derive(Clone, Debug)]
-pub struct ShuffleCheckpoint {
-    stats: SwapStats,
-    files: Vec<FileRef>,
-    offsets: Vec<u32>,
-    n_files: usize,
-    rng: StdRng,
-}
-
-impl ShuffleCheckpoint {
-    /// Swap statistics at the checkpoint.
-    pub fn stats(&self) -> SwapStats {
-        self.stats
-    }
-
-    /// Rebuilds a live shuffler (and its RNG) from the checkpoint. The
-    /// membership index and replica array are reconstructed in O(N);
-    /// continuing the run draws the exact RNG sequence the original
-    /// would have drawn, so a resumed run is byte-identical to an
-    /// uninterrupted one.
-    pub fn resume(&self) -> (ArenaShuffler, StdRng) {
-        let mut shuffler =
-            ArenaShuffler::from_parts(self.files.clone(), self.offsets.clone(), self.n_files);
-        shuffler.stats = self.stats;
-        (shuffler, self.rng.clone())
-    }
-}
-
 /// Arena-backed incremental randomizer: the CSR counterpart of
 /// [`Shuffler`].
 ///
@@ -423,12 +387,6 @@ impl ArenaShuffler {
     /// carry one) — replica counts would silently change otherwise.
     pub fn new(arena: &CacheArena) -> Self {
         let (files, offsets) = arena.as_csr_parts();
-        Self::from_parts(files.to_vec(), offsets.to_vec(), arena.n_files())
-    }
-
-    /// Builds the shuffler from raw CSR parts (rows need not be sorted;
-    /// they must be duplicate-free per peer).
-    fn from_parts(files: Vec<FileRef>, offsets: Vec<u32>, n_files: usize) -> Self {
         let n_peers = offsets.len() - 1;
         let mut owner = Vec::with_capacity(files.len());
         let mut members = PairSet::with_capacity(files.len());
@@ -446,11 +404,11 @@ impl ArenaShuffler {
             }
         }
         ArenaShuffler {
-            files,
-            offsets,
+            files: files.to_vec(),
+            offsets: offsets.to_vec(),
             owner,
             members,
-            n_files,
+            n_files: arena.n_files(),
             stats: SwapStats::default(),
         }
     }
@@ -574,18 +532,6 @@ impl ArenaShuffler {
         self.members.insert(key(pv, f), h_vf);
         self.stats.performed += 1;
         true
-    }
-
-    /// Captures a resumable checkpoint of the current state, pairing the
-    /// cache contents with the caller's RNG state.
-    pub fn checkpoint(&self, rng: &StdRng) -> ShuffleCheckpoint {
-        ShuffleCheckpoint {
-            stats: self.stats,
-            files: self.files.clone(),
-            offsets: self.offsets.clone(),
-            n_files: self.n_files,
-            rng: rng.clone(),
-        }
     }
 
     /// Packs the current caches into a fresh [`CacheArena`] (rows
@@ -818,31 +764,27 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_resume_matches_uninterrupted_run() {
-        let caches = test_caches();
-        let arena = CacheArena::from_caches(&caches, 30);
+    fn split_run_matches_uninterrupted_run() {
+        let arena = CacheArena::from_caches(&test_caches(), 30);
 
         // Uninterrupted: 800 swaps in one go.
         let mut full = ArenaShuffler::new(&arena);
-        let mut rng = StdRng::seed_from_u64(99);
-        full.run(800, &mut rng);
+        let mut full_rng = StdRng::seed_from_u64(99);
+        full.run(800, &mut full_rng);
 
-        // Interrupted: 300 swaps, checkpoint, drop the shuffler, resume
-        // 500 (the resumed generator shadows the spent one).
-        let mut prefix = ArenaShuffler::new(&arena);
-        let mut rng = StdRng::seed_from_u64(99);
-        prefix.run(300, &mut rng);
-        let ckpt = prefix.checkpoint(&rng);
-        drop(prefix);
-        let (mut resumed, mut rng) = ckpt.resume();
-        assert_eq!(resumed.stats().attempted, 300);
-        resumed.run(500, &mut rng);
+        // Split: 300 swaps, then 500 more on the same shuffler.
+        let mut split = ArenaShuffler::new(&arena);
+        let mut split_rng = StdRng::seed_from_u64(99);
+        split.run(300, &mut split_rng);
+        assert_eq!(split.stats().attempted, 300);
+        split.run(500, &mut split_rng);
 
-        assert_eq!(resumed.stats(), full.stats());
+        assert_eq!(split.stats(), full.stats());
         assert_eq!(
-            resumed.snapshot_arena().to_caches(),
+            split.snapshot_arena().to_caches(),
             full.snapshot_arena().to_caches()
         );
+        assert_eq!(split_rng.next_u64(), full_rng.next_u64());
     }
 
     /// `run(n)` against `n` calls of `step()` at every edge of the

@@ -96,12 +96,6 @@ impl AdversaryConfig {
         }
     }
 
-    /// Adds sybils to an existing plan.
-    pub fn with_sybils(mut self, permille: u32) -> Self {
-        self.sybil_permille = permille;
-        self
-    }
-
     /// Adds polluters to an existing plan.
     pub fn with_polluters(mut self, permille: u32) -> Self {
         self.polluter_permille = permille;
@@ -258,29 +252,6 @@ impl AdversaryPlan {
             }
         }
         None
-    }
-
-    /// The sybil census capture: every peer playing sybil adopts a
-    /// copy of the population's largest cache, advertising the most
-    /// popular catalogue to maximise slot capture. A quiet plan is a
-    /// no-op by construction (nobody plays sybil).
-    pub fn rewrite_caches<T: Clone>(&self, caches: &mut [Vec<T>]) {
-        if self.config.sybil_permille == 0 {
-            return;
-        }
-        let Some(donor) = (0..caches.len()).max_by_key(|&p| (caches[p].len(), usize::MAX - p))
-        else {
-            return;
-        };
-        if caches[donor].is_empty() {
-            return;
-        }
-        let bait = caches[donor].clone();
-        for (p, cache) in caches.iter_mut().enumerate() {
-            if p != donor && self.role(p as u32) == Role::Sybil {
-                *cache = bait.clone();
-            }
-        }
     }
 }
 
@@ -466,28 +437,5 @@ mod tests {
         }
         assert!(counts[0] <= counts[1] && counts[1] <= counts[2]);
         assert!(counts[2] > counts[0], "8 replicas must beat 1 somewhere");
-    }
-
-    #[test]
-    fn rewrite_caches_clones_the_largest_into_sybils() {
-        let quiet = AdversaryPlan::new(AdversaryConfig::none());
-        let mut caches: Vec<Vec<u32>> = (0..50).map(|p| (0..p).collect()).collect();
-        let before = caches.clone();
-        quiet.rewrite_caches(&mut caches);
-        assert_eq!(caches, before, "a quiet plan never rewrites");
-
-        let p = AdversaryPlan::new(AdversaryConfig::sybils(5, 400));
-        p.rewrite_caches(&mut caches);
-        let bait: Vec<u32> = (0..49).collect();
-        let mut rewrote = 0;
-        for (peer, cache) in caches.iter().enumerate() {
-            if p.role(peer as u32) == Role::Sybil && peer != 49 {
-                assert_eq!(cache, &bait, "sybil {peer} must carry the bait cache");
-                rewrote += 1;
-            } else {
-                assert_eq!(cache, &before[peer], "honest caches stay put");
-            }
-        }
-        assert!(rewrote > 0, "a 40% plan must rewrite someone");
     }
 }

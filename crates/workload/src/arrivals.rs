@@ -58,11 +58,6 @@ impl ArrivalConfig {
             burst_permille,
         }
     }
-
-    /// True iff this config cannot move any arrival.
-    pub fn is_identity(&self) -> bool {
-        self.jitter_md == 0 && self.burst_permille == 0
-    }
 }
 
 impl Default for ArrivalConfig {
@@ -89,13 +84,8 @@ impl ArrivalProcess {
         ArrivalProcess { config }
     }
 
-    /// The wrapped config.
-    pub fn config(&self) -> &ArrivalConfig {
-        &self.config
-    }
-
     /// The jitter draw for `(querier, tick)` in `[0, jitter_md]`.
-    pub fn jitter(&self, querier: u32, tick: u64) -> u64 {
+    pub(crate) fn jitter(&self, querier: u32, tick: u64) -> u64 {
         if self.config.jitter_md == 0 {
             return 0;
         }
@@ -130,7 +120,6 @@ mod tests {
     #[test]
     fn identity_config_never_moves_an_arrival() {
         let p = ArrivalProcess::new(ArrivalConfig::none());
-        assert!(p.config().is_identity());
         for base in [0u64, 1, 999, 1000, 13_999] {
             assert_eq!(p.arrival_md(7, base, base), base);
         }

@@ -137,7 +137,7 @@ pub struct WorkloadConfig {
 
 impl WorkloadConfig {
     /// The default kind profiles (see [`KindProfile`] for the targets).
-    pub fn default_kind_profiles() -> Vec<KindProfile> {
+    pub(crate) fn default_kind_profiles() -> Vec<KindProfile> {
         // ln(1 MB) ≈ 13.8; ln(4 MB) ≈ 15.2; ln(700 MB) ≈ 20.4.
         vec![
             KindProfile {

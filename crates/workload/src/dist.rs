@@ -4,12 +4,12 @@
 //! dependency set stays at the allowed list. Three families matter for
 //! the paper's marginals:
 //!
-//! * [`ZipfMandelbrot`] — file/topic popularity. The paper's Fig. 5 shows
+//! * `ZipfMandelbrot` — file/topic popularity. The paper's Fig. 5 shows
 //!   a *flat head* followed by a power-law tail; the Mandelbrot shift `q`
 //!   produces exactly that shape (`weight(r) ∝ 1/(r+q)^s`).
-//! * [`Pareto`] — peer generosity. Heavy-tailed cache sizes reproduce the
+//! * `Pareto` — peer generosity. Heavy-tailed cache sizes reproduce the
 //!   "top 15 % of peers offer 75 % of files" concentration.
-//! * [`poisson`] — per-day cache replacements (~5 per client per day).
+//! * `poisson` — per-day cache replacements (~5 per client per day).
 
 use rand::Rng;
 
@@ -17,24 +17,10 @@ use rand::Rng;
 ///
 /// `weight(rank) = 1 / (rank + 1 + q)^s`, normalized. `q = 0` gives plain
 /// Zipf; larger `q` flattens the head (the small flat region the paper
-/// observes before the log-log linear trend).
-///
-/// Sampling is by binary search over the cumulative weights
-/// ([`sample_cumulative`]): O(log n) per draw after O(n) setup.
-///
-/// # Examples
-///
-/// ```
-/// use edonkey_workload::dist::ZipfMandelbrot;
-/// use rand::SeedableRng;
-///
-/// let z = ZipfMandelbrot::new(1000, 1.0, 5.0);
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let r = z.sample(&mut rng);
-/// assert!(r < 1000);
-/// ```
+/// observes before the log-log linear trend). The population reads the
+/// per-rank weights ([`ZipfMandelbrot::weight`]) into its topic table.
 #[derive(Clone, Debug)]
-pub struct ZipfMandelbrot {
+pub(crate) struct ZipfMandelbrot {
     cumulative: Vec<f64>,
 }
 
@@ -45,7 +31,7 @@ impl ZipfMandelbrot {
     /// # Panics
     ///
     /// Panics if `n == 0`, `s` is not finite/positive, or `q < 0`.
-    pub fn new(n: usize, s: f64, q: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64, q: f64) -> Self {
         assert!(n > 0, "ZipfMandelbrot needs at least one rank");
         assert!(s.is_finite() && s > 0.0, "exponent must be positive");
         assert!(q.is_finite() && q >= 0.0, "shift must be non-negative");
@@ -58,38 +44,14 @@ impl ZipfMandelbrot {
         ZipfMandelbrot { cumulative }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Whether the distribution is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
     /// The unnormalized weight of `rank`.
-    pub fn weight(&self, rank: usize) -> f64 {
+    pub(crate) fn weight(&self, rank: usize) -> f64 {
         let prev = if rank == 0 {
             0.0
         } else {
             self.cumulative[rank - 1]
         };
         self.cumulative[rank] - prev
-    }
-
-    /// The normalized probability of `rank`.
-    pub fn probability(&self, rank: usize) -> f64 {
-        self.weight(rank) / self.total()
-    }
-
-    fn total(&self) -> f64 {
-        *self.cumulative.last().expect("non-empty by construction")
-    }
-
-    /// Draws a rank.
-    pub fn sample(&self, rng: &mut impl Rng) -> usize {
-        sample_cumulative(&self.cumulative, &[], rng)
     }
 }
 
@@ -104,25 +66,7 @@ impl ZipfMandelbrot {
 /// # Panics
 ///
 /// Panics if `cumulative` is empty or ends at a non-positive total.
-///
-/// # Examples
-///
-/// ```
-/// use edonkey_workload::dist::{cumulative_from_weights, guide_for, sample_cumulative};
-/// use rand::SeedableRng;
-///
-/// let cum = cumulative_from_weights(&[1.0, 0.0, 3.0, 2.0, 0.5]);
-/// let guide = guide_for(&cum);
-/// let mut plain = rand::rngs::StdRng::seed_from_u64(5);
-/// let mut guided = plain.clone();
-/// for _ in 0..100 {
-///     assert_eq!(
-///         sample_cumulative(&cum, &[], &mut plain),
-///         sample_cumulative(&cum, &guide, &mut guided)
-///     );
-/// }
-/// ```
-pub fn sample_cumulative(cumulative: &[f64], guide: &[u32], rng: &mut impl Rng) -> usize {
+pub(crate) fn sample_cumulative(cumulative: &[f64], guide: &[u32], rng: &mut impl Rng) -> usize {
     let total = *cumulative
         .last()
         .expect("cumulative table must be non-empty");
@@ -174,7 +118,7 @@ fn guide_bucket(v: f64, scale: f64, buckets: usize) -> usize {
 /// # Panics
 ///
 /// Panics if `cumulative` holds more than `u32::MAX` entries.
-pub fn guide_for(cumulative: &[f64]) -> Vec<u32> {
+pub(crate) fn guide_for(cumulative: &[f64]) -> Vec<u32> {
     let total = cumulative.last().copied().unwrap_or(0.0);
     if total <= 0.0 {
         return Vec::new();
@@ -195,14 +139,7 @@ pub fn guide_for(cumulative: &[f64]) -> Vec<u32> {
 }
 
 /// Builds a cumulative table from weights.
-///
-/// # Examples
-///
-/// ```
-/// use edonkey_workload::dist::cumulative_from_weights;
-/// assert_eq!(cumulative_from_weights(&[1.0, 2.0, 3.0]), vec![1.0, 3.0, 6.0]);
-/// ```
-pub fn cumulative_from_weights(weights: &[f64]) -> Vec<f64> {
+pub(crate) fn cumulative_from_weights(weights: &[f64]) -> Vec<f64> {
     let mut cumulative = weights.to_vec();
     cumulate(&mut cumulative);
     cumulative
@@ -221,19 +158,8 @@ pub(crate) fn cumulate(weights: &mut [f64]) {
 
 /// A Pareto (power-law tail) distribution with scale `x_min` and shape
 /// `alpha`: `P(X > x) = (x_min / x)^alpha` for `x ≥ x_min`.
-///
-/// # Examples
-///
-/// ```
-/// use edonkey_workload::dist::Pareto;
-/// use rand::SeedableRng;
-///
-/// let p = Pareto::new(1.0, 1.1);
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-/// assert!(p.sample(&mut rng) >= 1.0);
-/// ```
 #[derive(Clone, Copy, Debug)]
-pub struct Pareto {
+pub(crate) struct Pareto {
     x_min: f64,
     alpha: f64,
 }
@@ -244,21 +170,21 @@ impl Pareto {
     /// # Panics
     ///
     /// Panics unless `x_min > 0` and `alpha > 0`.
-    pub fn new(x_min: f64, alpha: f64) -> Self {
+    pub(crate) fn new(x_min: f64, alpha: f64) -> Self {
         assert!(x_min > 0.0 && x_min.is_finite(), "x_min must be positive");
         assert!(alpha > 0.0 && alpha.is_finite(), "alpha must be positive");
         Pareto { x_min, alpha }
     }
 
     /// Draws a value by inverse-transform sampling.
-    pub fn sample(&self, rng: &mut impl Rng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> f64 {
         // U in (0,1]; X = x_min * U^(-1/alpha).
         let u: f64 = 1.0 - rng.gen_range(0.0..1.0);
         self.x_min * u.powf(-1.0 / self.alpha)
     }
 
     /// Draws a value clamped to `[x_min, cap]` and rounded to an integer.
-    pub fn sample_clamped(&self, cap: f64, rng: &mut impl Rng) -> u64 {
+    pub(crate) fn sample_clamped(&self, cap: f64, rng: &mut impl Rng) -> u64 {
         self.sample(rng).min(cap).round() as u64
     }
 }
@@ -270,7 +196,7 @@ impl Pareto {
 /// # Panics
 ///
 /// Panics if `lambda` is negative or not finite.
-pub fn poisson(lambda: f64, rng: &mut impl Rng) -> u32 {
+pub(crate) fn poisson(lambda: f64, rng: &mut impl Rng) -> u32 {
     assert!(
         lambda >= 0.0 && lambda.is_finite(),
         "lambda must be non-negative"
@@ -298,7 +224,7 @@ pub fn poisson(lambda: f64, rng: &mut impl Rng) -> u32 {
 /// A log-normal sampler (`exp(mu + sigma * Z)`), used for file sizes
 /// within a kind.
 #[derive(Clone, Copy, Debug)]
-pub struct LogNormal {
+pub(crate) struct LogNormal {
     mu: f64,
     sigma: f64,
 }
@@ -310,13 +236,13 @@ impl LogNormal {
     /// # Panics
     ///
     /// Panics if `sigma` is negative or parameters are not finite.
-    pub fn new(mu: f64, sigma: f64) -> Self {
+    pub(crate) fn new(mu: f64, sigma: f64) -> Self {
         assert!(mu.is_finite() && sigma.is_finite() && sigma >= 0.0);
         LogNormal { mu, sigma }
     }
 
     /// Draws a value using a Box–Muller standard normal.
-    pub fn sample(&self, rng: &mut impl Rng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> f64 {
         let u1: f64 = 1.0 - rng.gen_range(0.0f64..1.0); // (0,1]
         let u2: f64 = rng.gen_range(0.0f64..1.0);
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
@@ -332,13 +258,11 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn zipf_weights_decrease_and_sum_to_one() {
+    fn zipf_weights_decrease() {
         let z = ZipfMandelbrot::new(100, 1.0, 2.0);
         for r in 1..100 {
             assert!(z.weight(r) <= z.weight(r - 1), "rank {r}");
         }
-        let total: f64 = (0..100).map(|r| z.probability(r)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -349,25 +273,6 @@ mod tests {
         let ratio_plain = plain.weight(0) / plain.weight(9);
         let ratio_shifted = shifted.weight(0) / shifted.weight(9);
         assert!(ratio_plain > 5.0 * ratio_shifted);
-    }
-
-    #[test]
-    fn zipf_sampling_tracks_probabilities() {
-        let z = ZipfMandelbrot::new(10, 1.2, 0.0);
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut counts = [0usize; 10];
-        let draws = 200_000;
-        for _ in 0..draws {
-            counts[z.sample(&mut rng)] += 1;
-        }
-        for (r, &count) in counts.iter().enumerate() {
-            let expected = z.probability(r) * draws as f64;
-            let got = count as f64;
-            assert!(
-                (got - expected).abs() < 5.0 * expected.sqrt().max(10.0),
-                "rank {r}: expected {expected}, got {got}"
-            );
-        }
     }
 
     #[test]
@@ -387,6 +292,22 @@ mod tests {
         }
         assert_eq!(counts[1], 0, "zero-weight index must never be drawn");
         assert!(counts[2] > counts[0]);
+        assert_eq!(
+            cumulative_from_weights(&[1.0, 2.0, 3.0]),
+            vec![1.0, 3.0, 6.0]
+        );
+        // The guided search returns the whole-table search's index and
+        // consumes the same draw.
+        let cum = cumulative_from_weights(&[1.0, 0.0, 3.0, 2.0, 0.5]);
+        let guide = guide_for(&cum);
+        let mut plain = StdRng::seed_from_u64(5);
+        let mut guided = plain.clone();
+        for _ in 0..100 {
+            assert_eq!(
+                sample_cumulative(&cum, &[], &mut plain),
+                sample_cumulative(&cum, &guide, &mut guided)
+            );
+        }
     }
 
     /// Non-negative weights with a positive total: runs of zeros (at

@@ -179,7 +179,7 @@ impl<'a> Dynamics<'a> {
 ///
 /// Zero before birth; linear surge to 1.0 over `lifecycle_surge_days`;
 /// then exponential decay toward `lifecycle_floor`.
-pub fn lifecycle(config: &WorkloadConfig, birth: u32, day: u32) -> f64 {
+pub(crate) fn lifecycle(config: &WorkloadConfig, birth: u32, day: u32) -> f64 {
     if day < birth {
         return 0.0;
     }
@@ -221,7 +221,7 @@ pub fn reinstall_uid(previous: &Digest, reinstalls: u32) -> Digest {
 /// uid churn — so the trace contains the duplicate-IP/uid aliases the
 /// filtering stage removes. Both knobs at zero take the original
 /// alias-free path, untouched, with a byte-identical rng stream.
-pub fn observe(population: &Population, truth: &GroundTruth, rng: &mut impl Rng) -> Trace {
+pub(crate) fn observe(population: &Population, truth: &GroundTruth, rng: &mut impl Rng) -> Trace {
     let config = &population.config;
     if config.alias_dhcp_daily_prob > 0.0 || config.alias_reinstall_daily_prob > 0.0 {
         return observe_aliased(population, truth, rng);

@@ -19,7 +19,7 @@ use crate::dist::{cumulative_from_weights, sample_cumulative};
 
 /// One autonomous system in the synthetic address plan.
 #[derive(Clone, Debug, PartialEq)]
-pub struct AsPlan {
+pub(crate) struct AsPlan {
     /// AS number (real numbers for Table 2's ASes, synthetic elsewhere).
     pub asn: u32,
     /// Operator name, for table rendering.
@@ -30,7 +30,7 @@ pub struct AsPlan {
 
 /// One country in the synthetic plan.
 #[derive(Clone, Debug, PartialEq)]
-pub struct CountryPlan {
+pub(crate) struct CountryPlan {
     /// ISO-style code.
     pub code: CountryCode,
     /// Share of all clients, in `[0,1]` (Fig. 4).
@@ -51,7 +51,7 @@ pub struct Geography {
 
 /// A sampled client location.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Location {
+pub(crate) struct Location {
     /// Country index into [`Geography::countries`].
     pub country_idx: usize,
     /// Country code.
@@ -62,7 +62,7 @@ pub struct Location {
 
 impl Geography {
     /// Builds the paper-calibrated geography.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         let c = CountryCode::new;
         // Within each country, the dominant ASes come from Table 2; the
         // remainder is split over a few synthetic "minor" ASes so AS-level
@@ -153,7 +153,7 @@ impl Geography {
     ///
     /// Panics if the plan is empty, shares are not positive, or any
     /// country has no ASes.
-    pub fn from_plan(countries: Vec<CountryPlan>) -> Self {
+    pub(crate) fn from_plan(countries: Vec<CountryPlan>) -> Self {
         assert!(
             !countries.is_empty(),
             "geography needs at least one country"
@@ -188,12 +188,12 @@ impl Geography {
     }
 
     /// The country plans.
-    pub fn countries(&self) -> &[CountryPlan] {
+    pub(crate) fn countries(&self) -> &[CountryPlan] {
         &self.countries
     }
 
     /// Samples a client location from the country and AS marginals.
-    pub fn sample_location(&self, rng: &mut impl Rng) -> Location {
+    pub(crate) fn sample_location(&self, rng: &mut impl Rng) -> Location {
         let country_idx = sample_cumulative(&self.country_cumulative, &[], rng);
         let as_idx = sample_cumulative(&self.as_cumulative[country_idx], &[], rng);
         Location {
@@ -204,7 +204,7 @@ impl Geography {
     }
 
     /// Samples a country index only (used for file home countries).
-    pub fn sample_country(&self, rng: &mut impl Rng) -> usize {
+    pub(crate) fn sample_country(&self, rng: &mut impl Rng) -> usize {
         sample_cumulative(&self.country_cumulative, &[], rng)
     }
 
@@ -219,11 +219,6 @@ impl Geography {
         // (real ones are small, synthetic ones are spread above 64 000).
         let block = asn % (1 << 12);
         (block << 20) | host
-    }
-
-    /// Looks up the country index for a code.
-    pub fn country_index(&self, code: CountryCode) -> Option<usize> {
-        self.countries.iter().position(|c| c.code == code)
     }
 }
 
@@ -281,7 +276,11 @@ mod tests {
             (total - 1.0).abs() < 1e-9,
             "country shares must sum to 1, got {total}"
         );
-        let fr = &geo.countries()[geo.country_index(CountryCode::new("FR")).unwrap()];
+        let fr = geo
+            .countries()
+            .iter()
+            .find(|c| c.code == CountryCode::new("FR"))
+            .unwrap();
         assert!((fr.share - 0.29).abs() < 1e-9);
         assert!(fr
             .ases
@@ -342,13 +341,6 @@ mod tests {
     fn ip_block_overflow_panics() {
         let geo = Geography::paper();
         let _ = geo.ip_for(3320, 1 << 20);
-    }
-
-    #[test]
-    fn country_index_lookup() {
-        let geo = Geography::paper();
-        assert!(geo.country_index(CountryCode::new("TW")).is_some());
-        assert_eq!(geo.country_index(CountryCode::new("ZZ")), None);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   the always-on query-serving mode;
 //! * [`churn`] — deterministic session on/off schedules, server-outage
 //!   windows and the query retry policy for availability-aware search;
-//! * [`dist`] — Zipf–Mandelbrot, Pareto, Poisson, log-normal samplers;
+//! * `dist` — Zipf–Mandelbrot, Pareto, Poisson, log-normal samplers
+//!   (crate-private);
 //! * [`geo`] — countries, ASes and the address plan;
-//! * [`names`] — collision-prone nicknames for the crawler;
+//! * `names` — collision-prone nicknames for the crawler (crate-private);
 //! * [`population`] — topics, files, peers, cache sampling;
 //! * [`dynamics`] — day-by-day evolution and the ideal-observer trace;
 //! * [`stream`] — day-at-a-time streaming generation for the
@@ -29,24 +30,23 @@
 //! # Examples
 //!
 //! ```
-//! use edonkey_workload::{WorkloadConfig, Population};
-//! use rand::SeedableRng;
+//! use edonkey_workload::{generate_trace, WorkloadConfig};
 //!
-//! let pop = Population::generate(WorkloadConfig::test_scale(7));
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let caches = pop.sample_static_caches(&mut rng);
-//! assert_eq!(caches.len(), pop.peers.len());
+//! let (population, trace) = generate_trace(WorkloadConfig::test_scale(7));
+//! let caches = trace.static_caches();
+//! assert_eq!(caches.len(), trace.peers.len());
+//! assert!(trace.peers.len() <= population.peers.len());
 //! ```
 
 pub mod adversary;
 pub mod arrivals;
 pub mod churn;
 pub mod config;
-pub mod dist;
+mod dist;
 pub mod dynamics;
 pub mod geo;
 pub mod mix;
-pub mod names;
+mod names;
 pub mod population;
 pub mod stream;
 

@@ -42,17 +42,7 @@ const COMMON: &[&str] = &[
 const COMMON_PROB: f64 = 0.25;
 
 /// Generates one nickname.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let nick = edonkey_workload::names::nickname(&mut rng);
-/// assert!(!nick.is_empty());
-/// assert!(nick.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()));
-/// ```
-pub fn nickname(rng: &mut impl Rng) -> String {
+pub(crate) fn nickname(rng: &mut impl Rng) -> String {
     if rng.gen_bool(COMMON_PROB) {
         let base = COMMON[rng.gen_range(0..COMMON.len())];
         let suffix = SUFFIXES[rng.gen_range(0..SUFFIXES.len())];

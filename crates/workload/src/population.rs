@@ -79,7 +79,7 @@ pub struct GenPeer {
 
 impl GenPeer {
     /// Whether this peer never shares anything.
-    pub fn is_free_rider(&self) -> bool {
+    pub(crate) fn is_free_rider(&self) -> bool {
         self.target_cache == 0
     }
 }
@@ -388,12 +388,12 @@ impl Population {
     }
 
     /// Trace-level file metadata in [`FileRef`] order.
-    pub fn file_infos(&self) -> Vec<FileInfo> {
+    pub(crate) fn file_infos(&self) -> Vec<FileInfo> {
         self.files.iter().map(|f| f.info.clone()).collect()
     }
 
     /// Trace-level peer metadata in `PeerId` order.
-    pub fn peer_infos(&self) -> Vec<PeerInfo> {
+    pub(crate) fn peer_infos(&self) -> Vec<PeerInfo> {
         self.peers.iter().map(|p| p.info.clone()).collect()
     }
 
@@ -402,7 +402,7 @@ impl Population {
     /// `reweight` optionally scales each file's attractiveness (the
     /// dynamics module passes the day's lifecycle multipliers); `None`
     /// uses static attractiveness.
-    pub fn sample_file(
+    pub(crate) fn sample_file(
         &self,
         peer_idx: usize,
         tables: &SampleTables<'_>,
@@ -433,7 +433,7 @@ impl Population {
     /// The static (lifecycle-free) sampling tables, with guide indexes
     /// over the global and per-country tables (the draws that would
     /// otherwise binary-search megabytes of weights).
-    pub fn static_tables(&self) -> SampleTables<'_> {
+    pub(crate) fn static_tables(&self) -> SampleTables<'_> {
         SampleTables {
             topic_files: &self.topic_files,
             topic_cum: Cow::Borrowed(&self.topic_file_cum),
@@ -449,7 +449,7 @@ impl Population {
     ///
     /// `weight_of(file_idx)` returns the day's multiplier (0 for unborn
     /// files).
-    pub fn reweighted_tables(&self, weight_of: impl Fn(usize) -> f64) -> SampleTables<'_> {
+    pub(crate) fn reweighted_tables(&self, weight_of: impl Fn(usize) -> f64) -> SampleTables<'_> {
         let weights: Vec<f64> = self
             .files
             .iter()
@@ -491,21 +491,8 @@ impl Population {
         }
     }
 
-    /// Samples a full static cache (distinct files) for every peer.
-    ///
-    /// This is the "static world" generator used by analyses that do not
-    /// need temporal structure. Free-riders get empty caches.
-    pub fn sample_static_caches(&self, rng: &mut impl Rng) -> Vec<Vec<FileRef>> {
-        let tables = self.static_tables();
-        self.peers
-            .iter()
-            .enumerate()
-            .map(|(idx, peer)| self.sample_cache(idx, peer.target_cache, &tables, rng))
-            .collect()
-    }
-
     /// Samples `target` distinct files for one peer.
-    pub fn sample_cache(
+    pub(crate) fn sample_cache(
         &self,
         peer_idx: usize,
         target: usize,
@@ -534,7 +521,7 @@ impl Population {
 }
 
 /// Borrowed or per-day sampling tables used by [`Population::sample_file`].
-pub struct SampleTables<'a> {
+pub(crate) struct SampleTables<'a> {
     topic_files: &'a [Vec<u32>],
     topic_cum: Cow<'a, [Vec<f64>]>,
     country_files: &'a [Vec<u32>],
@@ -568,6 +555,17 @@ mod tests {
         Population::generate(WorkloadConfig::test_scale(42))
     }
 
+    /// A full static cache (distinct files) for every peer, drawn from
+    /// the static tables; free-riders get empty caches.
+    fn static_caches(pop: &Population, rng: &mut impl Rng) -> Vec<Vec<FileRef>> {
+        let tables = pop.static_tables();
+        pop.peers
+            .iter()
+            .enumerate()
+            .map(|(idx, peer)| pop.sample_cache(idx, peer.target_cache, &tables, rng))
+            .collect()
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let a = small();
@@ -578,10 +576,7 @@ mod tests {
         assert_eq!(a.peers[10].interests, b.peers[10].interests);
         let mut rng_a = StdRng::seed_from_u64(1);
         let mut rng_b = StdRng::seed_from_u64(1);
-        assert_eq!(
-            a.sample_static_caches(&mut rng_a),
-            b.sample_static_caches(&mut rng_b)
-        );
+        assert_eq!(static_caches(&a, &mut rng_a), static_caches(&b, &mut rng_b));
     }
 
     #[test]
@@ -642,7 +637,7 @@ mod tests {
     fn caches_hit_their_targets() {
         let pop = small();
         let mut rng = StdRng::seed_from_u64(3);
-        let caches = pop.sample_static_caches(&mut rng);
+        let caches = static_caches(&pop, &mut rng);
         for (peer, cache) in pop.peers.iter().zip(&caches) {
             assert_eq!(cache.len(), peer.target_cache.min(pop.files.len()));
             assert!(cache.windows(2).all(|w| w[0] < w[1]), "sorted + distinct");
@@ -653,7 +648,7 @@ mod tests {
     fn interest_mix_biases_caches_toward_interests() {
         let pop = small();
         let mut rng = StdRng::seed_from_u64(5);
-        let caches = pop.sample_static_caches(&mut rng);
+        let caches = static_caches(&pop, &mut rng);
         // Among sharers with decent caches, the fraction of cache files
         // in own interest topics must far exceed the topics' global share.
         let mut in_interest = 0usize;
@@ -680,7 +675,7 @@ mod tests {
     fn popularity_is_heavy_tailed() {
         let pop = small();
         let mut rng = StdRng::seed_from_u64(7);
-        let caches = pop.sample_static_caches(&mut rng);
+        let caches = static_caches(&pop, &mut rng);
         let mut counts: HashMap<FileRef, usize> = HashMap::new();
         for cache in &caches {
             for &f in cache {

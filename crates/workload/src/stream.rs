@@ -18,7 +18,7 @@
 //!
 //! * **acquisitions** — peer `i`'s lifetime acquisition stream maps
 //!   position `k` to a file via a `(seed, ACQ, i, k)`-keyed draw through
-//!   [`Population::sample_file`] (interest/locality mixture preserved);
+//!   `Population::sample_file` (interest/locality mixture preserved);
 //! * **turnover** — the day's acquisition count is a `(seed, DAILY,
 //!   day, i)`-keyed Poisson draw with the configured ~5 replacements
 //!   per client per day; the cache is the FIFO window holding the last

@@ -72,9 +72,9 @@ fn main() {
     // full randomization is attributable to generosity + popularity, not
     // semantic structure.
     let full = recommended_iterations(view.replica_count());
-    let run = randomization_sweep_arena(&view, 10, &[0, full / 10, full / 2, full], 7);
+    let points = randomization_sweep_arena(&view, 10, &[0, full / 10, full / 2, full], 7);
     println!("\nhit rate vs randomization (Fig. 21, LRU-10):");
-    for point in run.points {
+    for point in points {
         println!(
             "  {:>9} swaps: {:>5.1}%",
             point.swaps,

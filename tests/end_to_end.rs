@@ -415,7 +415,7 @@ fn fig21_hit_rate_decays_under_randomization() {
     let trace = workload();
     let (_, view) = filtered_view(&trace);
     let full = recommended_iterations(view.replica_count());
-    let sweep = randomization_sweep_arena(&view, 10, &[0, full], 3).points;
+    let sweep = randomization_sweep_arena(&view, 10, &[0, full], 3);
     assert!(
         sweep[1].hit_rate < sweep[0].hit_rate * 0.7,
         "full randomization must destroy most of the hit rate: {} → {}",
