@@ -104,7 +104,7 @@ mod tests {
         b.observe(1, peers[1], vec![files[8]]);
         b.observe(1, peers[2], vec![files[9]]);
         b.observe(1, peers[3], vec![]);
-        TraceArena::from_trace(&b.finish())
+        b.finish()
     }
 
     #[test]

@@ -135,7 +135,7 @@ mod tests {
         b.observe(10, p[1], vec![]);
         b.observe(11, p[0], vec![f[0], f[2]]);
         b.observe(11, p[2], vec![f[3]]);
-        TraceArena::from_trace(&b.finish())
+        b.finish()
     }
 
     #[test]

@@ -130,7 +130,7 @@ mod tests {
         b.observe(1, fr3, vec![f0]);
         b.observe(1, de1, vec![f0, f1]);
         b.observe(1, de2, vec![f1]);
-        TraceArena::from_trace(&b.finish())
+        b.finish()
     }
 
     #[test]
@@ -179,7 +179,7 @@ mod tests {
             kind: FileKind::Audio,
         });
         b.observe(1, p, vec![]);
-        let trace = TraceArena::from_trace(&b.finish());
+        let trace = b.finish();
         let view = trace.static_arena();
         let conc = home_concentration(&trace, &view, Level::Country);
         assert_eq!(conc.percent_at_home[0], None);

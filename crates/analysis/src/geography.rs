@@ -95,7 +95,7 @@ mod tests {
                 i += 1;
             }
         }
-        TraceArena::from_trace(&b.finish())
+        b.finish()
     }
 
     #[test]

@@ -194,7 +194,7 @@ mod tests {
         b.observe(2, peers[1], vec![files[0], files[1]]);
         b.observe(2, peers[2], vec![files[4]]);
         b.observe(2, peers[3], vec![files[3]]);
-        TraceArena::from_trace(&b.finish())
+        b.finish()
     }
 
     #[test]
@@ -252,8 +252,7 @@ mod tests {
         config.files = 40_000;
         config.topics = 400;
         config.days = 20;
-        let (_, trace) = edonkey_workload::generate_trace(config);
-        let full = TraceArena::from_trace(&trace);
+        let (_, full) = edonkey_workload::generate_trace(config);
         let trace =
             extrapolate_arena(&filter_arena(&full).arena, ExtrapolateConfig::default()).arena;
         let initial: Vec<u32> = (1..=10).collect();

@@ -224,7 +224,7 @@ mod tests {
         b.observe(1, a2, vec![f0]);
         b.observe(1, fr3, vec![f1]);
         b.observe(1, de, vec![f2, f3]);
-        TraceArena::from_trace(&b.finish())
+        b.finish()
     }
 
     #[test]

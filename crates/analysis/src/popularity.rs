@@ -82,7 +82,7 @@ mod tests {
         }
         b.observe(20, peers[4], vec![files[1]]);
         b.observe(25, peers[0], vec![files[1], files[2]]);
-        TraceArena::from_trace(&b.finish())
+        b.finish()
     }
 
     #[test]

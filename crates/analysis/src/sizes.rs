@@ -121,7 +121,7 @@ mod tests {
             b.observe(1, *p, vec![small]);
         }
         b.observe(2, peers[0], vec![small, big]);
-        TraceArena::from_trace(&b.finish())
+        b.finish()
     }
 
     #[test]

@@ -140,7 +140,7 @@ mod tests {
         b.observe(2, peers[3], vec![files[1]]);
         b.observe(3, peers[0], vec![files[0]]);
         b.observe(3, peers[1], vec![files[1]]);
-        (TraceArena::from_trace(&b.finish()), files)
+        (b.finish(), files)
     }
 
     #[test]

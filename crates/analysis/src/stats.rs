@@ -44,16 +44,6 @@ impl Cdf {
         count as f64 / self.sorted.len() as f64
     }
 
-    /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank; `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
-        Some(self.sorted[rank - 1])
-    }
-
     /// Evaluates the CDF at logarithmically spaced points spanning the
     /// sample range — convenient for the paper's log-x CDFs (Figs. 6, 7).
     pub fn log_series(&self, points_per_decade: usize) -> Vec<(f64, f64)> {
@@ -183,15 +173,6 @@ mod tests {
         assert_eq!(cdf.fraction_at_most(0.5), 0.0);
         assert_eq!(cdf.fraction_at_most(2.0), 0.75);
         assert_eq!(cdf.fraction_at_most(10.0), 1.0);
-    }
-
-    #[test]
-    fn cdf_quantiles() {
-        let cdf = Cdf::from_samples((1..=100).map(|i| i as f64).collect());
-        assert_eq!(cdf.quantile(0.5), Some(50.0));
-        assert_eq!(cdf.quantile(0.0), Some(1.0));
-        assert_eq!(cdf.quantile(1.0), Some(100.0));
-        assert_eq!(Cdf::from_samples(vec![]).quantile(0.5), None);
     }
 
     #[test]

@@ -94,7 +94,7 @@ mod tests {
         b.observe(5, p0, vec![f0]);
         b.observe(7, p0, vec![f0]);
         b.observe(7, p1, vec![]);
-        let trace = TraceArena::from_trace(&b.finish());
+        let trace = b.finish();
         let s = summarize(&trace, &trace.static_arena());
         assert_eq!(s.duration_days, 3);
         assert_eq!(s.clients, 2);

@@ -106,7 +106,7 @@ mod tests {
         b.observe(1, peers[1], vec![files[0]]);
         b.observe(2, peers[2], vec![files[0]]);
         b.observe(2, peers[3], vec![files[2]]);
-        (TraceArena::from_trace(&b.finish()), files)
+        (b.finish(), files)
     }
 
     #[test]

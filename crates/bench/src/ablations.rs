@@ -19,7 +19,6 @@ use edonkey_semsearch::{
     IndexBackend, PolicyKind,
 };
 use edonkey_trace::compact::{CacheArena, TraceArena};
-use edonkey_trace::model::Trace;
 use edonkey_trace::pipeline::filter_arena;
 use edonkey_trace::randomize::{recommended_iterations, ArenaShuffler};
 use edonkey_workload::dynamics::Dynamics;
@@ -31,10 +30,8 @@ use crate::{f, Emitter, Scale, Workload, SEED};
 
 /// The filtered stage's static view of a trace an ablation generated or
 /// crawled itself.
-fn filtered_static_view(full: &Trace) -> CacheArena {
-    filter_arena(&TraceArena::from_trace(full))
-        .arena
-        .static_arena()
+fn filtered_static_view(full: &TraceArena) -> CacheArena {
+    filter_arena(full).arena.static_arena()
 }
 
 /// Interest-model strength: sweep `interest_mix` (β) from 0 and measure

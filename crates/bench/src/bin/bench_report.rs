@@ -54,6 +54,7 @@ use std::time::Instant;
 
 use edonkey_analysis::banded::{self, BandedOverlapConfig};
 use edonkey_analysis::semantic;
+use edonkey_bench::figures_cluster::HOLDER_CAP;
 use edonkey_bench::{alloc, trace_override, Scale, Workload, SEED};
 use edonkey_semsearch::experiment::{self, PAPER_LIST_SIZES};
 use edonkey_semsearch::neighbours::PolicyKind;
@@ -69,10 +70,6 @@ use edonkey_trace::pipeline::{
 use edonkey_trace::randomize::recommended_iterations;
 use edonkey_trace::TraceReader;
 use edonkey_workload::generate_trace_streaming;
-
-/// Holder cap for the overlap benches (matches the Fig. 13 binaries:
-/// blockbusters contribute quadratic work and no clustering signal).
-const HOLDER_CAP: usize = 200;
 
 /// One timed region: wall clock plus heap traffic (from the bench
 /// crate's counting allocator) and the process RSS high-water mark as
@@ -882,26 +879,23 @@ fn main() {
         });
     }
 
-    // Trace pipeline: the legacy row path is the oracle; the report's
-    // entry times the arena-native CSR path, derived traces diffed
-    // exactly (kept set and every snapshot). The row oracle and the
-    // codec entries below read one untimed row copy of the full trace.
-    let full = w.full.to_trace();
+    // Trace pipeline: the row-at-a-time oracles are the reference; the
+    // report's entry times the CSR path, derived traces compared exactly
+    // (kept set and every day).
     let (row_derived, m_row) = timed(|| {
-        let filtered = filter(&full);
-        extrapolate(&filtered.trace, ExtrapolateConfig::default())
+        let filtered = filter(&w.full);
+        extrapolate(&filtered.arena, ExtrapolateConfig::default())
     });
     let (arena_derived, m_arena) = timed(|| {
         let filtered = filter_arena(&w.full);
         extrapolate_arena(&filtered.arena, ExtrapolateConfig::default())
     });
-    let derived = arena_derived.to_derived_trace();
     assert_eq!(
-        derived.kept, row_derived.kept,
+        arena_derived.kept, row_derived.kept,
         "arena pipeline must keep the same regular clients as the row pipeline"
     );
     assert_eq!(
-        derived.trace, row_derived.trace,
+        arena_derived.arena, row_derived.arena,
         "arena pipeline must derive the identical extrapolated trace"
     );
     let pipeline_speedup = m_row.ms / m_arena.ms;
@@ -936,12 +930,13 @@ fn main() {
     let json_path = dir.join("full.json");
     let bin_path = dir.join("full.etrc");
 
-    let (_, m_json_write) = timed(|| io::save_json(&full, &json_path).expect("save_json"));
+    let full = &w.full;
+    let (_, m_json_write) = timed(|| io::save_json(full, &json_path).expect("save_json"));
     let (json_loaded, m_json_read) = timed(|| io::load_json(&json_path).expect("load_json"));
-    assert_eq!(json_loaded, full, "JSON round trip must be lossless");
-    let (_, m_bin_write) = timed(|| io::save_bin(&full, &bin_path).expect("save_bin"));
+    assert_eq!(&json_loaded, full, "JSON round trip must be lossless");
+    let (_, m_bin_write) = timed(|| io::save_bin(full, &bin_path).expect("save_bin"));
     let (bin_loaded, m_bin_read) = timed(|| io::load_bin(&bin_path).expect("load_bin"));
-    assert_eq!(bin_loaded, full, "binary round trip must be lossless");
+    assert_eq!(&bin_loaded, full, "binary round trip must be lossless");
 
     let json_bytes = std::fs::metadata(&json_path).expect("stat json").len();
     let bin_bytes = std::fs::metadata(&bin_path).expect("stat bin").len();

@@ -4,7 +4,7 @@
 use edonkey_semsearch::experiment::{randomization_sweep_arena, sweep_cells};
 use edonkey_semsearch::filters::{remove_top_files, remove_top_uploaders};
 use edonkey_semsearch::sim::{SimConfig, SimResult};
-use edonkey_trace::compact::{CacheArena, TraceArena};
+use edonkey_trace::compact::CacheArena;
 use edonkey_trace::pipeline::filter_arena;
 use edonkey_trace::randomize::recommended_iterations;
 use edonkey_workload::{generate_trace, WorkloadConfig};
@@ -16,9 +16,7 @@ fn lru(view: &CacheArena, list_size: usize) -> SimResult {
 
 fn probe(label: &str, config: WorkloadConfig) {
     let (_, trace) = generate_trace(config);
-    let view = filter_arena(&TraceArena::from_trace(&trace))
-        .arena
-        .static_arena();
+    let view = filter_arena(&trace).arena.static_arena();
     let replicas = view.replica_count();
 
     let popularity = edonkey_analysis::view::popularity(&view);

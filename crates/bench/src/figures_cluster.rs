@@ -52,7 +52,7 @@ pub fn fig12(w: &Workload) {
 /// Holder cap for the pair-overlap index: files more popular than this
 /// contribute quadratically many pairs while saying nothing about
 /// interest clustering (the paper's own point in Fig. 14).
-const HOLDER_CAP: usize = 200;
+pub const HOLDER_CAP: usize = 200;
 
 /// Fig. 13: the clustering correlation on the first extrapolated day,
 /// plus rare/popular audio-file bands.

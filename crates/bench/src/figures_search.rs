@@ -1,6 +1,8 @@
 //! Regeneration of Section 5 artefacts: Figs. 18–23 and Table 3.
 
-use edonkey_semsearch::experiment::{randomization_sweep_arena, sweep_cells, sweep_configs};
+use edonkey_semsearch::experiment::{
+    randomization_sweep_arena, sweep_cells, sweep_configs, PAPER_LIST_SIZES,
+};
 use edonkey_semsearch::filters::{remove_top_files, remove_top_uploaders};
 use edonkey_semsearch::neighbours::PolicyKind;
 use edonkey_semsearch::sim::SimResult;
@@ -8,9 +10,6 @@ use edonkey_trace::compact::CacheArena;
 use edonkey_trace::randomize::recommended_iterations;
 
 use crate::{f, Emitter, Workload, SEED};
-
-/// The list sizes every Section 5 sweep uses.
-const SIZES: &[usize] = &[5, 10, 20, 40, 60, 100, 150, 200];
 
 /// One policy over `sizes` on one cache set, as one split-cell sweep:
 /// one result per list size.
@@ -28,9 +27,10 @@ pub fn fig18(w: &Workload) {
     e.comment("Fig. 18: semantic-neighbour search hit rate (filtered static trace)");
     e.comment("policy\tlist_size\thit_rate_pct\trequests");
     for policy in [PolicyKind::Lru, PolicyKind::History, PolicyKind::Random] {
-        for (size, result) in SIZES
-            .iter()
-            .zip(sweep(w.static_view(), policy, SIZES, false))
+        for (size, result) in
+            PAPER_LIST_SIZES
+                .iter()
+                .zip(sweep(w.static_view(), policy, &PAPER_LIST_SIZES, false))
         {
             e.row([
                 policy.name().to_string(),
@@ -46,7 +46,7 @@ pub fn fig18(w: &Workload) {
 
 /// One removal fraction's LRU sweep as Fig. 19/20 rows.
 fn removal_rows(e: &mut Emitter, q: f64, sweep: &[SimResult]) {
-    for (size, result) in SIZES.iter().zip(sweep) {
+    for (size, result) in PAPER_LIST_SIZES.iter().zip(sweep) {
         e.row([
             f(100.0 * q, 0),
             size.to_string(),
@@ -64,7 +64,11 @@ pub fn fig19(w: &Workload) {
     e.comment("removed_pct\tlist_size\thit_rate_pct\trequests");
     for q in [0.0, 0.05, 0.10, 0.15] {
         let (reduced, _) = remove_top_uploaders(w.static_view(), q);
-        removal_rows(&mut e, q, &sweep(&reduced, PolicyKind::Lru, SIZES, false));
+        removal_rows(
+            &mut e,
+            q,
+            &sweep(&reduced, PolicyKind::Lru, &PAPER_LIST_SIZES, false),
+        );
     }
     e.finish();
 }
@@ -76,7 +80,11 @@ pub fn fig20(w: &Workload) {
     e.comment("removed_pct\tlist_size\thit_rate_pct\trequests");
     for q in [0.0, 0.05, 0.15, 0.30] {
         let (reduced, _) = remove_top_files(w.static_view(), q);
-        removal_rows(&mut e, q, &sweep(&reduced, PolicyKind::Lru, SIZES, false));
+        removal_rows(
+            &mut e,
+            q,
+            &sweep(&reduced, PolicyKind::Lru, &PAPER_LIST_SIZES, false),
+        );
     }
     e.finish();
 }
@@ -168,11 +176,12 @@ pub fn fig23(w: &Workload) {
     e.comment("Fig. 23: one-hop vs two-hop semantic search (LRU)");
     e.comment("series\tlist_size\thit_rate_pct");
     for (series, two_hop) in [("one_hop", false), ("two_hop", true)] {
-        for (size, result) in
-            SIZES
-                .iter()
-                .zip(sweep(w.static_view(), PolicyKind::Lru, SIZES, two_hop))
-        {
+        for (size, result) in PAPER_LIST_SIZES.iter().zip(sweep(
+            w.static_view(),
+            PolicyKind::Lru,
+            &PAPER_LIST_SIZES,
+            two_hop,
+        )) {
             e.row([
                 series.to_string(),
                 size.to_string(),

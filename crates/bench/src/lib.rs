@@ -21,7 +21,6 @@ use std::sync::OnceLock;
 
 use edonkey_trace::compact::{CacheArena, TraceArena};
 use edonkey_trace::io::TraceIoError;
-use edonkey_trace::model::Trace;
 use edonkey_trace::pipeline::{extrapolate_arena, filter_arena, ExtrapolateConfig};
 use edonkey_workload::{generate_trace, WorkloadConfig};
 
@@ -134,7 +133,7 @@ pub const SEED: u64 = 20060418; // EuroSys'06 opening day.
 /// Reads a trace override from `--trace <path>` argv or `EDONKEY_TRACE`.
 ///
 /// When set, [`Workload::generate`] loads the full trace from this path
-/// (any of the three on-disk formats, sniffed by
+/// (either on-disk format, sniffed by
 /// [`edonkey_trace::io::load_auto`]) instead of generating one.
 pub fn trace_override() -> Result<Option<PathBuf>, UsageError> {
     Ok(flag_or_env("--trace", "EDONKEY_TRACE")?.map(PathBuf::from))
@@ -175,11 +174,8 @@ impl Workload {
         Ok(Workload::derive(edonkey_trace::io::load_auto(path)?))
     }
 
-    /// Packs the row trace into an arena and drops it before deriving
-    /// the other two stages, so no stage is ever held as rows.
-    fn derive(trace: Trace) -> Workload {
-        let full = TraceArena::from_trace(&trace);
-        drop(trace);
+    /// Derives the filtered and extrapolated stages from the full trace.
+    fn derive(full: TraceArena) -> Workload {
         eprintln!(
             "[bench] trace: {} peers, {} files, {} days",
             full.peers.len(),
@@ -307,7 +303,15 @@ mod tests {
         assert!(!w.full.files.is_empty());
         let view = w.static_view();
         assert_eq!(view.n_peers(), w.filtered.peers.len());
-        assert_eq!(view.to_caches(), w.filtered.to_trace().static_caches());
+        // Each client's union of its filtered rows, stated on its own.
+        let mut union = vec![std::collections::BTreeSet::new(); w.filtered.peers.len()];
+        for day in &w.filtered.days {
+            for (peer, row) in day.iter() {
+                union[peer as usize].extend(row.iter().copied());
+            }
+        }
+        let union: Vec<Vec<_>> = union.into_iter().map(|s| s.into_iter().collect()).collect();
+        assert_eq!(view.to_caches(), union);
         assert!(std::ptr::eq(view, w.static_view()), "built once");
     }
 }

@@ -20,7 +20,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
-use crate::index::IndexBackend;
 use crate::neighbours::{NeighbourList, Peer, PolicyKind};
 use crate::query::{QueryCtx, Request, Tables, WalkScratch};
 use crate::sim::{AvailabilityConfig, SearchHealth, SimConfig};
@@ -54,13 +53,6 @@ impl OverlayConfig {
     /// Runs under the given availability regime.
     pub fn with_availability(mut self, availability: AvailabilityConfig) -> Self {
         self.availability = availability;
-        self
-    }
-
-    /// Replaces the index backend (keeping the rest of the availability
-    /// regime).
-    pub fn with_backend(mut self, backend: IndexBackend) -> Self {
-        self.availability.backend = backend;
         self
     }
 }

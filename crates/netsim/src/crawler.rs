@@ -15,7 +15,7 @@
 //! 5. records every successful browse as a `(day, peer, cache)`
 //!    observation.
 //!
-//! The output is an [`edonkey_trace::Trace`] whose measurement biases
+//! The output is an [`edonkey_trace::TraceArena`] whose measurement biases
 //! (name-collision shadowing, firewalled blind spots, browse-denial,
 //! churn aliases, missed days) all arise from the mechanics above.
 
@@ -24,9 +24,10 @@ use std::io::{Seek, Write};
 
 use edonkey_proto::md4::Digest;
 use edonkey_proto::wire::{Message, PublishedFile, UserRecord};
+use edonkey_trace::compact::{DayArena, TraceArena};
 use edonkey_trace::io::bin::TraceWriter;
 use edonkey_trace::io::TraceIoError;
-use edonkey_trace::model::{DaySnapshot, FileInfo, PeerInfo, Trace, TraceBuilder};
+use edonkey_trace::model::{FileInfo, PeerInfo, TraceBuilder};
 use edonkey_workload::population::Population;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -392,7 +393,7 @@ impl Crawler {
             // collisions; one observation per day is what the trace keeps.
             return false;
         }
-        let cache = files
+        let cache: Vec<_> = files
             .iter()
             .map(|f| {
                 self.builder.intern_file(FileInfo {
@@ -420,7 +421,7 @@ impl Crawler {
     /// recorded — the streaming hook for feeding a
     /// [`TraceWriter`] day-by-day instead of accumulating the whole
     /// trace (outage days record nothing and return `None`).
-    pub(crate) fn take_day(&mut self, day: u32) -> Option<DaySnapshot> {
+    pub(crate) fn take_day(&mut self, day: u32) -> Option<DayArena> {
         self.builder.take_day(day)
     }
 
@@ -430,7 +431,7 @@ impl Crawler {
     }
 
     /// Finishes the crawl, returning the trace.
-    pub(crate) fn finish(self) -> Trace {
+    pub(crate) fn finish(self) -> TraceArena {
         self.builder.finish()
     }
 }
@@ -460,7 +461,7 @@ pub fn run_crawl(
     population: &Population,
     net_config: NetConfig,
     crawler_config: CrawlerConfig,
-) -> (Trace, Vec<CrawlDayStats>) {
+) -> (TraceArena, Vec<CrawlDayStats>) {
     let (trace, report) = run_crawl_full(population, net_config, crawler_config);
     (trace, report.stats)
 }
@@ -470,7 +471,7 @@ pub fn run_crawl_full(
     population: &Population,
     net_config: NetConfig,
     crawler_config: CrawlerConfig,
-) -> (Trace, CrawlReport) {
+) -> (TraceArena, CrawlReport) {
     let total_days = population.config.days;
     let mut net = Network::new(population, net_config);
     let mut crawler = Crawler::new(crawler_config);
@@ -488,7 +489,7 @@ pub fn run_crawl_full(
     (crawler.finish(), report)
 }
 
-/// [`run_crawl`], streaming: each day's snapshot is emitted to `writer`
+/// [`run_crawl`], streaming: each day is emitted to `writer`
 /// the moment its crawl day completes, so the crawl never holds more
 /// than one day of observations (plus the intern tables) in memory.
 ///
@@ -506,14 +507,14 @@ pub fn run_crawl_streaming<W: Write + Seek>(
     net.set_fault_plan(crawler.fault_plan().clone());
     net.refresh_sessions();
     crawler.crawl_day(&mut net, 0, total_days);
-    if let Some(snapshot) = crawler.take_day(net.day()) {
-        writer.write_day(&snapshot)?;
+    if let Some(day) = crawler.take_day(net.day()) {
+        writer.write_day_arena(&day)?;
     }
     for offset in 1..total_days {
         net.step_day();
         crawler.crawl_day(&mut net, offset, total_days);
-        if let Some(snapshot) = crawler.take_day(net.day()) {
-            writer.write_day(&snapshot)?;
+        if let Some(day) = crawler.take_day(net.day()) {
+            writer.write_day_arena(&day)?;
         }
     }
     let (files, peers) = crawler.tables();
@@ -625,7 +626,7 @@ mod tests {
         assert_eq!(stats[1].attempts, 0);
         let day1 = population.config.start_day + 1;
         assert!(
-            trace.snapshot(day1).is_none(),
+            trace.days.iter().all(|d| d.day != day1),
             "no snapshot on the outage day"
         );
     }
@@ -822,8 +823,13 @@ mod tests {
             ..base
         };
         let (trace, report) = run_crawl_full(&population, NetConfig::default(), config);
-        let clean_day = clean.snapshot(burst_day).map_or(0, |s| s.peer_count());
-        let burst = trace.snapshot(burst_day).map_or(0, |s| s.peer_count());
+        let peers_on = |t: &TraceArena| {
+            t.days
+                .iter()
+                .find(|d| d.day == burst_day)
+                .map_or(0, |d| d.peer_count())
+        };
+        let (clean_day, burst) = (peers_on(&clean), peers_on(&trace));
         assert!(
             burst < clean_day / 2,
             "burst day must lose most peers: {burst} vs {clean_day}"

@@ -19,14 +19,13 @@
 //! let caches = vec![vec![FileRef(0), FileRef(2)], vec![FileRef(2)]];
 //! let arena = CacheArena::from_caches(&caches, 3);
 //! assert_eq!(arena.cache(0), &[FileRef(0), FileRef(2)]);
-//! assert!(arena.contains(1, FileRef(2)));
 //! assert_eq!(arena.holders(FileRef(2)), &[0, 1]);
 //! ```
 
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
-use crate::model::{DaySnapshot, FileInfo, FileRef, PeerId, PeerInfo, Trace};
+use crate::model::{FileInfo, FileRef, PeerInfo};
 
 /// All peer caches in one flat, sorted, columnar allocation.
 ///
@@ -84,45 +83,16 @@ impl CacheArena {
         Self::build(n_peers, n_files, |p| by_peer[p])
     }
 
-    /// Adopts already-CSR data without copying or re-sorting — the
-    /// zero-rebuild path for consumers that decode the binary trace
-    /// format's day sections (`io::bin`), whose lengths + concatenated
-    /// sorted entries are this exact layout.
-    ///
-    /// Validates the CSR invariants (offset monotonicity and bounds,
-    /// per-row sorted/deduplicated entries, refs `< n_files`) instead of
-    /// panicking, since the data may come from disk.
+    /// Adopts already-CSR data without copying or re-sorting, after
+    /// checking the CSR rules (see `check_csr`) instead of panicking.
+    /// Its one caller is [`CacheArena::from_csr_parts_trusted`]'s
+    /// debug-build check.
     pub(crate) fn from_csr_parts(
         files: Vec<FileRef>,
         offsets: Vec<u32>,
         n_files: usize,
     ) -> Result<Self, String> {
-        if offsets.first() != Some(&0) {
-            return Err("offsets must start with 0".into());
-        }
-        if *offsets.last().expect("non-empty by the check above") as usize != files.len() {
-            return Err(format!(
-                "final offset {} does not match {} entries",
-                offsets.last().expect("non-empty"),
-                files.len()
-            ));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("offsets must be non-decreasing".into());
-        }
-        for w in offsets.windows(2) {
-            let row = &files[w[0] as usize..w[1] as usize];
-            if row.windows(2).any(|p| p[0] >= p[1]) {
-                return Err("row entries must be strictly increasing".into());
-            }
-            if let Some(last) = row.last() {
-                if last.index() >= n_files {
-                    return Err(format!(
-                        "file ref {last} out of range (n_files = {n_files})"
-                    ));
-                }
-            }
-        }
+        check_csr(&offsets, &files, n_files)?;
         Ok(Self::adopt(files, offsets, n_files))
     }
 
@@ -211,11 +181,6 @@ impl CacheArena {
         let lo = self.offsets[peer] as usize;
         let hi = self.offsets[peer + 1] as usize;
         &self.files[lo..hi]
-    }
-
-    /// Whether peer `p` shares `file` — binary search within one row.
-    pub fn contains(&self, peer: usize, file: FileRef) -> bool {
-        self.cache(peer).binary_search(&file).is_ok()
     }
 
     /// Iterates all caches in peer order.
@@ -332,17 +297,50 @@ impl CacheArena {
     }
 }
 
-/// One day's observations in CSR form: the arena equivalent of
-/// [`DaySnapshot`].
+/// The CSR rules every row table here keeps: `offsets` starts at 0,
+/// never decreases and ends at `entries.len()`; each row is strictly
+/// increasing; every ref is below `n_files`.
+fn check_csr(offsets: &[u32], entries: &[FileRef], n_files: usize) -> Result<(), String> {
+    if offsets.first() != Some(&0) {
+        return Err("offsets must start with 0".into());
+    }
+    let last = *offsets.last().expect("non-empty by the check above");
+    if last as usize != entries.len() {
+        return Err(format!(
+            "final offset {last} does not match {} entries",
+            entries.len()
+        ));
+    }
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err("offsets must be non-decreasing".into());
+    }
+    for (i, w) in offsets.windows(2).enumerate() {
+        let row = &entries[w[0] as usize..w[1] as usize];
+        if row.windows(2).any(|p| p[0] >= p[1]) {
+            return Err(format!("row {i} entries must be strictly increasing"));
+        }
+        if let Some(last) = row.last() {
+            if last.index() >= n_files {
+                return Err(format!(
+                    "file ref {last} out of range (n_files = {n_files})"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The caches observed on one day, in CSR form.
 ///
-/// `peers[i]` is the i-th observed peer (strictly increasing), and its
-/// cache is `entries[offsets[i]..offsets[i + 1]]` (sorted,
-/// deduplicated). This is exactly the layout of a binary-format day
-/// section (`io::bin`), so streaming consumers can decode into it
-/// without one allocation per cache.
+/// Only peers that were successfully browsed that day appear (free
+/// riders with an empty row). `peers[i]` is the i-th observed peer
+/// (strictly increasing), and its cache is
+/// `entries[offsets[i]..offsets[i + 1]]` (sorted, deduplicated). This is
+/// exactly the layout of a binary-format day section (`io::bin`), so
+/// the codecs move it without one allocation per cache.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DayArena {
-    /// Absolute day number.
+    /// Absolute day number (the paper plots days ~340–400).
     pub day: u32,
     /// Observed peer ids, strictly increasing.
     pub peers: Vec<u32>,
@@ -363,37 +361,55 @@ impl DayArena {
         }
     }
 
-    /// Converts a row-oriented snapshot (one `Vec` per cache) into CSR.
-    pub(crate) fn from_snapshot(snapshot: &DaySnapshot) -> Self {
-        let total: usize = snapshot.caches.iter().map(|(_, c)| c.len()).sum();
-        let mut peers = Vec::with_capacity(snapshot.caches.len());
-        let mut offsets = Vec::with_capacity(snapshot.caches.len() + 1);
-        let mut entries = Vec::with_capacity(total);
-        offsets.push(0u32);
-        for (peer, cache) in &snapshot.caches {
-            peers.push(peer.0);
-            entries.extend_from_slice(cache);
-            offsets.push(entries.len() as u32);
+    /// Appends `peer`'s row, sorting and deduplicating `cache`. Rows
+    /// may arrive in any peer order; [`DayArena::into_peer_order`]
+    /// sorts them.
+    pub(crate) fn push_row(&mut self, peer: u32, cache: impl IntoIterator<Item = FileRef>) {
+        let start = self.entries.len();
+        self.entries.extend(cache);
+        let row = &mut self.entries[start..];
+        if row.windows(2).any(|w| w[0] >= w[1]) {
+            row.sort_unstable();
+            let mut len = 1;
+            for i in 1..row.len() {
+                if row[i] != row[len - 1] {
+                    row[len] = row[i];
+                    len += 1;
+                }
+            }
+            self.entries.truncate(start + len);
         }
-        DayArena {
-            day: snapshot.day,
-            peers,
-            offsets,
-            entries,
-        }
+        self.peers.push(peer);
+        self.offsets.push(self.entries.len() as u32);
     }
 
-    /// Materializes the row-oriented snapshot (one allocation per cache).
-    pub(crate) fn to_snapshot(&self) -> DaySnapshot {
-        DaySnapshot {
-            day: self.day,
-            caches: (0..self.peers.len())
-                .map(|i| (PeerId(self.peers[i]), self.row(i).to_vec()))
-                .collect(),
+    /// The day with its rows sorted by peer, or `Err(peer)` for a peer
+    /// with more than one row.
+    pub(crate) fn into_peer_order(self) -> Result<DayArena, u32> {
+        if self.peers.windows(2).all(|w| w[0] < w[1]) {
+            return Ok(self);
         }
+        let mut order: Vec<usize> = (0..self.peers.len()).collect();
+        order.sort_unstable_by_key(|&i| self.peers[i]);
+        if let Some(w) = order
+            .windows(2)
+            .find(|w| self.peers[w[0]] == self.peers[w[1]])
+        {
+            return Err(self.peers[w[0]]);
+        }
+        let mut out = DayArena::new(self.day);
+        out.peers.reserve_exact(order.len());
+        out.offsets.reserve_exact(order.len());
+        out.entries.reserve_exact(self.entries.len());
+        for i in order {
+            out.peers.push(self.peers[i]);
+            out.entries.extend_from_slice(self.row(i));
+            out.offsets.push(out.entries.len() as u32);
+        }
+        Ok(out)
     }
 
-    /// Number of observed peers.
+    /// Number of observed peers (including empty caches).
     pub fn peer_count(&self) -> usize {
         self.peers.len()
     }
@@ -428,78 +444,50 @@ impl DayArena {
         (0..self.peers.len()).map(move |i| (self.peers[i], self.row(i)))
     }
 
-    /// Validates the CSR invariants, mirroring what
-    /// [`Trace::check_invariants`] checks per snapshot.
+    /// Validates the day: the CSR rules of its rows (`check_csr`), peers
+    /// strictly increasing and below `n_peers`.
     pub(crate) fn check_invariants(&self, n_peers: usize, n_files: usize) -> Result<(), String> {
-        if self.offsets.first() != Some(&0) || self.offsets.len() != self.peers.len() + 1 {
-            return Err(format!("day {}: malformed offset table", self.day));
-        }
-        if *self.offsets.last().expect("non-empty") as usize != self.entries.len() {
-            return Err(format!("day {}: final offset mismatch", self.day));
-        }
-        if self.offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(format!("day {}: offsets must be non-decreasing", self.day));
+        let day = self.day;
+        if self.offsets.len() != self.peers.len() + 1 {
+            return Err(format!("day {day}: malformed offset table"));
         }
         if self.peers.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(format!("day {}: peers not strictly increasing", self.day));
+            return Err(format!("day {day}: peers not strictly increasing"));
         }
         if let Some(&p) = self.peers.last() {
             if p as usize >= n_peers {
-                return Err(format!("day {}: peer p{p} out of range", self.day));
+                return Err(format!("day {day}: peer p{p} out of range"));
             }
         }
-        for i in 0..self.peers.len() {
-            let row = self.row(i);
-            if row.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!(
-                    "day {}: row of p{} not sorted/deduped",
-                    self.day, self.peers[i]
-                ));
-            }
-            if let Some(f) = row.last() {
-                if f.index() >= n_files {
-                    return Err(format!("day {}: file {f} out of range", self.day));
-                }
-            }
-        }
-        Ok(())
+        check_csr(&self.offsets, &self.entries, n_files).map_err(|e| format!("day {day}: {e}"))
     }
 }
 
-/// A whole trace in CSR form: intern tables plus one [`DayArena`] per
-/// observed day — the arena-native counterpart of [`Trace`] that the
-/// derivation pipeline (`pipeline::filter_arena` and friends) transforms
-/// without ever materializing per-cache `Vec`s.
+/// A complete crawl trace: intern tables plus one [`DayArena`] per
+/// observed day.
+///
+/// This is the object the paper's crawler produces and the one trace
+/// type of the workspace: the generators, the crawler and both codecs
+/// build it, and the derivation pipeline (`pipeline::filter_arena` and
+/// friends) transforms it without ever materializing per-cache `Vec`s.
+/// Files and peers are interned to dense `u32` indices ([`FileRef`],
+/// [`PeerId`](crate::model::PeerId)), whose intern tables keep the real
+/// identities (ed2k hashes, user hashes, addresses).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceArena {
     /// Distinct files, indexed by [`FileRef`].
     pub files: Vec<FileInfo>,
-    /// Distinct peers, indexed by [`PeerId`].
+    /// Distinct peers, indexed by [`PeerId`](crate::model::PeerId).
     pub peers: Vec<PeerInfo>,
-    /// Daily CSR snapshots, sorted by day.
+    /// Daily snapshots, sorted by day (not necessarily contiguous).
     pub days: Vec<DayArena>,
 }
 
 impl TraceArena {
-    /// Converts a row-oriented trace.
-    pub fn from_trace(trace: &Trace) -> Self {
-        TraceArena {
-            files: trace.files.clone(),
-            peers: trace.peers.clone(),
-            days: trace.days.iter().map(DayArena::from_snapshot).collect(),
-        }
-    }
-
-    /// Materializes the row-oriented trace, for the codecs and the row
-    /// oracles.
-    pub fn to_trace(&self) -> Trace {
-        let trace = Trace {
-            files: self.files.clone(),
-            peers: self.peers.clone(),
-            days: self.days.iter().map(DayArena::to_snapshot).collect(),
-        };
-        debug_assert_eq!(trace.check_invariants(), Ok(()));
-        trace
+    /// A copy of `trace`. The name is kept for the `benchmark` binary,
+    /// which calls it; new code clones.
+    pub fn from_trace(trace: &TraceArena) -> Self {
+        trace.clone()
     }
 
     /// First observed day, if any.
@@ -520,13 +508,15 @@ impl TraceArena {
         }
     }
 
-    /// Total `(peer, day)` snapshots, like [`Trace::snapshot_count`].
+    /// Number of successful `(peer, day)` snapshots, the "successful
+    /// snapshots" row of Table 1.
     pub fn snapshot_count(&self) -> usize {
         self.days.iter().map(DayArena::peer_count).sum()
     }
 
-    /// The static (union-over-days) caches as a [`CacheArena`] — the
-    /// arena equivalent of [`Trace::static_caches`].
+    /// Union of every cache each peer was ever observed with — the
+    /// "static" view used by the paper's Section 5 simulations and the
+    /// filtered-trace CDFs — with one (possibly empty) row per peer.
     pub fn static_arena(&self) -> CacheArena {
         let mut per_peer: Vec<Vec<FileRef>> = vec![Vec::new(); self.peers.len()];
         for day in &self.days {
@@ -537,7 +527,11 @@ impl TraceArena {
         CacheArena::from_caches(&per_peer, self.files.len())
     }
 
-    /// Validates internal invariants; mirrors [`Trace::check_invariants`].
+    /// Validates the trace's structure; used by tests and after I/O.
+    ///
+    /// Checks: days sorted strictly; within each day, peers strictly
+    /// increasing and in range, and the CSR rules of its rows (offsets,
+    /// entries sorted, deduplicated and in range).
     pub fn check_invariants(&self) -> Result<(), String> {
         for w in self.days.windows(2) {
             if w[0].day >= w[1].day {
@@ -617,7 +611,6 @@ impl RowBits {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::PeerId;
 
     fn f(i: u32) -> FileRef {
         FileRef(i)
@@ -642,16 +635,6 @@ mod tests {
         let caches = vec![vec![f(3), f(1), f(3), f(0)]];
         let arena = CacheArena::from_caches(&caches, 4);
         assert_eq!(arena.cache(0), &[f(0), f(1), f(3)]);
-    }
-
-    #[test]
-    fn membership() {
-        let caches = vec![vec![f(0), f(2)], vec![f(1)]];
-        let arena = CacheArena::from_caches(&caches, 3);
-        assert!(arena.contains(0, f(0)));
-        assert!(!arena.contains(0, f(1)));
-        assert!(arena.contains(1, f(1)));
-        assert!(!arena.contains(1, f(2)));
     }
 
     #[test]
@@ -692,10 +675,10 @@ mod tests {
 
     #[test]
     fn day_arena_is_peer_indexed() {
-        let mut snap = DaySnapshot::new(7);
-        snap.insert(PeerId(1), vec![f(0), f(1)]);
-        snap.insert(PeerId(3), vec![f(1)]);
-        let arena = CacheArena::from_day(&DayArena::from_snapshot(&snap), 5, 2);
+        let mut day = DayArena::new(7);
+        day.push_row(1, [f(0), f(1)]);
+        day.push_row(3, [f(1)]);
+        let arena = CacheArena::from_day(&day, 5, 2);
         assert_eq!(arena.n_peers(), 5);
         assert_eq!(arena.cache(0), &[] as &[FileRef]);
         assert_eq!(arena.cache(1), &[f(0), f(1)]);
@@ -737,18 +720,19 @@ mod tests {
     }
 
     #[test]
-    fn day_arena_round_trips_snapshot() {
-        let mut snap = DaySnapshot::new(9);
-        snap.insert(PeerId(2), vec![f(1), f(3)]);
-        snap.insert(PeerId(5), vec![]);
-        snap.insert(PeerId(7), vec![f(0), f(3)]);
-        let day = DayArena::from_snapshot(&snap);
+    fn day_arena_packs_rows_in_peer_order() {
+        // Rows in any peer order, caches unsorted and repeated.
+        let mut day = DayArena::new(9);
+        day.push_row(7, [f(3), f(0), f(3)]);
+        day.push_row(2, [f(1), f(3)]);
+        day.push_row(5, []);
+        let day = day.into_peer_order().expect("no peer twice");
+        assert_eq!(day.peers, vec![2, 5, 7]);
         assert_eq!(day.peer_count(), 3);
         assert_eq!(day.row(0), &[f(1), f(3)]);
         assert_eq!(day.row(1), &[] as &[FileRef]);
         assert_eq!(day.row(2), &[f(0), f(3)]);
         assert_eq!(day.check_invariants(8, 4), Ok(()));
-        assert_eq!(day.to_snapshot(), snap);
         assert_eq!(day.non_empty_count(), 2);
         // f(3) is held by two peers: four replicas of three files.
         assert_eq!(day.replica_count(), 4);
@@ -757,13 +741,20 @@ mod tests {
             day.iter().map(|(p, r)| (p, r.len())).collect::<Vec<_>>(),
             vec![(2, 2), (5, 0), (7, 2)]
         );
+        // Packing a packed day changes nothing.
+        assert_eq!(day.clone().into_peer_order(), Ok(day));
+
+        let mut twice = DayArena::new(9);
+        for peer in [4, 1, 4] {
+            twice.push_row(peer, []);
+        }
+        assert_eq!(twice.into_peer_order(), Err(4));
     }
 
     #[test]
     fn day_arena_invariants_catch_corruption() {
-        let mut snap = DaySnapshot::new(9);
-        snap.insert(PeerId(0), vec![f(1)]);
-        let good = DayArena::from_snapshot(&snap);
+        let mut good = DayArena::new(9);
+        good.push_row(0, [f(1)]);
         assert!(good.check_invariants(1, 1).is_err(), "file out of range");
         assert!(good.check_invariants(0, 2).is_err(), "peer out of range");
         let mut bad = good.clone();
@@ -775,8 +766,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_arena_round_trips_and_counts() {
-        use crate::model::{CountryCode, FileInfo, PeerInfo};
+    fn trace_arena_counts_and_static_union() {
+        use crate::model::{CountryCode, PeerInfo};
         use edonkey_proto::md4::Md4;
         use edonkey_proto::query::FileKind;
 
@@ -787,7 +778,7 @@ mod tests {
                 kind: FileKind::Audio,
             })
             .collect();
-        let peers = (0..2u64)
+        let peers = (0..3u64)
             .map(|n| PeerInfo {
                 uid: Md4::digest(format!("p{n}").as_bytes()),
                 ip: n as u32,
@@ -795,28 +786,34 @@ mod tests {
                 asn: 1,
             })
             .collect();
-        let mut a = DaySnapshot::new(1);
-        a.insert(PeerId(0), vec![f(0), f(2)]);
-        a.insert(PeerId(1), vec![f(1)]);
-        let mut b = DaySnapshot::new(3);
-        b.insert(PeerId(1), vec![f(2)]);
-        let trace = Trace {
+        let mut a = DayArena::new(1);
+        a.push_row(0, [f(0), f(2)]);
+        a.push_row(1, [f(1)]);
+        let mut b = DayArena::new(3);
+        b.push_row(1, [f(2)]);
+        b.push_row(2, []);
+        let arena = TraceArena {
             files,
             peers,
             days: vec![a, b],
         };
-        assert_eq!(trace.check_invariants(), Ok(()));
-        let arena = TraceArena::from_trace(&trace);
         assert_eq!(arena.check_invariants(), Ok(()));
-        assert_eq!(arena.snapshot_count(), 3);
+        assert_eq!(arena.snapshot_count(), 4);
         assert_eq!(arena.duration_days(), 3);
         assert_eq!(arena.days[0].distinct_files(), 3);
         assert_eq!(TraceArena::default().duration_days(), 0);
-        assert_eq!(arena.to_trace(), trace);
+        // The static view is each peer's union over the days.
         let back = arena.static_arena();
         assert_eq!(back.cache(0), &[f(0), f(2)]);
         assert_eq!(back.cache(1), &[f(1), f(2)]);
-        assert_eq!(back.to_caches(), trace.static_caches());
+        assert_eq!(back.cache(2), &[] as &[FileRef]);
+
+        let mut unsorted = arena.clone();
+        unsorted.days.swap(0, 1);
+        assert!(unsorted.check_invariants().is_err(), "days out of order");
+        let mut corrupt = arena;
+        corrupt.days[0].entries[0] = f(9);
+        assert!(corrupt.check_invariants().is_err(), "file out of range");
     }
 
     #[test]

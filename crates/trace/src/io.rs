@@ -18,7 +18,8 @@ pub use bin::{from_bin, load_bin, save_bin, to_bin, TraceReader, TraceWriter};
 use edonkey_proto::md4::Digest;
 use edonkey_proto::query::FileKind;
 
-use crate::model::{CountryCode, DaySnapshot, FileInfo, FileRef, PeerId, PeerInfo, Trace};
+use crate::compact::{DayArena, TraceArena};
+use crate::model::{CountryCode, FileInfo, FileRef, PeerInfo};
 
 /// An error loading or saving a trace.
 #[derive(Debug)]
@@ -121,18 +122,13 @@ fn write_atomic(path: &Path, contents: &str) -> Result<(), TraceIoError> {
 }
 
 /// Saves a trace as JSON (crash-safe: tmp sibling + atomic rename).
-pub fn save_json(trace: &Trace, path: &Path) -> Result<(), TraceIoError> {
+pub fn save_json(trace: &TraceArena, path: &Path) -> Result<(), TraceIoError> {
     write_atomic(path, &to_json(trace))
 }
 
-/// Loads a JSON trace and validates its invariants.
-pub fn load_json(path: &Path) -> Result<Trace, TraceIoError> {
-    let load = || -> Result<Trace, TraceIoError> {
-        let data = fs::read_to_string(path)?;
-        let trace = from_json(&data)?;
-        trace.check_invariants().map_err(TraceIoError::Invalid)?;
-        Ok(trace)
-    };
+/// Loads a JSON trace (validated by [`from_json`]).
+pub fn load_json(path: &Path) -> Result<TraceArena, TraceIoError> {
+    let load = || -> Result<TraceArena, TraceIoError> { from_json(&fs::read_to_string(path)?) };
     load().map_err(|e| e.with_path(path))
 }
 
@@ -146,7 +142,7 @@ pub fn load_json(path: &Path) -> Result<Trace, TraceIoError> {
 ///  "peers":[{"uid":"<hex32>","ip":1,"country":"FR","asn":3215}],
 ///  "days":[{"day":350,"caches":[[0,[0,2]]]}]}
 /// ```
-pub fn to_json(trace: &Trace) -> String {
+pub fn to_json(trace: &TraceArena) -> String {
     let mut out = String::with_capacity(64 * (trace.files.len() + trace.peers.len()));
     out.push_str("{\"files\":[");
     for (i, f) in trace.files.iter().enumerate() {
@@ -183,11 +179,11 @@ pub fn to_json(trace: &Trace) -> String {
             out.push(',');
         }
         write!(out, "{{\"day\":{},\"caches\":[", day.day).expect("string write");
-        for (j, (peer, cache)) in day.caches.iter().enumerate() {
+        for (j, (peer, cache)) in day.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            write!(out, "[{},[", peer.0).expect("string write");
+            write!(out, "[{peer},[").expect("string write");
             for (k, f) in cache.iter().enumerate() {
                 if k > 0 {
                     out.push(',');
@@ -205,13 +201,19 @@ pub fn to_json(trace: &Trace) -> String {
 /// Parses the JSON trace schema written by [`to_json`].
 ///
 /// Whitespace-tolerant; field order within objects is fixed (this is a
-/// private interchange format, not a general JSON reader).
-pub fn from_json(text: &str) -> Result<Trace, TraceIoError> {
+/// private interchange format, not a general JSON reader). A day's
+/// peers may come in any order and a cache's refs in any order, with
+/// repeats; the trace comes back in normal form. A peer listed twice in
+/// one day is a [`TraceIoError::Json`] error, and a trace that breaks
+/// [`TraceArena::check_invariants`] (days out of order, ids outside the
+/// tables) is [`TraceIoError::Invalid`].
+pub fn from_json(text: &str) -> Result<TraceArena, TraceIoError> {
     let mut p = JsonCursor {
         bytes: text.as_bytes(),
         pos: 0,
     };
-    let mut trace = Trace::new();
+    let mut trace = TraceArena::default();
+    let mut cache = Vec::new();
     p.expect(b'{')?;
     p.key("files")?;
     p.expect(b'[')?;
@@ -277,17 +279,16 @@ pub fn from_json(text: &str) -> Result<Trace, TraceIoError> {
             p.expect(b'{')?;
             p.key("day")?;
             let day_no = p.number_u32()?;
-            let mut snapshot = DaySnapshot::new(day_no);
+            let mut day = DayArena::new(day_no);
             p.expect(b',')?;
             p.key("caches")?;
             p.expect(b'[')?;
             if !p.try_consume(b']') {
                 loop {
                     p.expect(b'[')?;
-                    let peer = PeerId(p.number_u32()?);
+                    let peer = p.number_u32()?;
                     p.expect(b',')?;
                     p.expect(b'[')?;
-                    let mut cache = Vec::new();
                     if !p.try_consume(b']') {
                         loop {
                             cache.push(FileRef(p.number_u32()?));
@@ -298,10 +299,7 @@ pub fn from_json(text: &str) -> Result<Trace, TraceIoError> {
                         p.expect(b']')?;
                     }
                     p.expect(b']')?;
-                    if snapshot.cache_of(peer).is_some() {
-                        return Err(p.error(&format!("duplicate peer {peer} in day {day_no}")));
-                    }
-                    snapshot.insert(peer, cache);
+                    day.push_row(peer, cache.drain(..));
                     if !p.try_consume(b',') {
                         break;
                     }
@@ -309,7 +307,10 @@ pub fn from_json(text: &str) -> Result<Trace, TraceIoError> {
                 p.expect(b']')?;
             }
             p.expect(b'}')?;
-            trace.days.push(snapshot);
+            let day = day
+                .into_peer_order()
+                .map_err(|peer| p.error(&format!("duplicate peer p{peer} in day {day_no}")))?;
+            trace.days.push(day);
             if !p.try_consume(b',') {
                 break;
             }
@@ -460,7 +461,7 @@ pub(crate) fn sniff_format(path: &Path) -> Result<TraceFormat, TraceIoError> {
 
 /// Loads a trace in any supported format, sniffing it from the file's
 /// leading bytes.
-pub fn load_auto(path: &Path) -> Result<Trace, TraceIoError> {
+pub fn load_auto(path: &Path) -> Result<TraceArena, TraceIoError> {
     match sniff_format(path)? {
         TraceFormat::Binary => load_bin(path),
         TraceFormat::Json => load_json(path),
@@ -473,7 +474,7 @@ mod tests {
     use crate::model::TraceBuilder;
     use edonkey_proto::md4::Md4;
 
-    fn sample_trace() -> Trace {
+    fn sample_trace() -> TraceArena {
         let mut b = TraceBuilder::new();
         let p0 = b.intern_peer(PeerInfo {
             uid: Md4::digest(b"u0"),
@@ -512,6 +513,84 @@ mod tests {
         save_json(&trace, &path).unwrap();
         let loaded = load_json(&path).unwrap();
         assert_eq!(loaded, trace);
+    }
+
+    /// Pins the JSON text of a hand-built two-day trace and what the
+    /// reader makes of inputs that are not in normal form.
+    #[test]
+    fn json_text_and_accepted_inputs_are_pinned() {
+        let mut b = TraceBuilder::new();
+        let p0 = b.intern_peer(PeerInfo {
+            uid: Digest([0xa0; 16]),
+            ip: 7,
+            country: CountryCode::new("FR"),
+            asn: 3215,
+        });
+        let p1 = b.intern_peer(PeerInfo {
+            uid: Digest([0xa1; 16]),
+            ip: 9,
+            country: CountryCode::new("DE"),
+            asn: 3320,
+        });
+        let f0 = b.intern_file(FileInfo {
+            id: Digest([0x0f; 16]),
+            size: 4_000_000,
+            kind: FileKind::Audio,
+        });
+        let f1 = b.intern_file(FileInfo {
+            id: Digest([0x1f; 16]),
+            size: 700_000_000,
+            kind: FileKind::Video,
+        });
+        b.observe(350, p1, vec![f1]);
+        b.observe(350, p0, vec![f1, f0]);
+        b.observe(352, p0, vec![]);
+        let trace = b.finish();
+
+        let (a0, a1) = ("a0".repeat(16), "a1".repeat(16));
+        let (h0, h1) = ("0f".repeat(16), "1f".repeat(16));
+        let tables = format!(
+            "{{\"files\":[{{\"id\":\"{h0}\",\"size\":4000000,\"kind\":\"Audio\"}},\
+             {{\"id\":\"{h1}\",\"size\":700000000,\"kind\":\"Video\"}}],\
+             \"peers\":[{{\"uid\":\"{a0}\",\"ip\":7,\"country\":\"FR\",\"asn\":3215}},\
+             {{\"uid\":\"{a1}\",\"ip\":9,\"country\":\"DE\",\"asn\":3320}}],"
+        );
+        let with_days = |days: &str| format!("{tables}\"days\":[{days}]}}");
+        let text = to_json(&trace);
+        assert_eq!(
+            text,
+            with_days(
+                "{\"day\":350,\"caches\":[[0,[0,1]],[1,[1]]]},{\"day\":352,\"caches\":[[0,[]]]}"
+            )
+        );
+        assert_eq!(from_json(&text).unwrap(), trace);
+
+        // Peers out of order within a day, and a cache with unsorted,
+        // repeated refs: the reader normalizes both.
+        let messy = with_days(
+            "{\"day\":350,\"caches\":[[1,[1]],[0,[1,0,1]]]},{\"day\":352,\"caches\":[[0,[]]]}",
+        );
+        assert_eq!(from_json(&messy).unwrap(), trace);
+
+        // A peer twice in one day is a JSON error.
+        let twice = with_days("{\"day\":350,\"caches\":[[0,[0]],[1,[1]],[0,[1]]]}");
+        assert!(
+            matches!(from_json(&twice), Err(TraceIoError::Json(_))),
+            "{:?}",
+            from_json(&twice)
+        );
+
+        // Ids outside the tables are structurally invalid.
+        for bad in [
+            "{\"day\":350,\"caches\":[[2,[0]]]}",
+            "{\"day\":350,\"caches\":[[0,[2]]]}",
+        ] {
+            let result = from_json(&with_days(bad));
+            assert!(
+                matches!(result, Err(TraceIoError::Invalid(_))),
+                "{bad}: {result:?}"
+            );
+        }
     }
 
     #[test]

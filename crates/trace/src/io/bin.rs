@@ -3,10 +3,10 @@
 //!
 //! The text codec (`io::to_json`) parses whole traces and dominates
 //! wall-clock at paper scale. This format stores the same
-//! `Trace` columnar and delta-compressed, aligned with the
-//! [`CacheArena`](crate::compact::CacheArena) CSR layout: a day section
-//! is cache *lengths* plus one concatenated run of sorted, delta+varint
-//! encoded entries — exactly the offsets/files split of the arena.
+//! [`TraceArena`] columnar and delta-compressed, in its CSR layout: a
+//! day section is the peer ids, the cache *lengths* and one
+//! concatenated run of sorted, delta+varint encoded entries — exactly
+//! the peers/offsets/entries split of a [`DayArena`].
 //!
 //! # Layout (format version 1)
 //!
@@ -60,8 +60,8 @@ use edonkey_proto::md4::Digest;
 use edonkey_proto::query::FileKind;
 
 use super::TraceIoError;
-use crate::compact::DayArena;
-use crate::model::{CountryCode, DaySnapshot, FileInfo, FileRef, PeerInfo, Trace};
+use crate::compact::{DayArena, TraceArena};
+use crate::model::{CountryCode, FileInfo, FileRef, PeerInfo};
 
 /// The 8-byte file magic. The `0x89` lead byte and embedded newline make
 /// accidental text-format collisions impossible, like PNG's magic.
@@ -223,16 +223,10 @@ impl<W: Write + Seek> TraceWriter<W> {
     }
 
     /// Appends one day section. Days must arrive strictly increasing;
-    /// the snapshot's own invariants (caches sorted by peer, entries
-    /// sorted and deduplicated) are re-checked during encoding.
-    pub fn write_day(&mut self, snapshot: &DaySnapshot) -> Result<(), TraceIoError> {
-        self.write_day_arena(&DayArena::from_snapshot(snapshot))
-    }
-
-    /// Appends one day section from its CSR form — byte-identical to
-    /// [`TraceWriter::write_day`] on the equivalent snapshot, without
-    /// materializing per-cache `Vec`s (a DAY section's wire layout *is*
-    /// lengths plus concatenated delta-coded rows).
+    /// the day's own invariants (offset table, peers strictly
+    /// increasing, entries sorted and deduplicated) are re-checked
+    /// during encoding. A DAY section's wire layout *is* the day's CSR
+    /// form: peer ids, row lengths and the concatenated delta-coded rows.
     pub fn write_day_arena(&mut self, day: &DayArena) -> Result<(), TraceIoError> {
         if let Some(last) = self.last_day {
             if day.day <= last {
@@ -467,7 +461,7 @@ fn header_bytes(n_files: u32, n_peers: u32, table_offset: u64) -> [u8; HEADER_LE
 /// Streaming binary trace reader: the intern tables are loaded up front
 /// (one seek to the trailing table region), then day sections decode
 /// one at a time — resident memory is the tables plus one
-/// [`DaySnapshot`], never the whole trace.
+/// [`DayArena`], never the whole trace.
 pub struct TraceReader<R: Read + Seek> {
     src: R,
     files: Vec<FileInfo>,
@@ -579,19 +573,11 @@ impl<R: Read + Seek> TraceReader<R> {
         Ok(())
     }
 
-    /// Decodes the next day section, or `None` after the last one.
+    /// Decodes the next day section, or `None` after the last one: one
+    /// flat entry buffer per day, never one `Vec` per cache.
     ///
-    /// Each snapshot is validated in full (day order, peer order and
-    /// range, entry order and range) before it is returned.
-    pub(crate) fn next_day(&mut self) -> Result<Option<DaySnapshot>, TraceIoError> {
-        Ok(self.next_day_arena()?.map(|d| d.to_snapshot()))
-    }
-
-    /// Decodes the next day section straight into CSR form, or `None`
-    /// after the last one — the allocation-lean path streaming
-    /// transforms (e.g. `pipeline::filter_streaming`) consume: one flat
-    /// entry buffer per day instead of one `Vec` per cache. Validation
-    /// is identical to `TraceReader::next_day`.
+    /// Each day is validated in full (day order, peer order and range,
+    /// entry order and range) before it is returned.
     pub fn next_day_arena(&mut self) -> Result<Option<DayArena>, TraceIoError> {
         if self.pos == self.table_offset {
             if self.days_read != self.declared_days {
@@ -626,16 +612,16 @@ impl<R: Read + Seek> TraceReader<R> {
         Ok(Some(day))
     }
 
-    /// Drains the remaining days into a complete [`Trace`].
-    pub(crate) fn into_trace(mut self) -> Result<Trace, TraceIoError> {
+    /// Drains the remaining days into a complete [`TraceArena`].
+    pub(crate) fn into_trace(mut self) -> Result<TraceArena, TraceIoError> {
         let mut days = Vec::new();
-        while let Some(day) = self.next_day()? {
+        while let Some(day) = self.next_day_arena()? {
             days.push(day);
         }
-        // No final `check_invariants` pass: `next_day` already enforced
-        // day ordering and, per snapshot, peer/entry ordering and range
-        // — a full re-walk here would double the decode cost.
-        let trace = Trace {
+        // No final `check_invariants` pass: `next_day_arena` already
+        // enforced day ordering and, per day, peer/entry ordering and
+        // range — a full re-walk here would double the decode cost.
+        let trace = TraceArena {
             files: self.files,
             peers: self.peers,
             days,
@@ -925,11 +911,11 @@ fn decode_day_arena(
 
 /// Saves a trace in the binary columnar format (crash-safe: tmp sibling
 /// + atomic rename, via [`TraceWriter::create`]).
-pub fn save_bin(trace: &Trace, path: &Path) -> Result<(), TraceIoError> {
+pub fn save_bin(trace: &TraceArena, path: &Path) -> Result<(), TraceIoError> {
     let save = || -> Result<(), TraceIoError> {
         let mut writer = TraceWriter::create(path)?;
         for day in &trace.days {
-            writer.write_day(day)?;
+            writer.write_day_arena(day)?;
         }
         writer.finish(&trace.files, &trace.peers)?;
         Ok(())
@@ -938,16 +924,16 @@ pub fn save_bin(trace: &Trace, path: &Path) -> Result<(), TraceIoError> {
 }
 
 /// Loads a binary trace file. Errors carry the file path.
-pub fn load_bin(path: &Path) -> Result<Trace, TraceIoError> {
-    let load = || -> Result<Trace, TraceIoError> { TraceReader::open(path)?.into_trace() };
+pub fn load_bin(path: &Path) -> Result<TraceArena, TraceIoError> {
+    let load = || -> Result<TraceArena, TraceIoError> { TraceReader::open(path)?.into_trace() };
     load().map_err(|e| e.with_path(path))
 }
 
 /// Encodes a trace to binary bytes in memory.
-pub fn to_bin(trace: &Trace) -> Vec<u8> {
+pub fn to_bin(trace: &TraceArena) -> Vec<u8> {
     let mut writer = TraceWriter::new(Cursor::new(Vec::new())).expect("in-memory sink");
     for day in &trace.days {
-        writer.write_day(day).expect("valid trace encodes");
+        writer.write_day_arena(day).expect("valid trace encodes");
     }
     writer
         .finish(&trace.files, &trace.peers)
@@ -956,7 +942,7 @@ pub fn to_bin(trace: &Trace) -> Vec<u8> {
 }
 
 /// Decodes a binary trace from bytes in memory.
-pub fn from_bin(bytes: &[u8]) -> Result<Trace, TraceIoError> {
+pub fn from_bin(bytes: &[u8]) -> Result<TraceArena, TraceIoError> {
     TraceReader::new(Cursor::new(bytes))?.into_trace()
 }
 
@@ -966,7 +952,7 @@ mod tests {
     use crate::model::TraceBuilder;
     use edonkey_proto::md4::Md4;
 
-    fn sample_trace() -> Trace {
+    fn sample_trace() -> TraceArena {
         let mut b = TraceBuilder::new();
         let p0 = b.intern_peer(PeerInfo {
             uid: Md4::digest(b"u0"),
@@ -1039,7 +1025,7 @@ mod tests {
 
     /// A trace whose FILES payload spans about seven [`TABLE_CHUNK`]s and
     /// whose PEERS payload spans two, with varints of every width.
-    fn wide_trace() -> Trace {
+    fn wide_trace() -> TraceArena {
         let n_files = 22_000u32;
         let n_peers = 6_000u32;
         let files = (0..n_files)
@@ -1059,17 +1045,13 @@ mod tests {
             .collect();
         let mut days = Vec::new();
         for day in [350u32, 352] {
-            let mut snapshot = DaySnapshot::new(day);
+            let mut arena = DayArena::new(day);
             for p in (day % 7..n_peers).step_by(97) {
-                let cache = (p % 5..n_files)
-                    .step_by(1_009 + p as usize)
-                    .map(FileRef)
-                    .collect();
-                snapshot.caches.push((crate::model::PeerId(p), cache));
+                arena.push_row(p, (p % 5..n_files).step_by(1_009 + p as usize).map(FileRef));
             }
-            days.push(snapshot);
+            days.push(arena);
         }
-        Trace { files, peers, days }
+        TraceArena { files, peers, days }
     }
 
     #[test]
@@ -1086,7 +1068,7 @@ mod tests {
 
         let mut one_shot = TraceWriter::new(Cursor::new(Vec::new())).unwrap();
         for day in &trace.days {
-            one_shot.write_day(day).unwrap();
+            one_shot.write_day_arena(day).unwrap();
         }
         let expected = finish_one_shot(one_shot, &trace.files, &trace.peers);
         assert_eq!(to_bin(&trace), expected);
@@ -1095,7 +1077,7 @@ mod tests {
         let records: Vec<(FileInfo, u64)> = trace.files.iter().map(|f| (f.clone(), 7)).collect();
         let mut mapped = TraceWriter::new(Cursor::new(Vec::new())).unwrap();
         for day in &trace.days {
-            mapped.write_day(day).unwrap();
+            mapped.write_day_arena(day).unwrap();
         }
         let bytes = mapped
             .finish(records.iter().map(|(f, _)| f), &trace.peers)
@@ -1113,7 +1095,7 @@ mod tests {
 
     #[test]
     fn round_trips_empty_and_dayless_traces() {
-        let empty = Trace::new();
+        let empty = TraceArena::default();
         assert_eq!(from_bin(&to_bin(&empty)).unwrap(), empty);
         let mut dayless = sample_trace();
         dayless.days.clear();
@@ -1138,12 +1120,14 @@ mod tests {
         assert_eq!(reader.files(), &trace.files[..]);
         assert_eq!(reader.peers(), &trace.peers[..]);
         assert_eq!(reader.declared_days, 2);
-        let d0 = reader.next_day().unwrap().unwrap();
-        assert_eq!(d0, trace.days[0]);
-        let d1 = reader.next_day().unwrap().unwrap();
-        assert_eq!(d1, trace.days[1]);
-        assert!(reader.next_day().unwrap().is_none());
-        assert!(reader.next_day().unwrap().is_none(), "None is sticky");
+        for day in &trace.days {
+            let got = reader.next_day_arena().unwrap().unwrap();
+            assert_eq!(&got, day);
+            got.check_invariants(trace.peers.len(), trace.files.len())
+                .unwrap();
+        }
+        assert!(reader.next_day_arena().unwrap().is_none());
+        assert!(reader.next_day_arena().unwrap().is_none(), "None is sticky");
     }
 
     #[test]
@@ -1157,7 +1141,7 @@ mod tests {
         // A writer killed mid-stream: one day written, never finished.
         {
             let mut w = TraceWriter::create(&path).unwrap();
-            w.write_day(&trace.days[0]).unwrap();
+            w.write_day_arena(&trace.days[0]).unwrap();
             // dropped here without finish — the simulated crash
         }
         assert_eq!(
@@ -1171,7 +1155,7 @@ mod tests {
         // A finish that fails validation must not install either.
         let mut w = TraceWriter::create(&path).unwrap();
         for day in &trace.days {
-            w.write_day(day).unwrap();
+            w.write_day_arena(day).unwrap();
         }
         assert!(w.finish(&trace.files[..1], &trace.peers).is_err());
         assert_eq!(load_bin(&path).unwrap(), trace);
@@ -1186,9 +1170,9 @@ mod tests {
     fn writer_rejects_out_of_order_days() {
         let trace = sample_trace();
         let mut w = TraceWriter::new(Cursor::new(Vec::new())).unwrap();
-        w.write_day(&trace.days[1]).unwrap();
+        w.write_day_arena(&trace.days[1]).unwrap();
         assert!(matches!(
-            w.write_day(&trace.days[0]),
+            w.write_day_arena(&trace.days[0]),
             Err(TraceIoError::Invalid(_))
         ));
     }
@@ -1198,7 +1182,7 @@ mod tests {
         let trace = sample_trace();
         let mut w = TraceWriter::new(Cursor::new(Vec::new())).unwrap();
         for day in &trace.days {
-            w.write_day(day).unwrap();
+            w.write_day_arena(day).unwrap();
         }
         // Tables too small for the written day sections.
         assert!(matches!(
@@ -1250,35 +1234,6 @@ mod tests {
         let buf = [0x80u8; 11];
         let mut c = PayloadCursor::new(&buf, buf.len() as u64 + 8);
         assert!(c.varint().is_err());
-    }
-
-    #[test]
-    fn arena_write_path_is_byte_identical_to_row_path() {
-        let trace = sample_trace();
-        let arena = crate::compact::TraceArena::from_trace(&trace);
-        let mut writer = TraceWriter::new(Cursor::new(Vec::new())).unwrap();
-        for day in &arena.days {
-            writer.write_day_arena(day).unwrap();
-        }
-        let bytes = writer
-            .finish(&trace.files, &trace.peers)
-            .unwrap()
-            .into_inner();
-        assert_eq!(bytes, to_bin(&trace));
-    }
-
-    #[test]
-    fn arena_read_path_yields_csr_days() {
-        let trace = sample_trace();
-        let bytes = to_bin(&trace);
-        let mut reader = TraceReader::new(Cursor::new(&bytes[..])).unwrap();
-        for day in &trace.days {
-            let got = reader.next_day_arena().unwrap().unwrap();
-            assert_eq!(got, DayArena::from_snapshot(day));
-            got.check_invariants(trace.peers.len(), trace.files.len())
-                .unwrap();
-        }
-        assert!(reader.next_day_arena().unwrap().is_none());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! `edonkey-trace`: trace model, derivation pipeline, randomization and
 //! I/O for the EuroSys'06 eDonkey reproduction.
 //!
-//! A [`model::Trace`] is the object the paper's crawler produces: intern
-//! tables for files and peers plus one cache snapshot per browsed client
-//! per day. Codecs, generators and the crawler speak it; everything
-//! downstream reads its CSR form, [`compact::TraceArena`]. From it the
-//! paper derives:
+//! A [`compact::TraceArena`] is the object the paper's crawler produces:
+//! intern tables for files and peers plus one CSR [`compact::DayArena`]
+//! per day, holding the cache of every client browsed that day. It is
+//! the one trace type: the builder, the generators, the crawler, both
+//! codecs and every analysis read and write it. From it the paper
+//! derives:
 //!
 //! * the **filtered** trace ([`pipeline::filter_arena`]) — IP/uid
 //!   aliases removed, used for all static analyses;
@@ -30,7 +31,7 @@
 //!     id: Md4::digest(b"song"), size: 4_000_000, kind: FileKind::Audio,
 //! });
 //! b.observe(350, p, vec![f]);
-//! let trace = edonkey_trace::TraceArena::from_trace(&b.finish());
+//! let trace = b.finish();
 //! assert_eq!(trace.snapshot_count(), 1);
 //! let filtered = edonkey_trace::pipeline::filter_arena(&trace);
 //! assert_eq!(filtered.arena.peers.len(), 1);
@@ -45,12 +46,10 @@ pub mod randomize;
 
 pub use compact::{CacheArena, DayArena, TraceArena};
 pub use io::{load_auto, TraceIoError, TraceReader, TraceWriter};
-pub use model::{
-    CountryCode, DaySnapshot, FileInfo, FileRef, PeerId, PeerInfo, Trace, TraceBuilder,
-};
+pub use model::{CountryCode, FileInfo, FileRef, PeerId, PeerInfo, TraceBuilder};
 pub use par::{parallel_map, parallel_map_init, parallel_map_init_threads};
 pub use pipeline::{
     extrapolate, extrapolate_arena, filter, filter_arena, filter_streaming, retain_peers_arena,
-    DerivedArena, DerivedTrace, ExtrapolateConfig,
+    DerivedArena, ExtrapolateConfig,
 };
 pub use randomize::{recommended_iterations, ArenaShuffler, Shuffler, SwapStats};

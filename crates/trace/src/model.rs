@@ -1,23 +1,32 @@
-//! The trace data model: peers, files, and daily cache snapshots.
+//! The trace data model: peers, files, and the builder that records
+//! daily cache snapshots.
 //!
 //! A *trace* is what the paper's crawler produces: for each day of the
 //! measurement period, the set of clients that could be browsed and, for
 //! each, the list of files in its shared cache. Files and peers are
 //! interned to dense `u32` indices ([`FileRef`], [`PeerId`]) so that an
 //! 11-million-file trace stays compact; the intern tables keep the real
-//! identities (ed2k hashes, user hashes, addresses).
+//! identities (ed2k hashes, user hashes, addresses). The trace itself is
+//! [`TraceArena`], one CSR [`DayArena`] per day.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use edonkey_proto::md4::Digest;
 use edonkey_proto::query::FileKind;
+
+use crate::compact::{DayArena, TraceArena};
+
+/// The trace type's former name, kept for the `benchmark` binary,
+/// which names it; new code names [`TraceArena`].
+pub type Trace = TraceArena;
+
 /// Dense index of a peer within a trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PeerId(pub u32);
 
 impl PeerId {
-    /// The peer's position in [`Trace::peers`].
+    /// The peer's position in [`TraceArena::peers`].
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -34,7 +43,7 @@ impl fmt::Display for PeerId {
 pub struct FileRef(pub u32);
 
 impl FileRef {
-    /// The file's position in [`Trace::files`].
+    /// The file's position in [`TraceArena::files`].
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -109,181 +118,12 @@ pub struct PeerInfo {
     pub asn: u32,
 }
 
-/// The shared-file caches observed on one day.
-///
-/// Only peers that were successfully browsed that day appear; entries are
-/// sorted by [`PeerId`] and each cache is a sorted, deduplicated list of
-/// [`FileRef`]s.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DaySnapshot {
-    /// Absolute day number (the paper plots days ~340–400).
-    pub day: u32,
-    /// `(peer, sorted cache)` pairs, sorted by peer.
-    pub caches: Vec<(PeerId, Vec<FileRef>)>,
-}
-
-impl DaySnapshot {
-    /// Creates an empty snapshot for `day`.
-    pub fn new(day: u32) -> Self {
-        DaySnapshot {
-            day,
-            caches: Vec::new(),
-        }
-    }
-
-    /// Adds a peer's cache, normalizing it to sorted/deduplicated form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the peer was already recorded for this day.
-    pub(crate) fn insert(&mut self, peer: PeerId, mut cache: Vec<FileRef>) {
-        cache.sort_unstable();
-        cache.dedup();
-        match self.caches.binary_search_by_key(&peer, |(p, _)| *p) {
-            Ok(_) => panic!("peer {peer} recorded twice on day {}", self.day),
-            Err(pos) => self.caches.insert(pos, (peer, cache)),
-        }
-    }
-
-    /// Looks up a peer's cache for this day.
-    pub(crate) fn cache_of(&self, peer: PeerId) -> Option<&[FileRef]> {
-        self.caches
-            .binary_search_by_key(&peer, |(p, _)| *p)
-            .ok()
-            .map(|i| self.caches[i].1.as_slice())
-    }
-
-    /// Number of peers observed (including empty caches).
-    pub fn peer_count(&self) -> usize {
-        self.caches.len()
-    }
-}
-
-/// A complete crawl trace: intern tables plus daily snapshots.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Trace {
-    /// Distinct files, indexed by [`FileRef`].
-    pub files: Vec<FileInfo>,
-    /// Distinct peers, indexed by [`PeerId`].
-    pub peers: Vec<PeerInfo>,
-    /// Daily snapshots, sorted by day (not necessarily contiguous).
-    pub days: Vec<DaySnapshot>,
-}
-
-impl Trace {
-    /// Creates an empty trace.
-    pub(crate) fn new() -> Self {
-        Trace {
-            files: Vec::new(),
-            peers: Vec::new(),
-            days: Vec::new(),
-        }
-    }
-
-    /// First observed day, if any.
-    pub(crate) fn first_day(&self) -> Option<u32> {
-        self.days.first().map(|d| d.day)
-    }
-
-    /// Last observed day, if any.
-    pub(crate) fn last_day(&self) -> Option<u32> {
-        self.days.last().map(|d| d.day)
-    }
-
-    /// The snapshot for an absolute day number, if the crawler ran then.
-    pub fn snapshot(&self, day: u32) -> Option<&DaySnapshot> {
-        self.days
-            .binary_search_by_key(&day, |s| s.day)
-            .ok()
-            .map(|i| &self.days[i])
-    }
-
-    /// Union of every cache each peer was ever observed with — the
-    /// "static" view used by the paper's Section 5 simulations and the
-    /// filtered-trace CDFs.
-    ///
-    /// The result has one (possibly empty) sorted cache per peer.
-    pub fn static_caches(&self) -> Vec<Vec<FileRef>> {
-        let mut caches: Vec<Vec<FileRef>> = vec![Vec::new(); self.peers.len()];
-        for day in &self.days {
-            for (peer, cache) in &day.caches {
-                caches[peer.index()].extend(cache.iter().copied());
-            }
-        }
-        for cache in &mut caches {
-            cache.sort_unstable();
-            cache.dedup();
-        }
-        caches
-    }
-
-    /// Number of successful `(peer, day)` snapshots, the "successful
-    /// snapshots" row of Table 1.
-    pub fn snapshot_count(&self) -> usize {
-        self.days.iter().map(|d| d.peer_count()).sum()
-    }
-
-    /// Days on which each peer was observed, indexed by peer.
-    pub(crate) fn observation_days(&self) -> Vec<Vec<u32>> {
-        let mut result = vec![Vec::new(); self.peers.len()];
-        for day in &self.days {
-            for (peer, _) in &day.caches {
-                result[peer.index()].push(day.day);
-            }
-        }
-        result
-    }
-
-    /// Validates internal invariants; used by tests and after I/O.
-    ///
-    /// Checks: days sorted strictly; caches sorted by peer; cache entries
-    /// sorted, deduplicated and in-range; peer ids in range.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        for w in self.days.windows(2) {
-            if w[0].day >= w[1].day {
-                return Err(format!(
-                    "days not strictly sorted: {} {}",
-                    w[0].day, w[1].day
-                ));
-            }
-        }
-        for snap in &self.days {
-            for w in snap.caches.windows(2) {
-                if w[0].0 >= w[1].0 {
-                    return Err(format!("day {}: caches not sorted by peer", snap.day));
-                }
-            }
-            for (peer, cache) in &snap.caches {
-                if peer.index() >= self.peers.len() {
-                    return Err(format!("day {}: peer {peer} out of range", snap.day));
-                }
-                for w in cache.windows(2) {
-                    if w[0] >= w[1] {
-                        return Err(format!(
-                            "day {}: cache of {peer} not sorted/deduped",
-                            snap.day
-                        ));
-                    }
-                }
-                if let Some(f) = cache.iter().find(|f| f.index() >= self.files.len()) {
-                    return Err(format!("day {}: file {f} out of range", snap.day));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Default for Trace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Incremental trace builder that interns file and peer identities.
 ///
 /// The crawler (and the synthetic generator) feed observations through
-/// this builder; it assigns dense ids in first-seen order.
+/// this builder; it assigns dense ids in first-seen order. A day's rows
+/// may arrive in any peer order; taking the day (or finishing) packs it
+/// into a [`DayArena`] sorted by peer.
 ///
 /// # Examples
 ///
@@ -306,14 +146,17 @@ impl Default for Trace {
 /// });
 /// b.observe(350, peer, vec![file]);
 /// let trace = b.finish();
-/// assert_eq!(trace.snapshot(350).unwrap().caches, vec![(peer, vec![file])]);
+/// assert_eq!(trace.days[0].day, 350);
+/// assert_eq!(trace.days[0].iter().collect::<Vec<_>>(), vec![(peer.0, &[file][..])]);
 /// ```
 pub struct TraceBuilder {
     files: Vec<FileInfo>,
     file_index: HashMap<Digest, FileRef>,
     peers: Vec<PeerInfo>,
     peer_index: HashMap<Digest, PeerId>,
-    days: HashMap<u32, DaySnapshot>,
+    /// Open days: their rows in recording order, and one bit per peer
+    /// recorded on the day.
+    days: HashMap<u32, (DayArena, Vec<u64>)>,
 }
 
 impl TraceBuilder {
@@ -357,35 +200,52 @@ impl TraceBuilder {
         pid
     }
 
-    /// Records a successful browse of `peer` on `day`.
+    /// Records a successful browse of `peer` on `day`; the cache is
+    /// sorted and deduplicated.
     ///
     /// # Panics
     ///
-    /// Panics if the same peer is recorded twice on one day (the crawler
-    /// de-duplicates per day before recording).
-    pub fn observe(&mut self, day: u32, peer: PeerId, cache: Vec<FileRef>) {
-        self.days
+    /// Panics if `peer` was not interned, or if the same peer is
+    /// recorded twice on one day (the crawler de-duplicates per day
+    /// before recording).
+    pub fn observe(&mut self, day: u32, peer: PeerId, cache: impl IntoIterator<Item = FileRef>) {
+        assert!(
+            peer.index() < self.peers.len(),
+            "peer {peer} recorded on day {day} was never interned"
+        );
+        let (rows, seen) = self
+            .days
             .entry(day)
-            .or_insert_with(|| DaySnapshot::new(day))
-            .insert(peer, cache);
+            .or_insert_with(|| (DayArena::new(day), Vec::new()));
+        let (word, bit) = (peer.index() / 64, 1u64 << (peer.0 % 64));
+        if seen.len() <= word {
+            seen.resize(word + 1, 0);
+        }
+        assert!(
+            seen[word] & bit == 0,
+            "peer {peer} recorded twice on day {day}"
+        );
+        seen[word] |= bit;
+        rows.push_row(peer.0, cache);
     }
 
     /// Whether a peer was already recorded on a given day.
     pub fn observed_on(&self, day: u32, peer: PeerId) -> bool {
-        self.days
-            .get(&day)
-            .is_some_and(|s| s.cache_of(peer).is_some())
+        self.days.get(&day).is_some_and(|(_, seen)| {
+            seen.get(peer.index() / 64)
+                .is_some_and(|w| w & (1u64 << (peer.0 % 64)) != 0)
+        })
     }
 
-    /// Removes and returns a completed day's snapshot, keeping the
-    /// intern tables.
+    /// Removes a completed day and returns it packed in peer order,
+    /// keeping the intern tables.
     ///
     /// This is the streaming hook: a producer that finishes its days in
     /// order (the crawler) can hand each one to a
     /// [`TraceWriter`](crate::io::bin::TraceWriter) as it completes,
     /// instead of accumulating the whole trace in memory.
-    pub fn take_day(&mut self, day: u32) -> Option<DaySnapshot> {
-        self.days.remove(&day)
+    pub fn take_day(&mut self, day: u32) -> Option<DayArena> {
+        self.days.remove(&day).map(|(rows, _)| pack(rows))
     }
 
     /// The file intern table built so far.
@@ -398,11 +258,15 @@ impl TraceBuilder {
         &self.peers
     }
 
-    /// Finalizes the trace, sorting snapshots by day.
-    pub fn finish(self) -> Trace {
-        let mut days: Vec<DaySnapshot> = self.days.into_values().collect();
-        days.sort_by_key(|d| d.day);
-        let trace = Trace {
+    /// Finalizes the trace: every open day packed, sorted by day.
+    pub fn finish(self) -> TraceArena {
+        let mut days: Vec<DayArena> = self
+            .days
+            .into_values()
+            .map(|(rows, _)| pack(rows))
+            .collect();
+        days.sort_unstable_by_key(|d| d.day);
+        let trace = TraceArena {
             files: self.files,
             peers: self.peers,
             days,
@@ -410,6 +274,12 @@ impl TraceBuilder {
         debug_assert_eq!(trace.check_invariants(), Ok(()));
         trace
     }
+}
+
+/// Packs one day's recorded rows in peer order.
+fn pack(rows: DayArena) -> DayArena {
+    rows.into_peer_order()
+        .expect("observe records each peer once per day")
 }
 
 impl Default for TraceBuilder {
@@ -469,49 +339,28 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_normalizes_caches() {
-        let mut snap = DaySnapshot::new(350);
-        let (a, b, c) = (FileRef(3), FileRef(1), FileRef(3));
-        snap.insert(PeerId(0), vec![a, b, c]);
-        assert_eq!(snap.cache_of(PeerId(0)).unwrap(), &[FileRef(1), FileRef(3)]);
-        assert_eq!(snap.cache_of(PeerId(1)), None);
+    fn builder_packs_days_in_peer_order() {
+        let mut b = TraceBuilder::new();
+        let (p, q) = (b.intern_peer(peer(1)), b.intern_peer(peer(2)));
+        let (f1, f3) = (b.intern_file(file(1)), b.intern_file(file(3)));
+        b.observe(350, q, vec![]);
+        b.observe(350, p, vec![f3, f1, f3]);
+        assert!(b.observed_on(350, p) && b.observed_on(350, q));
+        assert!(!b.observed_on(351, p), "no row on another day");
+        let trace = b.finish();
+        assert_eq!(
+            trace.days[0].iter().collect::<Vec<_>>(),
+            vec![(p.0, &[f1, f3][..]), (q.0, &[][..])]
+        );
     }
 
     #[test]
     #[should_panic(expected = "recorded twice")]
     fn double_observation_panics() {
-        let mut snap = DaySnapshot::new(350);
-        snap.insert(PeerId(0), vec![]);
-        snap.insert(PeerId(0), vec![]);
-    }
-
-    #[test]
-    fn static_caches_take_union() {
         let mut b = TraceBuilder::new();
         let p = b.intern_peer(peer(1));
-        let q = b.intern_peer(peer(2));
-        let f1 = b.intern_file(file(1));
-        let f2 = b.intern_file(file(2));
-        b.observe(350, p, vec![f1]);
-        b.observe(351, p, vec![f2]);
-        b.observe(351, q, vec![]);
-        let trace = b.finish();
-        let caches = trace.static_caches();
-        assert_eq!(caches[p.index()], vec![f1, f2]);
-        assert!(caches[q.index()].is_empty());
-        assert_eq!(trace.snapshot_count(), 3);
-    }
-
-    #[test]
-    fn invariants_catch_corruption() {
-        let mut b = TraceBuilder::new();
-        let p = b.intern_peer(peer(1));
-        let f = b.intern_file(file(1));
-        b.observe(350, p, vec![f]);
-        let mut trace = b.finish();
-        assert_eq!(trace.check_invariants(), Ok(()));
-        trace.days[0].caches[0].1.push(FileRef(99));
-        assert!(trace.check_invariants().is_err());
+        b.observe(350, p, vec![]);
+        b.observe(350, p, vec![]);
     }
 
     #[test]
@@ -521,28 +370,15 @@ mod tests {
         let f = b.intern_file(file(1));
         b.observe(350, p, vec![f]);
         b.observe(351, p, vec![]);
-        let snap = b.take_day(350).expect("day 350 exists");
-        assert_eq!(snap.cache_of(p).unwrap(), &[f]);
-        assert!(b.take_day(350).is_none(), "take_day removes the snapshot");
+        let day = b.take_day(350).expect("day 350 exists");
+        assert_eq!(day.iter().collect::<Vec<_>>(), vec![(p.0, &[f][..])]);
+        assert!(b.take_day(350).is_none(), "take_day removes the day");
+        assert!(!b.observed_on(350, p), "nor is the peer recorded there");
         assert_eq!(b.files().len(), 1);
         assert_eq!(b.peers().len(), 1);
         // The remaining day still finishes into a valid trace.
         let trace = b.finish();
         assert_eq!(trace.days.len(), 1);
         assert_eq!(trace.days[0].day, 351);
-    }
-
-    #[test]
-    fn observation_days_per_peer() {
-        let mut b = TraceBuilder::new();
-        let p = b.intern_peer(peer(1));
-        let q = b.intern_peer(peer(2));
-        b.observe(350, p, vec![]);
-        b.observe(352, p, vec![]);
-        b.observe(351, q, vec![]);
-        let trace = b.finish();
-        let days = trace.observation_days();
-        assert_eq!(days[p.index()], vec![350, 352]);
-        assert_eq!(days[q.index()], vec![351]);
     }
 }

@@ -16,10 +16,10 @@ use std::path::Path;
 use crate::compact::{DayArena, TraceArena};
 use crate::io::bin::{TraceReader, TraceWriter};
 use crate::io::TraceIoError;
-use crate::model::{DaySnapshot, FileRef, PeerId, PeerInfo, Trace};
+use crate::model::{FileRef, PeerId, PeerInfo};
 use crate::par::parallel_map_init_threads;
 
-/// Knobs for [`extrapolate`], defaulting to the paper's values.
+/// Knobs for [`extrapolate_arena`], defaulting to the paper's values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExtrapolateConfig {
     /// Minimum number of successful snapshots per client (paper: 5).
@@ -42,26 +42,25 @@ impl Default for ExtrapolateConfig {
 ///
 /// Analyses that compare stages (e.g. Table 1) need to know which original
 /// client each retained client was.
-#[derive(Clone, Debug)]
-pub struct DerivedTrace {
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DerivedArena {
     /// The derived trace, with peers re-indexed densely.
-    pub trace: Trace,
+    pub arena: TraceArena,
     /// `kept[i]` is the source-trace id of the derived trace's peer `i`.
     pub kept: Vec<PeerId>,
 }
 
 /// Restricts a trace to a subset of its peers, re-indexing them densely
 /// (file refs are preserved, so file-level series stay comparable across
-/// stages).
-pub fn retain_peers(trace: &Trace, keep: impl Fn(PeerId) -> bool) -> DerivedTrace {
+/// stages). The oracle of [`retain_peers_arena`]: a hash-map remap, one
+/// row at a time.
+pub fn retain_peers(trace: &TraceArena, keep: impl Fn(PeerId) -> bool) -> DerivedArena {
     let mut kept = Vec::new();
-    let mut remap: HashMap<PeerId, PeerId> = HashMap::new();
-    for idx in 0..trace.peers.len() {
-        let old = PeerId(idx as u32);
-        if keep(old) {
-            let new = PeerId(kept.len() as u32);
-            remap.insert(old, new);
-            kept.push(old);
+    let mut remap: HashMap<u32, u32> = HashMap::new();
+    for idx in 0..trace.peers.len() as u32 {
+        if keep(PeerId(idx)) {
+            remap.insert(idx, kept.len() as u32);
+            kept.push(PeerId(idx));
         }
     }
     let peers = kept
@@ -69,47 +68,24 @@ pub fn retain_peers(trace: &Trace, keep: impl Fn(PeerId) -> bool) -> DerivedTrac
         .map(|p| trace.peers[p.index()].clone())
         .collect();
     let mut days = Vec::with_capacity(trace.days.len());
-    for snap in &trace.days {
-        let caches: Vec<(PeerId, Vec<FileRef>)> = snap
-            .caches
-            .iter()
-            .filter_map(|(p, c)| remap.get(p).map(|np| (*np, c.clone())))
-            .collect();
-        // Dense remapping preserves relative order, so `caches` stays
+    for day in &trace.days {
+        // Dense remapping preserves relative order, so the rows stay
         // sorted by the new ids.
-        days.push(DaySnapshot {
-            day: snap.day,
-            caches,
-        });
+        let mut out = DayArena::new(day.day);
+        for (p, cache) in day.iter() {
+            if let Some(&new) = remap.get(&p) {
+                out.push_row(new, cache.iter().copied());
+            }
+        }
+        days.push(out);
     }
-    let trace = Trace {
+    let arena = TraceArena {
         files: trace.files.clone(),
         peers,
         days,
     };
-    debug_assert_eq!(trace.check_invariants(), Ok(()));
-    DerivedTrace { trace, kept }
-}
-
-/// Result of an arena-native pipeline stage: the derived CSR trace plus
-/// the peer mapping, mirroring [`DerivedTrace`] for the row path.
-#[derive(Clone, Debug)]
-pub struct DerivedArena {
-    /// The derived trace in CSR form, with peers re-indexed densely.
-    pub arena: TraceArena,
-    /// `kept[i]` is the source-trace id of the derived trace's peer `i`.
-    pub kept: Vec<PeerId>,
-}
-
-impl DerivedArena {
-    /// Materializes the row-oriented [`DerivedTrace`] (one allocation per
-    /// cache), to diff against the row pipeline oracle.
-    pub fn to_derived_trace(&self) -> DerivedTrace {
-        DerivedTrace {
-            trace: self.arena.to_trace(),
-            kept: self.kept.clone(),
-        }
-    }
+    debug_assert_eq!(arena.check_invariants(), Ok(()));
+    DerivedArena { arena, kept }
 }
 
 /// A peer's slot in a dense remap table when the stage drops it.
@@ -167,12 +143,13 @@ fn remap_day_into(day: &DayArena, remap: &[u32], out: &mut DayArena) {
     }
 }
 
-/// Arena-native [`retain_peers`]: restricts a CSR trace to a subset of
-/// its peers, re-indexing densely.
+/// Restricts a trace to a subset of its peers, re-indexing them densely
+/// (file refs are preserved, so file-level series stay comparable across
+/// stages).
 ///
-/// No intermediate row materialization: the peer remap is a flat array
-/// (no hashing), each output day is sized exactly from one counting
-/// pass, and surviving cache rows are copied as slices.
+/// The peer remap is a flat array (no hashing), each output day is
+/// sized exactly from one counting pass, and surviving cache rows are
+/// copied as slices.
 pub fn retain_peers_arena(arena: &TraceArena, keep: impl Fn(PeerId) -> bool) -> DerivedArena {
     let (kept, remap, peers) = dense_remap(&arena.peers, keep);
     let days = arena
@@ -237,8 +214,16 @@ impl AliasRule {
     }
 }
 
-/// Arena-native [`filter`]: emits the filtered trace as CSR parts
-/// directly, keeping exactly the peers the row-path oracle keeps.
+/// Produces the paper's **filtered trace**: drops every *sharing* client
+/// whose IP or user id collides with another client's, keeping
+/// free-riders.
+///
+/// Rationale: an alias pair would count one human twice and inflate
+/// clustering (a peer trivially "shares interests" with its own alias).
+/// Free-riding aliases carry no files, so they are harmless and the paper
+/// keeps them — and indeed observes that the free-rider *fraction* drops
+/// from 84 % to 70 % after filtering. [`filter`] states the same rule
+/// on its own and is this function's oracle.
 pub fn filter_arena(arena: &TraceArena) -> DerivedArena {
     let mut rule = AliasRule::new(arena.peers.len());
     for day in &arena.days {
@@ -256,9 +241,18 @@ struct Obs {
     row: u32,
 }
 
-/// Arena-native [`extrapolate`], sharded per client over the parallel
-/// runner. See [`extrapolate_arena_with_threads`] for the determinism
-/// contract.
+/// Produces the paper's **extrapolated trace**.
+///
+/// Keeps peers meeting the [`ExtrapolateConfig`] thresholds, then for each
+/// retained peer fills every *missed* day strictly between two
+/// observations with the intersection of the surrounding observed caches.
+/// Days before the first or after the last observation stay absent.
+///
+/// The output trace has one day per day in the full observation range
+/// (even if empty), matching how the paper plots per-day series.
+/// Clients are sharded over the parallel runner; see
+/// [`extrapolate_arena_with_threads`] for the determinism contract, and
+/// [`extrapolate`] for the oracle.
 pub fn extrapolate_arena(arena: &TraceArena, config: ExtrapolateConfig) -> DerivedArena {
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
     extrapolate_arena_with_threads(arena, config, threads)
@@ -271,7 +265,7 @@ pub fn extrapolate_arena(arena: &TraceArena, config: ExtrapolateConfig) -> Deriv
 /// reuses one intersection scratch buffer across its chunks instead of
 /// allocating per gap. Chunk boundaries depend only on the client count
 /// and results are assembled in client order, so the output is
-/// bit-identical to the sequential row path for any thread count.
+/// bit-identical to the sequential oracle for any thread count.
 pub fn extrapolate_arena_with_threads(
     arena: &TraceArena,
     config: ExtrapolateConfig,
@@ -445,17 +439,10 @@ pub fn extrapolate_arena_with_threads(
     }
 }
 
-/// Produces the paper's **filtered trace**: drops every *sharing* client
-/// whose IP or user id collides with another client's, keeping
-/// free-riders.
-///
-/// Rationale: an alias pair would count one human twice and inflate
-/// clustering (a peer trivially "shares interests" with its own alias).
-/// Free-riding aliases carry no files, so they are harmless and the paper
-/// keeps them — and indeed observes that the free-rider *fraction* drops
-/// from 84 % to 70 % after filtering.
-pub fn filter(trace: &Trace) -> DerivedTrace {
-    let static_caches = trace.static_caches();
+/// The oracle of [`filter_arena`]: the Section 2.3 rule stated on its
+/// own, over each peer's static (union-over-days) cache.
+pub fn filter(trace: &TraceArena) -> DerivedArena {
+    let static_view = trace.static_arena();
     let mut by_ip: HashMap<u32, u32> = HashMap::new();
     let mut by_uid: HashMap<[u8; 16], u32> = HashMap::new();
     for peer in &trace.peers {
@@ -464,7 +451,7 @@ pub fn filter(trace: &Trace) -> DerivedTrace {
     }
     retain_peers(trace, |p| {
         let info = &trace.peers[p.index()];
-        let is_free_rider = static_caches[p.index()].is_empty();
+        let is_free_rider = static_view.cache(p.index()).is_empty();
         let aliased = by_ip[&info.ip] > 1 || by_uid[&info.uid.0] > 1;
         is_free_rider || !aliased
     })
@@ -474,7 +461,7 @@ pub fn filter(trace: &Trace) -> DerivedTrace {
 #[derive(Clone, Debug)]
 pub struct StreamedFilter {
     /// `kept[i]` is the source-trace id of the output trace's peer `i`
-    /// — the same mapping [`filter`] reports in [`DerivedTrace::kept`].
+    /// — the same mapping [`filter_arena`] reports in [`DerivedArena::kept`].
     pub kept: Vec<PeerId>,
     /// Day sections written to the output.
     pub days: u32,
@@ -482,7 +469,7 @@ pub struct StreamedFilter {
 
 /// The streaming `full → filtered` pass: reads a binary trace
 /// day-at-a-time and writes the filtered binary trace, equal to what
-/// the in-memory [`filter`] would produce, without ever materializing
+/// the in-memory [`filter_arena`] would produce, without ever materializing
 /// either whole trace.
 ///
 /// Two passes over `input`:
@@ -522,17 +509,16 @@ pub fn filter_streaming(input: &Path, output: &Path) -> Result<StreamedFilter, T
     Ok(StreamedFilter { kept, days })
 }
 
-/// Produces the paper's **extrapolated trace**.
-///
-/// Keeps peers meeting the [`ExtrapolateConfig`] thresholds, then for each
-/// retained peer fills every *missed* day strictly between two
-/// observations with the intersection of the surrounding observed caches.
-/// Days before the first or after the last observation stay absent.
-///
-/// The output trace has one snapshot per day in the full observation
-/// range (even if empty), matching how the paper plots per-day series.
-pub fn extrapolate(trace: &Trace, config: ExtrapolateConfig) -> DerivedTrace {
-    let obs_days = trace.observation_days();
+/// The oracle of [`extrapolate_arena`]: per-peer observation series
+/// and the pessimistic [`sorted_intersection`] fill, one client at a
+/// time.
+pub fn extrapolate(trace: &TraceArena, config: ExtrapolateConfig) -> DerivedArena {
+    let mut obs_days: Vec<Vec<u32>> = vec![Vec::new(); trace.peers.len()];
+    for day in &trace.days {
+        for &p in &day.peers {
+            obs_days[p as usize].push(day.day);
+        }
+    }
     let eligible = retain_peers(trace, |p| {
         let days = &obs_days[p.index()];
         days.len() >= config.min_snapshots
@@ -540,21 +526,25 @@ pub fn extrapolate(trace: &Trace, config: ExtrapolateConfig) -> DerivedTrace {
                 >= config.min_span_days
     });
 
-    let (Some(first), Some(last)) = (eligible.trace.first_day(), eligible.trace.last_day()) else {
+    let et = &eligible.arena;
+    let (Some(first), Some(last)) = (et.days.first(), et.days.last()) else {
         return eligible; // No snapshots at all; nothing to extrapolate.
     };
+    let (first, last) = (first.day, last.day);
 
     // Per-peer observed (day, cache) series, in day order.
-    let mut series: Vec<Vec<(u32, &Vec<FileRef>)>> = vec![Vec::new(); eligible.trace.peers.len()];
-    for snap in &eligible.trace.days {
-        for (peer, cache) in &snap.caches {
-            series[peer.index()].push((snap.day, cache));
+    let mut series: Vec<Vec<(u32, &[FileRef])>> = vec![Vec::new(); et.peers.len()];
+    for day in &et.days {
+        for (peer, cache) in day.iter() {
+            series[peer as usize].push((day.day, cache));
         }
     }
 
-    let mut days: Vec<DaySnapshot> = (first..=last).map(DaySnapshot::new).collect();
-    for (peer_idx, obs) in series.iter().enumerate() {
-        let peer = PeerId(peer_idx as u32);
+    // Peers in id order, each at most once per day: every output day's
+    // rows come out sorted by peer.
+    let mut days: Vec<DayArena> = (first..=last).map(DayArena::new).collect();
+    for (peer, obs) in series.iter().enumerate() {
+        let peer = peer as u32;
         for pair in obs.windows(2) {
             let (day_a, cache_a) = pair[0];
             let (day_b, cache_b) = pair[1];
@@ -562,22 +552,22 @@ pub fn extrapolate(trace: &Trace, config: ExtrapolateConfig) -> DerivedTrace {
             // observations. Both inputs are sorted, so merge-intersect.
             let inter = sorted_intersection(cache_a, cache_b);
             for day in day_a + 1..day_b {
-                days[(day - first) as usize].insert(peer, inter.clone());
+                days[(day - first) as usize].push_row(peer, inter.iter().copied());
             }
         }
-        for (day, cache) in obs {
-            days[(day - first) as usize].insert(peer, cache.to_vec());
+        for &(day, cache) in obs {
+            days[(day - first) as usize].push_row(peer, cache.iter().copied());
         }
     }
 
-    let trace = Trace {
-        files: eligible.trace.files.clone(),
-        peers: eligible.trace.peers.clone(),
+    let arena = TraceArena {
+        files: et.files.clone(),
+        peers: et.peers.clone(),
         days,
     };
-    debug_assert_eq!(trace.check_invariants(), Ok(()));
-    DerivedTrace {
-        trace,
+    debug_assert_eq!(arena.check_invariants(), Ok(()));
+    DerivedArena {
+        arena,
         kept: eligible.kept,
     }
 }
@@ -692,11 +682,17 @@ mod tests {
         }
     }
 
+    /// Peer `peer`'s cache on `day`, if it has a row there.
+    fn cache_on(trace: &TraceArena, day: u32, peer: u32) -> Option<&[FileRef]> {
+        let day = trace.days.iter().find(|d| d.day == day)?;
+        day.iter().find(|&(p, _)| p == peer).map(|(_, cache)| cache)
+    }
+
     /// Builds a trace where:
     /// * p0 and p1 share an IP and both share files (both dropped),
     /// * p2 shares the IP but is a free-rider (kept),
     /// * p3 is clean and sharing (kept).
-    fn aliased_trace() -> Trace {
+    fn aliased_trace() -> TraceArena {
         let mut b = TraceBuilder::new();
         let p0 = b.intern_peer(peer_info(0, 99));
         let p1 = b.intern_peer(peer_info(1, 99));
@@ -715,11 +711,10 @@ mod tests {
         let trace = aliased_trace();
         let derived = filter(&trace);
         assert_eq!(derived.kept, vec![PeerId(2), PeerId(3)]);
-        assert_eq!(derived.trace.peers.len(), 2);
+        assert_eq!(derived.arena.peers.len(), 2);
         // The kept sharer's cache survives under its new id.
-        let snap = derived.trace.snapshot(350).unwrap();
-        assert_eq!(snap.cache_of(PeerId(1)).unwrap().len(), 1);
-        assert!(snap.cache_of(PeerId(0)).unwrap().is_empty());
+        assert_eq!(cache_on(&derived.arena, 350, 1).unwrap().len(), 1);
+        assert!(cache_on(&derived.arena, 350, 0).unwrap().is_empty());
     }
 
     #[test]
@@ -739,9 +734,9 @@ mod tests {
     fn streaming_filter_matches_in_memory_filter() {
         let mut trace = aliased_trace();
         // A second day with a different mix, to exercise multi-day streams.
-        let mut extra = DaySnapshot::new(351);
-        extra.insert(PeerId(1), vec![FileRef(0)]);
-        extra.insert(PeerId(3), vec![]);
+        let mut extra = DayArena::new(351);
+        extra.push_row(1, [FileRef(0)]);
+        extra.push_row(3, []);
         trace.days.push(extra);
         assert_eq!(trace.check_invariants(), Ok(()));
 
@@ -755,7 +750,7 @@ mod tests {
         let in_memory = filter(&trace);
         assert_eq!(streamed.kept, in_memory.kept);
         assert_eq!(streamed.days as usize, trace.days.len());
-        assert_eq!(crate::io::load_bin(&output).unwrap(), in_memory.trace);
+        assert_eq!(crate::io::load_bin(&output).unwrap(), in_memory.arena);
     }
 
     fn observed(b: &mut TraceBuilder, peer: PeerId, days_caches: &[(u32, Vec<FileRef>)]) {
@@ -823,15 +818,14 @@ mod tests {
         );
         let trace = b.finish();
         let derived = extrapolate(&trace, ExtrapolateConfig::default());
-        let t = &derived.trace;
-        let p = PeerId(0);
+        let t = &derived.arena;
         // Observed days keep their caches.
-        assert_eq!(t.snapshot(350).unwrap().cache_of(p).unwrap(), &[f1, f2]);
+        assert_eq!(cache_on(t, 350, 0).unwrap(), &[f1, f2]);
         // Missed days 351–352 get the intersection {f1}.
-        assert_eq!(t.snapshot(351).unwrap().cache_of(p).unwrap(), &[f1]);
-        assert_eq!(t.snapshot(352).unwrap().cache_of(p).unwrap(), &[f1]);
+        assert_eq!(cache_on(t, 351, 0).unwrap(), &[f1]);
+        assert_eq!(cache_on(t, 352, 0).unwrap(), &[f1]);
         // Missed days 357–359 get {f1, f3}.
-        assert_eq!(t.snapshot(358).unwrap().cache_of(p).unwrap(), &[f1, f3]);
+        assert_eq!(cache_on(t, 358, 0).unwrap(), &[f1, f3]);
         // Every day in range exists as a snapshot.
         assert_eq!(t.days.len(), (363 - 350 + 1) as usize);
     }
@@ -861,31 +855,18 @@ mod tests {
             },
         );
         for day in 351..355 {
-            let cache = derived
-                .trace
-                .snapshot(day)
-                .unwrap()
-                .cache_of(PeerId(0))
-                .unwrap();
-            assert_eq!(cache, &files[5..10]);
+            assert_eq!(cache_on(&derived.arena, day, 0).unwrap(), &files[5..10]);
         }
         for day in 356..361 {
-            let cache = derived
-                .trace
-                .snapshot(day)
-                .unwrap()
-                .cache_of(PeerId(0))
-                .unwrap();
-            assert_eq!(cache, &files[10..15]);
+            assert_eq!(cache_on(&derived.arena, day, 0).unwrap(), &files[10..15]);
         }
     }
 
     #[test]
     fn extrapolate_empty_trace_is_empty() {
-        let trace = Trace::new();
-        let derived = extrapolate(&trace, ExtrapolateConfig::default());
-        assert!(derived.trace.peers.is_empty());
-        assert!(derived.trace.days.is_empty());
+        let derived = extrapolate(&TraceArena::default(), ExtrapolateConfig::default());
+        assert!(derived.arena.peers.is_empty());
+        assert!(derived.arena.days.is_empty());
     }
 
     #[test]
@@ -938,7 +919,7 @@ mod tests {
 
     /// A trace exercising every pipeline branch: aliases, free-riders,
     /// regular and irregular clients, multi-day gaps of both widths.
-    fn mixed_trace() -> Trace {
+    fn mixed_trace() -> TraceArena {
         let mut b = TraceBuilder::new();
         let files: Vec<FileRef> = (0..12).map(|n| b.intern_file(file_info(n))).collect();
         let regular = b.intern_peer(peer_info(0, 1));
@@ -971,40 +952,29 @@ mod tests {
     #[test]
     fn arena_filter_matches_row_filter() {
         let trace = mixed_trace();
-        let arena = TraceArena::from_trace(&trace);
-        let row = filter(&trace);
-        let csr = filter_arena(&arena);
-        assert_eq!(csr.kept, row.kept);
-        assert_eq!(csr.to_derived_trace().trace, row.trace);
+        assert_eq!(filter_arena(&trace), filter(&trace));
     }
 
     #[test]
     fn arena_retain_peers_matches_row() {
         let trace = mixed_trace();
-        let arena = TraceArena::from_trace(&trace);
         let keep = |p: PeerId| p.0.is_multiple_of(2);
-        let row = retain_peers(&trace, keep);
-        let csr = retain_peers_arena(&arena, keep);
-        assert_eq!(csr.kept, row.kept);
-        assert_eq!(csr.to_derived_trace().trace, row.trace);
+        assert_eq!(retain_peers_arena(&trace, keep), retain_peers(&trace, keep));
     }
 
     #[test]
     fn arena_extrapolate_matches_row_for_any_thread_count() {
         let trace = mixed_trace();
-        let arena = TraceArena::from_trace(&trace);
         let row = extrapolate(&trace, ExtrapolateConfig::default());
         for threads in [1, 2, 3, 8] {
-            let csr = extrapolate_arena_with_threads(&arena, ExtrapolateConfig::default(), threads);
-            assert_eq!(csr.kept, row.kept, "threads={threads}");
-            assert_eq!(csr.to_derived_trace().trace, row.trace, "threads={threads}");
+            let csr = extrapolate_arena_with_threads(&trace, ExtrapolateConfig::default(), threads);
+            assert_eq!(csr, row, "threads={threads}");
         }
     }
 
     #[test]
     fn arena_extrapolate_empty_trace_is_empty() {
-        let arena = TraceArena::from_trace(&Trace::new());
-        let csr = extrapolate_arena(&arena, ExtrapolateConfig::default());
+        let csr = extrapolate_arena(&TraceArena::default(), ExtrapolateConfig::default());
         assert!(csr.kept.is_empty());
         assert!(csr.arena.days.is_empty());
     }
@@ -1013,11 +983,9 @@ mod tests {
     fn arena_pipeline_composes_like_row_pipeline() {
         // filter → extrapolate, both lanes, end to end.
         let trace = mixed_trace();
-        let row = extrapolate(&filter(&trace).trace, ExtrapolateConfig::default());
-        let arena = TraceArena::from_trace(&trace);
-        let filtered = filter_arena(&arena);
+        let row = extrapolate(&filter(&trace).arena, ExtrapolateConfig::default());
+        let filtered = filter_arena(&trace);
         let csr = extrapolate_arena(&filtered.arena, ExtrapolateConfig::default());
-        assert_eq!(csr.kept, row.kept);
-        assert_eq!(csr.to_derived_trace().trace, row.trace);
+        assert_eq!(csr, row);
     }
 }

@@ -335,8 +335,8 @@ fn pair_hashes(pu: u32, pv: u32, f: FileRef, f2: FileRef) -> [u64; 4] {
 /// replica `i` *is* entry position `i`, with `owner[i]` naming its peer.
 /// So a replica draw needs one `owner` load and one `files` load — no
 /// `(peer, slot)` tuple, no offset lookup — while remaining the same
-/// uniform pick over the same ordering. [`ArenaShuffler::step`] draws
-/// the same two `gen_range` calls, so the whole swap chain is
+/// uniform pick over the same ordering. Each attempt draws the same
+/// two `gen_range` calls, so the whole swap chain is
 /// byte-identical to the row-path oracle under any seed.
 ///
 /// # Examples
@@ -424,8 +424,8 @@ impl ArenaShuffler {
     }
 
     /// Runs `iterations` swap attempts — the same RNG draw sequence as
-    /// [`Shuffler::run`], and the same swaps as `iterations` calls of
-    /// [`ArenaShuffler::step`].
+    /// [`Shuffler::run`], and the same swaps as `iterations` single
+    /// attempts (`step`, which the tests check it against).
     ///
     /// Positions are drawn `LOOKAHEAD` attempts ahead into a ring, so
     /// the entry lines and then the pair-set home slots of later
@@ -467,8 +467,10 @@ impl ArenaShuffler {
 
     /// Runs one swap attempt; returns whether a swap was performed.
     /// Draw-for-draw and branch-for-branch identical to
-    /// [`Shuffler::step`].
-    pub fn step(&mut self, rng: &mut impl Rng) -> bool {
+    /// [`Shuffler::step`]: the spec [`ArenaShuffler::run`] is tested
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn step(&mut self, rng: &mut impl Rng) -> bool {
         if self.files.len() < 2 {
             self.stats.attempted += 1;
             return false;

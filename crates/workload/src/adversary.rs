@@ -152,11 +152,6 @@ impl AdversaryPlan {
         &self.config
     }
 
-    /// True iff the plan can never mark anyone adversarial.
-    pub fn is_quiet(&self) -> bool {
-        self.config.is_quiet()
-    }
-
     /// One deterministic draw on the decision stream `salt`.
     fn roll(&self, salt: u64, keys: [u64; 3]) -> u64 {
         let mut h = mix(self.config.seed ^ salt);
@@ -313,7 +308,7 @@ mod tests {
     #[test]
     fn quiet_plan_never_marks_anyone() {
         let p = AdversaryPlan::new(AdversaryConfig::none());
-        assert!(p.is_quiet());
+        assert!(p.config().is_quiet());
         for peer in 0..100 {
             assert_eq!(p.role(peer), Role::Honest);
             assert!(!p.answers_nothing(peer));

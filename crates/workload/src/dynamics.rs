@@ -23,7 +23,8 @@
 //! artefacts to arise mechanistically.
 
 use edonkey_proto::md4::{Digest, Md4};
-use edonkey_trace::model::{FileRef, Trace, TraceBuilder};
+use edonkey_trace::compact::TraceArena;
+use edonkey_trace::model::{FileRef, PeerId, TraceBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -38,18 +39,6 @@ pub struct GroundTruth {
     pub start_day: u32,
     /// `days[d][p]` is peer `p`'s cache on `start_day + d`, sorted.
     pub days: Vec<Vec<Vec<FileRef>>>,
-}
-
-impl GroundTruth {
-    /// Number of simulated days.
-    pub fn len(&self) -> usize {
-        self.days.len()
-    }
-
-    /// Whether no days were simulated.
-    pub fn is_empty(&self) -> bool {
-        self.days.is_empty()
-    }
 }
 
 /// The day-by-day simulator.
@@ -99,16 +88,6 @@ impl<'a> Dynamics<'a> {
             day,
             mean_target,
         }
-    }
-
-    /// The current absolute day.
-    pub fn day(&self) -> u32 {
-        self.day
-    }
-
-    /// Current cache of a peer, in FIFO order (front = oldest).
-    pub fn cache(&self, peer: usize) -> &VecDeque<FileRef> {
-        &self.caches[peer]
     }
 
     /// Snapshot of all caches, each sorted.
@@ -207,7 +186,7 @@ pub fn reinstall_uid(previous: &Digest, reinstalls: u32) -> Digest {
 }
 
 /// Applies the ideal-observer model to a ground truth, producing a
-/// [`Trace`] ready for the pipeline.
+/// [`TraceArena`] ready for the pipeline.
 ///
 /// Every peer is browsed on each day with a probability interpolating
 /// from `observe_prob_start` to `observe_prob_end` across the trace —
@@ -221,7 +200,11 @@ pub fn reinstall_uid(previous: &Digest, reinstalls: u32) -> Digest {
 /// uid churn — so the trace contains the duplicate-IP/uid aliases the
 /// filtering stage removes. Both knobs at zero take the original
 /// alias-free path, untouched, with a byte-identical rng stream.
-pub(crate) fn observe(population: &Population, truth: &GroundTruth, rng: &mut impl Rng) -> Trace {
+pub(crate) fn observe(
+    population: &Population,
+    truth: &GroundTruth,
+    rng: &mut impl Rng,
+) -> TraceArena {
     let config = &population.config;
     if config.alias_dhcp_daily_prob > 0.0 || config.alias_reinstall_daily_prob > 0.0 {
         return observe_aliased(population, truth, rng);
@@ -243,11 +226,7 @@ pub(crate) fn observe(population: &Population, truth: &GroundTruth, rng: &mut im
             + t * (population.config.observe_prob_end - population.config.observe_prob_start);
         for (peer_idx, cache) in day_caches.iter().enumerate() {
             if rng.gen_bool(p_observe.clamp(0.0, 1.0)) {
-                builder.observe(
-                    day,
-                    edonkey_trace::model::PeerId(peer_idx as u32),
-                    cache.clone(),
-                );
+                builder.observe(day, PeerId(peer_idx as u32), cache.iter().copied());
             }
         }
     }
@@ -262,7 +241,7 @@ pub(crate) fn observe(population: &Population, truth: &GroundTruth, rng: &mut im
 /// front, so `PeerId(i) == population index i` for every `i` below
 /// `population.peers.len()`; reinstall aliases append *after* that
 /// range as they are first observed.
-fn observe_aliased(population: &Population, truth: &GroundTruth, rng: &mut impl Rng) -> Trace {
+fn observe_aliased(population: &Population, truth: &GroundTruth, rng: &mut impl Rng) -> TraceArena {
     let config = &population.config;
     let mut builder = TraceBuilder::new();
     for info in population.file_infos() {
@@ -299,7 +278,7 @@ fn observe_aliased(population: &Population, truth: &GroundTruth, rng: &mut impl 
             }
             if rng.gen_bool(p_observe.clamp(0.0, 1.0)) {
                 let peer = builder.intern_peer(idents[peer_idx].clone());
-                builder.observe(day, peer, cache.clone());
+                builder.observe(day, peer, cache.iter().copied());
             }
         }
     }
@@ -325,7 +304,7 @@ fn observe_aliased(population: &Population, truth: &GroundTruth, rng: &mut impl 
 /// assert_eq!(trace.peers.len(), population.peers.len());
 /// assert_eq!(trace.days.len(), 8);
 /// ```
-pub fn generate_trace(config: WorkloadConfig) -> (Population, Trace) {
+pub fn generate_trace(config: WorkloadConfig) -> (Population, TraceArena) {
     let seed = config.seed;
     let population = Population::generate(config);
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x9e37_79b9_7f4a_7c15));
@@ -494,9 +473,9 @@ mod tests {
         // aliases are dropped, so filtered < full (the Table 1 gap).
         let filtered = edonkey_trace::pipeline::filter(&trace);
         assert!(
-            filtered.trace.peers.len() < trace.peers.len(),
+            filtered.arena.peers.len() < trace.peers.len(),
             "filtered {} must be below full {}",
-            filtered.trace.peers.len(),
+            filtered.arena.peers.len(),
             trace.peers.len()
         );
         // And it stays deterministic.

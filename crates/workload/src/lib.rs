@@ -33,8 +33,8 @@
 //! use edonkey_workload::{generate_trace, WorkloadConfig};
 //!
 //! let (population, trace) = generate_trace(WorkloadConfig::test_scale(7));
-//! let caches = trace.static_caches();
-//! assert_eq!(caches.len(), trace.peers.len());
+//! let caches = trace.static_arena();
+//! assert_eq!(caches.n_peers(), trace.peers.len());
 //! assert!(trace.peers.len() <= population.peers.len());
 //! ```
 

@@ -2,7 +2,7 @@
 //! tier's front end (DESIGN.md §13).
 //!
 //! [`crate::generate_trace`] materializes every day of the ground truth
-//! plus the observed [`Trace`] before anything is written: at
+//! plus the observed [`TraceArena`] before anything is written: at
 //! `WorkloadConfig::paper_scale` (320 k peers, 8 M files) that is tens
 //! of gigabytes of snapshots. The streaming generator instead emits one
 //! [`DayArena`] at a time straight through [`TraceWriter`], so peak
@@ -42,8 +42,8 @@
 use std::io::{Seek, Write};
 use std::path::Path;
 
-use edonkey_trace::compact::DayArena;
-use edonkey_trace::model::{FileRef, PeerId, Trace};
+use edonkey_trace::compact::{DayArena, TraceArena};
+use edonkey_trace::model::FileRef;
 use edonkey_trace::{parallel_map_init_threads, TraceIoError, TraceWriter};
 use rand::{Rng, RngCore};
 
@@ -282,32 +282,26 @@ pub fn generate_trace_streaming(
     Ok((pop, stats))
 }
 
-/// The in-memory twin: materializes the full [`Trace`] the streaming
-/// emitter would write. `to_bin` of this trace is byte-identical to the
-/// [`stream_trace`] output for any thread count — the equivalence the
-/// streaming proptests pin down (and the drop-in the smaller scales use
-/// when the whole trace comfortably fits).
+/// The in-memory twin: keeps every [`DayArena`] the streaming emitter
+/// would write, as a whole [`TraceArena`]. `to_bin` of this trace is
+/// byte-identical to the [`stream_trace`] output for any thread count —
+/// the equivalence the streaming proptests pin down (and the drop-in the
+/// smaller scales use when the whole trace comfortably fits).
 pub fn generate_trace_streamed_in_memory(
     config: &WorkloadConfig,
     threads: usize,
-) -> (Population, Trace) {
+) -> (Population, TraceArena) {
     let pop = Population::generate_with_threads(config.clone(), threads);
     let mut streams = init_streams(&pop, threads);
-    let mut out = DayArena::new(config.start_day);
-    let mut trace = Trace {
+    let mut trace = TraceArena {
         files: pop.file_infos(),
         peers: pop.peer_infos(),
         days: Vec::new(),
     };
     for offset in 0..config.days {
-        if fill_day(config, &mut streams, offset, threads, &mut out) {
-            let mut snapshot = edonkey_trace::model::DaySnapshot::new(out.day);
-            for (r, &p) in out.peers.iter().enumerate() {
-                let cache =
-                    out.entries[out.offsets[r] as usize..out.offsets[r + 1] as usize].to_vec();
-                snapshot.caches.push((PeerId(p), cache));
-            }
-            trace.days.push(snapshot);
+        let mut day = DayArena::new(config.start_day + offset);
+        if fill_day(config, &mut streams, offset, threads, &mut day) {
+            trace.days.push(day);
         }
     }
     (pop, trace)
@@ -483,8 +477,8 @@ mod tests {
         let (pop, trace) = generate_trace_streamed_in_memory(&config, 2);
         let mut saw_free_rider_row = false;
         for day in &trace.days {
-            for (peer, cache) in &day.caches {
-                let target = pop.peers[peer.index()].target_cache;
+            for (peer, cache) in day.iter() {
+                let target = pop.peers[peer as usize].target_cache;
                 assert!(cache.len() <= target, "window exceeds target");
                 if target == 0 {
                     assert!(cache.is_empty());
@@ -509,13 +503,12 @@ mod tests {
             .iter()
             .position(|p| p.target_cache >= 20)
             .expect("a generous sharer exists");
-        let rows: Vec<&Vec<FileRef>> = trace
+        let rows: Vec<&[FileRef]> = trace
             .days
             .iter()
             .filter_map(|d| {
-                d.caches
-                    .iter()
-                    .find(|(p, _)| p.index() == sharer)
+                d.iter()
+                    .find(|&(p, _)| p as usize == sharer)
                     .map(|(_, c)| c)
             })
             .collect();

@@ -37,7 +37,6 @@ fn main() {
         NetConfig::default(),
         CrawlerConfig::default().budget_for(peers, 1.0, 0.4),
     );
-    let trace = TraceArena::from_trace(&trace);
 
     println!("\nper-day crawl coverage (Fig. 1 mechanics):");
     for s in stats.iter().step_by(4) {
@@ -139,11 +138,7 @@ fn main() {
     .expect("streaming crawl");
     let outcome = filter_streaming(&full_path, &filtered_path).expect("streaming filter");
     let reloaded = io::load_auto(&filtered_path).expect("reload filtered trace");
-    assert_eq!(
-        TraceArena::from_trace(&reloaded),
-        filtered,
-        "streamed pipeline must match in-memory"
-    );
+    assert_eq!(reloaded, filtered, "streamed pipeline must match in-memory");
     println!(
         "  {} -> {} ({} days, {} kept peers); reloaded via load_auto: identical",
         full_path.display(),

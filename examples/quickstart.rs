@@ -21,8 +21,7 @@ fn main() {
         "generating population: {} peers, {} files…",
         config.peers, config.files
     );
-    let (_population, trace) = generate_trace(config);
-    let full = TraceArena::from_trace(&trace);
+    let (_population, full) = generate_trace(config);
 
     // 2. The pipeline of Section 2.3: full → filtered → extrapolated.
     let summary = summarize(&full, &full.static_arena());

@@ -23,9 +23,7 @@ fn main() {
     config.files = 18_000;
     config.days = 10;
     let (_population, trace) = generate_trace(config);
-    let static_view = filter_arena(&TraceArena::from_trace(&trace))
-        .arena
-        .static_arena();
+    let static_view = filter_arena(&trace).arena.static_arena();
 
     // 1. Clustering correlation, all files vs rare files (Fig. 13/14).
     let popularity = view::popularity(&static_view);

@@ -27,9 +27,7 @@ fn main() {
     config.files = 18_000;
     config.days = 10;
     let (_population, trace) = generate_trace(config);
-    let view = filter_arena(&TraceArena::from_trace(&trace))
-        .arena
-        .static_arena();
+    let view = filter_arena(&trace).arena.static_arena();
 
     // Fig. 18: LRU vs History vs Random.
     println!("policy comparison (Fig. 18):");

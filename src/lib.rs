@@ -9,8 +9,9 @@
 //! * [`proto`] — the eDonkey protocol substrate (MD4, file kinds, the
 //!   crawl's login, `query-users` and browse messages);
 //! * [`netsim`] — the network + crawler simulation;
-//! * [`trace`] — the trace model, filtering/extrapolation pipeline, and
-//!   the appendix randomization algorithm;
+//! * [`trace`] — the trace model (one CSR `TraceArena`), the
+//!   filtering/extrapolation pipeline, the codecs and the appendix
+//!   randomization algorithm;
 //! * [`workload`] — the calibrated synthetic population generator;
 //! * [`analysis`] — every Section 2–4 statistic;
 //! * [`semsearch`] — the Section 5 semantic-neighbour search simulation
@@ -29,7 +30,7 @@
 //! config.days = 10;
 //! config.cache_max = 500;
 //! let (population, trace) = generate_trace(config);
-//! let filtered = filter_arena(&TraceArena::from_trace(&trace)).arena;
+//! let filtered = filter_arena(&trace).arena;
 //! let cells = sweep_cells(&filtered.static_arena(), &[SimConfig::lru(20)]);
 //! let (result, _health) = &cells[0];
 //! assert!(result.requests > 0);
@@ -55,8 +56,7 @@ pub mod prelude {
         sweep_cells, sweep_configs, PolicyKind, SimConfig, SimResult, PAPER_LIST_SIZES,
     };
     pub use edonkey_trace::{
-        extrapolate_arena, filter_arena, CacheArena, ExtrapolateConfig, FileRef, PeerId, Trace,
-        TraceArena,
+        extrapolate_arena, filter_arena, CacheArena, ExtrapolateConfig, FileRef, PeerId, TraceArena,
     };
     pub use edonkey_workload::{generate_trace, Population, WorkloadConfig};
 }

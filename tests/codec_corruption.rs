@@ -61,8 +61,7 @@ fn sample_bytes() -> Vec<u8> {
             if p == 4 {
                 b.observe(day, *peer, vec![]); // the free-rider
             } else if (p + offset) % 2 == 0 {
-                let cache = files.iter().skip(p).step_by(2).copied().collect();
-                b.observe(day, *peer, cache);
+                b.observe(day, *peer, files.iter().skip(p).step_by(2).copied());
             }
         }
     }

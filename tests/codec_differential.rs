@@ -13,7 +13,6 @@ use edonkey_repro::semsearch::experiment::{sweep_cells, sweep_configs};
 use edonkey_repro::semsearch::neighbours::PolicyKind;
 use edonkey_repro::trace::compact::{CacheArena, TraceArena};
 use edonkey_repro::trace::io;
-use edonkey_repro::trace::model::Trace;
 use edonkey_repro::trace::pipeline::{extrapolate, filter, filter_streaming, ExtrapolateConfig};
 use edonkey_repro::workload::{generate_trace, WorkloadConfig};
 
@@ -21,7 +20,7 @@ const SEED: u64 = 20060418;
 const HOLDER_CAP: usize = 200;
 const LIST_SIZES: [usize; 3] = [5, 20, 100];
 
-fn small_workload() -> Trace {
+fn small_workload() -> TraceArena {
     let mut config = WorkloadConfig::test_scale(SEED);
     config.peers = 150;
     config.files = 1_200;
@@ -38,13 +37,13 @@ fn scratch_dir(name: &str) -> PathBuf {
 
 /// Saves `trace` through each codec and reloads it twice: once with the
 /// format-specific loader, once with the sniffing [`io::load_auto`].
-fn round_trips(trace: &Trace, dir: &Path) -> Vec<(&'static str, Trace)> {
+fn round_trips(trace: &TraceArena, dir: &Path) -> Vec<(&'static str, TraceArena)> {
     let json = dir.join("trace.json");
     let bin = dir.join("trace.etrc");
     io::save_json(trace, &json).expect("save_json");
     io::save_bin(trace, &bin).expect("save_bin");
     let mut out = Vec::new();
-    type Loader = fn(&std::path::Path) -> Result<Trace, io::TraceIoError>;
+    type Loader = fn(&std::path::Path) -> Result<TraceArena, io::TraceIoError>;
     for (name, path, load) in [
         ("json", &json, io::load_json as Loader),
         ("binary", &bin, io::load_bin as Loader),
@@ -88,9 +87,9 @@ fn all_formats_agree_down_the_pipeline() {
     let loaded = round_trips(&full, &dir);
 
     // Reference pipeline from the in-memory original.
-    let ref_filtered = filter(&full).trace;
-    let ref_extrapolated = extrapolate(&ref_filtered, ExtrapolateConfig::default()).trace;
-    let ref_view = TraceArena::from_trace(&ref_filtered).static_arena();
+    let ref_filtered = filter(&full).arena;
+    let ref_extrapolated = extrapolate(&ref_filtered, ExtrapolateConfig::default()).arena;
+    let ref_view = ref_filtered.static_arena();
     let ref_fig14 = semantic::clustering_correlation_arena(&ref_view, |_| true, Some(HOLDER_CAP));
     let ref_fig18 = fig18_series(&ref_view);
     assert!(
@@ -104,14 +103,14 @@ fn all_formats_agree_down_the_pipeline() {
 
     for (name, trace) in loaded {
         assert_eq!(trace, full, "{name}: full trace must round-trip losslessly");
-        let filtered = filter(&trace).trace;
+        let filtered = filter(&trace).arena;
         assert_eq!(filtered, ref_filtered, "{name}: filtered stage diverged");
-        let extrapolated = extrapolate(&filtered, ExtrapolateConfig::default()).trace;
+        let extrapolated = extrapolate(&filtered, ExtrapolateConfig::default()).arena;
         assert_eq!(
             extrapolated, ref_extrapolated,
             "{name}: extrapolated stage diverged"
         );
-        let view = TraceArena::from_trace(&filtered).static_arena();
+        let view = filtered.static_arena();
         let fig14 = semantic::clustering_correlation_arena(&view, |_| true, Some(HOLDER_CAP));
         assert_eq!(fig14, ref_fig14, "{name}: Fig. 14 series diverged");
         let fig18 = fig18_series(&view);
@@ -134,7 +133,7 @@ fn streaming_filter_matches_in_memory_filter_on_workload() {
     assert_eq!(streamed.days as usize, full.days.len());
     let streamed_trace = io::load_bin(&output).expect("load filtered output");
     assert_eq!(
-        streamed_trace, in_memory.trace,
+        streamed_trace, in_memory.arena,
         "streamed filtered trace diverged"
     );
     let _ = std::fs::remove_dir_all(&dir);

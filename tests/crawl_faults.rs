@@ -225,8 +225,7 @@ fn fig18_policy_ordering_survives_faults() {
     let (trace, report) = run_crawl_full(&population, NetConfig::default(), crawler_config);
     assert_eq!(report.health.check_invariants(), Ok(()));
     assert!(report.health.truncated > 0, "disconnects must truncate");
-    let filtered = filter(&trace).trace;
-    let view = CacheArena::from_caches(&filtered.static_caches(), filtered.files.len());
+    let view = filter(&trace).arena.static_arena();
     let cells = sweep_cells(
         &view,
         &[
@@ -327,7 +326,7 @@ fn truncated_traces_flow_through_the_pipeline() {
     let streamed = filter_streaming(&input, &output).unwrap();
     let from_stream = edonkey_repro::trace::io::bin::load_bin(&output).unwrap();
     assert_eq!(
-        from_stream, in_memory.trace,
+        from_stream, in_memory.arena,
         "streaming filter must equal the in-memory filter"
     );
     assert_eq!(streamed.kept, in_memory.kept);
@@ -336,15 +335,15 @@ fn truncated_traces_flow_through_the_pipeline() {
     // Extrapolation accepts the surviving peers (the population runs 10
     // days, so relax the span/snapshot gates accordingly).
     let extrapolated = extrapolate(
-        &in_memory.trace,
+        &in_memory.arena,
         ExtrapolateConfig {
             min_snapshots: 3,
             min_span_days: 5,
         },
     );
-    assert_eq!(extrapolated.trace.check_invariants(), Ok(()));
+    assert_eq!(extrapolated.arena.check_invariants(), Ok(()));
     assert!(
-        !extrapolated.trace.peers.is_empty(),
+        !extrapolated.arena.peers.is_empty(),
         "regular clients must survive extrapolation of a truncated trace"
     );
 }

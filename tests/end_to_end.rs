@@ -22,7 +22,7 @@ fn workload() -> TraceArena {
     config.files = 40_000;
     config.topics = 400;
     config.days = 20;
-    TraceArena::from_trace(&generate_trace(config).1)
+    generate_trace(config).1
 }
 
 /// The filtered stage and its static view.

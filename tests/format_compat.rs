@@ -13,9 +13,10 @@
 
 use edonkey_repro::proto::md4::Md4;
 use edonkey_repro::proto::query::FileKind;
+use edonkey_repro::trace::compact::TraceArena;
 use edonkey_repro::trace::io::bin::{FORMAT_VERSION, MAGIC};
 use edonkey_repro::trace::io::{from_bin, to_bin};
-use edonkey_repro::trace::model::{CountryCode, FileInfo, PeerInfo, Trace, TraceBuilder};
+use edonkey_repro::trace::model::{CountryCode, FileInfo, PeerInfo, TraceBuilder};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/golden_v1.etrc");
 
@@ -23,7 +24,7 @@ const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/golden_v1
 /// free-rider), four files across distinct kinds, two non-contiguous
 /// days. Every identity is derived from a fixed string, so this
 /// function is bit-stable across platforms and releases.
-fn golden_trace() -> Trace {
+fn golden_trace() -> TraceArena {
     let mut b = TraceBuilder::new();
     let alice = b.intern_peer(PeerInfo {
         uid: Md4::digest(b"golden-alice"),

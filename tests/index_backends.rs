@@ -43,8 +43,7 @@ fn arena() -> &'static CacheArena {
         config.topics = 200;
         config.days = 12;
         let (_, trace) = generate_trace(config);
-        let filtered = filter(&trace).trace;
-        CacheArena::from_caches(&filtered.static_caches(), filtered.files.len())
+        filter(&trace).arena.static_arena()
     })
 }
 

@@ -3,7 +3,7 @@
 //! list invariants, and simulation accounting identities hold for *all*
 //! inputs, not just the hand-picked ones.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use edonkey_repro::analysis::banded::{self, BandedOverlapConfig};
 use edonkey_repro::analysis::semantic;
@@ -22,11 +22,9 @@ use edonkey_repro::semsearch::{
     split_eligible, AdversaryConfig, AvailabilityConfig, IndexBackend, QueryPolicy, SearchHealth,
     SimConfig, SimResult,
 };
-use edonkey_repro::trace::compact::{CacheArena, TraceArena};
+use edonkey_repro::trace::compact::{CacheArena, DayArena, TraceArena};
 use edonkey_repro::trace::io;
-use edonkey_repro::trace::model::{
-    CountryCode, DaySnapshot, FileInfo, FileRef, PeerId, PeerInfo, Trace,
-};
+use edonkey_repro::trace::model::{CountryCode, FileInfo, FileRef, PeerId, PeerInfo, TraceBuilder};
 use edonkey_repro::trace::pipeline::{
     extrapolate, extrapolate_arena_with_threads, filter, filter_arena, retain_peers,
     retain_peers_arena, sorted_intersection, sorted_intersection_len, ExtrapolateConfig,
@@ -86,7 +84,7 @@ fn arb_caches() -> impl Strategy<Value = Vec<Vec<FileRef>>> {
 /// arbitrary per-peer caches (often empty ⇒ free-riders). Covers the
 /// degenerate shapes the codecs must handle: the empty trace, day-less
 /// traces with populated tables, and single-day traces.
-fn arb_trace() -> impl Strategy<Value = Trace> {
+fn arb_trace() -> impl Strategy<Value = TraceArena> {
     let countries = ["FR", "DE", "ES", "US"];
     (
         prop::collection::vec((any::<u32>(), 0usize..64), 0..12),
@@ -120,29 +118,45 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
                     asn,
                 })
                 .collect();
-            let days: Vec<DaySnapshot> = day_numbers
+            let days: Vec<DayArena> = day_numbers
                 .into_iter()
                 .zip(day_slots)
-                .map(|(day, slots)| DaySnapshot {
-                    day,
-                    caches: slots
-                        .into_iter()
-                        .take(peers.len())
-                        .enumerate()
-                        .filter(|(_, (observed, _))| *observed)
-                        .map(|(peer, (_, raw))| {
-                            let cache: Vec<FileRef> = raw
-                                .into_iter()
+                .map(|(day, slots)| {
+                    let mut arena = DayArena::new(day);
+                    let observed = slots.into_iter().take(peers.len()).enumerate();
+                    for (peer, (_, raw)) in observed.filter(|(_, (seen, _))| *seen) {
+                        arena.peers.push(peer as u32);
+                        arena.entries.extend(
+                            raw.into_iter()
                                 .filter(|&f| (f as usize) < files.len())
-                                .map(FileRef)
-                                .collect();
-                            (PeerId(peer as u32), cache)
-                        })
-                        .collect(),
+                                .map(FileRef),
+                        );
+                        arena.offsets.push(arena.entries.len() as u32);
+                    }
+                    arena
                 })
                 .collect();
-            Trace { files, peers, days }
+            TraceArena { files, peers, days }
         })
+}
+
+/// Trace-builder scripts: each step is `(kind, id, day, cache)`. Kinds
+/// 0 and 1 intern file and peer identity `id % 12` / `id % 10` (a
+/// repeat returns the existing id; peer identities share three IPs, so
+/// aliases arrive mid-trace), kinds 2–6 record peer `id` (an interned
+/// one, picked modulo the table) on `day` with `cache` (refs picked
+/// modulo the file table, unsorted and repeating), and kind 7 takes
+/// `day` midway.
+fn arb_build_script() -> impl Strategy<Value = Vec<(u8, u8, u32, Vec<u8>)>> {
+    prop::collection::vec(
+        (
+            0u8..8,
+            any::<u8>(),
+            340u32..347,
+            prop::collection::vec(any::<u8>(), 0..8),
+        ),
+        0..80,
+    )
 }
 
 /// Arbitrary small-but-varied workload configurations for the
@@ -1153,43 +1167,30 @@ proptest! {
         prop_assert!(large.hits() + 1 >= small.hits());
     }
 
-    /// The arena-native derivation pipeline (retain/filter/extrapolate
-    /// over CSR parts) is exactly the legacy row pipeline on arbitrary
-    /// traces — same kept sets, same derived traces for 1, 2 and 8
-    /// worker threads — and the arena-derived traces round-trip both
-    /// codecs losslessly.
+    /// The derivation pipeline (retain/filter/extrapolate over CSR days)
+    /// is exactly its row-at-a-time oracles on arbitrary traces — same
+    /// kept sets, same derived traces for 1, 2 and 8 worker threads —
+    /// and the derived traces round-trip both codecs losslessly.
     #[test]
     fn arena_pipeline_equals_row_pipeline(trace in arb_trace()) {
         prop_assert_eq!(trace.check_invariants(), Ok(()));
-        let arena = TraceArena::from_trace(&trace);
 
         let row_retained = retain_peers(&trace, |p| p.0 % 2 == 0);
-        let arena_retained = retain_peers_arena(&arena, |p| p.0 % 2 == 0);
-        prop_assert_eq!(&arena_retained.kept, &row_retained.kept);
-        prop_assert_eq!(&arena_retained.arena.to_trace(), &row_retained.trace);
+        prop_assert_eq!(&retain_peers_arena(&trace, |p| p.0 % 2 == 0), &row_retained);
 
         let row_filtered = filter(&trace);
-        let arena_filtered = filter_arena(&arena);
-        prop_assert_eq!(&arena_filtered.kept, &row_filtered.kept);
-        prop_assert_eq!(&arena_filtered.arena.to_trace(), &row_filtered.trace);
+        let arena_filtered = filter_arena(&trace);
+        prop_assert_eq!(&arena_filtered, &row_filtered);
 
         let config = ExtrapolateConfig::default();
-        let row_ext = extrapolate(&row_filtered.trace, config);
+        let row_ext = extrapolate(&row_filtered.arena, config);
         for threads in [1usize, 2, 8] {
             let arena_ext =
                 extrapolate_arena_with_threads(&arena_filtered.arena, config, threads);
-            prop_assert_eq!(&arena_ext.kept, &row_ext.kept, "threads {}", threads);
-            prop_assert_eq!(
-                &arena_ext.arena.to_trace(),
-                &row_ext.trace,
-                "threads {}",
-                threads
-            );
+            prop_assert_eq!(&arena_ext, &row_ext, "threads {}", threads);
         }
 
-        let derived = extrapolate_arena_with_threads(&arena_filtered.arena, config, 2)
-            .arena
-            .to_trace();
+        let derived = extrapolate_arena_with_threads(&arena_filtered.arena, config, 2).arena;
         prop_assert_eq!(derived.check_invariants(), Ok(()));
         prop_assert_eq!(
             io::from_bin(&io::to_bin(&derived)).expect("binary"),
@@ -1256,6 +1257,112 @@ proptest! {
             rand::RngCore::next_u64(&mut split_rng),
             rand::RngCore::next_u64(&mut full_rng)
         );
+    }
+
+    /// The trace builder against a plain model: intern calls in any
+    /// order (alias identities interned mid-trace), observations in any
+    /// day and peer order with unsorted, repeated refs, and days taken
+    /// midway. The days taken plus `finish` equal the model's
+    /// day → peer → file-set map, pass `check_invariants` and survive the
+    /// binary codec unchanged, and `observed_on` answers as the model does.
+    #[test]
+    fn trace_builder_matches_model(script in arb_build_script()) {
+        let file_info = |id: u8| FileInfo {
+            id: Md4::digest(&[b'f', id]),
+            size: 1_000 * u64::from(id),
+            kind: FileKind::ALL[id as usize % FileKind::ALL.len()],
+        };
+        let peer_info = |id: u8| PeerInfo {
+            uid: Md4::digest(&[b'p', id]),
+            ip: u32::from(id % 3),
+            country: CountryCode::new("FR"),
+            asn: 3215,
+        };
+        let mut b = TraceBuilder::new();
+        // The model: identities in first-seen order, and the rows of the
+        // days still open and of every day taken or finished.
+        let (mut files, mut peers): (Vec<u8>, Vec<u8>) = (Vec::new(), Vec::new());
+        let mut open: BTreeMap<u32, BTreeMap<u32, BTreeSet<u32>>> = BTreeMap::new();
+        let mut model = BTreeMap::new();
+        let mut taken = Vec::new();
+        for (kind, id, day, cache) in script {
+            match kind {
+                0 | 1 => {
+                    let (table, id) = if kind == 0 {
+                        (&mut files, id % 12)
+                    } else {
+                        (&mut peers, id % 10)
+                    };
+                    let expected = table.iter().position(|&t| t == id).unwrap_or_else(|| {
+                        table.push(id);
+                        table.len() - 1
+                    });
+                    let got = if kind == 0 {
+                        b.intern_file(file_info(id)).index()
+                    } else {
+                        b.intern_peer(peer_info(id)).index()
+                    };
+                    prop_assert_eq!(got, expected);
+                }
+                2..=6 => {
+                    // A taken day stays closed.
+                    if peers.is_empty() || model.contains_key(&day) {
+                        continue;
+                    }
+                    let peer = u32::from(id) % peers.len() as u32;
+                    let refs: Vec<FileRef> = cache
+                        .iter()
+                        .filter(|_| !files.is_empty())
+                        .map(|&f| FileRef(u32::from(f) % files.len() as u32))
+                        .collect();
+                    let seen = open.get(&day).is_some_and(|d| d.contains_key(&peer));
+                    prop_assert_eq!(b.observed_on(day, PeerId(peer)), seen);
+                    if !seen {
+                        b.observe(day, PeerId(peer), refs.clone());
+                        let row = refs.iter().map(|f| f.0).collect();
+                        open.entry(day).or_default().insert(peer, row);
+                    }
+                }
+                _ => {
+                    let got = b.take_day(day);
+                    prop_assert_eq!(got.is_some(), open.contains_key(&day));
+                    taken.extend(got);
+                    let rows = open.remove(&day).unwrap_or_default();
+                    model.entry(day).or_insert(rows);
+                }
+            }
+        }
+        model.retain(|_, rows| !rows.is_empty());
+        model.extend(open);
+
+        let finished = b.finish();
+        let mut days = taken;
+        days.extend(finished.days);
+        days.sort_by_key(|d| d.day);
+        let built = TraceArena {
+            files: finished.files,
+            peers: finished.peers,
+            days,
+        };
+        prop_assert_eq!(built.check_invariants(), Ok(()));
+        let expected = TraceArena {
+            files: files.iter().map(|&id| file_info(id)).collect(),
+            peers: peers.iter().map(|&id| peer_info(id)).collect(),
+            days: model
+                .iter()
+                .map(|(&day, rows)| {
+                    let mut arena = DayArena::new(day);
+                    for (&peer, refs) in rows {
+                        arena.peers.push(peer);
+                        arena.entries.extend(refs.iter().map(|&f| FileRef(f)));
+                        arena.offsets.push(arena.entries.len() as u32);
+                    }
+                    arena
+                })
+                .collect(),
+        };
+        prop_assert_eq!(&built, &expected);
+        prop_assert_eq!(io::from_bin(&io::to_bin(&built)).expect("decode"), built);
     }
 
     /// The out-of-core streaming generator writes the byte-identical

@@ -36,9 +36,8 @@ fn caches() -> &'static (Vec<Vec<FileRef>>, usize) {
         config.topics = 300;
         config.days = 15;
         let (_, trace) = generate_trace(config);
-        let filtered = filter(&trace).trace;
-        let n = filtered.files.len();
-        (filtered.static_caches(), n)
+        let filtered = filter(&trace).arena;
+        (filtered.static_arena().to_caches(), filtered.files.len())
     })
 }
 

@@ -46,9 +46,7 @@ fn arena() -> &'static CacheArena {
         config.topics = 200;
         config.days = 12;
         let (_, trace) = generate_trace(config);
-        let filtered = filter(&trace).trace;
-        let n_files = filtered.files.len();
-        CacheArena::from_caches(&filtered.static_caches(), n_files)
+        filter(&trace).arena.static_arena()
     })
 }
 
